@@ -6,7 +6,7 @@
 //! repro [all|table1|table2|table3|table4|table5|table6|table7|pcb|mbuf|predict|errors]
 //!       [faults|churn|ablation|switch|ethernet-errors|trace]
 //!       [dc] [tails] [hedge] [cc]
-//!       [verify [--bless] [--dump-live] [--golden-dir DIR]] [invariants] [bench]
+//!       [verify [--bless] [--dump-live] [--golden-dir DIR]] [invariants]
 //!       [--iterations N] [--reps N] [--jobs N] [--seed N] [--json FILE]
 //!       [--sweep-json FILE] [--out-dir DIR] [--full] [--quick] [--sketch]
 //! ```
@@ -26,7 +26,7 @@
 //! experiment (default 1). Sweep-grid cells derive their seeds from
 //! their cell keys instead — that is what pins the blessed goldens —
 //! so `--seed` shifts the directly seeded studies (`predict`,
-//! `switch`, `udp`, `errors`, `invariants`, `bench`) and never the
+//! `switch`, `udp`, `errors`, `invariants`) and never the
 //! golden grids. All output files land under `--out-dir` (default
 //! `out/`, created on demand); absolute paths are honoured as given.
 //!
@@ -43,9 +43,9 @@ mod report;
 use latency_core::experiment::{Experiment, NetKind};
 use latency_core::{faults, micro, paper, tables};
 use report::Report;
-use simcap::Quantiles as _;
 use sweep::grid::Variant;
 use sweep::{Sweep, SweepResults};
+use world::Study;
 
 /// Command-line options. The scale/fan-out/seed/output flags are
 /// shared by every subcommand and mean the same thing under each.
@@ -69,8 +69,7 @@ struct Opts {
     dump_live: bool,
     golden_dir: String,
     /// Record study completions in mergeable-sketch mode instead of
-    /// exact pooled samples; under `bench`, also run the
-    /// million-sample sketch benchmark and gate on it.
+    /// exact pooled samples.
     sketch: bool,
 }
 
@@ -177,20 +176,11 @@ fn main() {
     if opts.what.iter().any(|w| w == "invariants") {
         std::process::exit(cmd_invariants(&opts));
     }
-    if opts.what.iter().any(|w| w == "bench") {
-        std::process::exit(cmd_bench(&opts));
-    }
-    if opts.what.iter().any(|w| w == "dc") {
-        std::process::exit(cmd_dc(&opts));
-    }
-    if opts.what.iter().any(|w| w == "tails") {
-        std::process::exit(cmd_tails(&opts));
-    }
-    if opts.what.iter().any(|w| w == "hedge") {
-        std::process::exit(cmd_hedge(&opts));
-    }
-    if opts.what.iter().any(|w| w == "cc") {
-        std::process::exit(cmd_cc(&opts));
+    if let Some(study) = Study::ALL
+        .into_iter()
+        .find(|s| opts.what.iter().any(|w| w == s.name()))
+    {
+        std::process::exit(cmd_study(study, &opts));
     }
     let mut report = Report::new(opts.iterations, opts.reps);
     let all = opts.what.iter().any(|w| w == "all");
@@ -1024,7 +1014,6 @@ fn golden_scale(opts: &Opts) -> Opts {
         bless: opts.bless,
         dump_live: opts.dump_live,
         golden_dir: opts.golden_dir.clone(),
-        // Goldens are blessed in exact mode; verify never sketches.
         sketch: false,
     }
 }
@@ -1050,12 +1039,68 @@ fn golden_grids(q: &Opts) -> [Sweep; 2] {
     [tables, faults]
 }
 
+/// A blessed grid: one of the two `Sweep` grids, or a world study's
+/// quick grid.
+enum Golden {
+    Sweep(Sweep),
+    Study(Study),
+}
+
+/// A golden grid's live side: its canonical JSON, its cell count, and
+/// (for `Sweep` grids) the results drift shrinking reruns from.
+struct Live {
+    json: String,
+    cells: usize,
+    sweep: Option<SweepResults>,
+}
+
+impl Golden {
+    /// The golden file's stem, `<grid>_quick`.
+    fn stem(&self) -> String {
+        match self {
+            Golden::Sweep(grid) => format!("{}_quick", grid.name),
+            Golden::Study(study) => study.report_name(true),
+        }
+    }
+
+    fn run(self, jobs: usize) -> Live {
+        match self {
+            Golden::Sweep(grid) => {
+                let live = grid.run(jobs);
+                Live {
+                    json: live.canonical_json(),
+                    cells: live.outcomes.len(),
+                    sweep: Some(live),
+                }
+            }
+            // Goldens are blessed in exact mode; verify never sketches.
+            Golden::Study(study) => {
+                let live = study.run(true, jobs, latency_core::ObsMode::Exact);
+                Live {
+                    json: live.json,
+                    cells: live.cells,
+                    sweep: None,
+                }
+            }
+        }
+    }
+}
+
+/// `repro verify`: every golden — the tables and faults grids, then
+/// each world study's quick grid — runs live and is diffed against
+/// `<golden_dir>/<stem>.json` with the shared comparator (the world
+/// studies' extra fields ride in its `extras`).
 fn cmd_verify(opts: &Opts) -> i32 {
     let q = golden_scale(opts);
     let mut code = 0;
     let mut summary: Vec<(String, usize, usize)> = Vec::new();
-    for grid in golden_grids(&q) {
-        let path = format!("{}/{}_quick.json", q.golden_dir, grid.name);
+    let goldens = golden_grids(&q)
+        .into_iter()
+        .map(Golden::Sweep)
+        .chain(Study::ALL.map(Golden::Study));
+    for grid in goldens {
+        let stem = grid.stem();
+        let path = format!("{}/{stem}.json", q.golden_dir);
         // Read the golden before paying for the live grid, so a
         // missing or corrupt file fails fast.
         let golden = if q.bless {
@@ -1079,124 +1124,34 @@ fn cmd_verify(opts: &Opts) -> i32 {
                 }
             }
         };
-        eprintln!(
-            "verify: {}: running {} cell(s) across {} worker(s)...",
-            grid.name,
-            grid.len(),
-            q.jobs
-        );
+        eprintln!("verify: {stem}: running across {} worker(s)...", q.jobs);
         let live = grid.run(q.jobs);
-        let live_json = live.canonical_json();
         if q.dump_live {
-            let p = out_path(opts, &format!("{}_live.json", grid.name));
-            std::fs::write(&p, &live_json).expect("write live canonical json");
+            let p = out_path(opts, &format!("{stem}_live.json"));
+            std::fs::write(&p, &live.json).expect("write live canonical json");
             eprintln!("verify: live canonical grid written to {}", p.display());
         }
         let Some(golden) = golden else {
             std::fs::create_dir_all(&q.golden_dir).expect("create golden dir");
-            std::fs::write(&path, &live_json).expect("write golden file");
-            eprintln!(
-                "verify: blessed {} cell(s) into {path}",
-                live.outcomes.len()
-            );
-            summary.push((grid.name.to_string(), live.outcomes.len(), 0));
+            std::fs::write(&path, &live.json).expect("write golden file");
+            eprintln!("verify: blessed {} cell(s) into {path}", live.cells);
+            summary.push((stem, live.cells, 0));
             continue;
         };
-        let live_rep = oracle::parse_report(&live_json).expect("live canonical json parses");
+        let live_rep = oracle::parse_report(&live.json).expect("live canonical json parses");
         let drifts = oracle::compare_reports(&golden, &live_rep, GOLDEN_TOL_US);
-        summary.push((grid.name.to_string(), live.outcomes.len(), drifts.len()));
+        summary.push((stem.clone(), live.cells, drifts.len()));
         if drifts.is_empty() {
-            eprintln!(
-                "verify: {}: {} cell(s) match {path}",
-                grid.name,
-                live.outcomes.len()
-            );
+            eprintln!("verify: {stem}: {} cell(s) match {path}", live.cells);
             continue;
         }
         code = 1;
-        eprintln!(
-            "verify: {}: {} drift(s) against {path}:",
-            grid.name,
-            drifts.len()
-        );
+        eprintln!("verify: {stem}: {} drift(s) against {path}:", drifts.len());
         for d in &drifts {
             eprintln!("  {d}");
         }
-        shrink_fault_drifts(&live, &drifts);
-    }
-    // The world-crate goldens (datacenter incast, tail-at-scale
-    // fan-out) follow the same protocol; their grids come from
-    // `crates/world` rather than `Sweep`, but the canonical JSON is
-    // schema-compatible so the parser and comparator are shared (the
-    // tails report's extra percentile fields ride in the comparator's
-    // `extras`).
-    {
-        let cells = world::dc_quick_grid();
-        let count = cells.len();
-        if let Some(rc) = verify_world_grid(
-            opts,
-            &q,
-            "dc_quick",
-            count,
-            || world::canonical_json("dc_quick", &world::run_dc_cells(&cells, q.jobs)),
-            &mut summary,
-            &mut code,
-        ) {
-            return rc;
-        }
-    }
-    {
-        let cells = world::tails_quick_grid();
-        let count = cells.len();
-        if let Some(rc) = verify_world_grid(
-            opts,
-            &q,
-            "tails_quick",
-            count,
-            || {
-                let results = world::run_tails_cells(&cells, q.jobs);
-                world::tails_canonical_json("tails_quick", &cells, &results)
-            },
-            &mut summary,
-            &mut code,
-        ) {
-            return rc;
-        }
-    }
-    {
-        let cells = world::hedge_quick_grid();
-        let count = cells.len();
-        if let Some(rc) = verify_world_grid(
-            opts,
-            &q,
-            "hedge_quick",
-            count,
-            || {
-                let results = world::run_hedge_cells(&cells, q.jobs);
-                world::hedge_canonical_json("hedge_quick", &cells, &results)
-            },
-            &mut summary,
-            &mut code,
-        ) {
-            return rc;
-        }
-    }
-    {
-        let cells = world::cc_quick_grid();
-        let count = cells.len();
-        if let Some(rc) = verify_world_grid(
-            opts,
-            &q,
-            "cc_quick",
-            count,
-            || {
-                let results = world::run_cc_cells(&cells, q.jobs);
-                world::cc_canonical_json("cc_quick", &cells, &results)
-            },
-            &mut summary,
-            &mut code,
-        ) {
-            return rc;
+        if let Some(sweep) = &live.sweep {
+            shrink_fault_drifts(sweep, &drifts);
         }
     }
     if code == 0 && !q.bless {
@@ -1219,76 +1174,6 @@ fn cmd_verify(opts: &Opts) -> i32 {
         eprintln!("verify summary written to {}", p.display());
     }
     code
-}
-
-/// Golden-gates one world-crate grid under the sweep grids' protocol:
-/// read (or bless) `<golden_dir>/<name>.json`, produce the live
-/// canonical JSON, diff with the shared comparator. The golden is
-/// read *before* `live` runs the grid, so a missing or corrupt file
-/// fails fast. Returns `Some(2)` on a hard failure the caller must
-/// propagate; drift sets `*code = 1` and records into `summary` like
-/// every other grid.
-fn verify_world_grid(
-    opts: &Opts,
-    q: &Opts,
-    name: &str,
-    cells: usize,
-    live: impl FnOnce() -> String,
-    summary: &mut Vec<(String, usize, usize)>,
-    code: &mut i32,
-) -> Option<i32> {
-    let path = format!("{}/{name}.json", q.golden_dir);
-    let golden = if q.bless {
-        None
-    } else {
-        let golden_text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!(
-                    "verify: cannot read {path}: {e}\n\
-                     verify: run `repro verify --bless` to create the goldens"
-                );
-                return Some(2);
-            }
-        };
-        match oracle::parse_report(&golden_text) {
-            Ok(g) => Some(g),
-            Err(e) => {
-                eprintln!("verify: {path}: {e}");
-                return Some(2);
-            }
-        }
-    };
-    eprintln!(
-        "verify: {name}: running {cells} cell(s) across {} worker(s)...",
-        q.jobs
-    );
-    let live_json = live();
-    if q.dump_live {
-        let p = out_path(opts, &format!("{name}_live.json"));
-        std::fs::write(&p, &live_json).expect("write live canonical json");
-        eprintln!("verify: live canonical grid written to {}", p.display());
-    }
-    if let Some(golden) = golden {
-        let live_rep = oracle::parse_report(&live_json).expect("live canonical json parses");
-        let drifts = oracle::compare_reports(&golden, &live_rep, GOLDEN_TOL_US);
-        summary.push((name.to_string(), cells, drifts.len()));
-        if drifts.is_empty() {
-            eprintln!("verify: {name}: {cells} cell(s) match {path}");
-        } else {
-            *code = 1;
-            eprintln!("verify: {name}: {} drift(s) against {path}:", drifts.len());
-            for d in &drifts {
-                eprintln!("  {d}");
-            }
-        }
-    } else {
-        std::fs::create_dir_all(&q.golden_dir).expect("create golden dir");
-        std::fs::write(&path, &live_json).expect("write golden file");
-        eprintln!("verify: blessed {cells} cell(s) into {path}");
-        summary.push((name.to_string(), cells, 0));
-    }
-    None
 }
 
 /// Integrity anomalies in a drifted fault cell (payload corruption
@@ -1490,465 +1375,31 @@ fn cmd_invariants(opts: &Opts) -> i32 {
     }
 }
 
-/// `repro bench`: the perfkit benchmark suite. Measures engine
-/// events/sec against the frozen pre-calendar-queue engine,
-/// end-to-end simulated-RTT throughput, and whole-grid wall-clock at
-/// several worker counts, then writes `BENCH_5.json` under
-/// `--out-dir` (or to `--json FILE`). `--quick` is the CI scale.
-fn cmd_bench(opts: &Opts) -> i32 {
-    let events = if opts.quick { 400_000 } else { 4_000_000 };
-    eprintln!("bench: engine microbenchmark ({events} events, both engines)...");
-    let engine = perfkit::engine_bench(events, opts.seed);
-
-    let rtt_iters = if opts.quick { 400 } else { 4_000 };
-    eprintln!("bench: end-to-end RTT throughput ({rtt_iters} iterations)...");
-    let rtt = vec![
-        perfkit::measure_rtt(NetKind::Atm, 200, rtt_iters, opts.seed),
-        perfkit::measure_rtt(NetKind::Atm, 8000, rtt_iters / 4, opts.seed),
-        perfkit::measure_rtt(NetKind::Ether, 200, rtt_iters.min(400), opts.seed),
-    ];
-
-    // The Tables 1-7 grid and the faults grid, at several worker
-    // counts up to --jobs. Golden scale pins the cell keys (and thus
-    // the key-derived seeds) regardless of --seed.
-    let mut scale = golden_scale(opts);
-    if !opts.quick {
-        scale.iterations = opts.iterations.min(1_500);
-        scale.reps = opts.reps;
-        scale.quick = false;
-    }
-    let mut jobs_list = vec![1usize];
-    for j in [2, 4, opts.jobs] {
-        if j <= opts.jobs && !jobs_list.contains(&j) {
-            jobs_list.push(j);
-        }
-    }
-    jobs_list.sort_unstable();
-    let mut sweeps = Vec::new();
-    for grid in golden_grids(&scale) {
-        for &jobs in &jobs_list {
-            eprintln!(
-                "bench: sweep '{}' ({} cells) across {} worker(s)...",
-                grid.name,
-                grid.len(),
-                jobs
-            );
-            sweeps.push(perfkit::measure_sweep(&grid, jobs));
-        }
-    }
-
-    let sketch = if opts.sketch {
-        let samples = if opts.quick { 100_000 } else { 1_000_000 };
-        eprintln!("bench: sketch-mode observability ({samples} samples, 16 shards)...");
-        Some(perfkit::sketch_bench(samples, 16, opts.seed))
-    } else {
-        None
-    };
-
-    let report = perfkit::BenchReport {
-        series: perfkit::BENCH_SERIES,
-        quick: opts.quick,
-        seed: opts.seed,
-        engine,
-        rtt,
-        sweeps,
-        sketch,
-    };
-    println!(
-        "bench: engine          {:>12.0} events/s (heap baseline)",
-        report.engine.heap_events_per_sec()
-    );
-    println!(
-        "bench: engine          {:>12.0} events/s (calendar queue)",
-        report.engine.calendar_events_per_sec()
-    );
-    println!(
-        "bench: engine speedup  {:>12.2}x vs the pre-overhaul engine",
-        report.engine.speedup()
-    );
-    for r in &report.rtt {
-        println!(
-            "bench: {:>5} {:>5}B    {:>12.0} RTT/s  {:>12.0} events/s",
-            r.net,
-            r.size,
-            r.rtts_per_sec(),
-            r.events_per_sec()
-        );
-    }
-    for b in &report.sweeps {
-        println!(
-            "bench: {:>6} grid x{} {:>12.3} s     {:>12.0} events/s",
-            b.grid,
-            b.jobs,
-            b.wall_s,
-            b.events_per_sec()
-        );
-    }
-    if let Some(sk) = &report.sketch {
-        println!(
-            "bench: sketch {:>7} samples {:>12.0} samples/s  {:>7} B retained",
-            sk.samples,
-            sk.samples_per_sec(),
-            sk.memory_bytes
-        );
-        println!(
-            "bench: sketch p99 {} ns vs exact {} ns ({:.3}% drift), jobs 1==4: {}",
-            sk.sketch_p99_ns,
-            sk.exact_p99_ns,
-            sk.p99_drift() * 100.0,
-            sk.jobs_byte_identical
-        );
-    }
-    let file = opts
-        .json
-        .clone()
-        .unwrap_or_else(|| format!("BENCH_{}.json", perfkit::BENCH_SERIES));
-    let p = out_path(opts, &file);
-    std::fs::write(&p, report.to_json()).expect("write bench json");
-    eprintln!("bench report written to {}", p.display());
-    if report.engine.speedup() < 1.5 {
-        eprintln!(
-            "bench: WARNING: engine speedup {:.2}x is below the 1.5x floor this tree claims",
-            report.engine.speedup()
-        );
-        return 1;
-    }
-    // The --sketch gates: bounded memory, bounded p99 drift, and
-    // worker-count independence — the three claims DESIGN.md §2.19
-    // makes for sketch-mode observability.
-    if let Some(sk) = &report.sketch {
-        let mut bad = false;
-        // MAX_MEMORY_BYTES bounds the bucket arrays; the recorder adds
-        // fixed-size struct overhead on top, so allow a small slack.
-        let ceiling = simcap::MAX_MEMORY_BYTES + 1024;
-        if sk.memory_bytes > ceiling {
-            eprintln!(
-                "bench: FAIL: sketch retained {} B, over the {} B ceiling",
-                sk.memory_bytes, ceiling
-            );
-            bad = true;
-        }
-        if sk.p99_drift() >= 0.01 {
-            eprintln!(
-                "bench: FAIL: sketch p99 drift {:.4} exceeds the 1% gate",
-                sk.p99_drift()
-            );
-            bad = true;
-        }
-        if !sk.jobs_byte_identical {
-            eprintln!("bench: FAIL: sketch merge differs between --jobs 1 and --jobs 4");
-            bad = true;
-        }
-        if bad {
-            return 1;
-        }
-    }
-    0
-}
-
-// --------------------------------------------------------------------------
-// `repro dc` — the datacenter incast study (crates/world).
-// --------------------------------------------------------------------------
-
-/// `repro dc`: the switch-centered datacenter study. Sweeps client
-/// hosts x connections/host x PCB lookup strategy x incast fan-in,
-/// reporting per-cell RTT distributions next to the server-side PCB
-/// counters the paper's §3 cost model predicts. `--quick` runs the CI
-/// grid whose canonical JSON is blessed as `tests/golden/dc_quick.json`
-/// and gated by `repro verify`; `--sweep-json FILE` writes the same
-/// canonical report for either scale.
-fn cmd_dc(opts: &Opts) -> i32 {
-    let (name, cells) = if opts.quick {
-        ("dc_quick", world::dc_quick_grid())
-    } else {
-        ("dc", world::dc_grid())
-    };
-    eprintln!(
-        "dc: {} cell(s) across {} worker(s)...",
-        cells.len(),
-        opts.jobs
-    );
-    let results = world::run_dc_cells_with(&cells, opts.jobs, obs_mode(opts));
-    let mut code = 0;
-    println!(
-        "{:<28} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>8}",
-        "cell", "samples", "mean_us", "p50_us", "p99_us", "search", "hit%", "drops", "backlog"
-    );
-    for r in &results {
-        let rec = r.rtts.recorder();
-        println!(
-            "{:<28} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>7.2} {:>6.1} {:>6} {:>8}",
-            r.key.trim_start_matches("dc/"),
-            r.rtts.len(),
-            rec.mean_us(),
-            rec.percentile_ns(50.0).unwrap_or(0) as f64 / 1_000.0,
-            rec.p99_ns().unwrap_or(0) as f64 / 1_000.0,
-            r.search_len(),
-            r.cache_hit_rate() * 100.0,
-            r.switch_drops,
-            r.max_backlog_cells
-        );
-        if r.rtts.is_empty() || r.verify_failures > 0 || r.aborted_conns > 0 {
-            code = 1;
-            eprintln!(
-                "dc: {}: FAILED ({} sample(s), {} verify failure(s), {} aborted connection(s))",
-                r.key,
-                r.rtts.len(),
-                r.verify_failures,
-                r.aborted_conns
-            );
-        }
-    }
-    // The §3 ordering, made visible: per (clients, conns, fan-in)
-    // group, the mean server-side search length under each strategy.
-    // The single-entry cache's list degrades as the PCB table grows;
-    // the hash table stays flat.
-    let groups: std::collections::BTreeSet<(usize, usize, usize)> = cells
-        .iter()
-        .map(|c| {
-            (
-                c.topo.clients,
-                c.topo.conns_per_host,
-                c.topo.effective_fanin(),
-            )
-        })
-        .collect();
-    println!("\nserver-side mean search length by strategy (PCB lookup, §3):");
-    println!(
-        "{:<20} {:>8} {:>8} {:>8}",
-        "clients x conns x fanin", "mtf", "cache", "hash"
-    );
-    for (h, c, f) in groups {
-        let of = |tag: &str| {
-            results
-                .iter()
-                .find(|r| {
-                    r.key == format!("dc/h{h}/c{c}/{tag}/f{f}/i{}r1", cells[0].topo.iterations)
-                })
-                .map_or(f64::NAN, world::DcCellResult::search_len)
-        };
-        println!(
-            "h{h:<4} c{c:<4} f{f:<6} {:>8.2} {:>8.2} {:>8.2}",
-            of("mtf"),
-            of("cache"),
-            of("hash")
-        );
+/// `repro <study>`: one of the datacenter studies over the shared
+/// world pipeline (`world::Study`). Prints the study table, writes the
+/// canonical report under `--sweep-json FILE`, and fails the run if
+/// any cell failed the study's predicate (payload corruption, a leaked
+/// mbuf, or no samples with no abort to explain them; in `dc`, any
+/// aborted connection). `--quick` runs the CI grid whose canonical
+/// JSON is blessed as `tests/golden/<study>_quick.json` and gated by
+/// `repro verify`; `--sketch` records samples in sketch mode.
+fn cmd_study(study: Study, opts: &Opts) -> i32 {
+    let name = study.name();
+    eprintln!("{name}: running across {} worker(s)...", opts.jobs);
+    let report = study.run(opts.quick, opts.jobs, obs_mode(opts));
+    print!("{}", report.table);
+    for failure in &report.failed {
+        eprintln!("{name}: {failure}");
     }
     if let Some(path) = &opts.sweep_json {
         let p = out_path(opts, path);
-        std::fs::write(&p, world::canonical_json(name, &results)).expect("write dc sweep json");
-        eprintln!("dc canonical report written to {}", p.display());
+        std::fs::write(&p, &report.json).expect("write study sweep json");
+        eprintln!("{name} canonical report written to {}", p.display());
     }
-    if code == 0 {
-        eprintln!("dc: {} cell(s) clean", results.len());
-    }
-    code
-}
-
-// --------------------------------------------------------------------------
-// `repro tails` — the tail-at-scale fan-out study (crates/world).
-// --------------------------------------------------------------------------
-
-/// `repro tails`: the fan-out/wait-for-all completion-tail study. Each
-/// client issues one logical request as N parallel sub-requests to N
-/// distinct servers and completes on the slowest reply; the table
-/// reports completion p50/p99/p999 and the tail-amplification ratio
-/// (p99 at fan-out N over p99 at fan-out 1) per faultkit scenario,
-/// with and without background churn traffic. `--quick` runs the CI
-/// grid whose canonical JSON is blessed as
-/// `tests/golden/tails_quick.json` and gated by `repro verify`;
-/// `--sweep-json FILE` writes the canonical report for either scale.
-///
-/// Unlike `repro dc`, retransmit-limit aborts are *data*, not
-/// failures: the mbuf-exhaustion regime is expected to kill client
-/// rounds, and the table flags such cells with `!`. Only payload
-/// corruption or a cell that silently produced nothing fail the run.
-fn cmd_tails(opts: &Opts) -> i32 {
-    let (name, cells) = if opts.quick {
-        ("tails_quick", world::tails_quick_grid())
+    if report.failed.is_empty() {
+        eprintln!("{name}: {} cell(s) clean", report.cells);
+        0
     } else {
-        ("tails", world::tails_grid())
-    };
-    eprintln!(
-        "tails: {} cell(s) across {} worker(s)...",
-        cells.len(),
-        opts.jobs
-    );
-    let results = world::run_tails_cells_with(&cells, opts.jobs, obs_mode(opts));
-    let rows = world::tails_rows(&cells, &results);
-    print!("{}", latency_core::tails::format_table(&rows));
-    let mut code = 0;
-    for (c, r) in cells.iter().zip(&results) {
-        if r.verify_failures > 0 || (r.completions.is_empty() && r.fanout_aborts == 0) {
-            code = 1;
-            eprintln!(
-                "tails: {}: FAILED ({} completion(s), {} verify failure(s), {} abort(s))",
-                c.cell.key,
-                r.completions.len(),
-                r.verify_failures,
-                r.fanout_aborts
-            );
-        }
+        1
     }
-    if let Some(path) = &opts.sweep_json {
-        let p = out_path(opts, path);
-        std::fs::write(&p, world::tails_canonical_json(name, &cells, &results))
-            .expect("write tails sweep json");
-        eprintln!("tails canonical report written to {}", p.display());
-    }
-    if code == 0 {
-        eprintln!("tails: {} cell(s) clean", results.len());
-    }
-    code
-}
-
-// --------------------------------------------------------------------------
-// `repro hedge` — the tail-tolerance study (crates/world).
-// --------------------------------------------------------------------------
-
-/// `repro hedge`: the tail-tolerant RPC study. Every cell runs the
-/// fan-out-16 world under one fault regime (clean, burst-loss, host
-/// pause windows, link flap) and one mitigation (none, deadline,
-/// budgeted retries, hedged requests, hedge + first-K-of-N), and the
-/// table prices each mitigation's p50/p99/p999 against the
-/// unmitigated baseline — `amp(p99) < 1` means the mitigation cut the
-/// tail — next to its cost counters (hedges won/wasted, retries
-/// issued/suppressed, deadline busts). `--quick` runs the CI grid
-/// blessed as `tests/golden/hedge_quick.json` and gated by `repro
-/// verify`; `--sweep-json FILE` writes the canonical report.
-///
-/// Like `repro tails`, retransmit-limit aborts are data (`!` rows);
-/// payload corruption, an empty un-aborted cell, or a leaked mbuf
-/// after teardown (cancelled/hedged requests must clean up) fail the
-/// run.
-fn cmd_hedge(opts: &Opts) -> i32 {
-    let (name, cells) = if opts.quick {
-        ("hedge_quick", world::hedge_quick_grid())
-    } else {
-        ("hedge", world::hedge_grid())
-    };
-    eprintln!(
-        "hedge: {} cell(s) across {} worker(s)...",
-        cells.len(),
-        opts.jobs
-    );
-    let results = world::run_hedge_cells_with(&cells, opts.jobs, obs_mode(opts));
-    let rows = world::hedge_rows(&cells, &results);
-    print!("{}", latency_core::hedge::format_table(&rows));
-    let mut code = 0;
-    for (c, r) in cells.iter().zip(&results) {
-        if r.verify_failures > 0
-            || r.mbufs_leaked > 0
-            || (r.completions.is_empty() && r.fanout_aborts == 0)
-        {
-            code = 1;
-            eprintln!(
-                "hedge: {}: FAILED ({} completion(s), {} verify failure(s), {} abort(s), {} leaked mbuf(s))",
-                c.cell.key,
-                r.completions.len(),
-                r.verify_failures,
-                r.fanout_aborts,
-                r.mbufs_leaked
-            );
-        }
-    }
-    if let Some(path) = &opts.sweep_json {
-        let p = out_path(opts, path);
-        std::fs::write(&p, world::hedge_canonical_json(name, &cells, &results))
-            .expect("write hedge sweep json");
-        eprintln!("hedge canonical report written to {}", p.display());
-    }
-    if code == 0 {
-        eprintln!("hedge: {} cell(s) clean", results.len());
-    }
-    code
-}
-
-// --------------------------------------------------------------------------
-// `repro cc` — congestion control x UBR drop policy (crates/world).
-// --------------------------------------------------------------------------
-
-/// `repro cc`: the congestion-control study. Every cell runs a
-/// cold-start 4-client incast (16 kB RPCs into one server port) under
-/// one sender variant (Tahoe, Reno, NewReno, SACK), one UBR cell-drop
-/// policy (tail, EPD, PPD), and one switch buffer size, and the table
-/// reports goodput next to the recovery-latency percentiles and the
-/// loss ledger (retransmits, RTO fires, cells dropped per policy).
-/// `--quick` runs the CI grid blessed as `tests/golden/cc_quick.json`
-/// and gated by `repro verify`; `--sweep-json FILE` writes the
-/// canonical report for either scale.
-///
-/// Retransmissions and RTOs are the study's *data*; only payload
-/// corruption, a leaked mbuf, or a cell that produced no samples at
-/// all fail the run.
-fn cmd_cc(opts: &Opts) -> i32 {
-    let (name, cells) = if opts.quick {
-        ("cc_quick", world::cc_quick_grid())
-    } else {
-        ("cc", world::cc_grid())
-    };
-    eprintln!(
-        "cc: {} cell(s) across {} worker(s)...",
-        cells.len(),
-        opts.jobs
-    );
-    let results = world::run_cc_cells_with(&cells, opts.jobs, obs_mode(opts));
-    let rows = world::cc_rows(&cells, &results);
-    println!(
-        "{:<8} {:<5} {:>5} {:>7} {:>8} {:>9} {:>9} {:>10} {:>7} {:>4} {:>6} {:>6} {:>6}",
-        "variant",
-        "drop",
-        "queue",
-        "samples",
-        "goodput",
-        "p50_us",
-        "p99_us",
-        "max_us",
-        "rexmit",
-        "rto",
-        "qdrop",
-        "epd",
-        "ppd"
-    );
-    for row in &rows {
-        println!(
-            "{:<8} {:<5} {:>5} {:>7} {:>8.2} {:>9.1} {:>9.1} {:>10.1} {:>7} {:>4} {:>6} {:>6} {:>6}",
-            row.variant,
-            row.policy,
-            row.queue_cells,
-            row.samples,
-            row.goodput_mbps,
-            row.p50_us,
-            row.p99_us,
-            row.max_us,
-            row.rexmits,
-            row.rto_fires,
-            row.queue_drops,
-            row.epd_drops,
-            row.ppd_drops
-        );
-    }
-    let mut code = 0;
-    for (c, r) in cells.iter().zip(&results) {
-        if r.verify_failures > 0 || r.mbufs_leaked > 0 || r.rtts.is_empty() {
-            code = 1;
-            eprintln!(
-                "cc: {}: FAILED ({} sample(s), {} verify failure(s), {} leaked mbuf(s))",
-                c.cell.key,
-                r.rtts.len(),
-                r.verify_failures,
-                r.mbufs_leaked
-            );
-        }
-    }
-    if let Some(path) = &opts.sweep_json {
-        let p = out_path(opts, path);
-        std::fs::write(&p, world::cc_canonical_json(name, &cells, &results))
-            .expect("write cc sweep json");
-        eprintln!("cc canonical report written to {}", p.display());
-    }
-    if code == 0 {
-        eprintln!("cc: {} cell(s) clean", results.len());
-    }
-    code
 }

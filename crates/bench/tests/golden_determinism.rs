@@ -4,9 +4,10 @@
 //! - `repro verify` passes against the blessed goldens at `--jobs 1`
 //!   and `--jobs 4` — the reworked engine reproduces the pre-overhaul
 //!   numbers cell for cell;
-//! - the live canonical sweep JSON of the tables and faults grids is
-//!   **byte-identical** to the blessed goldens at both worker counts
-//!   (and therefore byte-identical between them).
+//! - the live canonical JSON of all six golden grids (tables, faults,
+//!   and the dc, tails, hedge and cc studies) is **byte-identical** to
+//!   the blessed goldens at both worker counts (and therefore
+//!   byte-identical between them).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -45,9 +46,9 @@ fn goldens_byte_identical_at_one_and_four_workers() {
         assert!(st.success(), "verify --jobs {jobs} failed: {st:?}");
         // Stronger than the comparator: the live canonical JSON must
         // match the blessed bytes exactly, at every worker count.
-        for grid in ["tables", "faults"] {
+        for grid in ["tables", "faults", "dc", "tails", "hedge", "cc"] {
             let live =
-                std::fs::read(out.join(format!("{grid}_live.json"))).expect("read live dump");
+                std::fs::read(out.join(format!("{grid}_quick_live.json"))).expect("read live dump");
             let blessed =
                 std::fs::read(goldens.join(format!("{grid}_quick.json"))).expect("read golden");
             assert!(!live.is_empty());

@@ -129,6 +129,29 @@ pub struct MitigationCost {
     pub cancelled: u64,
 }
 
+impl std::ops::AddAssign for MitigationCost {
+    /// Field-wise sum. Destructures exhaustively, so a new counter
+    /// fails to compile here until it is pooled too.
+    fn add_assign(&mut self, o: MitigationCost) {
+        let MitigationCost {
+            hedges_issued,
+            hedges_won,
+            hedges_wasted,
+            retries_issued,
+            budget_exhausted,
+            deadline_exceeded,
+            cancelled,
+        } = o;
+        self.hedges_issued += hedges_issued;
+        self.hedges_won += hedges_won;
+        self.hedges_wasted += hedges_wasted;
+        self.retries_issued += retries_issued;
+        self.budget_exhausted += budget_exhausted;
+        self.deadline_exceeded += deadline_exceeded;
+        self.cancelled += cancelled;
+    }
+}
+
 /// One row of the hedge table: a scenario × mitigation cell at fixed
 /// fan-out.
 #[derive(Clone, Debug)]

@@ -88,10 +88,8 @@ impl Samples {
     }
 
     /// A recorder over these samples for quantile reduction: exact
-    /// mode loads an exact-mode [`Recorder`] (identical numbers to
-    /// the historical `rtt_dist_counted` path, including `i64::MAX`
-    /// clamping with saturation counts), sketch mode clones the
-    /// sketch.
+    /// mode loads an exact-mode [`Recorder`] (`i64::MAX` clamping
+    /// with saturation counts), sketch mode clones the sketch.
     #[must_use]
     pub fn recorder(&self) -> Recorder {
         match self {

@@ -15,8 +15,7 @@
 //! handful of RTTs. Mean alone hides that; p99 shows it.
 
 use faultkit::{FaultSchedule, GilbertElliott};
-use simcap::{LatencyDist, Quantiles as _};
-use simkit::SimTime;
+use simcap::Quantiles as _;
 
 use crate::experiment::{Experiment, NetKind, RunResult};
 
@@ -195,53 +194,6 @@ pub fn reduce(sc_name: &str, size: usize, r: &RunResult, clean_mean_us: f64) -> 
     }
 }
 
-/// The RTT sample set as a capture-style latency distribution
-/// (`simcap`'s nearest-rank percentiles over nanoseconds).
-///
-/// A sample above `i64::MAX` nanoseconds (≈292 years of simulated
-/// time) cannot be represented in the distribution; it trips a debug
-/// assertion here because a clamped sample would masquerade as a real
-/// tail maximum.
-#[deprecated(
-    since = "0.2.0",
-    note = "use simcap::Recorder::from_times — the unified Recorder \
-            API (dist() for the exact distribution)"
-)]
-#[must_use]
-pub fn rtt_dist(rtts: &[SimTime]) -> LatencyDist {
-    let rec = simcap::Recorder::from_times(rtts);
-    debug_assert_eq!(
-        rec.saturated(),
-        0,
-        "RTT sample(s) overflowed i64 nanoseconds and were clamped to \
-         i64::MAX — the distribution's tail is a lie"
-    );
-    rec.dist()
-        .expect("an exact-mode recorder always has a dist")
-}
-
-/// The saturation-explicit variant: the distribution plus how many
-/// samples were clamped to `i64::MAX` ns because they did not fit in
-/// a signed 64-bit nanosecond count.
-///
-/// A non-zero count means the max (and any percentile that lands on a
-/// clamped sample) is a floor, not a measurement.
-#[deprecated(
-    since = "0.2.0",
-    note = "use simcap::Recorder::from_times — the unified Recorder \
-            API (saturated() for the clamp count)"
-)]
-#[must_use]
-pub fn rtt_dist_counted(rtts: &[SimTime]) -> (LatencyDist, u64) {
-    let rec = simcap::Recorder::from_times(rtts);
-    let saturated = rec.saturated();
-    (
-        rec.dist()
-            .expect("an exact-mode recorder always has a dist"),
-        saturated,
-    )
-}
-
 /// Formats the study as a table, one row per scenario × size.
 #[must_use]
 pub fn format_table(rows: &[RecoveryRow]) -> String {
@@ -394,26 +346,6 @@ mod tests {
             "the abort came from the retransmit limit: {r:?}"
         );
         assert!(r.events < 10_000, "the run terminated promptly: {r:?}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn rtt_dist_counts_saturated_samples_instead_of_hiding_them() {
-        let fits = SimTime::from_ns(1_000);
-        let overflows = SimTime::from_ns(u64::MAX);
-        let (dist, saturated) = rtt_dist_counted(&[fits, overflows, overflows]);
-        assert_eq!(saturated, 2);
-        assert_eq!(dist.count(), 3);
-        assert_eq!(
-            dist.max_ns(),
-            Some(i64::MAX),
-            "clamped, and reported as such"
-        );
-        // The in-range path stays exact and reports zero saturation.
-        let (dist, saturated) = rtt_dist_counted(&[fits]);
-        assert_eq!(saturated, 0);
-        assert_eq!(dist.samples(), &[1_000]);
-        assert_eq!(rtt_dist(&[fits]).samples(), &[1_000]);
     }
 
     #[test]

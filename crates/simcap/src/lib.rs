@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod estimator;
 pub mod packet;
 pub mod pcap;
 pub mod pcapng;
@@ -40,8 +39,6 @@ pub mod sketch;
 pub mod tap;
 
 pub use analyze::{hop_between, HopReport, LatencyDist, P999_MIN_SAMPLES};
-#[allow(deprecated)]
-pub use estimator::StreamingP95;
 pub use packet::TcpKey;
 pub use pcap::{CapError, Capture, PcapWriter, LINKTYPE_EN10MB, LINKTYPE_RAW, LINKTYPE_USER0};
 pub use pcapng::{read_any, PcapngWriter};

@@ -1,16 +1,12 @@
 //! One unified measurement API: the [`Recorder`].
 //!
-//! The workspace grew three ad-hoc latency-measurement paths:
-//! `LatencyDist::from_samples` (exact, buffer-everything),
-//! `StreamingP95` (O(1) hedge-trigger estimate), and
-//! `latency_core::recovery::rtt_dist_counted` (exact + overflow
-//! accounting). [`Recorder`] subsumes all three behind one `observe`
-//! loop with three retention modes:
+//! [`Recorder`] puts every latency-measurement path behind one
+//! `observe` loop with three retention modes:
 //!
 //! - [`RecorderMode::Exact`] retains every sample — identical numbers
 //!   to `LatencyDist` (same sort, same nearest-rank formula, same
-//!   float summation order), plus the saturation counting
-//!   `rtt_dist_counted` did;
+//!   float summation order), plus saturation counting for samples
+//!   that overflow `i64` nanoseconds;
 //! - [`RecorderMode::Sketch`] retains only a [`QuantileSketch`]:
 //!   bounded memory, quantiles within [`RELATIVE_ERROR`], and a
 //!   merge that is byte-deterministic in any order;
@@ -137,10 +133,10 @@ pub struct Recorder {
     /// Samples that overflowed `i64` nanoseconds and were clamped to
     /// `i64::MAX` (still recorded; the count marks the tail a floor).
     saturated: u64,
-    /// Frugal-style streaming upper-quantile estimate: first sample
-    /// seeds it, then up by an eighth of the gap, down by a 128th —
-    /// the exact `StreamingP95` rule, so migrated callers see
-    /// identical estimates.
+    /// Frugal-style streaming upper-quantile estimate (Ma,
+    /// Muthukrishnan & Sandler 2013), RNG-free: the first sample seeds
+    /// it, then it moves up by an eighth of the gap and down by a
+    /// 128th, settling near the point ~1 in 16 samples exceed (≈ p94).
     upper_est: Option<u64>,
     observed: u64,
 }
@@ -173,9 +169,9 @@ impl Recorder {
         }
     }
 
-    /// An exact-mode recorder pre-loaded with `times` (the
-    /// `rtt_dist_counted` replacement: clamps samples above `i64::MAX`
-    /// nanoseconds and counts them as [`saturated`](Recorder::saturated)).
+    /// An exact-mode recorder pre-loaded with `times`. Samples above
+    /// `i64::MAX` nanoseconds are clamped and counted as
+    /// [`saturated`](Recorder::saturated).
     #[must_use]
     pub fn from_times(times: &[SimTime]) -> Self {
         let mut r = Recorder::exact();
@@ -389,27 +385,73 @@ mod tests {
     }
 
     #[test]
-    fn saturation_counts_and_clamps_like_rtt_dist_counted() {
-        let times = [SimTime::from_ns(100), SimTime::from_ns(u64::MAX)];
-        let rec = Recorder::from_times(&times);
-        assert_eq!(rec.saturated(), 1);
-        assert_eq!(Quantiles::count(&rec), 2);
-        assert_eq!(Quantiles::max_ns(&rec), Some(i64::MAX));
+    fn saturation_is_counted_and_clamped() {
+        let fits = SimTime::from_ns(1_000);
+        let overflows = SimTime::from_ns(u64::MAX);
+        let rec = Recorder::from_times(&[fits, overflows, overflows]);
+        assert_eq!(rec.saturated(), 2);
+        assert_eq!(Quantiles::count(&rec), 3);
+        assert_eq!(
+            Quantiles::max_ns(&rec),
+            Some(i64::MAX),
+            "clamped, and reported as such"
+        );
+        // The in-range path stays exact and reports zero saturation.
+        let rec = Recorder::from_times(&[fits]);
+        assert_eq!(rec.saturated(), 0);
+        assert_eq!(rec.dist().expect("exact mode").samples(), &[1_000]);
     }
 
     #[test]
-    fn upper_estimate_matches_streaming_p95_rule() {
-        #[allow(deprecated)]
-        let mut old = crate::StreamingP95::new();
+    fn upper_estimate_follows_the_pinned_asymmetric_rule() {
+        // Hand-computed in integer ns: up by an eighth of the gap,
+        // down by a 128th (truncating).
         let mut rec = Recorder::upper_only();
-        for i in 0..500u64 {
-            let t = SimTime::from_ns(100_000 + (i * 37) % 5000);
-            old.observe(t);
-            rec.observe(t);
+        assert_eq!(rec.upper_estimate(), None);
+        let steps = [
+            (100_000, 100_000),   // the first sample seeds the estimate
+            (180_000, 110_000),   // + 80_000 / 8
+            (100_000, 109_922),   // - 10_000 / 128
+            (1_000_000, 221_181), // + 890_078 / 8
+            (0, 219_454),         // - 221_181 / 128
+        ];
+        for (sample, est) in steps {
+            rec.observe(SimTime::from_ns(sample));
+            assert_eq!(
+                rec.upper_estimate(),
+                Some(SimTime::from_ns(est)),
+                "after {sample} ns"
+            );
         }
-        assert_eq!(rec.upper_estimate(), old.estimate());
-        assert_eq!(Quantiles::count(&rec), 500);
+        assert_eq!(Quantiles::count(&rec), 5);
         assert_eq!(Quantiles::percentile_ns(&rec, 50.0), None);
+    }
+
+    #[test]
+    fn upper_estimate_settles_between_the_bulk_and_the_outlier() {
+        // 19 of 20 samples at 100 µs, 1 of 20 at 1 ms, repeated: the
+        // estimate must end up well above the median and below the
+        // outlier.
+        let mut rec = Recorder::upper_only();
+        for _ in 0..200 {
+            for _ in 0..19 {
+                rec.observe(SimTime::from_us(100));
+            }
+            rec.observe(SimTime::from_us(1000));
+        }
+        let est = rec.upper_estimate().expect("seeded").as_us_f64();
+        assert!(est > 150.0, "collapsed to the bulk: {est}");
+        assert!(est < 1000.0, "stuck at the outlier: {est}");
+        assert_eq!(Quantiles::count(&rec), 4000);
+    }
+
+    #[test]
+    fn constant_input_is_a_fixed_point_of_the_upper_estimate() {
+        let mut rec = Recorder::upper_only();
+        for _ in 0..100 {
+            rec.observe(SimTime::from_us(42));
+        }
+        assert_eq!(rec.upper_estimate(), Some(SimTime::from_us(42)));
     }
 
     #[test]

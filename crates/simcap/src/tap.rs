@@ -2,9 +2,9 @@
 //!
 //! A [`TapSet`] sits at a layer boundary (socket, TCP, NIC DMA, wire)
 //! and records serialized frames with 40 ns-quantized virtual
-//! timestamps. Following the `simkit::trace` convention, a tap that
-//! is not armed costs one branch per potential record and allocates
-//! nothing, so instrumented code paths are free in ordinary runs.
+//! timestamps. A tap that is not armed costs one branch per potential
+//! record and allocates nothing, so instrumented code paths are free
+//! in ordinary runs.
 //!
 //! Two retention modes ([`CaptureMode`]):
 //!

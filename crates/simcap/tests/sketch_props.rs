@@ -178,3 +178,103 @@ fn recorder_merge_is_shard_order_stable() {
     }
     assert_eq!(grid_order.mean_us().to_bits(), single.mean_us().to_bits());
 }
+
+/// One synthetic fan-out completion in ns from two random words: a
+/// ~50–250 µs body with a 1-in-64 tail stretching into tens of ms, so
+/// the stream crosses many sketch octaves.
+fn synthetic_completion_ns(r: u64, tail: u64) -> i64 {
+    let spike = if r.is_multiple_of(64) {
+        tail % 50_000_000
+    } else {
+        0
+    };
+    (50_000 + r % 200_000 + spike) as i64
+}
+
+/// Shard `shard` of the synthetic stream: a splitmix64 sequence seeded
+/// per shard, so every shard is reproducible on any thread.
+fn shard_stream(shard: u64, len: u64) -> impl Iterator<Item = i64> {
+    let mut state = 0x5eed ^ (shard.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    (0..len).map(move |_| {
+        let r = next();
+        synthetic_completion_ns(r, next())
+    })
+}
+
+/// Records every shard on `threads` scoped threads (shard `i` on
+/// thread `i % threads`), then merges the shard recorders in shard
+/// order — the grid-order merge the studies' `--jobs` pool performs.
+fn sharded_sketch(shards: u64, per_shard: u64, threads: u64) -> Recorder {
+    let mut parts: Vec<(u64, Recorder)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || {
+                    (t..shards)
+                        .step_by(threads as usize)
+                        .map(|shard| {
+                            let mut rec = Recorder::sketched();
+                            shard_stream(shard, per_shard).for_each(|v| rec.observe_ns(v));
+                            (shard, rec)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("shard worker"))
+            .collect()
+    });
+    parts.sort_by_key(|&(shard, _)| shard);
+    let mut merged = Recorder::sketched();
+    for (_, part) in &parts {
+        merged.merge(part);
+    }
+    merged
+}
+
+/// The sketch-mode gates at the million-sample scale: retained memory
+/// stays under the documented ceiling, the merged p99 stays within 1%
+/// of the exact nearest-rank p99 over the same stream, and the merge
+/// is identical whether the shards ran on 1 thread or 4.
+#[test]
+fn million_sample_sketch_meets_its_gates() {
+    const SHARDS: u64 = 16;
+    const PER_SHARD: u64 = 62_500;
+    let exact = LatencyDist::from_samples(
+        (0..SHARDS)
+            .flat_map(|shard| shard_stream(shard, PER_SHARD))
+            .collect(),
+    );
+    assert_eq!(exact.count(), 1_000_000);
+
+    let merged = sharded_sketch(SHARDS, PER_SHARD, 4);
+    assert_eq!(Quantiles::count(&merged), 1_000_000);
+    // MAX_MEMORY_BYTES bounds the bucket arrays; the recorder adds a
+    // fixed-size header on top.
+    let ceiling = simcap::MAX_MEMORY_BYTES + 1024;
+    assert!(
+        merged.memory_bytes() <= ceiling,
+        "sketch retained {} B, over the {ceiling} B ceiling",
+        merged.memory_bytes()
+    );
+    let exact_p99 = exact.percentile_ns(99.0);
+    let sketch_p99 = merged.percentile_ns(99.0).expect("non-empty");
+    let drift = (sketch_p99 - exact_p99).abs() as f64 / exact_p99 as f64;
+    assert!(
+        drift < 0.01,
+        "p99 drift {drift:.4}: sketch {sketch_p99} vs exact {exact_p99}"
+    );
+    assert_eq!(
+        merged,
+        sharded_sketch(SHARDS, PER_SHARD, 1),
+        "the merge differs between 4 threads and 1"
+    );
+}

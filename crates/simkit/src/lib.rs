@@ -5,8 +5,8 @@
 //! granularity (matching the TurboChannel real-time clock used by the
 //! paper), an event queue with deterministic tie-breaking, a simple CPU
 //! occupancy model used to serialize "kernel work" on each simulated
-//! host, a deterministic pseudo-random number generator for error
-//! injection, and a lightweight trace ring buffer.
+//! host, and a deterministic pseudo-random number generator for error
+//! injection.
 //!
 //! # Design
 //!
@@ -46,10 +46,8 @@ pub mod cpu;
 pub mod engine;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use cpu::{Cpu, CpuBand, CpuStats};
 pub use engine::{assert_world_send, EventFn, ObserverFn, RawEventFn, Scheduler, Sim, TimerId};
 pub use rng::SimRng;
 pub use time::SimTime;
-pub use trace::{TraceBuffer, TraceEvent, TraceLevel};

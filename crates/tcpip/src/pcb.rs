@@ -69,6 +69,29 @@ pub struct PcbCounters {
     pub hash_probes: u64,
 }
 
+impl std::ops::AddAssign for PcbCounters {
+    /// Field-wise sum. Destructures exhaustively, so a new counter
+    /// fails to compile here until it is pooled too.
+    fn add_assign(&mut self, o: PcbCounters) {
+        let PcbCounters {
+            lookups,
+            hits,
+            misses,
+            cache_hits,
+            cache_misses,
+            traversed,
+            hash_probes,
+        } = o;
+        self.lookups += lookups;
+        self.hits += hits;
+        self.misses += misses;
+        self.cache_hits += cache_hits;
+        self.cache_misses += cache_misses;
+        self.traversed += traversed;
+        self.hash_probes += hash_probes;
+    }
+}
+
 /// One PCB lookup organization: the paper's move-to-front list,
 /// last-PCB single-entry cache over the BSD list, or hash table.
 ///

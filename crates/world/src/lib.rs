@@ -48,12 +48,10 @@ pub mod topology;
 pub use dc::{dc_pattern, run_dc, DcConn, DcHost, DcRunResult, DcWorld, RequestOutcome};
 pub use nic::{DcDelivery, DcNic};
 pub use study::{
-    canonical_json, cc_canonical_json, cc_grid, cc_policies, cc_quick_grid, cc_rows, dc_grid,
-    dc_quick_grid, hedge_canonical_json, hedge_grid, hedge_quick_grid, hedge_rows,
-    mitigation_policy, rep_seed, run_cc_cells, run_cc_cells_with, run_dc_cells, run_dc_cells_with,
-    run_hedge_cells, run_hedge_cells_with, run_tails_cells, run_tails_cells_with,
-    tails_canonical_json, tails_grid, tails_quick_grid, tails_rows, CcCell, CcRow, DcCell,
-    DcCellResult, HedgeCell, TailsCell,
+    cc_canonical_json, cc_grid, cc_policies, cc_quick_grid, cc_rows, dc_grid, dc_quick_grid,
+    hedge_grid, hedge_quick_grid, mitigation_policy, rep_seed, run_cc_cells, run_cells, tails_grid,
+    tails_quick_grid, CcCell, CcRow, DcCell, DcCellResult, HedgeCell, Study, StudyReport,
+    TailsCell,
 };
 pub use topology::{
     ChurnTraffic, FaultScope, HedgePolicy, PcbStrategy, RetryPolicy, TailPolicy, Topology,

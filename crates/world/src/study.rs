@@ -1,9 +1,16 @@
-//! The `repro dc` and `repro tails` studies: deterministic grids over
-//! datacenter worlds.
+//! The datacenter studies: deterministic grids over
+//! [`DcWorld`](crate::DcWorld)s, all driven through one pipeline.
 //!
-//! `repro dc` sweeps hosts x connections x PCB strategy x incast
-//! fan-in; `repro tails` sweeps fan-out width x fault scenario x
-//! background churn over the fan-out/wait-for-all world.
+//! [`Study`] names the four studies: `repro dc` sweeps hosts x
+//! connections x PCB strategy x incast fan-in; `repro tails` sweeps
+//! fan-out width x fault scenario x background churn over the
+//! fan-out/wait-for-all world; `repro hedge` prices tail mitigations
+//! under the same fault regimes; `repro cc` sweeps congestion-control
+//! variant x UBR drop policy x switch buffer. Every study runs the same
+//! way: [`run_cells`] pools each cell's repetitions into a
+//! [`DcCellResult`], the study renders its table and its extra
+//! per-cell fields, one writer emits the canonical JSON, and one
+//! predicate ([`Study::failure`]) decides which cells failed.
 //!
 //! Each grid cell is one [`Topology`] + [`TrafficSchedule`] pair; its
 //! seed derives from the cell *key* (not its position), so adding or
@@ -11,9 +18,9 @@
 //! run under `sweep::pool::run_ordered` so the report is
 //! byte-identical at any `--jobs` value. The canonical JSON replicates
 //! the `sweep.json` cell schema exactly — the oracle's report parser
-//! and the golden comparator work on it unchanged (the tails report
-//! appends extra per-cell percentile fields, which the parser carries
-//! as extras and the comparator checks pairwise).
+//! and the golden comparator work on it unchanged (studies append
+//! extra per-cell fields after `verify_failures`, which the parser
+//! carries as extras and the comparator checks pairwise).
 //!
 //! Repetition seeding: rep 0 runs on the key-derived base seed (so
 //! single-rep grids — every golden — are untouched), and rep `r > 0`
@@ -22,18 +29,191 @@
 //! cell's base seed, silently correlating cells that must be
 //! independent.
 
+use std::fmt::Write as _;
+
 use atm::{DropPolicy, TrainMarking};
 use latency_core::hedge::{Mitigation, MitigationCost, MITIGATIONS};
 use latency_core::{ObsMode, Samples};
 use simcap::Quantiles as _;
 use simkit::SimTime;
+use sweep::report::{json_num, json_string};
 use tcpip::{CcVariant, PcbCounters};
 
-use crate::dc::run_dc;
+use crate::dc::{run_dc, DcRunResult};
 use crate::topology::{
     ChurnTraffic, FaultScope, HedgePolicy, PcbStrategy, RetryPolicy, TailPolicy, Topology,
     TrafficSchedule,
 };
+
+/// The datacenter studies. A closed set: each variant names its grid,
+/// its sample set, its table and its extra canonical-JSON fields.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Study {
+    /// `repro dc`: the §3 PCB-lookup incast study.
+    Dc,
+    /// `repro tails`: fan-out/wait-for-all completion tails.
+    Tails,
+    /// `repro hedge`: tail mitigations priced against the baseline.
+    Hedge,
+    /// `repro cc`: congestion-control variant x UBR drop policy.
+    Cc,
+}
+
+/// What one study run produced.
+pub struct StudyReport {
+    /// The study table, exactly as `repro <study>` prints it.
+    pub table: String,
+    /// The canonical JSON report (`--sweep-json`, and the golden).
+    pub json: String,
+    /// Cells run.
+    pub cells: usize,
+    /// One line per failed cell, led by its key (see
+    /// [`Study::failure`]).
+    pub failed: Vec<String>,
+}
+
+/// A cell's extra canonical-JSON fields: `(name, rendered value)`,
+/// written in order after the shared sweep-schema prefix.
+type Extras = Vec<(&'static str, String)>;
+
+/// Renders a study's table text and per-cell extra fields.
+type Render<C> = fn(&[C], &[DcCellResult]) -> (String, Vec<Extras>);
+
+impl Study {
+    /// Every study, in `repro` order.
+    pub const ALL: [Study; 4] = [Study::Dc, Study::Tails, Study::Hedge, Study::Cc];
+
+    /// The subcommand name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Study::Dc => "dc",
+            Study::Tails => "tails",
+            Study::Hedge => "hedge",
+            Study::Cc => "cc",
+        }
+    }
+
+    /// The canonical report's name: `<name>_quick` for the CI grid
+    /// (also the stem of its golden file), `<name>` for the full grid.
+    #[must_use]
+    pub fn report_name(self, quick: bool) -> String {
+        if quick {
+            format!("{}_quick", self.name())
+        } else {
+            self.name().to_string()
+        }
+    }
+
+    /// Runs the study's quick (CI + golden) or full grid on up to
+    /// `jobs` workers, recording samples in `mode`.
+    #[must_use]
+    pub fn run(self, quick: bool, jobs: usize, mode: ObsMode) -> StudyReport {
+        self.run_where(quick, jobs, mode, |_| true)
+    }
+
+    /// [`Study::run`] over only the grid cells whose key passes
+    /// `keep`. Table-level joins (amplification baselines) see only
+    /// the kept cells.
+    #[must_use]
+    pub fn run_where(
+        self,
+        quick: bool,
+        jobs: usize,
+        mode: ObsMode,
+        keep: impl Fn(&str) -> bool,
+    ) -> StudyReport {
+        let keep: &dyn Fn(&str) -> bool = &keep;
+        match self {
+            Study::Dc => {
+                let cells = if quick { dc_quick_grid() } else { dc_grid() };
+                self.drive(quick, cells, jobs, mode, keep, dc_render)
+            }
+            Study::Tails => {
+                let cells = if quick {
+                    tails_quick_grid()
+                } else {
+                    tails_grid()
+                };
+                self.drive(quick, cells, jobs, mode, keep, tails_render)
+            }
+            Study::Hedge => {
+                let cells = if quick {
+                    hedge_quick_grid()
+                } else {
+                    hedge_grid()
+                };
+                self.drive(quick, cells, jobs, mode, keep, hedge_render)
+            }
+            Study::Cc => {
+                let cells = if quick { cc_quick_grid() } else { cc_grid() };
+                self.drive(quick, cells, jobs, mode, keep, cc_render)
+            }
+        }
+    }
+
+    fn drive<C: AsRef<DcCell> + Sync>(
+        self,
+        quick: bool,
+        mut cells: Vec<C>,
+        jobs: usize,
+        mode: ObsMode,
+        keep: &dyn Fn(&str) -> bool,
+        render: Render<C>,
+    ) -> StudyReport {
+        cells.retain(|c| keep(&c.as_ref().key));
+        let results = run_cells(&cells, jobs, mode);
+        let (table, extras) = render(&cells, &results);
+        StudyReport {
+            table,
+            json: write_json(&self.report_name(quick), self, &results, &extras),
+            cells: results.len(),
+            failed: results.iter().filter_map(|r| self.failure(r)).collect(),
+        }
+    }
+
+    /// The sample set the study reports: RPC round trips for the
+    /// incast studies, logical-request completions for the fan-out
+    /// ones.
+    fn samples(self, r: &DcCellResult) -> &Samples {
+        match self {
+            Study::Dc | Study::Cc => &r.rtts,
+            Study::Tails | Study::Hedge => &r.completions,
+        }
+    }
+
+    /// The study's abort counter: aborted connections in the incast
+    /// worlds, aborted fan-out clients in the fan-out worlds.
+    fn aborts(self, r: &DcCellResult) -> u64 {
+        match self {
+            Study::Dc | Study::Cc => r.aborted_conns,
+            Study::Tails | Study::Hedge => r.fanout_aborts,
+        }
+    }
+
+    /// The one failure predicate. A cell fails on payload corruption,
+    /// on an mbuf leaked past teardown (cancelled and hedged requests
+    /// must clean up too), or on producing no samples with no abort to
+    /// explain them. Retransmit-limit aborts are data in every study
+    /// but `dc`, whose clean incast must never lose a connection.
+    /// `None` for a healthy cell, else a one-line reason led by the
+    /// cell key.
+    #[must_use]
+    pub fn failure(self, r: &DcCellResult) -> Option<String> {
+        let samples = self.samples(r).len();
+        let aborts = self.aborts(r);
+        let failed = r.verify_failures > 0
+            || r.mbufs_leaked > 0
+            || (samples == 0 && aborts == 0)
+            || (self == Study::Dc && aborts > 0);
+        failed.then(|| {
+            format!(
+                "{}: FAILED ({samples} sample(s), {} verify failure(s), {aborts} abort(s), {} leaked mbuf(s))",
+                r.key, r.verify_failures, r.mbufs_leaked
+            )
+        })
+    }
+}
 
 /// One grid cell: a named, self-contained world description.
 pub struct DcCell {
@@ -70,9 +250,26 @@ impl DcCell {
             reps,
         }
     }
+
+    /// A staggered-schedule cell under an explicit key.
+    fn keyed(key: String, topo: Topology, reps: u64) -> DcCell {
+        DcCell {
+            key,
+            topo,
+            sched: TrafficSchedule::staggered(),
+            reps,
+        }
+    }
+}
+
+impl AsRef<DcCell> for DcCell {
+    fn as_ref(&self) -> &DcCell {
+        self
+    }
 }
 
 /// One cell's pooled outcome.
+#[derive(Default)]
 pub struct DcCellResult {
     /// The cell key.
     pub key: String,
@@ -142,6 +339,164 @@ impl DcCellResult {
         }
         self.server_pcb.cache_hits as f64 / probes as f64
     }
+
+    /// Pools one repetition's run into this cell: samples append in
+    /// rep order, counters add, and the simulated time and backlog
+    /// keep their maximum. The run is destructured field by field, so
+    /// a counter added to [`DcRunResult`] fails to compile here until
+    /// it is pooled or explicitly ignored.
+    pub fn absorb(&mut self, r: &DcRunResult) {
+        let DcRunResult {
+            rtts,
+            verify_failures,
+            aborted_conns,
+            completions,
+            fanout_aborts,
+            events,
+            sim_time,
+            // Every host's lookups; the cell keeps the server side,
+            // where the strategies differ.
+            pcb: _,
+            server_pcb,
+            switch_forwarded,
+            switch_drops,
+            epd_drops,
+            ppd_drops,
+            max_backlog_cells,
+            rexmits,
+            rto_fires,
+            mbufs_leaked,
+            hedges_issued,
+            hedges_won,
+            hedges_wasted,
+            retries_issued,
+            budget_exhausted,
+            deadline_exceeded,
+            cancelled,
+        } = r;
+        self.rtts.extend_from(rtts);
+        self.completions.extend_from(completions);
+        self.events += events;
+        self.sim_time = self.sim_time.max(*sim_time);
+        self.verify_failures += verify_failures;
+        self.aborted_conns += aborted_conns;
+        self.fanout_aborts += fanout_aborts;
+        self.server_pcb += *server_pcb;
+        self.switch_forwarded += switch_forwarded;
+        self.switch_drops += switch_drops;
+        self.epd_drops += epd_drops;
+        self.ppd_drops += ppd_drops;
+        self.max_backlog_cells = self.max_backlog_cells.max(*max_backlog_cells);
+        self.rexmits += rexmits;
+        self.rto_fires += rto_fires;
+        self.mbufs_leaked += mbufs_leaked;
+        self.cost += MitigationCost {
+            hedges_issued: *hedges_issued,
+            hedges_won: *hedges_won,
+            hedges_wasted: *hedges_wasted,
+            retries_issued: *retries_issued,
+            budget_exhausted: *budget_exhausted,
+            deadline_exceeded: *deadline_exceeded,
+            cancelled: *cancelled,
+        };
+    }
+}
+
+/// The seed for repetition `rep` of the cell named `key`.
+///
+/// Rep 0 is the base seed itself — single-rep grids (every golden)
+/// see exactly the bytes they always did. Higher reps fold the rep
+/// number into the key *hash* rather than adding it to the seed: the
+/// old `base + rep` walk could land on a neighboring cell's base seed
+/// (cell seeds are only 32 bits of FNV output), silently correlating
+/// cells the grid treats as independent.
+#[must_use]
+pub fn rep_seed(key: &str, rep: u64) -> u64 {
+    let base = sweep::cell_seed(key);
+    if rep == 0 {
+        base
+    } else {
+        sweep::cell_seed(&format!("{key}/r{rep}"))
+    }
+}
+
+/// Runs one cell: every rep on its [`rep_seed`], outcomes pooled
+/// into `mode`-appropriate containers.
+fn run_one_cell(cell: &DcCell, mode: ObsMode) -> DcCellResult {
+    let reps = cell.reps.max(1);
+    let mut pooled = DcCellResult {
+        key: cell.key.clone(),
+        seed: sweep::cell_seed(&cell.key),
+        reps,
+        rtts: Samples::new(mode),
+        completions: Samples::new(mode),
+        ..DcCellResult::default()
+    };
+    for rep in 0..reps {
+        pooled.absorb(&run_dc(&cell.topo, cell.sched, rep_seed(&cell.key, rep)));
+    }
+    pooled
+}
+
+/// Runs any study's cells on up to `jobs` workers; results come back
+/// in grid order regardless of scheduling, so downstream reports are
+/// byte-identical at any worker count, in either retention mode.
+#[must_use]
+pub fn run_cells<C: AsRef<DcCell> + Sync>(
+    cells: &[C],
+    jobs: usize,
+    mode: ObsMode,
+) -> Vec<DcCellResult> {
+    sweep::pool::run_ordered(cells, jobs, move |_, c| run_one_cell(c.as_ref(), mode))
+}
+
+/// The canonical JSON writer every study shares: the `sweep.json`
+/// cell schema (same fields, same formatting) over the study's sample
+/// set, so `oracle`'s parser and golden comparator apply unchanged,
+/// followed by each cell's extra fields in order. `null` marks an
+/// honestly-unavailable statistic and must match as `null`.
+fn write_json(name: &str, study: Study, results: &[DcCellResult], extras: &[Extras]) -> String {
+    let mut out = String::new();
+    out.push_str("{\n");
+    let _ = writeln!(out, "  \"name\": {},", json_string(name));
+    out.push_str("  \"cells\": {");
+    for (i, c) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let s = study.samples(c);
+        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
+        let _ = write!(out, "\"seed\": {}, ", c.seed);
+        let _ = write!(out, "\"reps\": {}, ", c.reps);
+        let _ = write!(out, "\"samples\": {}, ", s.len());
+        let _ = write!(out, "\"mean_us\": {}, ", json_num(s.mean_us()));
+        let _ = write!(out, "\"stddev_us\": {}, ", json_num(s.stddev_us()));
+        let _ = write!(out, "\"min_us\": {}, ", json_num(s.min_us()));
+        let _ = write!(out, "\"max_us\": {}, ", json_num(s.max_us()));
+        let _ = write!(out, "\"events\": {}, ", c.events);
+        let _ = write!(
+            out,
+            "\"sim_time_us\": {}, ",
+            json_num(c.sim_time.as_us_f64())
+        );
+        let _ = write!(out, "\"verify_failures\": {}", c.verify_failures);
+        for (field, value) in extras.get(i).into_iter().flatten() {
+            let _ = write!(out, ", \"{field}\": {value}");
+        }
+        out.push_str(" }");
+    }
+    if results.is_empty() {
+        out.push('}');
+    } else {
+        out.push_str("\n  }");
+    }
+    out.push_str("\n}\n");
+    out
+}
+
+/// An optional statistic as JSON: the number, or `null`.
+fn opt_json(v: Option<f64>) -> String {
+    v.map_or_else(|| "null".to_string(), json_num)
 }
 
 /// Builds the grid from explicit axes.
@@ -186,157 +541,60 @@ pub fn dc_quick_grid() -> Vec<DcCell> {
     grid(&[2, 8], &[1, 16], &[1, 4], 2, 1)
 }
 
-/// The seed for repetition `rep` of the cell named `key`.
-///
-/// Rep 0 is the base seed itself — single-rep grids (every golden)
-/// see exactly the bytes they always did. Higher reps fold the rep
-/// number into the key *hash* rather than adding it to the seed: the
-/// old `base + rep` walk could land on a neighboring cell's base seed
-/// (cell seeds are only 32 bits of FNV output), silently correlating
-/// cells the grid treats as independent.
-#[must_use]
-pub fn rep_seed(key: &str, rep: u64) -> u64 {
-    let base = sweep::cell_seed(key);
-    if rep == 0 {
-        base
-    } else {
-        sweep::cell_seed(&format!("{key}/r{rep}"))
-    }
-}
-
-/// Runs one cell: every rep on its [`rep_seed`], outcomes pooled
-/// into `mode`-appropriate containers.
-fn run_one_cell(cell: &DcCell, mode: ObsMode) -> DcCellResult {
-    let seed = sweep::cell_seed(&cell.key);
-    let mut rtts = Samples::new(mode);
-    let mut events = 0;
-    let mut sim_time = SimTime::ZERO;
-    let mut verify_failures = 0;
-    let mut aborted_conns = 0;
-    let mut server_pcb = PcbCounters::default();
-    let mut switch_forwarded = 0;
-    let mut switch_drops = 0;
-    let mut epd_drops = 0;
-    let mut ppd_drops = 0;
-    let mut max_backlog_cells = 0;
-    let mut rexmits = 0;
-    let mut rto_fires = 0;
-    let mut completions = Samples::new(mode);
-    let mut fanout_aborts = 0;
-    let mut mbufs_leaked = 0;
-    let mut cost = MitigationCost::default();
-    for rep in 0..cell.reps.max(1) {
-        let r = run_dc(&cell.topo, cell.sched, rep_seed(&cell.key, rep));
-        rtts.extend_from(&r.rtts);
-        events += r.events;
-        sim_time = sim_time.max(r.sim_time);
-        verify_failures += r.verify_failures;
-        aborted_conns += r.aborted_conns;
-        server_pcb.lookups += r.server_pcb.lookups;
-        server_pcb.hits += r.server_pcb.hits;
-        server_pcb.misses += r.server_pcb.misses;
-        server_pcb.cache_hits += r.server_pcb.cache_hits;
-        server_pcb.cache_misses += r.server_pcb.cache_misses;
-        server_pcb.traversed += r.server_pcb.traversed;
-        server_pcb.hash_probes += r.server_pcb.hash_probes;
-        switch_forwarded += r.switch_forwarded;
-        switch_drops += r.switch_drops;
-        epd_drops += r.epd_drops;
-        ppd_drops += r.ppd_drops;
-        max_backlog_cells = max_backlog_cells.max(r.max_backlog_cells);
-        rexmits += r.rexmits;
-        rto_fires += r.rto_fires;
-        completions.extend_from(&r.completions);
-        fanout_aborts += r.fanout_aborts;
-        mbufs_leaked += r.mbufs_leaked;
-        cost.hedges_issued += r.hedges_issued;
-        cost.hedges_won += r.hedges_won;
-        cost.hedges_wasted += r.hedges_wasted;
-        cost.retries_issued += r.retries_issued;
-        cost.budget_exhausted += r.budget_exhausted;
-        cost.deadline_exceeded += r.deadline_exceeded;
-        cost.cancelled += r.cancelled;
-    }
-    DcCellResult {
-        key: cell.key.clone(),
-        seed,
-        reps: cell.reps.max(1),
-        rtts,
-        events,
-        sim_time,
-        verify_failures,
-        aborted_conns,
-        server_pcb,
-        switch_forwarded,
-        switch_drops,
-        epd_drops,
-        ppd_drops,
-        max_backlog_cells,
-        rexmits,
-        rto_fires,
-        completions,
-        fanout_aborts,
-        mbufs_leaked,
-        cost,
-    }
-}
-
-/// Runs a grid on up to `jobs` workers; results come back in grid
-/// order regardless of scheduling, so downstream reports are
-/// byte-identical at any worker count.
-#[must_use]
-pub fn run_dc_cells(cells: &[DcCell], jobs: usize) -> Vec<DcCellResult> {
-    run_dc_cells_with(cells, jobs, ObsMode::Exact)
-}
-
-/// [`run_dc_cells`] with an explicit retention mode (`--sketch` passes
-/// [`ObsMode::Sketch`]); the grid-order pool keeps either mode
-/// byte-identical at any `--jobs` value.
-#[must_use]
-pub fn run_dc_cells_with(cells: &[DcCell], jobs: usize, mode: ObsMode) -> Vec<DcCellResult> {
-    sweep::pool::run_ordered(cells, jobs, move |_, cell| run_one_cell(cell, mode))
-}
-
-/// The deterministic report, byte-compatible with the `sweep.json`
-/// cell schema (same fields, same formatting) so `oracle`'s parser
-/// and golden comparator apply unchanged.
-#[must_use]
-pub fn canonical_json(name: &str, results: &[DcCellResult]) -> String {
-    use std::fmt::Write as _;
-    use sweep::report::{json_num, json_string};
+/// The dc table: per-cell RTT distributions next to the server-side
+/// PCB counters, then the §3 ordering made visible — per (clients,
+/// conns, fan-in) group, the mean server-side search length under each
+/// strategy. The single-entry cache's list degrades as the PCB table
+/// grows; the hash table stays flat. The dc report has no extra JSON
+/// fields.
+fn dc_render(cells: &[DcCell], results: &[DcCellResult]) -> (String, Vec<Extras>) {
     let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_string(name));
-    out.push_str("  \"cells\": {");
-    let mut first = true;
-    for c in results {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
-        let _ = write!(out, "\"seed\": {}, ", c.seed);
-        let _ = write!(out, "\"reps\": {}, ", c.reps);
-        let _ = write!(out, "\"samples\": {}, ", c.rtts.len());
-        let _ = write!(out, "\"mean_us\": {}, ", json_num(c.rtts.mean_us()));
-        let _ = write!(out, "\"stddev_us\": {}, ", json_num(c.rtts.stddev_us()));
-        let _ = write!(out, "\"min_us\": {}, ", json_num(c.rtts.min_us()));
-        let _ = write!(out, "\"max_us\": {}, ", json_num(c.rtts.max_us()));
-        let _ = write!(out, "\"events\": {}, ", c.events);
-        let _ = write!(
+    let _ = writeln!(
+        out,
+        "{:<28} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>8}",
+        "cell", "samples", "mean_us", "p50_us", "p99_us", "search", "hit%", "drops", "backlog"
+    );
+    for r in results {
+        let rec = r.rtts.recorder();
+        let _ = writeln!(
             out,
-            "\"sim_time_us\": {}, ",
-            json_num(c.sim_time.as_us_f64())
+            "{:<28} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>7.2} {:>6.1} {:>6} {:>8}",
+            r.key.trim_start_matches("dc/"),
+            r.rtts.len(),
+            rec.mean_us(),
+            rec.percentile_ns(50.0).unwrap_or(0) as f64 / 1_000.0,
+            rec.p99_ns().unwrap_or(0) as f64 / 1_000.0,
+            r.search_len(),
+            r.cache_hit_rate() * 100.0,
+            r.switch_drops,
+            r.max_backlog_cells
         );
-        let _ = write!(out, "\"verify_failures\": {} }}", c.verify_failures);
     }
-    if results.is_empty() {
-        out.push('}');
-    } else {
-        out.push_str("\n  }");
+    let group = |t: &Topology| (t.clients, t.conns_per_host, t.effective_fanin());
+    let groups: std::collections::BTreeSet<_> = cells.iter().map(|c| group(&c.topo)).collect();
+    out.push_str("\nserver-side mean search length by strategy (PCB lookup, §3):\n");
+    let _ = writeln!(
+        out,
+        "{:<20} {:>8} {:>8} {:>8}",
+        "clients x conns x fanin", "mtf", "cache", "hash"
+    );
+    for (h, c, f) in groups {
+        let of = |strategy: PcbStrategy| {
+            cells
+                .iter()
+                .zip(results)
+                .find(|(cell, _)| group(&cell.topo) == (h, c, f) && cell.topo.strategy == strategy)
+                .map_or(f64::NAN, |(_, r)| r.search_len())
+        };
+        let _ = writeln!(
+            out,
+            "h{h:<4} c{c:<4} f{f:<6} {:>8.2} {:>8.2} {:>8.2}",
+            of(PcbStrategy::Mtf),
+            of(PcbStrategy::LastPcb),
+            of(PcbStrategy::Hash)
+        );
     }
-    out.push_str("\n}\n");
-    out
+    (out, Vec::new())
 }
 
 /// One `repro tails` cell: a fan-out world plus the study axes the
@@ -350,6 +608,12 @@ pub struct TailsCell {
     pub width: usize,
     /// Whether background churn traffic shares the fabric.
     pub churn: bool,
+}
+
+impl AsRef<DcCell> for TailsCell {
+    fn as_ref(&self) -> &DcCell {
+        &self.cell
+    }
 }
 
 /// Builds the tails grid from explicit axes: every scenario x every
@@ -387,12 +651,7 @@ fn tails_grid_from(
                     reps,
                 );
                 cells.push(TailsCell {
-                    cell: DcCell {
-                        key,
-                        topo,
-                        sched: TrafficSchedule::staggered(),
-                        reps,
-                    },
+                    cell: DcCell::keyed(key, topo, reps),
                     scenario: sc.name.to_string(),
                     width: w,
                     churn,
@@ -452,12 +711,7 @@ fn tails_reno_rerun() -> Vec<TailsCell> {
             arm_cold_reno(&mut topo);
             let key = format!("tails/{}+reno/f{w}/solo/i60r1", sc.name);
             cells.push(TailsCell {
-                cell: DcCell {
-                    key,
-                    topo,
-                    sched: TrafficSchedule::staggered(),
-                    reps: 1,
-                },
+                cell: DcCell::keyed(key, topo, 1),
                 scenario: format!("{}+reno", sc.name),
                 width: w,
                 churn: false,
@@ -475,30 +729,12 @@ pub fn tails_quick_grid() -> Vec<TailsCell> {
     tails_grid_from(&[1, 4, 16], 2, 6, 1, 1)
 }
 
-/// Runs a tails grid; same ordered pool as [`run_dc_cells`], so the
-/// report is byte-identical at any `--jobs` value.
-#[must_use]
-pub fn run_tails_cells(cells: &[TailsCell], jobs: usize) -> Vec<DcCellResult> {
-    run_tails_cells_with(cells, jobs, ObsMode::Exact)
-}
-
-/// [`run_tails_cells`] with an explicit retention mode.
-#[must_use]
-pub fn run_tails_cells_with(cells: &[TailsCell], jobs: usize, mode: ObsMode) -> Vec<DcCellResult> {
-    sweep::pool::run_ordered(cells, jobs, move |_, tc| run_one_cell(&tc.cell, mode))
-}
-
-/// Reduces grid results to table rows, amplification filled in.
-#[must_use]
-pub fn tails_rows(
-    cells: &[TailsCell],
-    results: &[DcCellResult],
-) -> Vec<latency_core::tails::TailsRow> {
-    assert_eq!(
-        cells.len(),
-        results.len(),
-        "rows require one result per cell"
-    );
+/// The tails table and its extra JSON fields: completion percentiles
+/// and the amplification ratios against each scenario x churn group's
+/// fan-out-1 cell, plus the abort count. Aborted rounds are data, not
+/// failures: the mbuf-exhaustion regime is expected to kill client
+/// rounds, and the table flags such cells with `!`.
+fn tails_render(cells: &[TailsCell], results: &[DcCellResult]) -> (String, Vec<Extras>) {
     let mut rows: Vec<_> = cells
         .iter()
         .zip(results)
@@ -513,66 +749,22 @@ pub fn tails_rows(
         })
         .collect();
     latency_core::tails::amplify(&mut rows);
-    rows
-}
-
-/// The deterministic tails report: the `sweep.json` cell schema (over
-/// *completion* samples) plus tails-only fields appended after
-/// `verify_failures`. The oracle's parser carries unknown numeric
-/// fields as extras and the golden comparator checks them pairwise;
-/// `null` marks an honestly-unavailable statistic (under-sampled p999,
-/// missing amplification baseline) and must match as `null`.
-#[must_use]
-pub fn tails_canonical_json(name: &str, cells: &[TailsCell], results: &[DcCellResult]) -> String {
-    use std::fmt::Write as _;
-    use sweep::report::{json_num, json_string};
-    let rows = tails_rows(cells, results);
-    let opt = |v: Option<f64>| v.map_or_else(|| "null".to_string(), json_num);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_string(name));
-    out.push_str("  \"cells\": {");
-    let mut first = true;
-    for (c, row) in results.iter().zip(&rows) {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
-        let _ = write!(out, "\"seed\": {}, ", c.seed);
-        let _ = write!(out, "\"reps\": {}, ", c.reps);
-        let _ = write!(out, "\"samples\": {}, ", c.completions.len());
-        let _ = write!(out, "\"mean_us\": {}, ", json_num(c.completions.mean_us()));
-        let _ = write!(
-            out,
-            "\"stddev_us\": {}, ",
-            json_num(c.completions.stddev_us())
-        );
-        let _ = write!(out, "\"min_us\": {}, ", json_num(c.completions.min_us()));
-        let _ = write!(out, "\"max_us\": {}, ", json_num(c.completions.max_us()));
-        let _ = write!(out, "\"events\": {}, ", c.events);
-        let _ = write!(
-            out,
-            "\"sim_time_us\": {}, ",
-            json_num(c.sim_time.as_us_f64())
-        );
-        let _ = write!(out, "\"verify_failures\": {}, ", c.verify_failures);
-        let p50 = (row.samples > 0).then_some(row.p50_us);
-        let p99 = (row.samples > 0).then_some(row.p99_us);
-        let _ = write!(out, "\"p50_us\": {}, ", opt(p50));
-        let _ = write!(out, "\"p99_us\": {}, ", opt(p99));
-        let _ = write!(out, "\"p999_us\": {}, ", opt(row.p999_us));
-        let _ = write!(out, "\"amp_p50\": {}, ", opt(row.amp_p50));
-        let _ = write!(out, "\"amp_p99\": {}, ", opt(row.amp_p99));
-        let _ = write!(out, "\"fanout_aborts\": {} }}", c.fanout_aborts);
-    }
-    if results.is_empty() {
-        out.push('}');
-    } else {
-        out.push_str("\n  }");
-    }
-    out.push_str("\n}\n");
-    out
+    let extras = results
+        .iter()
+        .zip(&rows)
+        .map(|(c, row)| {
+            let sampled = row.samples > 0;
+            vec![
+                ("p50_us", opt_json(sampled.then_some(row.p50_us))),
+                ("p99_us", opt_json(sampled.then_some(row.p99_us))),
+                ("p999_us", opt_json(row.p999_us)),
+                ("amp_p50", opt_json(row.amp_p50)),
+                ("amp_p99", opt_json(row.amp_p99)),
+                ("fanout_aborts", c.fanout_aborts.to_string()),
+            ]
+        })
+        .collect();
+    (latency_core::tails::format_table(&rows), extras)
 }
 
 /// One `repro hedge` cell: a fan-out-16 world under one fault regime
@@ -586,6 +778,12 @@ pub struct HedgeCell {
     pub mitigation: Mitigation,
     /// Fan-out width N.
     pub width: usize,
+}
+
+impl AsRef<DcCell> for HedgeCell {
+    fn as_ref(&self) -> &DcCell {
+        &self.cell
+    }
 }
 
 /// Maps a study mitigation onto the world's [`TailPolicy`].
@@ -647,12 +845,7 @@ fn hedge_grid_from(
                 reps,
             );
             cells.push(HedgeCell {
-                cell: DcCell {
-                    key,
-                    topo,
-                    sched: TrafficSchedule::staggered(),
-                    reps,
-                },
+                cell: DcCell::keyed(key, topo, reps),
                 scenario: sc.name.to_string(),
                 mitigation: m,
                 width,
@@ -694,12 +887,7 @@ fn hedge_reno_rerun() -> Vec<HedgeCell> {
             arm_cold_reno(&mut topo);
             let key = format!("hedge/{}+reno/{}/f16/i60r1", sc.name, m.tag());
             cells.push(HedgeCell {
-                cell: DcCell {
-                    key,
-                    topo,
-                    sched: TrafficSchedule::staggered(),
-                    reps: 1,
-                },
+                cell: DcCell::keyed(key, topo, 1),
                 scenario: format!("{}+reno", sc.name),
                 mitigation: m,
                 width: 16,
@@ -716,30 +904,10 @@ pub fn hedge_quick_grid() -> Vec<HedgeCell> {
     hedge_grid_from(16, 2, 6, 1, 1)
 }
 
-/// Runs a hedge grid; same ordered pool as [`run_dc_cells`], so the
-/// report is byte-identical at any `--jobs` value.
-#[must_use]
-pub fn run_hedge_cells(cells: &[HedgeCell], jobs: usize) -> Vec<DcCellResult> {
-    run_hedge_cells_with(cells, jobs, ObsMode::Exact)
-}
-
-/// [`run_hedge_cells`] with an explicit retention mode.
-#[must_use]
-pub fn run_hedge_cells_with(cells: &[HedgeCell], jobs: usize, mode: ObsMode) -> Vec<DcCellResult> {
-    sweep::pool::run_ordered(cells, jobs, move |_, hc| run_one_cell(&hc.cell, mode))
-}
-
-/// Reduces grid results to table rows, `amp_p99` filled in.
-#[must_use]
-pub fn hedge_rows(
-    cells: &[HedgeCell],
-    results: &[DcCellResult],
-) -> Vec<latency_core::hedge::HedgeRow> {
-    assert_eq!(
-        cells.len(),
-        results.len(),
-        "rows require one result per cell"
-    );
+/// The hedge table and its extra JSON fields: completion percentiles,
+/// `amp_p99` against the scenario's unmitigated cell, and the
+/// mitigation-cost and leak counters.
+fn hedge_render(cells: &[HedgeCell], results: &[DcCellResult]) -> (String, Vec<Extras>) {
     let mut rows: Vec<_> = cells
         .iter()
         .zip(results)
@@ -755,70 +923,29 @@ pub fn hedge_rows(
         })
         .collect();
     latency_core::hedge::amplify(&mut rows);
-    rows
-}
-
-/// The deterministic hedge report: the `sweep.json` cell schema over
-/// completion samples, plus the percentile, amplification, and
-/// mitigation-cost fields appended after `verify_failures`.
-#[must_use]
-pub fn hedge_canonical_json(name: &str, cells: &[HedgeCell], results: &[DcCellResult]) -> String {
-    use std::fmt::Write as _;
-    use sweep::report::{json_num, json_string};
-    let rows = hedge_rows(cells, results);
-    let opt = |v: Option<f64>| v.map_or_else(|| "null".to_string(), json_num);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_string(name));
-    out.push_str("  \"cells\": {");
-    let mut first = true;
-    for (c, row) in results.iter().zip(&rows) {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
-        let _ = write!(out, "\"seed\": {}, ", c.seed);
-        let _ = write!(out, "\"reps\": {}, ", c.reps);
-        let _ = write!(out, "\"samples\": {}, ", c.completions.len());
-        let _ = write!(out, "\"mean_us\": {}, ", json_num(c.completions.mean_us()));
-        let _ = write!(
-            out,
-            "\"stddev_us\": {}, ",
-            json_num(c.completions.stddev_us())
-        );
-        let _ = write!(out, "\"min_us\": {}, ", json_num(c.completions.min_us()));
-        let _ = write!(out, "\"max_us\": {}, ", json_num(c.completions.max_us()));
-        let _ = write!(out, "\"events\": {}, ", c.events);
-        let _ = write!(
-            out,
-            "\"sim_time_us\": {}, ",
-            json_num(c.sim_time.as_us_f64())
-        );
-        let _ = write!(out, "\"verify_failures\": {}, ", c.verify_failures);
-        let p50 = (row.samples > 0).then_some(row.p50_us);
-        let p99 = (row.samples > 0).then_some(row.p99_us);
-        let _ = write!(out, "\"p50_us\": {}, ", opt(p50));
-        let _ = write!(out, "\"p99_us\": {}, ", opt(p99));
-        let _ = write!(out, "\"p999_us\": {}, ", opt(row.p999_us));
-        let _ = write!(out, "\"amp_p99\": {}, ", opt(row.amp_p99));
-        let _ = write!(out, "\"hedges_issued\": {}, ", c.cost.hedges_issued);
-        let _ = write!(out, "\"hedges_won\": {}, ", c.cost.hedges_won);
-        let _ = write!(out, "\"hedges_wasted\": {}, ", c.cost.hedges_wasted);
-        let _ = write!(out, "\"retries_issued\": {}, ", c.cost.retries_issued);
-        let _ = write!(out, "\"budget_exhausted\": {}, ", c.cost.budget_exhausted);
-        let _ = write!(out, "\"deadline_exceeded\": {}, ", c.cost.deadline_exceeded);
-        let _ = write!(out, "\"cancelled\": {}, ", c.cost.cancelled);
-        let _ = write!(out, "\"mbufs_leaked\": {}, ", c.mbufs_leaked);
-        let _ = write!(out, "\"fanout_aborts\": {} }}", c.fanout_aborts);
-    }
-    if results.is_empty() {
-        out.push('}');
-    } else {
-        out.push_str("\n  }");
-    }
-    out.push_str("\n}\n");
-    out
+    let extras = results
+        .iter()
+        .zip(&rows)
+        .map(|(c, row)| {
+            let sampled = row.samples > 0;
+            vec![
+                ("p50_us", opt_json(sampled.then_some(row.p50_us))),
+                ("p99_us", opt_json(sampled.then_some(row.p99_us))),
+                ("p999_us", opt_json(row.p999_us)),
+                ("amp_p99", opt_json(row.amp_p99)),
+                ("hedges_issued", c.cost.hedges_issued.to_string()),
+                ("hedges_won", c.cost.hedges_won.to_string()),
+                ("hedges_wasted", c.cost.hedges_wasted.to_string()),
+                ("retries_issued", c.cost.retries_issued.to_string()),
+                ("budget_exhausted", c.cost.budget_exhausted.to_string()),
+                ("deadline_exceeded", c.cost.deadline_exceeded.to_string()),
+                ("cancelled", c.cost.cancelled.to_string()),
+                ("mbufs_leaked", c.mbufs_leaked.to_string()),
+                ("fanout_aborts", c.fanout_aborts.to_string()),
+            ]
+        })
+        .collect();
+    (latency_core::hedge::format_table(&rows), extras)
 }
 
 /// One `repro cc` cell: an incast world under one congestion-control
@@ -832,6 +959,12 @@ pub struct CcCell {
     pub policy: DropPolicy,
     /// The switch's output-queue capacity in cells.
     pub queue_cells: usize,
+}
+
+impl AsRef<DcCell> for CcCell {
+    fn as_ref(&self) -> &DcCell {
+        &self.cell
+    }
 }
 
 /// The drop policies the cc study sweeps for a given buffer size.
@@ -887,12 +1020,7 @@ fn cc_grid_from(buffers: &[usize], rpc_size: usize, iterations: u64, warmup: u64
                     iterations,
                 );
                 cells.push(CcCell {
-                    cell: DcCell {
-                        key,
-                        topo,
-                        sched: TrafficSchedule::staggered(),
-                        reps: 1,
-                    },
+                    cell: DcCell::keyed(key, topo, 1),
                     variant,
                     policy,
                     queue_cells: q,
@@ -925,17 +1053,11 @@ pub fn cc_quick_grid() -> Vec<CcCell> {
     cc_grid_from(&[128, 512], 16_000, 3, 1)
 }
 
-/// Runs a cc grid; same ordered pool as [`run_dc_cells`], so the
-/// report is byte-identical at any `--jobs` value.
+/// Runs a cc grid in exact mode; [`run_cells`] with the cc study's
+/// historical signature.
 #[must_use]
 pub fn run_cc_cells(cells: &[CcCell], jobs: usize) -> Vec<DcCellResult> {
-    run_cc_cells_with(cells, jobs, ObsMode::Exact)
-}
-
-/// [`run_cc_cells`] with an explicit retention mode.
-#[must_use]
-pub fn run_cc_cells_with(cells: &[CcCell], jobs: usize, mode: ObsMode) -> Vec<DcCellResult> {
-    sweep::pool::run_ordered(cells, jobs, move |_, cc| run_one_cell(&cc.cell, mode))
+    run_cells(cells, jobs, ObsMode::Exact)
 }
 
 /// One reduced cc-study row: goodput, recovery-latency percentiles,
@@ -1023,57 +1145,78 @@ pub fn cc_rows(cells: &[CcCell], results: &[DcCellResult]) -> Vec<CcRow> {
         .collect()
 }
 
-/// The deterministic cc report: the `sweep.json` cell schema over RPC
-/// round-trip samples, plus the goodput, percentile, retransmission
-/// and drop-ledger fields appended after `verify_failures`.
+/// The cc study's extra JSON fields: goodput, percentiles, and the
+/// retransmission and drop ledger.
+fn cc_extras(rows: &[CcRow], results: &[DcCellResult]) -> Vec<Extras> {
+    rows.iter()
+        .zip(results)
+        .map(|(row, c)| {
+            vec![
+                ("goodput_mbps", json_num(row.goodput_mbps)),
+                ("p50_us", json_num(row.p50_us)),
+                ("p99_us", json_num(row.p99_us)),
+                ("rexmits", row.rexmits.to_string()),
+                ("rto_fires", row.rto_fires.to_string()),
+                ("queue_drops", row.queue_drops.to_string()),
+                ("epd_drops", row.epd_drops.to_string()),
+                ("ppd_drops", row.ppd_drops.to_string()),
+                ("aborted_conns", row.aborted_conns.to_string()),
+                ("mbufs_leaked", c.mbufs_leaked.to_string()),
+            ]
+        })
+        .collect()
+}
+
+/// The deterministic cc report: the shared canonical JSON over RPC
+/// round-trip samples plus the cc study's extra fields.
 #[must_use]
 pub fn cc_canonical_json(name: &str, cells: &[CcCell], results: &[DcCellResult]) -> String {
-    use std::fmt::Write as _;
-    use sweep::report::{json_num, json_string};
+    let extras = cc_extras(&cc_rows(cells, results), results);
+    write_json(name, Study::Cc, results, &extras)
+}
+
+/// The cc table: goodput next to the recovery-latency percentiles and
+/// the loss ledger. Retransmissions and RTOs are the study's data.
+fn cc_render(cells: &[CcCell], results: &[DcCellResult]) -> (String, Vec<Extras>) {
     let rows = cc_rows(cells, results);
     let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_string(name));
-    out.push_str("  \"cells\": {");
-    let mut first = true;
-    for (c, row) in results.iter().zip(&rows) {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
-        let _ = write!(out, "\"seed\": {}, ", c.seed);
-        let _ = write!(out, "\"reps\": {}, ", c.reps);
-        let _ = write!(out, "\"samples\": {}, ", c.rtts.len());
-        let _ = write!(out, "\"mean_us\": {}, ", json_num(c.rtts.mean_us()));
-        let _ = write!(out, "\"stddev_us\": {}, ", json_num(c.rtts.stddev_us()));
-        let _ = write!(out, "\"min_us\": {}, ", json_num(c.rtts.min_us()));
-        let _ = write!(out, "\"max_us\": {}, ", json_num(c.rtts.max_us()));
-        let _ = write!(out, "\"events\": {}, ", c.events);
-        let _ = write!(
+    let _ = writeln!(
+        out,
+        "{:<8} {:<5} {:>5} {:>7} {:>8} {:>9} {:>9} {:>10} {:>7} {:>4} {:>6} {:>6} {:>6}",
+        "variant",
+        "drop",
+        "queue",
+        "samples",
+        "goodput",
+        "p50_us",
+        "p99_us",
+        "max_us",
+        "rexmit",
+        "rto",
+        "qdrop",
+        "epd",
+        "ppd"
+    );
+    for row in &rows {
+        let _ = writeln!(
             out,
-            "\"sim_time_us\": {}, ",
-            json_num(c.sim_time.as_us_f64())
+            "{:<8} {:<5} {:>5} {:>7} {:>8.2} {:>9.1} {:>9.1} {:>10.1} {:>7} {:>4} {:>6} {:>6} {:>6}",
+            row.variant,
+            row.policy,
+            row.queue_cells,
+            row.samples,
+            row.goodput_mbps,
+            row.p50_us,
+            row.p99_us,
+            row.max_us,
+            row.rexmits,
+            row.rto_fires,
+            row.queue_drops,
+            row.epd_drops,
+            row.ppd_drops
         );
-        let _ = write!(out, "\"verify_failures\": {}, ", c.verify_failures);
-        let _ = write!(out, "\"goodput_mbps\": {}, ", json_num(row.goodput_mbps));
-        let _ = write!(out, "\"p50_us\": {}, ", json_num(row.p50_us));
-        let _ = write!(out, "\"p99_us\": {}, ", json_num(row.p99_us));
-        let _ = write!(out, "\"rexmits\": {}, ", row.rexmits);
-        let _ = write!(out, "\"rto_fires\": {}, ", row.rto_fires);
-        let _ = write!(out, "\"queue_drops\": {}, ", row.queue_drops);
-        let _ = write!(out, "\"epd_drops\": {}, ", row.epd_drops);
-        let _ = write!(out, "\"ppd_drops\": {}, ", row.ppd_drops);
-        let _ = write!(out, "\"aborted_conns\": {}, ", row.aborted_conns);
-        let _ = write!(out, "\"mbufs_leaked\": {} }}", c.mbufs_leaked);
     }
-    if results.is_empty() {
-        out.push('}');
-    } else {
-        out.push_str("\n  }");
-    }
-    out.push_str("\n}\n");
-    out
+    (out, cc_extras(&rows, results))
 }
 
 #[cfg(test)]
@@ -1109,20 +1252,118 @@ mod tests {
     #[test]
     fn seeds_derive_from_keys_not_positions() {
         let g = dc_quick_grid();
-        let r = run_dc_cells(&g[..2], 1);
+        let r = run_cells(&g[..2], 1, ObsMode::Exact);
         assert_eq!(r[0].seed, sweep::cell_seed(&g[0].key));
         assert_eq!(r[1].seed, sweep::cell_seed(&g[1].key));
     }
 
     #[test]
-    fn report_is_byte_identical_across_jobs() {
-        // A tiny two-cell grid keeps this test fast; the full quick
-        // grid is exercised by the repro binary's CI determinism diff.
-        let cells: Vec<DcCell> = dc_quick_grid().into_iter().take(2).collect();
-        let a = canonical_json("dc_tiny", &run_dc_cells(&cells, 1));
-        let b = canonical_json("dc_tiny", &run_dc_cells(&cells, 4));
-        assert_eq!(a, b);
-        assert!(a.starts_with("{\n  \"name\": \"dc_tiny\","));
+    fn absorb_pools_reps_without_dropping_a_counter() {
+        let mut topo = Topology::incast(2, 2, 1);
+        topo.iterations = 2;
+        let run = run_dc(&topo, TrafficSchedule::staggered(), 7);
+        let mut one = DcCellResult::default();
+        one.absorb(&run);
+        let mut two = DcCellResult::default();
+        two.absorb(&run);
+        two.absorb(&run);
+        assert!(run.events > 0 && run.server_pcb.lookups > 0);
+        assert_eq!(two.rtts.len(), 2 * run.rtts.len());
+        assert_eq!(two.events, 2 * run.events);
+        assert_eq!(two.server_pcb.lookups, 2 * run.server_pcb.lookups);
+        assert_eq!(two.server_pcb.hits, 2 * run.server_pcb.hits);
+        assert_eq!(two.switch_forwarded, 2 * run.switch_forwarded);
+        // Maxima pool as maxima, not sums.
+        assert_eq!(two.sim_time, run.sim_time);
+        assert_eq!(two.max_backlog_cells, one.max_backlog_cells);
+    }
+
+    #[test]
+    fn every_study_report_is_byte_identical_across_jobs() {
+        // Two-cell subsets keep this fast; the full quick grids run in
+        // the CI determinism loop.
+        let newreno = format!("cc/{}/", CcVariant::NewReno.name());
+        let tiny = |study: Study, key: &str| match study {
+            Study::Dc => key.starts_with("dc/h2/c1/mtf/"),
+            // Widths 1 and 4 exercise the amplification join.
+            Study::Tails => {
+                key.starts_with("tails/clean/") && key.contains("/solo/") && !key.contains("/f16/")
+            }
+            // The baseline and one hedged cell.
+            Study::Hedge => {
+                key.starts_with("hedge/clean/none/") || key.starts_with("hedge/clean/hedge/")
+            }
+            Study::Cc => {
+                key.starts_with(&newreno) && key.contains("/q128/") && !key.contains("/ppd/")
+            }
+        };
+        for study in Study::ALL {
+            let a = study.run_where(true, 1, ObsMode::Exact, |k| tiny(study, k));
+            let b = study.run_where(true, 4, ObsMode::Exact, |k| tiny(study, k));
+            assert_eq!(a.cells, 2, "{study:?}");
+            assert_eq!(a.json, b.json, "{study:?}");
+            assert_eq!(a.table, b.table, "{study:?}");
+            assert!(a.failed.is_empty(), "{study:?}: {:?}", a.failed);
+            let name = format!("{{\n  \"name\": \"{}_quick\",", study.name());
+            assert!(a.json.starts_with(&name), "{}", a.json);
+            let json = &a.json;
+            match study {
+                Study::Dc => {}
+                Study::Tails => {
+                    // The width-1 cell is its own baseline, and p999
+                    // on a 12-sample quick cell is null, never a number.
+                    assert!(json.contains("\"amp_p99\": 1.0"), "{json}");
+                    assert!(json.contains("\"p999_us\": null"), "{json}");
+                }
+                Study::Hedge => {
+                    // The no-mitigation cell is its own baseline, and
+                    // cancelled/hedged teardown leaks nothing.
+                    assert!(json.contains("\"amp_p99\": 1.0"), "{json}");
+                    assert!(json.contains("\"mbufs_leaked\": 0"), "{json}");
+                    assert!(!json.contains("\"mbufs_leaked\": 1"), "{json}");
+                }
+                Study::Cc => {
+                    assert!(json.contains("\"goodput_mbps\": "), "{json}");
+                    assert!(json.contains("\"mbufs_leaked\": 0"), "{json}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failure_predicate_flags_leaks_in_every_study() {
+        let healthy = || {
+            let mut r = DcCellResult {
+                key: "cell".to_string(),
+                ..DcCellResult::default()
+            };
+            r.rtts.push(SimTime::from_us(100));
+            r.completions.push(SimTime::from_us(100));
+            r
+        };
+        for study in Study::ALL {
+            assert_eq!(study.failure(&healthy()), None, "{study:?}");
+            let mut leaked = healthy();
+            leaked.mbufs_leaked = 1;
+            let why = study.failure(&leaked).expect("a leaked cell fails");
+            assert!(why.contains("1 leaked mbuf(s)"), "{study:?}: {why}");
+            let mut corrupt = healthy();
+            corrupt.verify_failures = 1;
+            assert!(study.failure(&corrupt).is_some(), "{study:?}");
+            // Empty cells fail unless an abort explains them.
+            let empty = DcCellResult::default();
+            assert!(study.failure(&empty).is_some(), "{study:?}");
+            let explained = DcCellResult {
+                aborted_conns: 1,
+                fanout_aborts: 1,
+                ..DcCellResult::default()
+            };
+            assert_eq!(
+                study.failure(&explained).is_some(),
+                study == Study::Dc,
+                "{study:?}: aborts are data everywhere but dc"
+            );
+        }
     }
 
     #[test]
@@ -1257,28 +1498,6 @@ mod tests {
     }
 
     #[test]
-    fn hedge_report_is_byte_identical_across_jobs() {
-        // One clean pair (baseline + hedge) keeps this fast; the full
-        // quick grid runs in the CI determinism diff.
-        let cells: Vec<HedgeCell> = hedge_quick_grid()
-            .into_iter()
-            .filter(|c| {
-                c.scenario == "clean"
-                    && matches!(c.mitigation, Mitigation::None | Mitigation::Hedge)
-            })
-            .collect();
-        assert_eq!(cells.len(), 2);
-        let a = hedge_canonical_json("hedge_tiny", &cells, &run_hedge_cells(&cells, 1));
-        let b = hedge_canonical_json("hedge_tiny", &cells, &run_hedge_cells(&cells, 4));
-        assert_eq!(a, b);
-        // The no-mitigation cell is its own baseline.
-        assert!(a.contains("\"amp_p99\": 1.0"), "{a}");
-        // Cancelled/hedged teardown must leak nothing.
-        assert!(a.contains("\"mbufs_leaked\": 0"), "{a}");
-        assert!(!a.contains("\"mbufs_leaked\": 1"), "{a}");
-    }
-
-    #[test]
     fn cc_quick_grid_covers_all_axes() {
         let g = cc_quick_grid();
         // 4 variants x 3 policies x 2 buffer sizes.
@@ -1312,43 +1531,5 @@ mod tests {
         assert_eq!(full.len(), 48);
         assert!(full.iter().all(|c| c.cell.topo.iterations == 3));
         assert!(full.iter().any(|c| c.queue_cells == 1024));
-    }
-
-    #[test]
-    fn cc_report_is_byte_identical_across_jobs() {
-        // One variant pair on the small buffer keeps this fast; the
-        // full quick grid runs in the CI determinism diff.
-        let cells: Vec<CcCell> = cc_quick_grid()
-            .into_iter()
-            .filter(|c| {
-                c.queue_cells == 128
-                    && c.variant == CcVariant::NewReno
-                    && c.policy != DropPolicy::Ppd
-            })
-            .collect();
-        assert_eq!(cells.len(), 2);
-        let a = cc_canonical_json("cc_tiny", &cells, &run_cc_cells(&cells, 1));
-        let b = cc_canonical_json("cc_tiny", &cells, &run_cc_cells(&cells, 4));
-        assert_eq!(a, b);
-        assert!(a.contains("\"goodput_mbps\": "));
-        assert!(a.contains("\"mbufs_leaked\": 0"), "{a}");
-    }
-
-    #[test]
-    fn tails_report_is_byte_identical_across_jobs() {
-        // Two clean cells (widths 1 and 4) exercise the amplification
-        // join; the full quick grid runs in the CI determinism diff.
-        let cells: Vec<TailsCell> = tails_quick_grid()
-            .into_iter()
-            .filter(|c| c.scenario == "clean" && !c.churn && c.width <= 4)
-            .collect();
-        assert_eq!(cells.len(), 2);
-        let a = tails_canonical_json("tails_tiny", &cells, &run_tails_cells(&cells, 1));
-        let b = tails_canonical_json("tails_tiny", &cells, &run_tails_cells(&cells, 4));
-        assert_eq!(a, b);
-        // The width-1 cell is its own baseline: amp_p99 is exactly 1.
-        assert!(a.contains("\"amp_p99\": 1.0"), "{a}");
-        // p999 on a 12-sample quick cell must be null, never a number.
-        assert!(a.contains("\"p999_us\": null"));
     }
 }

@@ -199,7 +199,8 @@ impl Default for RetryPolicy {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HedgePolicy {
     /// Fixed hedge delay; `None` tracks the running p95 of completed
-    /// sub-requests with a [`simcap::StreamingP95`] estimator instead.
+    /// sub-requests with the [`simcap::Recorder::upper_only`] estimate
+    /// instead.
     pub delay: Option<SimTime>,
     /// Delay used while the estimator has no sample yet (first round).
     pub initial: SimTime,

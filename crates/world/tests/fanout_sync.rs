@@ -3,12 +3,10 @@
 //! every fan-out width, seed, and churn setting — and the study report
 //! built on top is byte-identical at any `--jobs` value.
 
+use latency_core::ObsMode;
 use simkit::SimTime;
 use world::dc::run_dc_world;
-use world::{
-    run_tails_cells, tails_canonical_json, tails_quick_grid, ChurnTraffic, Topology,
-    TrafficSchedule,
-};
+use world::{ChurnTraffic, Study, Topology, TrafficSchedule};
 
 /// Sweep fan-out widths x seeds x churn on/off and check, round by
 /// round, that every recorded completion equals the max of that
@@ -53,17 +51,23 @@ fn completion_is_max_of_subrequest_rtts_across_widths_and_seeds() {
     }
 }
 
+/// Runs the quick tails grid at 1, 2 and 4 workers and checks the
+/// table and canonical JSON never change.
+fn assert_report_is_jobs_invariant(mode: ObsMode) {
+    let one = Study::Tails.run(true, 1, mode);
+    for jobs in [2usize, 4] {
+        let many = Study::Tails.run(true, jobs, mode);
+        assert_eq!(one.json, many.json, "jobs {jobs} changed the report bytes");
+        assert_eq!(one.table, many.table, "jobs {jobs} changed the table");
+    }
+}
+
 /// The quick tails grid renders to the same bytes no matter how many
 /// worker threads run it — the CLI's `--jobs` flag must never leak
 /// into the report.
 #[test]
 fn tails_quick_report_is_byte_identical_across_jobs() {
-    let cells = tails_quick_grid();
-    let one = tails_canonical_json("tails_quick", &cells, &run_tails_cells(&cells, 1));
-    for jobs in [2usize, 4] {
-        let many = tails_canonical_json("tails_quick", &cells, &run_tails_cells(&cells, jobs));
-        assert_eq!(one, many, "jobs {jobs} changed the report bytes");
-    }
+    assert_report_is_jobs_invariant(ObsMode::Exact);
 }
 
 /// The same identity holds in sketch mode: per-shard sketches merged
@@ -71,24 +75,5 @@ fn tails_quick_report_is_byte_identical_across_jobs() {
 /// the same bytes as `--sketch --jobs 1`.
 #[test]
 fn tails_quick_sketch_report_is_byte_identical_across_jobs() {
-    use latency_core::ObsMode;
-    use world::run_tails_cells_with;
-
-    let cells = tails_quick_grid();
-    let one = tails_canonical_json(
-        "tails_quick",
-        &cells,
-        &run_tails_cells_with(&cells, 1, ObsMode::Sketch),
-    );
-    for jobs in [2usize, 4] {
-        let many = tails_canonical_json(
-            "tails_quick",
-            &cells,
-            &run_tails_cells_with(&cells, jobs, ObsMode::Sketch),
-        );
-        assert_eq!(
-            one, many,
-            "sketch mode: jobs {jobs} changed the report bytes"
-        );
-    }
+    assert_report_is_jobs_invariant(ObsMode::Sketch);
 }

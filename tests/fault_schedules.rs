@@ -6,6 +6,7 @@
 
 use faultkit::{FaultSchedule, FlapSchedule, GilbertElliott, PauseSchedule};
 use latency_core::experiment::{Experiment, NetKind};
+use latency_core::ObsMode;
 use proptest::prelude::*;
 use simkit::SimTime;
 use sweep::Sweep;
@@ -179,25 +180,11 @@ proptest! {
 /// same canonical bytes at every worker count.
 #[test]
 fn pause_and_flap_hedge_cells_are_byte_identical_across_worker_counts() {
-    let cells: Vec<_> = world::hedge_quick_grid()
-        .into_iter()
-        .filter(|c| c.scenario == "host-pause" || c.scenario == "link-flap")
-        .collect();
-    assert!(
-        !cells.is_empty(),
-        "quick grid covers the injector scenarios"
-    );
-    let serial = world::hedge_canonical_json(
-        "fault-prop-hedge",
-        &cells,
-        &world::run_hedge_cells(&cells, 1),
-    );
-    let parallel = world::hedge_canonical_json(
-        "fault-prop-hedge",
-        &cells,
-        &world::run_hedge_cells(&cells, 4),
-    );
-    assert_eq!(serial, parallel);
+    let injected = |key: &str| key.contains("/host-pause/") || key.contains("/link-flap/");
+    let serial = world::Study::Hedge.run_where(true, 1, ObsMode::Exact, injected);
+    assert!(serial.cells > 0, "quick grid covers the injector scenarios");
+    let parallel = world::Study::Hedge.run_where(true, 4, ObsMode::Exact, injected);
+    assert_eq!(serial.json, parallel.json);
 }
 
 /// The `repro faults` determinism contract: the fault study's
