@@ -24,6 +24,7 @@ use simkit::{SimRng, SimTime};
 
 use crate::aal5::PT_END_OF_PDU;
 use crate::cell::{Cell, CellHeader};
+use crate::link::LinkFault;
 
 /// Route entry: where a VC leaves the switch and as what.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -316,6 +317,48 @@ impl AtmSwitch {
         self.admit(route, arrival, cell)
     }
 
+    /// Forwards one timed cell train arriving on `in_port` — the
+    /// uplink train a NIC staged — and times each forwarded cell at
+    /// the destination adapter, `downlink` after it leaves the output
+    /// port. Cells lost upstream stay lost, cells the switch drops
+    /// become lost, and a fabric corruption is labeled only when the
+    /// payload actually changed.
+    ///
+    /// Returns the train with the arrival time of its last delivered
+    /// cell, or `None` when no cell got through (nothing arrives, so
+    /// no interrupt fires).
+    pub fn forward_train(
+        &mut self,
+        in_port: usize,
+        mut train: Vec<(SimTime, LinkFault)>,
+        downlink: SimTime,
+    ) -> Option<(SimTime, Vec<(SimTime, LinkFault)>)> {
+        let may_corrupt = self.config.corrupt_prob > 0.0;
+        let mut last = None;
+        for (at, fault) in &mut train {
+            let (LinkFault::Clean(c) | LinkFault::Corrupted(c)) = &*fault else {
+                continue;
+            };
+            *fault = match self.forward(in_port, *at, c) {
+                SwitchOutcome::Forwarded {
+                    departure, cell, ..
+                } => {
+                    *at = departure + downlink;
+                    last = last.max(Some(*at));
+                    if may_corrupt && cell.payload() != c.payload() {
+                        LinkFault::Corrupted(cell)
+                    } else {
+                        LinkFault::Clean(cell)
+                    }
+                }
+                SwitchOutcome::UnknownVc | SwitchOutcome::QueueFull | SwitchOutcome::Discarded => {
+                    LinkFault::Lost
+                }
+            };
+        }
+        last.map(|t| (t, train))
+    }
+
     /// Tail-drops a cell at a full output queue.
     fn tail_drop(&mut self, out_port: usize) -> SwitchOutcome {
         self.queue_drops += 1;
@@ -433,6 +476,33 @@ mod tests {
             departure,
             SimTime::from_us(110) + SwitchConfig::default().cell_time
         );
+    }
+
+    #[test]
+    fn train_pass_times_delivered_cells_and_drops_dead_trains() {
+        let mut sw = switch();
+        let down = SimTime::from_us(5);
+        let t = SimTime::from_us(100);
+        let train = vec![
+            (t, LinkFault::Clean(cell(42))),
+            (t, LinkFault::Lost),
+            (t, LinkFault::Clean(cell(99))),
+        ];
+        let (last, out) = sw
+            .forward_train(0, train, down)
+            .expect("one cell got through");
+        let departure = t + SwitchConfig::default().latency + SwitchConfig::default().cell_time;
+        assert_eq!(last, departure + down);
+        assert!(
+            matches!(&out[0], (at, LinkFault::Clean(c)) if *at == last && c.header().vci == 77)
+        );
+        assert!(matches!(out[1], (at, LinkFault::Lost) if at == t));
+        assert!(
+            matches!(out[2], (at, LinkFault::Lost) if at == t),
+            "unknown VC"
+        );
+        let dead = vec![(t, LinkFault::Lost), (t, LinkFault::Clean(cell(99)))];
+        assert!(sw.forward_train(0, dead, down).is_none(), "nothing arrives");
     }
 
     #[test]

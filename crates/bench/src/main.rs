@@ -572,17 +572,15 @@ fn trace_timeline(opts: &Opts) {
         Nic::Atm(AtmNic::new(
             atm::FiberLink::new(atm::LinkConfig::default(), opts.seed),
             costs.clone(),
-            42,
             opts.seed,
         )),
         Nic::Atm(AtmNic::new(
             atm::FiberLink::new(atm::LinkConfig::default(), opts.seed.wrapping_add(1)),
             costs.clone(),
-            42,
             opts.seed.wrapping_add(1),
         )),
     ];
-    let sim = run_world(World::new(e.cfg, costs, nics, apps));
+    let sim = run_world(World::new(e.cfg, costs, nics, apps), None);
     println!("timeline of one 1400-byte RPC iteration (client side, us relative to write()):");
     let rec = &sim.world.hosts[0].kernel.spans;
     let t0 = rec

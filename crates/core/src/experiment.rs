@@ -19,7 +19,7 @@ use tcpip::{ChecksumMode, KernelStats, StackConfig};
 
 use crate::app::{App, Role};
 use crate::breakdown::{compute_breakdowns, RxBreakdown, TxBreakdown};
-use crate::nic::{AtmNic, EtherNic, Nic};
+use crate::nic::{arm_host, AtmNic, EtherNic, Nic};
 use crate::stats;
 use crate::world::{run_world, World};
 
@@ -144,31 +144,15 @@ impl Experiment {
                     cell_loss: self.cell_loss,
                     ..LinkConfig::default()
                 };
-                let mut n0 = AtmNic::new(
-                    FiberLink::new(lc, seed * 2 + 1),
-                    self.costs.clone(),
-                    42,
-                    seed,
-                );
+                let mut n0 =
+                    AtmNic::new(FiberLink::new(lc, seed * 2 + 1), self.costs.clone(), seed);
                 let mut n1 = AtmNic::new(
                     FiberLink::new(lc, seed * 2 + 2),
                     self.costs.clone(),
-                    42,
                     seed + 9,
                 );
                 n0.controller_corrupt_prob = self.controller_corrupt;
                 n1.controller_corrupt_prob = self.controller_corrupt;
-                if let Some(swc) = self.switch {
-                    n0.insert_switch(swc, 42, seed * 3 + 1);
-                    n1.insert_switch(swc, 42, seed * 3 + 2);
-                }
-                if let Some(f) = &self.faults {
-                    // Per-direction seeds match the link seeds; the
-                    // fault processes draw from their own RNG streams,
-                    // so they never collide with the BER streams.
-                    n0.arm_faults(f, seed * 2 + 1);
-                    n1.arm_faults(f, seed * 2 + 2);
-                }
                 [Nic::Atm(n0), Nic::Atm(n1)]
             }
             NetKind::Ether => {
@@ -192,19 +176,22 @@ impl Experiment {
                 n1.controller_corrupt_prob = self.controller_corrupt;
                 n0.gateway_corrupt_prob = self.gateway_corrupt;
                 n1.gateway_corrupt_prob = self.gateway_corrupt;
-                if let Some(f) = &self.faults {
-                    n0.arm_faults(f, seed * 2 + 1);
-                    n1.arm_faults(f, seed * 2 + 2);
-                }
                 [Nic::Ether(n0), Nic::Ether(n1)]
             }
         };
         let mut world = World::new(self.cfg, self.costs.clone(), nics, apps);
-        if let Some(limit) = self.faults.as_ref().and_then(|f| f.mbuf_limit) {
-            // The mbuf cap is per host pool: allocations beyond it
-            // fail with ENOBUFS on the fallible (receive) paths.
-            for host in &mut world.hosts {
-                host.kernel.pool.set_limit(Some(limit));
+        for (h, host) in (0u64..).zip(&mut world.hosts) {
+            if let (Some(swc), NetKind::Atm) = (self.switch, self.net) {
+                host.route_through_switch(swc, seed * 3 + 1 + h);
+            }
+            if let Some(f) = &self.faults {
+                // Per-direction seeds match the link seeds; the fault
+                // processes draw from their own RNG streams, so they
+                // never collide with the BER streams.
+                // Not pausable, so no pause schedule comes back.
+                let seed = seed * 2 + 1 + h;
+                arm_host(f, &host.kernel, (&mut host.nic).into(), seed, false)
+                    .unwrap_or_else(|refusal| panic!("{refusal}"));
             }
         }
         world
@@ -235,10 +222,7 @@ impl Experiment {
         let mut world = self.build_world(seed);
         world.capture = capture;
         world.flight_k = flight;
-        let sim = match obs {
-            Some(obs) => crate::world::run_world_observed(world, obs),
-            None => run_world(world),
-        };
+        let sim = run_world(world, obs);
         let events = sim.events_executed();
         let sim_time = sim.now();
         let w = sim.world;
@@ -629,7 +613,10 @@ impl Experiment {
     }
 
     /// Attaches a faultkit schedule (burst loss, train shaping, RX
-    /// contention, FIFO/pool limits), armed per host at build time.
+    /// contention, FIFO/pool limits), armed per host at build time by
+    /// [`crate::nic::arm_host`]. Running the experiment panics with
+    /// the [`crate::nic::FaultRefusal`] if a field cannot be carried:
+    /// ATM fields on Ethernet, `ether_loss` on ATM, or `host_pause`.
     #[must_use]
     pub fn with_faults(mut self, faults: faultkit::FaultSchedule) -> Self {
         self.faults = Some(faults);

@@ -5,21 +5,27 @@
 //! The transmit side implements [`tcpip::TxDriver`]: it charges
 //! driver CPU time, models the cut-through FIFO (ATM) or the
 //! descriptor ring (Ethernet), applies the link fault processes, and
-//! stages *deliveries* — per-datagram cell trains with arrival times
-//! — that the world loop turns into events.
+//! stages *deliveries* — per-datagram cell trains or frames with
+//! arrival times — that the world loop turns into events. An ATM
+//! train is timed at the far end of the sender's fiber; a world with
+//! a switch runs it through [`atm::AtmSwitch::forward_train`] at
+//! flush.
 //!
 //! The receive side is a plain function called from the arrival event
 //! handler: it charges the hardware-interrupt costs, runs real
 //! reassembly (AAL3/4 CRC-10 / Ethernet FCS over real bytes), builds
 //! the mbuf chain (with stored partial checksums in the integrated
 //! configuration), and hands the datagram to the kernel's IP queue.
+//!
+//! [`arm_host`] is the one place a [`FaultSchedule`] is armed on a
+//! host, for every world.
 
-use atm::{
-    Aal34Reassembler, Aal34Segmenter, AtmSwitch, FiberLink, ForeTca100, LinkFault, SwitchOutcome,
-    VcRoute,
-};
+use std::collections::HashMap;
+
+use atm::{Aal34Reassembler, Aal34Segmenter, FiberLink, ForeTca100, LinkFault};
 use decstation::CostModel;
 use ether::{EtherAddr, EtherFrame, EtherWire, LanceAdapter, ETHERTYPE_IP};
+use faultkit::{FaultSchedule, PauseSchedule};
 use mbuf::chain::ultrix_uses_clusters;
 use mbuf::Chain;
 use simkit::{CpuBand, SimTime};
@@ -31,37 +37,41 @@ pub const ATM_MTU: usize = 9188;
 /// The Ethernet MTU.
 pub const ETHER_MTU: usize = 1500;
 
-/// A staged delivery: one datagram's worth of link traffic headed to
-/// the peer.
-pub struct Delivery {
-    /// Arrival time of the last cell/frame at the peer's adapter.
+/// A staged ATM delivery: one datagram's cell train headed for host
+/// `dst`, each cell timed at the far end of the sender's fiber.
+pub struct AtmDelivery {
+    /// Destination host index, as installed by [`AtmNic::add_peer`].
+    pub dst: usize,
+    /// Per-cell (arrival at the end of the uplink, link fault).
+    pub train: Vec<(SimTime, LinkFault)>,
+}
+
+/// A staged Ethernet delivery: one frame as the wire delivered it.
+pub struct EtherDelivery {
+    /// Arrival time of the frame at the peer's controller.
     pub arrival: SimTime,
-    /// The payload as it survived the link.
-    pub payload: DeliveryPayload,
+    /// The frame bytes as delivered.
+    pub frame: Vec<u8>,
 }
 
-/// What arrives at the peer.
-pub enum DeliveryPayload {
-    /// ATM: the cell train with per-cell arrival times and faults.
-    Cells(Vec<(SimTime, LinkFault)>),
-    /// Ethernet: the frame bytes as delivered.
-    Frame(Vec<u8>),
-}
-
-/// The ATM interface of one host.
+/// The ATM interface of one host: a TCA-100 on one outbound fiber,
+/// routing each datagram by its IP destination onto that peer's VC.
 pub struct AtmNic {
     /// The FORE TCA-100 adapter.
     pub adapter: ForeTca100,
-    /// AAL3/4 segmentation state.
-    pub seg: Aal34Segmenter,
+    /// AAL3/4 segmentation state per peer, keyed by IP address, with
+    /// the peer's host index.
+    peers: HashMap<[u8; 4], (usize, Aal34Segmenter)>,
     /// AAL3/4 reassembly state.
     pub reasm: Aal34Reassembler,
     /// The outbound fiber.
     pub link: FiberLink,
     /// Driver cost constants (host-local copy).
     pub costs: CostModel,
+    /// The MTU advertised to the stack (MSS derives from it).
+    pub mtu: usize,
     /// Staged deliveries for the world loop to schedule.
-    pub staged: Vec<Delivery>,
+    pub staged: Vec<AtmDelivery>,
     /// Cells discarded for HEC (header CRC) failures.
     pub hec_drops: u64,
     /// Datagrams dropped by AAL3/4 reassembly (CRC-10, sequence...).
@@ -70,9 +80,6 @@ pub struct AtmNic {
     /// the §4.2.1 "second error source" (bit flips between controller
     /// and host memory, past all link CRCs).
     pub controller_corrupt_prob: f64,
-    /// An ATM switch on this direction's path (the paper's testbed
-    /// was switchless; §4.2.1 reasons about switched paths).
-    pub switch: Option<AtmSwitch>,
     /// Datagram-level capture taps (`NicDmaTx`, `Wire`, `NicDmaRx`).
     /// Zero-cost unless armed; cell-level capture lives on the link.
     pub taps: simcap::TapSet,
@@ -89,21 +96,22 @@ pub struct AtmNic {
 }
 
 impl AtmNic {
-    /// Builds an ATM interface over the given outbound link.
+    /// Builds an ATM interface over the given outbound link, with the
+    /// plain [`ATM_MTU`] and no peers installed.
     #[must_use]
-    pub fn new(link: FiberLink, costs: CostModel, vci: u16, seed: u64) -> Self {
+    pub fn new(link: FiberLink, costs: CostModel, seed: u64) -> Self {
         let cell_time = link.config.cell_time();
         AtmNic {
             adapter: ForeTca100::new(cell_time),
-            seg: Aal34Segmenter::new(0, vci, 1),
+            peers: HashMap::new(),
             reasm: Aal34Reassembler::new(),
             link,
             costs,
+            mtu: ATM_MTU,
             staged: Vec::new(),
             hec_drops: 0,
             aal_drops: 0,
             controller_corrupt_prob: 0.0,
-            switch: None,
             taps: simcap::TapSet::off(),
             shaper: None,
             contention: None,
@@ -112,49 +120,18 @@ impl AtmNic {
         }
     }
 
-    /// Arms the ATM-relevant parts of a fault schedule on this
-    /// interface: burst loss on the outbound fiber, the train shaper,
-    /// RX drain contention, and the RX FIFO capacity override. The
-    /// mbuf limit is pool-wide and armed by the experiment, not here.
-    pub fn arm_faults(&mut self, faults: &faultkit::FaultSchedule, seed: u64) {
-        if let Some(model) = faults.atm_loss {
-            self.link.arm_burst_loss(model, seed);
-        }
-        if faults.train.any() {
-            self.shaper = Some(faultkit::TrainShaper::new(faults.train, seed));
-        }
-        if let Some(cfg) = faults.rx_contention {
-            self.contention = Some(faultkit::ContentionProcess::new(cfg, seed));
-        }
-        if let Some(cells) = faults.rx_fifo_cells {
-            self.adapter.rx = atm::RxFifo::new(cells);
-        }
-        if let Some(flap) = faults.link_flap {
-            self.link.arm_flap(flap);
-        }
-    }
-
-    /// Routes this direction through an ATM switch: the VC used by
-    /// the segmenter is installed port 0 → port 1 unchanged.
-    pub fn insert_switch(&mut self, config: atm::SwitchConfig, vci: u16, seed: u64) {
-        let mut sw = AtmSwitch::new(2, config, seed);
-        sw.add_vc(
-            0,
-            0,
-            vci,
-            VcRoute {
-                out_port: 1,
-                out_vpi: 0,
-                out_vci: vci,
-            },
-        );
-        self.switch = Some(sw);
+    /// Installs the VC to host `dst` at IP address `addr`: datagrams
+    /// for `addr` are segmented on `vci` with AAL3/4 MID `mid` and
+    /// staged for `dst`.
+    pub fn add_peer(&mut self, addr: [u8; 4], dst: usize, vci: u16, mid: u16) {
+        self.peers
+            .insert(addr, (dst, Aal34Segmenter::new(0, vci, mid)));
     }
 }
 
 impl TxDriver for AtmNic {
     fn mtu(&self) -> usize {
-        ATM_MTU
+        self.mtu
     }
 
     /// §2.2: the TxDriver span runs "up to when the ATM adapter is
@@ -164,49 +141,23 @@ impl TxDriver for AtmNic {
     /// copy, which the FIFO may backpressure to wire speed.
     fn transmit(&mut self, now: SimTime, packet: &Chain, spans: &mut SpanRecorder) -> SimTime {
         let bytes = packet.to_vec();
-        let cells = self.seg.segment(&bytes);
+        let dst_addr = [bytes[16], bytes[17], bytes[18], bytes[19]];
+        let (dst, seg) = self
+            .peers
+            .get_mut(&dst_addr)
+            .expect("IP destination installed as a peer");
+        let dst = *dst;
+        let cells = seg.segment(&bytes);
         let mut cursor = now + SimTime::from_us_f64(self.costs.atm_tx_fixed_us);
         let per_cell = SimTime::from_us_f64(self.costs.atm_tx_per_cell_us);
         let mut train = Vec::with_capacity(cells.len());
-        let mut last_arrival = SimTime::ZERO;
         for cell in cells {
             let admit = self.adapter.tx.admit(cursor, per_cell);
             cursor = admit.copy_end;
-            let (mut arrival, fault) = self.link.carry_at(admit.wire_exit, cell);
-            // An intermediate switch adds fabric latency, output-queue
-            // serialization, VC rewriting, and possibly fabric
-            // corruption or drops.
-            let fault = match (&mut self.switch, fault) {
-                (None, f) => f,
-                (Some(_), LinkFault::Lost) => LinkFault::Lost,
-                (Some(sw), LinkFault::Clean(c) | LinkFault::Corrupted(c)) => {
-                    let was_corrupt = sw.config.corrupt_prob > 0.0;
-                    match sw.forward(0, arrival, &c) {
-                        SwitchOutcome::Forwarded {
-                            departure, cell, ..
-                        } => {
-                            arrival = departure + self.link.config.propagation;
-                            if was_corrupt && cell.payload() != c.payload() {
-                                LinkFault::Corrupted(cell)
-                            } else {
-                                LinkFault::Clean(cell)
-                            }
-                        }
-                        SwitchOutcome::UnknownVc
-                        | SwitchOutcome::QueueFull
-                        | SwitchOutcome::Discarded => LinkFault::Lost,
-                    }
-                }
-            };
-            last_arrival = last_arrival.max(arrival);
-            train.push((arrival, fault));
+            train.push(self.link.carry_at(admit.wire_exit, cell));
         }
         if let Some(shaper) = self.shaper.as_mut() {
             shaper.shape(&mut train);
-            last_arrival = train
-                .iter()
-                .map(|&(t, _)| t)
-                .fold(SimTime::ZERO, SimTime::max);
         }
         spans.span(SpanKind::TxDriver, now, cursor);
         spans.mark(Mark::TxSignalled, cursor);
@@ -216,10 +167,7 @@ impl TxDriver for AtmNic {
             // `TxSignalled` marks.
             self.taps.record(simcap::TapPoint::NicDmaTx, cursor, bytes);
         }
-        self.staged.push(Delivery {
-            arrival: last_arrival,
-            payload: DeliveryPayload::Cells(train),
-        });
+        self.staged.push(AtmDelivery { dst, train });
         cursor
     }
 }
@@ -367,7 +315,7 @@ pub struct EtherNic {
     /// Driver cost constants.
     pub costs: CostModel,
     /// Staged deliveries.
-    pub staged: Vec<Delivery>,
+    pub staged: Vec<EtherDelivery>,
     /// Frames dropped for FCS errors.
     pub fcs_drops: u64,
     /// Controller-corruption probability per frame on receive.
@@ -405,14 +353,6 @@ impl EtherNic {
             taps: simcap::TapSet::off(),
             enobufs_drops: 0,
             rng: simkit::SimRng::seed_stream(seed, 0xe1),
-        }
-    }
-
-    /// Arms the Ethernet-relevant parts of a fault schedule: burst
-    /// frame loss on the outbound wire.
-    pub fn arm_faults(&mut self, faults: &faultkit::FaultSchedule, seed: u64) {
-        if let Some(model) = faults.ether_loss {
-            self.wire.arm_burst_loss(model, seed);
         }
     }
 }
@@ -459,10 +399,10 @@ impl TxDriver for EtherNic {
         self.lance.tx_complete(delivered_at);
         spans.span(SpanKind::TxDriver, now, cursor);
         spans.mark(Mark::TxSignalled, cursor);
-        if let Some(bytes) = delivered {
-            self.staged.push(Delivery {
+        if let Some(frame) = delivered {
+            self.staged.push(EtherDelivery {
                 arrival: delivered_at,
-                payload: DeliveryPayload::Frame(bytes),
+                frame,
             });
         }
         // A burst-lost frame stages no delivery: the wire time is
@@ -548,16 +488,8 @@ impl Nic {
     #[must_use]
     pub fn mtu(&self) -> usize {
         match self {
-            Nic::Atm(_) => ATM_MTU,
+            Nic::Atm(a) => a.mtu,
             Nic::Ether(_) => ETHER_MTU,
-        }
-    }
-
-    /// Drains the staged deliveries.
-    pub fn take_staged(&mut self) -> Vec<Delivery> {
-        match self {
-            Nic::Atm(a) => std::mem::take(&mut a.staged),
-            Nic::Ether(e) => std::mem::take(&mut e.staged),
         }
     }
 
@@ -604,6 +536,132 @@ impl Nic {
     }
 }
 
+/// A borrowed host interface, as [`arm_host`] takes it.
+pub enum NicMut<'a> {
+    /// An ATM interface.
+    Atm(&'a mut AtmNic),
+    /// An Ethernet interface.
+    Ether(&'a mut EtherNic),
+}
+
+impl<'a> From<&'a mut Nic> for NicMut<'a> {
+    fn from(nic: &'a mut Nic) -> Self {
+        match nic {
+            Nic::Atm(a) => NicMut::Atm(a),
+            Nic::Ether(e) => NicMut::Ether(e),
+        }
+    }
+}
+
+/// A [`FaultSchedule`] field the host it was armed on cannot carry.
+/// Arming refuses it rather than silently injecting nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultRefusal {
+    /// An ATM-only field (named) on an Ethernet host.
+    AtmFieldOnEthernet(&'static str),
+    /// `ether_loss` on an ATM host.
+    EtherLossOnAtm,
+    /// `host_pause` in an event loop that cannot defer a paused
+    /// host's events (the two-host world).
+    PauseUnsupported,
+}
+
+impl std::fmt::Display for FaultRefusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultRefusal::AtmFieldOnEthernet(field) => {
+                write!(f, "fault `{field}` cannot be armed on an Ethernet host")
+            }
+            FaultRefusal::EtherLossOnAtm => {
+                write!(f, "fault `ether_loss` cannot be armed on an ATM host")
+            }
+            FaultRefusal::PauseUnsupported => write!(
+                f,
+                "fault `host_pause` cannot be armed in the two-host event loop"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FaultRefusal {}
+
+/// Arms every field of `faults` on one host: link loss, train
+/// shaping, RX contention, RX FIFO size and link flap on the NIC, the
+/// mbuf pool limit on the kernel. Every stochastic process draws from
+/// its own stream of `seed`. `pausable` says whether the host's event
+/// loop can defer a paused host's events.
+///
+/// Returns the pause schedule for the event loop to apply, or the
+/// first field the host cannot carry — before arming anything.
+///
+/// # Errors
+///
+/// [`FaultRefusal`] for an ATM-only field on Ethernet, `ether_loss`
+/// on ATM, or `host_pause` when `pausable` is false.
+pub fn arm_host(
+    faults: &FaultSchedule,
+    kernel: &Kernel,
+    nic: NicMut<'_>,
+    seed: u64,
+    pausable: bool,
+) -> Result<Option<PauseSchedule>, FaultRefusal> {
+    // Exhaustive: a new field fails to compile here until it is wired.
+    let FaultSchedule {
+        atm_loss,
+        train,
+        rx_contention,
+        rx_fifo_cells,
+        ether_loss,
+        mbuf_limit,
+        host_pause,
+        link_flap,
+    } = *faults;
+    if host_pause.is_some() && !pausable {
+        return Err(FaultRefusal::PauseUnsupported);
+    }
+    match nic {
+        NicMut::Atm(nic) => {
+            if ether_loss.is_some() {
+                return Err(FaultRefusal::EtherLossOnAtm);
+            }
+            if let Some(model) = atm_loss {
+                nic.link.arm_burst_loss(model, seed);
+            }
+            if train.any() {
+                nic.shaper = Some(faultkit::TrainShaper::new(train, seed));
+            }
+            if let Some(cfg) = rx_contention {
+                nic.contention = Some(faultkit::ContentionProcess::new(cfg, seed));
+            }
+            if let Some(cells) = rx_fifo_cells {
+                nic.adapter.rx = atm::RxFifo::new(cells);
+            }
+            if let Some(flap) = link_flap {
+                nic.link.arm_flap(flap);
+            }
+        }
+        NicMut::Ether(nic) => {
+            let atm_only = [
+                ("atm_loss", atm_loss.is_some()),
+                ("train", train.any()),
+                ("rx_contention", rx_contention.is_some()),
+                ("rx_fifo_cells", rx_fifo_cells.is_some()),
+                ("link_flap", link_flap.is_some()),
+            ];
+            if let Some(&(field, _)) = atm_only.iter().find(|(_, set)| *set) {
+                return Err(FaultRefusal::AtmFieldOnEthernet(field));
+            }
+            if let Some(model) = ether_loss {
+                nic.wire.arm_burst_loss(model, seed);
+            }
+        }
+    }
+    // The mbuf cap is per host pool: allocations beyond it fail with
+    // ENOBUFS on the fallible (receive) paths.
+    kernel.pool.set_limit(mbuf_limit);
+    Ok(host_pause)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,37 +674,68 @@ mod tests {
         Kernel::new(StackConfig::default(), CostModel::calibrated())
     }
 
+    const PEER: [u8; 4] = [10, 0, 0, 2];
+
     fn atm_nic(seed: u64) -> AtmNic {
-        AtmNic::new(
+        let mut nic = AtmNic::new(
             FiberLink::new(LinkConfig::default(), seed),
             CostModel::calibrated(),
-            42,
             seed,
-        )
+        );
+        nic.add_peer(PEER, 1, 42, 1);
+        nic
+    }
+
+    /// `len` patterned bytes whose IPv4 destination field names
+    /// [`PEER`].
+    fn datagram(len: usize) -> Vec<u8> {
+        let mut d: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
+        d[16..20].copy_from_slice(&PEER);
+        d
     }
 
     #[test]
     fn atm_transmit_stages_one_delivery_per_datagram() {
         let mut k = kernel();
         let mut nic = atm_nic(1);
-        let (chain, _) = Chain::from_user_data(&k.pool, &vec![7u8; 540], false);
+        let (chain, _) = Chain::from_user_data(&k.pool, &datagram(540), false);
         let done = nic.transmit(SimTime::ZERO, &chain, &mut k.spans);
         assert!(done > SimTime::ZERO);
         assert_eq!(nic.staged.len(), 1);
         let d = &nic.staged[0];
+        assert_eq!(d.dst, 1);
         // 540 + 8 CPCS = 548 -> 13 cells.
-        match &d.payload {
-            DeliveryPayload::Cells(train) => assert_eq!(train.len(), 13),
-            DeliveryPayload::Frame(_) => panic!("wrong payload kind"),
+        assert_eq!(d.train.len(), 13);
+        let last = d.train.iter().map(|&(t, _)| t).max().expect("cells");
+        assert!(last > done, "wire lags the host for small packets");
+    }
+
+    #[test]
+    fn atm_transmit_routes_by_ip_destination() {
+        let mut k = kernel();
+        let mut nic = atm_nic(5);
+        nic.add_peer([10, 1, 0, 3], 3, 67, 0);
+        let mut bytes = datagram(140);
+        bytes[16..20].copy_from_slice(&[10, 1, 0, 3]);
+        let (chain, _) = Chain::from_user_data(&k.pool, &bytes, false);
+        let _ = nic.transmit(SimTime::ZERO, &chain, &mut k.spans);
+        let d = &nic.staged[0];
+        assert_eq!(d.dst, 3);
+        // 140 + 8 CPCS bytes -> 4 cells, all on the destination VC.
+        assert_eq!(d.train.len(), 4);
+        for (_, fault) in &d.train {
+            let LinkFault::Clean(c) = fault else {
+                panic!("clean link")
+            };
+            assert_eq!(c.header().vci, 67);
         }
-        assert!(d.arrival > done, "wire lags the host for small packets");
     }
 
     #[test]
     fn atm_large_packet_is_wire_limited() {
         let mut k = kernel();
         let mut nic = atm_nic(2);
-        let (chain, _) = Chain::from_user_data(&k.pool, &vec![7u8; 8040], true);
+        let (chain, _) = Chain::from_user_data(&k.pool, &datagram(8040), true);
         let t0 = SimTime::ZERO;
         let done = nic.transmit(t0, &chain, &mut k.spans);
         // 8048 CPCS bytes -> 183 cells; the 36-cell FIFO forces the
@@ -663,14 +752,11 @@ mod tests {
         let mut na = atm_nic(3);
         let mut nb = atm_nic(4);
         // Use na to send, nb to receive.
-        let payload: Vec<u8> = (0..777).map(|i| (i % 253) as u8).collect();
-        let (chain, _) = Chain::from_user_data(&ka.pool, &payload, false);
+        let (chain, _) = Chain::from_user_data(&ka.pool, &datagram(777), false);
         let _ = na.transmit(SimTime::ZERO, &chain, &mut ka.spans);
-        let d = na.staged.pop().unwrap();
-        let DeliveryPayload::Cells(train) = d.payload else {
-            panic!("cells expected")
-        };
-        let soft = atm_receive(&mut kb, &mut nb, d.arrival, &train);
+        let train = na.staged.pop().unwrap().train;
+        let last = train.iter().map(|&(t, _)| t).max().expect("cells");
+        let soft = atm_receive(&mut kb, &mut nb, last, &train);
         assert!(soft.is_some(), "datagram enqueued raises softintr");
         assert_eq!(kb.stats.ipq_enqueued, 1);
         assert_eq!(nb.aal_drops, 0);
@@ -698,10 +784,7 @@ mod tests {
         let done = na.transmit(SimTime::ZERO, &chain, &mut ka.spans);
         assert!(done >= SimTime::from_us(255));
         let d = na.staged.pop().unwrap();
-        let DeliveryPayload::Frame(bytes) = d.payload else {
-            panic!("frame expected")
-        };
-        let soft = ether_receive(&mut kb, &mut nb, d.arrival, &bytes);
+        let soft = ether_receive(&mut kb, &mut nb, d.arrival, &d.frame);
         assert!(soft.is_some());
         assert_eq!(nb.fcs_drops, 0);
         assert_eq!(kb.stats.ipq_enqueued, 1);
@@ -725,12 +808,9 @@ mod tests {
         );
         let (chain, _) = Chain::from_user_data(&ka.pool, &[1u8; 100], false);
         let _ = na.transmit(SimTime::ZERO, &chain, &mut ka.spans);
-        let d = na.staged.pop().unwrap();
-        let DeliveryPayload::Frame(mut bytes) = d.payload else {
-            panic!("frame expected")
-        };
-        bytes[30] ^= 0x08;
-        let soft = ether_receive(&mut kb, &mut nb, d.arrival, &bytes);
+        let mut d = na.staged.pop().unwrap();
+        d.frame[30] ^= 0x08;
+        let soft = ether_receive(&mut kb, &mut nb, d.arrival, &d.frame);
         assert!(soft.is_none(), "dropped frames never reach IP");
         assert_eq!(nb.fcs_drops, 1);
         assert_eq!(kb.stats.ipq_enqueued, 0);

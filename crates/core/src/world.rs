@@ -18,12 +18,21 @@
 //! and Wakeup rows — and the transmit/receive overlap of the 8000-
 //! byte case — into emergent measurements rather than inputs.
 
+use atm::{AtmSwitch, VcRoute};
 use simkit::{Scheduler, Sim, SimTime, TimerId};
 use tcpip::config::tcp_mss;
 use tcpip::{Kernel, Mark, PcbKey, SockId, StackConfig};
 
 use crate::app::{App, AppState, Role};
-use crate::nic::{atm_receive, ether_receive, Delivery, DeliveryPayload, Nic};
+use crate::nic::{atm_receive, ether_receive, AtmDelivery, EtherDelivery, Nic};
+
+/// Client and server IP addresses.
+const ADDRS: [[u8; 4]; 2] = [[10, 0, 0, 1], [10, 0, 0, 2]];
+/// Client and server ports.
+const PORTS: [u16; 2] = [1055, 4242];
+/// The one ATM VC each direction carries, and its AAL3/4 MID.
+const VCI: u16 = 42;
+const MID: u16 = 1;
 
 /// One simulated host.
 pub struct Host {
@@ -31,6 +40,9 @@ pub struct Host {
     pub kernel: Kernel,
     /// The network interface.
     pub nic: Nic,
+    /// An ATM switch on this host's outbound path (the paper's
+    /// testbed was switchless; §4.2.1 reasons about switched paths).
+    switch: Option<AtmSwitch>,
     /// The benchmark process.
     pub app: App,
     /// The process's socket.
@@ -40,6 +52,25 @@ pub struct Host {
     /// Permanent engine timer slot for this host's TCP timer,
     /// registered by [`run_world`] so re-arming allocates nothing.
     timer: Option<TimerId>,
+}
+
+impl Host {
+    /// Routes this host's outbound direction through a 2-port switch:
+    /// the world's VC enters port 0 and leaves port 1 unchanged.
+    pub(crate) fn route_through_switch(&mut self, config: atm::SwitchConfig, seed: u64) {
+        let mut sw = AtmSwitch::new(2, config, seed);
+        sw.add_vc(
+            0,
+            0,
+            VCI,
+            VcRoute {
+                out_port: 1,
+                out_vpi: 0,
+                out_vci: VCI,
+            },
+        );
+        self.switch = Some(sw);
+    }
 }
 
 /// The simulation world: exactly two hosts, index 0 (client) and 1
@@ -65,99 +96,55 @@ pub struct World {
 const _: () = simkit::assert_world_send::<World>();
 
 impl World {
-    /// Builds a world over pre-built NICs and apps. The connection is
-    /// established administratively with BSD MSS rules; sequence
-    /// state is aligned across the pair.
+    /// Builds a world over pre-built NICs and apps. Each ATM NIC gets
+    /// the VC to its peer. The connection is established
+    /// administratively with BSD MSS rules; sequence state is aligned
+    /// across the pair.
     #[must_use]
     pub fn new(
         cfg: StackConfig,
         costs: decstation::CostModel,
-        nics: [Nic; 2],
+        mut nics: [Nic; 2],
         apps: [App; 2],
     ) -> World {
-        let mtu = nics[0].mtu();
-        let mss = tcp_mss(mtu, cfg.mss_one_cluster);
-        let mut kernels = [Kernel::new(cfg, costs.clone()), Kernel::new(cfg, costs)];
+        for (h, nic) in nics.iter_mut().enumerate() {
+            if let Nic::Atm(a) = nic {
+                a.add_peer(ADDRS[1 - h], 1 - h, VCI, MID);
+            }
+        }
+        let mss = tcp_mss(nics[0].mtu(), cfg.mss_one_cluster);
+        let [mut kc, mut ks] = [Kernel::new(cfg, costs.clone()), Kernel::new(cfg, costs)];
         // UDP workloads bind datagram sockets instead of a connection.
-        if apps[0].role == Role::UdpRpcClient {
-            let sock_c = kernels[0].udp_bind([10, 0, 0, 1], 1055, true);
-            let sock_s = kernels[1].udp_bind([10, 0, 0, 2], 4242, true);
-            let [kc, ks] = kernels;
-            let [nic_c, nic_s] = nics;
-            let [app_c, app_s] = apps;
-            return World {
-                hosts: vec![
-                    Host {
-                        kernel: kc,
-                        nic: nic_c,
-                        app: app_c,
-                        sock: sock_c,
-                        timer_at: None,
-                        timer: None,
-                    },
-                    Host {
-                        kernel: ks,
-                        nic: nic_s,
-                        app: app_s,
-                        sock: sock_s,
-                        timer_at: None,
-                        timer: None,
-                    },
-                ],
-                measuring: false,
-                capture: false,
-                flight_k: None,
+        let socks = if apps[0].role == Role::UdpRpcClient {
+            (
+                kc.udp_bind(ADDRS[0], PORTS[0], true),
+                ks.udp_bind(ADDRS[1], PORTS[1], true),
+            )
+        } else {
+            let key = PcbKey {
+                laddr: ADDRS[0],
+                lport: PORTS[0],
+                faddr: ADDRS[1],
+                fport: PORTS[1],
             };
-        }
-        let key_c = PcbKey {
-            laddr: [10, 0, 0, 1],
-            lport: 1055,
-            faddr: [10, 0, 0, 2],
-            fport: 4242,
+            Kernel::connect_pair(&mut kc, &mut ks, key, mss)
         };
-        let key_s = PcbKey {
-            laddr: [10, 0, 0, 2],
-            lport: 4242,
-            faddr: [10, 0, 0, 1],
-            fport: 1055,
-        };
-        let sock_c = kernels[0].create_connection(key_c, mss);
-        let sock_s = kernels[1].create_connection(key_s, mss);
-        // Align administrative sequence numbers: each side's rcv_nxt
-        // must equal the peer's snd_nxt.
-        let (c_snd, c_rcv) = {
-            let t = kernels[0].tcb(sock_c);
-            (t.snd_nxt, t.rcv_nxt)
-        };
-        {
-            let t = kernels[1].tcb_mut(sock_s);
-            t.rcv_nxt = c_snd;
-            t.snd_una = c_rcv;
-            t.snd_nxt = c_rcv;
-            t.snd_max = c_rcv;
-        }
-        let [kc, ks] = kernels;
-        let [nic_c, nic_s] = nics;
-        let [app_c, app_s] = apps;
+        let hosts = [(kc, socks.0), (ks, socks.1)]
+            .into_iter()
+            .zip(nics)
+            .zip(apps)
+            .map(|(((kernel, sock), nic), app)| Host {
+                kernel,
+                nic,
+                switch: None,
+                app,
+                sock,
+                timer_at: None,
+                timer: None,
+            })
+            .collect();
         World {
-            hosts: vec![
-                Host {
-                    kernel: kc,
-                    nic: nic_c,
-                    app: app_c,
-                    sock: sock_c,
-                    timer_at: None,
-                    timer: None,
-                },
-                Host {
-                    kernel: ks,
-                    nic: nic_s,
-                    app: app_s,
-                    sock: sock_s,
-                    timer_at: None,
-                    timer: None,
-                },
-            ],
+            hosts,
             measuring: false,
             capture: false,
             flight_k: None,
@@ -173,41 +160,23 @@ impl World {
 
 /// Runs a world to completion; returns the simulation for inspection.
 ///
+/// Each host's TCP timer gets a permanent engine slot, and both start
+/// events and all hot-path follow-ups ("softintr", "app-wakeup",
+/// "abort-wakeup", "tcp-timer") are raw events — a function pointer
+/// plus the host index — so the steady-state event loop performs no
+/// per-event allocation.
+///
+/// `obs`, when given, fires after every executed event with
+/// `(world, event_time, event_label)`. Observation is read-only, so
+/// the results are identical with or without it — this is how the
+/// oracle's runtime invariant checkers watch a simulation without
+/// perturbing it.
+///
 /// # Panics
 ///
 /// Panics if the event queue drains while a process is still waiting
 /// — a protocol deadlock, which the tests treat as a bug.
-pub fn run_world(world: World) -> Sim<World> {
-    let mut sim = prepare_sim(world);
-    sim.run();
-    assert!(
-        sim.world.finished(),
-        "deadlock: event queue empty, apps not finished \
-         (client {:?} iter {}, server {:?} iter {})",
-        sim.world.hosts[0].app.state,
-        sim.world.hosts[0].app.done_count,
-        sim.world.hosts[1].app.state,
-        sim.world.hosts[1].app.done_count,
-    );
-    sim
-}
-
-/// [`run_world`] without the completion assertion (debug tooling).
-#[must_use]
-pub fn run_world_no_assert(world: World) -> Sim<World> {
-    let mut sim = prepare_sim(world);
-    sim.run();
-    sim
-}
-
-/// Builds the simulation over a world: registers each host's
-/// permanent TCP-timer slot and schedules the two app-start events.
-///
-/// Both start events and all hot-path follow-ups ("softintr",
-/// "app-wakeup", "abort-wakeup", "tcp-timer") are raw events — a
-/// function pointer plus the host index — so the steady-state event
-/// loop performs no per-event allocation.
-fn prepare_sim(world: World) -> Sim<World> {
+pub fn run_world(world: World, obs: Option<simkit::ObserverFn<World>>) -> Sim<World> {
     let mut sim = Sim::new(world);
     for h in 0..sim.world.hosts.len() {
         let id = sim.register_timer("tcp-timer", on_timer_raw, h as u64);
@@ -215,22 +184,9 @@ fn prepare_sim(world: World) -> Sim<World> {
     }
     sim.schedule_raw(SimTime::ZERO, "app-start-client", app_step_raw, 0);
     sim.schedule_raw(SimTime::ZERO, "app-start-server", app_step_raw, 1);
-    sim
-}
-
-/// [`run_world`] with an engine observer installed for the whole run:
-/// `obs(world, event_time, event_label)` fires after every executed
-/// event. Observation is read-only, so results are identical to
-/// [`run_world`] for the same world — this is how the oracle's
-/// runtime invariant checkers watch a simulation without perturbing
-/// it.
-///
-/// # Panics
-///
-/// Panics on deadlock, exactly like [`run_world`].
-pub fn run_world_observed(world: World, obs: simkit::ObserverFn<World>) -> Sim<World> {
-    let mut sim = prepare_sim(world);
-    sim.set_observer(obs);
+    if let Some(obs) = obs {
+        sim.set_observer(obs);
+    }
     sim.run();
     assert!(
         sim.world.finished(),
@@ -248,32 +204,44 @@ pub fn run_world_observed(world: World, obs: simkit::ObserverFn<World>) -> Sim<W
 /// kernel interaction on host `h`.
 fn flush_host(w: &mut World, s: &mut Scheduler<World>, h: usize) {
     let peer = 1 - h;
-    for Delivery { arrival, payload } in w.hosts[h].nic.take_staged() {
-        match payload {
-            DeliveryPayload::Cells(train) => {
-                s.schedule_at(arrival.max(s.now()), "atm-arrival", move |w, s| {
-                    on_atm_arrival(w, s, peer, train);
-                });
+    let host = &mut w.hosts[h];
+    match &mut host.nic {
+        Nic::Atm(nic) => {
+            for AtmDelivery { train, .. } in std::mem::take(&mut nic.staged) {
+                let delivery = match &mut host.switch {
+                    // Switchless fiber: the interrupt fires when the
+                    // train's last cell arrives, lost or not.
+                    None => {
+                        let last = train
+                            .iter()
+                            .map(|&(t, _)| t)
+                            .fold(SimTime::ZERO, SimTime::max);
+                        Some((last, train))
+                    }
+                    Some(sw) => sw.forward_train(0, train, nic.link.config.propagation),
+                };
+                if let Some((arrival, train)) = delivery {
+                    s.schedule_at(arrival.max(s.now()), "atm-arrival", move |w, s| {
+                        on_atm_arrival(w, s, peer, train);
+                    });
+                }
             }
-            DeliveryPayload::Frame(bytes) => {
+        }
+        Nic::Ether(nic) => {
+            for EtherDelivery { arrival, frame } in std::mem::take(&mut nic.staged) {
                 s.schedule_at(arrival.max(s.now()), "eth-arrival", move |w, s| {
-                    on_eth_arrival(w, s, peer, bytes);
+                    on_eth_arrival(w, s, peer, frame);
                 });
             }
         }
     }
-    if let Some(dl) = w.hosts[h].kernel.next_deadline() {
-        let stale = w.hosts[h].timer_at.is_none_or(|t| dl < t || t <= s.now());
+    if let Some(dl) = host.kernel.next_deadline() {
+        let stale = host.timer_at.is_none_or(|t| dl < t || t <= s.now());
         if stale {
-            w.hosts[h].timer_at = Some(dl);
-            let at = dl.max(s.now());
-            match w.hosts[h].timer {
-                // The permanent slot re-arms with zero allocation.
-                Some(id) => s.arm_timer(id, at),
-                // Worlds run outside `run_world` (no slot registered)
-                // still work via a boxed event.
-                None => s.schedule_at(at, "tcp-timer", move |w, s| on_timer(w, s, h)),
-            }
+            host.timer_at = Some(dl);
+            // The permanent slot re-arms with zero allocation.
+            let id = host.timer.expect("timer slot registered by run_world");
+            s.arm_timer(id, dl.max(s.now()));
         }
     }
 }
@@ -427,8 +395,7 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                     let Host {
                         kernel, nic, sock, ..
                     } = host;
-                    let peer: [u8; 4] = if h == 0 { [10, 0, 0, 2] } else { [10, 0, 0, 1] };
-                    let pport = if h == 0 { 4242 } else { 1055 };
+                    let (peer, pport) = (ADDRS[1 - h], PORTS[1 - h]);
                     match (udp, nic) {
                         (false, Nic::Atm(n)) => {
                             kernel.syscall_write(now, *sock, &data[offset..], n)

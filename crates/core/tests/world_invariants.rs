@@ -39,17 +39,18 @@ fn run(size: usize) -> simkit::Sim<latency_core::world::World> {
         Nic::Atm(AtmNic::new(
             atm::FiberLink::new(atm::LinkConfig::default(), 1),
             costs.clone(),
-            42,
             1,
         )),
         Nic::Atm(AtmNic::new(
             atm::FiberLink::new(atm::LinkConfig::default(), 2),
             costs.clone(),
-            42,
             2,
         )),
     ];
-    run_world(latency_core::world::World::new(e.cfg, costs, nics, apps))
+    run_world(
+        latency_core::world::World::new(e.cfg, costs, nics, apps),
+        None,
+    )
 }
 
 /// CPU-kind spans on one host never overlap: one processor, one

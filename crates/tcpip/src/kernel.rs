@@ -245,8 +245,8 @@ impl Kernel {
     }
 
     /// Creates an established connection and returns its socket id.
-    /// The harness calls this on both hosts with mirrored keys (the
-    /// paper measures established connections only; the MSS is
+    /// [`Kernel::connect_pair`] creates both ends with mirrored keys
+    /// (the paper measures established connections only; the MSS is
     /// computed from the interface MTU with BSD rounding).
     pub fn create_connection(&mut self, key: PcbKey, mss: usize) -> SockId {
         let id = self.pcbs.insert(key);
@@ -259,6 +259,36 @@ impl Kernel {
             time_wait_deadline: None,
         });
         self.conns.len() - 1
+    }
+
+    /// Creates both ends of one established connection: `key` on `a`
+    /// and its mirror on `b`, with `b`'s sequence state aligned to
+    /// `a`'s so each side's `rcv_nxt` equals the peer's `snd_nxt`.
+    /// Returns `(a's socket, b's socket)`.
+    pub fn connect_pair(
+        a: &mut Kernel,
+        b: &mut Kernel,
+        key: PcbKey,
+        mss: usize,
+    ) -> (SockId, SockId) {
+        let sa = a.create_connection(key, mss);
+        let mirror = PcbKey {
+            laddr: key.faddr,
+            lport: key.fport,
+            faddr: key.laddr,
+            fport: key.lport,
+        };
+        let sb = b.create_connection(mirror, mss);
+        let (a_snd, a_rcv) = {
+            let t = a.tcb(sa);
+            (t.snd_nxt, t.rcv_nxt)
+        };
+        let t = b.tcb_mut(sb);
+        t.rcv_nxt = a_snd;
+        t.snd_una = a_rcv;
+        t.snd_nxt = a_rcv;
+        t.snd_max = a_rcv;
+        (sa, sb)
     }
 
     /// Passive open: installs a listener on `laddr:port` (a wildcard
@@ -1829,33 +1859,29 @@ mod tests {
         let costs = CostModel::calibrated();
         let mut a = Kernel::new(cfg, costs.clone());
         let mut b = Kernel::new(cfg, costs);
-        let key_a = PcbKey {
+        let key = PcbKey {
             laddr: [10, 0, 0, 1],
             lport: 1055,
             faddr: [10, 0, 0, 2],
             fport: 4242,
         };
-        let key_b = PcbKey {
-            laddr: [10, 0, 0, 2],
-            lport: 4242,
-            faddr: [10, 0, 0, 1],
-            fport: 1055,
-        };
         let mss = tcp_mss(9188, cfg.mss_one_cluster);
-        let sa = a.create_connection(key_a, mss);
-        let sb = b.create_connection(key_b, mss);
-        // Align the administrative sequence numbers.
-        let (a_iss, a_rcv) = {
-            let t = a.tcb(sa);
-            (t.snd_nxt, t.rcv_nxt)
+        let (sa, sb) = Kernel::connect_pair(&mut a, &mut b, key, mss);
+        (a, b, sa, sb)
+    }
+
+    /// A connected pair over ports 1 and 2 with a 4096-byte MSS.
+    fn small_pair(cfg: StackConfig) -> (Kernel, Kernel, SockId, SockId) {
+        let costs = CostModel::calibrated();
+        let mut a = Kernel::new(cfg, costs.clone());
+        let mut b = Kernel::new(cfg, costs);
+        let key = PcbKey {
+            laddr: [10, 0, 0, 1],
+            lport: 1,
+            faddr: [10, 0, 0, 2],
+            fport: 2,
         };
-        {
-            let cb = &mut b.conns[sb];
-            cb.tcb.rcv_nxt = a_iss;
-            cb.tcb.snd_una = a_rcv;
-            cb.tcb.snd_nxt = a_rcv;
-            cb.tcb.snd_max = a_rcv;
-        }
+        let (sa, sb) = Kernel::connect_pair(&mut a, &mut b, key, 4096);
         (a, b, sa, sb)
     }
 
@@ -1973,38 +1999,10 @@ mod tests {
 
     #[test]
     fn checksum_none_mode_skips_verification() {
-        let cfg = StackConfig {
+        let (mut a, mut b, sa, sb) = small_pair(StackConfig {
             checksum: ChecksumMode::None,
             ..StackConfig::default()
-        };
-        let costs = CostModel::calibrated();
-        let mut a = Kernel::new(cfg, costs.clone());
-        let mut b = Kernel::new(cfg, costs);
-        let key_a = PcbKey {
-            laddr: [10, 0, 0, 1],
-            lport: 1,
-            faddr: [10, 0, 0, 2],
-            fport: 2,
-        };
-        let key_b = PcbKey {
-            laddr: [10, 0, 0, 2],
-            lport: 2,
-            faddr: [10, 0, 0, 1],
-            fport: 1,
-        };
-        let sa = a.create_connection(key_a, 4096);
-        let sb = b.create_connection(key_b, 4096);
-        {
-            let (iss, rcv) = {
-                let t = a.tcb(sa);
-                (t.snd_nxt, t.rcv_nxt)
-            };
-            let cb = &mut b.conns[sb];
-            cb.tcb.rcv_nxt = iss;
-            cb.tcb.snd_una = rcv;
-            cb.tcb.snd_nxt = rcv;
-            cb.tcb.snd_max = rcv;
-        }
+        });
         let mut da = CaptureDriver::new(9188);
         let mut db = CaptureDriver::new(9188);
         let _ = a.syscall_write(SimTime::ZERO, sa, &vec![9u8; 300], &mut da);
@@ -2493,38 +2491,10 @@ mod tests {
     fn persist_probe_survives_lost_window_update() {
         // Fill the receiver's window completely, lose the window
         // update, and check the zero-window probe recovers.
-        let cfg = StackConfig {
+        let (mut a, mut b, sa, sb) = small_pair(StackConfig {
             sockbuf: 8192, // Small windows make this quick.
             ..StackConfig::default()
-        };
-        let costs = CostModel::calibrated();
-        let mut a = Kernel::new(cfg, costs.clone());
-        let mut b = Kernel::new(cfg, costs);
-        let key_a = PcbKey {
-            laddr: [10, 0, 0, 1],
-            lport: 1,
-            faddr: [10, 0, 0, 2],
-            fport: 2,
-        };
-        let key_b = PcbKey {
-            laddr: [10, 0, 0, 2],
-            lport: 2,
-            faddr: [10, 0, 0, 1],
-            fport: 1,
-        };
-        let sa = a.create_connection(key_a, 4096);
-        let sb = b.create_connection(key_b, 4096);
-        {
-            let (iss, rcv) = {
-                let t = a.tcb(sa);
-                (t.snd_nxt, t.rcv_nxt)
-            };
-            let t = b.tcb_mut(sb);
-            t.rcv_nxt = iss;
-            t.snd_una = rcv;
-            t.snd_nxt = rcv;
-            t.snd_max = rcv;
-        }
+        });
         let mut da = CaptureDriver::new(9188);
         let mut db = CaptureDriver::new(9188);
         // 10000 bytes into an 8192-byte window: the tail stalls.
@@ -2624,38 +2594,10 @@ mod tests {
 
     #[test]
     fn integrated_mode_roundtrip() {
-        let cfg = StackConfig {
+        let (mut a, mut b, sa, sb) = small_pair(StackConfig {
             checksum: ChecksumMode::Integrated,
             ..StackConfig::default()
-        };
-        let costs = CostModel::calibrated();
-        let mut a = Kernel::new(cfg, costs.clone());
-        let mut b = Kernel::new(cfg, costs);
-        let key_a = PcbKey {
-            laddr: [10, 0, 0, 1],
-            lport: 1,
-            faddr: [10, 0, 0, 2],
-            fport: 2,
-        };
-        let key_b = PcbKey {
-            laddr: [10, 0, 0, 2],
-            lport: 2,
-            faddr: [10, 0, 0, 1],
-            fport: 1,
-        };
-        let sa = a.create_connection(key_a, 4096);
-        let sb = b.create_connection(key_b, 4096);
-        {
-            let (iss, rcv) = {
-                let t = a.tcb(sa);
-                (t.snd_nxt, t.rcv_nxt)
-            };
-            let cb = &mut b.conns[sb];
-            cb.tcb.rcv_nxt = iss;
-            cb.tcb.snd_una = rcv;
-            cb.tcb.snd_nxt = rcv;
-            cb.tcb.snd_max = rcv;
-        }
+        });
         let mut da = CaptureDriver::new(9188);
         let mut db = CaptureDriver::new(9188);
         let data: Vec<u8> = (0..8000).map(|i| (i % 239) as u8).collect();

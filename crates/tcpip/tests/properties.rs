@@ -95,21 +95,8 @@ proptest! {
         let costs = CostModel::calibrated();
         let mut a = Kernel::new(cfg, costs.clone());
         let mut b = Kernel::new(cfg, costs);
-        let key_a = PcbKey { laddr: [10, 0, 0, 1], lport: 1, faddr: [10, 0, 0, 2], fport: 2 };
-        let key_b = PcbKey { laddr: [10, 0, 0, 2], lport: 2, faddr: [10, 0, 0, 1], fport: 1 };
-        let sa = a.create_connection(key_a, 4096);
-        let sb = b.create_connection(key_b, 4096);
-        {
-            let (iss, rcv) = {
-                let t = a.tcb(sa);
-                (t.snd_nxt, t.rcv_nxt)
-            };
-            let t = b.tcb_mut(sb);
-            t.rcv_nxt = iss;
-            t.snd_una = rcv;
-            t.snd_nxt = rcv;
-            t.snd_max = rcv;
-        }
+        let key = PcbKey { laddr: [10, 0, 0, 1], lport: 1, faddr: [10, 0, 0, 2], fport: 2 };
+        let (sa, sb) = Kernel::connect_pair(&mut a, &mut b, key, 4096);
         let mut da = CaptureDriver::new(9188);
         let mut db = CaptureDriver::new(9188);
         let data = stream(n, seed);

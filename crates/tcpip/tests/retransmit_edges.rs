@@ -27,32 +27,13 @@ fn pair(cfg: StackConfig) -> (Kernel, Kernel, SockId, SockId) {
     let costs = CostModel::calibrated();
     let mut a = Kernel::new(cfg, costs.clone());
     let mut b = Kernel::new(cfg, costs);
-    let key_a = PcbKey {
+    let key = PcbKey {
         laddr: [10, 0, 0, 1],
         lport: 1055,
         faddr: [10, 0, 0, 2],
         fport: 4242,
     };
-    let key_b = PcbKey {
-        laddr: [10, 0, 0, 2],
-        lport: 4242,
-        faddr: [10, 0, 0, 1],
-        fport: 1055,
-    };
-    let mss = tcp_mss(MTU, cfg.mss_one_cluster);
-    let sa = a.create_connection(key_a, mss);
-    let sb = b.create_connection(key_b, mss);
-    let (a_iss, a_rcv) = {
-        let t = a.tcb(sa);
-        (t.snd_nxt, t.rcv_nxt)
-    };
-    {
-        let t = b.tcb_mut(sb);
-        t.rcv_nxt = a_iss;
-        t.snd_una = a_rcv;
-        t.snd_nxt = a_rcv;
-        t.snd_max = a_rcv;
-    }
+    let (sa, sb) = Kernel::connect_pair(&mut a, &mut b, key, tcp_mss(MTU, cfg.mss_one_cluster));
     (a, b, sa, sb)
 }
 

@@ -15,13 +15,13 @@
 //! switch pass runs at event-execution time inside one simulation —
 //! nothing depends on wall clock or scheduling outside the sim.
 
-use atm::{AtmSwitch, LinkFault, SwitchOutcome, VcRoute};
+use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
+use latency_core::nic::{arm_host, atm_receive, AtmDelivery, AtmNic, NicMut};
 use simkit::{Scheduler, Sim, SimTime, TimerId};
 use tcpip::config::tcp_mss;
 use tcpip::{Kernel, PcbCounters, PcbKey, SockId};
 
-use crate::nic::{DcDelivery, DcNic};
 use crate::topology::{TailPolicy, Topology, TrafficSchedule};
 
 /// Base port of client-side connections (`+ conn index`).
@@ -188,8 +188,9 @@ pub struct FanoutCtl {
 pub struct DcHost {
     /// The kernel (stack + CPU + spans).
     pub kernel: Kernel,
-    /// The network interface.
-    pub nic: DcNic,
+    /// The TCA-100 uplink into the shared switch: one VC per peer
+    /// host, the host index as AAL3/4 MID.
+    pub nic: AtmNic,
     /// Connection endpoints, indexed by socket id.
     pub conns: Vec<DcConn>,
     /// Earliest scheduled TCP timer event, to avoid duplicates.
@@ -283,18 +284,21 @@ impl DcWorld {
                 },
                 hs,
             );
-            let mut atm_nic = latency_core::nic::AtmNic::new(link, costs.clone(), 0, hs);
-            // Churn uplinks carry no fault schedule: per-cell jitter
-            // would break the FIFO order of a multi-cell AAL5 train
-            // and the reassembler would drop the PDU. The aperiodic
-            // think-time draw is the churn RNG stream instead.
-            if h < measured {
-                if let Some(faults) = &topo.faults {
-                    if topo.faults_apply_to(h) {
-                        atm_nic.arm_faults(faults, hs);
-                    }
+            let mut nic = AtmNic::new(link, costs.clone(), hs);
+            nic.mtu = topo.mtu;
+            let kernel = Kernel::new(cfg, costs.clone());
+            // Churn hosts are outside every fault scope: per-cell
+            // jitter would break the FIFO order of a multi-cell AAL5
+            // train and the reassembler would drop the PDU. The
+            // aperiodic think-time draw is the churn RNG stream
+            // instead.
+            let pause = match &topo.faults {
+                Some(faults) if topo.faults_apply_to(h) => {
+                    arm_host(faults, &kernel, NicMut::Atm(&mut nic), hs, true)
+                        .unwrap_or_else(|refusal| panic!("{refusal}"))
                 }
-            }
+                _ => None,
+            };
             // A no-op policy normalizes to None: the classic
             // wait-for-all path runs event-for-event.
             let tail = topo.tail.filter(|t| !t.is_noop());
@@ -324,16 +328,9 @@ impl DcWorld {
                 deadline_exceeded: 0,
                 cancelled: 0,
             });
-            // Host pause windows follow the fault scope, like every
-            // other injector; churn hosts are never fault-armed.
-            let pause = if h < measured && topo.faults_apply_to(h) {
-                topo.faults.as_ref().and_then(|f| f.host_pause)
-            } else {
-                None
-            };
             hosts.push(DcHost {
-                kernel: Kernel::new(cfg, costs.clone()),
-                nic: DcNic::new(h, atm_nic, topo.mtu),
+                kernel,
+                nic,
                 conns: Vec::new(),
                 timer_at: None,
                 timer: None,
@@ -355,9 +352,14 @@ impl DcWorld {
                     continue;
                 }
                 wired.push(srv);
-                hosts[c].nic.add_peer(srv);
-                hosts[srv].nic.add_peer(c);
                 for (src, dst) in [(c, srv), (srv, c)] {
+                    // The MID carries the low bits of the sender index
+                    // (10-bit field); trains are delivered whole, so
+                    // MID collisions cannot occur mid-reassembly.
+                    let mid = (src & 0x3ff) as u16;
+                    hosts[src]
+                        .nic
+                        .add_peer(Topology::addr(dst), dst, Topology::vci_to(dst), mid);
                     switch.add_vc(
                         src,
                         0,
@@ -385,36 +387,19 @@ impl DcWorld {
                 } else {
                     (topo.rpc_size, topo.warmup + topo.iterations, SimTime::ZERO)
                 };
-                let lport = CLIENT_PORT + j as u16;
-                let key_c = PcbKey {
+                let key = PcbKey {
                     laddr: Topology::addr(c),
-                    lport,
+                    lport: CLIENT_PORT + j as u16,
                     faddr: Topology::addr(srv),
                     fport: SERVER_PORT,
                 };
-                let key_s = PcbKey {
-                    laddr: Topology::addr(srv),
-                    lport: SERVER_PORT,
-                    faddr: Topology::addr(c),
-                    fport: lport,
-                };
-                let sock_c = hosts[c].kernel.create_connection(key_c, mss);
-                let sock_s = hosts[srv].kernel.create_connection(key_s, mss);
+                let [client, server] = hosts
+                    .get_disjoint_mut([c, srv])
+                    .expect("client and server are distinct hosts");
+                let (sock_c, sock_s) =
+                    Kernel::connect_pair(&mut client.kernel, &mut server.kernel, key, mss);
                 debug_assert_eq!(sock_c, hosts[c].conns.len());
                 debug_assert_eq!(sock_s, hosts[srv].conns.len());
-                // Align administrative sequence numbers: each side's
-                // rcv_nxt must equal the peer's snd_nxt.
-                let (c_snd, c_rcv) = {
-                    let t = hosts[c].kernel.tcb(sock_c);
-                    (t.snd_nxt, t.rcv_nxt)
-                };
-                {
-                    let t = hosts[srv].kernel.tcb_mut(sock_s);
-                    t.rcv_nxt = c_snd;
-                    t.snd_una = c_rcv;
-                    t.snd_nxt = c_rcv;
-                    t.snd_max = c_rcv;
-                }
                 let conn_s = hosts[srv].conns.len();
                 // Replica connections of a hedged fan-out client park
                 // idle until a hedge trigger activates them.
@@ -497,17 +482,9 @@ impl DcWorld {
     fn pcb_counters_where(&self, keep: impl Fn(usize) -> bool) -> PcbCounters {
         let mut acc = PcbCounters::default();
         for (h, host) in self.hosts.iter().enumerate() {
-            if !keep(h) {
-                continue;
+            if keep(h) {
+                acc += host.kernel.pcbs.counters();
             }
-            let c = host.kernel.pcbs.counters();
-            acc.lookups += c.lookups;
-            acc.hits += c.hits;
-            acc.misses += c.misses;
-            acc.cache_hits += c.cache_hits;
-            acc.cache_misses += c.cache_misses;
-            acc.traversed += c.traversed;
-            acc.hash_probes += c.hash_probes;
         }
         acc
     }
@@ -831,58 +808,19 @@ fn on_timer_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: u64) {
     on_timer(w, s, h as usize);
 }
 
-/// Schedules staged deliveries — running the shared-switch pass per
-/// cell — and (re)arms the TCP timer after any kernel interaction on
-/// host `h`.
-///
-/// The switch pass mirrors the inline-switch semantics of the
-/// two-host NIC exactly: lost cells stay lost, forwarded cells leave
-/// at `departure` (fabric latency + output-queue serialization) and
-/// then cross the destination's downlink, full queues tail-drop, and
-/// fabric corruption is relabeled only when the payload actually
-/// changed.
+/// Schedules staged deliveries — running each train through the
+/// shared switch — and (re)arms the TCP timer after any kernel
+/// interaction on host `h`.
 fn flush_dc(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
-    for DcDelivery { dst, train } in std::mem::take(&mut w.hosts[h].nic.staged) {
-        let was_corrupt = w.switch.config.corrupt_prob > 0.0;
-        let down = w.topo.link_delay(dst);
-        let mut out = Vec::with_capacity(train.len());
-        let mut last = SimTime::ZERO;
-        let mut delivered = false;
-        for (at, fault) in train {
-            let (at, fault) = match fault {
-                LinkFault::Lost => (at, LinkFault::Lost),
-                LinkFault::Clean(c) | LinkFault::Corrupted(c) => {
-                    match w.switch.forward(h, at, &c) {
-                        SwitchOutcome::Forwarded {
-                            departure, cell, ..
-                        } => {
-                            delivered = true;
-                            let arrival = departure + down;
-                            last = last.max(arrival);
-                            if was_corrupt && cell.payload() != c.payload() {
-                                (arrival, LinkFault::Corrupted(cell))
-                            } else {
-                                (arrival, LinkFault::Clean(cell))
-                            }
-                        }
-                        SwitchOutcome::UnknownVc
-                        | SwitchOutcome::QueueFull
-                        | SwitchOutcome::Discarded => (at, LinkFault::Lost),
-                    }
-                }
-            };
-            out.push((at, fault));
-        }
-        if delivered {
-            // The hardware interrupt fires when the train's last cell
-            // reaches the destination adapter.
-            let at = last.max(s.now());
-            s.schedule_at(at, "dc-arrival", move |w, s| {
+    for AtmDelivery { dst, train } in std::mem::take(&mut w.hosts[h].nic.staged) {
+        // The hardware interrupt fires when the train's last cell
+        // reaches the destination adapter. A fully-lost train arrives
+        // nowhere; TCP's retransmit timer is the recovery path.
+        if let Some((last, out)) = w.switch.forward_train(h, train, w.topo.link_delay(dst)) {
+            s.schedule_at(last.max(s.now()), "dc-arrival", move |w, s| {
                 on_dc_arrival(w, s, h, dst, out)
             });
         }
-        // A fully-lost train arrives nowhere; TCP's retransmit timer
-        // is the recovery path.
     }
     if let Some(dl) = w.hosts[h].kernel.next_deadline() {
         let stale = w.hosts[h].timer_at.is_none_or(|t| dl < t || t <= s.now());
@@ -925,9 +863,7 @@ fn on_dc_arrival(
         }
     }
     let host = &mut w.hosts[h];
-    if let Some(at) =
-        latency_core::nic::atm_receive(&mut host.kernel, &mut host.nic.atm, s.now(), &train)
-    {
+    if let Some(at) = atm_receive(&mut host.kernel, &mut host.nic, s.now(), &train) {
         s.schedule_raw_at(at, "dc-softintr", on_softintr_raw, h as u64);
     }
 }

@@ -41,12 +41,10 @@
 #![warn(missing_docs)]
 
 pub mod dc;
-pub mod nic;
 pub mod study;
 pub mod topology;
 
 pub use dc::{dc_pattern, run_dc, DcConn, DcHost, DcRunResult, DcWorld, RequestOutcome};
-pub use nic::{DcDelivery, DcNic};
 pub use study::{
     cc_canonical_json, cc_grid, cc_policies, cc_quick_grid, cc_rows, dc_grid, dc_quick_grid,
     hedge_grid, hedge_quick_grid, mitigation_policy, rep_seed, run_cc_cells, run_cells, tails_grid,
