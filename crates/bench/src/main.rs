@@ -35,8 +35,9 @@
 //! between tables (the ATM baseline appears in Tables 1, 2/3, 4, 6
 //! and 7) run once, `--jobs N` fans the grid across N workers
 //! (default: available parallelism), and the printed tables are
-//! byte-identical at every worker count. `--sweep-json` dumps the
-//! per-cell report (mean/stddev/min/max, events, host wall-clock).
+//! byte-identical at every worker count. `--sweep-json` writes the
+//! grid's canonical report (mean/stddev/min/max, events, simulated
+//! time), the same bytes at any `--jobs`.
 
 mod report;
 
@@ -65,7 +66,7 @@ struct Opts {
     out_dir: String,
     bless: bool,
     /// `verify --dump-live`: also write each grid's live canonical
-    /// JSON under `--out-dir`, for byte-level comparison in tests/CI.
+    /// JSON under `--out-dir`, for inspection.
     dump_live: bool,
     golden_dir: String,
     /// Record study completions in mergeable-sketch mode instead of
@@ -246,7 +247,7 @@ fn main() {
         match &grid {
             Some(grid) => {
                 let p = out_path(&opts, path);
-                std::fs::write(&p, grid.to_json()).expect("write sweep json");
+                std::fs::write(&p, grid.canonical_json()).expect("write sweep json");
                 eprintln!("sweep report written to {}", p.display());
             }
             None => eprintln!("sweep-json: no grid cells were declared; nothing written"),
@@ -1016,12 +1017,6 @@ fn golden_scale(opts: &Opts) -> Opts {
     }
 }
 
-/// Comparator tolerance for the µs statistics. Grid-pinned integers
-/// (seed, reps, samples, events, verify_failures) always compare
-/// exactly; the simulation is deterministic, so this headroom only
-/// absorbs float-formatting differences, never behaviour.
-const GOLDEN_TOL_US: f64 = 0.05;
-
 /// The two golden grids: every Tables 1–7 cell, and the
 /// loss-recovery study.
 fn golden_grids(q: &Opts) -> [Sweep; 2] {
@@ -1085,9 +1080,10 @@ impl Golden {
 }
 
 /// `repro verify`: every golden — the tables and faults grids, then
-/// each world study's quick grid — runs live and is diffed against
-/// `<golden_dir>/<stem>.json` with the shared comparator (the world
-/// studies' extra fields ride in its `extras`).
+/// each world study's quick grid — runs live, and its canonical report
+/// must equal `<golden_dir>/<stem>.json` byte for byte. A mismatch
+/// prints the golden and live line of every changed, missing or extra
+/// cell.
 fn cmd_verify(opts: &Opts) -> i32 {
     let q = golden_scale(opts);
     let mut code = 0;
@@ -1104,20 +1100,13 @@ fn cmd_verify(opts: &Opts) -> i32 {
         let golden = if q.bless {
             None
         } else {
-            let golden_text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
+            match std::fs::read_to_string(&path) {
+                Ok(t) => Some(t),
                 Err(e) => {
                     eprintln!(
                         "verify: cannot read {path}: {e}\n\
                          verify: run `repro verify --bless` to create the goldens"
                     );
-                    return 2;
-                }
-            };
-            match oracle::parse_report(&golden_text) {
-                Ok(g) => Some(g),
-                Err(e) => {
-                    eprintln!("verify: {path}: {e}");
                     return 2;
                 }
             }
@@ -1136,11 +1125,13 @@ fn cmd_verify(opts: &Opts) -> i32 {
             summary.push((stem, live.cells, 0));
             continue;
         };
-        let live_rep = oracle::parse_report(&live.json).expect("live canonical json parses");
-        let drifts = oracle::compare_reports(&golden, &live_rep, GOLDEN_TOL_US);
+        let drifts = oracle::diff_report(&golden, &live.json);
         summary.push((stem.clone(), live.cells, drifts.len()));
         if drifts.is_empty() {
-            eprintln!("verify: {stem}: {} cell(s) match {path}", live.cells);
+            eprintln!(
+                "verify: {stem}: {} cell(s) byte-identical to {path}",
+                live.cells
+            );
             continue;
         }
         code = 1;
@@ -1178,11 +1169,10 @@ fn cmd_verify(opts: &Opts) -> i32 {
 /// reaching the application) shrink to a minimal reproducing schedule
 /// before being reported, so the console shows the smallest injector
 /// that still breaks the run rather than the full scenario.
-fn shrink_fault_drifts(live: &SweepResults, drifts: &[oracle::Drift]) {
+fn shrink_fault_drifts(live: &SweepResults, drifts: &[oracle::LineDiff]) {
     use latency_core::recovery;
-    let mut seen = std::collections::BTreeSet::new();
     for d in drifts {
-        if !d.key.starts_with("faults/") || !seen.insert(d.key.clone()) {
+        if !d.key.starts_with("faults/") {
             continue;
         }
         let Some(out) = live.get(&d.key) else {

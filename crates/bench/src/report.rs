@@ -8,6 +8,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use sweep::report::{json_num, json_string};
+
 /// One measured series against the paper's.
 pub struct Series {
     /// Measured values (one per paper size, usually).
@@ -159,41 +161,6 @@ fn emit_num_array(out: &mut String, name: &str, xs: &[f64], indent: usize) {
         out.push_str(&json_num(*x));
     }
     out.push(']');
-}
-
-/// Finite-number JSON rendering; NaN/inf become null (like serde_json).
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        // Shortest representation that round-trips.
-        let s = format!("{x}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

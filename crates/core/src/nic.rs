@@ -483,16 +483,24 @@ pub enum Nic {
     Ether(EtherNic),
 }
 
-impl Nic {
-    /// Interface MTU.
-    #[must_use]
-    pub fn mtu(&self) -> usize {
+/// The kernel transmits through whichever interface the host has.
+impl TxDriver for Nic {
+    fn mtu(&self) -> usize {
         match self {
-            Nic::Atm(a) => a.mtu,
-            Nic::Ether(_) => ETHER_MTU,
+            Nic::Atm(a) => a.mtu(),
+            Nic::Ether(e) => e.mtu(),
         }
     }
 
+    fn transmit(&mut self, now: SimTime, packet: &Chain, spans: &mut SpanRecorder) -> SimTime {
+        match self {
+            Nic::Atm(a) => a.transmit(now, packet, spans),
+            Nic::Ether(e) => e.transmit(now, packet, spans),
+        }
+    }
+}
+
+impl Nic {
     /// Configures and arms every NIC- and medium-level capture tap
     /// (datagram taps on the NIC, raw cells/frames on the link).
     /// `flight_k` selects flight-recorder rings of that depth instead

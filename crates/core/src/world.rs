@@ -21,7 +21,7 @@
 use atm::{AtmSwitch, VcRoute};
 use simkit::{Scheduler, Sim, SimTime, TimerId};
 use tcpip::config::tcp_mss;
-use tcpip::{Kernel, Mark, PcbKey, SockId, StackConfig};
+use tcpip::{Kernel, Mark, PcbKey, SockId, StackConfig, TxDriver as _};
 
 use crate::app::{App, AppState, Role};
 use crate::nic::{atm_receive, ether_receive, AtmDelivery, EtherDelivery, Nic};
@@ -291,10 +291,7 @@ fn on_eth_arrival(w: &mut World, s: &mut Scheduler<World>, h: usize, bytes: Vec<
 /// The software interrupt: IP/TCP input, wakeups, responses.
 fn on_softintr(w: &mut World, s: &mut Scheduler<World>, h: usize) {
     let host = &mut w.hosts[h];
-    let out = match &mut host.nic {
-        Nic::Atm(nic) => host.kernel.ipintr(s.now(), nic),
-        Nic::Ether(nic) => host.kernel.ipintr(s.now(), nic),
-    };
+    let out = host.kernel.ipintr(s.now(), &mut host.nic);
     flush_host(w, s, h);
     for (_, run_at) in out.wakeups.iter().chain(out.writer_wakeups.iter()) {
         let at = (*run_at).max(s.now());
@@ -306,10 +303,7 @@ fn on_softintr(w: &mut World, s: &mut Scheduler<World>, h: usize) {
 fn on_timer(w: &mut World, s: &mut Scheduler<World>, h: usize) {
     w.hosts[h].timer_at = None;
     let host = &mut w.hosts[h];
-    let _ = match &mut host.nic {
-        Nic::Atm(nic) => host.kernel.check_timers(s.now(), nic),
-        Nic::Ether(nic) => host.kernel.check_timers(s.now(), nic),
-    };
+    let _ = host.kernel.check_timers(s.now(), &mut host.nic);
     flush_host(w, s, h);
     // A timer may have aborted a connection (retransmit limit) and
     // woken the blocked process so it can observe the error: without
@@ -391,23 +385,13 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                     host.app.t_start = now.max(host.kernel.cpu.busy_until()).quantized();
                 }
                 let udp = matches!(host.app.role, Role::UdpRpcClient | Role::UdpRpcServer);
-                let out = {
-                    let Host {
-                        kernel, nic, sock, ..
-                    } = host;
-                    let (peer, pport) = (ADDRS[1 - h], PORTS[1 - h]);
-                    match (udp, nic) {
-                        (false, Nic::Atm(n)) => {
-                            kernel.syscall_write(now, *sock, &data[offset..], n)
-                        }
-                        (false, Nic::Ether(n)) => {
-                            kernel.syscall_write(now, *sock, &data[offset..], n)
-                        }
-                        (true, Nic::Atm(n)) => kernel.udp_sendto(now, *sock, peer, pport, &data, n),
-                        (true, Nic::Ether(n)) => {
-                            kernel.udp_sendto(now, *sock, peer, pport, &data, n)
-                        }
-                    }
+                let Host {
+                    kernel, nic, sock, ..
+                } = host;
+                let out = if udp {
+                    kernel.udp_sendto(now, *sock, ADDRS[1 - h], PORTS[1 - h], &data, nic)
+                } else {
+                    kernel.syscall_write(now, *sock, &data[offset..], nic)
                 };
                 flush_host(w, s, h);
                 let host = &mut w.hosts[h];
@@ -448,18 +432,13 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                 let host = &mut w.hosts[h];
                 let want = host.app.size - host.app.got.len();
                 let udp = matches!(host.app.role, Role::UdpRpcClient | Role::UdpRpcServer);
-                let out = {
-                    let Host {
-                        kernel, nic, sock, ..
-                    } = host;
-                    if udp {
-                        kernel.udp_recvfrom(now, *sock)
-                    } else {
-                        match nic {
-                            Nic::Atm(n) => kernel.syscall_read(now, *sock, want, n),
-                            Nic::Ether(n) => kernel.syscall_read(now, *sock, want, n),
-                        }
-                    }
+                let Host {
+                    kernel, nic, sock, ..
+                } = host;
+                let out = if udp {
+                    kernel.udp_recvfrom(now, *sock)
+                } else {
+                    kernel.syscall_read(now, *sock, want, nic)
                 };
                 flush_host(w, s, h);
                 let host = &mut w.hosts[h];
@@ -480,7 +459,7 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                 }
                 // A full message arrived.
                 match host.app.role {
-                    Role::UdpRpcClient => {
+                    Role::RpcClient | Role::UdpRpcClient => {
                         host.kernel.spans.mark(Mark::ReadReturn, now);
                         let expect = App::pattern(host.app.size, host.app.done_count);
                         if host.app.got != expect {
@@ -494,28 +473,7 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                         host.app.done_count += 1;
                         host.app.state = AppState::WantWrite;
                     }
-                    Role::UdpRpcServer => {
-                        let expect = App::pattern(host.app.size, host.app.done_count);
-                        if host.app.got != expect {
-                            host.app.stats.verify_failures += 1;
-                        }
-                        host.app.state = AppState::WantWrite;
-                    }
-                    Role::RpcClient => {
-                        host.kernel.spans.mark(Mark::ReadReturn, now);
-                        let expect = App::pattern(host.app.size, host.app.done_count);
-                        if host.app.got != expect {
-                            host.app.stats.verify_failures += 1;
-                        }
-                        if host.app.measuring() {
-                            let rtt = now.quantized().saturating_since(host.app.t_start);
-                            host.app.stats.rtts.push(rtt);
-                            host.app.stats.iterations += 1;
-                        }
-                        host.app.done_count += 1;
-                        host.app.state = AppState::WantWrite;
-                    }
-                    Role::RpcServer => {
+                    Role::RpcServer | Role::UdpRpcServer => {
                         let expect = App::pattern(host.app.size, host.app.done_count);
                         if host.app.got != expect {
                             host.app.stats.verify_failures += 1;

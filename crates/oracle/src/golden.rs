@@ -1,575 +1,88 @@
-//! The golden-regression comparator.
+//! The golden check: a live canonical report must equal its blessed
+//! copy under `tests/golden/` byte for byte.
 //!
-//! `repro verify` diffs a live sweep's canonical JSON against blessed
-//! copies under `tests/golden/`. The parser here reads exactly the
-//! shape `sweep::SweepResults::canonical_json` emits (hand-rolled, no
-//! serde — the build works with no registry access); the comparator
-//! is tolerance-aware on the statistics rows and exact on everything
-//! the grid pins (seeds, repetition counts, sample counts, event
-//! counts, verification failures).
+//! The canonical writer (`sweep::report::canonical_report`) puts
+//! exactly one cell per line, so a mismatch is explained by pairing
+//! the two files' cell lines on their key.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// One cell's blessed numbers.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct GoldenCell {
-    /// Derived FNV seed for the cell.
-    pub seed: u64,
-    /// Repetitions aggregated into the cell.
-    pub reps: u64,
-    /// RTT samples collected.
-    pub samples: u64,
-    /// Mean RTT in µs (`None` when the sweep emitted null).
-    pub mean_us: Option<f64>,
-    /// RTT standard deviation in µs.
-    pub stddev_us: Option<f64>,
-    /// Minimum RTT in µs.
-    pub min_us: Option<f64>,
-    /// Maximum RTT in µs.
-    pub max_us: Option<f64>,
-    /// Events executed by the simulation.
-    pub events: u64,
-    /// Final simulated time in µs.
-    pub sim_time_us: Option<f64>,
-    /// Payload verification failures.
-    pub verify_failures: u64,
-    /// Study-specific numeric fields beyond the base schema (the
-    /// tails report appends `p50_us`, `amp_p99`, …). Kept by name so
-    /// new studies get golden-gated without a parser change; `None`
-    /// records a blessed `null` (e.g. an under-sampled p999) and must
-    /// match as `null`.
-    pub extras: BTreeMap<String, Option<f64>>,
-}
-
-/// A parsed canonical sweep report.
-#[derive(Clone, Debug, Default)]
-pub struct GoldenReport {
-    /// Sweep name.
-    pub name: String,
-    /// Cells keyed by grid key, in key order.
-    pub cells: BTreeMap<String, GoldenCell>,
-}
-
-/// One disagreement between a golden report and a live one.
-#[derive(Clone, Debug)]
-pub struct Drift {
-    /// Grid key of the drifting cell (empty for report-level drift).
+/// One line-level difference between a golden report and a live one.
+#[derive(Debug, PartialEq, Eq)]
+pub struct LineDiff {
+    /// The cell key; empty for a difference outside the cell lines
+    /// (cell order, report name, whitespace).
     pub key: String,
-    /// Which field drifted.
-    pub field: String,
-    /// The blessed value.
-    pub golden: String,
-    /// The live value.
-    pub live: String,
+    /// The golden line, `None` for an extra live cell.
+    pub golden: Option<String>,
+    /// The live line, `None` for a missing cell.
+    pub live: Option<String>,
 }
 
-impl fmt::Display for Drift {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.key.is_empty() {
-            write!(
-                f,
-                "{}: golden {} vs live {}",
-                self.field, self.golden, self.live
-            )
-        } else {
-            write!(
-                f,
-                "{} / {}: golden {} vs live {}",
-                self.key, self.field, self.golden, self.live
-            )
-        }
-    }
+/// A report's cell lines by cell key, without indent or separator
+/// comma.
+fn cell_lines(report: &str) -> BTreeMap<&str, &str> {
+    report
+        .lines()
+        .filter_map(|l| {
+            let cell = l.strip_prefix("    ")?.trim_end_matches(',');
+            let key = cell.strip_prefix('"')?.split_once("\": {")?.0;
+            Some((key, cell))
+        })
+        .collect()
 }
 
-// --------------------------------------------------------------------------
-// Parser: a minimal scanner for the canonical emission.
-// --------------------------------------------------------------------------
-
-struct Scan<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Scan<'a> {
-    fn new(s: &'a str) -> Self {
-        Scan {
-            s: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("golden parse error at byte {}: {what}", self.i)
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.s.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.s.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.s.get(self.i) else {
-                        return Err(self.err("truncated escape"));
-                    };
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.i += 4;
-                            out.push(hex);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                c => out.push(c as char),
-            }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    /// A number or `null`.
-    fn value(&mut self) -> Result<Option<f64>, String> {
-        self.ws();
-        if self.s[self.i..].starts_with(b"null") {
-            self.i += 4;
-            return Ok(None);
-        }
-        let start = self.i;
-        while let Some(&c) = self.s.get(self.i) {
-            if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-        let lit = std::str::from_utf8(&self.s[start..self.i]).map_err(|_| self.err("utf8"))?;
-        lit.parse::<f64>()
-            .map(Some)
-            .map_err(|_| self.err(&format!("bad number '{lit}'")))
-    }
-}
-
-fn take_u64(fields: &BTreeMap<String, Option<f64>>, name: &str) -> Result<u64, String> {
-    match fields.get(name) {
-        Some(Some(x)) if *x >= 0.0 && x.fract() == 0.0 => Ok(*x as u64),
-        Some(_) => Err(format!("field '{name}' is not a non-negative integer")),
-        None => Err(format!("missing field '{name}'")),
-    }
-}
-
-fn take_opt(fields: &BTreeMap<String, Option<f64>>, name: &str) -> Result<Option<f64>, String> {
-    fields
-        .get(name)
-        .copied()
-        .ok_or_else(|| format!("missing field '{name}'"))
-}
-
-/// Parses the canonical sweep JSON (`SweepResults::canonical_json`).
-///
-/// # Errors
-///
-/// Returns a description of the first structural problem; a golden
-/// file that fails to parse should fail verification loudly.
-pub fn parse_report(text: &str) -> Result<GoldenReport, String> {
-    let mut sc = Scan::new(text);
-    let mut report = GoldenReport::default();
-    sc.expect(b'{')?;
-    loop {
-        match sc.peek() {
-            Some(b'}') => {
-                sc.i += 1;
-                break;
-            }
-            Some(b'"') => {}
-            _ => return Err(sc.err("expected a key or '}'")),
-        }
-        let key = sc.string()?;
-        sc.expect(b':')?;
-        match key.as_str() {
-            "name" => report.name = sc.string()?,
-            "cells" => {
-                sc.expect(b'{')?;
-                loop {
-                    match sc.peek() {
-                        Some(b'}') => {
-                            sc.i += 1;
-                            break;
-                        }
-                        Some(b'"') => {}
-                        _ => return Err(sc.err("expected a cell key or '}'")),
-                    }
-                    let cell_key = sc.string()?;
-                    sc.expect(b':')?;
-                    sc.expect(b'{')?;
-                    let mut fields: BTreeMap<String, Option<f64>> = BTreeMap::new();
-                    loop {
-                        match sc.peek() {
-                            Some(b'}') => {
-                                sc.i += 1;
-                                break;
-                            }
-                            Some(b'"') => {}
-                            _ => return Err(sc.err("expected a field or '}'")),
-                        }
-                        let f = sc.string()?;
-                        sc.expect(b':')?;
-                        let v = sc.value()?;
-                        fields.insert(f, v);
-                        if sc.peek() == Some(b',') {
-                            sc.i += 1;
-                        }
-                    }
-                    let mut cell = GoldenCell {
-                        seed: take_u64(&fields, "seed").map_err(|e| format!("{cell_key}: {e}"))?,
-                        reps: take_u64(&fields, "reps").map_err(|e| format!("{cell_key}: {e}"))?,
-                        samples: take_u64(&fields, "samples")
-                            .map_err(|e| format!("{cell_key}: {e}"))?,
-                        mean_us: take_opt(&fields, "mean_us")
-                            .map_err(|e| format!("{cell_key}: {e}"))?,
-                        stddev_us: take_opt(&fields, "stddev_us")
-                            .map_err(|e| format!("{cell_key}: {e}"))?,
-                        min_us: take_opt(&fields, "min_us")
-                            .map_err(|e| format!("{cell_key}: {e}"))?,
-                        max_us: take_opt(&fields, "max_us")
-                            .map_err(|e| format!("{cell_key}: {e}"))?,
-                        events: take_u64(&fields, "events")
-                            .map_err(|e| format!("{cell_key}: {e}"))?,
-                        sim_time_us: take_opt(&fields, "sim_time_us")
-                            .map_err(|e| format!("{cell_key}: {e}"))?,
-                        verify_failures: take_u64(&fields, "verify_failures")
-                            .map_err(|e| format!("{cell_key}: {e}"))?,
-                        extras: BTreeMap::new(),
-                    };
-                    for base in [
-                        "seed",
-                        "reps",
-                        "samples",
-                        "mean_us",
-                        "stddev_us",
-                        "min_us",
-                        "max_us",
-                        "events",
-                        "sim_time_us",
-                        "verify_failures",
-                    ] {
-                        fields.remove(base);
-                    }
-                    cell.extras = fields;
-                    report.cells.insert(cell_key, cell);
-                    if sc.peek() == Some(b',') {
-                        sc.i += 1;
-                    }
-                }
-            }
-            other => return Err(format!("unknown top-level key '{other}'")),
-        }
-        if sc.peek() == Some(b',') {
-            sc.i += 1;
-        }
-    }
-    if sc.peek().is_some() {
-        return Err(sc.err("trailing content after the report object"));
-    }
-    Ok(report)
-}
-
-// --------------------------------------------------------------------------
-// Comparator.
-// --------------------------------------------------------------------------
-
-fn cmp_exact(drifts: &mut Vec<Drift>, key: &str, field: &str, g: u64, l: u64) {
-    if g != l {
-        drifts.push(Drift {
-            key: key.to_string(),
-            field: field.to_string(),
-            golden: g.to_string(),
-            live: l.to_string(),
-        });
-    }
-}
-
-fn cmp_tol(
-    drifts: &mut Vec<Drift>,
-    key: &str,
-    field: &str,
-    g: Option<f64>,
-    l: Option<f64>,
-    tol_us: f64,
-) {
-    let show = |v: Option<f64>| v.map_or("null".to_string(), |x| format!("{x}"));
-    let ok = match (g, l) {
-        (None, None) => true,
-        (Some(a), Some(b)) => (a - b).abs() <= tol_us,
-        _ => false,
-    };
-    if !ok {
-        drifts.push(Drift {
-            key: key.to_string(),
-            field: field.to_string(),
-            golden: show(g),
-            live: show(l),
-        });
-    }
-}
-
-/// Diffs a blessed report against a live one.
-///
-/// Seeds, repetition counts, sample counts, event counts, and
-/// verification failures must match exactly — they are pinned by the
-/// grid and any change means the experiment itself changed. The
-/// statistics rows (`mean/stddev/min/max/sim_time`, µs) compare
-/// within `tol_us` to absorb deliberate re-tuning of float printing,
-/// not behavior: the default tolerance in `repro verify` is well
-/// under one cost-table quantum, so a perturbed cost constant always
-/// drifts.
+/// Compares `live` to `golden` byte for byte. Empty when they match;
+/// otherwise one entry per changed, missing or extra cell, or, when
+/// every cell line matches, the first differing line (debug-quoted, so
+/// whitespace shows).
 #[must_use]
-pub fn compare_reports(golden: &GoldenReport, live: &GoldenReport, tol_us: f64) -> Vec<Drift> {
-    let mut drifts = Vec::new();
-    if golden.name != live.name {
-        drifts.push(Drift {
+pub fn diff_report(golden: &str, live: &str) -> Vec<LineDiff> {
+    if golden == live {
+        return Vec::new();
+    }
+    let (g, l) = (cell_lines(golden), cell_lines(live));
+    let keys: BTreeSet<&str> = g.keys().chain(l.keys()).copied().collect();
+    let owned = |s: Option<&&str>| s.map(|s| (*s).to_string());
+    let mut diffs: Vec<LineDiff> = keys
+        .into_iter()
+        .filter(|k| g.get(k) != l.get(k))
+        .map(|k| LineDiff {
+            key: k.to_string(),
+            golden: owned(g.get(k)),
+            live: owned(l.get(k)),
+        })
+        .collect();
+    if diffs.is_empty() {
+        let g: Vec<&str> = golden.split_inclusive('\n').collect();
+        let l: Vec<&str> = live.split_inclusive('\n').collect();
+        let i = (0..g.len().max(l.len()))
+            .find(|&i| g.get(i) != l.get(i))
+            .expect("unequal reports differ on some line");
+        let quoted = |s: Option<&&str>| s.map(|s| format!("line {}: {s:?}", i + 1));
+        diffs.push(LineDiff {
             key: String::new(),
-            field: "name".to_string(),
-            golden: golden.name.clone(),
-            live: live.name.clone(),
+            golden: quoted(g.get(i)),
+            live: quoted(l.get(i)),
         });
     }
-    for (key, g) in &golden.cells {
-        let Some(l) = live.cells.get(key) else {
-            drifts.push(Drift {
-                key: key.clone(),
-                field: "cell".to_string(),
-                golden: "present".into(),
-                live: "missing".into(),
-            });
-            continue;
-        };
-        cmp_exact(&mut drifts, key, "seed", g.seed, l.seed);
-        cmp_exact(&mut drifts, key, "reps", g.reps, l.reps);
-        cmp_exact(&mut drifts, key, "samples", g.samples, l.samples);
-        cmp_exact(&mut drifts, key, "events", g.events, l.events);
-        cmp_exact(
-            &mut drifts,
-            key,
-            "verify_failures",
-            g.verify_failures,
-            l.verify_failures,
-        );
-        cmp_tol(&mut drifts, key, "mean_us", g.mean_us, l.mean_us, tol_us);
-        cmp_tol(
-            &mut drifts,
-            key,
-            "stddev_us",
-            g.stddev_us,
-            l.stddev_us,
-            tol_us,
-        );
-        cmp_tol(&mut drifts, key, "min_us", g.min_us, l.min_us, tol_us);
-        cmp_tol(&mut drifts, key, "max_us", g.max_us, l.max_us, tol_us);
-        cmp_tol(
-            &mut drifts,
-            key,
-            "sim_time_us",
-            g.sim_time_us,
-            l.sim_time_us,
-            tol_us,
-        );
-        // Study-specific extras compare pairwise by name: a field
-        // present on only one side is drift (the cell schema itself
-        // changed), a blessed `null` must stay `null`, and numeric
-        // values share the statistics tolerance.
-        for (name, gv) in &g.extras {
-            match l.extras.get(name) {
-                Some(lv) => cmp_tol(&mut drifts, key, name, *gv, *lv, tol_us),
-                None => drifts.push(Drift {
-                    key: key.clone(),
-                    field: name.clone(),
-                    golden: gv.map_or("null".to_string(), |x| format!("{x}")),
-                    live: "absent".into(),
-                }),
-            }
-        }
-        for (name, lv) in &l.extras {
-            if !g.extras.contains_key(name) {
-                drifts.push(Drift {
-                    key: key.clone(),
-                    field: name.clone(),
-                    golden: "absent".into(),
-                    live: lv.map_or("null".to_string(), |x| format!("{x}")),
-                });
-            }
-        }
-    }
-    for key in live.cells.keys() {
-        if !golden.cells.contains_key(key) {
-            drifts.push(Drift {
-                key: key.clone(),
-                field: "cell".to_string(),
-                golden: "missing".into(),
-                live: "present".into(),
-            });
-        }
-    }
-    drifts
+    diffs
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const SAMPLE: &str = concat!(
-        "{\n",
-        "  \"name\": \"tables\",\n",
-        "  \"cells\": {\n",
-        "    \"rpc/atm/200/base/i200r1\": { \"seed\": 42, \"reps\": 1, ",
-        "\"samples\": 200, \"mean_us\": 744.2, \"stddev_us\": 0.5, ",
-        "\"min_us\": 744.0, \"max_us\": 745.0, \"events\": 12345, ",
-        "\"sim_time_us\": 160000.5, \"verify_failures\": 0 },\n",
-        "    \"rpc/atm/8000/base/i200r1\": { \"seed\": 7, \"reps\": 1, ",
-        "\"samples\": 200, \"mean_us\": null, \"stddev_us\": null, ",
-        "\"min_us\": null, \"max_us\": null, \"events\": 999, ",
-        "\"sim_time_us\": 1.0, \"verify_failures\": 0 }\n",
-        "  }\n",
-        "}\n"
-    );
-
-    #[test]
-    fn parses_canonical_shape() {
-        let r = parse_report(SAMPLE).expect("parse");
-        assert_eq!(r.name, "tables");
-        assert_eq!(r.cells.len(), 2);
-        let c = &r.cells["rpc/atm/200/base/i200r1"];
-        assert_eq!(c.seed, 42);
-        assert_eq!(c.samples, 200);
-        assert_eq!(c.mean_us, Some(744.2));
-        let n = &r.cells["rpc/atm/8000/base/i200r1"];
-        assert_eq!(n.mean_us, None);
-    }
-
-    #[test]
-    fn identical_reports_have_no_drift() {
-        let r = parse_report(SAMPLE).expect("parse");
-        assert!(compare_reports(&r, &r, 0.0).is_empty());
-    }
-
-    #[test]
-    fn mean_drift_beyond_tolerance_is_reported() {
-        let g = parse_report(SAMPLE).expect("parse");
-        let mut l = g.clone();
-        l.cells.get_mut("rpc/atm/200/base/i200r1").unwrap().mean_us = Some(744.4);
-        assert!(compare_reports(&g, &l, 0.5).is_empty());
-        let drifts = compare_reports(&g, &l, 0.05);
-        assert_eq!(drifts.len(), 1);
-        assert_eq!(drifts[0].field, "mean_us");
-    }
-
-    #[test]
-    fn missing_and_extra_cells_are_reported() {
-        let g = parse_report(SAMPLE).expect("parse");
-        let mut l = g.clone();
-        let cell = l.cells.remove("rpc/atm/8000/base/i200r1").unwrap();
-        l.cells.insert("rpc/atm/9000/base/i200r1".into(), cell);
-        let drifts = compare_reports(&g, &l, 0.1);
-        assert_eq!(drifts.len(), 2);
-    }
-
-    const TAILS_SAMPLE: &str = concat!(
-        "{\n",
-        "  \"name\": \"tails_quick\",\n",
-        "  \"cells\": {\n",
-        "    \"tails/clean/f4/solo/i6r1\": { \"seed\": 42, \"reps\": 1, ",
-        "\"samples\": 12, \"mean_us\": 744.2, \"stddev_us\": 0.5, ",
-        "\"min_us\": 744.0, \"max_us\": 745.0, \"events\": 12345, ",
-        "\"sim_time_us\": 160000.5, \"verify_failures\": 0, ",
-        "\"p50_us\": 744.1, \"p99_us\": 745.0, \"p999_us\": null, ",
-        "\"amp_p50\": 1.0, \"amp_p99\": 1.3, \"fanout_aborts\": 0 }\n",
-        "  }\n",
-        "}\n"
-    );
-
-    #[test]
-    fn extras_parse_compare_and_gate_nulls() {
-        let g = parse_report(TAILS_SAMPLE).expect("parse");
-        let c = &g.cells["tails/clean/f4/solo/i6r1"];
-        assert_eq!(c.extras.get("p999_us"), Some(&None));
-        assert_eq!(c.extras.get("amp_p99"), Some(&Some(1.3)));
-        assert!(!c.extras.contains_key("mean_us"), "base fields stay typed");
-        assert!(compare_reports(&g, &g, 0.0).is_empty());
-
-        // Numeric extra drifting beyond tolerance is reported by name.
-        let mut l = g.clone();
-        *l.cells
-            .get_mut("tails/clean/f4/solo/i6r1")
-            .unwrap()
-            .extras
-            .get_mut("p99_us")
-            .unwrap() = Some(745.2);
-        let drifts = compare_reports(&g, &l, 0.05);
-        assert_eq!(drifts.len(), 1);
-        assert_eq!(drifts[0].field, "p99_us");
-
-        // A blessed null replaced by a number is drift even within
-        // tolerance: the cell's sampling adequacy changed.
-        let mut l = g.clone();
-        *l.cells
-            .get_mut("tails/clean/f4/solo/i6r1")
-            .unwrap()
-            .extras
-            .get_mut("p999_us")
-            .unwrap() = Some(745.0);
-        assert_eq!(compare_reports(&g, &l, 1e9).len(), 1);
-
-        // A vanished extra field is drift, as is a new one.
-        let mut l = g.clone();
-        l.cells
-            .get_mut("tails/clean/f4/solo/i6r1")
-            .unwrap()
-            .extras
-            .remove("amp_p50");
-        let drifts = compare_reports(&g, &l, 0.05);
-        assert_eq!(drifts.len(), 1);
-        assert_eq!(drifts[0].live, "absent");
-    }
-
-    #[test]
-    fn event_count_drift_is_exact() {
-        let g = parse_report(SAMPLE).expect("parse");
-        let mut l = g.clone();
-        l.cells.get_mut("rpc/atm/200/base/i200r1").unwrap().events += 1;
-        assert_eq!(compare_reports(&g, &l, 10.0).len(), 1);
+impl fmt::Display for LineDiff {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let side = |s: &Option<String>| s.clone().unwrap_or_else(|| "(none)".into());
+        let key = if self.key.is_empty() {
+            "(outside the cell lines)"
+        } else {
+            &self.key
+        };
+        write!(
+            f,
+            "{key}\n    golden: {}\n    live:   {}",
+            side(&self.golden),
+            side(&self.live)
+        )
     }
 }

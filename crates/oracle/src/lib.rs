@@ -12,10 +12,10 @@
 //!   monotonicity, clock quantization, mbuf conservation, TCP
 //!   sequence-space sanity, capture/span agreement) on any
 //!   experiment — off by default and zero-cost when clean;
-//! - [`golden`] diffs live sweep output against blessed JSON under
-//!   `tests/golden/` with a tolerance-aware comparator, and
-//!   [`shrink`] minimizes a failing fault schedule to its smallest
-//!   reproducer before reporting.
+//! - [`golden`] checks live canonical reports against the blessed
+//!   JSON under `tests/golden/` byte for byte and explains a mismatch
+//!   cell line by cell line, and [`shrink`] minimizes a failing fault
+//!   schedule to its smallest reproducer before reporting.
 
 #![warn(missing_docs)]
 
@@ -24,7 +24,7 @@ pub mod invariants;
 pub mod model;
 pub mod shrink;
 
-pub use golden::{compare_reports, parse_report, Drift, GoldenReport};
+pub use golden::{diff_report, LineDiff};
 pub use invariants::{
     check_experiment, check_experiment_flight, InvariantReport, InvariantSet, Violation,
 };

@@ -1,14 +1,13 @@
-//! The golden-regression acceptance gate: the comparator must catch a
-//! deliberately perturbed cost constant, and must stay silent when
-//! nothing changed.
+//! The golden check: a perturbed cost constant must show up in the
+//! line diff, a clean rerun must not, and every blessed golden must
+//! keep the one-cell-per-line shape the diff relies on.
 //!
-//! This is the library half of `repro verify` — the same parser and
-//! comparator the subcommand uses, driven over a miniature grid so
-//! the demonstration stays fast. The CLI half (exit codes, `--bless`)
-//! lives in `crates/bench/tests/verify_cli.rs`.
+//! This is the library half of `repro verify`, driven over a
+//! miniature grid so the demonstration stays fast. The CLI half (exit
+//! codes, `--bless`) lives in `crates/bench/tests/verify_cli.rs`.
 
 use latency_core::{Experiment, NetKind};
-use oracle::{compare_reports, parse_report};
+use oracle::diff_report;
 use sweep::{Sweep, SweepResults};
 
 /// A three-cell grid; `perturb_us` is added to the process-wakeup
@@ -28,52 +27,69 @@ fn grid(perturb_us: f64) -> SweepResults {
 
 #[test]
 fn clean_rerun_has_no_drift() {
-    let golden = parse_report(&grid(0.0).canonical_json()).expect("golden parses");
-    let live = parse_report(&grid(0.0).canonical_json()).expect("live parses");
+    let diffs = diff_report(&grid(0.0).canonical_json(), &grid(0.0).canonical_json());
     assert!(
-        compare_reports(&golden, &live, 0.05).is_empty(),
+        diffs.is_empty(),
         "identical deterministic runs must verify clean"
     );
 }
 
 #[test]
 fn perturbed_cost_constant_is_caught() {
-    let golden = parse_report(&grid(0.0).canonical_json()).expect("golden parses");
-    let live = parse_report(&grid(1.0).canonical_json()).expect("live parses");
-    let drifts = compare_reports(&golden, &live, 0.05);
-    assert!(
-        !drifts.is_empty(),
-        "a 1 µs cost-constant perturbation must fail verification"
-    );
+    let diffs = diff_report(&grid(0.0).canonical_json(), &grid(1.0).canonical_json());
     // The single-segment cells pay the wakeup serially on both hosts,
-    // so their means move by ~2 µs. (At 8000 bytes the wakeup hides
-    // under the second segment's driver/IP processing — receive
-    // pipelining keeps it off the critical path, so that cell may
-    // legitimately not drift.)
+    // so their lines change. (At 8000 bytes the wakeup hides under the
+    // second segment's driver/IP processing — receive pipelining keeps
+    // it off the critical path, so that cell may legitimately match.)
     for &size in &[200usize, 1400] {
         let key = format!("rpc/atm/{size}/base/i30r1");
+        let d = diffs.iter().find(|d| d.key == key);
+        let d = d.unwrap_or_else(|| panic!("expected a line diff for {key}: {diffs:?}"));
         assert!(
-            drifts.iter().any(|d| d.key == key && d.field == "mean_us"),
-            "expected a mean_us drift for {key}: {drifts:?}"
+            d.golden.is_some() && d.live.is_some(),
+            "{key} changed, not moved"
         );
     }
 }
 
 #[test]
-fn golden_files_in_the_repo_parse() {
-    // The blessed goldens under tests/golden/ must always round-trip
-    // through the parser; a hand-edit that breaks the canonical shape
-    // should fail here, not in CI's verify step.
-    for name in ["tables_quick.json", "faults_quick.json"] {
-        let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+fn every_golden_has_one_clean_cell_per_line() {
+    // The line diff pairs cells by key, one cell per line; a hand-edit
+    // that breaks that shape, or a blessed cell that records payload
+    // corruption, fails here rather than in CI's verify step.
+    for grid in ["tables", "faults", "dc", "tails", "hedge", "cc"] {
+        let path = format!(
+            "{}/../../tests/golden/{grid}_quick.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read {path}: {e} (run `repro verify --bless`)"));
-        let rep = parse_report(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(!rep.cells.is_empty(), "{name} has no cells");
-        for (key, cell) in &rep.cells {
-            assert_eq!(
-                cell.verify_failures, 0,
-                "{name}: blessed cell {key} records payload corruption"
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(
+            text.ends_with("\n}\n"),
+            "{grid}: report must end in \"}}\\n\""
+        );
+        assert_eq!(lines[0], "{", "{grid}");
+        assert!(
+            lines[1].starts_with(&format!("  \"name\": \"{grid}")),
+            "{grid}"
+        );
+        assert_eq!(lines[2], "  \"cells\": {", "{grid}");
+        assert_eq!(lines[lines.len() - 2], "  }", "{grid}");
+        let cells = &lines[3..lines.len() - 2];
+        assert!(!cells.is_empty(), "{grid} has no cells");
+        for (i, line) in cells.iter().enumerate() {
+            let last = i + 1 == cells.len();
+            assert!(
+                line.starts_with("    \"") && line.ends_with(if last { " }" } else { " }," }),
+                "{grid}: line {} is not one whole cell: {line}",
+                i + 4
+            );
+            let body = line.trim_end_matches(',');
+            assert!(
+                body.contains("\"verify_failures\": 0,")
+                    || body.ends_with("\"verify_failures\": 0 }"),
+                "{grid}: blessed cell records payload corruption: {line}"
             );
         }
     }

@@ -24,7 +24,7 @@
 //!    the `jobs = 1` run and to itself at any `--jobs` value.
 //!
 //! Host wall-clock per cell is recorded alongside the simulated
-//! results, but lives outside the deterministic
+//! results, but never enters the deterministic
 //! [`SweepResults::canonical_json`] artifact (see [`report`]).
 //!
 //! ```
@@ -88,8 +88,6 @@ pub struct CellOutcome {
 pub struct SweepResults {
     /// Sweep name (from [`Sweep::new`]).
     pub name: String,
-    /// Worker count the sweep ran with.
-    pub jobs: usize,
     /// Host wall-clock for the whole sweep, in nanoseconds.
     pub wall_ns: u64,
     /// Per-cell outcomes, in the order the cells were declared.
@@ -221,7 +219,6 @@ impl Sweep {
         });
         SweepResults {
             name: self.name.clone(),
-            jobs,
             wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
             outcomes,
             index: self.keys.clone(),
@@ -286,19 +283,6 @@ mod tests {
         for jobs in [2, 3, 8] {
             assert_eq!(seq, sw.run(jobs).canonical_json(), "jobs = {jobs}");
         }
-    }
-
-    #[test]
-    fn full_report_carries_timing_the_canonical_report_omits() {
-        let mut sw = Sweep::new("t");
-        sw.ensure("only".into(), tiny(4), 1);
-        let r = sw.run(1);
-        assert!(r.to_json().contains("\"timing\""));
-        assert!(r.to_json().contains("\"jobs\": 1,"));
-        let canon = r.canonical_json();
-        assert!(!canon.contains("\"timing\""));
-        assert!(!canon.contains("\"jobs\""));
-        assert!(canon.contains("\"mean_us\""));
     }
 
     #[test]

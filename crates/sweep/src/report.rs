@@ -1,18 +1,15 @@
-//! `sweep.json`: the machine-readable sweep report.
+//! The canonical report: the one deterministic JSON artifact of every
+//! sweep and every world study.
 //!
-//! Two renderings share one cell section:
-//!
-//! - [`SweepResults::canonical_json`] is the **deterministic
-//!   artifact**: per-cell seed, sample count, mean/stddev/min/max RTT,
-//!   events executed and final simulated time, in grid order. It is
-//!   byte-identical across runs and across `--jobs` values, and is
-//!   what the determinism property test compares.
-//! - [`SweepResults::to_json`] is the canonical section plus the
-//!   things that legitimately vary run to run: the worker count and
-//!   per-cell host wall-clock (how long the cell took to *compute*,
-//!   which is how the speedup claim in the acceptance criteria is
-//!   checked). Tooling that diffs sweep reports must diff the
-//!   canonical form.
+//! [`canonical_report`] writes it: per-cell seed, repetitions, sample
+//! count, mean/stddev/min/max, events executed, final simulated time
+//! and verify failures, then any study-specific extras, one cell per
+//! line in grid order. [`SweepResults::canonical_json`] and the world
+//! studies both call it, so the report is byte-identical across runs
+//! and across `--jobs` values, and the goldens under `tests/golden/`
+//! are checked byte for byte. Host wall-clock lives only on
+//! [`SweepResults::wall_ns`](crate::SweepResults) and
+//! [`CellOutcome::wall_ns`](crate::CellOutcome), never in the report.
 //!
 //! Emitted by hand, no serde: the build works with no registry access.
 
@@ -21,8 +18,8 @@ use std::fmt::Write as _;
 use crate::SweepResults;
 
 /// Finite-number JSON rendering; NaN/inf become null (like
-/// serde_json). Public so sibling report emitters (the datacenter
-/// study) stay byte-compatible with this one.
+/// serde_json). Public so the world studies render their extra fields
+/// the same way.
 #[must_use]
 pub fn json_num(x: f64) -> String {
     if x.is_finite() {
@@ -38,7 +35,7 @@ pub fn json_num(x: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping, shared with sibling emitters.
+/// Minimal JSON string escaping.
 #[must_use]
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -60,48 +57,76 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// The shared `"cells"` object, in grid order.
-fn emit_cells(r: &SweepResults, out: &mut String) {
+/// One cell of the canonical report: the ten schema fields, then the
+/// cell's extra fields. Each caller computes its own numbers.
+pub struct ReportCell<'a> {
+    /// Grid key.
+    pub key: &'a str,
+    /// Key-derived base seed.
+    pub seed: u64,
+    /// Repetitions pooled.
+    pub reps: u64,
+    /// Samples in the reported set.
+    pub samples: usize,
+    /// Mean sample, µs.
+    pub mean_us: f64,
+    /// Sample standard deviation, µs.
+    pub stddev_us: f64,
+    /// Smallest sample, µs.
+    pub min_us: f64,
+    /// Largest sample, µs.
+    pub max_us: f64,
+    /// Events executed.
+    pub events: u64,
+    /// Final simulated time, µs.
+    pub sim_time_us: f64,
+    /// Payload verification failures.
+    pub verify_failures: u64,
+    /// Study-specific `(name, rendered JSON value)` pairs, written in
+    /// order after `verify_failures`.
+    pub extras: &'a [(&'static str, String)],
+}
+
+/// The one canonical report writer: the report name, then the
+/// `"cells"` object with exactly one cell per line, in the order given.
+/// `repro verify` compares this text to the goldens byte for byte and
+/// explains a mismatch line by line.
+pub fn canonical_report<'a>(name: &str, cells: impl IntoIterator<Item = ReportCell<'a>>) -> String {
+    let mut out = String::new();
+    out.push_str("{\n");
+    let _ = writeln!(out, "  \"name\": {},", json_string(name));
     out.push_str("  \"cells\": {");
-    let mut first = true;
-    for c in &r.outcomes {
-        if !first {
+    let mut empty = true;
+    for c in cells {
+        if !empty {
             out.push(',');
         }
-        first = false;
-        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
-        let _ = write!(out, "\"seed\": {}, ", c.seed);
-        let _ = write!(out, "\"reps\": {}, ", c.reps);
-        let _ = write!(out, "\"samples\": {}, ", c.result.rtts.len());
-        let _ = write!(out, "\"mean_us\": {}, ", json_num(c.result.mean_rtt_us()));
+        empty = false;
         let _ = write!(
             out,
-            "\"stddev_us\": {}, ",
-            json_num(c.result.stddev_rtt_us())
+            "\n    {}: {{ \"seed\": {}, \"reps\": {}, \"samples\": {}, \"mean_us\": {}, \
+             \"stddev_us\": {}, \"min_us\": {}, \"max_us\": {}, \"events\": {}, \
+             \"sim_time_us\": {}, \"verify_failures\": {}",
+            json_string(c.key),
+            c.seed,
+            c.reps,
+            c.samples,
+            json_num(c.mean_us),
+            json_num(c.stddev_us),
+            json_num(c.min_us),
+            json_num(c.max_us),
+            c.events,
+            json_num(c.sim_time_us),
+            c.verify_failures
         );
-        let _ = write!(
-            out,
-            "\"min_us\": {}, ",
-            json_num(latency_core::stats::min_us(&c.result.rtts))
-        );
-        let _ = write!(
-            out,
-            "\"max_us\": {}, ",
-            json_num(latency_core::stats::max_us(&c.result.rtts))
-        );
-        let _ = write!(out, "\"events\": {}, ", c.result.events);
-        let _ = write!(
-            out,
-            "\"sim_time_us\": {}, ",
-            json_num(c.result.sim_time.as_us_f64())
-        );
-        let _ = write!(out, "\"verify_failures\": {} }}", c.result.verify_failures);
+        for (field, value) in c.extras {
+            let _ = write!(out, ", \"{field}\": {value}");
+        }
+        out.push_str(" }");
     }
-    if r.outcomes.is_empty() {
-        out.push('}');
-    } else {
-        out.push_str("\n  }");
-    }
+    out.push_str(if empty { "}" } else { "\n  }" });
+    out.push_str("\n}\n");
+    out
 }
 
 impl SweepResults {
@@ -109,42 +134,23 @@ impl SweepResults {
     /// any `--jobs` value (and across repeated runs).
     #[must_use]
     pub fn canonical_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"name\": {},", json_string(&self.name));
-        emit_cells(self, &mut out);
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// The full report: the canonical cells plus per-cell host
-    /// wall-clock nanoseconds and the worker count — the fields that
-    /// may differ between runs.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"name\": {},", json_string(&self.name));
-        let _ = writeln!(out, "  \"jobs\": {},", self.jobs);
-        emit_cells(self, &mut out);
-        out.push_str(",\n  \"timing\": {");
-        let mut first = true;
-        let mut total = 0u64;
-        for c in &self.outcomes {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    {}: {}", json_string(&c.key), c.wall_ns);
-            total += c.wall_ns;
-        }
-        if !self.outcomes.is_empty() {
-            out.push_str(",\n    ");
-        }
-        let _ = write!(out, "\"total_cell_wall_ns\": {total}, ");
-        let _ = write!(out, "\"sweep_wall_ns\": {}", self.wall_ns);
-        out.push_str("\n  }\n}\n");
-        out
+        canonical_report(
+            &self.name,
+            self.outcomes.iter().map(|c| ReportCell {
+                key: &c.key,
+                seed: c.seed,
+                reps: c.reps,
+                samples: c.result.rtts.len(),
+                mean_us: c.result.mean_rtt_us(),
+                stddev_us: c.result.stddev_rtt_us(),
+                min_us: latency_core::stats::min_us(&c.result.rtts),
+                max_us: latency_core::stats::max_us(&c.result.rtts),
+                events: c.result.events,
+                sim_time_us: c.result.sim_time.as_us_f64(),
+                verify_failures: c.result.verify_failures,
+                extras: &[],
+            }),
+        )
     }
 }
 

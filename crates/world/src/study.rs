@@ -16,11 +16,11 @@
 //! seed derives from the cell *key* (not its position), so adding or
 //! reordering cells never changes any other cell's bytes, and cells
 //! run under `sweep::pool::run_ordered` so the report is
-//! byte-identical at any `--jobs` value. The canonical JSON replicates
-//! the `sweep.json` cell schema exactly — the oracle's report parser
-//! and the golden comparator work on it unchanged (studies append
-//! extra per-cell fields after `verify_failures`, which the parser
-//! carries as extras and the comparator checks pairwise).
+//! byte-identical at any `--jobs` value. The canonical JSON comes from
+//! the same writer as the table and fault sweeps
+//! ([`sweep::report::canonical_report`]), with each study's extra
+//! per-cell fields after `verify_failures`; `repro verify` checks it
+//! against the goldens byte for byte.
 //!
 //! Repetition seeding: rep 0 runs on the key-derived base seed (so
 //! single-rep grids — every golden — are untouched), and rep `r > 0`
@@ -36,7 +36,7 @@ use latency_core::hedge::{Mitigation, MitigationCost, MITIGATIONS};
 use latency_core::{ObsMode, Samples};
 use simcap::Quantiles as _;
 use simkit::SimTime;
-use sweep::report::{json_num, json_string};
+use sweep::report::{canonical_report, json_num, ReportCell};
 use tcpip::{CcVariant, PcbCounters};
 
 use crate::dc::{run_dc, DcRunResult};
@@ -76,7 +76,8 @@ pub struct StudyReport {
 /// written in order after the shared sweep-schema prefix.
 type Extras = Vec<(&'static str, String)>;
 
-/// Renders a study's table text and per-cell extra fields.
+/// Renders a study's table text and each cell's extra fields, one
+/// list per cell.
 type Render<C> = fn(&[C], &[DcCellResult]) -> (String, Vec<Extras>);
 
 impl Study {
@@ -166,7 +167,7 @@ impl Study {
         let (table, extras) = render(&cells, &results);
         StudyReport {
             table,
-            json: write_json(&self.report_name(quick), self, &results, &extras),
+            json: canonical(&self.report_name(quick), self, &results, &extras),
             cells: results.len(),
             failed: results.iter().filter_map(|r| self.failure(r)).collect(),
         }
@@ -450,48 +451,31 @@ pub fn run_cells<C: AsRef<DcCell> + Sync>(
     sweep::pool::run_ordered(cells, jobs, move |_, c| run_one_cell(c.as_ref(), mode))
 }
 
-/// The canonical JSON writer every study shares: the `sweep.json`
-/// cell schema (same fields, same formatting) over the study's sample
-/// set, so `oracle`'s parser and golden comparator apply unchanged,
-/// followed by each cell's extra fields in order. `null` marks an
-/// honestly-unavailable statistic and must match as `null`.
-fn write_json(name: &str, study: Study, results: &[DcCellResult], extras: &[Extras]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_string(name));
-    out.push_str("  \"cells\": {");
-    for (i, c) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let s = study.samples(c);
-        let _ = write!(out, "\n    {}: {{ ", json_string(&c.key));
-        let _ = write!(out, "\"seed\": {}, ", c.seed);
-        let _ = write!(out, "\"reps\": {}, ", c.reps);
-        let _ = write!(out, "\"samples\": {}, ", s.len());
-        let _ = write!(out, "\"mean_us\": {}, ", json_num(s.mean_us()));
-        let _ = write!(out, "\"stddev_us\": {}, ", json_num(s.stddev_us()));
-        let _ = write!(out, "\"min_us\": {}, ", json_num(s.min_us()));
-        let _ = write!(out, "\"max_us\": {}, ", json_num(s.max_us()));
-        let _ = write!(out, "\"events\": {}, ", c.events);
-        let _ = write!(
-            out,
-            "\"sim_time_us\": {}, ",
-            json_num(c.sim_time.as_us_f64())
-        );
-        let _ = write!(out, "\"verify_failures\": {}", c.verify_failures);
-        for (field, value) in extras.get(i).into_iter().flatten() {
-            let _ = write!(out, ", \"{field}\": {value}");
-        }
-        out.push_str(" }");
-    }
-    if results.is_empty() {
-        out.push('}');
-    } else {
-        out.push_str("\n  }");
-    }
-    out.push_str("\n}\n");
-    out
+/// A study's canonical report: [`sweep::report::canonical_report`]
+/// over the study's sample set, each cell followed by its extra fields
+/// in order. `null` marks an honestly-unavailable statistic.
+fn canonical(name: &str, study: Study, results: &[DcCellResult], extras: &[Extras]) -> String {
+    assert_eq!(results.len(), extras.len(), "one extras list per cell");
+    canonical_report(
+        name,
+        results.iter().zip(extras).map(|(c, extras)| {
+            let s = study.samples(c);
+            ReportCell {
+                key: &c.key,
+                seed: c.seed,
+                reps: c.reps,
+                samples: s.len(),
+                mean_us: s.mean_us(),
+                stddev_us: s.stddev_us(),
+                min_us: s.min_us(),
+                max_us: s.max_us(),
+                events: c.events,
+                sim_time_us: c.sim_time.as_us_f64(),
+                verify_failures: c.verify_failures,
+                extras,
+            }
+        }),
+    )
 }
 
 /// An optional statistic as JSON: the number, or `null`.
@@ -594,7 +578,7 @@ fn dc_render(cells: &[DcCell], results: &[DcCellResult]) -> (String, Vec<Extras>
             of(PcbStrategy::Hash)
         );
     }
-    (out, Vec::new())
+    (out, vec![Extras::new(); results.len()])
 }
 
 /// One `repro tails` cell: a fan-out world plus the study axes the
@@ -1172,7 +1156,7 @@ fn cc_extras(rows: &[CcRow], results: &[DcCellResult]) -> Vec<Extras> {
 #[must_use]
 pub fn cc_canonical_json(name: &str, cells: &[CcCell], results: &[DcCellResult]) -> String {
     let extras = cc_extras(&cc_rows(cells, results), results);
-    write_json(name, Study::Cc, results, &extras)
+    canonical(name, Study::Cc, results, &extras)
 }
 
 /// The cc table: goodput next to the recovery-latency percentiles and
