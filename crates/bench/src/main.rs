@@ -6,7 +6,7 @@
 //! repro [all|table1|table2|table3|table4|table5|table6|table7|pcb|mbuf|predict|errors]
 //!       [faults|churn|ablation|switch|ethernet-errors|trace]
 //!       [dc] [tails] [hedge] [cc]
-//!       [verify [--bless] [--dump-live] [--golden-dir DIR]] [invariants]
+//!       [verify [--bless] [--golden-dir DIR]] [invariants]
 //!       [--iterations N] [--reps N] [--jobs N] [--seed N] [--json FILE]
 //!       [--sweep-json FILE] [--out-dir DIR] [--full] [--quick] [--sketch]
 //! ```
@@ -65,9 +65,6 @@ struct Opts {
     /// Directory every output file is written under.
     out_dir: String,
     bless: bool,
-    /// `verify --dump-live`: also write each grid's live canonical
-    /// JSON under `--out-dir`, for inspection.
-    dump_live: bool,
     golden_dir: String,
     /// Record study completions in mergeable-sketch mode instead of
     /// exact pooled samples.
@@ -85,7 +82,6 @@ fn parse_args() -> Opts {
     let mut sweep_json = None;
     let mut out_dir = String::from("out");
     let mut bless = false;
-    let mut dump_live = false;
     let mut golden_dir = String::from("tests/golden");
     let mut sketch = false;
     let mut args = std::env::args().skip(1);
@@ -111,7 +107,6 @@ fn parse_args() -> Opts {
             "--sweep-json" => sweep_json = Some(args.next().expect("--sweep-json FILE")),
             "--out-dir" => out_dir = args.next().expect("--out-dir DIR"),
             "--bless" => bless = true,
-            "--dump-live" => dump_live = true,
             "--golden-dir" => golden_dir = args.next().expect("--golden-dir DIR"),
             "--sketch" => sketch = true,
             "--full" => {
@@ -142,7 +137,6 @@ fn parse_args() -> Opts {
         sweep_json,
         out_dir,
         bless,
-        dump_live,
         golden_dir,
         sketch,
     }
@@ -1011,7 +1005,6 @@ fn golden_scale(opts: &Opts) -> Opts {
         sweep_json: None,
         out_dir: opts.out_dir.clone(),
         bless: opts.bless,
-        dump_live: opts.dump_live,
         golden_dir: opts.golden_dir.clone(),
         sketch: false,
     }
@@ -1113,11 +1106,6 @@ fn cmd_verify(opts: &Opts) -> i32 {
         };
         eprintln!("verify: {stem}: running across {} worker(s)...", q.jobs);
         let live = grid.run(q.jobs);
-        if q.dump_live {
-            let p = out_path(opts, &format!("{stem}_live.json"));
-            std::fs::write(&p, &live.json).expect("write live canonical json");
-            eprintln!("verify: live canonical grid written to {}", p.display());
-        }
         let Some(golden) = golden else {
             std::fs::create_dir_all(&q.golden_dir).expect("create golden dir");
             std::fs::write(&path, &live.json).expect("write golden file");

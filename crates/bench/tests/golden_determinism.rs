@@ -1,4 +1,4 @@
-//! Determinism contract of the calendar-queue engine under the
+//! Determinism contract of the event engine under the
 //! parallel sweep runner: worker count must never leak into results.
 //!
 //! `repro verify` passes against the blessed goldens at `--jobs 1`

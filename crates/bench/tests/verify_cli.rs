@@ -2,8 +2,7 @@
 //! it explains a mismatch with:
 //!
 //! - `--bless` writes the goldens and succeeds;
-//! - a clean re-run verifies with exit 0, and `--dump-live` writes
-//!   exactly the bytes it verified;
+//! - a clean re-run verifies with exit 0;
 //! - any byte of golden drift makes verification exit 1 and names
 //!   each drifted cell on stderr, however small the numeric change;
 //! - missing goldens exit with a distinct code and a hint to bless.
@@ -68,24 +67,12 @@ fn verify_roundtrip_and_drift_detection() {
     }
 
     // Clean re-run: the simulation is deterministic, so the live grid
-    // must match what was just blessed. `--dump-live` writes those
-    // same live bytes next to the goldens for inspection.
-    let live_dir = dir.join("live");
+    // must match what was just blessed byte for byte.
     let st = repro()
-        .args(["verify", "--dump-live", "--golden-dir", dir_s])
-        .arg("--out-dir")
-        .arg(&live_dir)
+        .args(["verify", "--golden-dir", dir_s])
         .status()
         .expect("run repro");
     assert!(st.success(), "clean verify failed: {st:?}");
-    for grid in ["tables", "faults", "dc", "tails", "hedge", "cc"] {
-        let read = |p: PathBuf| std::fs::read(&p).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        assert_eq!(
-            read(live_dir.join(format!("{grid}_quick_live.json"))),
-            read(dir.join(format!("{grid}_quick.json"))),
-            "{grid}: --dump-live must write the verified bytes"
-        );
-    }
 
     // Drift far below any float tolerance: a 4% move in a tails
     // amplification ratio, 0.04 Mbit/s of cc goodput, and 0.03 µs on

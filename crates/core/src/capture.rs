@@ -191,13 +191,6 @@ impl CapturePlan<'_> {
         self
     }
 
-    /// Arms an invariant-checking observer (see
-    /// [`RunPlan::invariants`](crate::experiment::RunPlan::invariants)).
-    #[must_use]
-    pub fn invariants(self, obs: simkit::ObserverFn<crate::world::World>) -> Self {
-        self.observer(obs)
-    }
-
     /// Executes the captured repetition.
     #[must_use]
     pub fn execute(self) -> CaptureRun {

@@ -349,15 +349,6 @@ impl RunPlan<'_> {
         self
     }
 
-    /// Arms an invariant-checking observer. Behaviourally identical to
-    /// [`RunPlan::observer`]; the separate name keeps call sites honest
-    /// about *why* an observer is armed (this crate cannot depend on
-    /// the oracle, so its runtime checkers arrive as plain observers).
-    #[must_use]
-    pub fn invariants(self, obs: simkit::ObserverFn<World>) -> Self {
-        self.observer(obs)
-    }
-
     /// Executes the plan: `reps` repetitions starting at `seed`, RTT
     /// samples pooled and breakdowns averaged.
     #[must_use]
@@ -538,7 +529,7 @@ pub struct RunResult {
     /// Mbufs still outstanding per host pool (client, server) *after*
     /// the world was torn down. Non-zero means a leak: every code
     /// path — including every fault path — must return its buffers.
-    /// Filled by [`Experiment::run`]; zero when the world outlives the
+    /// Filled by [`RunPlan::execute`]; zero when the world outlives the
     /// result (the capture harness).
     pub mbufs_leaked: (u64, u64),
     /// Events executed.

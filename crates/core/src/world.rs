@@ -19,7 +19,7 @@
 //! byte case — into emergent measurements rather than inputs.
 
 use atm::{AtmSwitch, VcRoute};
-use simkit::{Scheduler, Sim, SimTime, TimerId};
+use simkit::{Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
 use tcpip::{Kernel, Mark, PcbKey, SockId, StackConfig, TxDriver as _};
 
@@ -49,9 +49,6 @@ pub struct Host {
     pub sock: SockId,
     /// Earliest scheduled TCP timer event, to avoid duplicates.
     timer_at: Option<SimTime>,
-    /// Permanent engine timer slot for this host's TCP timer,
-    /// registered by [`run_world`] so re-arming allocates nothing.
-    timer: Option<TimerId>,
 }
 
 impl Host {
@@ -140,7 +137,6 @@ impl World {
                 app,
                 sock,
                 timer_at: None,
-                timer: None,
             })
             .collect();
         World {
@@ -160,11 +156,10 @@ impl World {
 
 /// Runs a world to completion; returns the simulation for inspection.
 ///
-/// Each host's TCP timer gets a permanent engine slot, and both start
-/// events and all hot-path follow-ups ("softintr", "app-wakeup",
-/// "abort-wakeup", "tcp-timer") are raw events — a function pointer
-/// plus the host index — so the steady-state event loop performs no
-/// per-event allocation.
+/// The start events and all hot-path follow-ups ("softintr",
+/// "app-wakeup", "abort-wakeup", "tcp-timer") are raw events — a
+/// function pointer plus the host index — so the steady-state event
+/// loop performs no per-event allocation.
 ///
 /// `obs`, when given, fires after every executed event with
 /// `(world, event_time, event_label)`. Observation is read-only, so
@@ -178,10 +173,6 @@ impl World {
 /// — a protocol deadlock, which the tests treat as a bug.
 pub fn run_world(world: World, obs: Option<simkit::ObserverFn<World>>) -> Sim<World> {
     let mut sim = Sim::new(world);
-    for h in 0..sim.world.hosts.len() {
-        let id = sim.register_timer("tcp-timer", on_timer_raw, h as u64);
-        sim.world.hosts[h].timer = Some(id);
-    }
     sim.schedule_raw(SimTime::ZERO, "app-start-client", app_step_raw, 0);
     sim.schedule_raw(SimTime::ZERO, "app-start-server", app_step_raw, 1);
     if let Some(obs) = obs {
@@ -239,9 +230,7 @@ fn flush_host(w: &mut World, s: &mut Scheduler<World>, h: usize) {
         let stale = host.timer_at.is_none_or(|t| dl < t || t <= s.now());
         if stale {
             host.timer_at = Some(dl);
-            // The permanent slot re-arms with zero allocation.
-            let id = host.timer.expect("timer slot registered by run_world");
-            s.arm_timer(id, dl.max(s.now()));
+            s.schedule_raw_at(dl.max(s.now()), "tcp-timer", on_timer_raw, h as u64);
         }
     }
 }

@@ -3,7 +3,7 @@
 //! Pluggable checkers that any experiment can arm. Mirroring
 //! `faultkit::FaultSchedule::is_clean`, the default set is empty and
 //! costs nothing: per-event checkers hook into the engine only
-//! through a [`latency_core::RunPlan::invariants`] observer, which an
+//! through a [`latency_core::RunPlan::observer`], which an
 //! unobserved plan never touches, and with an empty set
 //! [`check_experiment`] runs no simulation at all.
 
@@ -188,7 +188,7 @@ pub fn check_experiment(exp: &Experiment, seed: u64, set: &InvariantSet) -> Inva
                 }
             }
         });
-        result = Some(exp.plan().seed(seed).invariants(obs).execute());
+        result = Some(exp.plan().seed(seed).observer(obs).execute());
         let state = Rc::try_unwrap(state)
             .unwrap_or_else(|_| panic!("observer still alive after run"))
             .into_inner();
@@ -313,7 +313,7 @@ pub fn check_experiment_flight(
         .seed(seed)
         .captured()
         .flight(last_k)
-        .invariants(obs)
+        .observer(obs)
         .execute();
     let state = Rc::try_unwrap(state)
         .unwrap_or_else(|_| panic!("observer still alive after run"))

@@ -8,21 +8,16 @@
 //! host index. Handlers stage follow-up events on the [`Scheduler`],
 //! which the engine merges into the queue when the handler returns.
 //!
-//! Internally the engine is **not** a binary heap. Pending events live
-//! in a slab-allocated arena (slots recycled through a free list) and
-//! are indexed by a calendar/bucket queue keyed on `(time, seq)`:
-//! compact `{at, seq, slot}` references hashed into power-of-two time
-//! buckets, popped by scanning the bucket window containing the
-//! current clock. Recurring deadlines (retransmit timers) get
-//! permanent *timer slots* registered once and re-armed with zero
-//! allocation per firing.
-//!
-//! Two events at the same timestamp execute in the order they were
-//! scheduled (FIFO tie-break via a monotone sequence number), and the
-//! queue always pops the strict minimum of `(time, seq)` — exactly the
-//! total order the previous heap implementation used — which makes
-//! every simulation run fully deterministic and bit-identical across
-//! engine implementations.
+//! The pending set is one `std` [`BinaryHeap`] keyed on `(time, seq)`,
+//! where `seq` is a counter assigned as each event is enqueued. Both a
+//! raw event and a boxed closure ride in the heap entry itself, so
+//! there is no side table to index. Two events at the same timestamp therefore
+//! execute in the order they were scheduled, and the queue always pops
+//! the strict minimum of `(time, seq)`, which makes every simulation
+//! run fully deterministic.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -37,7 +32,7 @@ pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Scheduler<W>)>;
 /// event was scheduled.
 ///
 /// Raw events cost no allocation to schedule — the function pointer
-/// and payload are stored inline in the event arena — so the per-event
+/// and payload are stored inline in the heap entry — so the per-event
 /// hot paths (software interrupts, application wakeups, timer
 /// firings) should prefer them over boxed closures.
 pub type RawEventFn<W> = fn(&mut W, &mut Scheduler<W>, u64);
@@ -49,287 +44,48 @@ pub type RawEventFn<W> = fn(&mut W, &mut Scheduler<W>, u64);
 /// can check invariants but never perturb the simulation.
 pub type ObserverFn<W> = Box<dyn FnMut(&W, SimTime, &'static str)>;
 
-/// Handle to a permanent timer slot (see [`Sim::register_timer`]).
-///
-/// A timer slot stores its label, handler, and payload once; each
-/// [`Sim::arm_timer`] / [`Scheduler::arm_timer`] afterwards enqueues a
-/// firing with zero allocation. Arming the same slot for several
-/// deadlines fires it once per deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerId(u32);
-
-/// Slab allocator for pending *boxed* events: a vector of slots
-/// recycled through a free list, so steady-state scheduling never
-/// grows the backing storage. Raw events and timer firings never
-/// touch it — their handlers live inline in the calendar entry.
-struct Arena<W> {
-    slots: Vec<Option<(&'static str, EventFn<W>)>>,
-    free: Vec<u32>,
-}
-
-impl<W> Arena<W> {
-    fn new() -> Self {
-        Arena {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    fn insert(&mut self, label: &'static str, f: EventFn<W>) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            self.slots[idx as usize] = Some((label, f));
-            idx
-        } else {
-            let idx = u32::try_from(self.slots.len()).expect("event arena overflow");
-            self.slots.push(Some((label, f)));
-            idx
-        }
-    }
-
-    fn take(&mut self, idx: u32) -> (&'static str, EventFn<W>) {
-        let slot = self.slots[idx as usize]
-            .take()
-            .expect("event slot already taken");
-        self.free.push(idx);
-        slot
-    }
-}
-
-/// What fires when a calendar entry comes due. Raw handlers are a
-/// `Copy` function pointer plus payload, so they ride inline in the
-/// entry — the hot path never allocates and never chases an arena
-/// slot. Boxed closures and timer slots are referenced by index.
+/// What runs when an event comes due.
 enum Payload<W> {
-    /// An inline function-pointer event.
-    Raw(&'static str, RawEventFn<W>, u64),
-    /// An arena slot holding a boxed closure.
-    Boxed(u32),
-    /// A permanent timer slot (see [`Sim::register_timer`]).
-    Timer(u32),
+    /// A function pointer plus its payload: no allocation.
+    Raw(RawEventFn<W>, u64),
+    /// A boxed closure.
+    Boxed(EventFn<W>),
 }
 
-// Derived Clone/Copy would demand `W: Copy`; every variant is Copy
-// regardless of `W` (a `fn` pointer mentioning `W` is still `fn`).
-impl<W> Clone for Payload<W> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<W> Copy for Payload<W> {}
-
-/// A pending event: its execution time, FIFO tie-breaker, and payload.
-struct EventRef<W> {
+/// A pending event in the heap.
+struct Event<W> {
     at: SimTime,
     seq: u64,
+    label: &'static str,
     payload: Payload<W>,
 }
 
-impl<W> Clone for EventRef<W> {
-    fn clone(&self) -> Self {
-        *self
+// Ordered on `(at, seq)` alone, reversed so that the max-heap pops the
+// earliest event first and breaks equal times FIFO. `seq` is unique,
+// so no two pending events compare equal.
+impl<W> Ord for Event<W> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
-impl<W> Copy for EventRef<W> {}
-
-/// Smallest bucket width: 2^6 = 64 ns (one clock tick is 40 ns).
-const MIN_SHIFT: u32 = 6;
-/// Largest bucket width: 2^22 ns ≈ 4.2 ms (covers retransmit timers).
-const MAX_SHIFT: u32 = 22;
-/// Bucket-count bounds (both powers of two).
-const MIN_BUCKETS: usize = 16;
-const MAX_BUCKETS: usize = 4096;
-
-/// The calendar/bucket queue over [`EventRef`]s.
-///
-/// Events hash into `buckets[(at >> shift) & mask]`; a pop scans the
-/// window containing the current clock and returns the strict minimum
-/// of `(at, seq)`, advancing window by window. A full fruitless lap
-/// (the next event is more than a "year" away) falls back to a direct
-/// scan for the global minimum and re-centres the cursor there, so
-/// arbitrarily sparse schedules stay correct.
-struct Calendar<W> {
-    buckets: Vec<Vec<EventRef<W>>>,
-    /// `buckets.len() - 1`; the length is always a power of two.
-    mask: usize,
-    /// Bucket width is `1 << shift` nanoseconds.
-    shift: u32,
-    /// Total pending events.
-    len: usize,
-    /// Index of the bucket whose window contains the clock floor.
-    cur: usize,
-    /// Exclusive upper time bound of `cur`'s current window, in ns
-    /// (u128 so the far-future wrap never overflows).
-    bucket_top: u128,
-    /// Timestamp of the most recent pop — the clock floor. Every
-    /// pending event is at or after this, which is what keeps the
-    /// cursor invariant (`window_start(cur) <= floor`) valid.
-    floor_ns: u64,
-}
-
-impl<W> Calendar<W> {
-    fn new() -> Self {
-        let shift = 12; // 4.1 µs buckets: a good fit for protocol events.
-        Calendar {
-            buckets: vec![Vec::new(); MIN_BUCKETS],
-            mask: MIN_BUCKETS - 1,
-            shift,
-            len: 0,
-            cur: 0,
-            bucket_top: 1 << shift,
-            floor_ns: 0,
-        }
-    }
-
-    fn bucket_of(&self, ns: u64) -> usize {
-        ((ns >> self.shift) as usize) & self.mask
-    }
-
-    fn push(&mut self, ev: EventRef<W>) {
-        // Keep roughly one pending event per bucket, so a full lap
-        // (one calendar "year") covers the whole pending span.
-        if self.len + 1 > self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild(self.buckets.len() * 2);
-        }
-        let idx = self.bucket_of(ev.at.as_ns());
-        self.buckets[idx].push(ev);
-        self.len += 1;
-    }
-
-    /// The bucket width best matching the current pending set: mean
-    /// spacing between pending events, as a power of two, clamped.
-    /// A pure function of the pending set, so callers can compare it
-    /// against `self.shift` without committing to a rebuild.
-    fn ideal_shift(&self) -> u32 {
-        let mut min = u64::MAX;
-        let mut max = 0;
-        let mut n = 0u64;
-        for ev in self.buckets.iter().flatten() {
-            let ns = ev.at.as_ns();
-            min = min.min(ns);
-            max = max.max(ns);
-            n += 1;
-        }
-        if n == 0 {
-            return self.shift;
-        }
-        let target = ((max - min) / n).max(1).next_power_of_two();
-        target.trailing_zeros().clamp(MIN_SHIFT, MAX_SHIFT)
-    }
-
-    /// Redistributes every pending event across `nbuckets` buckets,
-    /// re-deriving the bucket width from the current event spread and
-    /// re-centring the cursor on the clock floor. Deterministic: the
-    /// new layout is a pure function of the pending set and the floor.
-    fn rebuild(&mut self, nbuckets: usize) {
-        self.shift = self.ideal_shift();
-        let all: Vec<EventRef<W>> = self.buckets.iter_mut().flat_map(|b| b.drain(..)).collect();
-        self.buckets = vec![Vec::new(); nbuckets];
-        self.mask = nbuckets - 1;
-        self.cur = self.bucket_of(self.floor_ns);
-        self.bucket_top = ((u128::from(self.floor_ns) >> self.shift) + 1) << self.shift;
-        for ev in all {
-            let idx = self.bucket_of(ev.at.as_ns());
-            self.buckets[idx].push(ev);
-        }
-    }
-
-    /// Removes and returns the pending event with the smallest
-    /// `(at, seq)`, or `None` if the queue is empty or that minimum
-    /// lies strictly beyond `bound`.
-    fn pop(&mut self, bound: Option<SimTime>) -> Option<EventRef<W>> {
-        if self.len == 0 {
-            return None;
-        }
-        // A fruitless lap whose re-derived bucket width differs from
-        // the current one rebuilds and retries once: the pending set
-        // is unchanged, so the second lap's ideal equals its shift.
-        for _attempt in 0..2 {
-            if let Some(found) = self.pop_windowed(bound) {
-                return found;
-            }
-            let ideal = self.ideal_shift();
-            if ideal == self.shift {
-                break;
-            }
-            self.rebuild(self.buckets.len());
-        }
-        self.pop_rescan(bound)
-    }
-
-    /// The fast path: walks windows from the cursor looking for the
-    /// first window holding a qualifying event. Returns `None` after
-    /// a full fruitless lap (outer `Option`); `Some(None)` means a
-    /// minimum was found but lies beyond `bound`.
-    #[allow(clippy::option_option)]
-    fn pop_windowed(&mut self, bound: Option<SimTime>) -> Option<Option<EventRef<W>>> {
-        let width = 1u128 << self.shift;
-        let mut cur = self.cur;
-        let mut top = self.bucket_top;
-        for _ in 0..self.buckets.len() {
-            let bucket = &self.buckets[cur];
-            let mut best: Option<(usize, SimTime, u64)> = None;
-            for (i, ev) in bucket.iter().enumerate() {
-                if u128::from(ev.at.as_ns()) < top
-                    && best.is_none_or(|(_, at, seq)| (ev.at, ev.seq) < (at, seq))
-                {
-                    best = Some((i, ev.at, ev.seq));
-                }
-            }
-            if let Some((i, at, _)) = best {
-                // The first window with a qualifying event holds the
-                // global minimum: earlier windows were exhausted.
-                if bound.is_some_and(|b| at > b) {
-                    return Some(None);
-                }
-                let ev = self.buckets[cur].swap_remove(i);
-                self.cur = cur;
-                self.bucket_top = top;
-                self.floor_ns = ev.at.as_ns();
-                self.len -= 1;
-                return Some(Some(ev));
-            }
-            cur = (cur + 1) & self.mask;
-            top += width;
-        }
-        None
-    }
-
-    /// The slow path after a fruitless lap at the ideal bucket width:
-    /// the next event is beyond one calendar "year" even though the
-    /// width fits the spread. Find the global minimum directly and
-    /// re-centre on it.
-    fn pop_rescan(&mut self, bound: Option<SimTime>) -> Option<EventRef<W>> {
-        let mut best: Option<(usize, usize, SimTime, u64)> = None;
-        for (bi, bucket) in self.buckets.iter().enumerate() {
-            for (i, ev) in bucket.iter().enumerate() {
-                if best.is_none_or(|(_, _, at, seq)| (ev.at, ev.seq) < (at, seq)) {
-                    best = Some((bi, i, ev.at, ev.seq));
-                }
-            }
-        }
-        let (bi, i, at, _) = best.expect("non-empty calendar has a minimum");
-        if bound.is_some_and(|b| at > b) {
-            return None;
-        }
-        let ev = self.buckets[bi].swap_remove(i);
-        let ns = ev.at.as_ns();
-        self.cur = self.bucket_of(ns);
-        self.bucket_top = ((u128::from(ns) >> self.shift) + 1) << self.shift;
-        self.floor_ns = ns;
-        self.len -= 1;
-        Some(ev)
+impl<W> PartialOrd for Event<W> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
+impl<W> PartialEq for Event<W> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl<W> Eq for Event<W> {}
 
-/// One event staged by a handler, merged into the queue after the
-/// handler returns.
-enum Staged<W> {
-    /// A boxed follow-up event.
-    Boxed(SimTime, &'static str, EventFn<W>),
-    /// A raw (function pointer + payload) follow-up event.
-    Raw(SimTime, &'static str, RawEventFn<W>, u64),
-    /// A timer-slot firing.
-    Timer(SimTime, TimerId),
+/// Panics when an event named `label` is scheduled before `now`.
+fn check_future(now: SimTime, at: SimTime, label: &'static str) {
+    assert!(
+        at >= now,
+        "event '{label}' scheduled into the past: {at:?} < now {now:?}"
+    );
 }
 
 /// Staging area handed to event handlers for scheduling follow-up work.
@@ -342,7 +98,7 @@ enum Staged<W> {
 /// in turn, so steady-state event dispatch allocates nothing for it.
 pub struct Scheduler<W> {
     now: SimTime,
-    staged: Vec<Staged<W>>,
+    staged: Vec<(SimTime, &'static str, Payload<W>)>,
 }
 
 impl<W> Scheduler<W> {
@@ -370,8 +126,8 @@ impl<W> Scheduler<W> {
     where
         F: FnOnce(&mut W, &mut Scheduler<W>) + 'static,
     {
-        self.check_future(at, label);
-        self.staged.push(Staged::Boxed(at, label, Box::new(f)));
+        check_future(self.now, at, label);
+        self.staged.push((at, label, Payload::Boxed(Box::new(f))));
     }
 
     /// Stages a raw (allocation-free) event to run `delay` after the
@@ -398,27 +154,8 @@ impl<W> Scheduler<W> {
         f: RawEventFn<W>,
         data: u64,
     ) {
-        self.check_future(at, label);
-        self.staged.push(Staged::Raw(at, label, f, data));
-    }
-
-    /// Stages a firing of the permanent timer slot `id` at the
-    /// absolute time `at` — zero allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time.
-    pub fn arm_timer(&mut self, id: TimerId, at: SimTime) {
-        self.check_future(at, "timer");
-        self.staged.push(Staged::Timer(at, id));
-    }
-
-    fn check_future(&self, at: SimTime, label: &'static str) {
-        assert!(
-            at >= self.now,
-            "event '{label}' scheduled into the past: {at:?} < now {:?}",
-            self.now
-        );
+        check_future(self.now, at, label);
+        self.staged.push((at, label, Payload::Raw(f, data)));
     }
 }
 
@@ -444,11 +181,9 @@ pub struct Sim<W> {
     pub world: W,
     now: SimTime,
     seq: u64,
-    calendar: Calendar<W>,
-    arena: Arena<W>,
-    timers: Vec<(&'static str, RawEventFn<W>, u64)>,
+    queue: BinaryHeap<Event<W>>,
     /// Reused staging buffer lent to each handler's [`Scheduler`].
-    staged_pool: Vec<Staged<W>>,
+    staged_pool: Vec<(SimTime, &'static str, Payload<W>)>,
     executed: u64,
     observer: Option<ObserverFn<W>>,
 }
@@ -461,9 +196,7 @@ impl<W> Sim<W> {
             world,
             now: SimTime::ZERO,
             seq: 0,
-            calendar: Calendar::new(),
-            arena: Arena::new(),
-            timers: Vec::new(),
+            queue: BinaryHeap::new(),
             staged_pool: Vec::new(),
             executed: 0,
             observer: None,
@@ -482,11 +215,6 @@ impl<W> Sim<W> {
         self.observer = Some(obs);
     }
 
-    /// Removes the observer, if any.
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
-    }
-
     /// Current simulation time.
     #[inline]
     #[must_use]
@@ -499,13 +227,6 @@ impl<W> Sim<W> {
     #[must_use]
     pub fn events_executed(&self) -> u64 {
         self.executed
-    }
-
-    /// Number of events currently pending.
-    #[inline]
-    #[must_use]
-    pub fn events_pending(&self) -> usize {
-        self.calendar.len
     }
 
     /// Schedules an event `delay` after the current time.
@@ -525,9 +246,8 @@ impl<W> Sim<W> {
     where
         F: FnOnce(&mut W, &mut Scheduler<W>) + 'static,
     {
-        self.assert_future(at, label);
-        let slot = self.arena.insert(label, Box::new(f));
-        self.push_ref(at, Payload::Boxed(slot));
+        check_future(self.now, at, label);
+        self.push(at, label, Payload::Boxed(Box::new(f)));
     }
 
     /// Schedules a raw (allocation-free) event `delay` after the
@@ -555,89 +275,48 @@ impl<W> Sim<W> {
         f: RawEventFn<W>,
         data: u64,
     ) {
-        self.assert_future(at, label);
-        self.push_ref(at, Payload::Raw(label, f, data));
+        check_future(self.now, at, label);
+        self.push(at, label, Payload::Raw(f, data));
     }
 
-    /// Registers a permanent timer slot: the label, handler, and
-    /// payload are stored once, and every subsequent
-    /// [`Sim::arm_timer`] / [`Scheduler::arm_timer`] enqueues a firing
-    /// with zero allocation.
-    pub fn register_timer(&mut self, label: &'static str, f: RawEventFn<W>, data: u64) -> TimerId {
-        let id = u32::try_from(self.timers.len()).expect("timer slot overflow");
-        self.timers.push((label, f, data));
-        TimerId(id)
-    }
-
-    /// Arms the timer slot `id` to fire at the absolute time `at`.
-    /// Arming the slot for several deadlines fires it once per
-    /// deadline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time.
-    pub fn arm_timer(&mut self, id: TimerId, at: SimTime) {
-        self.assert_future(at, self.timers[id.0 as usize].0);
-        self.push_ref(at, Payload::Timer(id.0));
-    }
-
-    fn assert_future(&self, at: SimTime, label: &'static str) {
-        assert!(
-            at >= self.now,
-            "event '{label}' scheduled into the past: {at:?} < now {:?}",
-            self.now
-        );
-    }
-
+    /// Enqueues an event with the next sequence number.
     #[inline]
-    fn push_ref(&mut self, at: SimTime, payload: Payload<W>) {
-        self.calendar.push(EventRef {
+    fn push(&mut self, at: SimTime, label: &'static str, payload: Payload<W>) {
+        self.queue.push(Event {
             at,
             seq: self.seq,
+            label,
             payload,
         });
         self.seq += 1;
     }
 
-    /// Pops-and-runs one event; shared body of [`Sim::step`] and
-    /// [`Sim::run_until`].
-    fn step_bounded(&mut self, bound: Option<SimTime>) -> bool {
-        let Some(ev) = self.calendar.pop(bound) else {
+    /// Executes the next pending event, if any.
+    ///
+    /// Returns `true` if an event ran, `false` if the queue was empty.
+    pub fn step(&mut self) -> bool {
+        let Some(Event {
+            at, label, payload, ..
+        }) = self.queue.pop()
+        else {
             return false;
         };
-        debug_assert!(ev.at >= self.now, "event violates causality");
-        self.now = ev.at;
+        debug_assert!(at >= self.now, "event violates causality");
+        self.now = at;
         self.executed += 1;
         let mut sched = Scheduler {
-            now: self.now,
+            now: at,
             staged: core::mem::take(&mut self.staged_pool),
         };
-        let label = match ev.payload {
-            Payload::Raw(label, f, data) => {
-                f(&mut self.world, &mut sched, data);
-                label
-            }
-            Payload::Timer(id) => {
-                let (label, f, data) = self.timers[id as usize];
-                f(&mut self.world, &mut sched, data);
-                label
-            }
-            Payload::Boxed(slot) => {
-                let (label, f) = self.arena.take(slot);
-                f(&mut self.world, &mut sched);
-                label
-            }
-        };
+        match payload {
+            Payload::Raw(f, data) => f(&mut self.world, &mut sched, data),
+            Payload::Boxed(f) => f(&mut self.world, &mut sched),
+        }
+        // Staging order is `seq` order: follow-ups keep the FIFO
+        // tie-break in the order the handler scheduled them.
         let mut staged = sched.staged;
-        for st in staged.drain(..) {
-            match st {
-                Staged::Raw(at, label, f, data) => self.push_ref(at, Payload::Raw(label, f, data)),
-                Staged::Boxed(at, label, f) => {
-                    let slot = self.arena.insert(label, f);
-                    self.push_ref(at, Payload::Boxed(slot));
-                }
-                Staged::Timer(at, id) => self.push_ref(at, Payload::Timer(id.0)),
-            }
+        for (at, label, payload) in staged.drain(..) {
+            self.push(at, label, payload);
         }
         self.staged_pool = staged;
         if let Some(obs) = self.observer.as_mut() {
@@ -646,24 +325,9 @@ impl<W> Sim<W> {
         true
     }
 
-    /// Executes the next pending event, if any.
-    ///
-    /// Returns `true` if an event ran, `false` if the queue was empty.
-    pub fn step(&mut self) -> bool {
-        self.step_bounded(None)
-    }
-
     /// Runs until the event queue is empty.
     pub fn run(&mut self) {
         while self.step() {}
-    }
-
-    /// Runs until the queue is empty or the clock passes `deadline`.
-    ///
-    /// Events at exactly `deadline` still execute; the first event
-    /// strictly beyond it is left in the queue.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while self.step_bounded(Some(deadline)) {}
     }
 
     /// Executes pending events while `keep_going` returns `true`,
@@ -741,21 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_deadline_inclusive() {
-        let mut sim = Sim::new(Vec::new());
-        for us in [1u64, 2, 3, 4] {
-            sim.schedule(SimTime::from_us(us), "e", move |w: &mut Vec<u64>, _| {
-                w.push(us)
-            });
-        }
-        sim.run_until(SimTime::from_us(2));
-        assert_eq!(sim.world, vec![1, 2]);
-        assert_eq!(sim.events_pending(), 2);
-        sim.run();
-        assert_eq!(sim.world, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
     fn run_while_predicate() {
         let mut sim = Sim::new(0u32);
         for _ in 0..10 {
@@ -819,10 +468,6 @@ mod tests {
         // The observer runs after each handler, with its effects
         // already applied, in execution order.
         assert_eq!(*seen.borrow(), vec![(1, 1000, "a"), (11, 2000, "b")]);
-        sim.clear_observer();
-        sim.schedule(SimTime::from_us(1), "c", |w: &mut u32, _| *w += 100);
-        sim.run();
-        assert_eq!(seen.borrow().len(), 2, "cleared observer stays silent");
     }
 
     #[test]
@@ -856,55 +501,12 @@ mod tests {
     }
 
     #[test]
-    fn timer_slots_rearm_without_allocation() {
-        fn fire(w: &mut Vec<u64>, s: &mut Scheduler<Vec<u64>>, data: u64) {
-            w.push(s.now().as_ns());
-            let _ = data;
-        }
-        let mut sim = Sim::new(Vec::new());
-        let t = sim.register_timer("tmr", fire, 7);
-        sim.arm_timer(t, SimTime::from_us(1));
-        sim.arm_timer(t, SimTime::from_us(3));
-        sim.run();
-        assert_eq!(sim.world, vec![1_000, 3_000]);
-        // Re-arm after a drain: the slot is permanent.
-        sim.arm_timer(t, SimTime::from_us(9));
-        sim.run();
-        assert_eq!(sim.world, vec![1_000, 3_000, 9_000]);
-    }
-
-    #[test]
-    fn timers_can_be_armed_from_handlers() {
-        struct W {
-            fired: u32,
-            timer: Option<TimerId>,
-        }
-        fn fire(w: &mut W, s: &mut Scheduler<W>, _: u64) {
-            w.fired += 1;
-            if w.fired < 5 {
-                s.arm_timer(w.timer.unwrap(), s.now() + SimTime::from_us(2));
-            }
-        }
-        let mut sim = Sim::new(W {
-            fired: 0,
-            timer: None,
-        });
-        let t = sim.register_timer("tmr", fire, 0);
-        sim.world.timer = Some(t);
-        sim.arm_timer(t, SimTime::from_us(1));
-        sim.run();
-        assert_eq!(sim.world.fired, 5);
-        assert_eq!(sim.now(), SimTime::from_us(9));
-    }
-
-    #[test]
-    fn calendar_handles_far_future_jumps() {
-        // An event many calendar "years" beyond the bucket span forces
-        // the direct-search fallback; order must still hold.
+    fn far_future_events_stay_ordered() {
+        // A follow-up half a second out, staged from a microsecond-scale
+        // event, still runs before a later pre-scheduled event.
         let mut sim = Sim::new(Vec::new());
         sim.schedule_at(SimTime::from_us(1), "near", |w: &mut Vec<u64>, s| {
             w.push(1);
-            // ~0.5 s away: far beyond any bucket lap at µs widths.
             s.schedule_at(SimTime::from_ns(500_000_000), "rto", |w, _| w.push(2));
         });
         sim.schedule_at(
@@ -918,9 +520,9 @@ mod tests {
     }
 
     #[test]
-    fn calendar_grows_under_load_and_stays_ordered() {
-        // Enough same-burst events to trigger several rebuilds, with
-        // deliberately awkward clustering.
+    fn clustered_bursts_stay_ordered() {
+        // Hundreds of events in seven clusters a millisecond apart,
+        // scheduled out of time order.
         let mut sim = Sim::new(Vec::new());
         let mut expect = Vec::new();
         for i in 0..500u64 {
@@ -934,20 +536,5 @@ mod tests {
         // Sort by (time, insertion seq) — the engine's contract.
         expect.sort_by_key(|&(at, i)| (at, i));
         assert_eq!(sim.world, expect);
-    }
-
-    #[test]
-    fn run_until_with_sparse_future_events() {
-        let mut sim = Sim::new(0u32);
-        sim.schedule_at(SimTime::from_ns(1_000_000_000), "late", |w: &mut u32, _| {
-            *w += 1
-        });
-        // Deadline before the only event: nothing runs, event stays.
-        sim.run_until(SimTime::from_us(10));
-        assert_eq!(sim.world, 0);
-        assert_eq!(sim.events_pending(), 1);
-        sim.run_until(SimTime::from_ns(1_000_000_000));
-        assert_eq!(sim.world, 1);
-        assert_eq!(sim.events_pending(), 0);
     }
 }

@@ -19,9 +19,8 @@
 //! This keeps the engine free of interior mutability while still
 //! allowing handlers to schedule arbitrary follow-up work.
 //!
-//! Internally the queue is a calendar/bucket structure over a
-//! slab-allocated event arena with permanent, re-armable timer slots
-//! ([`TimerId`]); see [`engine`] for why determinism is preserved.
+//! The queue is one binary heap on `(time, seq)`, so equal-time events
+//! run in the order they were scheduled; see [`engine`].
 //!
 //! # Examples
 //!
@@ -48,6 +47,6 @@ pub mod rng;
 pub mod time;
 
 pub use cpu::{Cpu, CpuBand, CpuStats};
-pub use engine::{assert_world_send, EventFn, ObserverFn, RawEventFn, Scheduler, Sim, TimerId};
+pub use engine::{assert_world_send, EventFn, ObserverFn, RawEventFn, Scheduler, Sim};
 pub use rng::SimRng;
 pub use time::SimTime;

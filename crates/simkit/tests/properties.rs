@@ -83,38 +83,35 @@ proptest! {
         prop_assert_eq!(cpu.stats().total_busy(), total);
     }
 
-    /// The calendar queue pops the exact total order `(at, seq)` that
-    /// a sorted reference model predicts, across a mix of boxed
-    /// events, raw events, and timer-slot firings — including
-    /// clustered times that force bucket rebuilds and sparse times
-    /// that force the direct-search fallback.
+    /// The queue pops the exact total order `(at, seq)` that a sorted
+    /// reference model predicts, across boxed events and raw events
+    /// under two labels, with dense clustered times mixed with sparse
+    /// far-future ones. The observer sees each event's own time and
+    /// label.
     #[test]
-    fn calendar_queue_matches_reference_order(
+    fn queue_matches_reference_order(
         evs in proptest::collection::vec((0u64..3, 0u64..500_000), 1..300),
     ) {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
         fn raw(w: &mut Vec<usize>, _: &mut simkit::Scheduler<Vec<usize>>, data: u64) {
             w.push(data as usize);
         }
+        const LABELS: [&str; 3] = ["boxed", "raw", "raw-b"];
+        // Mix dense and sparse times: every 7th event lands far out.
+        let time_of = |i: usize, t_ns: u64| {
+            if i % 7 == 3 { t_ns * 4_096 + 300_000_000 } else { t_ns }
+        };
         let mut sim = Sim::new(Vec::<usize>::new());
-        // Timer slots log through the world like everything else; the
-        // slot payload is the schedule index.
-        fn timer_fire(w: &mut Vec<usize>, _: &mut simkit::Scheduler<Vec<usize>>, data: u64) {
-            w.push(data as usize);
-        }
-        for (i, &(kind, t_us)) in evs.iter().enumerate() {
-            // Mix dense and sparse times: every 7th event lands far out.
-            let at = if i % 7 == 3 {
-                SimTime::from_ns(t_us * 4_096 + 300_000_000)
-            } else {
-                SimTime::from_ns(t_us)
-            };
+        let seen: Rc<RefCell<Vec<(u64, &'static str)>>> = Rc::default();
+        let log = Rc::clone(&seen);
+        sim.set_observer(Box::new(move |_, at, label| log.borrow_mut().push((at.as_ns(), label))));
+        for (i, &(kind, t_ns)) in evs.iter().enumerate() {
+            let at = SimTime::from_ns(time_of(i, t_ns));
             match kind {
-                0 => sim.schedule_at(at, "boxed", move |w: &mut Vec<usize>, _| w.push(i)),
-                1 => sim.schedule_raw_at(at, "raw", raw, i as u64),
-                _ => {
-                    let id = sim.register_timer("tmr", timer_fire, i as u64);
-                    sim.arm_timer(id, at);
-                }
+                0 => sim.schedule_at(at, LABELS[0], move |w: &mut Vec<usize>, _| w.push(i)),
+                k => sim.schedule_raw_at(at, LABELS[k as usize], raw, i as u64),
             }
         }
         sim.run();
@@ -122,20 +119,90 @@ proptest! {
         let mut expect: Vec<(u64, usize)> = evs
             .iter()
             .enumerate()
-            .map(|(i, &(_, t_us))| {
-                let at = if i % 7 == 3 {
-                    t_us * 4_096 + 300_000_000
-                } else {
-                    t_us
-                };
-                (at, i)
-            })
+            .map(|(i, &(_, t_ns))| (time_of(i, t_ns), i))
             .collect();
         expect.sort_by_key(|&(at, _)| at);
-        let got: Vec<usize> = sim.world.clone();
-        let want: Vec<usize> = expect.into_iter().map(|(_, i)| i).collect();
-        prop_assert_eq!(got, want);
+        let want: Vec<usize> = expect.iter().map(|&(_, i)| i).collect();
+        prop_assert_eq!(&sim.world, &want);
+        let want_seen: Vec<(u64, &'static str)> = expect
+            .iter()
+            .map(|&(at, i)| (at, LABELS[evs[i].0 as usize]))
+            .collect();
+        prop_assert_eq!(&*seen.borrow(), &want_seen);
         prop_assert_eq!(sim.events_executed(), evs.len() as u64);
+    }
+
+    /// Follow-ups that handlers stage at `now` and later interleave
+    /// with pre-scheduled events at equal times exactly as a naive
+    /// reference queue predicts when it assigns `seq` at merge time,
+    /// in staging order, after the handler returns.
+    #[test]
+    fn staged_followups_take_seq_in_staging_order(
+        plan in proptest::collection::vec(
+            (0u64..6, proptest::collection::vec(0u64..4, 0..4)),
+            1..40,
+        ),
+    ) {
+        // An event id is `parent << 8` for a pre-scheduled event and
+        // `parent << 8 | (k + 1)` for its k-th follow-up.
+        struct W {
+            delays: Vec<Vec<u64>>,
+            log: Vec<u64>,
+        }
+        fn fire(w: &mut W, s: &mut simkit::Scheduler<W>, id: u64) {
+            w.log.push(id);
+            if id & 0xff != 0 {
+                return;
+            }
+            let delays = w.delays[(id >> 8) as usize].clone();
+            for (k, d) in delays.into_iter().enumerate() {
+                let child = id | (k as u64 + 1);
+                // Delays are in 40 ns ticks, so 0 stages at `now` and
+                // the rest collide with pre-scheduled times.
+                let delay = SimTime::from_ns(d * 40);
+                if k % 2 == 0 {
+                    s.schedule_raw(delay, "child", fire, child);
+                } else {
+                    s.schedule(delay, "child-boxed", move |w: &mut W, s| fire(w, s, child));
+                }
+            }
+        }
+        let mut sim = Sim::new(W {
+            delays: plan.iter().map(|(_, d)| d.clone()).collect(),
+            log: Vec::new(),
+        });
+        for (i, &(t, _)) in plan.iter().enumerate() {
+            let id = (i as u64) << 8;
+            if i % 2 == 0 {
+                sim.schedule_raw_at(SimTime::from_ns(t * 40), "pre", fire, id);
+            } else {
+                sim.schedule_at(SimTime::from_ns(t * 40), "pre-boxed", move |w: &mut W, s| {
+                    fire(w, s, id)
+                });
+            }
+        }
+        sim.run();
+
+        // Reference: an unsorted list of `(at, seq, id)`, popped by a
+        // linear scan for the minimum `(at, seq)`.
+        let mut pending: Vec<(u64, u64, u64)> = plan
+            .iter()
+            .enumerate()
+            .map(|(i, &(t, _))| (t * 40, i as u64, (i as u64) << 8))
+            .collect();
+        let mut seq = plan.len() as u64;
+        let mut want = Vec::new();
+        while let Some(pos) = (0..pending.len()).min_by_key(|&p| (pending[p].0, pending[p].1)) {
+            let (at, _, id) = pending.swap_remove(pos);
+            want.push(id);
+            if id & 0xff == 0 {
+                for (k, &d) in plan[(id >> 8) as usize].1.iter().enumerate() {
+                    pending.push((at + d * 40, seq, id | (k as u64 + 1)));
+                    seq += 1;
+                }
+            }
+        }
+        prop_assert_eq!(&sim.world.log, &want);
     }
 
     /// Quantization is idempotent, monotone, and never in the future.

@@ -9,7 +9,7 @@
 //! 1.3 µs" per entry on the DECstation and discusses three remedies:
 //! a **move-to-front** list (so active connections migrate to the
 //! head), the **last-PCB cache** already described, and "a simple
-//! hash table implementation [that] could eliminate the lookup
+//! hash table implementation \[that\] could eliminate the lookup
 //! problem entirely". All three live behind the [`PcbLookup`] trait;
 //! [`PcbTable`] picks the implementation from the configured
 //! [`PcbOrg`] and cache flag.

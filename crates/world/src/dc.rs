@@ -18,7 +18,7 @@
 use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
 use latency_core::nic::{arm_host, atm_receive, AtmDelivery, AtmNic, NicMut};
-use simkit::{Scheduler, Sim, SimTime, TimerId};
+use simkit::{Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
 use tcpip::{Kernel, PcbCounters, PcbKey, SockId};
 
@@ -195,8 +195,6 @@ pub struct DcHost {
     pub conns: Vec<DcConn>,
     /// Earliest scheduled TCP timer event, to avoid duplicates.
     timer_at: Option<SimTime>,
-    /// Permanent engine timer slot for this host's TCP timer.
-    timer: Option<TimerId>,
     /// Fan-out barrier state (measured client hosts of a fan-out
     /// world only).
     pub fanout: Option<FanoutCtl>,
@@ -333,7 +331,6 @@ impl DcWorld {
                 nic,
                 conns: Vec::new(),
                 timer_at: None,
-                timer: None,
                 fanout,
                 pause,
             });
@@ -696,16 +693,11 @@ fn pack(h: usize, c: usize) -> u64 {
     ((h as u64) << 32) | c as u64
 }
 
-/// Builds the simulation over a world: registers each host's
-/// permanent TCP-timer slot and schedules every connection's start
-/// event (servers first, at t = 0, so they are blocked in read before
-/// any client writes; clients per the traffic schedule).
+/// Builds the simulation over a world: schedules every connection's
+/// start event (servers first, at t = 0, so they are blocked in read
+/// before any client writes; clients per the traffic schedule).
 fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
     let mut sim = Sim::new(world);
-    for h in 0..sim.world.hosts.len() {
-        let id = sim.register_timer("dc-tcp-timer", on_timer_raw, h as u64);
-        sim.world.hosts[h].timer = Some(id);
-    }
     let clients = sim.world.topo.clients;
     let measured = sim.world.topo.measured_hosts();
     for h in clients..measured {
@@ -826,9 +818,7 @@ fn flush_dc(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
         let stale = w.hosts[h].timer_at.is_none_or(|t| dl < t || t <= s.now());
         if stale {
             w.hosts[h].timer_at = Some(dl);
-            let at = dl.max(s.now());
-            let id = w.hosts[h].timer.expect("timer slot registered");
-            s.arm_timer(id, at);
+            s.schedule_raw_at(dl.max(s.now()), "dc-tcp-timer", on_timer_raw, h as u64);
         }
     }
 }

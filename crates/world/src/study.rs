@@ -651,7 +651,7 @@ fn tails_grid_from(
 /// the p999 sample floor three times over (4 clients x 250 measured
 /// rounds x 3 reps = 3000 completions — a p99 estimate stable enough
 /// for the amplification ratio to be trusted), plus the `+reno`
-/// headline re-runs ([`arm_cold_reno`]).
+/// headline re-runs (`arm_cold_reno`).
 #[must_use]
 pub fn tails_grid() -> Vec<TailsCell> {
     let mut cells = tails_grid_from(&[1, 4, 16, 64], 4, 250, 2, 3);
@@ -842,7 +842,7 @@ fn hedge_grid_from(
 /// The full `repro hedge` grid: all four scenarios x all five
 /// mitigations at fan-out 16, sized to clear the p999 sample floor
 /// (4 clients x 150 measured rounds x 2 reps = 1200 completions per
-/// cell), plus the `+reno` headline re-runs ([`arm_cold_reno`]).
+/// cell), plus the `+reno` headline re-runs (`arm_cold_reno`).
 #[must_use]
 pub fn hedge_grid() -> Vec<HedgeCell> {
     let mut cells = hedge_grid_from(16, 4, 150, 2, 2);
