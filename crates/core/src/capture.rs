@@ -21,9 +21,9 @@
 //! the comparison refuses to run there rather than report noise.
 
 use simcap::{CapturedFrame, TapPoint};
-use simkit::SimTime;
 use tcpip::{Mark, SpanKind, SpanRecorder};
 
+use crate::breakdown::{iterations, mean};
 use crate::experiment::{Experiment, NetKind, RunResult};
 use crate::world::Host;
 
@@ -202,6 +202,8 @@ impl CapturePlan<'_> {
             crate::experiment::fan_out(&shared),
         );
         result.obs = self.obs;
+        let its = iterations(&w.hosts[0].kernel.spans);
+        (result.tx, result.rx, result.breakdown_iters) = mean(&its);
         let ether = self.exp.net == NetKind::Ether;
         let client_spans = w.hosts[0].kernel.spans.clone();
         let client = HostCapture::drain(&mut w.hosts[0], ether);
@@ -368,35 +370,22 @@ fn has_at(frames: &[CapturedFrame], p: TapPoint, t: u64) -> bool {
 pub fn compare_with_inline(run: &CaptureRun) -> Result<Comparison, String> {
     let rec = &run.client_spans;
     let frames = &run.client.frames;
-    let writes: Vec<SimTime> = rec
-        .marks()
-        .iter()
-        .filter(|(m, _)| *m == Mark::WriteStart)
-        .map(|&(_, t)| t)
-        .collect();
-    let returns: Vec<SimTime> = rec
-        .marks()
-        .iter()
-        .filter(|(m, _)| *m == Mark::ReadReturn)
-        .map(|&(_, t)| t)
-        .collect();
-    let n = writes.len().min(returns.len());
-    if n == 0 {
+    let its = iterations(rec);
+    if its.is_empty() {
         return Err("no measured iterations in the span recorder".into());
     }
 
     // (label, constituent inline spans). The capture hop between two
     // adjacent taps must equal the sum of the inline spans between
-    // the same boundaries; tolerance is one tick per span.
+    // the same boundaries; tolerance is one tick per span. Each
+    // inline span counts within its own side's window.
     struct Def {
         label: &'static str,
-        tx: bool,
         spans: &'static [SpanKind],
     }
     let defs = [
         Def {
             label: "write() → tcp out (user+tcp)",
-            tx: true,
             spans: &[
                 SpanKind::TxUser,
                 SpanKind::TxTcpChecksum,
@@ -406,17 +395,14 @@ pub fn compare_with_inline(run: &CaptureRun) -> Result<Comparison, String> {
         },
         Def {
             label: "tcp out → adapter (ip+driver)",
-            tx: true,
             spans: &[SpanKind::TxIp, SpanKind::TxDriver],
         },
         Def {
             label: "wire → ip queue (rx driver)",
-            tx: false,
             spans: &[SpanKind::RxDriver],
         },
         Def {
             label: "ip queue → tcp in (ipq+ip+tcp)",
-            tx: false,
             spans: &[
                 SpanKind::RxIpq,
                 SpanKind::RxIp,
@@ -426,12 +412,10 @@ pub fn compare_with_inline(run: &CaptureRun) -> Result<Comparison, String> {
         },
         Def {
             label: "tcp in → read() return (wakeup+user)",
-            tx: false,
             spans: &[SpanKind::RxWakeup, SpanKind::RxUser],
         },
         Def {
             label: "round trip (write() → read())",
-            tx: false,
             spans: &[],
         },
     ];
@@ -440,12 +424,8 @@ pub fn compare_with_inline(run: &CaptureRun) -> Result<Comparison, String> {
     let mut max_dev = vec![0i64; defs.len()];
     let mut used = 0usize;
 
-    for i in 0..n {
-        let w = writes[i];
-        let r = returns[i];
-        if r <= w {
-            continue;
-        }
+    for (i, it) in its.iter().enumerate() {
+        let (w, we, r) = (it.write, it.write_end, it.read);
         let wq = w.quantized().as_ns();
         let rq = r.quantized().as_ns();
         if !has_at(frames, TapPoint::SockSend, wq) {
@@ -454,7 +434,6 @@ pub fn compare_with_inline(run: &CaptureRun) -> Result<Comparison, String> {
         if !has_at(frames, TapPoint::SockRecv, rq) {
             return Err(format!("iteration {i}: no SockRecv frame at {rq} ns"));
         }
-        let we = rec.first_mark_after(Mark::WriteEnd, w).unwrap_or(r).min(r);
         let weq = we.quantized().as_ns();
         let n_tx: usize = frames
             .iter()
@@ -472,17 +451,15 @@ pub fn compare_with_inline(run: &CaptureRun) -> Result<Comparison, String> {
         let nic_tx = last_at_or_before(frames, TapPoint::NicDmaTx, weq)
             .filter(|&t| t >= wq)
             .ok_or_else(|| format!("iteration {i}: no NicDmaTx frame in the write window"))?;
-        let Some(t_arr) = rec.last_mark_before(Mark::SegmentArrived, r) else {
-            continue;
-        };
-        if t_arr < w {
+        if it.arrival.is_none() {
             continue;
         }
         // Two arrivals inside one window (e.g. a delayed-ACK timer's
         // pure ACK landing next to the response) break the hop
         // pairing: the tap queries would mix frames of different
-        // segments. The breakdown methodology skips such iterations,
-        // so the comparison does too.
+        // segments, so the comparison skips such iterations. This is
+        // its own rule; the breakdown keeps them, clipped to the last
+        // arrival.
         let arrivals = rec
             .marks()
             .iter()
@@ -508,15 +485,11 @@ pub fn compare_with_inline(run: &CaptureRun) -> Result<Comparison, String> {
             rq as i64 - wq as i64,
         ];
         for (k, def) in defs.iter().enumerate() {
-            let (lo, hi) = if def.tx { (w, we) } else { (t_arr, r) };
             let inline_ns = if def.spans.is_empty() {
                 // Round trip: exactly what `rtts` records.
                 rq as i64 - wq as i64
             } else {
-                def.spans
-                    .iter()
-                    .map(|&s| rec.clipped_total(s, lo, hi).as_ns() as i64)
-                    .sum()
+                def.spans.iter().map(|&s| it.total(s).as_ns() as i64).sum()
             };
             let dev = (caps[k] - inline_ns).abs();
             cap_sum[k] += caps[k];

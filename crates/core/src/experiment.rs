@@ -18,7 +18,7 @@ use tcpip::tcb::TcpStats;
 use tcpip::{ChecksumMode, KernelStats, StackConfig};
 
 use crate::app::{App, Role};
-use crate::breakdown::{compute_breakdowns, RxBreakdown, TxBreakdown};
+use crate::breakdown::{iterations, mean, Iteration, RxBreakdown, TxBreakdown};
 use crate::nic::{arm_host, AtmNic, EtherNic, Nic};
 use crate::stats;
 use crate::world::{run_world, World};
@@ -212,6 +212,9 @@ impl Experiment {
         }
     }
 
+    /// Builds and runs one world. The result's breakdown fields are
+    /// left empty: the caller reduces the client recorder in the
+    /// returned world, pooling repetitions if it runs several.
     pub(crate) fn run_sim_with(
         &self,
         seed: u64,
@@ -228,14 +231,13 @@ impl Experiment {
         let w = sim.world;
         let client = &w.hosts[0];
         let server = &w.hosts[1];
-        let (tx, rx, breakdown_iters) = compute_breakdowns(&client.kernel.spans);
         let (client_nic_stats, server_nic_stats) = (nic_stats(&client.nic), nic_stats(&server.nic));
         let result = RunResult {
             obs: crate::obs::ObsMode::Exact,
             rtts: client.app.stats.rtts.clone(),
-            tx,
-            rx,
-            breakdown_iters,
+            tx: TxBreakdown::default(),
+            rx: RxBreakdown::default(),
+            breakdown_iters: 0,
             verify_failures: client.app.stats.verify_failures + server.app.stats.verify_failures,
             bytes_moved: client.app.stats.bytes + server.app.stats.bytes,
             client_tcp: client
@@ -293,8 +295,9 @@ impl Experiment {
 ///   it or in what order, which is what the sweep runner's
 ///   per-cell-key seeding relies on.
 /// - [`reps`](RunPlan::reps) (default 1) pools the RTT samples across
-///   repetitions and averages the layer breakdowns pairwise, exactly
-///   as the paper's "at least 3 repetitions" methodology did.
+///   repetitions, and the layer breakdowns are one mean over every
+///   kept iteration of every repetition — the paper's "at least 3
+///   repetitions … and took the average".
 /// - [`observer`](RunPlan::observer) arms read-only per-event
 ///   observers (any number; they fire in registration order after
 ///   every executed event of every repetition). Observers never
@@ -350,14 +353,15 @@ impl RunPlan<'_> {
     }
 
     /// Executes the plan: `reps` repetitions starting at `seed`, RTT
-    /// samples pooled and breakdowns averaged.
+    /// samples and breakdown iterations pooled.
     #[must_use]
     pub fn execute(self) -> RunResult {
         assert!(self.reps >= 1, "a plan needs at least one repetition");
         let shared = share_observers(self.observers);
-        let mut acc = run_single(self.exp, self.seed, &shared);
+        let (mut acc, mut its) = run_single(self.exp, self.seed, &shared);
         for rep in 1..self.reps {
-            let r = run_single(self.exp, self.seed.wrapping_add(rep), &shared);
+            let (r, more) = run_single(self.exp, self.seed.wrapping_add(rep), &shared);
+            its.extend(more);
             acc.rtts.extend(r.rtts);
             acc.verify_failures += r.verify_failures;
             acc.bytes_moved += r.bytes_moved;
@@ -367,11 +371,8 @@ impl RunPlan<'_> {
             acc.aborted |= r.aborted;
             acc.mbufs_leaked.0 += r.mbufs_leaked.0;
             acc.mbufs_leaked.1 += r.mbufs_leaked.1;
-            // Breakdowns: average of averages (equal iteration counts).
-            let k = 2.0;
-            acc.tx = avg_tx(&acc.tx, &r.tx, k);
-            acc.rx = avg_rx(&acc.rx, &r.rx, k);
         }
+        (acc.tx, acc.rx, acc.breakdown_iters) = mean(&its);
         acc.obs = self.obs;
         acc
     }
@@ -405,9 +406,15 @@ pub(crate) fn fan_out(shared: &SharedObservers) -> Option<simkit::ObserverFn<Wor
     })
 }
 
-/// One repetition: build, run, tear down, account for leaks.
-fn run_single(exp: &Experiment, seed: u64, shared: &SharedObservers) -> RunResult {
+/// One repetition: build, run, pair the client's iterations, tear
+/// down, account for leaks.
+fn run_single(
+    exp: &Experiment,
+    seed: u64,
+    shared: &SharedObservers,
+) -> (RunResult, Vec<Iteration>) {
     let (mut result, world) = exp.run_sim_with(seed, false, None, fan_out(shared));
+    let its = iterations(&world.hosts[0].kernel.spans);
     let pools = (
         world.hosts[0].kernel.pool.clone(),
         world.hosts[1].kernel.pool.clone(),
@@ -419,36 +426,13 @@ fn run_single(exp: &Experiment, seed: u64, shared: &SharedObservers) -> RunResul
         pools.0.stats().mbufs_outstanding(),
         pools.1.stats().mbufs_outstanding(),
     );
-    result
+    (result, its)
 }
 
 // Sweep workers receive experiments and hand back results across
 // thread boundaries; keep both plain data.
 const _: () = simkit::assert_world_send::<Experiment>();
 const _: () = simkit::assert_world_send::<RunResult>();
-
-fn avg_tx(a: &TxBreakdown, b: &TxBreakdown, _k: f64) -> TxBreakdown {
-    TxBreakdown {
-        user: (a.user + b.user) / 2.0,
-        cksum: (a.cksum + b.cksum) / 2.0,
-        mcopy: (a.mcopy + b.mcopy) / 2.0,
-        segment: (a.segment + b.segment) / 2.0,
-        ip: (a.ip + b.ip) / 2.0,
-        driver: (a.driver + b.driver) / 2.0,
-    }
-}
-
-fn avg_rx(a: &RxBreakdown, b: &RxBreakdown, _k: f64) -> RxBreakdown {
-    RxBreakdown {
-        driver: (a.driver + b.driver) / 2.0,
-        ipq: (a.ipq + b.ipq) / 2.0,
-        ip: (a.ip + b.ip) / 2.0,
-        cksum: (a.cksum + b.cksum) / 2.0,
-        segment: (a.segment + b.segment) / 2.0,
-        wakeup: (a.wakeup + b.wakeup) / 2.0,
-        user: (a.user + b.user) / 2.0,
-    }
-}
 
 /// NIC counters of interest to the fault experiments.
 #[derive(Clone, Copy, Debug, Default)]

@@ -82,6 +82,48 @@ fn reps_pool_sequential_seeds() {
 }
 
 #[test]
+fn reps_pool_breakdowns_over_every_kept_iteration() {
+    // Three repetitions average as one mean over every kept iteration
+    // of every repetition, summed in order — not pairwise, and not
+    // over the first repetition's iteration count. Jittered faults
+    // make the repetitions' breakdowns differ, so weighting shows.
+    let sc = latency_core::recovery::scenario("jitter").expect("jitter scenario exists");
+    let exp = latency_core::recovery::experiment(&sc, 1400, 25);
+    let pooled = exp.plan().seed(4).reps(3).execute();
+    let per_rep: Vec<Vec<(TxBreakdown, RxBreakdown)>> = (4..7)
+        .map(|seed| {
+            let run = exp.plan().seed(seed).captured().execute();
+            latency_core::compute_breakdown_samples(&run.client_spans)
+        })
+        .collect();
+    let means: Vec<f64> = per_rep
+        .iter()
+        .map(|s| {
+            s.iter()
+                .map(|(tx, rx)| tx.total() + rx.total())
+                .sum::<f64>()
+                / s.len() as f64
+        })
+        .collect();
+    assert!(
+        means.windows(2).any(|p| p[0] != p[1]),
+        "the repetitions must differ for the test to bite: {means:?}"
+    );
+    let all: Vec<&(TxBreakdown, RxBreakdown)> = per_rep.iter().flatten().collect();
+    assert_eq!(pooled.breakdown_iters, all.len());
+    let n = all.len() as f64;
+    let mean =
+        |f: fn(&(TxBreakdown, RxBreakdown)) -> f64| all.iter().fold(0.0, |acc, s| acc + f(s)) / n;
+    assert_eq!(pooled.tx.user.to_bits(), mean(|s| s.0.user).to_bits());
+    assert_eq!(pooled.tx.cksum.to_bits(), mean(|s| s.0.cksum).to_bits());
+    assert_eq!(pooled.tx.driver.to_bits(), mean(|s| s.0.driver).to_bits());
+    assert_eq!(pooled.rx.driver.to_bits(), mean(|s| s.1.driver).to_bits());
+    assert_eq!(pooled.rx.ipq.to_bits(), mean(|s| s.1.ipq).to_bits());
+    assert_eq!(pooled.rx.wakeup.to_bits(), mean(|s| s.1.wakeup).to_bits());
+    assert_eq!(pooled.rx.user.to_bits(), mean(|s| s.1.user).to_bits());
+}
+
+#[test]
 fn observers_do_not_perturb_and_fire_in_order() {
     let silent = quick(NetKind::Atm, 500).plan().seed(5).execute();
     let firsts = Rc::new(RefCell::new(Vec::new()));

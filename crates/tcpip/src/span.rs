@@ -75,8 +75,8 @@ pub struct SpanEvent {
 
 /// Collects spans and marks for one host.
 ///
-/// Recording is O(1) per event into growing vectors; the harness
-/// clears the recorder between repetitions.
+/// Recording is O(1) per event into growing vectors; every
+/// repetition builds a fresh world, and with it a fresh recorder.
 #[derive(Clone, Debug, Default)]
 pub struct SpanRecorder {
     spans: Vec<SpanEvent>,
@@ -118,50 +118,6 @@ impl SpanRecorder {
     pub fn marks(&self) -> &[(Mark, SimTime)] {
         &self.marks
     }
-
-    /// Clears everything.
-    pub fn clear(&mut self) {
-        self.spans.clear();
-        self.marks.clear();
-    }
-
-    /// Sum of span time of `kind` within the window `[from, to]`,
-    /// clipping intervals at the window edges — the paper's "only the
-    /// portion that actually contributes" rule.
-    #[must_use]
-    pub fn clipped_total(&self, kind: SpanKind, from: SimTime, to: SimTime) -> SimTime {
-        let mut total = SimTime::ZERO;
-        for s in &self.spans {
-            if s.kind != kind {
-                continue;
-            }
-            let lo = s.start.max(from);
-            let hi = s.end.min(to);
-            if hi > lo {
-                total += hi - lo;
-            }
-        }
-        total
-    }
-
-    /// Last occurrence of a mark at or before `at`.
-    #[must_use]
-    pub fn last_mark_before(&self, mark: Mark, at: SimTime) -> Option<SimTime> {
-        self.marks
-            .iter()
-            .filter(|(m, t)| *m == mark && *t <= at)
-            .map(|&(_, t)| t)
-            .next_back()
-    }
-
-    /// First occurrence of a mark at or after `at`.
-    #[must_use]
-    pub fn first_mark_after(&self, mark: Mark, at: SimTime) -> Option<SimTime> {
-        self.marks
-            .iter()
-            .find(|(m, t)| *m == mark && *t >= at)
-            .map(|&(_, t)| t)
-    }
 }
 
 #[cfg(test)]
@@ -177,50 +133,6 @@ mod tests {
         let mut r = SpanRecorder::new();
         r.span(SpanKind::TxUser, us(0), us(5));
         r.mark(Mark::WriteStart, us(0));
-        assert!(r.spans().is_empty());
-        assert!(r.marks().is_empty());
-    }
-
-    #[test]
-    fn clipping_at_window_edges() {
-        let mut r = SpanRecorder::new();
-        r.enabled = true;
-        r.span(SpanKind::RxDriver, us(0), us(10));
-        r.span(SpanKind::RxDriver, us(20), us(30));
-        r.span(SpanKind::RxIp, us(12), us(14));
-        // Window [5, 25]: first span contributes 5, second 5, RxIp 2.
-        assert_eq!(r.clipped_total(SpanKind::RxDriver, us(5), us(25)), us(10));
-        assert_eq!(r.clipped_total(SpanKind::RxIp, us(5), us(25)), us(2));
-        // Window entirely before a span contributes zero.
-        assert_eq!(r.clipped_total(SpanKind::RxIp, us(0), us(10)), us(0));
-    }
-
-    #[test]
-    fn mark_queries() {
-        let mut r = SpanRecorder::new();
-        r.enabled = true;
-        r.mark(Mark::SegmentArrived, us(10));
-        r.mark(Mark::SegmentArrived, us(20));
-        r.mark(Mark::ReadReturn, us(30));
-        assert_eq!(
-            r.last_mark_before(Mark::SegmentArrived, us(25)),
-            Some(us(20))
-        );
-        assert_eq!(
-            r.last_mark_before(Mark::SegmentArrived, us(15)),
-            Some(us(10))
-        );
-        assert_eq!(r.first_mark_after(Mark::ReadReturn, us(15)), Some(us(30)));
-        assert_eq!(r.first_mark_after(Mark::WriteStart, us(0)), None);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut r = SpanRecorder::new();
-        r.enabled = true;
-        r.span(SpanKind::TxIp, us(0), us(1));
-        r.mark(Mark::WriteStart, us(0));
-        r.clear();
         assert!(r.spans().is_empty());
         assert!(r.marks().is_empty());
     }
