@@ -1248,64 +1248,66 @@ fn cmd_invariants(opts: &Opts) -> i32 {
         )
     });
     let mut failures = 0usize;
-    // Oracle scope guard: the analytic model must refuse multi-host
-    // worlds with a typed error, never extrapolate the two-host fiber
-    // path to a shared switch.
-    match oracle::predict_dc(&world::Topology::incast(32, 16, 4)) {
-        Err(oracle::PredictError::MultiHostWorld { hosts }) => {
-            eprintln!(
-                "invariants: oracle scope guard: clean (refused the {hosts}-host world with a typed error)"
-            );
-        }
-        Err(e) => {
-            failures += 1;
-            eprintln!("invariants: oracle scope guard: wrong error: {e}");
-        }
-        Ok(_) => {
-            failures += 1;
-            eprintln!("invariants: oracle scope guard: a multi-host world was accepted");
-        }
-    }
-    // Mitigation-enabled worlds get the most specific refusal of all:
-    // the tail-tolerance control layer (hedge races, retry budgets,
+    // Oracle scope guards: the analytic model must refuse each world
+    // it cannot price with a typed error, never extrapolate the
+    // two-host fiber path to it. Multi-host worlds share a switch.
+    // Mitigated worlds get the most specific refusal of all: the
+    // tail-tolerance control layer (hedge races, retry budgets,
     // deadlines) shapes completion before topology even matters.
-    {
-        let mut topo = world::Topology::fanout(4, 16);
-        topo.tail = world::mitigation_policy(latency_core::hedge::Mitigation::Hedge, 16);
+    // Fan-out worlds complete at the max over N coupled sub-requests
+    // (an order statistic), wrong for the per-connection orbit
+    // regardless of host count.
+    let mut mitigated = world::Topology::fanout(4, 16);
+    mitigated.tail = world::mitigation_policy(latency_core::hedge::Mitigation::Hedge, 16);
+    type Expect = fn(&oracle::PredictError) -> Option<String>;
+    let guards: [(&str, &str, world::Topology, Expect); 3] = [
+        (
+            "oracle scope guard",
+            "multi-host",
+            world::Topology::incast(32, 16, 4),
+            |e| match e {
+                oracle::PredictError::MultiHostWorld { hosts } => {
+                    Some(format!("the {hosts}-host world"))
+                }
+                _ => None,
+            },
+        ),
+        (
+            "oracle mitigation scope guard",
+            "mitigated",
+            mitigated,
+            |e| {
+                matches!(e, oracle::PredictError::MitigatedWorld { .. })
+                    .then(|| "the tail-mitigated world".to_string())
+            },
+        ),
+        (
+            "oracle fan-out scope guard",
+            "fan-out",
+            world::Topology::fanout(4, 16),
+            |e| match e {
+                oracle::PredictError::FanoutWorld { width } => {
+                    Some(format!("the width-{width} fan-out world"))
+                }
+                _ => None,
+            },
+        ),
+    ];
+    for (guard, kind, topo, expect) in guards {
         match oracle::predict_dc(&topo) {
-            Err(oracle::PredictError::MitigatedWorld { .. }) => {
-                eprintln!(
-                    "invariants: oracle scope guard: clean (refused the tail-mitigated world with a typed error)"
-                );
-            }
-            Err(e) => {
-                failures += 1;
-                eprintln!("invariants: oracle mitigation scope guard: wrong error: {e}");
-            }
+            Err(e) => match expect(&e) {
+                Some(world) => eprintln!(
+                    "invariants: oracle scope guard: clean (refused {world} with a typed error)"
+                ),
+                None => {
+                    failures += 1;
+                    eprintln!("invariants: {guard}: wrong error: {e}");
+                }
+            },
             Ok(_) => {
                 failures += 1;
-                eprintln!(
-                    "invariants: oracle mitigation scope guard: a mitigated world was accepted"
-                );
+                eprintln!("invariants: {guard}: a {kind} world was accepted");
             }
-        }
-    }
-    // Fan-out worlds get the more specific refusal: completion is the
-    // max over N coupled sub-requests (an order statistic), wrong for
-    // the per-connection orbit regardless of host count.
-    match oracle::predict_dc(&world::Topology::fanout(4, 16)) {
-        Err(oracle::PredictError::FanoutWorld { width }) => {
-            eprintln!(
-                "invariants: oracle scope guard: clean (refused the width-{width} fan-out world with a typed error)"
-            );
-        }
-        Err(e) => {
-            failures += 1;
-            eprintln!("invariants: oracle fan-out scope guard: wrong error: {e}");
-        }
-        Ok(_) => {
-            failures += 1;
-            eprintln!("invariants: oracle fan-out scope guard: a fan-out world was accepted");
         }
     }
     let mut rows: Vec<String> = Vec::new();

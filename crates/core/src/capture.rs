@@ -138,7 +138,6 @@ impl<'a> crate::experiment::RunPlan<'a> {
         CapturePlan {
             exp: self.exp,
             seed: self.seed,
-            obs: self.obs,
             flight: None,
             observers: self.observers,
         }
@@ -150,7 +149,6 @@ impl<'a> crate::experiment::RunPlan<'a> {
 pub struct CapturePlan<'a> {
     exp: &'a Experiment,
     seed: u64,
-    obs: crate::obs::ObsMode,
     flight: Option<usize>,
     observers: Vec<simkit::ObserverFn<crate::world::World>>,
 }
@@ -175,14 +173,6 @@ impl CapturePlan<'_> {
         self
     }
 
-    /// Sets the observability mode for the result's RTT samples (see
-    /// [`RunPlan::observe`](crate::experiment::RunPlan::observe)).
-    #[must_use]
-    pub fn observe(mut self, mode: crate::obs::ObsMode) -> Self {
-        self.obs = mode;
-        self
-    }
-
     /// Arms a read-only per-event observer (see
     /// [`RunPlan::observer`](crate::experiment::RunPlan::observer)).
     #[must_use]
@@ -201,7 +191,6 @@ impl CapturePlan<'_> {
             self.flight,
             crate::experiment::fan_out(&shared),
         );
-        result.obs = self.obs;
         let its = iterations(&w.hosts[0].kernel.spans);
         (result.tx, result.rx, result.breakdown_iters) = mean(&its);
         let ether = self.exp.net == NetKind::Ether;

@@ -207,7 +207,6 @@ impl Experiment {
             exp: self,
             seed: 1,
             reps: 1,
-            obs: crate::obs::ObsMode::Exact,
             observers: Vec::new(),
         }
     }
@@ -233,7 +232,6 @@ impl Experiment {
         let server = &w.hosts[1];
         let (client_nic_stats, server_nic_stats) = (nic_stats(&client.nic), nic_stats(&server.nic));
         let result = RunResult {
-            obs: crate::obs::ObsMode::Exact,
             rtts: client.app.stats.rtts.clone(),
             tx: TxBreakdown::default(),
             rx: RxBreakdown::default(),
@@ -312,7 +310,6 @@ pub struct RunPlan<'a> {
     pub(crate) exp: &'a Experiment,
     pub(crate) seed: u64,
     pub(crate) reps: u64,
-    pub(crate) obs: crate::obs::ObsMode,
     pub(crate) observers: Vec<simkit::ObserverFn<World>>,
 }
 
@@ -329,18 +326,6 @@ impl RunPlan<'_> {
     #[must_use]
     pub fn reps(mut self, reps: u64) -> Self {
         self.reps = reps;
-        self
-    }
-
-    /// Sets the observability mode for the pooled RTT samples
-    /// (default [`crate::obs::ObsMode::Exact`]). The mode selects what
-    /// [`RunResult::samples`] and [`RunResult::recorder`] retain:
-    /// exact keeps every sample (the historical numbers, byte for
-    /// byte), sketch answers quantiles from a bounded
-    /// [`simcap::QuantileSketch`].
-    #[must_use]
-    pub fn observe(mut self, mode: crate::obs::ObsMode) -> Self {
-        self.obs = mode;
         self
     }
 
@@ -373,7 +358,6 @@ impl RunPlan<'_> {
             acc.mbufs_leaked.1 += r.mbufs_leaked.1;
         }
         (acc.tx, acc.rx, acc.breakdown_iters) = mean(&its);
-        acc.obs = self.obs;
         acc
     }
 }
@@ -520,9 +504,6 @@ pub struct RunResult {
     pub events: u64,
     /// Final simulation time.
     pub sim_time: SimTime,
-    /// The observability mode the plan ran under (what
-    /// [`RunResult::samples`] retains).
-    pub obs: crate::obs::ObsMode,
 }
 
 impl RunResult {
@@ -530,22 +511,6 @@ impl RunResult {
     #[must_use]
     pub fn mean_rtt_us(&self) -> f64 {
         stats::mean_us(&self.rtts)
-    }
-
-    /// The pooled RTT samples in the plan's observability mode (see
-    /// [`RunPlan::observe`]).
-    #[must_use]
-    pub fn samples(&self) -> crate::obs::Samples {
-        let mut s = crate::obs::Samples::new(self.obs);
-        s.extend_from(&self.rtts);
-        s
-    }
-
-    /// A unified [`simcap::Recorder`] over the pooled RTTs, in the
-    /// plan's observability mode.
-    #[must_use]
-    pub fn recorder(&self) -> simcap::Recorder {
-        self.samples().recorder()
     }
 
     /// RTT standard deviation in microseconds.

@@ -226,9 +226,7 @@ pub fn predict(exp: &Experiment) -> Result<Prediction, PredictError> {
 /// two-host world.
 pub fn predict_dc(topo: &world::Topology) -> Result<Prediction, PredictError> {
     if topo.mitigated() {
-        let policy = topo
-            .tail
-            .map_or_else(|| "tail policy".to_string(), |t| format!("{t:?}"));
+        let policy = format!("{:?}", topo.tail);
         return Err(PredictError::MitigatedWorld { policy });
     }
     if topo.fanout_width > 0 {
@@ -1588,10 +1586,10 @@ mod tests {
     #[test]
     fn mitigated_worlds_are_refused_before_the_fanout_check() {
         let mut topo = world::Topology::fanout(4, 16);
-        topo.tail = Some(world::TailPolicy {
+        topo.tail = world::TailPolicy {
             deadline: Some(simkit::SimTime::from_ms(10)),
             ..world::TailPolicy::default()
-        });
+        };
         match predict_dc(&topo) {
             Err(PredictError::MitigatedWorld { policy }) => {
                 assert!(policy.contains("deadline"), "{policy}");
@@ -1600,9 +1598,9 @@ mod tests {
         }
         let msg = predict_dc(&topo).unwrap_err().to_string();
         assert!(msg.contains("tail-tolerant"), "{msg}");
-        // A no-op policy normalizes away: the refusal falls through to
-        // the fan-out check, exactly like the classic world.
-        topo.tail = Some(world::TailPolicy::default());
+        // The default (wait-for-all) policy arms nothing: the refusal
+        // falls through to the fan-out check.
+        topo.tail = world::TailPolicy::default();
         assert!(matches!(
             predict_dc(&topo),
             Err(PredictError::FanoutWorld { width: 16 })
@@ -1643,10 +1641,10 @@ mod tests {
         // The mitigation refusal still wins over the cwnd one.
         let mut topo = world::Topology::fanout(4, 16);
         topo.stack.initial_cwnd_segs = Some(2);
-        topo.tail = Some(world::TailPolicy {
+        topo.tail = world::TailPolicy {
             deadline: Some(simkit::SimTime::from_ms(10)),
             ..world::TailPolicy::default()
-        });
+        };
         assert!(matches!(
             predict_dc(&topo),
             Err(PredictError::MitigatedWorld { .. })

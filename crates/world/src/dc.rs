@@ -17,6 +17,7 @@
 
 use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
+use latency_core::hedge::MitigationCost;
 use latency_core::nic::{arm_host, atm_receive, AtmDelivery, AtmNic, NicMut};
 use simkit::{Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
@@ -95,22 +96,22 @@ pub struct DcConn {
     last_arrival: SimTime,
     /// Messages fully written on this connection (client side): the
     /// payload-pattern index of the next outgoing message. Equal to
-    /// `done_count` on classic paths; diverges under application
-    /// retries, which reissue a round's request on the same stream.
+    /// `done_count` until application retries reissue a round's
+    /// request on the same stream.
     sent: u64,
     /// Full messages read back (client side): the pattern index the
     /// next incoming echo must verify against.
     rcvd: u64,
     /// Copies of the current round's request written on this stream
-    /// (initial send + retries); mitigated fan-out only.
+    /// (initial send + retries); fan-out only.
     round_sent: u32,
-    /// Echoes of the current round received so far; mitigated fan-out
-    /// only. A connection parks at the barrier only once
+    /// Echoes of the current round received so far; fan-out only. A
+    /// connection parks at the barrier only once
     /// `round_rcvd == round_sent`, draining late retry echoes first.
     round_rcvd: u32,
 }
 
-/// Typed outcome of one logical fan-out request (mitigated worlds).
+/// Typed outcome of one logical fan-out request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RequestOutcome {
     /// The request completed within its deadline (or no deadline was
@@ -122,15 +123,15 @@ pub enum RequestOutcome {
     DeadlineExceeded,
 }
 
-/// Fan-out/wait-for-all bookkeeping for one client host: the host's
-/// `width` connections each carry one sub-request per round, and the
-/// logical request completes when the slowest reply lands.
+/// Fan-out bookkeeping for one client host: the host's `width`
+/// connections each carry one sub-request per round.
 ///
-/// With a [`TailPolicy`] armed the barrier turns into a tail-tolerant
-/// control loop: each of the `width` *slots* resolves at its first
-/// reply (primary or hedged replica), the logical completion is the
-/// K-th smallest slot time capped by the deadline, and late copies
-/// drain through the barrier without being re-measured.
+/// Each of the `width` *slots* resolves at its first reply (primary or
+/// hedged replica), and the logical completion is the K-th smallest
+/// slot time capped by the [`TailPolicy`] deadline; late copies drain
+/// through the barrier without being re-measured. The default policy
+/// is wait-for-all: K = width and no deadline, so the completion is
+/// the slowest reply.
 pub struct FanoutCtl {
     /// Fan-out width (== the host's primary connection count).
     pub width: usize,
@@ -139,25 +140,17 @@ pub struct FanoutCtl {
     pending: usize,
     /// Completed barrier rounds.
     round: u64,
-    /// Slowest sub-request RTT seen in the current round.
-    round_max: SimTime,
-    /// Per-round completion times, recorded after warm-up: the max
-    /// over the round's sub-request RTTs (wait-for-all), or the
-    /// policy's K-th smallest capped by the deadline (mitigated).
+    /// Per-round completion times, recorded after warm-up: the
+    /// policy's K-th smallest slot time capped by the deadline.
     pub completions: Vec<SimTime>,
     /// Set when the retransmit limit killed one of the host's
     /// sub-request connections: the remaining rounds can never
     /// complete, so the whole fan-out host aborts.
     pub aborted: bool,
-    /// The tail-tolerance policy, normalized: `None` when the
-    /// topology carries no policy *or* an all-default one, so a no-op
-    /// policy runs the classic wait-for-all path event-for-event.
-    tail: Option<TailPolicy>,
-    /// First-reply time of each slot this round (`width` entries in
-    /// mitigated mode, empty otherwise).
+    /// The tail-tolerance policy.
+    tail: TailPolicy,
+    /// First-reply time of each of the `width` slots this round.
     slot_rtt: Vec<Option<SimTime>>,
-    /// When the current round was released.
-    round_start: SimTime,
     /// Retry tokens left in the per-client budget bucket.
     tokens: u32,
     /// The slot hedged this round, if the hedge trigger fired.
@@ -167,21 +160,9 @@ pub struct FanoutCtl {
     p95: simcap::Recorder,
     /// Typed per-request outcomes, parallel to `completions`.
     pub outcomes: Vec<RequestOutcome>,
-    /// Hedged requests issued.
-    pub hedges_issued: u64,
-    /// Hedges whose replica reply resolved the slot first.
-    pub hedges_won: u64,
-    /// Hedges beaten by their own primary — pure extra load.
-    pub hedges_wasted: u64,
-    /// Application-level retries written.
-    pub retries_issued: u64,
-    /// Retries suppressed by an empty budget bucket.
-    pub budget_exhausted: u64,
-    /// Rounds that recorded `DeadlineExceeded`.
-    pub deadline_exceeded: u64,
-    /// Sub-request results discarded as stragglers (slots slower than
-    /// the recorded completion: beyond the quorum or the deadline).
-    pub cancelled: u64,
+    /// The policy's cost counters over the whole run, warm-up
+    /// included.
+    pub cost: MitigationCost,
 }
 
 /// One simulated host.
@@ -297,34 +278,19 @@ impl DcWorld {
                 }
                 _ => None,
             };
-            // A no-op policy normalizes to None: the classic
-            // wait-for-all path runs event-for-event.
-            let tail = topo.tail.filter(|t| !t.is_noop());
             let fanout = (topo.fanout_width > 0 && h < topo.clients).then(|| FanoutCtl {
                 width: topo.fanout_width,
                 pending: topo.fanout_width,
                 round: 0,
-                round_max: SimTime::ZERO,
                 completions: Vec::new(),
                 aborted: false,
-                tail,
-                slot_rtt: if tail.is_some() {
-                    vec![None; topo.fanout_width]
-                } else {
-                    Vec::new()
-                },
-                round_start: SimTime::ZERO,
-                tokens: tail.and_then(|t| t.retry).map_or(0, |r| r.budget),
+                tail: topo.tail,
+                slot_rtt: vec![None; topo.fanout_width],
+                tokens: topo.tail.retry.map_or(0, |r| r.budget),
                 hedged_slot: None,
                 p95: simcap::Recorder::upper_only(),
                 outcomes: Vec::new(),
-                hedges_issued: 0,
-                hedges_won: 0,
-                hedges_wasted: 0,
-                retries_issued: 0,
-                budget_exhausted: 0,
-                deadline_exceeded: 0,
-                cancelled: 0,
+                cost: MitigationCost::default(),
             });
             hosts.push(DcHost {
                 kernel,
@@ -400,8 +366,8 @@ impl DcWorld {
                 let conn_s = hosts[srv].conns.len();
                 // Replica connections of a hedged fan-out client park
                 // idle until a hedge trigger activates them.
-                let replica =
-                    !background && topo.replicated() && c < topo.clients && j >= topo.fanout_width;
+                let fanout_client = !background && topo.fanout_width > 0 && c < topo.clients;
+                let replica = fanout_client && j >= topo.fanout_width;
                 hosts[c].conns.push(DcConn {
                     sock: sock_c,
                     client: true,
@@ -426,7 +392,9 @@ impl DcWorld {
                     last_arrival: SimTime::ZERO,
                     sent: 0,
                     rcvd: 0,
-                    round_sent: 0,
+                    // Round one's request is on its way from the start;
+                    // `arm_round` resets this for every later round.
+                    round_sent: u32::from(fanout_client && !replica),
                     round_rcvd: 0,
                 });
                 hosts[srv].conns.push(DcConn {
@@ -497,9 +465,10 @@ pub struct DcRunResult {
     pub verify_failures: u64,
     /// Connections that aborted (retransmit limit, under faults).
     pub aborted_conns: u64,
-    /// Fan-out worlds: per-logical-request completion times (the max
-    /// over each round's sub-request RTTs), pooled in client-host
-    /// order. Empty in classic incast mode.
+    /// Fan-out worlds: per-logical-request completion times (the tail
+    /// policy's K-th smallest sub-request RTT capped by its deadline;
+    /// the max under wait-for-all), pooled in client-host order.
+    /// Empty in incast worlds.
     pub completions: Vec<SimTime>,
     /// Fan-out client hosts whose rounds were cut short by an abort.
     pub fanout_aborts: u64,
@@ -533,20 +502,8 @@ pub struct DcRunResult {
     /// host pool — covers cancelled and hedged sub-requests too, whose
     /// connections must release their buffers like any other.
     pub mbufs_leaked: u64,
-    /// Hedged requests issued across every fan-out client.
-    pub hedges_issued: u64,
-    /// Hedges whose replica reply won the slot.
-    pub hedges_won: u64,
-    /// Hedges beaten by their own primary.
-    pub hedges_wasted: u64,
-    /// Application-level retries written.
-    pub retries_issued: u64,
-    /// Retries suppressed by an empty budget bucket.
-    pub budget_exhausted: u64,
-    /// Logical requests that recorded `DeadlineExceeded`.
-    pub deadline_exceeded: u64,
-    /// Sub-request results discarded as stragglers.
-    pub cancelled: u64,
+    /// Tail-policy cost counters summed over every fan-out client.
+    pub cost: MitigationCost,
 }
 
 impl DcRunResult {
@@ -588,9 +545,7 @@ pub fn run_dc(topo: &Topology, sched: TrafficSchedule, seed: u64) -> DcRunResult
     let mut aborted_conns = 0;
     let mut completions = Vec::new();
     let mut fanout_aborts = 0;
-    let (mut hedges_issued, mut hedges_won, mut hedges_wasted) = (0, 0, 0);
-    let (mut retries_issued, mut budget_exhausted) = (0, 0);
-    let (mut deadline_exceeded, mut cancelled) = (0, 0);
+    let mut cost = MitigationCost::default();
     for host in &w.hosts {
         for conn in &host.conns {
             rtts.extend_from_slice(&conn.rtts);
@@ -600,13 +555,7 @@ pub fn run_dc(topo: &Topology, sched: TrafficSchedule, seed: u64) -> DcRunResult
         if let Some(ctl) = &host.fanout {
             completions.extend_from_slice(&ctl.completions);
             fanout_aborts += u64::from(ctl.aborted);
-            hedges_issued += ctl.hedges_issued;
-            hedges_won += ctl.hedges_won;
-            hedges_wasted += ctl.hedges_wasted;
-            retries_issued += ctl.retries_issued;
-            budget_exhausted += ctl.budget_exhausted;
-            deadline_exceeded += ctl.deadline_exceeded;
-            cancelled += ctl.cancelled;
+            cost += ctl.cost;
         }
     }
     let clients = w.topo.clients;
@@ -640,13 +589,7 @@ pub fn run_dc(topo: &Topology, sched: TrafficSchedule, seed: u64) -> DcRunResult
         rexmits,
         rto_fires,
         mbufs_leaked: 0,
-        hedges_issued,
-        hedges_won,
-        hedges_wasted,
-        retries_issued,
-        budget_exhausted,
-        deadline_exceeded,
-        cancelled,
+        cost,
     };
     // Teardown frees every chain still held by sockets, queues and
     // adapters — including the connections of cancelled or hedged
@@ -707,13 +650,12 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
     }
     let sched = sim.world.sched;
     let fanout = sim.world.topo.fanout_width > 0;
+    let mitigated = fanout && sim.world.topo.mitigated();
     for h in 0..clients {
-        // A mitigated fan-out host re-arms its control events (hedge
-        // trigger, retry timers, token refill) at each round start.
-        let mitigated = sim.world.hosts[h]
-            .fanout
-            .as_ref()
-            .is_some_and(|f| f.tail.is_some());
+        // A fan-out host whose policy arms a lever schedules round
+        // one's control events (hedge trigger, retry timers) at its
+        // traffic slot; every later round re-arms at its release.
+        // Wait-for-all arms nothing, so it schedules no event here.
         if mitigated {
             sim.schedule_raw(
                 sched.start_of(h, 0),
@@ -958,10 +900,9 @@ fn abort_fanout_host(w: &mut DcWorld, ch: usize) {
 /// loop of the two-host world's app, per connection.
 fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
     let mut now = s.now();
-    // A mitigated fan-out host's round lifecycle is owned by its
-    // control layer (release/record/finish), not by per-connection
-    // done-counts — retries make done_count exceed the round index.
-    let ctl_managed = w.hosts[h].fanout.as_ref().is_some_and(|f| f.tail.is_some());
+    // A fan-out host's round lifecycle (release, record, finish) is
+    // owned by `fanout_reply`, not by this connection's echo.
+    let fanout_host = w.hosts[h].fanout.is_some();
     loop {
         let state = w.hosts[h].conns[c].state;
         match state {
@@ -970,15 +911,13 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                 let host = &mut w.hosts[h];
                 let conn = &mut host.conns[c];
                 let size = conn.size;
-                if conn.client && !ctl_managed && conn.done_count >= conn.total {
+                if conn.client && conn.done_count >= conn.total {
                     finish_client(w, h, c);
                     break;
                 }
                 let data = if conn.client {
-                    // `sent` equals `done_count` on classic paths and
-                    // indexes past any retried copies on mitigated
-                    // ones, so every message on the stream carries a
-                    // distinct pattern.
+                    // `sent` indexes past any retried copies, so every
+                    // message on the stream carries a distinct pattern.
                     dc_pattern(size, conn.sent, conn.ident)
                 } else {
                     // The server echoes what it received.
@@ -1009,12 +948,6 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                     conn.sent += 1;
                 } else {
                     conn.done_count += 1;
-                }
-                // Mitigated clients clear per-echo in the control
-                // layer instead: a retry write can interleave with a
-                // partially-assembled echo, which must survive the
-                // write.
-                if !(ctl_managed && conn.client) {
                     conn.got.clear();
                 }
                 conn.state = ConnState::WantRead;
@@ -1060,6 +993,10 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                     conn.state = ConnState::WantWrite(0);
                     continue;
                 }
+                // A client's buffer holds one echo at a time. It is
+                // cleared here, not at the next write: a retry copy
+                // may be written while a partial echo is assembling.
+                conn.got.clear();
                 conn.rcvd += 1;
                 // Fan-out sub-requests end when the reply *lands* (the
                 // last train from the peer server); everyone else ends
@@ -1068,17 +1005,10 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                 // processing of N near-simultaneous replies out of the
                 // measured completion — it delays the next round, not
                 // this one's slowest-reply arrival.
-                let landed = conn.last_arrival;
-                let is_fanout = landed > SimTime::ZERO && !conn.background;
-                let end = if is_fanout { landed } else { now };
+                let end = if fanout_host { conn.last_arrival } else { now };
                 let rtt = end.quantized().saturating_since(conn.t_start);
-                if ctl_managed {
-                    // Tail-tolerant round: the control layer decides
-                    // what this echo means (first reply, retry
-                    // duplicate, hedge outcome) and owns the round
-                    // release / host finish.
-                    conn.round_rcvd += 1;
-                    if fanout_reply_tail(w, s, h, c, rtt, end, now) {
+                if fanout_host {
+                    if fanout_reply(w, s, h, c, rtt, end, now) {
                         continue;
                     }
                     break;
@@ -1090,12 +1020,6 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                 conn.state = ConnState::WantWrite(0);
                 let think = conn.think;
                 let rounds = conn.done_count;
-                if w.hosts[h].fanout.is_some() {
-                    // The sub-request is done; the logical request is
-                    // done when the host's slowest one is.
-                    fanout_reply(w, s, h, c, rtt, now);
-                    break;
-                }
                 if think > SimTime::ZERO {
                     // Churn pacing: idle before the next round, drawn
                     // uniformly from [think, 2*think). A fixed period
@@ -1115,66 +1039,19 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
     }
 }
 
-/// A fan-out sub-request's reply landed on client host `h`: update
-/// the wait-for-all barrier. The last reply of a round records the
-/// logical completion (the round's slowest sub-request RTT) and
-/// either releases every connection into the next round or, after the
-/// final round, finishes the host.
-fn fanout_reply(
-    w: &mut DcWorld,
-    s: &mut Scheduler<DcWorld>,
-    h: usize,
-    c: usize,
-    rtt: SimTime,
-    now: SimTime,
-) {
-    let warmup = w.topo.warmup;
-    let total = w.hosts[h].conns[c].total;
-    let (pending, round, width) = {
-        let ctl = w.hosts[h].fanout.as_mut().expect("fan-out host");
-        ctl.round_max = ctl.round_max.max(rtt);
-        ctl.pending -= 1;
-        (ctl.pending, ctl.round, ctl.width)
-    };
-    if pending > 0 {
-        w.hosts[h].conns[c].state = ConnState::AtBarrier;
-        return;
-    }
-    {
-        let ctl = w.hosts[h].fanout.as_mut().expect("fan-out host");
-        if round >= warmup {
-            let done = ctl.round_max;
-            ctl.completions.push(done);
-        }
-        ctl.round += 1;
-        ctl.round_max = SimTime::ZERO;
-    }
-    if round + 1 >= total {
-        for j in 0..w.hosts[h].conns.len() {
-            finish_client(w, h, j);
-        }
-        return;
-    }
-    w.hosts[h].fanout.as_mut().expect("fan-out host").pending = width;
-    let at = now.max(s.now());
-    for j in 0..w.hosts[h].conns.len() {
-        w.hosts[h].conns[j].state = ConnState::WantWrite(0);
-        s.schedule_raw_at(at, "dc-fanout-next", conn_step_raw, pack(h, j));
-    }
-}
-
-/// The mitigated counterpart of [`fanout_reply`]: one full echo
-/// arrived on connection `c` of tail-tolerant fan-out host `h`.
+/// One full echo arrived on connection `c` of fan-out host `h`.
 ///
 /// Returns `true` when the connection should keep reading (late retry
 /// copies of the round are still in flight on its stream) and `false`
-/// when it parked or the round ended. The round barrier itself is
-/// unchanged — every stream drains before release — but the *recorded*
-/// completion is the policy's: the K-th smallest slot time capped by
-/// the deadline. Slots slower than that are counted as cancelled
-/// stragglers; they drain through the barrier without being
-/// re-measured (see DESIGN §2.17 on observational cancellation).
-fn fanout_reply_tail(
+/// when it parked or the round ended. The round barrier waits for
+/// every stream to drain, but the *recorded* completion is the
+/// policy's: the K-th smallest slot time capped by the deadline (the
+/// slowest slot under wait-for-all). Slots slower than that are
+/// counted as cancelled stragglers; they drain through the barrier
+/// without being re-measured (see DESIGN §2.17 on observational
+/// cancellation). The last reply of a round either releases the next
+/// round or, after the final round, finishes the host.
+fn fanout_reply(
     w: &mut DcWorld,
     s: &mut Scheduler<DcWorld>,
     h: usize,
@@ -1187,9 +1064,9 @@ fn fanout_reply_tail(
     let total = w.hosts[h].conns[c].total;
     let width = w.hosts[h].fanout.as_ref().expect("fan-out host").width;
     let slot = if c < width { c } else { c - width };
-    let first_echo = w.hosts[h].conns[c].round_rcvd == 1;
-    w.hosts[h].conns[c].got.clear();
-    if first_echo {
+    w.hosts[h].conns[c].round_rcvd += 1;
+    if w.hosts[h].conns[c].round_rcvd == 1 {
+        w.hosts[h].conns[c].done_count += 1;
         // A slot resolves at its first reply from either path; a
         // replica's reply is timed from the *primary's* request start,
         // since both race to answer the same logical sub-request.
@@ -1207,9 +1084,9 @@ fn fanout_reply_tail(
                 // Scored when the slot resolves: the replica either
                 // beat the primary or duplicated work it lost to.
                 if c >= width {
-                    ctl.hedges_won += 1;
+                    ctl.cost.hedges_won += 1;
                 } else {
-                    ctl.hedges_wasted += 1;
+                    ctl.cost.hedges_wasted += 1;
                 }
             }
         }
@@ -1243,7 +1120,7 @@ fn fanout_reply_tail(
     let mut deadline_hit = false;
     {
         let ctl = w.hosts[h].fanout.as_mut().expect("fan-out host");
-        let tail = ctl.tail.expect("mitigated fan-out host");
+        let tail = ctl.tail;
         let mut times: Vec<SimTime> = ctl
             .slot_rtt
             .iter()
@@ -1260,9 +1137,9 @@ fn fanout_reply_tail(
             Some(d) if kth > d => (d, RequestOutcome::DeadlineExceeded),
             _ => (kth, RequestOutcome::Ok),
         };
-        ctl.cancelled += times.iter().filter(|&&t| t > completion).count() as u64;
+        ctl.cost.cancelled += times.iter().filter(|&&t| t > completion).count() as u64;
         if outcome == RequestOutcome::DeadlineExceeded {
-            ctl.deadline_exceeded += 1;
+            ctl.cost.deadline_exceeded += 1;
             deadline_hit = true;
         }
         if round >= warmup {
@@ -1301,11 +1178,11 @@ fn fanout_reply_tail(
     false
 }
 
-/// Arms one tail-tolerant round on fan-out host `h` released at `at`:
-/// resets the slot scoreboard, refills the retry token bucket, and
-/// schedules the round's hedge trigger and first-retry timers. Stale
-/// timers from earlier rounds no-op via the round guard in their
-/// handlers.
+/// Arms one round on fan-out host `h` released at `at`: resets the
+/// slot scoreboard, refills the retry token bucket, and schedules the
+/// round's hedge trigger and first-retry timers (none under
+/// wait-for-all). Stale timers from earlier rounds no-op via the round
+/// guard in their handlers.
 fn arm_round(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, at: SimTime) {
     let (tail, width, round) = {
         let Some(ctl) = w.hosts[h].fanout.as_mut() else {
@@ -1314,10 +1191,7 @@ fn arm_round(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, at: SimTime)
         if ctl.aborted {
             return;
         }
-        let Some(tail) = ctl.tail else {
-            return;
-        };
-        ctl.round_start = at;
+        let tail = ctl.tail;
         for slot in ctl.slot_rtt.iter_mut() {
             *slot = None;
         }
@@ -1365,9 +1239,10 @@ fn arm_round(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, at: SimTime)
     }
 }
 
-/// First-round arm for a mitigated fan-out host (scheduled by
-/// `prepare_dc` at the host's traffic slot; later rounds re-arm at the
-/// barrier release).
+/// First-round arm for a fan-out host whose policy arms a lever
+/// (scheduled by `prepare_dc` at the host's traffic slot; later rounds
+/// re-arm at the barrier release). Wait-for-all needs none: the world
+/// is built with round one's scoreboard ready.
 fn on_round_arm_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: u64) {
     if let Some(resume) = paused_until(w, h as usize, s.now()) {
         s.schedule_raw_at(resume, "dc-paused-arm", on_round_arm_raw, h);
@@ -1395,7 +1270,7 @@ fn on_hedge(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, round: u64) {
         };
         // Stale trigger (the round already ended), an aborted host, or
         // a round that already hedged: no-op.
-        if ctl.aborted || ctl.tail.is_none() || ctl.round != round || ctl.hedged_slot.is_some() {
+        if ctl.aborted || ctl.round != round || ctl.hedged_slot.is_some() {
             return;
         }
         // "Slowest outstanding": the round's sub-requests all started
@@ -1414,7 +1289,7 @@ fn on_hedge(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, round: u64) {
     {
         let ctl = w.hosts[h].fanout.as_mut().expect("fan-out host");
         ctl.hedged_slot = Some(slot);
-        ctl.hedges_issued += 1;
+        ctl.cost.hedges_issued += 1;
         ctl.pending += 1;
     }
     let conn = &mut w.hosts[h].conns[rc];
@@ -1459,7 +1334,7 @@ fn on_retry(
         let Some(ctl) = w.hosts[h].fanout.as_ref() else {
             return;
         };
-        let Some(rp) = ctl.tail.and_then(|t| t.retry) else {
+        let Some(rp) = ctl.tail.retry else {
             return;
         };
         if ctl.aborted || (ctl.round & 0xf_ffff) != round || ctl.slot_rtt[slot].is_some() {
@@ -1480,11 +1355,11 @@ fn on_retry(
     {
         let ctl = w.hosts[h].fanout.as_mut().expect("fan-out host");
         if ctl.tokens == 0 {
-            ctl.budget_exhausted += 1;
+            ctl.cost.budget_exhausted += 1;
             return;
         }
         ctl.tokens -= 1;
-        ctl.retries_issued += 1;
+        ctl.cost.retries_issued += 1;
     }
     let now = s.now();
     let (sock, data) = {
@@ -1695,21 +1570,21 @@ mod tests {
     }
 
     #[test]
-    fn noop_tail_policy_is_byte_identical_to_classic() {
-        // An all-default TailPolicy normalizes away: the classic
-        // wait-for-all path must run event-for-event.
+    fn wait_for_all_types_every_completion() {
+        // The default policy runs the same round as every other: each
+        // recorded completion gets an outcome, and with no deadline
+        // every outcome is Ok.
         let mut t = Topology::fanout(2, 4);
-        t.iterations = 2;
+        t.iterations = 3;
         t.warmup = 1;
-        let classic = run_dc(&t, TrafficSchedule::staggered(), 5);
-        t.tail = Some(crate::topology::TailPolicy::default());
-        let noop = run_dc(&t, TrafficSchedule::staggered(), 5);
-        assert_eq!(classic.rtts, noop.rtts);
-        assert_eq!(classic.completions, noop.completions);
-        assert_eq!(classic.events, noop.events);
-        assert_eq!(classic.sim_time, noop.sim_time);
-        assert_eq!(noop.hedges_issued, 0);
-        assert_eq!(noop.retries_issued, 0);
+        let w = run_dc_world(&t, TrafficSchedule::staggered(), 5);
+        for h in 0..t.clients {
+            let ctl = w.hosts[h].fanout.as_ref().expect("fan-out client");
+            assert_eq!(ctl.completions.len(), 3);
+            assert_eq!(ctl.outcomes.len(), ctl.completions.len());
+            assert!(ctl.outcomes.iter().all(|&o| o == RequestOutcome::Ok));
+            assert_eq!(ctl.cost, MitigationCost::default());
+        }
     }
 
     #[test]
@@ -1724,14 +1599,17 @@ mod tests {
         // in exactly the same time.)
         let slowest = base.completions.iter().copied().max().unwrap();
         let deadline = SimTime::from_ns(slowest.as_ns() - 40);
-        t.tail = Some(crate::topology::TailPolicy {
+        t.tail = TailPolicy {
             deadline: Some(deadline),
             ..Default::default()
-        });
+        };
         let capped = run_dc(&t, TrafficSchedule::staggered(), 3);
         assert_eq!(capped.completions.len(), base.completions.len());
-        assert!(capped.deadline_exceeded > 0, "no round hit the deadline");
-        assert!(capped.cancelled > 0, "no straggler was cancelled");
+        assert!(
+            capped.cost.deadline_exceeded > 0,
+            "no round hit the deadline"
+        );
+        assert!(capped.cost.cancelled > 0, "no straggler was cancelled");
         assert!(capped
             .completions
             .iter()
@@ -1748,19 +1626,22 @@ mod tests {
         let mut t = Topology::fanout(1, 4);
         t.iterations = 6;
         t.warmup = 1;
-        t.tail = Some(crate::topology::TailPolicy {
+        t.tail = TailPolicy {
             hedge: Some(crate::topology::HedgePolicy {
                 // Hedge almost immediately so every round hedges.
                 delay: Some(SimTime::from_us(100)),
                 ..Default::default()
             }),
             ..Default::default()
-        });
+        };
         let r = run_dc(&t, TrafficSchedule::staggered(), 7);
         assert_eq!(r.completions.len(), 6);
         assert_eq!(r.verify_failures, 0);
-        assert!(r.hedges_issued > 0, "no hedge fired");
-        assert_eq!(r.hedges_won + r.hedges_wasted, r.hedges_issued);
+        assert!(r.cost.hedges_issued > 0, "no hedge fired");
+        assert_eq!(
+            r.cost.hedges_won + r.cost.hedges_wasted,
+            r.cost.hedges_issued
+        );
         assert_eq!(r.mbufs_leaked, 0);
     }
 
@@ -1769,7 +1650,7 @@ mod tests {
         let mut t = Topology::fanout(1, 2);
         t.iterations = 4;
         t.warmup = 0;
-        t.tail = Some(crate::topology::TailPolicy {
+        t.tail = TailPolicy {
             retry: Some(crate::topology::RetryPolicy {
                 max_attempts: 4,
                 // Backoff far below the RTT: every attempt fires
@@ -1780,18 +1661,22 @@ mod tests {
                 refill: 1,
             }),
             ..Default::default()
-        });
+        };
         let r = run_dc(&t, TrafficSchedule::staggered(), 11);
         assert_eq!(r.completions.len(), 4);
         assert_eq!(r.verify_failures, 0, "retried echoes must still verify");
-        assert!(r.retries_issued > 0, "no retry fired");
+        assert!(r.cost.retries_issued > 0, "no retry fired");
         assert!(
-            r.budget_exhausted > 0,
+            r.cost.budget_exhausted > 0,
             "the token bucket never ran dry: {} retries",
-            r.retries_issued
+            r.cost.retries_issued
         );
         // 3 initial tokens + 1 per round refill across 3 releases.
-        assert!(r.retries_issued <= 6, "budget leak: {}", r.retries_issued);
+        assert!(
+            r.cost.retries_issued <= 6,
+            "budget leak: {}",
+            r.cost.retries_issued
+        );
         assert_eq!(r.mbufs_leaked, 0);
     }
 

@@ -23,20 +23,21 @@
 //!   and switch contention counters for the `repro dc` study.
 //!
 //! The same machinery hosts the `repro tails` study: a fan-out
-//! topology ([`Topology::fanout`]) turns each client into a
-//! fan-out/wait-for-all RPC issuer — one logical request becomes N
-//! parallel sub-requests to N distinct servers, completing when the
-//! slowest reply lands — optionally with background churn traffic
+//! topology ([`Topology::fanout`]) turns each client into a fan-out
+//! RPC issuer — one logical request becomes N parallel sub-requests
+//! to N distinct servers, completing when the slowest reply lands —
+//! optionally with background churn traffic
 //! ([`topology::ChurnTraffic`]) sharing the fabric and fault
 //! schedules scoped to the servers ([`topology::FaultScope`]).
 //!
-//! On top of the fan-out world sits the tail-tolerant RPC control
-//! layer (the `repro hedge` study): a [`topology::TailPolicy`] arms
-//! per-request deadlines with typed `DeadlineExceeded` outcomes,
-//! budgeted application-level retries, hedged requests against
-//! replica servers, and partial (`first K of N`) fan-out — each
-//! priced against the unmitigated baseline under deterministic host
-//! pause and link-flap fault schedules.
+//! Every fan-out round runs one tail-tolerant control loop, shaped by
+//! the topology's [`topology::TailPolicy`]. Its default is
+//! wait-for-all; the `repro hedge` study arms per-request deadlines
+//! with typed `DeadlineExceeded` outcomes, budgeted
+//! application-level retries, hedged requests against replica
+//! servers, and partial (`first K of N`) fan-out — each priced
+//! against the wait-for-all baseline under deterministic host pause
+//! and link-flap fault schedules.
 
 #![warn(missing_docs)]
 

@@ -306,9 +306,10 @@ pub struct DcCellResult {
     pub rexmits: u64,
     /// Retransmission timeouts fired, summed over hosts and reps.
     pub rto_fires: u64,
-    /// Fan-out logical-request completions (max over each round's N
-    /// sub-request RTTs, or the tail policy's K-th-fastest capped by
-    /// the deadline), pooled across reps. Empty for incast cells.
+    /// Fan-out logical-request completions (the tail policy's
+    /// K-th-fastest sub-request RTT capped by its deadline; the max
+    /// over all N under wait-for-all), pooled across reps. Empty for
+    /// incast cells.
     pub completions: Samples,
     /// Client hosts whose fan-out rounds were killed by the
     /// retransmit-limit abort, summed over reps.
@@ -367,13 +368,7 @@ impl DcCellResult {
             rexmits,
             rto_fires,
             mbufs_leaked,
-            hedges_issued,
-            hedges_won,
-            hedges_wasted,
-            retries_issued,
-            budget_exhausted,
-            deadline_exceeded,
-            cancelled,
+            cost,
         } = r;
         self.rtts.extend_from(rtts);
         self.completions.extend_from(completions);
@@ -391,15 +386,7 @@ impl DcCellResult {
         self.rexmits += rexmits;
         self.rto_fires += rto_fires;
         self.mbufs_leaked += mbufs_leaked;
-        self.cost += MitigationCost {
-            hedges_issued: *hedges_issued,
-            hedges_won: *hedges_won,
-            hedges_wasted: *hedges_wasted,
-            retries_issued: *retries_issued,
-            budget_exhausted: *budget_exhausted,
-            deadline_exceeded: *deadline_exceeded,
-            cancelled: *cancelled,
-        };
+        self.cost += *cost;
     }
 }
 
@@ -770,31 +757,29 @@ impl AsRef<DcCell> for HedgeCell {
     }
 }
 
-/// Maps a study mitigation onto the world's [`TailPolicy`].
-///
-/// `None` for the baseline: the topology carries no policy at all, so
-/// the cell runs the classic wait-for-all path event-for-event.
+/// Maps a study mitigation onto the world's [`TailPolicy`]; the
+/// baseline is the default, wait-for-all policy.
 #[must_use]
-pub fn mitigation_policy(m: Mitigation, width: usize) -> Option<TailPolicy> {
+pub fn mitigation_policy(m: Mitigation, width: usize) -> TailPolicy {
     match m {
-        Mitigation::None => None,
-        Mitigation::Deadline => Some(TailPolicy {
+        Mitigation::None => TailPolicy::default(),
+        Mitigation::Deadline => TailPolicy {
             deadline: Some(SimTime::from_ms(10)),
             ..TailPolicy::default()
-        }),
-        Mitigation::Retry => Some(TailPolicy {
+        },
+        Mitigation::Retry => TailPolicy {
             retry: Some(RetryPolicy::default()),
             ..TailPolicy::default()
-        }),
-        Mitigation::Hedge => Some(TailPolicy {
+        },
+        Mitigation::Hedge => TailPolicy {
             hedge: Some(HedgePolicy::default()),
             ..TailPolicy::default()
-        }),
-        Mitigation::HedgeQuorum => Some(TailPolicy {
+        },
+        Mitigation::HedgeQuorum => TailPolicy {
             hedge: Some(HedgePolicy::default()),
             quorum: width.saturating_sub(2).max(1),
             ..TailPolicy::default()
-        }),
+        },
     }
 }
 
@@ -1433,8 +1418,8 @@ mod tests {
             assert_eq!(c.width, 16);
             assert_eq!(c.cell.topo.fanout_width, 16);
             match c.mitigation {
-                Mitigation::None => assert!(c.cell.topo.tail.is_none()),
-                _ => assert!(c.cell.topo.tail.is_some()),
+                Mitigation::None => assert!(c.cell.topo.tail.is_noop()),
+                _ => assert!(!c.cell.topo.tail.is_noop()),
             }
             // Hedging doubles the server blocks (replicas); the other
             // mitigations must not.
@@ -1473,11 +1458,14 @@ mod tests {
 
     #[test]
     fn hedge_kofn_policy_sets_the_quorum() {
-        let p = mitigation_policy(Mitigation::HedgeQuorum, 16).unwrap();
+        let p = mitigation_policy(Mitigation::HedgeQuorum, 16);
         assert_eq!(p.quorum, 14);
         assert!(p.hedge.is_some());
-        assert_eq!(mitigation_policy(Mitigation::None, 16), None);
-        let d = mitigation_policy(Mitigation::Deadline, 16).unwrap();
+        assert_eq!(
+            mitigation_policy(Mitigation::None, 16),
+            TailPolicy::default()
+        );
+        let d = mitigation_policy(Mitigation::Deadline, 16);
         assert_eq!(d.deadline, Some(SimTime::from_ms(10)));
     }
 

@@ -218,10 +218,10 @@ impl Default for HedgePolicy {
 
 /// Tail-tolerance policy for fan-out worlds, as plain data.
 ///
-/// `None` on [`Topology::tail`] (or an all-default policy) reproduces
-/// the PR-7 wait-for-all behavior event-for-event: no control events
-/// are scheduled, no replica servers exist, and no extra RNG is drawn
-/// — the existing goldens cannot move.
+/// The default policy is wait-for-all: K = width, no deadline, no
+/// retry, no hedge, so a round completes when its slowest reply lands.
+/// It schedules no control event, builds no replica server and draws
+/// no randomness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TailPolicy {
     /// Per-logical-request deadline: a round still outstanding at the
@@ -239,8 +239,7 @@ pub struct TailPolicy {
 }
 
 impl TailPolicy {
-    /// Whether the policy changes anything at all relative to
-    /// wait-for-all.
+    /// Whether the policy arms no lever, i.e. is wait-for-all.
     #[must_use]
     pub fn is_noop(&self) -> bool {
         self.deadline.is_none() && self.retry.is_none() && self.hedge.is_none() && self.quorum == 0
@@ -304,11 +303,11 @@ pub struct Topology {
     pub fanout_width: usize,
     /// Optional background churn traffic.
     pub churn: Option<ChurnTraffic>,
-    /// Optional tail-tolerance policy (fan-out worlds only). With a
-    /// hedge policy armed, every client's server block doubles: its
-    /// first `fanout_width` connections go to the primaries, the next
-    /// `fanout_width` to the replicas.
-    pub tail: Option<TailPolicy>,
+    /// Tail-tolerance policy (fan-out worlds only; the default is
+    /// wait-for-all). With a hedge policy armed, every client's server
+    /// block doubles: its first `fanout_width` connections go to the
+    /// primaries, the next `fanout_width` to the replicas.
+    pub tail: TailPolicy,
 }
 
 impl Topology {
@@ -334,7 +333,7 @@ impl Topology {
             fault_scope: FaultScope::AllHosts,
             fanout_width: 0,
             churn: None,
-            tail: None,
+            tail: TailPolicy::default(),
         }
     }
 
@@ -363,7 +362,7 @@ impl Topology {
             fault_scope: FaultScope::AllHosts,
             fanout_width: width,
             churn: None,
-            tail: None,
+            tail: TailPolicy::default(),
         }
     }
 
@@ -376,14 +375,14 @@ impl Topology {
     /// Whether any tail-tolerance mitigation is armed.
     #[must_use]
     pub fn mitigated(&self) -> bool {
-        self.tail.as_ref().is_some_and(|t| !t.is_noop())
+        !self.tail.is_noop()
     }
 
     /// Whether the fan-out server blocks carry replicas (hedging
     /// armed).
     #[must_use]
     pub fn replicated(&self) -> bool {
-        self.fanout_width > 0 && self.tail.as_ref().is_some_and(|t| t.hedge.is_some())
+        self.fanout_width > 0 && self.tail.hedge.is_some()
     }
 
     /// Connections per fan-out client host: one per primary server,
@@ -578,10 +577,10 @@ mod tests {
         assert_eq!(t.servers(), 6);
         assert_eq!(t.fanout_conns(), 3);
         assert!(!t.replicated() && !t.mitigated());
-        t.tail = Some(TailPolicy {
+        t.tail = TailPolicy {
             hedge: Some(HedgePolicy::default()),
             ..TailPolicy::default()
-        });
+        };
         assert!(t.replicated() && t.mitigated());
         assert_eq!(t.servers(), 12);
         assert_eq!(t.fanout_conns(), 6);
@@ -594,15 +593,15 @@ mod tests {
         assert_eq!(t.peer_server(1, 0), 8);
         assert_eq!(t.peer_server(1, 5), 13);
         // A non-hedge mitigation leaves the wiring untouched.
-        t.tail = Some(TailPolicy {
+        t.tail = TailPolicy {
             deadline: Some(SimTime::from_ms(10)),
             ..TailPolicy::default()
-        });
+        };
         assert!(t.mitigated() && !t.replicated());
         assert_eq!(t.servers(), 6);
         assert_eq!(t.conns_of(0), 3);
-        // An all-default policy is a no-op.
-        t.tail = Some(TailPolicy::default());
+        // The default policy is wait-for-all.
+        t.tail = TailPolicy::default();
         assert!(!t.mitigated());
     }
 

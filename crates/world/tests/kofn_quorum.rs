@@ -21,10 +21,10 @@ fn completion_is_kth_smallest_subrequest_rtt_across_widths_and_k() {
                 let mut t = Topology::fanout(2, width);
                 t.iterations = 3;
                 t.warmup = 1;
-                t.tail = Some(TailPolicy {
+                t.tail = TailPolicy {
                     quorum: k,
                     ..TailPolicy::default()
-                });
+                };
                 let w = run_dc_world(&t, TrafficSchedule::staggered(), seed);
                 for h in 0..t.clients {
                     let ctl = w.hosts[h].fanout.as_ref().expect("fan-out client");
@@ -64,11 +64,11 @@ fn completion_is_kth_smallest_subrequest_rtt_across_widths_and_k() {
                         .sum();
                     let slack = t.warmup * (width - k) as u64;
                     assert!(
-                        ctl.cancelled >= measured_cancelled
-                            && ctl.cancelled <= measured_cancelled + slack,
+                        ctl.cost.cancelled >= measured_cancelled
+                            && ctl.cost.cancelled <= measured_cancelled + slack,
                         "width {width} K {k} seed {seed} host {h}: cancelled \
                          {} outside [{measured_cancelled}, {}]",
-                        ctl.cancelled,
+                        ctl.cost.cancelled,
                         measured_cancelled + slack
                     );
                 }
@@ -85,10 +85,10 @@ fn kofn_runs_tear_down_without_leaking_mbufs() {
         let mut t = Topology::fanout(2, width);
         t.iterations = 4;
         t.warmup = 1;
-        t.tail = Some(TailPolicy {
+        t.tail = TailPolicy {
             quorum: k,
             ..TailPolicy::default()
-        });
+        };
         let r = run_dc(&t, TrafficSchedule::staggered(), 7);
         assert_eq!(r.fanout_aborts, 0, "width {width} K {k}: abort");
         assert_eq!(

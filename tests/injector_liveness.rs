@@ -3,14 +3,15 @@
 //! bites, must either change the run (events, simulated time, RTTs or
 //! counters) or be refused when the world is built — on the two-host
 //! ATM world, the two-host Ethernet world, and a small fan-out
-//! datacenter world.
+//! datacenter world. Every `TailPolicy` lever, armed alone, must
+//! change the fan-out run the same way.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use faultkit::{FaultSchedule, FlapSchedule, GilbertElliott, PauseSchedule};
 use latency_core::experiment::{Experiment, NetKind};
 use simkit::SimTime;
-use world::{run_dc, Topology, TrafficSchedule};
+use world::{run_dc, HedgePolicy, RetryPolicy, TailPolicy, Topology, TrafficSchedule};
 
 /// One case per schedule field: its name and a schedule with only that
 /// field armed.
@@ -159,4 +160,88 @@ fn every_fault_field_bites_or_is_refused_on_fanout_world() {
         let r = run_dc(&t, TrafficSchedule::staggered(), 3);
         (r.events, r.sim_time, r.rtts, r.completions, r.fanout_aborts)
     });
+}
+
+/// One case per `TailPolicy` lever: its name and a policy with only
+/// that lever armed, at a setting that bites on a clean fan-out world.
+fn tail_cases() -> Vec<(&'static str, TailPolicy)> {
+    let armed = TailPolicy {
+        // Far below a clean round's ~1 ms: every round misses it.
+        deadline: Some(SimTime::from_us(100)),
+        // Backoff below the RTT: a retry fires before the echo lands.
+        retry: Some(RetryPolicy {
+            backoff: SimTime::from_us(50),
+            ..RetryPolicy::default()
+        }),
+        // Hedge almost at once, so every round hedges.
+        hedge: Some(HedgePolicy {
+            delay: Some(SimTime::from_us(100)),
+            ..HedgePolicy::default()
+        }),
+        // First of four: the fastest reply, not the slowest.
+        quorum: 1,
+    };
+    // Exhaustive: a new lever fails to compile here until it has a case.
+    let TailPolicy {
+        deadline,
+        retry,
+        hedge,
+        quorum,
+    } = armed;
+    let wait_for_all = TailPolicy::default();
+    vec![
+        (
+            "deadline",
+            TailPolicy {
+                deadline,
+                ..wait_for_all
+            },
+        ),
+        (
+            "retry",
+            TailPolicy {
+                retry,
+                ..wait_for_all
+            },
+        ),
+        (
+            "hedge",
+            TailPolicy {
+                hedge,
+                ..wait_for_all
+            },
+        ),
+        (
+            "quorum",
+            TailPolicy {
+                quorum,
+                ..wait_for_all
+            },
+        ),
+    ]
+}
+
+#[test]
+fn every_tail_policy_lever_changes_the_fanout_run() {
+    let run = |tail: TailPolicy| {
+        let mut t = Topology::fanout(2, 4);
+        t.iterations = 4;
+        t.warmup = 1;
+        t.tail = tail;
+        // Each lever must show in its own cost counters. The event
+        // count would pass a lever that does nothing (any armed policy
+        // adds one round-arm event per client), and so would the
+        // completions (a hedge policy's replica wiring moves them
+        // before any hedge fires).
+        run_dc(&t, TrafficSchedule::staggered(), 3).cost
+    };
+    let wait_for_all = run(TailPolicy::default());
+    for (lever, tail) in tail_cases() {
+        assert!(!tail.is_noop(), "`{lever}` case arms nothing");
+        assert_ne!(
+            run(tail),
+            wait_for_all,
+            "fan-out: `{lever}` armed alone changed nothing"
+        );
+    }
 }
