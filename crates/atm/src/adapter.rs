@@ -181,12 +181,6 @@ impl RxFifo {
     pub fn drain(&mut self) -> Vec<Cell> {
         self.cells.drain(..).collect()
     }
-
-    /// Drains at most `n` cells.
-    pub fn drain_up_to(&mut self, n: usize) -> Vec<Cell> {
-        let take = n.min(self.cells.len());
-        self.cells.drain(..take).collect()
-    }
 }
 
 /// A complete TCA-100: one TX and one RX FIFO plus identity.
@@ -309,7 +303,7 @@ mod tests {
         }
         assert_eq!(rx.occupancy(), 4);
         assert_eq!(rx.overflow_drops, 2);
-        assert_eq!(rx.drain_up_to(3).len(), 3);
+        assert_eq!(rx.drain().len(), 4);
         assert!(rx.arrive(a_cell()));
     }
 

@@ -17,31 +17,63 @@
 //! integrity checks left, and the error-injection experiment measures
 //! what each layer catches.
 
-/// Computes the 10-bit AAL3/4 SAR CRC over `data`.
-///
-/// Bitwise (MSB-first) implementation of `x^10+x^9+x^5+x^4+x+1`
-/// (polynomial bits `0x633`), zero initial value.
-///
-/// # Examples
-///
-/// ```
-/// use cksum::crc::crc10;
-///
-/// let c = crc10(&[0u8; 44]);
-/// assert_eq!(c, 0);
-/// assert_ne!(crc10(b"data"), 0);
-/// ```
-#[must_use]
-pub fn crc10(data: &[u8]) -> u16 {
-    crc10_bits(data, data.len() * 8)
+/// One bit-serial step of the non-augmented CRC-10 register: the
+/// feedback is the register's top bit XOR the input bit, so appending
+/// the CRC itself then divides to zero. Polynomial bits below x^10:
+/// x^9+x^5+x^4+x+1 = 0x233.
+const fn crc10_step(crc: u16, bit: u8) -> u16 {
+    let feedback = ((crc >> 9) as u8 ^ bit) & 1;
+    let crc = (crc << 1) & 0x3ff;
+    if feedback != 0 {
+        crc ^ 0x233
+    } else {
+        crc
+    }
 }
 
-/// Computes the CRC-10 over the first `nbits` bits of `data`
-/// (MSB-first within each byte).
+/// Entry `i` is the register `i << 2` after eight zero input bits:
+/// the whole-byte step `crc10_bits` takes.
+const CRC10_TABLE: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 2;
+        let mut k = 0;
+        while k < 8 {
+            crc = crc10_step(crc, 0);
+            k += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// Computes the 10-bit AAL3/4 SAR CRC over the first `nbits` bits of
+/// `data` (MSB-first within each byte): generator
+/// `x^10+x^9+x^5+x^4+x+1` (polynomial bits `0x633`), zero initial
+/// value, no final XOR. Over a whole buffer pass `data.len() * 8`; a
+/// buffer whose final 10 bits carry its own CRC then yields zero.
 ///
 /// AAL3/4 needs sub-byte granularity: the SAR-PDU trailer packs a
 /// 6-bit length indicator and the 10-bit CRC into two bytes, so the
 /// CRC covers a bit count that is not a multiple of eight.
+///
+/// A 256-entry table computed at compile time takes the whole bytes,
+/// one lookup each; the `nbits % 8` leftover bits (the 6-bit LI of a
+/// SAR cell) go through the bit-serial step. The property test
+/// `crc10_table_matches_bit_serial_reference` in
+/// `crates/cksum/tests/properties.rs` pins this to a bit-serial
+/// reference at every `nbits`.
+///
+/// # Examples
+///
+/// ```
+/// use cksum::crc::crc10_bits;
+///
+/// assert_eq!(crc10_bits(&[0u8; 44], 44 * 8), 0);
+/// assert_ne!(crc10_bits(b"data", 4 * 8), 0);
+/// ```
 ///
 /// # Panics
 ///
@@ -49,26 +81,15 @@ pub fn crc10(data: &[u8]) -> u16 {
 #[must_use]
 pub fn crc10_bits(data: &[u8], nbits: usize) -> u16 {
     assert!(nbits <= data.len() * 8, "nbits out of range");
-    // Non-augmented bit-serial form: feedback is the register's top
-    // bit XOR the input bit; appending the CRC itself then divides to
-    // zero. Polynomial bits below x^10: x^9+x^5+x^4+x+1 = 0x233.
+    let (whole, rest) = data.split_at(nbits / 8);
     let mut crc: u16 = 0;
-    for i in 0..nbits {
-        let bit = (data[i / 8] >> (7 - i % 8)) & 1;
-        let feedback = ((crc >> 9) as u8 ^ bit) & 1;
-        crc = (crc << 1) & 0x3ff;
-        if feedback != 0 {
-            crc ^= 0x233;
-        }
+    for &byte in whole {
+        crc = ((crc << 8) & 0x3ff) ^ CRC10_TABLE[usize::from((crc >> 2) as u8 ^ byte)];
+    }
+    for i in 0..nbits % 8 {
+        crc = crc10_step(crc, rest[0] >> (7 - i));
     }
     crc
-}
-
-/// Verifies a buffer whose final 10 bits carry its CRC-10, AAL3/4
-/// style: including the CRC makes the whole divide to zero.
-#[must_use]
-pub fn crc10_check(data_with_crc: &[u8]) -> bool {
-    crc10(data_with_crc) == 0
 }
 
 /// The IEEE 802.3 CRC-32 (reflected, init all-ones, final inversion).
@@ -142,7 +163,7 @@ mod tests {
     #[test]
     fn crc10_is_10_bits() {
         for pattern in [&b"hello"[..], &[0xffu8; 44][..], &[0x01u8][..]] {
-            assert!(crc10(pattern) <= 0x3ff);
+            assert!(crc10_bits(pattern, pattern.len() * 8) <= 0x3ff);
         }
     }
 
@@ -160,16 +181,10 @@ mod tests {
         let n = cell.len();
         cell[n - 2] |= (c >> 8) as u8;
         cell[n - 1] = (c & 0xff) as u8;
-        assert!(crc10_check(&cell));
+        assert_eq!(crc10_bits(&cell, n * 8), 0);
         // Any corruption breaks it.
         cell[3] ^= 0x40;
-        assert!(!crc10_check(&cell));
-    }
-
-    #[test]
-    fn crc10_bits_byte_aligned_matches_crc10() {
-        let data = b"some aal34 payload";
-        assert_eq!(crc10(data), crc10_bits(data, data.len() * 8));
+        assert_ne!(crc10_bits(&cell, n * 8), 0);
     }
 
     #[test]
@@ -181,14 +196,14 @@ mod tests {
     #[test]
     fn crc10_detects_burst_errors_within_10_bits() {
         let payload = vec![0xa5u8; 44];
-        let clean = crc10(&payload);
+        let clean = crc10_bits(&payload, payload.len() * 8);
         for start in (0..payload.len() * 8 - 10).step_by(13) {
             let mut bad = payload.clone();
             // Flip a 10-bit burst starting at `start`.
             for b in start..start + 10 {
                 bad[b / 8] ^= 1 << (b % 8);
             }
-            assert_ne!(crc10(&bad), clean, "burst at {start}");
+            assert_ne!(crc10_bits(&bad, bad.len() * 8), clean, "burst at {start}");
         }
     }
 
