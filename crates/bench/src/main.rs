@@ -4,7 +4,7 @@
 //!
 //! ```sh
 //! repro [all|table1|table2|table3|table4|table5|table6|table7|pcb|mbuf|predict|errors]
-//!       [faults|churn|ablation|switch|ethernet-errors|trace]
+//!       [faults|churn|ablation|switch|ethernet-errors|udp|trace]
 //!       [dc] [tails] [hedge] [cc]
 //!       [verify [--bless] [--golden-dir DIR]] [invariants]
 //!       [--iterations N] [--reps N] [--jobs N] [--seed N] [--json FILE]
@@ -1258,7 +1258,7 @@ fn cmd_invariants(opts: &Opts) -> i32 {
     // (an order statistic), wrong for the per-connection orbit
     // regardless of host count.
     let mut mitigated = world::Topology::fanout(4, 16);
-    mitigated.tail = world::mitigation_policy(latency_core::hedge::Mitigation::Hedge, 16);
+    mitigated.tail = world::Mitigation::Hedge.policy(16);
     type Expect = fn(&oracle::PredictError) -> Option<String>;
     let guards: [(&str, &str, world::Topology, Expect); 3] = [
         (

@@ -21,6 +21,10 @@
 //! - [`micro`] covers the in-text microbenchmarks (PCB lookup
 //!   scaling, mbuf allocation, the Table 5 copy/checksum costs);
 //! - [`faults`] runs the §4.2.1 error-injection study;
+//! - [`obs`] holds the study-side sample containers and
+//!   [`obs::Summary`], the latency columns every study row reads;
+//!   [`recovery`] is the loss-recovery study built on it (the
+//!   datacenter studies and their reducers live in the `world` crate);
 //! - [`capture`] re-derives the latency tables a second, independent
 //!   way: packet taps at the layer boundaries feed pcap/pcapng
 //!   captures, and RFC 1242 same-packet matching across taps must
@@ -48,7 +52,6 @@ pub mod capture;
 pub mod churn;
 pub mod experiment;
 pub mod faults;
-pub mod hedge;
 pub mod micro;
 pub mod nic;
 pub mod obs;
@@ -56,13 +59,12 @@ pub mod paper;
 pub mod recovery;
 pub mod stats;
 pub mod tables;
-pub mod tails;
 pub mod world;
 
 pub use breakdown::{compute_breakdown_samples, RxBreakdown, TxBreakdown};
 pub use capture::{CapturePlan, CaptureRun, HostCapture};
 pub use experiment::{Experiment, NetKind, RunPlan, RunResult};
-pub use obs::{ObsMode, Samples};
+pub use obs::{ObsMode, Samples, Summary};
 pub use world::{Host, World};
 
 /// One-stop imports for writing experiments: the experiment and plan

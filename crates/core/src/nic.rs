@@ -526,11 +526,6 @@ impl Nic {
         }
     }
 
-    /// [`Nic::arm_taps_mode`] in full-capture mode.
-    pub fn arm_taps(&mut self) {
-        self.arm_taps_mode(None);
-    }
-
     /// Drains every frame captured by this NIC and its medium, merged
     /// in timestamp order (stable within equal timestamps).
     pub fn take_taps(&mut self) -> Vec<simcap::CapturedFrame> {

@@ -10,6 +10,9 @@
 //! The two modes intentionally share no float code: exact mode
 //! reproduces the historical [`crate::stats`] summation order bit for
 //! bit, sketch mode computes from the sketch's integer aggregates.
+//!
+//! [`Summary`] is the one set of latency columns every study row
+//! reports, built by [`Samples::summary`].
 
 use simcap::{Quantiles, Recorder};
 use simkit::SimTime;
@@ -87,14 +90,14 @@ impl Samples {
         }
     }
 
-    /// A recorder over these samples for quantile reduction: exact
-    /// mode loads an exact-mode [`Recorder`] (`i64::MAX` clamping
-    /// with saturation counts), sketch mode clones the sketch.
+    /// The latency columns of every study row. Exact mode sorts the
+    /// samples once for every percentile; sketch mode reads the sketch
+    /// recorder.
     #[must_use]
-    pub fn recorder(&self) -> Recorder {
+    pub fn summary(&self) -> Summary {
         match self {
-            Samples::Exact(v) => Recorder::from_times(v),
-            Samples::Sketched(r) => r.clone(),
+            Samples::Exact(v) => Summary::exact(v),
+            Samples::Sketched(r) => Summary::from_quantiles(r, r.saturated(), self.mean_us()),
         }
     }
 
@@ -154,6 +157,58 @@ impl Samples {
     }
 }
 
+/// The latency columns every study row reports, computed in one pass
+/// over a sample set.
+///
+/// Percentiles are nearest-rank ([`Quantiles`]), and an empty set
+/// reports zero in every column.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Summary {
+    /// Samples summarized.
+    pub samples: usize,
+    /// Samples clamped to `i64::MAX` ns (must be zero for the tail
+    /// columns to be trustworthy).
+    pub saturated: u64,
+    /// Mean in µs: [`Samples::mean_us`], the canonical report's mean.
+    pub mean_us: f64,
+    /// Median in µs.
+    pub p50_us: f64,
+    /// 99th percentile in µs.
+    pub p99_us: f64,
+    /// 99.9th percentile in µs; `None` below
+    /// [`simcap::P999_MIN_SAMPLES`] samples, where nearest-rank p999
+    /// would just repeat the maximum.
+    pub p999_us: Option<f64>,
+    /// Largest sample in µs.
+    pub max_us: f64,
+}
+
+impl Summary {
+    /// The exact summary of `ts`. Samples above `i64::MAX` ns are
+    /// clamped and counted as [`Recorder`] does, and the set is sorted
+    /// once for every percentile.
+    #[must_use]
+    pub(crate) fn exact(ts: &[SimTime]) -> Summary {
+        let rec = Recorder::from_times(ts);
+        let dist = rec.dist().expect("an exact recorder keeps its samples");
+        Summary::from_quantiles(&dist, rec.saturated(), stats::mean_us(ts))
+    }
+
+    fn from_quantiles(q: &impl Quantiles, saturated: u64, mean_us: f64) -> Summary {
+        #[allow(clippy::cast_precision_loss)]
+        let us = |ns: i64| ns as f64 / 1000.0;
+        Summary {
+            samples: q.count(),
+            saturated,
+            mean_us,
+            p50_us: us(q.percentile_ns(50.0).unwrap_or(0)),
+            p99_us: us(q.percentile_ns(99.0).unwrap_or(0)),
+            p999_us: q.p999_ns().map(us),
+            max_us: us(q.max_ns().unwrap_or(0)),
+        }
+    }
+}
+
 impl Default for Samples {
     fn default() -> Self {
         Samples::new(ObsMode::Exact)
@@ -179,6 +234,62 @@ mod tests {
         assert_eq!(s.min_us().to_bits(), stats::min_us(&ts).to_bits());
         assert_eq!(s.max_us().to_bits(), stats::max_us(&ts).to_bits());
         assert_eq!(s.raw().unwrap(), &ts[..]);
+    }
+
+    #[test]
+    fn summary_is_bit_identical_to_the_per_field_reductions() {
+        #[allow(clippy::cast_precision_loss)]
+        let us = |ns: Option<i64>| (ns.unwrap_or(0) as f64 / 1000.0).to_bits();
+        let spread: Vec<u64> = (0..2_500u64)
+            .map(|i| 1_000 + (i * 7919) % 1_000_003)
+            .collect();
+        let sets = [
+            Vec::new(),
+            times(&[1_000, 2_000, 40_000, 3_000]),
+            times(&[5_000, u64::MAX, 7_000]),
+            times(&spread),
+        ];
+        for ts in &sets {
+            let mut s = Samples::new(ObsMode::Exact);
+            s.extend_from(ts);
+            let sum = s.summary();
+            let rec = Recorder::from_times(ts);
+            assert_eq!(sum.samples, ts.len());
+            assert_eq!(sum.saturated, rec.saturated());
+            assert_eq!(sum.mean_us.to_bits(), stats::mean_us(ts).to_bits());
+            assert_eq!(sum.p50_us.to_bits(), us(rec.percentile_ns(50.0)));
+            assert_eq!(sum.p99_us.to_bits(), us(rec.percentile_ns(99.0)));
+            assert_eq!(
+                sum.p999_us.map(f64::to_bits),
+                rec.p999_ns().map(|ns| us(Some(ns)))
+            );
+            assert_eq!(sum.max_us.to_bits(), us(rec.max_ns()));
+            assert_eq!(sum, Summary::exact(ts));
+        }
+        assert_eq!(Summary::exact(&sets[0]), Summary::default());
+        assert_eq!(Summary::exact(&sets[2]).saturated, 1);
+        let big = Summary::exact(&sets[3]);
+        let p999 = big.p999_us.expect("2500 samples clear the p999 floor");
+        assert!(p999 < big.max_us, "p999 {p999} must not collapse to max");
+
+        for ts in &sets {
+            let mut s = Samples::new(ObsMode::Sketch);
+            s.extend_from(ts);
+            let sum = s.summary();
+            let Samples::Sketched(rec) = &s else {
+                unreachable!("sketch mode")
+            };
+            assert_eq!(sum.samples, Quantiles::count(rec));
+            assert_eq!(sum.saturated, rec.saturated());
+            assert_eq!(sum.mean_us.to_bits(), s.mean_us().to_bits());
+            assert_eq!(sum.p50_us.to_bits(), us(rec.percentile_ns(50.0)));
+            assert_eq!(sum.p99_us.to_bits(), us(rec.percentile_ns(99.0)));
+            assert_eq!(
+                sum.p999_us.map(f64::to_bits),
+                rec.p999_ns().map(|ns| us(Some(ns)))
+            );
+            assert_eq!(sum.max_us.to_bits(), us(Quantiles::max_ns(rec)));
+        }
     }
 
     #[test]

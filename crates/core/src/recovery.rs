@@ -15,9 +15,9 @@
 //! handful of RTTs. Mean alone hides that; p99 shows it.
 
 use faultkit::{FaultSchedule, GilbertElliott};
-use simcap::Quantiles as _;
 
 use crate::experiment::{Experiment, NetKind, RunResult};
+use crate::obs::Summary;
 
 /// A named fault regime of the study.
 #[derive(Clone, Copy, Debug)]
@@ -114,20 +114,11 @@ pub struct RecoveryRow {
     pub scenario: String,
     /// Message size in bytes.
     pub size: usize,
-    /// Iterations that completed (an aborted run has fewer).
-    pub iterations: u64,
     /// Whether the retransmit limit aborted the run.
     pub aborted: bool,
-    /// Mean RTT in µs.
-    pub mean_us: f64,
-    /// Median RTT in µs.
-    pub p50_us: f64,
-    /// 90th-percentile RTT in µs.
-    pub p90_us: f64,
-    /// 99th-percentile RTT in µs.
-    pub p99_us: f64,
-    /// Worst RTT in µs.
-    pub max_us: f64,
+    /// The measured RTTs, one per completed iteration (an aborted run
+    /// has fewer).
+    pub latency: Summary,
     /// Mean cost in clean round trips (`mean / clean_mean`).
     pub mean_rtts: f64,
     /// Tail cost in clean round trips (`p99 / clean_mean`).
@@ -154,20 +145,12 @@ pub struct RecoveryRow {
 /// clean round trips at p99" reads directly off the table.
 #[must_use]
 pub fn reduce(sc_name: &str, size: usize, r: &RunResult, clean_mean_us: f64) -> RecoveryRow {
-    let rec = simcap::Recorder::from_times(&r.rtts);
+    let latency = Summary::exact(&r.rtts);
     debug_assert_eq!(
-        rec.saturated(),
-        0,
+        latency.saturated, 0,
         "RTT sample(s) overflowed i64 nanoseconds and were clamped to \
          i64::MAX — the distribution's tail is a lie"
     );
-    #[allow(clippy::cast_precision_loss)]
-    let us = |ns: Option<i64>| ns.unwrap_or(0) as f64 / 1000.0;
-    let p50_us = us(rec.percentile_ns(50.0));
-    let p90_us = us(rec.percentile_ns(90.0));
-    let p99_us = us(rec.percentile_ns(99.0));
-    let max_us = us(rec.max_ns());
-    let mean_us = r.mean_rtt_us();
     let unit = if clean_mean_us > 0.0 {
         clean_mean_us
     } else {
@@ -176,15 +159,10 @@ pub fn reduce(sc_name: &str, size: usize, r: &RunResult, clean_mean_us: f64) -> 
     RecoveryRow {
         scenario: sc_name.to_string(),
         size,
-        iterations: r.rtts.len() as u64,
         aborted: r.aborted,
-        mean_us,
-        p50_us,
-        p90_us,
-        p99_us,
-        max_us,
-        mean_rtts: mean_us / unit,
-        p99_rtts: p99_us / unit,
+        latency,
+        mean_rtts: latency.mean_us / unit,
+        p99_rtts: latency.p99_us / unit,
         rexmits: r.client_tcp.rexmits + r.server_tcp.rexmits,
         rto_fires: r.client_kernel.rto_fires + r.server_kernel.rto_fires,
         link_lost: r.client_nic.link_lost + r.server_nic.link_lost,
@@ -218,7 +196,7 @@ pub fn format_table(rows: &[RecoveryRow]) -> String {
         "iters"
     );
     for r in rows {
-        if r.iterations == 0 {
+        if r.latency.samples == 0 {
             // Aborted before the first measured iteration: there is no
             // distribution to print, only the abort evidence.
             let _ = writeln!(
@@ -233,15 +211,15 @@ pub fn format_table(rows: &[RecoveryRow]) -> String {
             "{:<14} {:>6} | {:>9.0} {:>9.0} {:>9.0} {:>10.0} | {:>8.2} {:>8.2} | {:>6} {:>5} {:>6}{}",
             r.scenario,
             r.size,
-            r.mean_us,
-            r.p50_us,
-            r.p99_us,
-            r.max_us,
+            r.latency.mean_us,
+            r.latency.p50_us,
+            r.latency.p99_us,
+            r.latency.max_us,
             r.mean_rtts,
             r.p99_rtts,
             r.rexmits,
             r.rto_fires,
-            r.iterations,
+            r.latency.samples,
             if r.aborted { "!" } else { "" },
         );
     }
@@ -304,7 +282,7 @@ mod tests {
             row.p99_rtts,
             row.mean_rtts
         );
-        assert!(row.p50_us > 0.0 && row.p99_us >= row.p50_us);
+        assert!(row.latency.p50_us > 0.0 && row.latency.p99_us >= row.latency.p50_us);
     }
 
     #[test]
@@ -316,8 +294,11 @@ mod tests {
         // Cell-level swaps inside one AAL3/4 train break that
         // datagram's CRC/sequence at worst — TCP resequences; the
         // median stays within a few clean RTTs.
-        assert!(row.iterations == 40, "all iterations completed: {row:?}");
-        assert!(row.p50_us < clean.mean_rtt_us() * 4.0, "{row:?}");
+        assert!(
+            row.latency.samples == 40,
+            "all iterations completed: {row:?}"
+        );
+        assert!(row.latency.p50_us < clean.mean_rtt_us() * 4.0, "{row:?}");
     }
 
     #[test]

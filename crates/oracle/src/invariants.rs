@@ -252,109 +252,6 @@ pub fn check_experiment(exp: &Experiment, seed: u64, set: &InvariantSet) -> Inva
     report
 }
 
-/// [`check_experiment`] with the kernel taps in flight-recorder mode:
-/// the run retains only the last `last_k` frames per tap point, and
-/// the returned snapshots hold the pcapng-ready windows frozen around
-/// every anomaly — kernel-originated triggers (RTO, connection abort)
-/// fire inline, and a post-run freeze captures the final window under
-/// [`simcap::TriggerReason::Invariant`] when a checker fired without
-/// an inline trigger. Runs one captured repetition; only the
-/// per-event checkers of `set` are armed (capture-agreement needs a
-/// full capture, which flight mode deliberately is not).
-///
-/// # Panics
-///
-/// Panics if `last_k` is zero.
-#[must_use]
-pub fn check_experiment_flight(
-    exp: &Experiment,
-    seed: u64,
-    set: &InvariantSet,
-    last_k: usize,
-) -> (InvariantReport, Vec<simcap::TriggerSnapshot>) {
-    let mut report = InvariantReport::default();
-    let state = Rc::new(RefCell::new(ObsState {
-        last: SimTime::ZERO,
-        events: 0,
-        violations: Vec::new(),
-    }));
-    let st = Rc::clone(&state);
-    let armed = *set;
-    let obs = Box::new(move |w: &World, t: SimTime, label: &'static str| {
-        let mut s = st.borrow_mut();
-        s.events += 1;
-        if armed.event_monotonic && t < s.last {
-            let last = s.last;
-            push(
-                &mut s.violations,
-                "event_monotonic",
-                format!("event '{label}' at {t} after clock reached {last}"),
-            );
-        }
-        s.last = s.last.max(t);
-        if armed.tcp_seq_sanity {
-            for (h, host) in w.hosts.iter().enumerate() {
-                if let Some(tcb) = host.kernel.try_tcb(host.sock) {
-                    let buffered = host.kernel.snd_buffered(host.sock);
-                    let sockbuf = host.kernel.cfg.sockbuf;
-                    if let Some(detail) = check_tcb(tcb, buffered, sockbuf, h) {
-                        push(
-                            &mut s.violations,
-                            "tcp_seq_sanity",
-                            format!("after '{label}' at {t}: {detail}"),
-                        );
-                    }
-                }
-            }
-        }
-    });
-    let cap = exp
-        .plan()
-        .seed(seed)
-        .captured()
-        .flight(last_k)
-        .observer(obs)
-        .execute();
-    let state = Rc::try_unwrap(state)
-        .unwrap_or_else(|_| panic!("observer still alive after run"))
-        .into_inner();
-    report.events_checked = state.events;
-    report.violations.extend(state.violations);
-
-    if set.clock_quantized {
-        for (i, rtt) in cap.result.rtts.iter().enumerate() {
-            if rtt.as_ns() % CLOCK_PERIOD_NS != 0 {
-                push(
-                    &mut report.violations,
-                    "clock_quantized",
-                    format!(
-                        "rtt[{i}] = {} ns is off the {CLOCK_PERIOD_NS} ns grid",
-                        rtt.as_ns()
-                    ),
-                );
-            }
-        }
-    }
-
-    let mut snapshots: Vec<simcap::TriggerSnapshot> = Vec::new();
-    snapshots.extend(cap.client.snapshots.iter().cloned());
-    snapshots.extend(cap.server.snapshots.iter().cloned());
-    if !report.is_clean() && snapshots.is_empty() {
-        // No inline trigger fired, but a checker did: freeze what the
-        // rings still hold so the postmortem has *some* window.
-        for host in [&cap.client, &cap.server] {
-            if !host.frames.is_empty() {
-                snapshots.push(simcap::TriggerSnapshot {
-                    reason: simcap::TriggerReason::Invariant,
-                    at: cap.result.sim_time,
-                    frames: host.frames.clone(),
-                });
-            }
-        }
-    }
-    (report, snapshots)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -92,6 +92,29 @@ impl std::ops::AddAssign for PcbCounters {
     }
 }
 
+impl PcbCounters {
+    /// Mean list entries traversed per lookup — the paper's §3 cost
+    /// driver (0 with no lookups).
+    #[must_use]
+    pub fn search_len(&self) -> f64 {
+        if self.lookups == 0 {
+            return 0.0;
+        }
+        self.traversed as f64 / self.lookups as f64
+    }
+
+    /// Single-entry-cache hit rate over cache probes (0 with the cache
+    /// off).
+    #[must_use]
+    pub fn cache_hit_rate(&self) -> f64 {
+        let probes = self.cache_hits + self.cache_misses;
+        if probes == 0 {
+            return 0.0;
+        }
+        self.cache_hits as f64 / probes as f64
+    }
+}
+
 /// One PCB lookup organization: the paper's move-to-front list,
 /// last-PCB single-entry cache over the BSD list, or hash table.
 ///

@@ -17,12 +17,12 @@
 
 use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
-use latency_core::hedge::MitigationCost;
 use latency_core::nic::{arm_host, atm_receive, AtmDelivery, AtmNic, NicMut};
 use simkit::{Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
 use tcpip::{Kernel, PcbCounters, PcbKey, SockId};
 
+use crate::study::MitigationCost;
 use crate::topology::{TailPolicy, Topology, TrafficSchedule};
 
 /// Base port of client-side connections (`+ conn index`).
@@ -504,29 +504,6 @@ pub struct DcRunResult {
     pub mbufs_leaked: u64,
     /// Tail-policy cost counters summed over every fan-out client.
     pub cost: MitigationCost,
-}
-
-impl DcRunResult {
-    /// Mean traversed list entries per lookup — the paper's §3 cost
-    /// driver — on the server side.
-    #[must_use]
-    pub fn server_search_len(&self) -> f64 {
-        if self.server_pcb.lookups == 0 {
-            return 0.0;
-        }
-        self.server_pcb.traversed as f64 / self.server_pcb.lookups as f64
-    }
-
-    /// Server-side cache hit rate over cache probes (0 when the cache
-    /// is off).
-    #[must_use]
-    pub fn server_cache_hit_rate(&self) -> f64 {
-        let probes = self.server_pcb.cache_hits + self.server_pcb.cache_misses;
-        if probes == 0 {
-            return 0.0;
-        }
-        self.server_pcb.cache_hits as f64 / probes as f64
-    }
 }
 
 /// Builds and runs a world to completion.
@@ -1496,10 +1473,10 @@ mod tests {
         let hash = &results[2];
         let mtf = &results[0];
         assert!(
-            hash.server_search_len() < mtf.server_search_len(),
+            hash.server_pcb.search_len() < mtf.server_pcb.search_len(),
             "hash probes beat list traversal at 16 server PCBs: {} vs {}",
-            hash.server_search_len(),
-            mtf.server_search_len()
+            hash.server_pcb.search_len(),
+            mtf.server_pcb.search_len()
         );
     }
 

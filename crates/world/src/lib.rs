@@ -20,7 +20,10 @@
 //!   capacity, tail-drops into TCP loss recovery), composing with the
 //!   `faultkit` fault processes on every uplink;
 //! - [`run_dc`] pools per-connection RPC round-trips with PCB lookup
-//!   and switch contention counters for the `repro dc` study.
+//!   and switch contention counters for the `repro dc` study;
+//! - [`study`] is the one study layer: it runs every study's grid and
+//!   turns each cell into a table row and canonical-JSON fields,
+//!   including the fan-out studies' scenarios, rows and reducers.
 //!
 //! The same machinery hosts the `repro tails` study: a fan-out
 //! topology ([`Topology::fanout`]) turns each client into a fan-out
@@ -48,8 +51,8 @@ pub mod topology;
 pub use dc::{dc_pattern, run_dc, DcConn, DcHost, DcRunResult, DcWorld, RequestOutcome};
 pub use study::{
     cc_canonical_json, cc_grid, cc_policies, cc_quick_grid, cc_rows, dc_grid, dc_quick_grid,
-    hedge_grid, hedge_quick_grid, mitigation_policy, rep_seed, run_cc_cells, run_cells, tails_grid,
-    tails_quick_grid, CcCell, CcRow, DcCell, DcCellResult, HedgeCell, Study, StudyReport,
+    hedge_grid, hedge_quick_grid, rep_seed, run_cc_cells, run_cells, tails_grid, tails_quick_grid,
+    CcCell, CcRow, DcCell, DcCellResult, HedgeCell, Mitigation, MitigationCost, Study, StudyReport,
     TailsCell,
 };
 pub use topology::{

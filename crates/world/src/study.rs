@@ -12,6 +12,12 @@
 //! per-cell fields, one writer emits the canonical JSON, and one
 //! predicate ([`Study::failure`]) decides which cells failed.
 //!
+//! Every study row reads its latency columns from one
+//! [`Summary`] per cell. The fan-out studies' scenarios, rows and
+//! table formatters live in the `tails` and `hedge` submodules; one
+//! amplification join prices each of their rows against its group's
+//! baseline row.
+//!
 //! Each grid cell is one [`Topology`] + [`TrafficSchedule`] pair; its
 //! seed derives from the cell *key* (not its position), so adding or
 //! reordering cells never changes any other cell's bytes, and cells
@@ -32,18 +38,19 @@
 use std::fmt::Write as _;
 
 use atm::{DropPolicy, TrainMarking};
-use latency_core::hedge::{Mitigation, MitigationCost, MITIGATIONS};
-use latency_core::{ObsMode, Samples};
-use simcap::Quantiles as _;
+use latency_core::{ObsMode, Samples, Summary};
 use simkit::SimTime;
 use sweep::report::{canonical_report, json_num, ReportCell};
 use tcpip::{CcVariant, PcbCounters};
 
 use crate::dc::{run_dc, DcRunResult};
-use crate::topology::{
-    ChurnTraffic, FaultScope, HedgePolicy, PcbStrategy, RetryPolicy, TailPolicy, Topology,
-    TrafficSchedule,
-};
+use crate::topology::{ChurnTraffic, FaultScope, PcbStrategy, Topology, TrafficSchedule};
+
+mod hedge;
+mod tails;
+
+use hedge::MITIGATIONS;
+pub use hedge::{Mitigation, MitigationCost};
 
 /// The datacenter studies. A closed set: each variant names its grid,
 /// its sample set, its table and its extra canonical-JSON fields.
@@ -323,25 +330,6 @@ pub struct DcCellResult {
 }
 
 impl DcCellResult {
-    /// Mean traversed entries per server-side lookup.
-    #[must_use]
-    pub fn search_len(&self) -> f64 {
-        if self.server_pcb.lookups == 0 {
-            return 0.0;
-        }
-        self.server_pcb.traversed as f64 / self.server_pcb.lookups as f64
-    }
-
-    /// Server-side single-entry-cache hit rate (0 with the cache off).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        let probes = self.server_pcb.cache_hits + self.server_pcb.cache_misses;
-        if probes == 0 {
-            return 0.0;
-        }
-        self.server_pcb.cache_hits as f64 / probes as f64
-    }
-
     /// Pools one repetition's run into this cell: samples append in
     /// rep order, counters add, and the simulated time and backlog
     /// keep their maximum. The run is destructured field by field, so
@@ -470,6 +458,59 @@ fn opt_json(v: Option<f64>) -> String {
     v.map_or_else(|| "null".to_string(), json_num)
 }
 
+/// A fan-out study's percentile JSON fields; `null` for an unsampled
+/// cell.
+fn percentile_extras(l: &Summary) -> Extras {
+    let sampled = l.samples > 0;
+    vec![
+        ("p50_us", opt_json(sampled.then_some(l.p50_us))),
+        ("p99_us", opt_json(sampled.then_some(l.p99_us))),
+        ("p999_us", opt_json(l.p999_us)),
+    ]
+}
+
+/// One table cell, right-aligned in `width` columns at `prec`
+/// decimals, or `-` when the statistic is unavailable: p999 under its
+/// sample floor, a ratio without a baseline, any latency column of an
+/// unsampled row.
+fn cell(v: Option<f64>, width: usize, prec: usize) -> String {
+    match v {
+        Some(x) => format!("{x:>width$.prec$}"),
+        None => format!("{:>width$}", "-"),
+    }
+}
+
+/// The amplification join: each row's p50 and p99 over those of its
+/// group's baseline, the first sampled row that `is_base` picks among
+/// the rows `group` maps to the same key. An unsampled row, a group
+/// with no sampled baseline, and a zero baseline percentile all give
+/// `None` (rendered `-`, JSON `null`) rather than a made-up ratio.
+fn amplify<R, K: PartialEq>(
+    rows: &[R],
+    latency: impl Fn(&R) -> &Summary,
+    group: impl Fn(&R) -> K,
+    is_base: impl Fn(&R) -> bool,
+) -> Vec<[Option<f64>; 2]> {
+    let bases: Vec<(K, &Summary)> = rows
+        .iter()
+        .filter(|r| is_base(r) && latency(r).samples > 0)
+        .map(|r| (group(r), latency(r)))
+        .collect();
+    rows.iter()
+        .map(|r| {
+            let l = latency(r);
+            let key = group(r);
+            match bases.iter().find(|(k, _)| *k == key) {
+                Some((_, b)) if l.samples > 0 => {
+                    let ratio = |v: f64, base: f64| (base > 0.0).then(|| v / base);
+                    [ratio(l.p50_us, b.p50_us), ratio(l.p99_us, b.p99_us)]
+                }
+                _ => [None, None],
+            }
+        })
+        .collect()
+}
+
 /// Builds the grid from explicit axes.
 fn grid(
     clients: &[usize],
@@ -526,17 +567,17 @@ fn dc_render(cells: &[DcCell], results: &[DcCellResult]) -> (String, Vec<Extras>
         "cell", "samples", "mean_us", "p50_us", "p99_us", "search", "hit%", "drops", "backlog"
     );
     for r in results {
-        let rec = r.rtts.recorder();
+        let l = r.rtts.summary();
         let _ = writeln!(
             out,
             "{:<28} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>7.2} {:>6.1} {:>6} {:>8}",
             r.key.trim_start_matches("dc/"),
-            r.rtts.len(),
-            rec.mean_us(),
-            rec.percentile_ns(50.0).unwrap_or(0) as f64 / 1_000.0,
-            rec.p99_ns().unwrap_or(0) as f64 / 1_000.0,
-            r.search_len(),
-            r.cache_hit_rate() * 100.0,
+            l.samples,
+            l.mean_us,
+            l.p50_us,
+            l.p99_us,
+            r.server_pcb.search_len(),
+            r.server_pcb.cache_hit_rate() * 100.0,
             r.switch_drops,
             r.max_backlog_cells
         );
@@ -555,7 +596,7 @@ fn dc_render(cells: &[DcCell], results: &[DcCellResult]) -> (String, Vec<Extras>
                 .iter()
                 .zip(results)
                 .find(|(cell, _)| group(&cell.topo) == (h, c, f) && cell.topo.strategy == strategy)
-                .map_or(f64::NAN, |(_, r)| r.search_len())
+                .map_or(f64::NAN, |(_, r)| r.server_pcb.search_len())
         };
         let _ = writeln!(
             out,
@@ -573,7 +614,7 @@ fn dc_render(cells: &[DcCell], results: &[DcCellResult]) -> (String, Vec<Extras>
 pub struct TailsCell {
     /// The underlying world cell (key, topology, schedule, reps).
     pub cell: DcCell,
-    /// Scenario name from [`latency_core::tails::scenarios`].
+    /// Scenario name from the tails study's fault regimes.
     pub scenario: String,
     /// Fan-out width N.
     pub width: usize,
@@ -597,7 +638,7 @@ fn tails_grid_from(
     reps: u64,
 ) -> Vec<TailsCell> {
     let mut cells = Vec::new();
-    for sc in latency_core::tails::scenarios() {
+    for sc in tails::scenarios() {
         for &w in widths {
             for churn in [false, true] {
                 let mut topo = Topology::fanout(clients, w);
@@ -670,7 +711,7 @@ fn arm_cold_reno(topo: &mut Topology) {
 /// is the p99 shift under cwnd dynamics, not a p999 floor.
 fn tails_reno_rerun() -> Vec<TailsCell> {
     let mut cells = Vec::new();
-    for sc in latency_core::tails::scenarios() {
+    for sc in tails::scenarios() {
         for &w in &[1usize, 16] {
             let mut topo = Topology::fanout(4, w);
             topo.iterations = 60;
@@ -710,7 +751,7 @@ fn tails_render(cells: &[TailsCell], results: &[DcCellResult]) -> (String, Vec<E
         .iter()
         .zip(results)
         .map(|(tc, r)| {
-            latency_core::tails::reduce(
+            tails::reduce(
                 &tc.scenario,
                 tc.width,
                 tc.churn,
@@ -719,23 +760,20 @@ fn tails_render(cells: &[TailsCell], results: &[DcCellResult]) -> (String, Vec<E
             )
         })
         .collect();
-    latency_core::tails::amplify(&mut rows);
-    let extras = results
+    tails::join_baselines(&mut rows);
+    let extras = rows
         .iter()
-        .zip(&rows)
-        .map(|(c, row)| {
-            let sampled = row.samples > 0;
-            vec![
-                ("p50_us", opt_json(sampled.then_some(row.p50_us))),
-                ("p99_us", opt_json(sampled.then_some(row.p99_us))),
-                ("p999_us", opt_json(row.p999_us)),
+        .map(|row| {
+            let mut fields = percentile_extras(&row.latency);
+            fields.extend([
                 ("amp_p50", opt_json(row.amp_p50)),
                 ("amp_p99", opt_json(row.amp_p99)),
-                ("fanout_aborts", c.fanout_aborts.to_string()),
-            ]
+                ("fanout_aborts", row.aborted.to_string()),
+            ]);
+            fields
         })
         .collect();
-    (latency_core::tails::format_table(&rows), extras)
+    (tails::format_table(&rows), extras)
 }
 
 /// One `repro hedge` cell: a fan-out-16 world under one fault regime
@@ -743,7 +781,7 @@ fn tails_render(cells: &[TailsCell], results: &[DcCellResult]) -> (String, Vec<E
 pub struct HedgeCell {
     /// The underlying world cell (key, topology, schedule, reps).
     pub cell: DcCell,
-    /// Scenario name from [`latency_core::hedge::scenarios`].
+    /// Scenario name from the hedge study's fault regimes.
     pub scenario: String,
     /// The mitigation this cell runs under.
     pub mitigation: Mitigation,
@@ -757,32 +795,6 @@ impl AsRef<DcCell> for HedgeCell {
     }
 }
 
-/// Maps a study mitigation onto the world's [`TailPolicy`]; the
-/// baseline is the default, wait-for-all policy.
-#[must_use]
-pub fn mitigation_policy(m: Mitigation, width: usize) -> TailPolicy {
-    match m {
-        Mitigation::None => TailPolicy::default(),
-        Mitigation::Deadline => TailPolicy {
-            deadline: Some(SimTime::from_ms(10)),
-            ..TailPolicy::default()
-        },
-        Mitigation::Retry => TailPolicy {
-            retry: Some(RetryPolicy::default()),
-            ..TailPolicy::default()
-        },
-        Mitigation::Hedge => TailPolicy {
-            hedge: Some(HedgePolicy::default()),
-            ..TailPolicy::default()
-        },
-        Mitigation::HedgeQuorum => TailPolicy {
-            hedge: Some(HedgePolicy::default()),
-            quorum: width.saturating_sub(2).max(1),
-            ..TailPolicy::default()
-        },
-    }
-}
-
 /// Builds the hedge grid: every scenario x every mitigation at one
 /// fan-out width.
 fn hedge_grid_from(
@@ -793,7 +805,7 @@ fn hedge_grid_from(
     reps: u64,
 ) -> Vec<HedgeCell> {
     let mut cells = Vec::new();
-    for sc in latency_core::hedge::scenarios() {
+    for sc in hedge::scenarios() {
         for m in MITIGATIONS {
             let mut topo = Topology::fanout(clients, width);
             topo.iterations = iterations;
@@ -804,7 +816,7 @@ fn hedge_grid_from(
                 // the clients stay clean, every tail is remote.
                 topo.fault_scope = FaultScope::ServersOnly;
             }
-            topo.tail = mitigation_policy(m, width);
+            topo.tail = m.policy(width);
             let key = format!(
                 "hedge/{}/{}/f{}/i{}r{}",
                 sc.name,
@@ -843,7 +855,7 @@ pub fn hedge_grid() -> Vec<HedgeCell> {
 /// after loss stretch sub-request completions into the retry window.
 fn hedge_reno_rerun() -> Vec<HedgeCell> {
     let mut cells = Vec::new();
-    for sc in latency_core::hedge::scenarios() {
+    for sc in hedge::scenarios() {
         for m in [Mitigation::None, Mitigation::Retry] {
             let mut topo = Topology::fanout(4, 16);
             topo.iterations = 60;
@@ -852,7 +864,7 @@ fn hedge_reno_rerun() -> Vec<HedgeCell> {
                 topo.faults = Some(sc.faults);
                 topo.fault_scope = FaultScope::ServersOnly;
             }
-            topo.tail = mitigation_policy(m, 16);
+            topo.tail = m.policy(16);
             arm_cold_reno(&mut topo);
             let key = format!("hedge/{}+reno/{}/f16/i60r1", sc.name, m.tag());
             cells.push(HedgeCell {
@@ -881,7 +893,7 @@ fn hedge_render(cells: &[HedgeCell], results: &[DcCellResult]) -> (String, Vec<E
         .iter()
         .zip(results)
         .map(|(hc, r)| {
-            latency_core::hedge::reduce(
+            hedge::reduce(
                 &hc.scenario,
                 hc.mitigation.tag(),
                 hc.width,
@@ -891,16 +903,13 @@ fn hedge_render(cells: &[HedgeCell], results: &[DcCellResult]) -> (String, Vec<E
             )
         })
         .collect();
-    latency_core::hedge::amplify(&mut rows);
+    hedge::join_baselines(&mut rows);
     let extras = results
         .iter()
         .zip(&rows)
         .map(|(c, row)| {
-            let sampled = row.samples > 0;
-            vec![
-                ("p50_us", opt_json(sampled.then_some(row.p50_us))),
-                ("p99_us", opt_json(sampled.then_some(row.p99_us))),
-                ("p999_us", opt_json(row.p999_us)),
+            let mut fields = percentile_extras(&row.latency);
+            fields.extend([
                 ("amp_p99", opt_json(row.amp_p99)),
                 ("hedges_issued", c.cost.hedges_issued.to_string()),
                 ("hedges_won", c.cost.hedges_won.to_string()),
@@ -911,10 +920,11 @@ fn hedge_render(cells: &[HedgeCell], results: &[DcCellResult]) -> (String, Vec<E
                 ("cancelled", c.cost.cancelled.to_string()),
                 ("mbufs_leaked", c.mbufs_leaked.to_string()),
                 ("fanout_aborts", c.fanout_aborts.to_string()),
-            ]
+            ]);
+            fields
         })
         .collect();
-    (latency_core::hedge::format_table(&rows), extras)
+    (hedge::format_table(&rows), extras)
 }
 
 /// One `repro cc` cell: an incast world under one congestion-control
@@ -1038,8 +1048,6 @@ pub struct CcRow {
     pub policy: &'static str,
     /// Switch queue capacity in cells.
     pub queue_cells: usize,
-    /// Measured RPC round-trips.
-    pub samples: usize,
     /// Per-flow application goodput in Mbit/s over the measured RPCs:
     /// one round trip's request+echo payload bits over the mean round
     /// trip. Recovery stalls (RTO towers especially) land in the mean,
@@ -1047,14 +1055,10 @@ pub struct CcRow {
     /// time — which also spans warmup and trailing timer drain — does
     /// not enter the figure.
     pub goodput_mbps: f64,
-    /// Median RPC round-trip in µs.
-    pub p50_us: f64,
-    /// 99th-percentile RPC round-trip in µs — recovery latency lives
-    /// in this tail: a round trip is slow exactly when its segments
-    /// needed retransmission.
-    pub p99_us: f64,
-    /// Worst RPC round-trip in µs.
-    pub max_us: f64,
+    /// The measured RPC round trips. Recovery latency lives in the
+    /// p99: a round trip is slow exactly when its segments needed
+    /// retransmission.
+    pub latency: Summary,
     /// Segments retransmitted (RTO + fast), all hosts.
     pub rexmits: u64,
     /// Retransmission timeouts fired, all hosts.
@@ -1085,12 +1089,10 @@ pub fn cc_rows(cells: &[CcCell], results: &[DcCellResult]) -> Vec<CcRow> {
         .iter()
         .zip(results)
         .map(|(cc, r)| {
-            let rec = r.rtts.recorder();
-            let us = |ns: i64| ns as f64 / 1_000.0;
+            let latency = r.rtts.summary();
             let rpc_bits = (cc.cell.topo.rpc_size * 2 * 8) as f64;
-            let mean_us = r.rtts.mean_us();
-            let goodput_mbps = if mean_us > 0.0 {
-                rpc_bits / mean_us
+            let goodput_mbps = if latency.mean_us > 0.0 {
+                rpc_bits / latency.mean_us
             } else {
                 0.0
             };
@@ -1098,11 +1100,8 @@ pub fn cc_rows(cells: &[CcCell], results: &[DcCellResult]) -> Vec<CcRow> {
                 variant: cc.variant.name(),
                 policy: cc.policy.name(),
                 queue_cells: cc.queue_cells,
-                samples: r.rtts.len(),
                 goodput_mbps,
-                p50_us: us(rec.percentile_ns(50.0).unwrap_or(0)),
-                p99_us: us(rec.percentile_ns(99.0).unwrap_or(0)),
-                max_us: us(rec.max_ns().unwrap_or(0)),
+                latency,
                 rexmits: r.rexmits,
                 rto_fires: r.rto_fires,
                 queue_drops: r.switch_drops,
@@ -1122,8 +1121,8 @@ fn cc_extras(rows: &[CcRow], results: &[DcCellResult]) -> Vec<Extras> {
         .map(|(row, c)| {
             vec![
                 ("goodput_mbps", json_num(row.goodput_mbps)),
-                ("p50_us", json_num(row.p50_us)),
-                ("p99_us", json_num(row.p99_us)),
+                ("p50_us", json_num(row.latency.p50_us)),
+                ("p99_us", json_num(row.latency.p99_us)),
                 ("rexmits", row.rexmits.to_string()),
                 ("rto_fires", row.rto_fires.to_string()),
                 ("queue_drops", row.queue_drops.to_string()),
@@ -1173,11 +1172,11 @@ fn cc_render(cells: &[CcCell], results: &[DcCellResult]) -> (String, Vec<Extras>
             row.variant,
             row.policy,
             row.queue_cells,
-            row.samples,
+            row.latency.samples,
             row.goodput_mbps,
-            row.p50_us,
-            row.p99_us,
-            row.max_us,
+            row.latency.p50_us,
+            row.latency.p99_us,
+            row.latency.max_us,
             row.rexmits,
             row.rto_fires,
             row.queue_drops,
@@ -1224,6 +1223,30 @@ mod tests {
         let r = run_cells(&g[..2], 1, ObsMode::Exact);
         assert_eq!(r[0].seed, sweep::cell_seed(&g[0].key));
         assert_eq!(r[1].seed, sweep::cell_seed(&g[1].key));
+    }
+
+    #[test]
+    fn amplify_prices_each_group_against_its_first_sampled_baseline() {
+        let lat = |samples, p50_us, p99_us| Summary {
+            samples,
+            p50_us,
+            p99_us,
+            ..Summary::default()
+        };
+        // (group, is baseline, latency)
+        let rows = [
+            ('a', true, lat(0, 0.0, 0.0)),
+            ('a', true, lat(3, 10.0, 20.0)),
+            ('a', false, lat(3, 15.0, 60.0)),
+            ('a', false, lat(0, 0.0, 0.0)),
+            ('b', false, lat(3, 15.0, 60.0)),
+        ];
+        let amps = amplify(&rows, |r| &r.2, |r| r.0, |r| r.1);
+        assert_eq!(amps[0], [None, None], "an unsampled baseline is skipped");
+        assert_eq!(amps[1], [Some(1.0), Some(1.0)], "baseline divides itself");
+        assert_eq!(amps[2], [Some(1.5), Some(3.0)]);
+        assert_eq!(amps[3], [None, None], "an unsampled row gets no ratio");
+        assert_eq!(amps[4], [None, None], "group b has no baseline");
     }
 
     #[test]
@@ -1454,19 +1477,6 @@ mod tests {
             assert_eq!(c.cell.topo.stack.initial_cwnd_segs, Some(2));
             assert!(matches!(c.mitigation, Mitigation::None | Mitigation::Retry));
         }
-    }
-
-    #[test]
-    fn hedge_kofn_policy_sets_the_quorum() {
-        let p = mitigation_policy(Mitigation::HedgeQuorum, 16);
-        assert_eq!(p.quorum, 14);
-        assert!(p.hedge.is_some());
-        assert_eq!(
-            mitigation_policy(Mitigation::None, 16),
-            TailPolicy::default()
-        );
-        let d = mitigation_policy(Mitigation::Deadline, 16);
-        assert_eq!(d.deadline, Some(SimTime::from_ms(10)));
     }
 
     #[test]

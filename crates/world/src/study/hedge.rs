@@ -1,6 +1,6 @@
 //! The tail-tolerance (`repro hedge`) study.
 //!
-//! The tails study (see [`crate::tails`]) establishes the problem:
+//! The tails study (see [`super::tails`]) establishes the problem:
 //! fan-out turns rare per-server hiccups into common per-request
 //! stalls. This study prices the *mitigations* from "The Tail at
 //! Scale" (PAPERS.md) against each other on the same fan-out-16
@@ -16,11 +16,12 @@
 //! is visible as such — the study reports the trade, not a verdict.
 
 use faultkit::{FaultSchedule, FlapSchedule, GilbertElliott, PauseSchedule};
-use simcap::Quantiles as _;
+use latency_core::obs::{Samples, Summary};
+use latency_core::recovery::Scenario;
 use simkit::SimTime;
 
-use crate::obs::Samples;
-use crate::recovery::Scenario;
+use super::{amplify, cell};
+use crate::topology::{HedgePolicy, RetryPolicy, TailPolicy};
 
 /// The study's fault regimes, clean baseline first.
 ///
@@ -28,7 +29,7 @@ use crate::recovery::Scenario;
 /// time functions (no RNG): their windows land identically in every
 /// cell, so mitigation columns differ only by the mitigation.
 #[must_use]
-pub fn scenarios() -> Vec<Scenario> {
+pub(crate) fn scenarios() -> Vec<Scenario> {
     vec![
         Scenario {
             name: "clean",
@@ -61,14 +62,8 @@ pub fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// The scenario named `name`, if the study defines it.
-#[must_use]
-pub fn scenario(name: &str) -> Option<Scenario> {
-    scenarios().into_iter().find(|s| s.name == name)
-}
-
-/// One mitigation column of the study. The world crate maps each
-/// variant onto a `TailPolicy`; this crate only needs the identity.
+/// One mitigation column of the study, armed on the fan-out world by
+/// [`Mitigation::policy`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mitigation {
     /// Classic wait-for-all: the tails-study baseline.
@@ -88,7 +83,7 @@ pub enum Mitigation {
 }
 
 /// Every mitigation, in report order (baseline first).
-pub const MITIGATIONS: [Mitigation; 5] = [
+pub(crate) const MITIGATIONS: [Mitigation; 5] = [
     Mitigation::None,
     Mitigation::Deadline,
     Mitigation::Retry,
@@ -106,6 +101,32 @@ impl Mitigation {
             Mitigation::Retry => "retry",
             Mitigation::Hedge => "hedge",
             Mitigation::HedgeQuorum => "hedge-kofn",
+        }
+    }
+
+    /// The world's [`TailPolicy`] for this mitigation at fan-out
+    /// `width`; the baseline is the default, wait-for-all policy.
+    #[must_use]
+    pub fn policy(self, width: usize) -> TailPolicy {
+        match self {
+            Mitigation::None => TailPolicy::default(),
+            Mitigation::Deadline => TailPolicy {
+                deadline: Some(SimTime::from_ms(10)),
+                ..TailPolicy::default()
+            },
+            Mitigation::Retry => TailPolicy {
+                retry: Some(RetryPolicy::default()),
+                ..TailPolicy::default()
+            },
+            Mitigation::Hedge => TailPolicy {
+                hedge: Some(HedgePolicy::default()),
+                ..TailPolicy::default()
+            },
+            Mitigation::HedgeQuorum => TailPolicy {
+                hedge: Some(HedgePolicy::default()),
+                quorum: width.saturating_sub(2).max(1),
+                ..TailPolicy::default()
+            },
         }
     }
 }
@@ -155,41 +176,29 @@ impl std::ops::AddAssign for MitigationCost {
 /// One row of the hedge table: a scenario × mitigation cell at fixed
 /// fan-out.
 #[derive(Clone, Debug)]
-pub struct HedgeRow {
+pub(crate) struct HedgeRow {
     /// Scenario name.
     pub scenario: String,
     /// Mitigation tag.
     pub mitigation: String,
     /// Fan-out width N.
     pub fanout: usize,
-    /// Measured logical-request completions.
-    pub samples: u64,
     /// Client hosts aborted by the retransmit limit.
     pub aborted: u64,
-    /// Completion samples clamped to `i64::MAX` ns.
-    pub saturated: u64,
-    /// Mean completion in µs.
-    pub mean_us: f64,
-    /// Median completion in µs.
-    pub p50_us: f64,
-    /// 99th-percentile completion in µs.
-    pub p99_us: f64,
-    /// 99.9th-percentile completion; `None` under the sample floor.
-    pub p999_us: Option<f64>,
-    /// Worst completion in µs.
-    pub max_us: f64,
+    /// The logical-request completion times.
+    pub latency: Summary,
     /// `p99 / p99(no mitigation)` within the same scenario — below
     /// 1.0 means the mitigation cut the tail. `None` until
-    /// [`amplify`] runs or when the baseline is missing.
+    /// [`join_baselines`] runs or when the baseline is missing.
     pub amp_p99: Option<f64>,
     /// The mitigation's cost counters.
     pub cost: MitigationCost,
 }
 
 /// Reduces one cell's completion times plus its cost counters to a
-/// row. Call [`amplify`] once every row exists.
+/// row. Call [`join_baselines`] once every row exists.
 #[must_use]
-pub fn reduce(
+pub(crate) fn reduce(
     scenario: &str,
     mitigation: &str,
     fanout: usize,
@@ -197,49 +206,35 @@ pub fn reduce(
     aborted: u64,
     cost: MitigationCost,
 ) -> HedgeRow {
-    let rec = completions.recorder();
-    #[allow(clippy::cast_precision_loss)]
-    let us = |ns: i64| ns as f64 / 1000.0;
     HedgeRow {
         scenario: scenario.to_string(),
         mitigation: mitigation.to_string(),
         fanout,
-        samples: completions.len() as u64,
         aborted,
-        saturated: rec.saturated(),
-        mean_us: rec.mean_us(),
-        p50_us: us(rec.percentile_ns(50.0).unwrap_or(0)),
-        p99_us: us(rec.percentile_ns(99.0).unwrap_or(0)),
-        p999_us: rec.p999_ns().map(us),
-        max_us: us(rec.max_ns().unwrap_or(0)),
+        latency: completions.summary(),
         amp_p99: None,
         cost,
     }
 }
 
-/// Fills the `amp_p99` column: each row divided by the no-mitigation
-/// row of the same scenario. Rows without a usable baseline keep
-/// `None` (rendered `-` / JSON `null`).
-pub fn amplify(rows: &mut [HedgeRow]) {
-    let bases: Vec<(String, f64)> = rows
-        .iter()
-        .filter(|r| r.mitigation == "none" && r.samples > 0)
-        .map(|r| (r.scenario.clone(), r.p99_us))
-        .collect();
-    for row in rows.iter_mut() {
-        let base = bases.iter().find(|(s, _)| *s == row.scenario);
-        if let Some((_, b99)) = base {
-            if row.samples > 0 {
-                row.amp_p99 = (*b99 > 0.0).then(|| row.p99_us / b99);
-            }
-        }
+/// Fills the `amp_p99` column through the study's one amplification
+/// join: each row over the no-mitigation row of its scenario.
+pub(crate) fn join_baselines(rows: &mut [HedgeRow]) {
+    let amps = amplify(
+        rows,
+        |r| &r.latency,
+        |r| r.scenario.clone(),
+        |r| r.mitigation == Mitigation::None.tag(),
+    );
+    for (row, [_, p99]) in rows.iter_mut().zip(amps) {
+        row.amp_p99 = p99;
     }
 }
 
 /// Formats the study as a table, one row per scenario × mitigation
 /// cell, in the given order.
 #[must_use]
-pub fn format_table(rows: &[HedgeRow]) -> String {
+pub(crate) fn format_table(rows: &[HedgeRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from(
         "tail tolerance (fan-out RPC under mitigation): completion =\n\
@@ -263,42 +258,33 @@ pub fn format_table(rows: &[HedgeRow]) -> String {
         "ddl",
         "n"
     );
-    let opt = |v: Option<f64>, width: usize, prec: usize| -> String {
-        match v {
-            Some(x) => format!("{x:>width$.prec$}"),
-            None => format!("{:>width$}", "-"),
-        }
-    };
     for r in rows {
-        if r.samples == 0 {
-            let _ = writeln!(
-                out,
-                "{:<12} {:<11} {:>4} | {:>8} {:>8} {:>8} {:>8} | {:>8} | {:>11} {:>7} {:>7} {:>5} | {:>4}!",
-                r.scenario, r.mitigation, r.fanout, "-", "-", "-", "-", "-", "-", "-", "-", "-", 0,
-            );
-            continue;
-        }
-        let hedge = format!(
-            "{}/{}/{}",
-            r.cost.hedges_won, r.cost.hedges_wasted, r.cost.hedges_issued
-        );
+        let (l, c) = (&r.latency, &r.cost);
+        let sampled = l.samples > 0;
+        #[allow(clippy::cast_precision_loss)]
+        let n = |v: u64, width| cell(sampled.then_some(v as f64), width, 0);
+        let hedge = if sampled {
+            format!("{}/{}/{}", c.hedges_won, c.hedges_wasted, c.hedges_issued)
+        } else {
+            "-".to_string()
+        };
         let _ = writeln!(
             out,
-            "{:<12} {:<11} {:>4} | {:>8.0} {:>8.0} {} {:>8.0} | {} | {:>11} {:>7} {:>7} {:>5} | {:>4}{}",
+            "{:<12} {:<11} {:>4} | {} {} {} {} | {} | {:>11} {} {} {} | {:>4}{}",
             r.scenario,
             r.mitigation,
             r.fanout,
-            r.p50_us,
-            r.p99_us,
-            opt(r.p999_us, 8, 0),
-            r.max_us,
-            opt(r.amp_p99, 8, 2),
+            cell(sampled.then_some(l.p50_us), 8, 0),
+            cell(sampled.then_some(l.p99_us), 8, 0),
+            cell(l.p999_us, 8, 0),
+            cell(sampled.then_some(l.max_us), 8, 0),
+            cell(r.amp_p99, 8, 2),
             hedge,
-            r.cost.retries_issued,
-            r.cost.budget_exhausted,
-            r.cost.deadline_exceeded,
-            r.samples,
-            if r.aborted > 0 { "!" } else { "" },
+            n(c.retries_issued, 7),
+            n(c.budget_exhausted, 7),
+            n(c.deadline_exceeded, 5),
+            l.samples,
+            if !sampled || r.aborted > 0 { "!" } else { "" },
         );
     }
     out.push_str(
@@ -313,15 +299,23 @@ pub fn format_table(rows: &[HedgeRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use latency_core::ObsMode;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_us(us)
     }
 
     fn pool(ts: &[SimTime]) -> Samples {
-        let mut s = Samples::new(crate::obs::ObsMode::Exact);
+        let mut s = Samples::new(ObsMode::Exact);
         s.extend_from(ts);
         s
+    }
+
+    fn scenario(name: &str) -> Scenario {
+        scenarios()
+            .into_iter()
+            .find(|s| s.name == name)
+            .expect("a study scenario")
     }
 
     #[test]
@@ -333,9 +327,8 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), all.len());
-        assert!(scenario("host-pause").is_some());
-        assert!(scenario("link-flap").is_some());
-        assert!(scenario("nope").is_none());
+        assert!(names.contains(&"host-pause"));
+        assert!(names.contains(&"link-flap"));
     }
 
     #[test]
@@ -348,11 +341,21 @@ mod tests {
     }
 
     #[test]
+    fn hedge_kofn_policy_sets_the_quorum() {
+        let p = Mitigation::HedgeQuorum.policy(16);
+        assert_eq!(p.quorum, 14);
+        assert!(p.hedge.is_some());
+        assert_eq!(Mitigation::None.policy(16), TailPolicy::default());
+        let d = Mitigation::Deadline.policy(16);
+        assert_eq!(d.deadline, Some(SimTime::from_ms(10)));
+    }
+
+    #[test]
     fn pause_and_flap_scenarios_carry_pure_time_schedules() {
-        let pause = scenario("host-pause").unwrap();
+        let pause = scenario("host-pause");
         assert!(pause.faults.host_pause.is_some());
         assert!(pause.faults.atm_loss.is_none(), "pause is RNG-free");
-        let flap = scenario("link-flap").unwrap();
+        let flap = scenario("link-flap");
         assert!(flap.faults.link_flap.is_some());
         assert!(flap.faults.atm_loss.is_none(), "flap is RNG-free");
     }
@@ -379,11 +382,20 @@ mod tests {
             ),
             // Different scenario: must NOT share the baseline.
             reduce("burst-loss", "hedge", 16, &pool(&[t(600)]), 0, cost),
+            // A zero-valued baseline percentile yields no ratio.
+            reduce("link-flap", "none", 16, &pool(&[SimTime::ZERO]), 0, cost),
+            reduce("link-flap", "hedge", 16, &pool(&[t(10)]), 0, cost),
+            // An unsampled baseline is no baseline.
+            reduce("host-pause", "none", 16, &pool(&[]), 1, cost),
+            reduce("host-pause", "retry", 16, &pool(&[t(10)]), 0, cost),
         ];
-        amplify(&mut rows);
+        join_baselines(&mut rows);
         assert_eq!(rows[0].amp_p99, Some(1.0), "baseline divides itself");
         assert!((rows[1].amp_p99.unwrap() - 0.5).abs() < 1e-9);
         assert_eq!(rows[2].amp_p99, None, "no baseline in its scenario");
+        assert_eq!(rows[4].amp_p99, None, "zero baseline yields no ratio");
+        assert_eq!(rows[5].amp_p99, None, "an unsampled row gets no ratio");
+        assert_eq!(rows[6].amp_p99, None, "empty baseline yields no ratio");
     }
 
     #[test]
@@ -407,20 +419,28 @@ mod tests {
                 MitigationCost::default(),
             ),
             reduce("clean", "hedge", 16, &pool(&[t(90), t(95)]), 1, cost),
-            reduce(
-                "link-flap",
-                "retry",
-                16,
-                &pool(&[]),
-                2,
-                MitigationCost::default(),
-            ),
+            reduce("link-flap", "retry", 16, &pool(&[]), 0, cost),
         ];
-        assert_eq!(rows[1].p999_us, None, "2 samples cannot estimate p999");
-        amplify(&mut rows);
+        assert_eq!(
+            rows[1].latency.p999_us, None,
+            "2 samples cannot estimate p999"
+        );
+        join_baselines(&mut rows);
         let text = format_table(&rows);
-        assert!(text.contains("3/2/5"), "hedge won/wasted/issued: {text}");
-        assert!(text.contains('!'), "aborted rows are flagged");
-        assert!(text.contains("link-flap"));
+        let lines: Vec<&str> = text.lines().collect();
+        // A sampled, aborted row: whole-µs columns, the amplification
+        // ratio, the cost columns and the abort flag.
+        let hedged = format!(
+            "{:<12} {:<11} {:>4} | {:>8} {:>8} {:>8} {:>8} | {:>8} | {:>11} {:>7} {:>7} {:>5} | {:>4}!",
+            "clean", "hedge", 16, 90, 95, "-", 95, "0.86", "3/2/5", 7, 1, 2, 2
+        );
+        assert!(lines.contains(&hedged.as_str()), "{text}");
+        // An unsampled row is all '-', cost columns included, and
+        // flagged even without an abort.
+        let unsampled = format!(
+            "{:<12} {:<11} {:>4} | {:>8} {:>8} {:>8} {:>8} | {:>8} | {:>11} {:>7} {:>7} {:>5} | {:>4}!",
+            "link-flap", "retry", 16, "-", "-", "-", "-", "-", "-", "-", "-", "-", 0
+        );
+        assert!(lines.contains(&unsampled.as_str()), "{text}");
     }
 }

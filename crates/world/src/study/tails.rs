@@ -10,32 +10,32 @@
 //! becomes the p50's problem ("Deconstructing the Tail at Scale
 //! Effect", PAPERS.md).
 //!
-//! Each study cell runs the fan-out/wait-for-all world from
-//! `crates/world` under one faultkit regime, with or without
-//! background churn traffic, and reduces the per-request completion
-//! times (the max over the N sub-request RTTs) to p50 / p99 / p999
-//! plus the **tail-amplification ratio**: p99 at fan-out N divided by
-//! p99 at fan-out 1 in the same regime. The paper-predicted signature
-//! is amplification growing with N while the median stays near flat.
+//! Each study cell runs the fan-out/wait-for-all world under one
+//! faultkit regime, with or without background churn traffic, and
+//! reduces the per-request completion times (the max over the N
+//! sub-request RTTs) to p50 / p99 / p999 plus the
+//! **tail-amplification ratio**: p99 at fan-out N divided by p99 at
+//! fan-out 1 in the same regime. The paper-predicted signature is
+//! amplification growing with N while the median stays near flat.
 //!
 //! Percentile hygiene matters more here than anywhere else in the
-//! repo, so this module leans on the guarded accessors: p999 is
-//! `None` (rendered `-`, JSON `null`) below `simcap`'s minimum sample
-//! floor, and clamped RTT samples are counted, never silently folded
-//! into the max (the [`simcap::Recorder`] saturation accounting).
+//! repo, so the rows read the guarded [`Summary`]: p999 is `None`
+//! (rendered `-`, JSON `null`) below `simcap`'s minimum sample floor,
+//! and clamped samples are counted, never silently folded into the
+//! max.
 
 use faultkit::{FaultSchedule, GilbertElliott};
-use simcap::Quantiles as _;
+use latency_core::obs::{Samples, Summary};
+use latency_core::recovery::Scenario;
 
-use crate::obs::Samples;
-use crate::recovery::Scenario;
+use super::{amplify, cell};
 
 /// The study's fault regimes, clean baseline first.
 ///
 /// Order is part of the report: tables and canonical JSON render in
 /// this order. Names are stable sweep-key components.
 #[must_use]
-pub fn scenarios() -> Vec<Scenario> {
+pub(crate) fn scenarios() -> Vec<Scenario> {
     vec![
         Scenario {
             name: "clean",
@@ -62,44 +62,23 @@ pub fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// The scenario named `name`, if the study defines it.
-#[must_use]
-pub fn scenario(name: &str) -> Option<Scenario> {
-    scenarios().into_iter().find(|s| s.name == name)
-}
-
 /// One row of the tails table: a scenario × fan-out × churn cell.
 #[derive(Clone, Debug)]
-pub struct TailsRow {
+pub(crate) struct TailsRow {
     /// Scenario name.
     pub scenario: String,
     /// Fan-out width N (sub-requests per logical request).
     pub fanout: usize,
     /// Whether background churn traffic shared the fabric.
     pub churn: bool,
-    /// Measured logical-request completions.
-    pub samples: u64,
     /// Client hosts whose fan-out round was aborted by the retransmit
-    /// limit (their remaining rounds are missing from `samples`).
+    /// limit (their remaining rounds are missing from the samples).
     pub aborted: u64,
-    /// Completion samples clamped to `i64::MAX` ns (must be zero for
-    /// the tail columns to be trustworthy).
-    pub saturated: u64,
-    /// Mean completion in µs.
-    pub mean_us: f64,
-    /// Median completion in µs.
-    pub p50_us: f64,
-    /// 99th-percentile completion in µs.
-    pub p99_us: f64,
-    /// 99.9th-percentile completion in µs; `None` when the cell holds
-    /// fewer than [`simcap::P999_MIN_SAMPLES`] samples (nearest-rank
-    /// p999 would just repeat the max).
-    pub p999_us: Option<f64>,
-    /// Worst completion in µs.
-    pub max_us: f64,
+    /// The logical-request completion times.
+    pub latency: Summary,
     /// `p50 / p50(fan-out 1)` within the same scenario × churn group;
-    /// `None` until [`amplify`] runs or when the baseline is missing
-    /// or degenerate.
+    /// `None` until [`join_baselines`] runs or when the baseline is
+    /// missing or degenerate.
     pub amp_p50: Option<f64>,
     /// `p99 / p99(fan-out 1)` — the tail-amplification ratio.
     pub amp_p99: Option<f64>,
@@ -107,66 +86,48 @@ pub struct TailsRow {
 
 /// Reduces one cell's completion times to a row.
 ///
-/// Amplification columns start `None`; call [`amplify`] once every
-/// row of the study exists, so each cell can find its fan-out-1
+/// Amplification columns start `None`; call [`join_baselines`] once
+/// every row of the study exists, so each cell can find its fan-out-1
 /// baseline.
 #[must_use]
-pub fn reduce(
+pub(crate) fn reduce(
     scenario: &str,
     fanout: usize,
     churn: bool,
     completions: &Samples,
     aborted: u64,
 ) -> TailsRow {
-    let rec = completions.recorder();
-    #[allow(clippy::cast_precision_loss)]
-    let us = |ns: i64| ns as f64 / 1000.0;
     TailsRow {
         scenario: scenario.to_string(),
         fanout,
         churn,
-        samples: completions.len() as u64,
         aborted,
-        saturated: rec.saturated(),
-        mean_us: rec.mean_us(),
-        p50_us: us(rec.percentile_ns(50.0).unwrap_or(0)),
-        p99_us: us(rec.percentile_ns(99.0).unwrap_or(0)),
-        p999_us: rec.p999_ns().map(us),
-        max_us: us(rec.max_ns().unwrap_or(0)),
+        latency: completions.summary(),
         amp_p50: None,
         amp_p99: None,
     }
 }
 
-/// Fills the amplification columns: each row is divided by the
-/// fan-out-1 row of the same scenario × churn group.
-///
-/// A row with no baseline (the group has no fan-out-1 cell, or the
-/// baseline percentile is zero or itself unsampled) keeps `None` —
-/// rendered as `-` / JSON `null` rather than a made-up ratio.
-pub fn amplify(rows: &mut [TailsRow]) {
-    let bases: Vec<(String, bool, f64, f64)> = rows
-        .iter()
-        .filter(|r| r.fanout == 1 && r.samples > 0)
-        .map(|r| (r.scenario.clone(), r.churn, r.p50_us, r.p99_us))
-        .collect();
-    for row in rows.iter_mut() {
-        let base = bases
-            .iter()
-            .find(|(s, c, _, _)| *s == row.scenario && *c == row.churn);
-        if let Some((_, _, b50, b99)) = base {
-            if row.samples > 0 {
-                row.amp_p50 = (*b50 > 0.0).then(|| row.p50_us / b50);
-                row.amp_p99 = (*b99 > 0.0).then(|| row.p99_us / b99);
-            }
-        }
+/// Fills the amplification columns through the study's one
+/// amplification join: each row over the fan-out-1 row of its
+/// scenario × churn group.
+pub(crate) fn join_baselines(rows: &mut [TailsRow]) {
+    let amps = amplify(
+        rows,
+        |r| &r.latency,
+        |r| (r.scenario.clone(), r.churn),
+        |r| r.fanout == 1,
+    );
+    for (row, [p50, p99]) in rows.iter_mut().zip(amps) {
+        row.amp_p50 = p50;
+        row.amp_p99 = p99;
     }
 }
 
 /// Formats the study as a table, one row per scenario × fan-out ×
 /// churn cell, in the given order.
 #[must_use]
-pub fn format_table(rows: &[TailsRow]) -> String {
+pub(crate) fn format_table(rows: &[TailsRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from(
         "tail at scale (fan-out/wait-for-all RPC over the switched ATM\n\
@@ -187,46 +148,25 @@ pub fn format_table(rows: &[TailsRow]) -> String {
         "amp(p99)",
         "n"
     );
-    let opt = |v: Option<f64>, width: usize, prec: usize| -> String {
-        match v {
-            Some(x) => format!("{x:>width$.prec$}"),
-            None => format!("{:>width$}", "-"),
-        }
-    };
     for r in rows {
-        if r.samples == 0 {
-            let _ = writeln!(
-                out,
-                "{:<16} {:>4} {:>6} | {:>9} {:>9} {:>9} {:>9} {:>10} | {:>8} {:>8} | {:>4}!",
-                r.scenario,
-                r.fanout,
-                if r.churn { "on" } else { "off" },
-                "-",
-                "-",
-                "-",
-                "-",
-                "-",
-                "-",
-                "-",
-                0,
-            );
-            continue;
-        }
+        let l = &r.latency;
+        let sampled = l.samples > 0;
+        let us = |v: f64, width| cell(sampled.then_some(v), width, 0);
         let _ = writeln!(
             out,
-            "{:<16} {:>4} {:>6} | {:>9.0} {:>9.0} {:>9.0} {} {:>10.0} | {} {} | {:>4}{}",
+            "{:<16} {:>4} {:>6} | {} {} {} {} {} | {} {} | {:>4}{}",
             r.scenario,
             r.fanout,
             if r.churn { "on" } else { "off" },
-            r.mean_us,
-            r.p50_us,
-            r.p99_us,
-            opt(r.p999_us, 9, 0),
-            r.max_us,
-            opt(r.amp_p50, 8, 2),
-            opt(r.amp_p99, 8, 2),
-            r.samples,
-            if r.aborted > 0 { "!" } else { "" },
+            us(l.mean_us, 9),
+            us(l.p50_us, 9),
+            us(l.p99_us, 9),
+            cell(l.p999_us, 9, 0),
+            us(l.max_us, 10),
+            cell(r.amp_p50, 8, 2),
+            cell(r.amp_p99, 8, 2),
+            l.samples,
+            if !sampled || r.aborted > 0 { "!" } else { "" },
         );
     }
     out.push_str(
@@ -240,7 +180,7 @@ pub fn format_table(rows: &[TailsRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::ObsMode;
+    use latency_core::ObsMode;
     use simkit::SimTime;
 
     fn t(us: u64) -> SimTime {
@@ -262,27 +202,29 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), all.len());
-        assert!(scenario("burst-loss").is_some());
-        assert!(scenario("nope").is_none());
+        assert!(names.contains(&"burst-loss"));
     }
 
     #[test]
     fn reduce_refuses_fake_p999_on_small_cells() {
         let row = reduce("clean", 4, false, &pool(&[t(100), t(110), t(500)]), 0);
-        assert_eq!(row.samples, 3);
-        assert_eq!(row.p999_us, None, "3 samples cannot estimate p999");
-        assert_eq!(row.saturated, 0);
-        assert!(row.p99_us >= row.p50_us);
-        assert!((row.max_us - 500.0).abs() < 1e-9);
+        assert_eq!(row.latency.samples, 3);
+        assert_eq!(row.latency.p999_us, None, "3 samples cannot estimate p999");
+        assert_eq!(row.latency.saturated, 0);
+        assert!(row.latency.p99_us >= row.latency.p50_us);
+        assert!((row.latency.max_us - 500.0).abs() < 1e-9);
     }
 
     #[test]
     fn reduce_reports_p999_above_the_sample_floor() {
         let samples: Vec<SimTime> = (1..=2000).map(t).collect();
         let row = reduce("clean", 16, true, &pool(&samples), 0);
-        assert_eq!(row.samples, 2000);
-        let p999 = row.p999_us.expect("2000 samples clear the floor");
-        assert!(p999 < row.max_us, "p999 {p999} must not collapse to max");
+        assert_eq!(row.latency.samples, 2000);
+        let p999 = row.latency.p999_us.expect("2000 samples clear the floor");
+        assert!(
+            p999 < row.latency.max_us,
+            "p999 {p999} must not collapse to max"
+        );
     }
 
     #[test]
@@ -292,13 +234,21 @@ mod tests {
             reduce("clean", 16, false, &pool(&[t(100), t(120), t(300)]), 0),
             // Different churn setting: must NOT share the baseline.
             reduce("clean", 16, true, &pool(&[t(400), t(400), t(400)]), 0),
+            // Different scenario: must NOT share the baseline either.
+            reduce("burst-loss", 16, false, &pool(&[t(400)]), 0),
+            // Unsampled, though its group has a baseline.
+            reduce("clean", 64, false, &pool(&[]), 1),
         ];
-        amplify(&mut rows);
+        join_baselines(&mut rows);
         assert_eq!(rows[0].amp_p99, Some(1.0), "baseline divides itself");
         assert_eq!(rows[0].amp_p50, Some(1.0));
         assert!((rows[1].amp_p99.unwrap() - 3.0).abs() < 1e-9);
         assert!((rows[1].amp_p50.unwrap() - 1.2).abs() < 1e-9);
         assert_eq!(rows[2].amp_p99, None, "churn group has no fan-out-1 cell");
+        assert_eq!(rows[2].amp_p50, None);
+        assert_eq!(rows[3].amp_p99, None, "scenario has no fan-out-1 cell");
+        assert_eq!(rows[4].amp_p50, None, "an unsampled row gets no ratio");
+        assert_eq!(rows[4].amp_p99, None);
     }
 
     #[test]
@@ -309,12 +259,14 @@ mod tests {
             reduce("burst-loss", 1, false, &pool(&[SimTime::ZERO]), 0),
             reduce("burst-loss", 4, false, &pool(&[t(10)]), 0),
         ];
-        amplify(&mut rows);
+        join_baselines(&mut rows);
+        assert_eq!(rows[0].amp_p99, None, "an empty row has no ratio");
         assert_eq!(rows[1].amp_p99, None, "empty baseline yields no ratio");
         assert_eq!(
             rows[3].amp_p99, None,
             "zero-valued baseline percentile yields no ratio"
         );
+        assert_eq!(rows[3].amp_p50, None);
     }
 
     #[test]
@@ -322,15 +274,30 @@ mod tests {
         let mut rows = vec![
             reduce("clean", 1, false, &pool(&[t(100), t(110)]), 0),
             reduce("clean", 64, true, &pool(&[t(100), t(900)]), 2),
-            reduce("mbuf-exhaustion", 64, true, &pool(&[]), 4),
+            reduce("mbuf-exhaustion", 64, true, &pool(&[]), 0),
         ];
-        amplify(&mut rows);
+        join_baselines(&mut rows);
         let text = format_table(&rows);
         assert!(text.contains("scenario"));
         assert!(text.contains("amp(p99)"));
-        assert!(text.contains("mbuf-exhaustion"));
-        assert!(text.contains('!'), "aborted rows are flagged");
-        // Under-sampled p999 renders as '-', not a number.
-        assert!(text.contains(" - "));
+        let lines: Vec<&str> = text.lines().collect();
+        // A sampled row: whole-µs columns, p999 and a missing baseline
+        // as '-', no abort flag.
+        let sampled = format!(
+            "{:<16} {:>4} {:>6} | {:>9} {:>9} {:>9} {:>9} {:>10} | {:>8} {:>8} | {:>4}",
+            "clean", 1, "off", 105, 100, 110, "-", 110, "1.00", "1.00", 2
+        );
+        assert!(lines.contains(&sampled.as_str()), "{text}");
+        // Aborted rows are flagged.
+        assert!(lines
+            .iter()
+            .any(|l| l.starts_with("clean") && l.ends_with("2!")));
+        // An unsampled row is all '-' and flagged even without an
+        // abort.
+        let unsampled = format!(
+            "{:<16} {:>4} {:>6} | {:>9} {:>9} {:>9} {:>9} {:>10} | {:>8} {:>8} | {:>4}!",
+            "mbuf-exhaustion", 64, "on", "-", "-", "-", "-", "-", "-", "-", 0
+        );
+        assert!(lines.contains(&unsampled.as_str()), "{text}");
     }
 }

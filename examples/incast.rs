@@ -26,7 +26,7 @@ fn dist_of(topo: &Topology) -> (LatencyDist, f64, u64, usize) {
     let dist = LatencyDist::from_samples(r.rtts.iter().map(|t| t.as_ns() as i64).collect());
     (
         dist,
-        r.server_search_len(),
+        r.server_pcb.search_len(),
         r.switch_drops,
         r.max_backlog_cells,
     )
