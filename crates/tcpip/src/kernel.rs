@@ -14,14 +14,15 @@
 //!   input with header prediction, socket wakeups, ACK generation;
 //! - [`Kernel::syscall_read`] — soreceive: copy to user, window
 //!   updates;
-//! - [`Kernel::check_timers`] — delayed ACKs and retransmission.
+//! - [`Kernel::check_timers`] — the TCP timers: delayed ACK, persist,
+//!   TIME-WAIT and retransmission.
 //!
 //! Every step charges calibrated DECstation time and records the
 //! paper's spans. Time flows as a *cursor*: a path starts at
 //! `max(event time, cpu busy)`, advances as costs are charged, and
 //! the whole interval is committed to the CPU at the end.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use decstation::{CostModel, CostTables};
 use mbuf::chain::ultrix_uses_clusters;
@@ -95,6 +96,37 @@ struct Conn {
     cksum_off: bool,
     /// 2MSL expiry for TIME-WAIT.
     time_wait_deadline: Option<SimTime>,
+    /// The deadline this connection holds in [`Kernel`]'s timer index.
+    indexed: Option<SimTime>,
+    /// Queued for a timer-index resync (see [`Kernel::touch`]).
+    dirty: bool,
+}
+
+impl Conn {
+    fn new(tcb: Tcb, sockbuf: usize, cksum_off: bool) -> Self {
+        Conn {
+            tcb,
+            sock: crate::socket::Socket::new(sockbuf),
+            delack_deadline: None,
+            cksum_off,
+            time_wait_deadline: None,
+            indexed: None,
+            dirty: false,
+        }
+    }
+
+    /// The earliest of the connection's pending timer deadlines.
+    fn earliest_deadline(&self) -> Option<SimTime> {
+        [
+            self.delack_deadline,
+            self.tcb.rexmt_deadline,
+            self.tcb.persist_deadline,
+            self.time_wait_deadline,
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
 }
 
 /// Outcome of a write syscall.
@@ -204,6 +236,16 @@ pub struct Kernel {
     /// Counters.
     pub stats: KernelStats,
     conns: Vec<Conn>,
+    /// The socket of each PCB id. Ids are never reused; ambient PCBs
+    /// have no socket.
+    sock_of_pcb: Vec<Option<SockId>>,
+    /// Each connection's earliest deadline, ordered by time then
+    /// socket, so that the next deadline and the due sockets are read
+    /// without a walk over every connection.
+    timers: BTreeSet<(SimTime, SockId)>,
+    /// Sockets whose deadlines may have moved since the index was
+    /// last synced.
+    dirty: Vec<SockId>,
     udp_socks: Vec<UdpSock>,
     ipq: VecDeque<(Chain, SimTime)>,
     /// A software interrupt has been raised and not yet serviced.
@@ -234,6 +276,9 @@ impl Kernel {
             pcbs,
             stats: KernelStats::default(),
             conns: Vec::new(),
+            sock_of_pcb: Vec::new(),
+            timers: BTreeSet::new(),
+            dirty: Vec::new(),
             udp_socks: Vec::new(),
             ipq: VecDeque::new(),
             softintr_pending: false,
@@ -251,14 +296,24 @@ impl Kernel {
     pub fn create_connection(&mut self, key: PcbKey, mss: usize) -> SockId {
         let id = self.pcbs.insert(key);
         let tcb = Tcb::established(key, id, mss, &self.cfg);
-        self.conns.push(Conn {
-            tcb,
-            sock: crate::socket::Socket::new(self.cfg.sockbuf),
-            delack_deadline: None,
-            cksum_off: matches!(self.cfg.checksum, ChecksumMode::None),
-            time_wait_deadline: None,
-        });
-        self.conns.len() - 1
+        let cksum_off = matches!(self.cfg.checksum, ChecksumMode::None);
+        self.push_conn(tcb, cksum_off)
+    }
+
+    /// Adds a connection and records its socket under its PCB id.
+    fn push_conn(&mut self, tcb: Tcb, cksum_off: bool) -> SockId {
+        let sock = self.conns.len();
+        if self.sock_of_pcb.len() <= tcb.id {
+            self.sock_of_pcb.resize(tcb.id + 1, None);
+        }
+        self.sock_of_pcb[tcb.id] = Some(sock);
+        self.conns.push(Conn::new(tcb, self.cfg.sockbuf, cksum_off));
+        sock
+    }
+
+    /// The socket of PCB `id`.
+    fn sock_of(&self, id: usize) -> Option<SockId> {
+        self.sock_of_pcb.get(id).copied().flatten()
     }
 
     /// Creates both ends of one established connection: `key` on `a`
@@ -283,7 +338,7 @@ impl Kernel {
             let t = a.tcb(sa);
             (t.snd_nxt, t.rcv_nxt)
         };
-        let t = b.tcb_mut(sb);
+        let t = &mut b.conns[sb].tcb;
         t.rcv_nxt = a_snd;
         t.snd_una = a_rcv;
         t.snd_nxt = a_rcv;
@@ -302,14 +357,7 @@ impl Kernel {
         };
         let id = self.pcbs.insert(key);
         let tcb = Tcb::listener(key, id, &self.cfg);
-        self.conns.push(Conn {
-            tcb,
-            sock: crate::socket::Socket::new(self.cfg.sockbuf),
-            delack_deadline: None,
-            cksum_off: false,
-            time_wait_deadline: None,
-        });
-        self.conns.len() - 1
+        self.push_conn(tcb, false)
     }
 
     /// Active open: sends a SYN carrying our MSS offer and, when the
@@ -325,14 +373,7 @@ impl Kernel {
         // Derive a per-connection ISS from the configured base.
         let iss = self.cfg.iss.wrapping_add(u32::from(key.lport) << 8);
         let tcb = Tcb::syn_sent(key, id, mss_offer, iss, &self.cfg);
-        self.conns.push(Conn {
-            tcb,
-            sock: crate::socket::Socket::new(self.cfg.sockbuf),
-            delack_deadline: None,
-            cksum_off: false,
-            time_wait_deadline: None,
-        });
-        let sock = self.conns.len() - 1;
+        let sock = self.push_conn(tcb, false);
         cursor = self.send_syn(cursor, sock, false, drv);
         self.cpu.occupy(start, cursor, CpuBand::Process);
         sock
@@ -359,6 +400,7 @@ impl Kernel {
         ack: bool,
         drv: &mut dyn TxDriver,
     ) -> SimTime {
+        self.touch(sock);
         let rto = self.conns[sock].tcb.rto(&self.cfg);
         let conn = &mut self.conns[sock];
         let rcv_space = conn.sock.rcv.space();
@@ -405,15 +447,6 @@ impl Kernel {
     #[must_use]
     pub fn try_tcb(&self, sock: SockId) -> Option<&Tcb> {
         self.conns.get(sock).map(|c| &c.tcb)
-    }
-
-    /// Mutable access to a connection's TCP state. The harness uses
-    /// this to align sequence numbers when establishing connections
-    /// administratively (the paper measures established connections
-    /// only).
-    #[must_use]
-    pub fn tcb_mut(&mut self, sock: SockId) -> &mut Tcb {
-        &mut self.conns[sock].tcb
     }
 
     /// Segments retransmitted, summed over every TCP connection —
@@ -534,6 +567,7 @@ impl Kernel {
     /// Runs `tcp_output` for a connection: emits as many segments as
     /// the window, MSS and Nagle permit. Returns the advanced cursor.
     fn tcp_output(&mut self, mut cursor: SimTime, sock: SockId, drv: &mut dyn TxDriver) -> SimTime {
+        self.touch(sock);
         let rto = self.conns[sock].tcb.rto(&self.cfg);
         let mut first_segment = true;
         loop {
@@ -925,11 +959,8 @@ impl Kernel {
                 .span(SpanKind::RxTcpSegment, cursor, cursor + cost);
             return cursor + cost;
         };
-        let sock = self
-            .conns
-            .iter()
-            .position(|c| c.tcb.id == pcb_id)
-            .expect("pcb id maps to a connection");
+        let sock = self.sock_of(pcb_id).expect("pcb id maps to a connection");
+        self.touch(sock);
 
         // Passive-open completion: the final ACK of the handshake.
         {
@@ -1186,12 +1217,16 @@ impl Kernel {
         }
     }
 
-    /// Fires due timers (delayed ACK, retransmit). Returns the next
-    /// deadline, if any.
+    /// Fires every timer due at `now`: delayed ACKs, persist probes,
+    /// TIME-WAIT expiry, data, FIN and SYN retransmission, and the
+    /// abort at the retransmission limit. Only the due sockets, those
+    /// whose earliest deadline is at or before `now`, are visited, in
+    /// ascending socket index. Returns the next deadline, if any.
     pub fn check_timers(&mut self, now: SimTime, drv: &mut dyn TxDriver) -> Option<SimTime> {
         let start = now.max(self.cpu.busy_until());
         let mut cursor = start;
-        for sock in 0..self.conns.len() {
+        for sock in self.due_socks(now) {
+            self.touch(sock);
             let conn = &mut self.conns[sock];
             if let Some(dl) = conn.delack_deadline {
                 if dl <= now && conn.tcb.delack {
@@ -1329,6 +1364,7 @@ impl Kernel {
 
     /// Emits a FIN|ACK segment; the FIN consumes one sequence number.
     fn send_fin(&mut self, mut cursor: SimTime, sock: SockId, drv: &mut dyn TxDriver) -> SimTime {
+        self.touch(sock);
         let rto = self.conns[sock].tcb.rto(&self.cfg);
         let conn = &mut self.conns[sock];
         let rcv_space = conn.sock.rcv.space();
@@ -1734,10 +1770,11 @@ impl Kernel {
                 self.stats.no_pcb_drops += 1;
                 return cursor;
             };
-            let Some(sock) = self.conns.iter().position(|c| c.tcb.id == pcb_id) else {
+            let Some(sock) = self.sock_of(pcb_id) else {
                 self.stats.no_pcb_drops += 1;
                 return cursor;
             };
+            self.touch(sock);
             let conn = &mut self.conns[sock];
             if conn.tcb.state != crate::tcb::TcpState::SynSent
                 || hdr.ack != conn.tcb.snd_una.wrapping_add(1)
@@ -1772,7 +1809,7 @@ impl Kernel {
             // A retransmitted SYN for an existing embryo: resend the
             // SYN-ACK rather than spawning a duplicate.
             if let Some(id) = self.pcbs.lookup(&key).id {
-                if let Some(sock) = self.conns.iter().position(|c| c.tcb.id == id) {
+                if let Some(sock) = self.sock_of(id) {
                     let c = &mut self.conns[sock];
                     c.tcb.snd_nxt = c.tcb.snd_una;
                     return self.send_syn(cursor, sock, true, drv);
@@ -1789,14 +1826,7 @@ impl Kernel {
             tcb.state = crate::tcb::TcpState::SynReceived;
             tcb.rcv_nxt = hdr.seq.wrapping_add(1);
             tcb.snd_wnd = usize::from(hdr.win);
-            self.conns.push(Conn {
-                tcb,
-                sock: crate::socket::Socket::new(self.cfg.sockbuf),
-                delack_deadline: None,
-                cksum_off: peer_wants_no_cksum && we_want_no_cksum,
-                time_wait_deadline: None,
-            });
-            let sock = self.conns.len() - 1;
+            let sock = self.push_conn(tcb, peer_wants_no_cksum && we_want_no_cksum);
             self.send_syn(cursor, sock, true, drv)
         }
     }
@@ -1830,19 +1860,72 @@ impl Kernel {
 
     /// Earliest pending timer deadline.
     #[must_use]
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.conns
+    pub fn next_deadline(&mut self) -> Option<SimTime> {
+        self.sync_timers();
+        self.timers.first().map(|&(dl, _)| dl)
+    }
+
+    /// The sockets with a deadline at or before `now`, ascending.
+    fn due_socks(&mut self, now: SimTime) -> Vec<SockId> {
+        self.sync_timers();
+        let mut due: Vec<SockId> = self
+            .timers
             .iter()
-            .flat_map(|c| {
-                [
-                    c.delack_deadline,
-                    c.tcb.rexmt_deadline,
-                    c.tcb.persist_deadline,
-                    c.time_wait_deadline,
-                ]
-            })
-            .flatten()
-            .min()
+            .take_while(|&&(dl, _)| dl <= now)
+            .map(|&(_, sock)| sock)
+            .collect();
+        due.sort_unstable();
+        due
+    }
+
+    /// Queues `sock` for a timer-index resync. Every path that can move
+    /// a connection's deadlines calls this for it: `tcp_output`,
+    /// `send_syn`, `send_fin`, `tcp_input` after demux, the SYN-ACK
+    /// branch of `handshake_input`, and `check_timers` per due socket.
+    fn touch(&mut self, sock: SockId) {
+        let conn = &mut self.conns[sock];
+        if !conn.dirty {
+            conn.dirty = true;
+            self.dirty.push(sock);
+        }
+    }
+
+    /// Moves each queued socket's index entry to its earliest deadline.
+    fn sync_timers(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for sock in dirty.drain(..) {
+            let conn = &mut self.conns[sock];
+            conn.dirty = false;
+            let earliest = conn.earliest_deadline();
+            if earliest != conn.indexed {
+                if let Some(old) = conn.indexed {
+                    self.timers.remove(&(old, sock));
+                }
+                if let Some(new) = earliest {
+                    self.timers.insert((new, sock));
+                }
+                conn.indexed = earliest;
+            }
+        }
+        self.dirty = dirty;
+        debug_assert!(self.timers_match_scan(), "timer index out of sync");
+    }
+
+    /// Whether the timer index holds exactly each connection's earliest
+    /// deadline, by a walk over every connection (debug builds only).
+    fn timers_match_scan(&self) -> bool {
+        let mut armed = 0;
+        for conn in &self.conns {
+            if conn.indexed != conn.earliest_deadline() {
+                return false;
+            }
+            armed += usize::from(conn.indexed.is_some());
+        }
+        armed == self.timers.len()
+            && self
+                .timers
+                .iter()
+                .all(|&(dl, sock)| self.conns[sock].indexed == Some(dl))
     }
 }
 
@@ -2618,5 +2701,324 @@ mod tests {
         assert_eq!(b.stats.tcp_cksum_drops, 0);
         let r = b.syscall_read(t, sb, 8000, &mut db);
         assert_eq!(r.data, data);
+    }
+
+    /// Every deadline a connection holds, read straight from its
+    /// fields: the reference the timer index must match.
+    fn deadlines(c: &Conn) -> impl Iterator<Item = SimTime> {
+        [
+            c.delack_deadline,
+            c.tcb.rexmt_deadline,
+            c.tcb.persist_deadline,
+            c.time_wait_deadline,
+        ]
+        .into_iter()
+        .flatten()
+    }
+
+    /// Checks `k`'s timer index against a walk over every connection:
+    /// the next deadline, every indexed entry, and the due sockets at
+    /// `now`, at the next deadline, and when every armed socket is due.
+    fn assert_index_matches_scan(k: &mut Kernel, now: SimTime) {
+        let next = k.conns.iter().flat_map(deadlines).min();
+        assert_eq!(k.next_deadline(), next, "next deadline");
+        let earliest: BTreeSet<(SimTime, SockId)> = (0..k.conns.len())
+            .filter_map(|s| deadlines(&k.conns[s]).min().map(|dl| (dl, s)))
+            .collect();
+        assert_eq!(k.timers, earliest, "indexed entries");
+        let all_due = earliest.last().map(|&(dl, _)| dl);
+        for at in [Some(now), next, all_due].into_iter().flatten() {
+            let due: Vec<SockId> = (0..k.conns.len())
+                .filter(|&s| deadlines(&k.conns[s]).any(|dl| dl <= at))
+                .collect();
+            assert_eq!(k.due_socks(at), due, "due sockets at {at:?}");
+        }
+    }
+
+    /// Which timer branches came due during a run.
+    #[derive(Default)]
+    struct Seen {
+        delack: bool,
+        persist: bool,
+        time_wait: bool,
+        syn_rexmt: bool,
+        fin_rexmt: bool,
+    }
+
+    impl Seen {
+        /// Records the branches due on `k` at `now`.
+        fn note(&mut self, k: &Kernel, now: SimTime) {
+            use crate::tcb::TcpState;
+            let due = |dl: Option<SimTime>| dl.is_some_and(|dl| dl <= now);
+            for c in &k.conns {
+                self.delack |= due(c.delack_deadline) && c.tcb.delack;
+                self.persist |= due(c.tcb.persist_deadline)
+                    && c.tcb.flight_size() == 0
+                    && !c.sock.snd.is_empty();
+                self.time_wait |= due(c.time_wait_deadline);
+                let rexmt = due(c.tcb.rexmt_deadline);
+                self.syn_rexmt |=
+                    rexmt && matches!(c.tcb.state, TcpState::SynSent | TcpState::SynReceived);
+                self.fin_rexmt |=
+                    rexmt && matches!(c.tcb.state, TcpState::FinWait1 | TcpState::LastAck);
+            }
+        }
+    }
+
+    /// A client and a server kernel joined by a lossy link. Both timer
+    /// indexes are checked against the reference walk after every
+    /// kernel call.
+    struct LossyLink {
+        client: Kernel,
+        server: Kernel,
+        dc: CaptureDriver,
+        ds: CaptureDriver,
+        now: SimTime,
+        rng: u64,
+        /// Percent of packets lost.
+        loss: u64,
+        /// A client port whose packets are all lost, both ways.
+        blackhole: Option<u16>,
+        seen: Seen,
+    }
+
+    impl LossyLink {
+        fn check(&mut self) {
+            assert_index_matches_scan(&mut self.client, self.now);
+            assert_index_matches_scan(&mut self.server, self.now);
+        }
+
+        fn lost(&mut self, pkt: &[u8]) -> bool {
+            self.rng = self
+                .rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let ports = [
+                u16::from_be_bytes([pkt[20], pkt[21]]),
+                u16::from_be_bytes([pkt[22], pkt[23]]),
+            ];
+            (self.rng >> 33) % 100 < self.loss || self.blackhole.is_some_and(|p| ports.contains(&p))
+        }
+
+        /// Carries every queued packet across the link, one kernel call
+        /// per packet. Returns whether any packet was queued.
+        fn carry(&mut self) -> bool {
+            let to_server: Vec<_> = self.dc.packets.drain(..).map(|p| (p, true)).collect();
+            let to_client: Vec<_> = self.ds.packets.drain(..).map(|p| (p, false)).collect();
+            let any = !to_server.is_empty() || !to_client.is_empty();
+            for (pkt, to_server) in to_server.into_iter().chain(to_client) {
+                self.now += SimTime::from_us(50);
+                if self.lost(&pkt) {
+                    continue;
+                }
+                let (k, drv) = if to_server {
+                    (&mut self.server, &mut self.ds)
+                } else {
+                    (&mut self.client, &mut self.dc)
+                };
+                let (chain, _) = Chain::from_user_data(&k.pool, &pkt, pkt.len() > 1024);
+                if let Some(at) = k.enqueue_ip(self.now, chain) {
+                    let _ = k.ipintr(at, drv);
+                }
+                self.check();
+            }
+            any
+        }
+
+        /// Jumps to the earliest deadline of either kernel and fires
+        /// both kernels' timers there. Returns false when none is armed.
+        fn fire_next(&mut self) -> bool {
+            let next = [self.client.next_deadline(), self.server.next_deadline()]
+                .into_iter()
+                .flatten()
+                .min();
+            let Some(dl) = next else {
+                return false;
+            };
+            self.now = self.now.max(dl) + SimTime::from_us(1);
+            for server in [false, true] {
+                let (k, drv) = if server {
+                    (&mut self.server, &mut self.ds)
+                } else {
+                    (&mut self.client, &mut self.dc)
+                };
+                self.seen.note(k, self.now);
+                let _ = k.check_timers(self.now, drv);
+                self.check();
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn timer_index_tracks_a_lossy_many_connection_exchange() {
+        use crate::tcb::TcpState;
+        const CONNS: u16 = 16;
+        const BYTES: usize = 12_000;
+        let cfg = StackConfig {
+            sockbuf: 8192,
+            max_rexmt_shift: 6,
+            ..StackConfig::default()
+        };
+        let costs = CostModel::calibrated();
+        let mut net = LossyLink {
+            client: Kernel::new(cfg, costs.clone()),
+            server: Kernel::new(cfg, costs),
+            dc: CaptureDriver::new(9188),
+            ds: CaptureDriver::new(9188),
+            now: SimTime::ZERO,
+            rng: 7,
+            loss: 20,
+            blackhole: None,
+            seen: Seen::default(),
+        };
+        let _ = net.server.listen([10, 0, 0, 2], 4242);
+        net.check();
+        let mut socks = Vec::new();
+        for i in 0..CONNS {
+            let key = PcbKey {
+                laddr: [10, 0, 0, 1],
+                lport: 5000 + i,
+                faddr: [10, 0, 0, 2],
+                fport: 4242,
+            };
+            socks.push(net.client.connect(net.now, key, &mut net.dc));
+            net.check();
+        }
+        let payload: Vec<u8> = (0..BYTES).map(|i| (i % 251) as u8).collect();
+        let mut written = vec![0; socks.len()];
+        let mut quiesced = false;
+        for step in 0..20_000 {
+            // Clients write the payload as buffer space allows, then
+            // close. The last connection loses everything once it is
+            // open, so it runs into the retransmission limit.
+            for (i, &s) in socks.iter().enumerate() {
+                if net.client.tcb(s).state != TcpState::Established {
+                    continue;
+                }
+                if i + 1 == socks.len() {
+                    net.blackhole = Some(net.client.tcb(s).key.lport);
+                }
+                if written[i] < BYTES && net.client.snd_buffered(s) < cfg.sockbuf {
+                    let out =
+                        net.client
+                            .syscall_write(net.now, s, &payload[written[i]..], &mut net.dc);
+                    written[i] += out.accepted;
+                    net.check();
+                } else if written[i] == BYTES && net.client.snd_buffered(s) == 0 {
+                    net.client.close(net.now, s, &mut net.dc);
+                    net.check();
+                }
+            }
+            // The server reads odd client ports late, so their windows
+            // close and the clients probe them; it closes after EOF.
+            for s in 1..net.server.conns.len() {
+                let late = net.server.tcb(s).key.fport % 2 == 1;
+                if net.server.rcv_buffered(s) > 0 && (!late || step >= 300) {
+                    let _ = net.server.syscall_read(net.now, s, 4096, &mut net.ds);
+                    net.check();
+                } else if net.server.tcb(s).state == TcpState::CloseWait {
+                    net.server.close(net.now, s, &mut net.ds);
+                    net.check();
+                }
+            }
+            if !net.carry() && !net.fire_next() {
+                quiesced = true;
+                break;
+            }
+        }
+        assert!(quiesced, "the exchange ran down");
+        let seen = &net.seen;
+        assert!(seen.delack, "a delayed ACK fired");
+        assert!(seen.persist, "a persist probe fired");
+        assert!(seen.time_wait, "a TIME-WAIT expired");
+        assert!(seen.syn_rexmt, "a SYN or SYN-ACK was retransmitted");
+        assert!(seen.fin_rexmt, "a FIN was retransmitted");
+        assert!(
+            net.client.stats.conn_aborts > 0,
+            "the limit aborted a connection"
+        );
+        assert!(net.client.stats.rto_fires > 0 && net.server.stats.delack_fires > 0);
+    }
+
+    #[test]
+    fn demux_maps_pcb_ids_to_sockets() {
+        use crate::tcb::TcpState;
+        for ambient_pcbs in [12, 0] {
+            let cfg = StackConfig {
+                ambient_pcbs,
+                ..StackConfig::default()
+            };
+            let costs = CostModel::calibrated();
+            let mut client = Kernel::new(cfg, costs.clone());
+            let mut server = Kernel::new(cfg, costs);
+            let mut dc = CaptureDriver::new(9188);
+            let mut ds = CaptureDriver::new(9188);
+            let ls = server.listen([10, 0, 0, 2], 4242);
+            let ports = [2000u16, 2001, 2002];
+            let socks: Vec<SockId> = ports
+                .iter()
+                .map(|&lport| {
+                    let key = PcbKey {
+                        laddr: [10, 0, 0, 1],
+                        lport,
+                        faddr: [10, 0, 0, 2],
+                        fport: 4242,
+                    };
+                    client.connect(SimTime::ZERO, key, &mut dc)
+                })
+                .collect();
+            // Passive opens, in reverse order of the connects, so the
+            // server's sockets run opposite to the client's.
+            let syns: Vec<_> = dc.packets.drain(..).collect();
+            let mut t = SimTime::from_ms(1);
+            for syn in syns.iter().rev() {
+                let (chain, _) = Chain::from_user_data(&server.pool, syn, false);
+                let at = server.enqueue_ip(t, chain).expect("softintr raised");
+                let _ = server.ipintr(at, &mut ds);
+                t += SimTime::from_ms(1);
+            }
+            let server_sock = |server: &Kernel, port: u16| {
+                (0..server.conns.len())
+                    .find(|&s| s != ls && server.tcb(s).key.fport == port)
+                    .expect("embryo for the port")
+            };
+            for &port in &ports {
+                let s = server_sock(&server, port);
+                assert_eq!(server.tcb(s).state, TcpState::SynReceived);
+                if ambient_pcbs > 0 {
+                    assert_ne!(server.tcb(s).id, s, "PCB ids are not socket indices");
+                }
+            }
+            // A retransmitted SYN resolves to its embryo: one more
+            // SYN-ACK, no new connection or PCB.
+            let (conns, pcbs) = (server.conns.len(), server.pcbs.len());
+            let synacks = ds.packets.len();
+            let (chain, _) = Chain::from_user_data(&server.pool, &syns[1], false);
+            let at = server.enqueue_ip(t, chain).expect("softintr raised");
+            let _ = server.ipintr(at, &mut ds);
+            assert_eq!((server.conns.len(), server.pcbs.len()), (conns, pcbs));
+            assert_eq!(ds.packets.len(), synacks + 1, "SYN-ACK resent");
+            let resent = TcpIpHeader::decode(&ds.packets[synacks][..40]).unwrap();
+            assert_eq!(resent.dport, ports[1]);
+            // Each SYN-ACK completes its own active open; each final
+            // ACK completes its own passive open.
+            shuttle(&mut ds, &mut client, &mut dc, t + SimTime::from_ms(1));
+            for (&s, &port) in socks.iter().zip(&ports) {
+                assert!(client.is_established(s));
+                assert_eq!(client.tcb(s).key.lport, port);
+            }
+            shuttle(&mut dc, &mut server, &mut ds, t + SimTime::from_ms(2));
+            for &port in &ports {
+                assert!(server.is_established(server_sock(&server, port)));
+            }
+            // Established data lands on the socket of its own port.
+            let _ = client.syscall_write(t + SimTime::from_ms(3), socks[2], &[6u8; 300], &mut dc);
+            shuttle(&mut dc, &mut server, &mut ds, t + SimTime::from_ms(4));
+            for &port in &ports {
+                let want = if port == ports[2] { 300 } else { 0 };
+                assert_eq!(server.rcv_buffered(server_sock(&server, port)), want);
+            }
+        }
     }
 }
