@@ -125,12 +125,6 @@ impl TxFifo {
             wire_exit,
         }
     }
-
-    /// Time at which the wire goes idle.
-    #[must_use]
-    pub fn wire_idle_at(&self) -> SimTime {
-        self.wire_busy_until
-    }
 }
 
 /// The receive FIFO.

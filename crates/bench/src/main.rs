@@ -7,12 +7,14 @@
 //!       [faults|churn|ablation|switch|ethernet-errors|udp|trace]
 //!       [dc] [tails] [hedge] [cc]
 //!       [verify [--bless] [--golden-dir DIR]] [invariants]
-//!       [--iterations N] [--reps N] [--jobs N] [--seed N] [--json FILE]
+//!       [--iterations N] [--reps N] [--jobs N] [--seed N]
 //!       [--sweep-json FILE] [--out-dir DIR] [--full] [--quick] [--sketch]
 //! ```
 //!
 //! The second group are extension experiments beyond the paper's
 //! tables; `repro all` runs the tables, `repro extras` the extensions.
+//! An unknown subcommand or flag, or a zero `--iterations`, `--reps`
+//! or `--jobs`, prints one line on stderr and exits with code 2.
 //!
 //! `--full` uses the paper's methodology scale (40 000 iterations ×
 //! 3 repetitions); `--quick` is the CI fast pass (200 × 1); the
@@ -21,12 +23,12 @@
 //!
 //! The shared flags mean the same thing under every subcommand:
 //! `--jobs N` fans work across N sweep workers; `--quick` selects the
-//! CI scale; `--json FILE` writes that subcommand's machine-readable
-//! results; `--seed N` is the base seed of every directly seeded
-//! experiment (default 1). Sweep-grid cells derive their seeds from
-//! their cell keys instead — that is what pins the blessed goldens —
-//! so `--seed` shifts the directly seeded studies (`predict`,
-//! `switch`, `udp`, `errors`, `invariants`) and never the
+//! CI scale; `--sweep-json FILE` writes the canonical report of the
+//! sweep grid or study that ran; `--seed N` is the base seed of every
+//! directly seeded experiment (default 1). Sweep-grid cells derive
+//! their seeds from their cell keys instead — that is what pins the
+//! blessed goldens — so `--seed` shifts the directly seeded studies
+//! (`predict`, `switch`, `udp`, `errors`, `invariants`) and never the
 //! golden grids. All output files land under `--out-dir` (default
 //! `out/`, created on demand); absolute paths are honoured as given.
 //!
@@ -39,14 +41,16 @@
 //! grid's canonical report (mean/stddev/min/max, events, simulated
 //! time), the same bytes at any `--jobs`.
 
-mod report;
-
 use latency_core::experiment::{Experiment, NetKind};
 use latency_core::{faults, micro, paper, tables};
-use report::Report;
 use sweep::grid::Variant;
 use sweep::{Sweep, SweepResults};
 use world::Study;
+
+/// Every subcommand besides the `world::Study` names.
+const SUBCOMMANDS: &str = "all extras table1 table2 table3 table4 table5 table6 table7 \
+    pcb mbuf predict errors faults churn ablation switch ethernet-errors udp trace \
+    verify invariants";
 
 /// Command-line options. The scale/fan-out/seed/output flags are
 /// shared by every subcommand and mean the same thing under each.
@@ -60,7 +64,6 @@ struct Opts {
     seed: u64,
     /// Whether the scale flags were the `--quick` CI pass.
     quick: bool,
-    json: Option<String>,
     sweep_json: Option<String>,
     /// Directory every output file is written under.
     out_dir: String,
@@ -71,14 +74,33 @@ struct Opts {
     sketch: bool,
 }
 
-fn parse_args() -> Opts {
+/// The value after `flag`, parsed.
+fn number<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
+    let v = v.ok_or_else(|| format!("{flag} needs a number"))?;
+    v.parse()
+        .map_err(|_| format!("{flag} needs a number, got `{v}`"))
+}
+
+/// The value after `flag`, parsed and at least 1.
+fn positive<T: std::str::FromStr + PartialEq + From<u8>>(
+    flag: &str,
+    v: Option<String>,
+) -> Result<T, String> {
+    let n = number(flag, v)?;
+    if n == T::from(0) {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
+}
+
+/// Parses the command line. A usage error is a one-line message.
+fn parse_args() -> Result<Opts, String> {
     let mut what = Vec::new();
     let mut iterations = 1500;
     let mut reps = 1;
     let mut jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut seed = 1;
     let mut quick = false;
-    let mut json = None;
     let mut sweep_json = None;
     let mut out_dir = String::from("out");
     let mut bless = false;
@@ -87,27 +109,14 @@ fn parse_args() -> Opts {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--iterations" => {
-                iterations = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--iterations N");
-            }
-            "--reps" => {
-                reps = args.next().and_then(|v| v.parse().ok()).expect("--reps N");
-            }
-            "--jobs" => {
-                jobs = args.next().and_then(|v| v.parse().ok()).expect("--jobs N");
-                assert!(jobs >= 1, "--jobs needs at least one worker");
-            }
-            "--seed" => {
-                seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N");
-            }
-            "--json" => json = Some(args.next().expect("--json FILE")),
-            "--sweep-json" => sweep_json = Some(args.next().expect("--sweep-json FILE")),
-            "--out-dir" => out_dir = args.next().expect("--out-dir DIR"),
+            "--iterations" => iterations = positive(&a, args.next())?,
+            "--reps" => reps = positive(&a, args.next())?,
+            "--jobs" => jobs = positive(&a, args.next())?,
+            "--seed" => seed = number(&a, args.next())?,
+            "--sweep-json" => sweep_json = Some(args.next().ok_or("--sweep-json needs a FILE")?),
+            "--out-dir" => out_dir = args.next().ok_or("--out-dir needs a DIR")?,
             "--bless" => bless = true,
-            "--golden-dir" => golden_dir = args.next().expect("--golden-dir DIR"),
+            "--golden-dir" => golden_dir = args.next().ok_or("--golden-dir needs a DIR")?,
             "--sketch" => sketch = true,
             "--full" => {
                 iterations = 40_000;
@@ -119,27 +128,35 @@ fn parse_args() -> Opts {
                 reps = 1;
                 quick = true;
             }
-            other if !other.starts_with('-') => what.push(other.to_string()),
-            other => panic!("unknown flag {other}"),
+            other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
+            other => {
+                let studies = Study::ALL.map(Study::name);
+                if !SUBCOMMANDS.split(' ').chain(studies).any(|k| k == other) {
+                    return Err(format!(
+                        "unknown subcommand `{other}` (known: {SUBCOMMANDS} {})",
+                        studies.join(" ")
+                    ));
+                }
+                what.push(a);
+            }
         }
     }
     if what.is_empty() {
         what.push("all".to_string());
     }
-    Opts {
+    Ok(Opts {
         what,
         iterations,
         reps,
         jobs,
         seed,
         quick,
-        json,
         sweep_json,
         out_dir,
         bless,
         golden_dir,
         sketch,
-    }
+    })
 }
 
 /// The observation mode the study subcommands run under.
@@ -164,7 +181,10 @@ fn out_path(opts: &Opts, file: &str) -> std::path::PathBuf {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = parse_args().unwrap_or_else(|msg| {
+        eprintln!("repro: {msg}");
+        std::process::exit(2);
+    });
     if opts.what.iter().any(|w| w == "verify") {
         std::process::exit(cmd_verify(&opts));
     }
@@ -177,7 +197,6 @@ fn main() {
     {
         std::process::exit(cmd_study(study, &opts));
     }
-    let mut report = Report::new(opts.iterations, opts.reps);
     let all = opts.what.iter().any(|w| w == "all");
     let want = |k: &str| all || opts.what.iter().any(|w| w == k);
     let extras = opts.what.iter().any(|w| w == "extras");
@@ -252,61 +271,55 @@ fn main() {
     // results. Rendering recomputes each cell's key; `expect` turns
     // any declaration/rendering mismatch into a named panic.
     if want("table1") {
-        table1(&mut report, &opts, grid.as_ref().expect("grid"));
+        table1(&opts, grid.as_ref().expect("grid"));
     }
     if want("table2") || want("table3") {
-        tables_2_3(&mut report, &opts, grid.as_ref().expect("grid"));
+        tables_2_3(&opts, grid.as_ref().expect("grid"));
     }
     if want("table4") {
-        table4(&mut report, &opts, grid.as_ref().expect("grid"));
+        table4(&opts, grid.as_ref().expect("grid"));
     }
     if want("table5") {
-        table5(&mut report);
+        table5();
     }
     if want("table6") {
-        table6(&mut report, &opts, grid.as_ref().expect("grid"));
+        table6(&opts, grid.as_ref().expect("grid"));
     }
     if want("table7") {
-        table7(&mut report, &opts, grid.as_ref().expect("grid"));
+        table7(&opts, grid.as_ref().expect("grid"));
     }
     if want("pcb") {
-        pcb(&mut report);
+        pcb();
     }
     if want("mbuf") {
-        mbuf_bench(&mut report);
+        mbuf_bench();
     }
     if want("predict") {
-        predict_stats(&mut report, &opts);
+        predict_stats(&opts);
     }
     if want("errors") {
-        errors(&mut report, &opts);
+        errors(&opts);
     }
     if want_x("faults") {
-        faults_study(&mut report, &opts, grid.as_ref().expect("grid"));
+        faults_study(&opts, grid.as_ref().expect("grid"));
     }
     if want_x("churn") {
-        churn_exp(&mut report);
+        churn_exp();
     }
     if want_x("ablation") {
-        ablation_exp(&mut report, &opts);
+        ablation_exp(&opts);
     }
     if want_x("switch") {
-        switch_exp(&mut report, &opts);
+        switch_exp(&opts);
     }
     if want_x("ethernet-errors") {
-        ethernet_errors(&mut report, &opts);
+        ethernet_errors(&opts);
     }
     if want_x("udp") {
-        udp_exp(&mut report, &opts);
+        udp_exp(&opts);
     }
     if want_x("trace") {
         trace_timeline(&opts);
-    }
-
-    if let Some(path) = &opts.json {
-        let p = out_path(&opts, path);
-        report.write_json(&p.to_string_lossy());
-        eprintln!("machine-readable results written to {}", p.display());
     }
 }
 
@@ -339,7 +352,7 @@ fn declare_faults(sw: &mut Sweep, opts: &Opts) {
     }
 }
 
-fn faults_study(report: &mut Report, opts: &Opts, grid: &SweepResults) {
+fn faults_study(opts: &Opts, grid: &SweepResults) {
     eprintln!("faults: loss-recovery latency study...");
     use latency_core::recovery;
     let mut rows = Vec::new();
@@ -363,10 +376,9 @@ fn faults_study(report: &mut Report, opts: &Opts, grid: &SweepResults) {
         "faults must cost latency, never integrity: {rows:?}"
     );
     println!("{text}");
-    report.text("faults", text);
 }
 
-fn churn_exp(report: &mut Report) {
+fn churn_exp() {
     eprintln!("churn: live connections under both PCB organizations...");
     use tcpip::config::PcbOrg;
     let mut text = String::from(
@@ -394,10 +406,9 @@ fn churn_exp(report: &mut Report) {
 ",
     );
     println!("{text}");
-    report.text("churn", text);
 }
 
-fn ablation_exp(report: &mut Report, opts: &Opts) {
+fn ablation_exp(opts: &Opts) {
     eprintln!("ablation: CPU scaling, checksum algorithms, MSS rounding...");
     let iters = opts.iterations.min(400);
     let pts = latency_core::ablation::cpu_scaling(&[1.0, 2.0, 4.0, 10.0, 40.0], iters);
@@ -443,10 +454,9 @@ MSS rounding at 8000 B: two 4096-byte segments {two:.0} us vs one
 "
     ));
     println!("{text}");
-    report.text("ablation", text);
 }
 
-fn switch_exp(report: &mut Report, opts: &Opts) {
+fn switch_exp(opts: &Opts) {
     eprintln!("switch: switched vs switchless path...");
     let iters = opts.iterations.min(500);
     let mut text = String::from(
@@ -490,10 +500,9 @@ fabric corruption, TCP checksum OFF: {} AAL3/4 drops, {} app-visible
         r.verify_failures
     ));
     println!("{text}");
-    report.text("switch", text);
 }
 
-fn ethernet_errors(report: &mut Report, opts: &Opts) {
+fn ethernet_errors(opts: &Opts) {
     eprintln!("ethernet-errors: the departmental-Ethernet observation...");
     let iters = opts.iterations.min(300);
     let local = faults::departmental_ethernet(1e-5, 0.0, iters, opts.seed.wrapping_add(8));
@@ -506,10 +515,9 @@ fn ethernet_errors(report: &mut Report, opts: &Opts) {
         local.caught_by_crc, local.caught_by_tcp, mixed.caught_by_crc, mixed.caught_by_tcp
     );
     println!("{text}");
-    report.text("ethernet_errors", text);
 }
 
-fn udp_exp(report: &mut Report, opts: &Opts) {
+fn udp_exp(opts: &Opts) {
     eprintln!("udp: TCP vs UDP RPC latency...");
     let iters = opts.iterations.min(800);
     let mut text = String::from(
@@ -545,7 +553,6 @@ fn udp_exp(report: &mut Report, opts: &Opts) {
 ",
     );
     println!("{text}");
-    report.text("udp", text);
 }
 
 /// Prints an annotated timeline of one 1400-byte RPC iteration —
@@ -644,7 +651,7 @@ fn declare_rpc(sw: &mut Sweep, net: NetKind, size: usize, v: Variant, opts: &Opt
     );
 }
 
-fn table1(report: &mut Report, opts: &Opts, grid: &SweepResults) {
+fn table1(opts: &Opts, grid: &SweepResults) {
     eprintln!("table1: ATM vs Ethernet rendering...");
     let mean = |net, size| grid.mean_us(&rpc_key(net, size, Variant::Base, opts));
     let atm: Vec<f64> = paper::SIZES
@@ -666,12 +673,9 @@ fn table1(report: &mut Report, opts: &Opts, grid: &SweepResults) {
         &paper::T1_ATM_RTT,
     );
     println!("{text}");
-    report.series("table1.atm_rtt_us", &atm, &paper::T1_ATM_RTT);
-    report.series("table1.ether_rtt_us", &eth, &paper::T1_ETHERNET_RTT);
-    report.text("table1", text);
 }
 
-fn tables_2_3(report: &mut Report, opts: &Opts, grid: &SweepResults) {
+fn tables_2_3(opts: &Opts, grid: &SweepResults) {
     eprintln!("table2/3: breakdown rendering...");
     let mut txs = Vec::new();
     let mut rxs = Vec::new();
@@ -686,21 +690,9 @@ fn tables_2_3(report: &mut Report, opts: &Opts, grid: &SweepResults) {
     let t3 = tables::table3(&paper::SIZES, &rxs);
     println!("{t2}");
     println!("{t3}");
-    report.series(
-        "table2.total_us",
-        &txs.iter().map(|t| t.total()).collect::<Vec<_>>(),
-        &paper::t2::TOTAL,
-    );
-    report.series(
-        "table3.total_us",
-        &rxs.iter().map(|t| t.total()).collect::<Vec<_>>(),
-        &paper::t3::TOTAL,
-    );
-    report.text("table2", t2);
-    report.text("table3", t3);
 }
 
-fn table4(report: &mut Report, opts: &Opts, grid: &SweepResults) {
+fn table4(opts: &Opts, grid: &SweepResults) {
     eprintln!("table4: header prediction on/off...");
     let mut with = Vec::new();
     let mut without = Vec::new();
@@ -726,16 +718,9 @@ fn table4(report: &mut Report, opts: &Opts, grid: &SweepResults) {
         16,
     );
     println!("{fig}");
-    report.series(
-        "table4.no_prediction_rtt_us",
-        &without,
-        &paper::T4_NO_PREDICTION_RTT,
-    );
-    report.text("table4", text);
-    report.text("figure1", fig);
 }
 
-fn table5(report: &mut Report) {
+fn table5() {
     eprintln!("table5: user-level copy & checksum (modelled DECstation costs)...");
     let costs = decstation::CostModel::calibrated();
     let rows = micro::table5_model(&costs, &paper::SIZES);
@@ -791,17 +776,9 @@ fn table5(report: &mut Report) {
         native.push_str(&format!("{size:>6} {u:>12.0} {o:>12.0} {i:>12.0}\n"));
     }
     println!("{native}");
-    report.series(
-        "table5.integrated_us",
-        &integ_series,
-        &paper::t5::INTEGRATED,
-    );
-    report.text("table5", text);
-    report.text("figure2", fig);
-    report.text("table5_native", native);
 }
 
-fn table6(report: &mut Report, opts: &Opts, grid: &SweepResults) {
+fn table6(opts: &Opts, grid: &SweepResults) {
     eprintln!("table6: integrated copy-and-checksum kernel...");
     let mut base = Vec::new();
     let mut integ = Vec::new();
@@ -825,11 +802,9 @@ fn table6(report: &mut Report, opts: &Opts, grid: &SweepResults) {
         &paper::T6_COMBINED_RTT,
     );
     println!("{text}");
-    report.series("table6.combined_rtt_us", &integ, &paper::T6_COMBINED_RTT);
-    report.text("table6", text);
 }
 
-fn table7(report: &mut Report, opts: &Opts, grid: &SweepResults) {
+fn table7(opts: &Opts, grid: &SweepResults) {
     eprintln!("table7: checksum elimination...");
     let mut base = Vec::new();
     let mut none = Vec::new();
@@ -848,11 +823,9 @@ fn table7(report: &mut Report, opts: &Opts, grid: &SweepResults) {
         &paper::T7_NO_CKSUM_RTT,
     );
     println!("{text}");
-    report.series("table7.no_cksum_rtt_us", &none, &paper::T7_NO_CKSUM_RTT);
-    report.text("table7", text);
 }
 
-fn pcb(report: &mut Report) {
+fn pcb() {
     eprintln!("pcb: lookup scaling (§3)...");
     let costs = decstation::CostModel::calibrated();
     let lengths = [20usize, 50, 100, 250, 500, 750, 1000];
@@ -878,11 +851,9 @@ fn pcb(report: &mut Report) {
         paper::PCB_PER_ENTRY_US
     ));
     println!("{text}");
-    report.scalar("pcb.slope_us_per_entry", fit.slope, paper::PCB_PER_ENTRY_US);
-    report.text("pcb", text);
 }
 
-fn mbuf_bench(report: &mut Report) {
+fn mbuf_bench() {
     eprintln!("mbuf: allocator microbenchmark (§2.2.1)...");
     let costs = decstation::CostModel::calibrated();
     let us = micro::mbuf_pair_cost_us(&costs);
@@ -891,11 +862,9 @@ fn mbuf_bench(report: &mut Report) {
         paper::MBUF_ALLOC_FREE_US
     );
     println!("{text}");
-    report.scalar("mbuf.alloc_free_pair_us", us, paper::MBUF_ALLOC_FREE_US);
-    report.text("mbuf", text);
 }
 
-fn predict_stats(report: &mut Report, opts: &Opts) {
+fn predict_stats(opts: &Opts) {
     eprintln!("predict: fast-path statistics (§3)...");
     let r = rpc(NetKind::Atm, 200, opts)
         .plan()
@@ -922,13 +891,9 @@ fn predict_stats(report: &mut Report, opts: &Opts) {
          RPC 8000 B data segments: {second_seg:>5.1}%  (paper: succeeds for half: the 2nd of 2)\n"
     );
     println!("{text}");
-    report.scalar("predict.rpc_rate_pct", rpc_rate, 0.0);
-    report.scalar("predict.bulk_rate_pct", bulk_rate, 100.0);
-    report.scalar("predict.second_segment_pct", second_seg, 50.0);
-    report.text("predict", text);
 }
 
-fn errors(report: &mut Report, opts: &Opts) {
+fn errors(opts: &Opts) {
     eprintln!("errors: §4.2.1 detection layering...");
     let iters = opts.iterations.min(300);
     let mut text =
@@ -970,17 +935,6 @@ fn errors(report: &mut Report, opts: &Opts) {
          the boundary condition of the paper's elimination argument.\n",
     );
     println!("{text}");
-    report.scalar(
-        "errors.controller_app_hits_cksum_on",
-        on.reached_app as f64,
-        0.0,
-    );
-    report.scalar(
-        "errors.controller_app_hits_cksum_off",
-        off.reached_app as f64,
-        1.0,
-    );
-    report.text("errors", text);
 }
 
 // --------------------------------------------------------------------------
@@ -1001,7 +955,6 @@ fn golden_scale(opts: &Opts) -> Opts {
         // pinned so `--seed` can never manufacture a drift.
         seed: 1,
         quick: true,
-        json: None,
         sweep_json: None,
         out_dir: opts.out_dir.clone(),
         bless: opts.bless,
@@ -1080,7 +1033,6 @@ impl Golden {
 fn cmd_verify(opts: &Opts) -> i32 {
     let q = golden_scale(opts);
     let mut code = 0;
-    let mut summary: Vec<(String, usize, usize)> = Vec::new();
     let goldens = golden_grids(&q)
         .into_iter()
         .map(Golden::Sweep)
@@ -1110,11 +1062,9 @@ fn cmd_verify(opts: &Opts) -> i32 {
             std::fs::create_dir_all(&q.golden_dir).expect("create golden dir");
             std::fs::write(&path, &live.json).expect("write golden file");
             eprintln!("verify: blessed {} cell(s) into {path}", live.cells);
-            summary.push((stem, live.cells, 0));
             continue;
         };
         let drifts = oracle::diff_report(&golden, &live.json);
-        summary.push((stem.clone(), live.cells, drifts.len()));
         if drifts.is_empty() {
             eprintln!(
                 "verify: {stem}: {} cell(s) byte-identical to {path}",
@@ -1133,22 +1083,6 @@ fn cmd_verify(opts: &Opts) -> i32 {
     }
     if code == 0 && !q.bless {
         eprintln!("verify: clean");
-    }
-    if let Some(path) = &opts.json {
-        let grids: Vec<String> = summary
-            .iter()
-            .map(|(name, cells, drifts)| {
-                format!("    {{\"grid\": \"{name}\", \"cells\": {cells}, \"drifts\": {drifts}}}")
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"command\": \"verify\",\n  \"clean\": {},\n  \"grids\": [\n{}\n  ]\n}}\n",
-            code == 0,
-            grids.join(",\n")
-        );
-        let p = out_path(opts, path);
-        std::fs::write(&p, json).expect("write verify json");
-        eprintln!("verify summary written to {}", p.display());
     }
     code
 }
@@ -1310,17 +1244,10 @@ fn cmd_invariants(opts: &Opts) -> i32 {
             }
         }
     }
-    let mut rows: Vec<String> = Vec::new();
     for (name, rep) in reports {
         if let Some(msg) = &rep.capture_skipped {
             eprintln!("invariants: {name}: capture comparison skipped ({msg})");
         }
-        rows.push(format!(
-            "    {{\"cell\": \"{name}\", \"clean\": {}, \"events_checked\": {}, \"violations\": {}}}",
-            rep.is_clean(),
-            rep.events_checked,
-            rep.violations.len()
-        ));
         if rep.is_clean() {
             eprintln!(
                 "invariants: {name}: clean ({} event(s) checked)",
@@ -1333,16 +1260,6 @@ fn cmd_invariants(opts: &Opts) -> i32 {
                 eprintln!("  [{}] {}", v.invariant, v.detail);
             }
         }
-    }
-    if let Some(path) = &opts.json {
-        let json = format!(
-            "{{\n  \"command\": \"invariants\",\n  \"clean\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-            failures == 0,
-            rows.join(",\n")
-        );
-        let p = out_path(opts, path);
-        std::fs::write(&p, json).expect("write invariants json");
-        eprintln!("invariants summary written to {}", p.display());
     }
     if failures == 0 {
         eprintln!("invariants: all clean");

@@ -15,8 +15,8 @@
 //!
 //! All three are implemented here as real, executable routines over
 //! real bytes. They are verified against each other and against a
-//! byte-at-a-time reference model by unit and property tests, and they
-//! are benchmarked natively with criterion (the *shape* of the paper's
+//! byte-at-a-time reference model by unit and property tests, and
+//! `repro table5` times them natively (the *shape* of the paper's
 //! Table 5). The simulator charges their calibrated DECstation costs
 //! from the `decstation` crate.
 //!
@@ -46,13 +46,11 @@
 
 pub mod algos;
 pub mod crc;
-pub mod fletcher;
 pub mod partial;
 pub mod pseudo;
 pub mod sum;
 
 pub use algos::{copy_and_cksum, naive_cksum, optimized_cksum, ultrix_cksum};
-pub use fletcher::{Fletcher16, Fletcher8};
 pub use partial::PartialChecksum;
 pub use pseudo::pseudo_header_sum;
 pub use sum::Sum16;

@@ -52,13 +52,6 @@ impl PartialChecksum {
         }
     }
 
-    /// Builds a partial checksum from an already-computed sum and the
-    /// fragment length it covers (e.g. from [`crate::copy_and_cksum`]).
-    #[must_use]
-    pub const fn from_sum(sum: Sum16, len: usize) -> Self {
-        PartialChecksum { sum, len }
-    }
-
     /// The fragment's ones-complement sum, as if the fragment started
     /// at offset zero.
     #[inline]

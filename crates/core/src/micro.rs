@@ -83,8 +83,8 @@ pub fn table5_model(costs: &CostModel, sizes: &[usize]) -> Vec<[f64; 4]> {
 /// over `n` bytes, in nanoseconds per call. Modern hardware is vastly
 /// faster than a DECstation, but the *shape* — linear scaling, the
 /// integrated routine beating copy + separate checksum — carries
-/// over. Used by the quick shape checks here; the full measurement
-/// lives in the criterion benches.
+/// over. `repro table5` prints it beside the modelled Table 5; the
+/// tests here check its shape.
 #[must_use]
 pub fn native_cksum_ns(n: usize, reps: u32) -> [f64; 3] {
     let data: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();

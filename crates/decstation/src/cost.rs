@@ -81,13 +81,13 @@ pub enum ChecksumImpl {
 /// The calibrated DECstation 5000/200 cost model.
 ///
 /// `CostModel::calibrated()` returns the constants fitted to the
-/// paper; tests and ablation benches may build variants (e.g. a
-/// faster CPU) by mutating fields.
+/// paper; tests and ablations may build variants (e.g. a faster CPU)
+/// by mutating fields.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CostModel {
     // ------------------------------------------------------------------
-    // User-level algorithm costs (Table 5 fits; see also the native
-    // criterion benches which check the *shape* on modern hardware).
+    // User-level algorithm costs (Table 5 fits; `repro table5` also
+    // times the native routines, the *shape* on modern hardware).
     // ------------------------------------------------------------------
     /// ULTRIX checksum at user level. Fit of Table 5 column 1:
     /// slope (1605−807)/4000 ≈ 0.1995 µs/B, intercept ≈ 4.2 µs.

@@ -16,14 +16,6 @@ pub struct Machine {
     pub page_size: usize,
 }
 
-impl Machine {
-    /// Nanoseconds per CPU cycle.
-    #[must_use]
-    pub fn cycle_ns(&self) -> f64 {
-        1_000.0 / f64::from(self.cpu_mhz)
-    }
-}
-
 /// The paper's host: DECstation 5000/200, 25 MHz MIPS R3000,
 /// TurboChannel, 4 KB pages.
 pub const DECSTATION_5000_200: Machine = Machine {
@@ -37,13 +29,6 @@ pub const DECSTATION_5000_200: Machine = Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cycle_time() {
-        // 25 MHz is a 40 ns cycle — the same period as the
-        // measurement clock, pleasantly.
-        assert!((DECSTATION_5000_200.cycle_ns() - 40.0).abs() < 1e-9);
-    }
 
     #[test]
     fn page_is_cluster_sized() {

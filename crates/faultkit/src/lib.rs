@@ -169,12 +169,6 @@ impl LossProcess {
         }
         lost
     }
-
-    /// Whether the chain currently sits in the bad state.
-    #[must_use]
-    pub fn in_bad_state(&self) -> bool {
-        self.bad
-    }
 }
 
 /// Per-train cell faults: reordering, duplication and delay jitter.

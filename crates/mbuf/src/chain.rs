@@ -52,14 +52,6 @@ impl Chain {
         Chain::default()
     }
 
-    /// Builds a chain from a single pre-allocated mbuf.
-    #[must_use]
-    pub fn from_mbuf(m: Mbuf) -> Self {
-        let mut c = Chain::new();
-        c.mbufs.push_back(m);
-        c
-    }
-
     /// Fills a chain from user data the way the ULTRIX socket layer
     /// does: cluster mbufs when `use_clusters` (the caller applies the
     /// [`CLUSTER_THRESHOLD`] policy), otherwise a packet-header mbuf
@@ -282,37 +274,6 @@ impl Chain {
     /// Appends another chain (BSD `m_cat` without compaction).
     pub fn append(&mut self, mut other: Chain) {
         self.mbufs.append(&mut other.mbufs);
-    }
-
-    /// Appends raw bytes, filling trailing capacity of the last mbuf
-    /// and then new mbufs (clusters iff `use_clusters`). Used by
-    /// socket buffers. Returns the receipt.
-    #[must_use]
-    pub fn append_bytes(&mut self, pool: &MbufPool, data: &[u8], use_clusters: bool) -> OpCost {
-        let mut cost = OpCost::ZERO;
-        let mut remaining = data;
-        if let Some(last) = self.mbufs.back_mut() {
-            if !last.is_shared() && last.capacity_remaining() > 0 {
-                let n = last.append_from(remaining);
-                cost.bytes_copied += n;
-                remaining = &remaining[n..];
-            }
-        }
-        while !remaining.is_empty() {
-            let mut m = if use_clusters {
-                cost.clusters_allocated += 1;
-                cost.mbufs_allocated += 1;
-                Mbuf::getcl(pool)
-            } else {
-                cost.mbufs_allocated += 1;
-                Mbuf::get(pool)
-            };
-            let n = m.append_from(remaining);
-            cost.bytes_copied += n;
-            remaining = &remaining[n..];
-            self.mbufs.push_back(m);
-        }
-        cost
     }
 
     /// Drops `n` bytes from the front, freeing emptied mbufs (BSD
@@ -645,21 +606,6 @@ mod tests {
             chain.stored_checksum().is_none(),
             "trim invalidates partials"
         );
-    }
-
-    #[test]
-    fn append_bytes_fills_tail_capacity() {
-        let pool = MbufPool::new();
-        let (mut chain, _) = Chain::from_user_data(&pool, &payload(50), false);
-        let cost = chain.append_bytes(&pool, &payload(30), false);
-        assert_eq!(
-            cost.mbufs_allocated, 0,
-            "50+30 fits in the 100-byte header mbuf"
-        );
-        assert_eq!(chain.len(), 80);
-        let cost = chain.append_bytes(&pool, &payload(200), false);
-        assert!(cost.mbufs_allocated >= 1);
-        assert_eq!(chain.len(), 280);
     }
 
     #[test]

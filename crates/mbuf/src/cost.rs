@@ -45,13 +45,6 @@ impl OpCost {
             clusters_shared: 0,
         }
     }
-
-    /// Total buffer-allocator events (allocations plus frees), the
-    /// quantity the paper prices at ≈7 µs each.
-    #[must_use]
-    pub const fn allocator_ops(&self) -> usize {
-        self.mbufs_allocated + self.mbufs_freed + self.clusters_allocated
-    }
 }
 
 impl Add for OpCost {
@@ -94,7 +87,6 @@ mod tests {
         assert_eq!(b.mbufs_freed, 2);
         assert_eq!(b.clusters_allocated, 3);
         assert_eq!(b.clusters_shared, 4);
-        assert_eq!(b.allocator_ops(), 6);
     }
 
     #[test]

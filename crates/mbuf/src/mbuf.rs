@@ -193,18 +193,6 @@ impl Mbuf {
         Ok(Mbuf::get(pool))
     }
 
-    /// Fallible [`Mbuf::gethdr`].
-    pub fn try_gethdr(pool: &MbufPool) -> Result<Mbuf, Enobufs> {
-        pool.admit()?;
-        Ok(Mbuf::gethdr(pool))
-    }
-
-    /// Fallible [`Mbuf::getcl`].
-    pub fn try_getcl(pool: &MbufPool) -> Result<Mbuf, Enobufs> {
-        pool.admit()?;
-        Ok(Mbuf::getcl(pool))
-    }
-
     /// The storage kind.
     #[must_use]
     pub fn kind(&self) -> MbufKind {

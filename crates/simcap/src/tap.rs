@@ -226,12 +226,6 @@ impl TapSet {
         TapSet::all().in_flight_mode(last_k)
     }
 
-    /// A flight recorder over exactly the given tap points.
-    #[must_use]
-    pub fn flight_only(points: &[TapPoint], last_k: usize) -> Self {
-        TapSet::only(points).in_flight_mode(last_k)
-    }
-
     /// Switches this set to flight mode with the given per-tap window.
     #[must_use]
     pub fn in_flight_mode(mut self, last_k: usize) -> Self {
@@ -249,11 +243,6 @@ impl TapSet {
     /// Starts recording (idempotent).
     pub fn arm(&mut self) {
         self.armed = true;
-    }
-
-    /// Stops recording without discarding captured frames.
-    pub fn disarm(&mut self) {
-        self.armed = false;
     }
 
     /// Whether a record at `p` would be kept. Instrumented code uses

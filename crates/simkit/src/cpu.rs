@@ -95,13 +95,6 @@ impl Cpu {
         self.busy_until
     }
 
-    /// Whether the CPU is idle at `now`.
-    #[inline]
-    #[must_use]
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Acquires the CPU at the earliest instant not before `now`,
     /// holding it for `cost`. Returns `(start, end)`: the work runs
     /// contiguously over that interval and the caller should schedule
@@ -171,8 +164,8 @@ mod tests {
         let (s, e) = cpu.acquire(SimTime::from_us(3), SimTime::from_us(2), CpuBand::Process);
         assert_eq!(s, SimTime::from_us(3));
         assert_eq!(e, SimTime::from_us(5));
-        assert!(cpu.is_idle_at(SimTime::from_us(5)));
-        assert!(!cpu.is_idle_at(SimTime::from_us(4)));
+        assert!(cpu.busy_until() <= SimTime::from_us(5));
+        assert!(cpu.busy_until() > SimTime::from_us(4));
     }
 
     #[test]
@@ -214,6 +207,6 @@ mod tests {
         let mut cpu = Cpu::new();
         let (s, e) = cpu.acquire(SimTime::from_us(1), SimTime::ZERO, CpuBand::SoftIntr);
         assert_eq!(s, e);
-        assert!(cpu.is_idle_at(SimTime::from_us(1)));
+        assert!(cpu.busy_until() <= SimTime::from_us(1));
     }
 }

@@ -98,13 +98,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// Returns the time as fractional milliseconds.
-    #[inline]
-    #[must_use]
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Returns the time as fractional seconds.
     #[inline]
     #[must_use]

@@ -493,15 +493,6 @@ impl Topology {
         [10, 1, (h >> 8) as u8, (h & 0xff) as u8]
     }
 
-    /// Inverse of [`Topology::addr`].
-    #[must_use]
-    pub fn host_of_addr(addr: [u8; 4]) -> Option<usize> {
-        if addr[0] != 10 || addr[1] != 1 {
-            return None;
-        }
-        Some((usize::from(addr[2]) << 8) | usize::from(addr[3]))
-    }
-
     /// The VCI a sender uses for cells destined to host `dst` (the
     /// switch routes on `(in_port, vpi, vci)`, so a per-destination
     /// VCI is enough for any number of senders).
@@ -622,14 +613,6 @@ mod tests {
         assert_eq!(t.effective_fanin(), 2);
         assert_eq!(t.servers(), 1);
         assert_eq!(t.server_of(1), 2);
-    }
-
-    #[test]
-    fn addr_roundtrip() {
-        for h in [0usize, 1, 255, 256, 4095] {
-            assert_eq!(Topology::host_of_addr(Topology::addr(h)), Some(h));
-        }
-        assert_eq!(Topology::host_of_addr([10, 0, 0, 1]), None);
     }
 
     #[test]

@@ -4,13 +4,18 @@
 //! counters) or be refused when the world is built — on the two-host
 //! ATM world, the two-host Ethernet world, and a small fan-out
 //! datacenter world. Every `TailPolicy` lever, armed alone, must
-//! change the fan-out run the same way.
+//! change the fan-out run the same way. Every switch `DropPolicy` must
+//! change an overloaded incast run against every other policy, and
+//! every `CcVariant` on a cold start must change a lossy incast run
+//! against every other variant.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use atm::{DropPolicy, TrainMarking};
 use faultkit::{FaultSchedule, FlapSchedule, GilbertElliott, PauseSchedule};
 use latency_core::experiment::{Experiment, NetKind};
 use simkit::SimTime;
+use tcpip::CcVariant;
 use world::{run_dc, HedgePolicy, RetryPolicy, TailPolicy, Topology, TrafficSchedule};
 
 /// One case per schedule field: its name and a schedule with only that
@@ -244,4 +249,79 @@ fn every_tail_policy_lever_changes_the_fanout_run() {
             "fan-out: `{lever}` armed alone changed nothing"
         );
     }
+}
+
+/// A 4-into-1 incast of 16 kB requests over a 128-cell switch queue
+/// (the cc study's smallest buffer): the queue overruns every round.
+/// Returns what the switch and the senders saw.
+fn overloaded_incast(cc: CcVariant, drop_policy: DropPolicy) -> impl PartialEq + std::fmt::Debug {
+    let mut t = Topology::incast(4, 4, 1);
+    t.rpc_size = 16_000;
+    t.iterations = 3;
+    t.warmup = 1;
+    t.mtu = 1500;
+    t.stack.cc = cc;
+    t.stack.initial_cwnd_segs = Some(2);
+    t.switch.queue_cells = 128;
+    t.switch.drop_policy = drop_policy;
+    t.switch.marking = TrainMarking::Aal34SegType;
+    let r = run_dc(&t, TrafficSchedule::staggered(), 3);
+    assert!(
+        r.switch_drops + r.epd_drops + r.ppd_drops > 0,
+        "{cc:?}/{drop_policy:?}: the switch dropped nothing"
+    );
+    (
+        r.events,
+        r.sim_time,
+        r.rtts,
+        r.switch_drops,
+        r.epd_drops,
+        r.ppd_drops,
+        r.rexmits,
+        r.rto_fires,
+    )
+}
+
+/// Asserts no two levers ran the same: each changes the run against
+/// every other, so none is dead.
+fn assert_pairwise_distinct<L: std::fmt::Debug, R: PartialEq + std::fmt::Debug>(
+    levers: &[L],
+    run: impl Fn(&L) -> R,
+) {
+    let runs: Vec<R> = levers.iter().map(run).collect();
+    for (i, a) in levers.iter().enumerate() {
+        for (j, b) in levers.iter().enumerate().skip(i + 1) {
+            assert_ne!(runs[i], runs[j], "{a:?} and {b:?} ran the same");
+        }
+    }
+}
+
+#[test]
+fn every_drop_policy_changes_an_overloaded_switch_run() {
+    let policies = [
+        DropPolicy::Tail,
+        DropPolicy::Epd {
+            threshold_cells: 64,
+        },
+        DropPolicy::Ppd,
+    ];
+    // Exhaustive: a new policy fails to compile here until it has a case.
+    for p in policies {
+        match p {
+            DropPolicy::Tail | DropPolicy::Epd { .. } | DropPolicy::Ppd => {}
+        }
+    }
+    assert_pairwise_distinct(&policies, |&p| overloaded_incast(CcVariant::default(), p));
+}
+
+#[test]
+fn every_cold_start_cc_variant_changes_a_lossy_run() {
+    // Exhaustive: a new variant fails to compile here until `ALL`
+    // lists it.
+    for v in CcVariant::ALL {
+        match v {
+            CcVariant::Tahoe | CcVariant::Reno | CcVariant::NewReno | CcVariant::Sack => {}
+        }
+    }
+    assert_pairwise_distinct(&CcVariant::ALL, |&v| overloaded_incast(v, DropPolicy::Tail));
 }
