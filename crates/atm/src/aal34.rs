@@ -252,6 +252,10 @@ impl Aal34Reassembler {
             0b11 => {
                 // Single-segment message: header and trailer in one cell.
                 self.drop_partial();
+                if li > SAR_PAYLOAD {
+                    self.stats.datagrams_dropped += 1;
+                    return Err(Aal34Error::BadLengthIndicator);
+                }
                 self.partial = Some(Partial {
                     sn_expect: (sn + 1) & 0xf,
                     buf: Vec::new(),
@@ -489,6 +493,53 @@ mod tests {
             }
         }
         assert_eq!(out.unwrap(), vec![2u8; 500]);
+    }
+
+    /// Rewrites a cell's SAR trailer to carry `li` and a valid CRC-10,
+    /// the way a CRC-10 collision under a high bit error rate would.
+    fn restamp(cell: &Cell, li: u8) -> Cell {
+        let mut payload = *cell.payload();
+        payload[46] = li << 2;
+        let crc = crc10_bits(&payload, 46 * 8 + 6);
+        payload[46] |= (crc >> 8) as u8;
+        payload[47] = (crc & 0xff) as u8;
+        Cell::new(cell.header(), payload)
+    }
+
+    #[test]
+    fn ssm_with_length_indicator_above_44_is_rejected() {
+        let mut seg = Aal34Segmenter::new(0, 5, 1);
+        let ssm = seg.segment(b"tiny").remove(0);
+        for li in 45..64u8 {
+            let mut reasm = Aal34Reassembler::new();
+            let bad = restamp(&ssm, li);
+            assert_eq!(
+                reasm.push(&bad),
+                Err(Aal34Error::BadLengthIndicator),
+                "li {li}"
+            );
+            assert_eq!(reasm.stats().datagrams_dropped, 1, "li {li}");
+            // The reassembler is still usable.
+            assert_eq!(reasm.push(&ssm), Ok(Some(b"tiny".to_vec())));
+        }
+    }
+
+    /// Wire bytes, not a round trip: a CRC-10 or HEC table that is
+    /// wrong the same way on both ends would still round-trip. The
+    /// FNV-1a hash over every 53-byte cell of a fixed 8000-byte
+    /// datagram was recorded with the bit-serial CRCs.
+    #[test]
+    fn segmented_cells_match_known_wire_bytes() {
+        let data: Vec<u8> = (0..8000u32).map(|i| (i * 7 + 1) as u8).collect();
+        let cells = Aal34Segmenter::new(0, 42, 7).segment(&data);
+        assert_eq!(cells.len(), 182);
+        let fnv = cells
+            .iter()
+            .flat_map(Cell::to_bytes)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(fnv, 0xd72e_6313_f361_5031);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! AAL3/4 (and AAL5) receivers either deliver the exact original
 //! datagram or deliver nothing. They must never hand up wrong bytes.
 
-use atm::{aal5_segment, Aal34Reassembler, Aal34Segmenter, Aal5Reassembler, Cell};
+use atm::{aal5_segment, Aal34Reassembler, Aal34Segmenter, Aal5Reassembler, Cell, CellHeader};
+use cksum::crc::crc10_bits;
 use proptest::prelude::*;
 
 fn datagram(n: usize, seed: u8) -> Vec<u8> {
@@ -33,8 +34,57 @@ fn damage(cells: Vec<Cell>, plan: &[(bool, Option<usize>)]) -> Vec<Cell> {
         .collect()
 }
 
+/// Builds a cell from an arbitrary SAR payload, keeping its LI bits
+/// and stamping a valid CRC-10 over them: the cells a CRC-10
+/// collision under a high bit error rate can hand the reassembler.
+fn crc_valid_cell(mut payload: [u8; 48]) -> Cell {
+    payload[46] &= 0xfc;
+    let crc = crc10_bits(&payload, 46 * 8 + 6);
+    payload[46] |= (crc >> 8) as u8;
+    payload[47] = (crc & 0xff) as u8;
+    let hdr = CellHeader {
+        gfc: 0,
+        vpi: 0,
+        vci: 7,
+        pt: 0,
+        clp: false,
+    };
+    Cell::new(hdr, payload)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Any cell whose CRC-10 verifies, whatever its segment type,
+    /// sequence number and length indicator, yields `Ok` or a typed
+    /// error and never panics: pushed into an idle reassembler and
+    /// into one with a message in progress, half the time carrying
+    /// the sequence number it expects so that COM and EOM reach their
+    /// LI checks.
+    #[test]
+    fn aal34_any_crc_valid_cell_is_ok_or_typed_error(
+        mut raw in any::<[u8; 48]>(),
+        expected_sn in any::<bool>(),
+    ) {
+        let cell = crc_valid_cell(raw);
+        let mut idle = Aal34Reassembler::new();
+        let _ = idle.push(&cell);
+        let stats = idle.stats();
+        prop_assert_eq!(stats.cells_ok, 1);
+        prop_assert!(stats.datagrams_ok + stats.datagrams_dropped <= 1);
+
+        let mut seg = Aal34Segmenter::new(0, 7, 3);
+        let train = seg.segment(&datagram(200, 9));
+        let mut busy = Aal34Reassembler::new();
+        prop_assert_eq!(busy.push(&train[0]), Ok(None));
+        if expected_sn {
+            raw[0] = (raw[0] & 0xc3) | (1 << 2);
+        }
+        let _ = busy.push(&crc_valid_cell(raw));
+        let stats = busy.stats();
+        prop_assert_eq!(stats.cells_ok, 2);
+        prop_assert!(stats.datagrams_ok + stats.datagrams_dropped <= 2);
+    }
 
     /// AAL3/4 round-trips any datagram on a clean channel.
     #[test]

@@ -16,37 +16,56 @@
 //! layering: when the TCP checksum is off, these CRCs are the only
 //! integrity checks left, and the error-injection experiment measures
 //! what each layer catches.
+//!
+//! Every cell and frame computes its CRCs over real bytes, so all
+//! three are table-driven, one implementation each: CRC-10 and CRC-32
+//! take eight bytes per step through eight compile-time tables
+//! (slicing-by-8), the HEC one byte-table lookup per octet. This is
+//! host cost only; simulated time comes from the DECstation cost
+//! model. `crates/cksum/tests/properties.rs` pins each to a
+//! bit-serial reference.
 
-/// One bit-serial step of the non-augmented CRC-10 register: the
-/// feedback is the register's top bit XOR the input bit, so appending
-/// the CRC itself then divides to zero. Polynomial bits below x^10:
-/// x^9+x^5+x^4+x+1 = 0x233.
-const fn crc10_step(crc: u16, bit: u8) -> u16 {
-    let feedback = ((crc >> 9) as u8 ^ bit) & 1;
-    let crc = (crc << 1) & 0x3ff;
-    if feedback != 0 {
-        crc ^ 0x233
+/// The CRC-10 generator's bits below x^10 (x^9+x^5+x^4+x+1 = 0x233),
+/// left-aligned in the 16-bit register `crc10_bits` keeps.
+const CRC10_POLY: u16 = 0x233 << 6;
+
+/// One step of the left-aligned, non-augmented CRC-10 register: the
+/// top bit shifts out and, if set, the generator is XORed in. The
+/// low six bits stay zero, so `reg >> 6` is the 10-bit CRC.
+const fn crc10_step(reg: u16) -> u16 {
+    if reg & 0x8000 != 0 {
+        (reg << 1) ^ CRC10_POLY
     } else {
-        crc
+        reg << 1
     }
 }
 
-/// Entry `i` is the register `i << 2` after eight zero input bits:
-/// the whole-byte step `crc10_bits` takes.
-const CRC10_TABLE: [u16; 256] = {
-    let mut table = [0u16; 256];
+/// Slicing-by-8 tables for CRC-10: `CRC10_TABLES[k][i]` is the
+/// left-aligned register after byte `i` followed by `k` zero bytes.
+static CRC10_TABLES: [[u16; 256]; 8] = {
+    let mut t = [[0u16; 256]; 8];
     let mut i = 0;
     while i < 256 {
-        let mut crc = (i as u16) << 2;
-        let mut k = 0;
-        while k < 8 {
-            crc = crc10_step(crc, 0);
-            k += 1;
+        let mut reg = (i as u16) << 8;
+        let mut b = 0;
+        while b < 8 {
+            reg = crc10_step(reg);
+            b += 1;
         }
-        table[i] = crc;
+        t[0][i] = reg;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev << 8) ^ t[0][(prev >> 8) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
 /// Computes the 10-bit AAL3/4 SAR CRC over the first `nbits` bits of
@@ -59,9 +78,13 @@ const CRC10_TABLE: [u16; 256] = {
 /// 6-bit length indicator and the 10-bit CRC into two bytes, so the
 /// CRC covers a bit count that is not a multiple of eight.
 ///
-/// A 256-entry table computed at compile time takes the whole bytes,
-/// one lookup each; the `nbits % 8` leftover bits (the 6-bit LI of a
-/// SAR cell) go through the bit-serial step. The property test
+/// The register is held left-aligned in 16 bits. Whole bytes go eight
+/// at a time through eight compile-time tables (slicing-by-8): the
+/// register is XORed into the top of the big-endian `u64` of the next
+/// eight bytes, and eight independent lookups give the new register.
+/// Leftover whole bytes take table 0, one lookup each, and the
+/// `nbits % 8` trailing bits (the 6-bit LI of a SAR cell) step
+/// bit-serially. The property test
 /// `crc10_table_matches_bit_serial_reference` in
 /// `crates/cksum/tests/properties.rs` pins this to a bit-serial
 /// reference at every `nbits`.
@@ -82,17 +105,71 @@ const CRC10_TABLE: [u16; 256] = {
 pub fn crc10_bits(data: &[u8], nbits: usize) -> u16 {
     assert!(nbits <= data.len() * 8, "nbits out of range");
     let (whole, rest) = data.split_at(nbits / 8);
-    let mut crc: u16 = 0;
-    for &byte in whole {
-        crc = ((crc << 8) & 0x3ff) ^ CRC10_TABLE[usize::from((crc >> 2) as u8 ^ byte)];
+    let t = &CRC10_TABLES;
+    let mut reg: u16 = 0;
+    let mut chunks = whole.chunks_exact(8);
+    for chunk in &mut chunks {
+        let x = u64::from_be_bytes(chunk.try_into().expect("8 bytes")) ^ (u64::from(reg) << 48);
+        reg = t[7][usize::from((x >> 56) as u8)]
+            ^ t[6][usize::from((x >> 48) as u8)]
+            ^ t[5][usize::from((x >> 40) as u8)]
+            ^ t[4][usize::from((x >> 32) as u8)]
+            ^ t[3][usize::from((x >> 24) as u8)]
+            ^ t[2][usize::from((x >> 16) as u8)]
+            ^ t[1][usize::from((x >> 8) as u8)]
+            ^ t[0][usize::from(x as u8)];
+    }
+    for &byte in chunks.remainder() {
+        reg = (reg << 8) ^ t[0][usize::from((reg >> 8) as u8 ^ byte)];
     }
     for i in 0..nbits % 8 {
-        crc = crc10_step(crc, rest[0] >> (7 - i));
+        reg = crc10_step(reg ^ (u16::from(rest[0] >> (7 - i) & 1) << 15));
     }
-    crc
+    reg >> 6
 }
 
+/// Slicing-by-8 tables for the reflected CRC-32 (polynomial
+/// `0xEDB88320`): `CRC32_TABLES[k][i]` is the register after byte `i`
+/// followed by `k` zero bytes.
+static CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut b = 0;
+        while b < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xedb8_8320
+            } else {
+                crc >> 1
+            };
+            b += 1;
+        }
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
 /// The IEEE 802.3 CRC-32 (reflected, init all-ones, final inversion).
+///
+/// Reflected slicing-by-8: each eight-byte chunk is read as two
+/// little-endian `u32` words, the register is XORed into the first,
+/// and eight independent lookups into compile-time tables give the
+/// new register; the last `len % 8` bytes take table 0, one lookup
+/// each. The `crc32_matches_bit_serial_reference_*` tests in
+/// `crates/cksum/tests/properties.rs` pin it to a bit-serial
+/// reference.
 ///
 /// # Examples
 ///
@@ -104,37 +181,61 @@ pub fn crc10_bits(data: &[u8], nbits: usize) -> u16 {
 /// ```
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc: u32 = 0xffff_ffff;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let lsb = crc & 1;
-            crc >>= 1;
-            if lsb != 0 {
-                crc ^= 0xedb8_8320;
-            }
-        }
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes(chunk[..4].try_into().expect("4 bytes"));
+        let hi = u32::from_le_bytes(chunk[4..].try_into().expect("4 bytes"));
+        crc = t[7][usize::from(lo as u8)]
+            ^ t[6][usize::from((lo >> 8) as u8)]
+            ^ t[5][usize::from((lo >> 16) as u8)]
+            ^ t[4][usize::from((lo >> 24) as u8)]
+            ^ t[3][usize::from(hi as u8)]
+            ^ t[2][usize::from((hi >> 8) as u8)]
+            ^ t[1][usize::from((hi >> 16) as u8)]
+            ^ t[0][usize::from((hi >> 24) as u8)];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ byte)];
     }
     !crc
 }
 
+/// CRC-8 table for the HEC (generator `x^8 + x^2 + x + 1`, bits
+/// `0x07`): entry `i` is the register after byte `i`.
+static HEC_TABLE: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u8;
+        let mut b = 0;
+        while b < 8 {
+            crc = if crc & 0x80 != 0 {
+                (crc << 1) ^ 0x07
+            } else {
+                crc << 1
+            };
+            b += 1;
+        }
+        t[i] = crc;
+        i += 1;
+    }
+    t
+};
+
 /// The ATM Header Error Control byte: CRC-8 with generator
 /// `x^8 + x^2 + x + 1` over the first four header octets, XORed with
-/// the coset leader 0x55 (ITU-T I.432).
+/// the coset leader 0x55 (ITU-T I.432). One table lookup per octet;
+/// `hec_matches_bit_serial_reference` in
+/// `crates/cksum/tests/properties.rs` pins it to a bit-serial
+/// reference.
 #[must_use]
 pub fn hec(header4: [u8; 4]) -> u8 {
-    let mut crc: u8 = 0;
-    for byte in header4 {
-        crc ^= byte;
-        for _ in 0..8 {
-            if crc & 0x80 != 0 {
-                crc = (crc << 1) ^ 0x07;
-            } else {
-                crc <<= 1;
-            }
-        }
-    }
-    crc ^ 0x55
+    header4
+        .into_iter()
+        .fold(0u8, |crc, byte| HEC_TABLE[usize::from(crc ^ byte)])
+        ^ 0x55
 }
 
 #[cfg(test)]

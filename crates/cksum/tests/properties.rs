@@ -3,10 +3,10 @@
 //! These pin down the invariants the kernel integration relies on:
 //! algorithm agreement, partial-sum combination at arbitrary split
 //! points, incremental update, and error detection of the checksum as
-//! actually used on the wire; and the table-driven CRC-10 against a
-//! bit-serial reference.
+//! actually used on the wire; and each table-driven CRC (CRC-10,
+//! CRC-32, HEC) against a bit-serial reference.
 
-use cksum::crc::crc10_bits;
+use cksum::crc::{crc10_bits, crc32, hec};
 use cksum::{
     copy_and_cksum, naive_cksum, optimized_cksum, pseudo_header_sum, ultrix_cksum, PartialChecksum,
     Sum16,
@@ -28,6 +28,92 @@ fn crc10_reference(data: &[u8], nbits: usize) -> u16 {
         }
     }
     crc
+}
+
+/// Bit-serial IEEE 802.3 CRC-32 (reflected polynomial `0xEDB88320`,
+/// init all-ones, final inversion): the reference the slicing-by-8
+/// `crc32` must agree with. This was `crc32`'s own body before it took
+/// tables.
+fn crc32_reference(data: &[u8]) -> u32 {
+    let mut crc: u32 = 0xffff_ffff;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            let lsb = crc & 1;
+            crc >>= 1;
+            if lsb != 0 {
+                crc ^= 0xedb8_8320;
+            }
+        }
+    }
+    !crc
+}
+
+/// Bit-serial ATM HEC: CRC-8 with generator `x^8 + x^2 + x + 1`
+/// over the four header octets, XORed with the coset leader 0x55. The
+/// reference the byte-table `hec` must agree with; this was `hec`'s
+/// own body before it took a table.
+fn hec_reference(header4: [u8; 4]) -> u8 {
+    let mut crc: u8 = 0;
+    for byte in header4 {
+        crc ^= byte;
+        for _ in 0..8 {
+            if crc & 0x80 != 0 {
+                crc = (crc << 1) ^ 0x07;
+            } else {
+                crc <<= 1;
+            }
+        }
+    }
+    crc ^ 0x55
+}
+
+/// A deterministic pseudo-random buffer (64-bit LCG, high byte).
+fn lcg_bytes(n: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed;
+    (0..n)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 56) as u8
+        })
+        .collect()
+}
+
+/// Every prefix length from empty to the largest Ethernet frame
+/// (1518 bytes), so every remainder mod 8 meets every chunk count.
+/// The published check value pins the reference itself.
+#[test]
+fn crc32_matches_bit_serial_reference_at_every_length() {
+    assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
+    for seed in [1u64, 0x5eed] {
+        let buf = lcg_bytes(1518, seed);
+        for len in 0..=buf.len() {
+            assert_eq!(
+                crc32(&buf[..len]),
+                crc32_reference(&buf[..len]),
+                "len {len}"
+            );
+        }
+    }
+    let ones = [0xffu8; 1518];
+    assert_eq!(crc32(&ones), crc32_reference(&ones));
+}
+
+/// Every value of each header octet, the other three held at zero
+/// and at a fixed header.
+#[test]
+fn hec_matches_bit_serial_reference_at_every_octet_value() {
+    for base in [[0u8; 4], [0x12, 0x34, 0x56, 0x78]] {
+        for pos in 0..4 {
+            for v in 0..=255u8 {
+                let mut h = base;
+                h[pos] = v;
+                assert_eq!(hec(h), hec_reference(h), "header {h:02x?}");
+            }
+        }
+    }
 }
 
 /// Known answers, independent of both implementations: `0x199` is the
@@ -176,6 +262,24 @@ proptest! {
     #[test]
     fn crc10_sar_cell_matches_bit_serial_reference(cell in any::<[u8; 48]>()) {
         prop_assert_eq!(crc10_bits(&cell, 46 * 8 + 6), crc10_reference(&cell, 46 * 8 + 6));
+    }
+
+    /// CRC-32 agrees with the bit-serial reference on sub-slices
+    /// starting at offsets 1-7, so the eight-byte chunks fall at
+    /// every alignment.
+    #[test]
+    fn crc32_matches_bit_serial_reference_at_offsets(
+        data in proptest::collection::vec(any::<u8>(), 7..1600),
+    ) {
+        for off in 1..8 {
+            prop_assert_eq!(crc32(&data[off..]), crc32_reference(&data[off..]), "offset {}", off);
+        }
+    }
+
+    /// The HEC agrees with the bit-serial reference on any header.
+    #[test]
+    fn hec_matches_bit_serial_reference(h in any::<[u8; 4]>()) {
+        prop_assert_eq!(hec(h), hec_reference(h));
     }
 
     /// Byte swap is an involution and distributes over the sum.

@@ -154,6 +154,18 @@ mod tests {
         );
     }
 
+    /// Wire bytes, not a round trip: a CRC-32 table that is wrong the
+    /// same way on both ends would still round-trip. These FCS values
+    /// were recorded with the bit-serial CRC-32.
+    #[test]
+    fn fcs_matches_known_answers() {
+        for (n, len, fcs) in [(1500, 1518, 0xf583_f03a_u32), (46, 64, 0x72ce_4106)] {
+            let wire = frame(n).encode();
+            assert_eq!(wire.len(), len, "payload {n}");
+            assert_eq!(wire[len - 4..], fcs.to_be_bytes(), "payload {n}");
+        }
+    }
+
     #[test]
     fn corruption_detected_by_fcs() {
         let f = frame(300);
