@@ -19,9 +19,9 @@
 //! gaps from dropped cells, length mismatches, and tag mismatches
 //! from interleaved or lost frames.
 
-use cksum::crc::crc10_bits;
+use cksum::crc::crc10_sar;
 
-use crate::cell::{Cell, CellHeader, CELL_PAYLOAD};
+use crate::cell::{Cell, CellHeader, CELL_SIZE};
 
 /// SAR payload bytes per cell (48 minus 2-byte header and 2-byte
 /// trailer).
@@ -83,8 +83,8 @@ pub enum Aal34Error {
 /// assert_eq!(out.unwrap(), b"a complete datagram");
 /// ```
 pub struct Aal34Segmenter {
-    vpi: u8,
-    vci: u16,
+    /// The cell header and its HEC, constant per virtual channel.
+    header: [u8; 5],
     mid: u16,
     btag: u8,
     sn: u8,
@@ -94,9 +94,15 @@ impl Aal34Segmenter {
     /// Creates a segmenter for one virtual channel and MID.
     #[must_use]
     pub fn new(vpi: u8, vci: u16, mid: u16) -> Self {
-        Aal34Segmenter {
+        let header = CellHeader {
+            gfc: 0,
             vpi,
             vci,
+            pt: 0,
+            clp: false,
+        };
+        Aal34Segmenter {
+            header: header.encode5(),
             mid: mid & 0x3ff,
             btag: 0,
             sn: 0,
@@ -110,24 +116,6 @@ impl Aal34Segmenter {
         cpcs.div_ceil(SAR_PAYLOAD)
     }
 
-    /// Builds the CPCS-PDU for a datagram.
-    fn cpcs_pdu(&mut self, data: &[u8]) -> Vec<u8> {
-        let padded = data.len().div_ceil(4) * 4;
-        let mut pdu = Vec::with_capacity(CPCS_OVERHEAD + padded);
-        self.btag = self.btag.wrapping_add(1);
-        // Header: CPI, BTag, BASize (buffer allocation hint).
-        pdu.push(0); // CPI: only value 0 is defined.
-        pdu.push(self.btag);
-        pdu.extend_from_slice(&(padded as u16).to_be_bytes());
-        pdu.extend_from_slice(data);
-        pdu.resize(4 + padded, 0);
-        // Trailer: AL (alignment), ETag, Length.
-        pdu.push(0);
-        pdu.push(self.btag);
-        pdu.extend_from_slice(&(data.len() as u16).to_be_bytes());
-        pdu
-    }
-
     /// Segments a datagram into cells.
     ///
     /// # Panics
@@ -135,14 +123,27 @@ impl Aal34Segmenter {
     /// Panics on datagrams longer than 65535 bytes (the CPCS Length
     /// field width).
     pub fn segment(&mut self, data: &[u8]) -> Vec<Cell> {
+        self.cells(data).collect()
+    }
+
+    /// The cells of [`Aal34Segmenter::segment`], built one at a time
+    /// straight from `data`: the CPCS-PDU is never materialised. The
+    /// segmenter's state (BTag, sequence number) advances as the
+    /// cells are taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics on datagrams longer than 65535 bytes (the CPCS Length
+    /// field width).
+    pub fn cells<'a>(&'a mut self, data: &'a [u8]) -> impl ExactSizeIterator<Item = Cell> + 'a {
         assert!(
             data.len() <= u16::MAX as usize,
             "datagram too long for AAL3/4"
         );
-        let pdu = self.cpcs_pdu(data);
+        self.btag = self.btag.wrapping_add(1);
+        let pdu = CpcsPdu::new(self.btag, data);
         let n_cells = pdu.len().div_ceil(SAR_PAYLOAD);
-        let mut cells = Vec::with_capacity(n_cells);
-        for (i, chunk) in pdu.chunks(SAR_PAYLOAD).enumerate() {
+        (0..n_cells).map(move |i| {
             let st = if n_cells == 1 {
                 SegType::Ssm
             } else if i == 0 {
@@ -152,33 +153,102 @@ impl Aal34Segmenter {
             } else {
                 SegType::Com
             };
-            cells.push(self.sar_cell(st, chunk));
+            let cell = self.sar_cell(st, &pdu, i * SAR_PAYLOAD);
             self.sn = (self.sn + 1) & 0xf;
-        }
-        cells
+            cell
+        })
     }
 
-    fn sar_cell(&self, st: SegType, chunk: &[u8]) -> Cell {
-        let mut payload = [0u8; CELL_PAYLOAD];
-        // SAR header: ST(2) SN(4) MID(10).
-        payload[0] = ((st as u8) << 6) | (self.sn << 2) | ((self.mid >> 8) as u8 & 0x3);
-        payload[1] = (self.mid & 0xff) as u8;
-        payload[2..2 + chunk.len()].copy_from_slice(chunk);
-        // SAR trailer: LI(6) CRC(10). The CRC covers header, payload
-        // and LI — 46 bytes plus 6 bits.
-        let li = chunk.len() as u8;
-        payload[46] = li << 2;
-        let crc = crc10_bits(&payload, 46 * 8 + 6);
-        payload[46] |= (crc >> 8) as u8;
-        payload[47] = (crc & 0xff) as u8;
-        let header = CellHeader {
-            gfc: 0,
-            vpi: self.vpi,
-            vci: self.vci,
-            pt: 0,
-            clp: false,
-        };
-        Cell::new(header, payload)
+    /// Builds the cell carrying the CPCS-PDU bytes from `off` on (at
+    /// most 44 of them).
+    fn sar_cell(&self, st: SegType, cpcs: &CpcsPdu, off: usize) -> Cell {
+        let li = (cpcs.len() - off).min(SAR_PAYLOAD);
+        let mut bytes = [0u8; CELL_SIZE];
+        bytes[..5].copy_from_slice(&self.header);
+        let pdu: &mut [u8; 48] = (&mut bytes[5..]).try_into().expect("48-byte SAR-PDU");
+        // SAR header: ST(2) SN(4) MID(10). SAR trailer: LI(6) CRC(10).
+        let sar = (u16::from(st as u8) << 14) | (u16::from(self.sn) << 10) | self.mid;
+        let li_bits = (li as u8) << 2;
+        if let Some(src) = cpcs.data_window(off) {
+            // A cell wholly inside the datagram (most COM cells) is
+            // stored as the six big-endian words the CRC loads back, so
+            // each load forwards from one store rather than stalling
+            // on a byte-wise fill.
+            let be = |i: usize| u64::from_be_bytes(src[i..i + 8].try_into().expect("8 bytes"));
+            let words = [
+                (u64::from(sar) << 48) | (be(0) >> 16),
+                be(6),
+                be(14),
+                be(22),
+                be(30),
+                (be(36) << 16) | (u64::from(li_bits) << 8),
+            ];
+            for (chunk, word) in pdu.chunks_exact_mut(8).zip(words) {
+                chunk.copy_from_slice(&word.to_be_bytes());
+            }
+        } else {
+            pdu[..2].copy_from_slice(&sar.to_be_bytes());
+            cpcs.copy_window(off, &mut pdu[2..2 + li]);
+            pdu[46] = li_bits;
+        }
+        // The CRC covers header, payload and LI: 46 bytes plus 6 bits.
+        let crc = crc10_sar(pdu);
+        pdu[46] |= (crc >> 8) as u8;
+        pdu[47] = (crc & 0xff) as u8;
+        Cell::from_encoded(bytes)
+    }
+}
+
+/// A CPCS-PDU described rather than built: the 4-byte header (CPI,
+/// BTag, BASize), the datagram, zero padding to a 4-byte multiple,
+/// and the 4-byte trailer (AL, ETag, Length).
+struct CpcsPdu<'a> {
+    head: [u8; 4],
+    data: &'a [u8],
+    padded: usize,
+    tail: [u8; 4],
+}
+
+impl<'a> CpcsPdu<'a> {
+    fn new(btag: u8, data: &'a [u8]) -> Self {
+        let padded = data.len().div_ceil(4) * 4;
+        let [ba_hi, ba_lo] = (padded as u16).to_be_bytes();
+        let [len_hi, len_lo] = (data.len() as u16).to_be_bytes();
+        CpcsPdu {
+            // CPI: only value 0 is defined. BASize: buffer allocation
+            // hint. AL: alignment.
+            head: [0, btag, ba_hi, ba_lo],
+            data,
+            padded,
+            tail: [0, btag, len_hi, len_lo],
+        }
+    }
+
+    fn len(&self) -> usize {
+        CPCS_OVERHEAD + self.padded
+    }
+
+    /// PDU bytes `off..off + 44` when all of them are datagram bytes.
+    fn data_window(&self, off: usize) -> Option<&'a [u8]> {
+        off.checked_sub(4)
+            .and_then(|d| self.data.get(d..d + SAR_PAYLOAD))
+    }
+
+    /// Copies PDU bytes `off..off + dst.len()` into `dst`, which is
+    /// zeroed, so the padding needs no write.
+    fn copy_window(&self, off: usize, dst: &mut [u8]) {
+        let parts = [
+            (0, &self.head[..]),
+            (4, self.data),
+            (4 + self.padded, &self.tail[..]),
+        ];
+        for (start, part) in parts {
+            let lo = off.max(start);
+            let hi = (off + dst.len()).min(start + part.len());
+            if lo < hi {
+                dst[lo - off..hi - off].copy_from_slice(&part[lo - start..hi - start]);
+            }
+        }
     }
 }
 
@@ -197,17 +267,22 @@ pub struct Aal34Stats {
 
 struct Partial {
     sn_expect: u8,
+    /// The CPCS-PDU after its 4-byte header (payload, padding and
+    /// trailer), reserved once from BASize and handed over whole.
     buf: Vec<u8>,
     basize: usize,
     btag: u8,
 }
 
-/// Reassembly state machine for one virtual channel.
+/// Reassembly state machine for one message at a time.
 ///
 /// `push` consumes cells in arrival order and yields a complete
 /// datagram when an EOM/SSM validates. On error the in-progress
 /// message is discarded and the error returned; the caller decides
 /// whether to count or log it (the driver counts, like real drivers).
+/// A BOM that arrives mid-message is a [`Aal34Error::MidCollision`],
+/// so interleaved messages on one reassembler are an error, not
+/// demultiplexed by MID.
 #[derive(Default)]
 pub struct Aal34Reassembler {
     partial: Option<Partial>,
@@ -233,9 +308,8 @@ impl Aal34Reassembler {
     pub fn push(&mut self, cell: &Cell) -> Result<Option<Vec<u8>>, Aal34Error> {
         let payload = cell.payload();
         // CRC-10 first: it covers everything else we parse.
-        let li = payload[46] >> 2;
         let crc = (u16::from(payload[46] & 0x3) << 8) | u16::from(payload[47]);
-        if crc10_bits(payload, 46 * 8 + 6) != crc {
+        if crc10_sar(payload) != crc {
             self.stats.cells_crc_bad += 1;
             self.drop_partial();
             return Err(Aal34Error::Crc);
@@ -243,7 +317,7 @@ impl Aal34Reassembler {
         self.stats.cells_ok += 1;
         let st = payload[0] >> 6;
         let sn = (payload[0] >> 2) & 0xf;
-        let li = li as usize;
+        let li = usize::from(payload[46] >> 2);
         let data = &payload[2..46];
         match st {
             0b10 => self.on_bom(sn, li, data),
@@ -256,13 +330,12 @@ impl Aal34Reassembler {
                     self.stats.datagrams_dropped += 1;
                     return Err(Aal34Error::BadLengthIndicator);
                 }
-                self.partial = Some(Partial {
-                    sn_expect: (sn + 1) & 0xf,
-                    buf: Vec::new(),
-                    basize: usize::MAX,
-                    btag: 0,
-                });
-                self.ingest(li, data)?;
+                if li < 4 {
+                    // Not even the CPCS header arrived.
+                    self.stats.datagrams_dropped += 1;
+                    return Err(Aal34Error::LengthMismatch);
+                }
+                self.start(sn, li, data)?;
                 self.finish()
             }
             _ => unreachable!("2-bit field"),
@@ -270,6 +343,10 @@ impl Aal34Reassembler {
     }
 
     fn on_bom(&mut self, sn: u8, li: usize, data: &[u8]) -> Result<Option<Vec<u8>>, Aal34Error> {
+        if li != SAR_PAYLOAD {
+            self.drop_partial();
+            return Err(Aal34Error::BadLengthIndicator);
+        }
         if self.partial.is_some() {
             self.drop_partial();
             // Start the new message anyway, as real reassemblers do,
@@ -281,17 +358,18 @@ impl Aal34Reassembler {
         Ok(None)
     }
 
+    /// Opens a message from its first cell (`li >= 4`), which carries
+    /// the CPCS header: BTag and BASize are read, and the buffer is
+    /// reserved for the BASize bytes and the trailer.
     fn start(&mut self, sn: u8, li: usize, data: &[u8]) -> Result<(), Aal34Error> {
-        if li != SAR_PAYLOAD {
-            return Err(Aal34Error::BadLengthIndicator);
-        }
+        let basize = usize::from(u16::from_be_bytes([data[2], data[3]]));
         self.partial = Some(Partial {
             sn_expect: (sn + 1) & 0xf,
-            buf: Vec::new(),
-            basize: usize::MAX,
-            btag: 0,
+            buf: Vec::with_capacity(basize + 4),
+            basize,
+            btag: data[1],
         });
-        self.ingest(li, data)
+        self.ingest(&data[4..li])
     }
 
     fn on_com(&mut self, sn: u8, li: usize, data: &[u8]) -> Result<Option<Vec<u8>>, Aal34Error> {
@@ -308,7 +386,7 @@ impl Aal34Reassembler {
             self.drop_partial();
             return Err(Aal34Error::BadLengthIndicator);
         }
-        self.ingest(li, data)?;
+        self.ingest(&data[..li])?;
         Ok(None)
     }
 
@@ -325,47 +403,46 @@ impl Aal34Reassembler {
             self.drop_partial();
             return Err(Aal34Error::BadLengthIndicator);
         }
-        self.ingest(li, data)?;
+        self.ingest(&data[..li])?;
         self.finish()
     }
 
-    /// Appends `li` bytes of SAR payload, parsing the CPCS header on
-    /// first contact and enforcing the buffer allocation size.
-    fn ingest(&mut self, li: usize, data: &[u8]) -> Result<(), Aal34Error> {
+    /// Appends SAR payload bytes, enforcing the buffer allocation
+    /// size.
+    fn ingest(&mut self, bytes: &[u8]) -> Result<(), Aal34Error> {
         let p = self.partial.as_mut().expect("ingest with active partial");
-        p.buf.extend_from_slice(&data[..li]);
-        if p.basize == usize::MAX && p.buf.len() >= 4 {
-            p.btag = p.buf[1];
-            p.basize = usize::from(u16::from_be_bytes([p.buf[2], p.buf[3]]));
-        }
-        if p.basize != usize::MAX && p.buf.len() > 4 + p.basize + 4 {
+        p.buf.extend_from_slice(bytes);
+        if p.buf.len() > p.basize + 4 {
             self.drop_partial();
             return Err(Aal34Error::Overflow);
         }
         Ok(())
     }
 
-    /// Validates the CPCS framing and yields the datagram.
+    /// Validates the CPCS framing and hands the buffer over as the
+    /// datagram.
     fn finish(&mut self) -> Result<Option<Vec<u8>>, Aal34Error> {
-        let p = self.partial.take().expect("finish with active partial");
-        let buf = p.buf;
-        if buf.len() < CPCS_OVERHEAD {
+        let Partial { mut buf, btag, .. } =
+            self.partial.take().expect("finish with active partial");
+        let n = buf.len();
+        if n < 4 {
             self.stats.datagrams_dropped += 1;
             return Err(Aal34Error::LengthMismatch);
         }
-        let etag = buf[buf.len() - 3];
-        let length = usize::from(u16::from_be_bytes([buf[buf.len() - 2], buf[buf.len() - 1]]));
-        if etag != p.btag {
+        let etag = buf[n - 3];
+        let length = usize::from(u16::from_be_bytes([buf[n - 2], buf[n - 1]]));
+        if etag != btag {
             self.stats.datagrams_dropped += 1;
             return Err(Aal34Error::TagMismatch);
         }
-        let padded = buf.len() - CPCS_OVERHEAD;
+        let padded = n - 4;
         if length > padded || padded != length.div_ceil(4) * 4 {
             self.stats.datagrams_dropped += 1;
             return Err(Aal34Error::LengthMismatch);
         }
         self.stats.datagrams_ok += 1;
-        Ok(Some(buf[4..4 + length].to_vec()))
+        buf.truncate(length);
+        Ok(Some(buf))
     }
 
     fn drop_partial(&mut self) {
@@ -500,7 +577,7 @@ mod tests {
     fn restamp(cell: &Cell, li: u8) -> Cell {
         let mut payload = *cell.payload();
         payload[46] = li << 2;
-        let crc = crc10_bits(&payload, 46 * 8 + 6);
+        let crc = crc10_sar(&payload);
         payload[46] |= (crc >> 8) as u8;
         payload[47] = (crc & 0xff) as u8;
         Cell::new(cell.header(), payload)

@@ -25,7 +25,7 @@
 //! The adapter model is pure state + timing arithmetic; the
 //! simulation layer owns event scheduling.
 
-use std::collections::VecDeque;
+use std::collections::vec_deque::{Drain, VecDeque};
 
 use simkit::SimTime;
 
@@ -96,6 +96,7 @@ impl TxFifo {
     /// resolved timing. If the FIFO is full at `ready`, the copy is
     /// delayed until a slot frees (the host spins, as the real driver
     /// did).
+    #[inline]
     pub fn admit(&mut self, ready: SimTime, copy_cost: SimTime) -> TxAdmit {
         // The cell occupies a slot from copy_end to wire_exit. With
         // `capacity` slots, cell k must wait for cell k-capacity to
@@ -155,6 +156,7 @@ impl RxFifo {
     }
 
     /// A cell arrives; returns whether it was accepted.
+    #[inline]
     pub fn arrive(&mut self, cell: Cell) -> bool {
         if self.cells.len() >= self.capacity {
             self.overflow_drops += 1;
@@ -171,9 +173,13 @@ impl RxFifo {
         self.cells.len()
     }
 
-    /// Drains every queued cell (the driver's interrupt service).
-    pub fn drain(&mut self) -> Vec<Cell> {
-        self.cells.drain(..).collect()
+    /// Drains every queued cell, oldest first (the driver's interrupt
+    /// service). The cells move out of the FIFO's own ring as the
+    /// iterator is consumed, so a drain allocates nothing; any the
+    /// caller leaves unconsumed are dropped with the iterator.
+    #[inline]
+    pub fn drain(&mut self) -> Drain<'_, Cell> {
+        self.cells.drain(..)
     }
 }
 
@@ -206,6 +212,10 @@ mod tests {
     const CELL_TIME: SimTime = SimTime::from_ns(3_029);
 
     fn a_cell() -> Cell {
+        cell_with(0)
+    }
+
+    fn cell_with(byte: u8) -> Cell {
         Cell::new(
             CellHeader {
                 gfc: 0,
@@ -214,7 +224,7 @@ mod tests {
                 pt: 0,
                 clp: false,
             },
-            [0u8; CELL_PAYLOAD],
+            [byte; CELL_PAYLOAD],
         )
     }
 
@@ -278,12 +288,14 @@ mod tests {
     #[test]
     fn rx_fifo_accepts_and_drains() {
         let mut rx = RxFifo::new(292);
-        for _ in 0..100 {
-            assert!(rx.arrive(a_cell()));
+        for i in 0..100u8 {
+            assert!(rx.arrive(cell_with(i)));
         }
         assert_eq!(rx.occupancy(), 100);
         let drained = rx.drain();
         assert_eq!(drained.len(), 100);
+        // Arrival order, every cell once.
+        assert!(drained.enumerate().all(|(i, c)| c.payload()[0] == i as u8));
         assert_eq!(rx.occupancy(), 0);
         assert_eq!(rx.cells_received, 100);
         assert_eq!(rx.overflow_drops, 0);

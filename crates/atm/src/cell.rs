@@ -40,6 +40,14 @@ impl CellHeader {
         [b0, b1, b2, b3]
     }
 
+    /// Encodes the five header octets: the four addressed octets and
+    /// their HEC.
+    #[must_use]
+    pub(crate) fn encode5(&self) -> [u8; 5] {
+        let [b0, b1, b2, b3] = self.encode4();
+        [b0, b1, b2, b3, hec([b0, b1, b2, b3])]
+    }
+
     /// Decodes the four addressed header octets.
     #[must_use]
     pub fn decode4(b: [u8; 4]) -> CellHeader {
@@ -75,11 +83,16 @@ impl Cell {
     /// Builds a cell, computing the HEC.
     #[must_use]
     pub fn new(header: CellHeader, payload: [u8; CELL_PAYLOAD]) -> Cell {
-        let h4 = header.encode4();
         let mut bytes = [0u8; CELL_SIZE];
-        bytes[..4].copy_from_slice(&h4);
-        bytes[4] = hec(h4);
+        bytes[..5].copy_from_slice(&header.encode5());
         bytes[5..].copy_from_slice(&payload);
+        Cell { bytes }
+    }
+
+    /// Wraps 53 raw bytes whose header octets came from
+    /// [`CellHeader::encode5`], so the HEC holds by construction: the
+    /// segmenter encodes its header once per virtual channel.
+    pub(crate) fn from_encoded(bytes: [u8; CELL_SIZE]) -> Cell {
         Cell { bytes }
     }
 

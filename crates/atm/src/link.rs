@@ -160,6 +160,7 @@ impl FiberLink {
     /// [`FiberLink::carry`] plus the arrival computation, feeding the
     /// `LinkCell` capture tap: delivered cells (clean or corrupted)
     /// are recorded with their 53 raw bytes at the arrival timestamp.
+    #[inline]
     pub fn carry_at(&mut self, wire_exit: SimTime, cell: Cell) -> (SimTime, LinkFault) {
         let at = self.arrival(wire_exit);
         if self.flap.as_ref().is_some_and(|f| f.is_down(wire_exit)) {

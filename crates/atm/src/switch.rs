@@ -10,7 +10,8 @@
 //!
 //! - cells are forwarded through a **VC table** (VPI/VCI rewriting,
 //!   with the HEC recomputed for the new header — header protection
-//!   is hop-by-hop);
+//!   is hop-by-hop, so a cell whose HEC fails on ingress is discarded
+//!   and counted in `hec_drops`, as the NIC does);
 //! - the **payload is carried untouched** — a corruption injected by
 //!   the fabric is invisible to the switch itself and must be caught
 //!   by the end-to-end AAL CRC;
@@ -174,6 +175,8 @@ pub enum SwitchOutcome {
         /// The (possibly rewritten, possibly corrupted) cell.
         cell: Cell,
     },
+    /// The header failed its HEC on ingress: cell discarded.
+    HeaderError,
     /// No VC table entry: cell discarded.
     UnknownVc,
     /// Output queue full: tail drop.
@@ -203,6 +206,8 @@ pub struct AtmSwitch {
     rng: SimRng,
     /// Cells forwarded.
     pub forwarded: u64,
+    /// Cells discarded on ingress for HEC (header CRC) failures.
+    pub hec_drops: u64,
     /// Cells dropped for unknown VCs.
     pub unknown_vc_drops: u64,
     /// Cells dropped on full output queues.
@@ -226,6 +231,7 @@ impl AtmSwitch {
             trains: HashMap::new(),
             rng: SimRng::seed_stream(seed, 0x5c),
             forwarded: 0,
+            hec_drops: 0,
             unknown_vc_drops: 0,
             queue_drops: 0,
             epd_drops: 0,
@@ -243,6 +249,14 @@ impl AtmSwitch {
 
     /// Forwards one cell arriving on `in_port` at `arrival`.
     pub fn forward(&mut self, in_port: usize, arrival: SimTime, cell: &Cell) -> SwitchOutcome {
+        // Header protection is hop-by-hop: check the HEC on ingress, as
+        // the NIC does, before the header steers anything. `admit`
+        // stamps a fresh HEC, so a damaged header that got past here
+        // would leave the switch looking clean.
+        if !cell.header_ok() {
+            self.hec_drops += 1;
+            return SwitchOutcome::HeaderError;
+        }
         let h = cell.header();
         let Some(route) = self.routes.get(&(in_port, h.vpi, h.vci)).copied() else {
             self.unknown_vc_drops += 1;
@@ -351,9 +365,10 @@ impl AtmSwitch {
                         LinkFault::Clean(cell)
                     }
                 }
-                SwitchOutcome::UnknownVc | SwitchOutcome::QueueFull | SwitchOutcome::Discarded => {
-                    LinkFault::Lost
-                }
+                SwitchOutcome::HeaderError
+                | SwitchOutcome::UnknownVc
+                | SwitchOutcome::QueueFull
+                | SwitchOutcome::Discarded => LinkFault::Lost,
             };
         }
         last.map(|t| (t, train))
@@ -778,5 +793,37 @@ mod tests {
         assert!(c.header_ok(), "corruption hits the payload, not the header");
         assert_ne!(c.payload(), cell(42).payload());
         assert_eq!(sw.corrupted, 1);
+    }
+
+    /// A cell whose header arrives damaged is discarded on ingress and
+    /// counted; it is not routed and re-stamped with a fresh HEC. The
+    /// damage here is the CLP bit, which leaves the VC lookup intact.
+    #[test]
+    fn header_corrupted_cell_is_dropped_on_ingress() {
+        let mut sw = AtmSwitch::new(2, SwitchConfig::default(), 1);
+        sw.add_vc(
+            0,
+            0,
+            42,
+            VcRoute {
+                out_port: 1,
+                out_vpi: 0,
+                out_vci: 42,
+            },
+        );
+        let mut bad = cell(42);
+        bad.flip_bit(31); // CLP: the last bit of the fourth octet.
+        assert!(!bad.header_ok());
+        let train = vec![
+            (SimTime::ZERO, LinkFault::Clean(cell(42))),
+            (SimTime::ZERO, LinkFault::Corrupted(bad)),
+        ];
+        let (_, out) = sw
+            .forward_train(0, train, SimTime::ZERO)
+            .expect("the clean cell gets through");
+        assert!(matches!(&out[0].1, LinkFault::Clean(c) if c.header_ok()));
+        assert_eq!(out[1].1, LinkFault::Lost);
+        assert_eq!(sw.hec_drops, 1);
+        assert_eq!(sw.forwarded, 1);
     }
 }

@@ -7,7 +7,7 @@
 //! datagram or deliver nothing. They must never hand up wrong bytes.
 
 use atm::{aal5_segment, Aal34Reassembler, Aal34Segmenter, Aal5Reassembler, Cell, CellHeader};
-use cksum::crc::crc10_bits;
+use cksum::crc::crc10_sar;
 use proptest::prelude::*;
 
 fn datagram(n: usize, seed: u8) -> Vec<u8> {
@@ -39,7 +39,7 @@ fn damage(cells: Vec<Cell>, plan: &[(bool, Option<usize>)]) -> Vec<Cell> {
 /// collision under a high bit error rate can hand the reassembler.
 fn crc_valid_cell(mut payload: [u8; 48]) -> Cell {
     payload[46] &= 0xfc;
-    let crc = crc10_bits(&payload, 46 * 8 + 6);
+    let crc = crc10_sar(&payload);
     payload[46] |= (crc >> 8) as u8;
     payload[47] = (crc & 0xff) as u8;
     let hdr = CellHeader {

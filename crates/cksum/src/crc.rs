@@ -18,15 +18,17 @@
 //! what each layer catches.
 //!
 //! Every cell and frame computes its CRCs over real bytes, so all
-//! three are table-driven, one implementation each: CRC-10 and CRC-32
-//! take eight bytes per step through eight compile-time tables
-//! (slicing-by-8), the HEC one byte-table lookup per octet. This is
-//! host cost only; simulated time comes from the DECstation cost
-//! model. `crates/cksum/tests/properties.rs` pins each to a
-//! bit-serial reference.
+//! three are table-driven, one implementation each. CRC-10 has one
+//! shape only, the 374 covered bits of a 48-byte SAR-PDU, and takes
+//! exactly six slicing-by-8 steps per cell; CRC-32 takes eight bytes
+//! per step through eight compile-time tables plus a byte tail; the
+//! HEC takes one byte-table lookup per octet. This is host cost only;
+//! simulated time comes from the DECstation cost model.
+//! `crates/cksum/tests/properties.rs` pins each to a bit-serial
+//! reference.
 
 /// The CRC-10 generator's bits below x^10 (x^9+x^5+x^4+x+1 = 0x233),
-/// left-aligned in the 16-bit register `crc10_bits` keeps.
+/// left-aligned in the 16-bit register `crc10_sar` keeps.
 const CRC10_POLY: u16 = 0x233 << 6;
 
 /// One step of the left-aligned, non-augmented CRC-10 register: the
@@ -68,48 +70,44 @@ static CRC10_TABLES: [[u16; 256]; 8] = {
     t
 };
 
-/// Computes the 10-bit AAL3/4 SAR CRC over the first `nbits` bits of
-/// `data` (MSB-first within each byte): generator
+/// The 10-bit AAL3/4 SAR CRC of a 48-byte SAR-PDU: generator
 /// `x^10+x^9+x^5+x^4+x+1` (polynomial bits `0x633`), zero initial
-/// value, no final XOR. Over a whole buffer pass `data.len() * 8`; a
-/// buffer whose final 10 bits carry its own CRC then yields zero.
+/// value, no final XOR, over the first 374 bits (MSB-first) — the
+/// 2-byte SAR header, the 44-byte payload and the 6-bit length
+/// indicator. The last 10 bits, where the CRC itself travels, are
+/// not covered, so the sender stamps the result there and the
+/// receiver compares it with the stamped field.
 ///
-/// AAL3/4 needs sub-byte granularity: the SAR-PDU trailer packs a
-/// 6-bit length indicator and the 10-bit CRC into two bytes, so the
-/// CRC covers a bit count that is not a multiple of eight.
-///
-/// The register is held left-aligned in 16 bits. Whole bytes go eight
-/// at a time through eight compile-time tables (slicing-by-8): the
-/// register is XORed into the top of the big-endian `u64` of the next
-/// eight bytes, and eight independent lookups give the new register.
-/// Leftover whole bytes take table 0, one lookup each, and the
-/// `nbits % 8` trailing bits (the 6-bit LI of a SAR cell) step
-/// bit-serially. The property test
-/// `crc10_table_matches_bit_serial_reference` in
+/// Leading zero bits do not change a zero-initialised CRC, so the
+/// 374 covered bits are taken as a 384-bit message with ten leading
+/// zeros: the six big-endian `u64` words of the PDU shifted right by
+/// 10 bits. Each word is one slicing-by-8 step: the left-aligned
+/// 16-bit register is XORed into its top, and eight independent
+/// lookups into compile-time tables give the new register. There is
+/// no byte or bit tail. `crc10_sar_matches_reference_by_linearity` in
 /// `crates/cksum/tests/properties.rs` pins this to a bit-serial
-/// reference at every `nbits`.
+/// reference on every input.
 ///
 /// # Examples
 ///
 /// ```
-/// use cksum::crc::crc10_bits;
+/// use cksum::crc::crc10_sar;
 ///
-/// assert_eq!(crc10_bits(&[0u8; 44], 44 * 8), 0);
-/// assert_ne!(crc10_bits(b"data", 4 * 8), 0);
+/// assert_eq!(crc10_sar(&[0u8; 48]), 0);
+/// // The CRC field (the last 10 bits) is not covered.
+/// let mut pdu = [0u8; 48];
+/// pdu[47] = 0xff;
+/// assert_eq!(crc10_sar(&pdu), 0);
 /// ```
-///
-/// # Panics
-///
-/// Panics if `nbits` exceeds the available bits.
 #[must_use]
-pub fn crc10_bits(data: &[u8], nbits: usize) -> u16 {
-    assert!(nbits <= data.len() * 8, "nbits out of range");
-    let (whole, rest) = data.split_at(nbits / 8);
+pub fn crc10_sar(pdu: &[u8; 48]) -> u16 {
     let t = &CRC10_TABLES;
     let mut reg: u16 = 0;
-    let mut chunks = whole.chunks_exact(8);
-    for chunk in &mut chunks {
-        let x = u64::from_be_bytes(chunk.try_into().expect("8 bytes")) ^ (u64::from(reg) << 48);
+    let mut prev: u64 = 0;
+    for chunk in pdu.chunks_exact(8) {
+        let word = u64::from_be_bytes(chunk.try_into().expect("8 bytes"));
+        let x = ((prev << 54) | (word >> 10)) ^ (u64::from(reg) << 48);
+        prev = word;
         reg = t[7][usize::from((x >> 56) as u8)]
             ^ t[6][usize::from((x >> 48) as u8)]
             ^ t[5][usize::from((x >> 40) as u8)]
@@ -118,12 +116,6 @@ pub fn crc10_bits(data: &[u8], nbits: usize) -> u16 {
             ^ t[2][usize::from((x >> 16) as u8)]
             ^ t[1][usize::from((x >> 8) as u8)]
             ^ t[0][usize::from(x as u8)];
-    }
-    for &byte in chunks.remainder() {
-        reg = (reg << 8) ^ t[0][usize::from((reg >> 8) as u8 ^ byte)];
-    }
-    for i in 0..nbits % 8 {
-        reg = crc10_step(reg ^ (u16::from(rest[0] >> (7 - i) & 1) << 15));
     }
     reg >> 6
 }
@@ -261,50 +253,51 @@ mod tests {
         }
     }
 
+    /// A 48-byte SAR-PDU carrying `payload` with length indicator
+    /// `li` and an empty CRC field.
+    fn sar_pdu(payload: &[u8], li: u8) -> [u8; 48] {
+        let mut pdu = [0u8; 48];
+        pdu[..payload.len()].copy_from_slice(payload);
+        pdu[46] = li << 2;
+        pdu
+    }
+
     #[test]
     fn crc10_is_10_bits() {
-        for pattern in [&b"hello"[..], &[0xffu8; 44][..], &[0x01u8][..]] {
-            assert!(crc10_bits(pattern, pattern.len() * 8) <= 0x3ff);
+        for pdu in [sar_pdu(b"hello", 5), [0xffu8; 48], sar_pdu(&[0x01], 1)] {
+            assert!(crc10_sar(&pdu) <= 0x3ff);
         }
     }
 
     #[test]
     fn crc10_roundtrip_appended() {
-        // AAL3/4 style: compute over payload + 6-bit LI, then stuff
-        // the CRC into the final 10 bits; re-checking the whole
-        // divides to zero.
-        let payload = b"0123456789abcdef0123456789abcdef0123456789ab"; // 44 B.
-        let mut cell = Vec::from(&payload[..]);
-        cell.push(44 << 2); // LI in the top 6 bits of the trailer halfword.
-        cell.push(0);
-        let covered_bits = 44 * 8 + 6;
-        let c = crc10_bits(&cell, covered_bits);
-        let n = cell.len();
-        cell[n - 2] |= (c >> 8) as u8;
-        cell[n - 1] = (c & 0xff) as u8;
-        assert_eq!(crc10_bits(&cell, n * 8), 0);
-        // Any corruption breaks it.
-        cell[3] ^= 0x40;
-        assert_ne!(crc10_bits(&cell, n * 8), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "nbits out of range")]
-    fn crc10_bits_range_checked() {
-        let _ = crc10_bits(&[0u8; 2], 17);
+        // AAL3/4 style: compute over header, payload and the 6-bit LI,
+        // then stuff the CRC into the final 10 bits. The stamp does
+        // not change the CRC (its bits are not covered), so the
+        // receiver's recomputation matches the stamped field.
+        let mut pdu = sar_pdu(b"0123456789abcdef0123456789abcdef0123456789abcd", 44);
+        let c = crc10_sar(&pdu);
+        pdu[46] |= (c >> 8) as u8;
+        pdu[47] = (c & 0xff) as u8;
+        let stamped = (u16::from(pdu[46] & 0x3) << 8) | u16::from(pdu[47]);
+        assert_eq!(crc10_sar(&pdu), stamped);
+        // Any corruption of a covered bit breaks it.
+        pdu[3] ^= 0x40;
+        assert_ne!(crc10_sar(&pdu), stamped);
     }
 
     #[test]
     fn crc10_detects_burst_errors_within_10_bits() {
-        let payload = vec![0xa5u8; 44];
-        let clean = crc10_bits(&payload, payload.len() * 8);
-        for start in (0..payload.len() * 8 - 10).step_by(13) {
-            let mut bad = payload.clone();
-            // Flip a 10-bit burst starting at `start`.
+        let pdu = sar_pdu(&[0xa5u8; 46], 44);
+        let clean = crc10_sar(&pdu);
+        // Every 10-bit burst (MSB-first bit order) inside the 374
+        // covered bits.
+        for start in 0..=374 - 10 {
+            let mut bad = pdu;
             for b in start..start + 10 {
-                bad[b / 8] ^= 1 << (b % 8);
+                bad[b / 8] ^= 0x80 >> (b % 8);
             }
-            assert_ne!(crc10_bits(&bad, bad.len() * 8), clean, "burst at {start}");
+            assert_ne!(crc10_sar(&bad), clean, "burst at {start}");
         }
     }
 

@@ -6,7 +6,7 @@
 //! actually used on the wire; and each table-driven CRC (CRC-10,
 //! CRC-32, HEC) against a bit-serial reference.
 
-use cksum::crc::{crc10_bits, crc32, hec};
+use cksum::crc::{crc10_sar, crc32, hec};
 use cksum::{
     copy_and_cksum, naive_cksum, optimized_cksum, pseudo_header_sum, ultrix_cksum, PartialChecksum,
     Sum16,
@@ -14,8 +14,8 @@ use cksum::{
 use proptest::prelude::*;
 
 /// Bit-serial CRC-10 over the first `nbits` bits of `data`, MSB-first,
-/// zero initial value, non-augmented: the reference the table-driven
-/// `crc10_bits` must agree with. Polynomial bits below x^10:
+/// zero initial value, non-augmented: the reference the slicing-by-8
+/// `crc10_sar` must agree with at `nbits = 374`. Polynomial bits below x^10:
 /// x^9+x^5+x^4+x+1 = 0x233.
 fn crc10_reference(data: &[u8], nbits: usize) -> u16 {
     let mut crc: u16 = 0;
@@ -117,31 +117,41 @@ fn hec_matches_bit_serial_reference_at_every_octet_value() {
 }
 
 /// Known answers, independent of both implementations: `0x199` is the
-/// published CRC-10/ATM check value of "123456789"; the rest were
-/// computed with the bit-serial implementation `crc10_bits` had
-/// before it took a byte table.
+/// published CRC-10/ATM check value of "123456789", which pins the
+/// reference itself; `0x1c8` was computed for a SAR-PDU with the
+/// bit-serial implementation the CRC-10 had before it took tables.
 #[test]
 fn crc10_known_answers() {
-    let check = b"123456789";
-    for (nbits, want) in [
-        (0, 0x000),
-        (1, 0x000),
-        (7, 0x330),
-        (8, 0x260),
-        (13, 0x09b),
-        (72, 0x199),
-    ] {
-        assert_eq!(crc10_bits(check, nbits), want, "nbits {nbits}");
-        assert_eq!(
-            crc10_reference(check, nbits),
-            want,
-            "reference, nbits {nbits}"
-        );
+    assert_eq!(crc10_reference(b"123456789", 72), 0x199);
+    let pdu: [u8; 48] = std::array::from_fn(|i| (i as u32 * 37 + 11) as u8);
+    assert_eq!(crc10_sar(&pdu), 0x1c8);
+    assert_eq!(crc10_reference(&pdu, 46 * 8 + 6), 0x1c8);
+}
+
+/// CRC-10 is linear over GF(2) with a zero initial value and no final
+/// XOR: the CRC of `a ^ b` is the CRC of `a` XOR the CRC of `b`. So a
+/// kernel that matches the reference on the zero PDU and on each of
+/// the 374 single-bit PDUs matches it on every PDU. The ten bits of
+/// the CRC field itself are not covered: flipping any of them, on the
+/// zero PDU and on a patterned one, leaves the result unchanged.
+#[test]
+fn crc10_sar_matches_reference_by_linearity() {
+    const COVERED: usize = 46 * 8 + 6;
+    assert_eq!(crc10_sar(&[0u8; 48]), 0);
+    assert_eq!(crc10_reference(&[0u8; 48], COVERED), 0);
+    for bit in 0..COVERED {
+        let mut pdu = [0u8; 48];
+        pdu[bit / 8] = 0x80 >> (bit % 8);
+        assert_eq!(crc10_sar(&pdu), crc10_reference(&pdu, COVERED), "bit {bit}");
     }
-    // A SAR-shaped cell: 46 bytes plus the 6-bit LI, then all 48 bytes.
-    let cell: Vec<u8> = (0..48u32).map(|i| (i * 37 + 11) as u8).collect();
-    assert_eq!(crc10_bits(&cell, 46 * 8 + 6), 0x1c8);
-    assert_eq!(crc10_bits(&cell, 48 * 8), 0x3fc);
+    let patterned: [u8; 48] = std::array::from_fn(|i| (i as u32 * 37 + 11) as u8);
+    for base in [[0u8; 48], patterned] {
+        for bit in COVERED..48 * 8 {
+            let mut pdu = base;
+            pdu[bit / 8] ^= 0x80 >> (bit % 8);
+            assert_eq!(crc10_sar(&pdu), crc10_sar(&base), "CRC-field bit {bit}");
+        }
+    }
 }
 
 proptest! {
@@ -246,22 +256,11 @@ proptest! {
         prop_assert_eq!(via_api, naive_cksum(&flat));
     }
 
-    /// The byte table plus serial tail agrees with the bit-serial
-    /// reference at every bit count, whole bytes and partial.
-    #[test]
-    fn crc10_table_matches_bit_serial_reference(
-        data in proptest::collection::vec(any::<u8>(), 0..65),
-    ) {
-        for nbits in 0..=data.len() * 8 {
-            prop_assert_eq!(crc10_bits(&data, nbits), crc10_reference(&data, nbits), "nbits {}", nbits);
-        }
-    }
-
     /// The AAL3/4 SAR shape: a 48-byte cell payload, CRC over the
     /// 46-byte header and payload plus the 6-bit LI.
     #[test]
     fn crc10_sar_cell_matches_bit_serial_reference(cell in any::<[u8; 48]>()) {
-        prop_assert_eq!(crc10_bits(&cell, 46 * 8 + 6), crc10_reference(&cell, 46 * 8 + 6));
+        prop_assert_eq!(crc10_sar(&cell), crc10_reference(&cell, 46 * 8 + 6));
     }
 
     /// CRC-32 agrees with the bit-serial reference on sub-slices

@@ -147,9 +147,11 @@ impl TxDriver for AtmNic {
             .get_mut(&dst_addr)
             .expect("IP destination installed as a peer");
         let dst = *dst;
-        let cells = seg.segment(&bytes);
         let mut cursor = now + SimTime::from_us_f64(self.costs.atm_tx_fixed_us);
         let per_cell = SimTime::from_us_f64(self.costs.atm_tx_per_cell_us);
+        // The one copy out of the chain is `bytes`; each cell takes
+        // its 44-byte window of the CPCS-PDU straight from it.
+        let cells = seg.cells(&bytes);
         let mut train = Vec::with_capacity(cells.len());
         for cell in cells {
             let admit = self.adapter.tx.admit(cursor, per_cell);
@@ -176,11 +178,16 @@ impl TxDriver for AtmNic {
 /// datagram (called by the world loop at the last-cell arrival
 /// event). Returns the softintr dispatch time if one must be
 /// scheduled.
+///
+/// The train is taken by value: each delivered cell moves into the RX
+/// FIFO and out again through [`atm::RxFifo::drain`], with no clone
+/// and no heap allocation per cell. A completed datagram is the
+/// reassembler's own buffer, handed over.
 pub fn atm_receive(
     kernel: &mut Kernel,
     nic: &mut AtmNic,
     now: SimTime,
-    train: &[(SimTime, LinkFault)],
+    train: Vec<(SimTime, LinkFault)>,
 ) -> Option<SimTime> {
     kernel.spans.mark(Mark::SegmentArrived, now);
     // The driver drains the whole RX FIFO under one interrupt. Cells
@@ -195,14 +202,14 @@ pub fn atm_receive(
     for (cell_at, fault) in train {
         let cell = match fault {
             LinkFault::Lost => continue,
-            LinkFault::Clean(c) => c.clone(),
+            LinkFault::Clean(c) => c,
             LinkFault::Corrupted(c) => {
                 if !c.header_ok() {
                     // The adapter discards cells with HEC failures.
                     nic.hec_drops += 1;
                     continue;
                 }
-                c.clone()
+                c
             }
         };
         // On overflow the arriving cell is gone (counted by the
@@ -231,7 +238,7 @@ pub fn atm_receive(
                         // Datagram granularity on the wire: stamped at
                         // the arrival of its completing (EOM) cell.
                         nic.taps
-                            .record(simcap::TapPoint::Wire, *cell_at, dgram.clone());
+                            .record(simcap::TapPoint::Wire, cell_at, dgram.clone());
                     }
                     datagrams.push(dgram);
                 }
@@ -759,7 +766,7 @@ mod tests {
         let _ = na.transmit(SimTime::ZERO, &chain, &mut ka.spans);
         let train = na.staged.pop().unwrap().train;
         let last = train.iter().map(|&(t, _)| t).max().expect("cells");
-        let soft = atm_receive(&mut kb, &mut nb, last, &train);
+        let soft = atm_receive(&mut kb, &mut nb, last, train);
         assert!(soft.is_some(), "datagram enqueued raises softintr");
         assert_eq!(kb.stats.ipq_enqueued, 1);
         assert_eq!(nb.aal_drops, 0);

@@ -261,7 +261,7 @@ fn on_atm_arrival(
     let Nic::Atm(nic) = &mut host.nic else {
         panic!("ATM delivery to a non-ATM host");
     };
-    if let Some(at) = atm_receive(&mut host.kernel, nic, s.now(), &train) {
+    if let Some(at) = atm_receive(&mut host.kernel, nic, s.now(), train) {
         s.schedule_raw_at(at, "softintr", on_softintr_raw, h as u64);
     }
 }

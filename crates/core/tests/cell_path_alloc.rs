@@ -1,0 +1,126 @@
+//! The ATM cell path allocates per datagram, not per cell.
+//!
+//! A counting global allocator watches `AtmNic::transmit` and
+//! `atm_receive` carry datagrams of 1 cell (an SSM), 34 cells and 209
+//! cells (the 9188-byte MTU) from one NIC to another, and the number
+//! of heap allocations per datagram must be the same at all three
+//! sizes. This is the only test in its binary, so no parallel test
+//! adds to the count, and only the test's own thread is counted.
+//!
+//! The receiving host's mbuf pool is held at its cap, so the driver
+//! sheds each reassembled datagram with a counted ENOBUFS after all
+//! of its cell work is done. The mbuf chain a datagram would become
+//! allocates once per 4 KB cluster page; that is the mbuf layer's
+//! cost, not the cell path's.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use atm::{Aal34Segmenter, FiberLink, LinkConfig};
+use decstation::CostModel;
+use latency_core::nic::{atm_receive, AtmNic};
+use mbuf::{Chain, Mbuf, MbufPool};
+use simkit::SimTime;
+use tcpip::{Kernel, SpanRecorder, StackConfig, TxDriver};
+
+struct Counting;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+fn note() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call forwards to `System` unchanged; counting touches
+// only an atomic and a const-initialised thread-local.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const PEER: [u8; 4] = [10, 0, 0, 2];
+
+/// `len` patterned bytes whose IPv4 destination field names [`PEER`].
+fn datagram(len: usize) -> Vec<u8> {
+    let mut d: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+    d[16..20].copy_from_slice(&PEER);
+    d
+}
+
+#[test]
+fn cell_path_allocates_per_datagram_not_per_cell() {
+    let costs = CostModel::calibrated();
+    let mut tx = AtmNic::new(FiberLink::new(LinkConfig::default(), 1), costs.clone(), 1);
+    tx.add_peer(PEER, 1, 42, 1);
+    let mut rx = AtmNic::new(FiberLink::new(LinkConfig::default(), 2), costs.clone(), 2);
+    let mut kernel = Kernel::new(StackConfig::default(), costs);
+    // One mbuf held against a cap of one (a cap of zero means none):
+    // every receive-side chain is refused.
+    let _pinned = Mbuf::get(&kernel.pool);
+    kernel.pool.set_limit(Some(1));
+    let mut spans = SpanRecorder::new();
+
+    let user = MbufPool::new();
+    let chains: Vec<Chain> = [(36, 1), (1480, 34), (9188, 209)]
+        .into_iter()
+        .map(|(len, cells)| {
+            assert_eq!(Aal34Segmenter::cells_for(len), cells, "{len} B");
+            Chain::from_user_data(&user, &datagram(len), len > 1024).0
+        })
+        .collect();
+
+    let mut now = SimTime::ZERO;
+    let mut carried = 0u64;
+    let mut carry = |chain: &Chain| -> usize {
+        ALLOCATIONS.store(0, Ordering::Relaxed);
+        COUNTING.set(true);
+        let done = tx.transmit(now, chain, &mut spans);
+        let train = tx.staged.pop().expect("one delivery per datagram").train;
+        let last = train.iter().map(|&(t, _)| t).max().expect("cells");
+        let _ = atm_receive(&mut kernel, &mut rx, last, train);
+        COUNTING.set(false);
+        now = last.max(done);
+        carried += 1;
+        assert_eq!(rx.reasm.stats().datagrams_ok, carried, "reassembled");
+        assert_eq!(rx.enobufs_drops, carried, "shed at the mbuf cap");
+        ALLOCATIONS.load(Ordering::Relaxed)
+    };
+    // Warm-up: the FIFOs and the staging vector reach their working
+    // capacity, which they keep.
+    for _ in 0..2 {
+        for chain in &chains {
+            carry(chain);
+        }
+    }
+    let counts: Vec<usize> = chains.iter().map(&mut carry).collect();
+    assert!(
+        counts.iter().all(|&n| n == counts[0]),
+        "allocations per datagram at 1, 34 and 209 cells: {counts:?}"
+    );
+}

@@ -772,7 +772,7 @@ fn on_dc_arrival(
         }
     }
     let host = &mut w.hosts[h];
-    if let Some(at) = atm_receive(&mut host.kernel, &mut host.nic, s.now(), &train) {
+    if let Some(at) = atm_receive(&mut host.kernel, &mut host.nic, s.now(), train) {
         s.schedule_raw_at(at, "dc-softintr", on_softintr_raw, h as u64);
     }
 }
