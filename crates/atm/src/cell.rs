@@ -124,6 +124,17 @@ impl Cell {
         CellHeader::decode4([bytes[0], bytes[1], bytes[2], bytes[3]])
     }
 
+    /// The five header octets as carried, HEC included.
+    pub(crate) fn header_bytes(&self) -> [u8; 5] {
+        self.bytes[..5].try_into().expect("fixed size")
+    }
+
+    /// Replaces the header with five octets that came from
+    /// [`CellHeader::encode5`], so the HEC holds by construction.
+    pub(crate) fn set_header(&mut self, header: [u8; 5]) {
+        self.bytes[..5].copy_from_slice(&header);
+    }
+
     /// The 48 payload bytes.
     #[must_use]
     pub fn payload(&self) -> &[u8; CELL_PAYLOAD] {

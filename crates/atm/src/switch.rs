@@ -18,8 +18,19 @@
 //! - cells pay a fixed **switching latency** plus **output-queue**
 //!   serialization at the port's line rate, with tail drop beyond the
 //!   queue's capacity.
+//!
+//! The header work is done once per train, not once per cell. The
+//! switch remembers the last header it validated: its in-port and
+//! all five octets as they arrived, HEC included, with the route, the
+//! train slot and the rewritten five octets they resolved to. A cell
+//! whose header octets equal that key is the same validated header:
+//! its HEC holds, it decodes to the same VPI/VCI/PT/CLP and so finds
+//! the same route, and its rewrite is the same five octets. Only
+//! [`AtmSwitch::add_vc`] can change what a header resolves to, and it
+//! clears the memo. A damaged header differs from the key in some
+//! octet, so it still meets the HEC check.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use simkit::{SimRng, SimTime};
 
@@ -196,13 +207,29 @@ struct TrainState {
     discarding: bool,
 }
 
+/// What one validated ingress header resolved to.
+#[derive(Clone, Copy, Debug)]
+struct Resolved {
+    route: VcRoute,
+    /// Index of the VC's [`TrainState`].
+    slot: usize,
+    /// The outgoing header octets: VPI/VCI rewritten, fresh HEC.
+    out_header: [u8; 5],
+    /// The header's PT field carries the AAL5 end-of-PDU flag.
+    pt_eom: bool,
+}
+
 /// The switch.
 pub struct AtmSwitch {
     /// Configuration.
     pub config: SwitchConfig,
-    routes: HashMap<(usize, u8, u16), VcRoute>,
+    /// Route and train slot of each `(in_port, vpi, vci)`.
+    routes: HashMap<(usize, u8, u16), (VcRoute, usize)>,
     ports: Vec<OutPort>,
-    trains: HashMap<(usize, u8, u16), TrainState>,
+    trains: Vec<TrainState>,
+    /// The last validated header: `(in_port, octets)` and what it
+    /// resolved to (see the module docs).
+    memo: Option<((usize, [u8; 5]), Resolved)>,
     rng: SimRng,
     /// Cells forwarded.
     pub forwarded: u64,
@@ -228,7 +255,8 @@ impl AtmSwitch {
             config,
             routes: HashMap::new(),
             ports: vec![OutPort::default(); n_ports],
-            trains: HashMap::new(),
+            trains: Vec::new(),
+            memo: None,
             rng: SimRng::seed_stream(seed, 0x5c),
             forwarded: 0,
             hec_drops: 0,
@@ -244,24 +272,80 @@ impl AtmSwitch {
     /// leave via `route`.
     pub fn add_vc(&mut self, in_port: usize, vpi: u8, vci: u16, route: VcRoute) {
         assert!(route.out_port < self.ports.len(), "output port exists");
-        self.routes.insert((in_port, vpi, vci), route);
+        match self.routes.entry((in_port, vpi, vci)) {
+            // A re-routed VC keeps its train state.
+            Entry::Occupied(mut e) => e.get_mut().0 = route,
+            Entry::Vacant(e) => {
+                e.insert((route, self.trains.len()));
+                self.trains.push(TrainState::default());
+            }
+        }
+        self.memo = None;
     }
 
-    /// Forwards one cell arriving on `in_port` at `arrival`.
-    pub fn forward(&mut self, in_port: usize, arrival: SimTime, cell: &Cell) -> SwitchOutcome {
+    /// Validates and routes the header of a cell arriving on
+    /// `in_port`, or says why the cell is discarded. A header equal to
+    /// the memo skips the HEC check, the lookup and the re-encode.
+    fn resolve(&mut self, in_port: usize, cell: &Cell) -> Result<Resolved, SwitchOutcome> {
+        let key = (in_port, cell.header_bytes());
+        if let Some((k, r)) = self.memo {
+            if k == key {
+                return Ok(r);
+            }
+        }
         // Header protection is hop-by-hop: check the HEC on ingress, as
         // the NIC does, before the header steers anything. `admit`
         // stamps a fresh HEC, so a damaged header that got past here
         // would leave the switch looking clean.
         if !cell.header_ok() {
             self.hec_drops += 1;
-            return SwitchOutcome::HeaderError;
+            return Err(SwitchOutcome::HeaderError);
         }
         let h = cell.header();
-        let Some(route) = self.routes.get(&(in_port, h.vpi, h.vci)).copied() else {
+        let Some(&(route, slot)) = self.routes.get(&(in_port, h.vpi, h.vci)) else {
             self.unknown_vc_drops += 1;
-            return SwitchOutcome::UnknownVc;
+            return Err(SwitchOutcome::UnknownVc);
         };
+        let out_header = CellHeader {
+            vpi: route.out_vpi,
+            vci: route.out_vci,
+            ..h
+        }
+        .encode5();
+        let r = Resolved {
+            route,
+            slot,
+            out_header,
+            pt_eom: h.pt & PT_END_OF_PDU != 0,
+        };
+        self.memo = Some((key, r));
+        Ok(r)
+    }
+
+    /// Forwards one cell arriving on `in_port` at `arrival`.
+    pub fn forward(&mut self, in_port: usize, arrival: SimTime, cell: &Cell) -> SwitchOutcome {
+        let mut cell = cell.clone();
+        match self.pass(in_port, arrival, &mut cell) {
+            Ok((out_port, departure)) => SwitchOutcome::Forwarded {
+                out_port,
+                departure,
+                cell,
+            },
+            Err(dropped) => dropped,
+        }
+    }
+
+    /// The one cell path: admits `cell`, rewritten in place, and
+    /// returns its output port and departure, or says why it was
+    /// discarded.
+    fn pass(
+        &mut self,
+        in_port: usize,
+        arrival: SimTime,
+        cell: &mut Cell,
+    ) -> Result<(usize, SimTime), SwitchOutcome> {
+        let r = self.resolve(in_port, cell)?;
+        let route = r.route;
         let port = &mut self.ports[route.out_port];
         // Queue occupancy at arrival: cells not yet serialized.
         let backlog = port
@@ -276,19 +360,18 @@ impl AtmSwitch {
             // touched (per-VC tracking exists only for the
             // packet-aware policies).
             if backlog >= self.config.queue_cells {
-                return self.tail_drop(route.out_port);
+                return Err(self.tail_drop(route.out_port));
             }
-            return self.admit(route, arrival, cell);
+            return Ok(self.admit(r, arrival, cell));
         }
 
-        let key = (in_port, h.vpi, h.vci);
         let eom = match self.config.marking {
-            TrainMarking::Aal5Pt => h.pt & PT_END_OF_PDU != 0,
+            TrainMarking::Aal5Pt => r.pt_eom,
             // SAR segment type EOM (0b01) or SSM (0b11): bit 6 of the
             // first payload byte.
             TrainMarking::Aal34SegType => cell.payload()[0] & 0x40 != 0,
         };
-        let mut train = self.trains.get(&key).copied().unwrap_or_default();
+        let mut train = self.trains[r.slot];
         // EPD decides at a train's first cell, before any of it
         // commits queue space.
         if let DropPolicy::Epd { threshold_cells } = policy {
@@ -310,11 +393,11 @@ impl AtmSwitch {
             // one cell of headroom spent on keeping PDU boundaries
             // intact, as switches that reserve slots for end-of-PDU
             // cells do.
-            self.trains.insert(key, train);
+            self.trains[r.slot] = train;
             if policy == DropPolicy::Ppd && eom {
-                return self.admit(route, arrival, cell);
+                return Ok(self.admit(r, arrival, cell));
             }
-            return self.policy_drop(policy, route.out_port);
+            return Err(self.policy_drop(policy, route.out_port));
         }
         if backlog >= self.config.queue_cells {
             // Overflow on a committed train: its queued cells are
@@ -324,19 +407,20 @@ impl AtmSwitch {
             if !eom {
                 train.discarding = true;
             }
-            self.trains.insert(key, train);
-            return self.tail_drop(route.out_port);
+            self.trains[r.slot] = train;
+            return Err(self.tail_drop(route.out_port));
         }
-        self.trains.insert(key, train);
-        self.admit(route, arrival, cell)
+        self.trains[r.slot] = train;
+        Ok(self.admit(r, arrival, cell))
     }
 
     /// Forwards one timed cell train arriving on `in_port` — the
     /// uplink train a NIC staged — and times each forwarded cell at
     /// the destination adapter, `downlink` after it leaves the output
     /// port. Cells lost upstream stay lost, cells the switch drops
-    /// become lost, and a fabric corruption is labeled only when the
-    /// payload actually changed.
+    /// become lost, and a forwarded cell is rewritten in place and
+    /// labeled `Corrupted` exactly when the fabric flipped one of its
+    /// payload bits on this pass.
     ///
     /// Returns the train with the arrival time of its last delivered
     /// cell, or `None` when no cell got through (nothing arrives, so
@@ -347,29 +431,23 @@ impl AtmSwitch {
         mut train: Vec<(SimTime, LinkFault)>,
         downlink: SimTime,
     ) -> Option<(SimTime, Vec<(SimTime, LinkFault)>)> {
-        let may_corrupt = self.config.corrupt_prob > 0.0;
         let mut last = None;
         for (at, fault) in &mut train {
-            let (LinkFault::Clean(c) | LinkFault::Corrupted(c)) = &*fault else {
+            let (LinkFault::Clean(c) | LinkFault::Corrupted(c)) = fault else {
                 continue;
             };
-            *fault = match self.forward(in_port, *at, c) {
-                SwitchOutcome::Forwarded {
-                    departure, cell, ..
-                } => {
+            let hits = self.corrupted;
+            match self.pass(in_port, *at, c) {
+                Ok((_, departure)) => {
                     *at = departure + downlink;
                     last = last.max(Some(*at));
-                    if may_corrupt && cell.payload() != c.payload() {
-                        LinkFault::Corrupted(cell)
-                    } else {
-                        LinkFault::Clean(cell)
+                    // `admit` counts each payload bit it flips.
+                    if (self.corrupted != hits) != matches!(fault, LinkFault::Corrupted(_)) {
+                        relabel(fault);
                     }
                 }
-                SwitchOutcome::HeaderError
-                | SwitchOutcome::UnknownVc
-                | SwitchOutcome::QueueFull
-                | SwitchOutcome::Discarded => LinkFault::Lost,
-            };
+                Err(_) => *fault = LinkFault::Lost,
+            }
         }
         last.map(|t| (t, train))
     }
@@ -395,21 +473,17 @@ impl AtmSwitch {
 
     /// Admits a cell to an output queue: VPI/VCI rewrite, optional
     /// fabric corruption, serialization scheduling.
-    fn admit(&mut self, route: VcRoute, arrival: SimTime, cell: &Cell) -> SwitchOutcome {
+    fn admit(&mut self, r: Resolved, arrival: SimTime, cell: &mut Cell) -> (usize, SimTime) {
         // VPI/VCI rewrite with a fresh HEC (header protection is
-        // hop-by-hop); the payload is copied through untouched.
-        let new_header = CellHeader {
-            vpi: route.out_vpi,
-            vci: route.out_vci,
-            ..cell.header()
-        };
-        let mut out = Cell::new(new_header, *cell.payload());
+        // hop-by-hop); the payload is carried through untouched.
+        let route = r.route;
+        cell.set_header(r.out_header);
         if self.rng.chance(self.config.corrupt_prob) {
             // Fabric corruption: a payload bit, after the HEC was
             // computed — exactly what an end-to-end AAL CRC exists
             // to catch.
             let bit = 40 + self.rng.next_below(48 * 8) as usize;
-            out.flip_bit(bit);
+            cell.flip_bit(bit);
             self.corrupted += 1;
         }
         let port = &mut self.ports[route.out_port];
@@ -418,11 +492,7 @@ impl AtmSwitch {
         port.busy_until = departure;
         port.stats.forwarded += 1;
         self.forwarded += 1;
-        SwitchOutcome::Forwarded {
-            out_port: route.out_port,
-            departure,
-            cell: out,
-        }
+        (route.out_port, departure)
     }
 
     /// Number of ports.
@@ -436,6 +506,15 @@ impl AtmSwitch {
     pub fn port_stats(&self, port: usize) -> PortStats {
         self.ports[port].stats
     }
+}
+
+/// Swaps a delivered cell's label between `Clean` and `Corrupted`.
+fn relabel(fault: &mut LinkFault) {
+    *fault = match std::mem::replace(fault, LinkFault::Lost) {
+        LinkFault::Clean(c) => LinkFault::Corrupted(c),
+        LinkFault::Corrupted(c) => LinkFault::Clean(c),
+        LinkFault::Lost => LinkFault::Lost,
+    };
 }
 
 #[cfg(test)]

@@ -8,10 +8,14 @@
 //! preserves the PDU boundary, and both are invisible when the queue
 //! never fills.
 
+use std::collections::HashMap;
+
 use atm::{
-    aal5_segment, Aal5Reassembler, AtmSwitch, DropPolicy, SwitchConfig, SwitchOutcome, VcRoute,
+    aal5_segment, Aal5Reassembler, AtmSwitch, Cell, CellHeader, DropPolicy, LinkFault, PortStats,
+    SwitchConfig, SwitchOutcome, TrainMarking, VcRoute, CELL_PAYLOAD, PT_END_OF_PDU,
 };
-use simkit::SimTime;
+use proptest::prelude::*;
+use simkit::{SimRng, SimTime};
 
 const VCI: u16 = 42;
 
@@ -252,4 +256,314 @@ fn port_stats_sum_to_switch_totals() {
     assert_eq!(summed.3, sw.ppd_drops);
     assert!(sw.queue_drops > 0, "the workload overflowed");
     assert!(sw.ppd_drops > 0, "PPD engaged");
+}
+
+/// The per-cell switch the header memo replaced, kept as the
+/// reference: every cell pays a HEC check, a `HashMap` route lookup
+/// and a header decode and re-encode, and train state lives in a
+/// second `HashMap`.
+struct RefSwitch {
+    config: SwitchConfig,
+    routes: HashMap<(usize, u8, u16), VcRoute>,
+    busy_until: Vec<SimTime>,
+    stats: Vec<PortStats>,
+    trains: HashMap<(usize, u8, u16), (bool, bool)>,
+    rng: SimRng,
+    /// forwarded, hec, unknown VC, queue, EPD, PPD, corrupted.
+    counters: [u64; 7],
+}
+
+impl RefSwitch {
+    fn new(n_ports: usize, config: SwitchConfig, seed: u64) -> Self {
+        RefSwitch {
+            config,
+            routes: HashMap::new(),
+            busy_until: vec![SimTime::ZERO; n_ports],
+            stats: vec![PortStats::default(); n_ports],
+            trains: HashMap::new(),
+            rng: SimRng::seed_stream(seed, 0x5c),
+            counters: [0; 7],
+        }
+    }
+
+    fn add_vc(&mut self, in_port: usize, vpi: u8, vci: u16, route: VcRoute) {
+        self.routes.insert((in_port, vpi, vci), route);
+    }
+
+    fn forward(&mut self, in_port: usize, arrival: SimTime, cell: &Cell) -> SwitchOutcome {
+        if !cell.header_ok() {
+            self.counters[1] += 1;
+            return SwitchOutcome::HeaderError;
+        }
+        let h = cell.header();
+        let key = (in_port, h.vpi, h.vci);
+        let Some(route) = self.routes.get(&key).copied() else {
+            self.counters[2] += 1;
+            return SwitchOutcome::UnknownVc;
+        };
+        let out = route.out_port;
+        let backlog = self.busy_until[out]
+            .saturating_since(arrival)
+            .as_ns()
+            .div_ceil(self.config.cell_time.as_ns().max(1)) as usize;
+        let stats = &mut self.stats[out];
+        stats.max_backlog_cells = stats.max_backlog_cells.max(backlog);
+        let policy = self.config.drop_policy;
+        if policy == DropPolicy::Tail {
+            if backlog >= self.config.queue_cells {
+                return self.tail_drop(out);
+            }
+            return self.admit(route, arrival, cell);
+        }
+        let eom = match self.config.marking {
+            TrainMarking::Aal5Pt => h.pt & PT_END_OF_PDU != 0,
+            TrainMarking::Aal34SegType => cell.payload()[0] & 0x40 != 0,
+        };
+        let (mut mid_train, mut discarding) = self.trains.get(&key).copied().unwrap_or_default();
+        if let DropPolicy::Epd { threshold_cells } = policy {
+            if !mid_train && backlog >= threshold_cells {
+                discarding = true;
+            }
+        }
+        let was_discarding = discarding;
+        mid_train = !eom;
+        if eom {
+            discarding = false;
+        }
+        if was_discarding {
+            self.trains.insert(key, (mid_train, discarding));
+            if policy == DropPolicy::Ppd && eom {
+                return self.admit(route, arrival, cell);
+            }
+            if matches!(policy, DropPolicy::Epd { .. }) {
+                self.counters[4] += 1;
+                self.stats[out].epd_drops += 1;
+            } else {
+                self.counters[5] += 1;
+                self.stats[out].ppd_drops += 1;
+            }
+            return SwitchOutcome::Discarded;
+        }
+        if backlog >= self.config.queue_cells {
+            if !eom {
+                discarding = true;
+            }
+            self.trains.insert(key, (mid_train, discarding));
+            return self.tail_drop(out);
+        }
+        self.trains.insert(key, (mid_train, discarding));
+        self.admit(route, arrival, cell)
+    }
+
+    fn forward_train(
+        &mut self,
+        in_port: usize,
+        mut train: Vec<(SimTime, LinkFault)>,
+        downlink: SimTime,
+    ) -> Option<(SimTime, Vec<(SimTime, LinkFault)>)> {
+        let may_corrupt = self.config.corrupt_prob > 0.0;
+        let mut last = None;
+        for (at, fault) in &mut train {
+            let (LinkFault::Clean(c) | LinkFault::Corrupted(c)) = &*fault else {
+                continue;
+            };
+            *fault = match self.forward(in_port, *at, c) {
+                SwitchOutcome::Forwarded {
+                    departure, cell, ..
+                } => {
+                    *at = departure + downlink;
+                    last = last.max(Some(*at));
+                    if may_corrupt && cell.payload() != c.payload() {
+                        LinkFault::Corrupted(cell)
+                    } else {
+                        LinkFault::Clean(cell)
+                    }
+                }
+                _ => LinkFault::Lost,
+            };
+        }
+        last.map(|t| (t, train))
+    }
+
+    fn tail_drop(&mut self, out: usize) -> SwitchOutcome {
+        self.counters[3] += 1;
+        self.stats[out].queue_drops += 1;
+        SwitchOutcome::QueueFull
+    }
+
+    fn admit(&mut self, route: VcRoute, arrival: SimTime, cell: &Cell) -> SwitchOutcome {
+        let header = CellHeader {
+            vpi: route.out_vpi,
+            vci: route.out_vci,
+            ..cell.header()
+        };
+        let mut out = Cell::new(header, *cell.payload());
+        if self.rng.chance(self.config.corrupt_prob) {
+            let bit = 40 + self.rng.next_below(48 * 8) as usize;
+            out.flip_bit(bit);
+            self.counters[6] += 1;
+        }
+        let start = (arrival + self.config.latency).max(self.busy_until[route.out_port]);
+        let departure = start + self.config.cell_time;
+        self.busy_until[route.out_port] = departure;
+        self.stats[route.out_port].forwarded += 1;
+        self.counters[0] += 1;
+        SwitchOutcome::Forwarded {
+            out_port: route.out_port,
+            departure,
+            cell: out,
+        }
+    }
+}
+
+/// The VCs trains travel on. The last is never installed.
+const VCS: [(u8, u16); 4] = [(0, 40), (0, 41), (1, 40), (2, 99)];
+
+/// Cell `i` of a train on `VCS[vc]`; the train's last cell carries
+/// the end-of-PDU mark of both AAL5 (PT) and AAL3/4 (segment type
+/// EOM).
+fn make_cell(vc: usize, i: usize, last: bool, pt: u8, clp: bool, st: u8) -> Cell {
+    let (vpi, vci) = VCS[vc];
+    let pt = if last { pt | PT_END_OF_PDU } else { pt };
+    let st = if last { 0b01 } else { st };
+    let mut payload = [0u8; CELL_PAYLOAD];
+    for (k, b) in payload.iter_mut().enumerate() {
+        *b = (k as u8).wrapping_mul(13).wrapping_add(i as u8);
+    }
+    payload[0] = (st << 6) | (i as u8 & 0x3f);
+    Cell::new(
+        CellHeader {
+            gfc: 0,
+            vpi,
+            vci,
+            pt,
+            clp,
+        },
+        payload,
+    )
+}
+
+fn assert_same_state(sw: &AtmSwitch, rf: &RefSwitch) {
+    let counters = [
+        sw.forwarded,
+        sw.hec_drops,
+        sw.unknown_vc_drops,
+        sw.queue_drops,
+        sw.epd_drops,
+        sw.ppd_drops,
+        sw.corrupted,
+    ];
+    assert_eq!(counters, rf.counters, "switch counters");
+    for (p, want) in rf.stats.iter().enumerate() {
+        assert_eq!(sw.port_stats(p), *want, "port {p} stats");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The header memo changes no outcome. Random trains over 2-4
+    /// in-ports, under every drop policy and train marking, with
+    /// unknown VCs, damaged headers, lost cells, fabric corruption
+    /// and re-routes between trains, leave the switch and the
+    /// per-cell reference with identical outcomes, departures, cell
+    /// bytes, counters and port stats. Half the re-routes and trains
+    /// land on the last train's VC, where the memo sits.
+    #[test]
+    fn memoized_switch_matches_per_cell_reference(
+        n_ports in 2..5usize,
+        policy in 0..3u8,
+        threshold_cells in 1..24usize,
+        aal34 in any::<bool>(),
+        queue_cells in 2..32usize,
+        corrupt in 0..3usize,
+        seed in any::<u64>(),
+        scenario in any::<u64>(),
+        n_ops in 1..40usize,
+    ) {
+        let config = SwitchConfig {
+            queue_cells,
+            corrupt_prob: [0.0, 0.05, 0.5][corrupt],
+            drop_policy: [DropPolicy::Tail, DropPolicy::Epd { threshold_cells }, DropPolicy::Ppd]
+                [usize::from(policy)],
+            marking: if aal34 { TrainMarking::Aal34SegType } else { TrainMarking::Aal5Pt },
+            ..SwitchConfig::default()
+        };
+        let mut sw = AtmSwitch::new(n_ports, config, seed);
+        let mut rf = RefSwitch::new(n_ports, config, seed);
+        let mut g = SimRng::seed_stream(scenario, 1);
+        let mut pick = |n: usize| g.next_below(n as u32) as usize;
+        let add_vc = |sw: &mut AtmSwitch, rf: &mut RefSwitch, in_port: usize, vc: usize, r| {
+            let (vpi, vci) = VCS[vc];
+            sw.add_vc(in_port, vpi, vci, r);
+            rf.add_vc(in_port, vpi, vci, r);
+        };
+        for _ in 0..1 + pick(8) {
+            let (in_port, vc) = (pick(n_ports), pick(VCS.len() - 1));
+            let r = VcRoute { out_port: pick(n_ports), out_vpi: 0, out_vci: VCS[vc].1 };
+            add_vc(&mut sw, &mut rf, in_port, vc, r);
+        }
+        let downlink = SimTime::from_ns(200);
+        let mut now = SimTime::from_us(1);
+        let mut last = (0, 0);
+        for _ in 0..n_ops {
+            let (in_port, vc) = if pick(2) == 0 {
+                last
+            } else {
+                (pick(n_ports), pick(VCS.len()))
+            };
+            if pick(4) == 0 {
+                // A route op: install or re-route a known VC.
+                if vc + 1 < VCS.len() {
+                    let r = VcRoute {
+                        out_port: pick(n_ports),
+                        out_vpi: pick(3) as u8,
+                        out_vci: 40 + pick(3) as u16,
+                    };
+                    add_vc(&mut sw, &mut rf, in_port, vc, r);
+                }
+                continue;
+            }
+            last = (in_port, vc);
+            if pick(2) == 0 {
+                now += SimTime::from_ns(pick(200_000) as u64);
+            }
+            let n = 1 + pick(24);
+            let mut train = Vec::with_capacity(n);
+            for i in 0..n {
+                let pt = if pick(4) == 0 { pick(8) as u8 } else { 0 };
+                let mut c = make_cell(vc, i, i + 1 == n, pt, pick(10) == 0, pick(4) as u8);
+                let fault = match pick(9) {
+                    0 => LinkFault::Lost,
+                    1 => {
+                        // A damaged header: a bit of its first four octets.
+                        c.flip_bit(pick(32));
+                        LinkFault::Corrupted(c)
+                    }
+                    2 => {
+                        c.flip_bit(40 + pick(48 * 8));
+                        LinkFault::Corrupted(c)
+                    }
+                    _ => LinkFault::Clean(c),
+                };
+                train.push((now, fault));
+                if pick(2) == 0 {
+                    now += SimTime::from_ns(pick(4_000) as u64);
+                }
+            }
+            if pick(2) == 0 {
+                let got = sw.forward_train(in_port, train.clone(), downlink);
+                let want = rf.forward_train(in_port, train, downlink);
+                prop_assert_eq!(got, want);
+            } else {
+                for (at, fault) in &train {
+                    let (LinkFault::Clean(c) | LinkFault::Corrupted(c)) = fault else {
+                        continue;
+                    };
+                    prop_assert_eq!(sw.forward(in_port, *at, c), rf.forward(in_port, *at, c));
+                }
+            }
+            assert_same_state(&sw, &rf);
+        }
+    }
 }

@@ -208,14 +208,60 @@ const _: () = simkit::assert_world_send::<DcWorld>();
 /// The expected bytes of one RPC, a pure function of the connection
 /// identity and the iteration — so a segment delivered to the wrong
 /// connection (a PCB demultiplex bug) fails verification instead of
-/// passing silently.
+/// passing silently. Byte `i` is `(i + salt) % 251`, where the salt
+/// mixes `iter` and `ident`.
 #[must_use]
 pub fn dc_pattern(size: usize, iter: u64, ident: (usize, usize)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(size);
+    for chunk in pattern_chunks(size, iter, ident) {
+        out.extend_from_slice(chunk);
+    }
+    out
+}
+
+/// Whether `got` is exactly `dc_pattern(size, iter, ident)`, compared
+/// in place.
+fn pattern_matches(got: &[u8], size: usize, iter: u64, ident: (usize, usize)) -> bool {
+    got.len() == size && {
+        let mut rest = got;
+        pattern_chunks(size, iter, ident).all(|chunk| {
+            let (head, tail) = rest.split_at(chunk.len());
+            rest = tail;
+            head == chunk
+        })
+    }
+}
+
+/// One period of the pattern: byte `k` is `k`.
+const PATTERN_PERIOD: [u8; 251] = {
+    let mut t = [0; 251];
+    let mut k = 0;
+    while k < t.len() {
+        t[k] = k as u8;
+        k += 1;
+    }
+    t
+};
+
+/// The pattern's `size` bytes as consecutive slices of
+/// [`PATTERN_PERIOD`]: the first starts at `salt % 251`, the rest at 0.
+fn pattern_chunks(
+    size: usize,
+    iter: u64,
+    ident: (usize, usize),
+) -> impl Iterator<Item = &'static [u8]> {
     let salt = iter
         .wrapping_mul(131)
         .wrapping_add(ident.0 as u64 * 17)
         .wrapping_add(ident.1 as u64 * 7);
-    (0..size).map(|i| ((i as u64 + salt) % 251) as u8).collect()
+    let mut start = (salt % 251) as usize;
+    let mut left = size;
+    std::iter::from_fn(move || {
+        let chunk = &PATTERN_PERIOD[start..PATTERN_PERIOD.len().min(start + left)];
+        left -= chunk.len();
+        start = 0;
+        (!chunk.is_empty()).then_some(chunk)
+    })
 }
 
 /// Seed for host `h`, derived by key so every host has an independent
@@ -962,8 +1008,7 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                 } else {
                     conn.done_count
                 };
-                let expect = dc_pattern(size, idx, conn.ident);
-                if conn.got != expect {
+                if !pattern_matches(&conn.got, size, idx, conn.ident) {
                     conn.verify_failures += 1;
                 }
                 if !conn.client {
@@ -1664,5 +1709,74 @@ mod tests {
         assert_ne!(a, dc_pattern(64, 0, (1, 0)));
         assert_ne!(a, dc_pattern(64, 1, (0, 0)));
         assert_eq!(a, dc_pattern(64, 0, (0, 0)));
+    }
+
+    /// The pattern's per-byte formula, the reference for the period
+    /// table.
+    fn pattern_reference(size: usize, iter: u64, ident: (usize, usize)) -> Vec<u8> {
+        let salt = iter
+            .wrapping_mul(131)
+            .wrapping_add(ident.0 as u64 * 17)
+            .wrapping_add(ident.1 as u64 * 7);
+        (0..size).map(|i| ((i as u64 + salt) % 251) as u8).collect()
+    }
+
+    #[test]
+    fn pattern_matches_the_per_byte_formula() {
+        // Salts ≡ 0 and ≡ 250 (mod 251) start the period at its first
+        // and its last byte.
+        let edges = [
+            ((251, (0, 0)), 0),
+            ((0, (2, 31)), 0),
+            ((228, (0, 0)), 250),
+            ((0, (11, 9)), 250),
+        ];
+        for ((iter, ident), first) in edges {
+            assert_eq!(pattern_reference(1, iter, ident), [first]);
+        }
+        let idents = edges.map(|(c, _)| c).into_iter().chain([
+            (0, (0, 0)),
+            (5, (3, 9)),
+            (1000, (63, 255)),
+            (123_456, (7, 1023)),
+        ]);
+        for (iter, ident) in idents {
+            for size in (0..=1004).chain([16_000]) {
+                assert_eq!(
+                    dc_pattern(size, iter, ident),
+                    pattern_reference(size, iter, ident),
+                    "size {size}, iter {iter}, ident {ident:?}"
+                );
+            }
+        }
+    }
+
+    /// The in-place verifier counts what a full comparison counts: an
+    /// exact buffer passes, and any wrong byte or length fails.
+    #[test]
+    fn in_place_verifier_agrees_with_comparison() {
+        let (iter, ident) = (228, (2, 3));
+        for size in [1, 252, 1400] {
+            let want = dc_pattern(size, iter, ident);
+            let check = |got: &[u8]| {
+                assert_eq!(
+                    pattern_matches(got, size, iter, ident),
+                    got == want.as_slice(),
+                    "size {size}, got {} bytes",
+                    got.len()
+                );
+            };
+            check(&want);
+            for pos in 0..size {
+                let mut got = want.clone();
+                got[pos] ^= 0x10;
+                check(&got);
+            }
+            check(&want[..size - 1]);
+            let mut long = want.clone();
+            long.push(want[0]);
+            check(&long);
+        }
+        assert!(pattern_matches(&[], 0, iter, ident));
     }
 }
