@@ -25,6 +25,7 @@
 //! is virtual (the adapter and link expose timing as data for the
 //! simulator to schedule with).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aal34;

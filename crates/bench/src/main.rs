@@ -41,6 +41,8 @@
 //! grid's canonical report (mean/stddev/min/max, events, simulated
 //! time), the same bytes at any `--jobs`.
 
+#![forbid(unsafe_code)]
+
 use latency_core::experiment::{Experiment, NetKind};
 use latency_core::{faults, micro, paper, tables};
 use sweep::grid::Variant;

@@ -27,6 +27,13 @@
 //! sums — provided it knows each chunk's byte offset parity within the
 //! segment ([`PartialChecksum`]).
 //!
+//! The [`crc`] module holds the link CRCs (AAL3/4 CRC-10, the CRC-32
+//! of AAL5 and Ethernet, the ATM HEC). On x86_64 CPUs with PCLMULQDQ,
+//! detected at run time, CRC-10 and CRC-32 run on the carry-less
+//! multiplier; elsewhere on slicing-by-8 tables. Those kernels are the
+//! workspace's only `unsafe` code: the lints below deny it everywhere
+//! else in this crate, and every other library crate forbids it.
+//!
 //! # Examples
 //!
 //! ```
@@ -42,6 +49,12 @@
 //! assert!(Sum16::over(&packet).is_valid());
 //! ```
 
+#![deny(
+    unsafe_code,
+    unsafe_op_in_unsafe_fn,
+    clippy::undocumented_unsafe_blocks,
+    clippy::missing_safety_doc
+)]
 #![warn(missing_docs)]
 
 pub mod algos;

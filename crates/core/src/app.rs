@@ -107,12 +107,21 @@ impl App {
         }
     }
 
-    /// The deterministic request pattern for iteration `i`.
+    /// The deterministic request pattern for iteration `i`: byte `b`
+    /// is `31·b + 7·i + 1 (mod 256)`. As 223 is the inverse of 31 mod
+    /// 256, that is `31·(b + s)` with `s = 223·(7·i + 1) mod 256`, so
+    /// the pattern is one 256-byte period read from byte `s` on, built by
+    /// slice copies.
     #[must_use]
     pub fn pattern(size: usize, i: u64) -> Vec<u8> {
-        (0..size)
-            .map(|b| (b as u64).wrapping_mul(31).wrapping_add(i * 7 + 1) as u8)
-            .collect()
+        period_bytes(&PATTERN_PERIOD, pattern_start(i), size)
+    }
+
+    /// Whether `got` is exactly `App::pattern(size, i)`, compared in
+    /// place.
+    #[must_use]
+    pub(crate) fn pattern_matches(got: &[u8], size: usize, i: u64) -> bool {
+        period_matches(got, &PATTERN_PERIOD, pattern_start(i), size)
     }
 
     /// Whether this process has finished all its iterations.
@@ -131,6 +140,64 @@ impl App {
     #[must_use]
     pub fn total_iterations(&self) -> u64 {
         self.iterations + self.warmup
+    }
+}
+
+/// One period of [`App::pattern`]: byte `k` is `31·k mod 256`.
+const PATTERN_PERIOD: [u8; 256] = {
+    let mut t = [0; 256];
+    let mut k = 0;
+    while k < t.len() {
+        t[k] = (31 * k) as u8;
+        k += 1;
+    }
+    t
+};
+
+/// Where [`App::pattern`] of iteration `i` starts in [`PATTERN_PERIOD`]:
+/// `223·(7·i + 1) mod 256`.
+fn pattern_start(i: u64) -> usize {
+    usize::from((i as u8).wrapping_mul(7).wrapping_add(1).wrapping_mul(223))
+}
+
+/// The `size` bytes of a periodic payload as consecutive slices of
+/// `period`: the first starts at `start`, every later one at 0.
+fn period_chunks(
+    period: &'static [u8],
+    start: usize,
+    size: usize,
+) -> impl Iterator<Item = &'static [u8]> {
+    let (mut start, mut left) = (start, size);
+    std::iter::from_fn(move || {
+        let chunk = &period[start..period.len().min(start + left)];
+        left -= chunk.len();
+        start = 0;
+        (!chunk.is_empty()).then_some(chunk)
+    })
+}
+
+/// The `size` bytes of `period` repeated from byte `start` on, built
+/// by slice copies.
+#[must_use]
+pub fn period_bytes(period: &'static [u8], start: usize, size: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(size);
+    for chunk in period_chunks(period, start, size) {
+        out.extend_from_slice(chunk);
+    }
+    out
+}
+
+/// Whether `got` is exactly `period_bytes(period, start, size)`,
+/// compared in place without allocating.
+#[must_use]
+pub fn period_matches(got: &[u8], period: &'static [u8], start: usize, size: usize) -> bool {
+    got.len() == size && {
+        let mut rest = got;
+        period_chunks(period, start, size).all(|chunk| {
+            let (head, tail) = rest.split_at(chunk.len());
+            rest = tail;
+            head == chunk
+        })
     }
 }
 
@@ -160,6 +227,60 @@ mod tests {
         assert_eq!(App::pattern(100, 3), App::pattern(100, 3));
         assert_ne!(App::pattern(100, 3), App::pattern(100, 4));
         assert_eq!(App::pattern(0, 1), Vec::<u8>::new());
+    }
+
+    /// The pattern's per-byte formula, the reference for the period
+    /// table.
+    fn pattern_reference(size: usize, i: u64) -> Vec<u8> {
+        (0..size)
+            .map(|b| (b as u64).wrapping_mul(31).wrapping_add(i * 7 + 1) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn pattern_matches_the_per_byte_formula() {
+        // Iteration 73 starts the period at its first byte, 32 at its
+        // last (so the first chunk is one byte long).
+        assert_eq!((pattern_start(73), pattern_start(32)), (0, 255));
+        for i in [0, 1, 32, 73, 255, 256, 1000, 123_456] {
+            for size in (0..=1024).chain([8000, 16_000]) {
+                assert_eq!(
+                    App::pattern(size, i),
+                    pattern_reference(size, i),
+                    "size {size}, iteration {i}"
+                );
+            }
+        }
+    }
+
+    /// The in-place check counts what a full comparison counts: an
+    /// exact buffer passes, and any wrong byte or length fails.
+    #[test]
+    fn in_place_check_agrees_with_comparison() {
+        for i in [32, 73] {
+            for size in [1, 256, 1400] {
+                let want = App::pattern(size, i);
+                let check = |got: &[u8]| {
+                    assert_eq!(
+                        App::pattern_matches(got, size, i),
+                        got == want.as_slice(),
+                        "size {size}, iteration {i}, got {} bytes",
+                        got.len()
+                    );
+                };
+                check(&want);
+                for pos in 0..size {
+                    let mut got = want.clone();
+                    got[pos] ^= 0x10;
+                    check(&got);
+                }
+                check(&want[..size - 1]);
+                let mut long = want.clone();
+                long.push(want[0]);
+                check(&long);
+            }
+        }
+        assert!(App::pattern_matches(&[], 0, 5));
     }
 
     #[test]

@@ -43,6 +43,7 @@
 //! assert!(run.mean_rtt_us() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;

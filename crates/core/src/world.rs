@@ -363,11 +363,6 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                     AppState::BlockedInWrite(n) => n,
                     _ => 0,
                 };
-                let data = match host.app.role {
-                    // The server echoes what it received.
-                    Role::RpcServer | Role::UdpRpcServer => host.app.got.clone(),
-                    _ => App::pattern(host.app.size, host.app.done_count),
-                };
                 if offset == 0 && matches!(host.app.role, Role::RpcClient | Role::UdpRpcClient) {
                     // Start the iteration timer: read the clock just
                     // before write(), as the benchmark did.
@@ -375,10 +370,23 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                 }
                 let udp = matches!(host.app.role, Role::UdpRpcClient | Role::UdpRpcServer);
                 let Host {
-                    kernel, nic, sock, ..
+                    kernel,
+                    nic,
+                    sock,
+                    app,
+                    ..
                 } = host;
+                let pattern;
+                let data = match app.role {
+                    // The server echoes what it received.
+                    Role::RpcServer | Role::UdpRpcServer => &app.got,
+                    _ => {
+                        pattern = App::pattern(app.size, app.done_count);
+                        &pattern
+                    }
+                };
                 let out = if udp {
-                    kernel.udp_sendto(now, *sock, ADDRS[1 - h], PORTS[1 - h], &data, nic)
+                    kernel.udp_sendto(now, *sock, ADDRS[1 - h], PORTS[1 - h], data, nic)
                 } else {
                     kernel.syscall_write(now, *sock, &data[offset..], nic)
                 };
@@ -446,14 +454,13 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                 if host.app.got.len() < host.app.size {
                     continue;
                 }
-                // A full message arrived.
+                // A full message arrived: every reader verifies it.
+                if !App::pattern_matches(&host.app.got, host.app.size, host.app.done_count) {
+                    host.app.stats.verify_failures += 1;
+                }
                 match host.app.role {
                     Role::RpcClient | Role::UdpRpcClient => {
                         host.kernel.spans.mark(Mark::ReadReturn, now);
-                        let expect = App::pattern(host.app.size, host.app.done_count);
-                        if host.app.got != expect {
-                            host.app.stats.verify_failures += 1;
-                        }
                         if host.app.measuring() {
                             let rtt = now.quantized().saturating_since(host.app.t_start);
                             host.app.stats.rtts.push(rtt);
@@ -463,17 +470,9 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                         host.app.state = AppState::WantWrite;
                     }
                     Role::RpcServer | Role::UdpRpcServer => {
-                        let expect = App::pattern(host.app.size, host.app.done_count);
-                        if host.app.got != expect {
-                            host.app.stats.verify_failures += 1;
-                        }
                         host.app.state = AppState::WantWrite;
                     }
                     Role::BulkReceiver => {
-                        let expect = App::pattern(host.app.size, host.app.done_count);
-                        if host.app.got != expect {
-                            host.app.stats.verify_failures += 1;
-                        }
                         host.app.done_count += 1;
                         host.app.stats.iterations += 1;
                         host.app.got.clear();

@@ -25,6 +25,7 @@
 //! from composing these costs inside the simulator (see
 //! `EXPERIMENTS.md` for the paper-vs-measured comparison).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -19,6 +19,7 @@
 //! contention is modelled; the wire is still half-duplex serialized
 //! per direction pair.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod frame;

@@ -60,6 +60,7 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use simkit::{SimRng, SimTime};

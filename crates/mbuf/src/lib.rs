@@ -43,6 +43,7 @@
 //! assert_eq!(ccost.clusters_shared, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chain;

@@ -17,6 +17,7 @@
 //!   cell line by cell line, and [`shrink`] minimizes a failing fault
 //!   schedule to its smallest reproducer before reporting.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod golden;

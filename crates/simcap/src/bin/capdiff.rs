@@ -11,6 +11,8 @@
 //! plus a log2 histogram with `--hist`. `--data-only` ignores pure
 //! ACKs on both sides.
 
+#![forbid(unsafe_code)]
+
 use simcap::analyze::{hop_between, summary_line};
 use simcap::pcapng::read_any;
 use std::process::ExitCode;

@@ -28,6 +28,7 @@
 //! - the `capdiff` binary: the same analysis as a CLI over capture
 //!   files.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyze;

@@ -39,6 +39,7 @@
 //! assert_eq!(sim.now(), SimTime::from_us(5));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cpu;

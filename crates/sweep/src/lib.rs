@@ -47,6 +47,7 @@
 //! assert_eq!(seq.canonical_json(), par.canonical_json());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod grid;

@@ -30,6 +30,7 @@
 //! simulation binding (crate `latency-core`) carries them through the
 //! ATM or Ethernet substrate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -17,6 +17,7 @@
 
 use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
+use latency_core::app::{period_bytes, period_matches};
 use latency_core::nic::{arm_host, atm_receive, AtmDelivery, AtmNic, NicMut};
 use simkit::{Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
@@ -212,24 +213,13 @@ const _: () = simkit::assert_world_send::<DcWorld>();
 /// mixes `iter` and `ident`.
 #[must_use]
 pub fn dc_pattern(size: usize, iter: u64, ident: (usize, usize)) -> Vec<u8> {
-    let mut out = Vec::with_capacity(size);
-    for chunk in pattern_chunks(size, iter, ident) {
-        out.extend_from_slice(chunk);
-    }
-    out
+    period_bytes(&PATTERN_PERIOD, pattern_start(iter, ident), size)
 }
 
 /// Whether `got` is exactly `dc_pattern(size, iter, ident)`, compared
 /// in place.
 fn pattern_matches(got: &[u8], size: usize, iter: u64, ident: (usize, usize)) -> bool {
-    got.len() == size && {
-        let mut rest = got;
-        pattern_chunks(size, iter, ident).all(|chunk| {
-            let (head, tail) = rest.split_at(chunk.len());
-            rest = tail;
-            head == chunk
-        })
-    }
+    period_matches(got, &PATTERN_PERIOD, pattern_start(iter, ident), size)
 }
 
 /// One period of the pattern: byte `k` is `k`.
@@ -243,25 +233,13 @@ const PATTERN_PERIOD: [u8; 251] = {
     t
 };
 
-/// The pattern's `size` bytes as consecutive slices of
-/// [`PATTERN_PERIOD`]: the first starts at `salt % 251`, the rest at 0.
-fn pattern_chunks(
-    size: usize,
-    iter: u64,
-    ident: (usize, usize),
-) -> impl Iterator<Item = &'static [u8]> {
+/// Where the pattern starts in [`PATTERN_PERIOD`]: `salt % 251`.
+fn pattern_start(iter: u64, ident: (usize, usize)) -> usize {
     let salt = iter
         .wrapping_mul(131)
         .wrapping_add(ident.0 as u64 * 17)
         .wrapping_add(ident.1 as u64 * 7);
-    let mut start = (salt % 251) as usize;
-    let mut left = size;
-    std::iter::from_fn(move || {
-        let chunk = &PATTERN_PERIOD[start..PATTERN_PERIOD.len().min(start + left)];
-        left -= chunk.len();
-        start = 0;
-        (!chunk.is_empty()).then_some(chunk)
-    })
+    (salt % 251) as usize
 }
 
 /// Seed for host `h`, derived by key so every host has an independent
@@ -938,23 +916,28 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                     finish_client(w, h, c);
                     break;
                 }
-                let data = if conn.client {
-                    // `sent` indexes past any retried copies, so every
-                    // message on the stream carries a distinct pattern.
-                    dc_pattern(size, conn.sent, conn.ident)
-                } else {
-                    // The server echoes what it received.
-                    conn.got.clone()
-                };
                 if offset == 0 && conn.client {
                     // Start the iteration timer: read the clock just
                     // before write(), as the benchmark did.
                     conn.t_start = now.max(host.kernel.cpu.busy_until()).quantized();
                 }
-                let sock = conn.sock;
                 let out = {
-                    let DcHost { kernel, nic, .. } = host;
-                    kernel.syscall_write(now, sock, &data[offset..], nic)
+                    let DcHost {
+                        kernel, nic, conns, ..
+                    } = host;
+                    let conn = &conns[c];
+                    let pattern;
+                    let data = if conn.client {
+                        // `sent` indexes past any retried copies, so
+                        // every message on the stream carries a
+                        // distinct pattern.
+                        pattern = dc_pattern(size, conn.sent, conn.ident);
+                        &pattern
+                    } else {
+                        // The server echoes what it received.
+                        &conn.got
+                    };
+                    kernel.syscall_write(now, conn.sock, &data[offset..], nic)
                 };
                 flush_dc(w, s, h);
                 let conn = &mut w.hosts[h].conns[c];

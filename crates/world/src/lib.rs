@@ -42,6 +42,7 @@
 //! against the wait-for-all baseline under deterministic host pause
 //! and link-flap fault schedules.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dc;

@@ -46,6 +46,7 @@
 //! (`cargo run --release -p repro-bench --bin repro`) to regenerate
 //! every table.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use atm;
