@@ -19,7 +19,7 @@
 //! byte case — into emergent measurements rather than inputs.
 
 use atm::{AtmSwitch, VcRoute};
-use simkit::{Scheduler, Sim, SimTime};
+use simkit::{Parked, Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
 use tcpip::{Kernel, Mark, PcbKey, SockId, StackConfig, TxDriver as _};
 
@@ -85,10 +85,21 @@ pub struct World {
     /// triggers ([`simcap::TriggerReason`]) freeze pcapng-ready
     /// snapshots instead of the run retaining everything.
     pub flight_k: Option<usize>,
+    /// Each datagram on the wire and its destination host, parked
+    /// until its arrival event fires.
+    in_flight: Parked<(usize, Arrival)>,
+}
+
+/// A datagram as the receiving adapter will see it.
+enum Arrival {
+    /// Per-cell (arrival, link fault) of one ATM cell train.
+    Atm(Vec<(SimTime, atm::LinkFault)>),
+    /// One Ethernet frame's bytes.
+    Ether(Vec<u8>),
 }
 
 // The parallel sweep runner builds and runs one world per cell inside
-// a worker thread; the world (not the Sim — event closures stay
+// a worker thread; the world (not the Sim, whose observer box stays
 // thread-local) must be able to cross threads.
 const _: () = simkit::assert_world_send::<World>();
 
@@ -144,6 +155,7 @@ impl World {
             measuring: false,
             capture: false,
             flight_k: None,
+            in_flight: Parked::default(),
         }
     }
 
@@ -156,10 +168,10 @@ impl World {
 
 /// Runs a world to completion; returns the simulation for inspection.
 ///
-/// The start events and all hot-path follow-ups ("softintr",
-/// "app-wakeup", "abort-wakeup", "tcp-timer") are raw events — a
-/// function pointer plus the host index — so the steady-state event
-/// loop performs no per-event allocation.
+/// Every event is a function pointer plus one `u64`: the host index,
+/// or for "atm-arrival" and "eth-arrival" the slot where the datagram
+/// waits in the world's in-flight slab. Scheduling an event allocates
+/// nothing.
 ///
 /// `obs`, when given, fires after every executed event with
 /// `(world, event_time, event_label)`. Observation is read-only, so
@@ -173,12 +185,16 @@ impl World {
 /// — a protocol deadlock, which the tests treat as a bug.
 pub fn run_world(world: World, obs: Option<simkit::ObserverFn<World>>) -> Sim<World> {
     let mut sim = Sim::new(world);
-    sim.schedule_raw(SimTime::ZERO, "app-start-client", app_step_raw, 0);
-    sim.schedule_raw(SimTime::ZERO, "app-start-server", app_step_raw, 1);
+    sim.schedule_raw(SimTime::ZERO, "app-start-client", app_step, 0);
+    sim.schedule_raw(SimTime::ZERO, "app-start-server", app_step, 1);
     if let Some(obs) = obs {
         sim.set_observer(obs);
     }
     sim.run();
+    debug_assert!(
+        sim.world.in_flight.is_empty(),
+        "a drained run parks nothing"
+    );
     assert!(
         sim.world.finished(),
         "deadlock: event queue empty, apps not finished \
@@ -212,17 +228,15 @@ fn flush_host(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                     Some(sw) => sw.forward_train(0, train, nic.link.config.propagation),
                 };
                 if let Some((arrival, train)) = delivery {
-                    s.schedule_at(arrival.max(s.now()), "atm-arrival", move |w, s| {
-                        on_atm_arrival(w, s, peer, train);
-                    });
+                    let slot = w.in_flight.park((peer, Arrival::Atm(train)));
+                    s.schedule_raw_at(arrival.max(s.now()), "atm-arrival", on_arrival, slot);
                 }
             }
         }
         Nic::Ether(nic) => {
             for EtherDelivery { arrival, frame } in std::mem::take(&mut nic.staged) {
-                s.schedule_at(arrival.max(s.now()), "eth-arrival", move |w, s| {
-                    on_eth_arrival(w, s, peer, frame);
-                });
+                let slot = w.in_flight.park((peer, Arrival::Ether(frame)));
+                s.schedule_raw_at(arrival.max(s.now()), "eth-arrival", on_arrival, slot);
             }
         }
     }
@@ -230,66 +244,43 @@ fn flush_host(w: &mut World, s: &mut Scheduler<World>, h: usize) {
         let stale = host.timer_at.is_none_or(|t| dl < t || t <= s.now());
         if stale {
             host.timer_at = Some(dl);
-            s.schedule_raw_at(dl.max(s.now()), "tcp-timer", on_timer_raw, h as u64);
+            s.schedule_raw_at(dl.max(s.now()), "tcp-timer", on_timer, h as u64);
         }
     }
 }
 
-/// Raw-event trampolines: the engine hot path stores these as plain
-/// function pointers with the host index as payload, so scheduling
-/// them allocates nothing.
-fn app_step_raw(w: &mut World, s: &mut Scheduler<World>, h: u64) {
-    app_step(w, s, h as usize);
-}
-
-fn on_softintr_raw(w: &mut World, s: &mut Scheduler<World>, h: u64) {
-    on_softintr(w, s, h as usize);
-}
-
-fn on_timer_raw(w: &mut World, s: &mut Scheduler<World>, h: u64) {
-    on_timer(w, s, h as usize);
-}
-
-/// ATM datagram arrival: the hardware interrupt.
-fn on_atm_arrival(
-    w: &mut World,
-    s: &mut Scheduler<World>,
-    h: usize,
-    train: Vec<(SimTime, atm::LinkFault)>,
-) {
+/// Datagram arrival: the receiving host's hardware interrupt for the
+/// datagram parked in `slot`.
+fn on_arrival(w: &mut World, s: &mut Scheduler<World>, slot: u64) {
+    let (h, arrival) = w.in_flight.take(slot);
     let host = &mut w.hosts[h];
-    let Nic::Atm(nic) = &mut host.nic else {
-        panic!("ATM delivery to a non-ATM host");
+    let softintr = match (arrival, &mut host.nic) {
+        (Arrival::Atm(train), Nic::Atm(nic)) => atm_receive(&mut host.kernel, nic, s.now(), train),
+        (Arrival::Ether(frame), Nic::Ether(nic)) => {
+            ether_receive(&mut host.kernel, nic, s.now(), &frame)
+        }
+        _ => panic!("delivery to a host on another medium"),
     };
-    if let Some(at) = atm_receive(&mut host.kernel, nic, s.now(), train) {
-        s.schedule_raw_at(at, "softintr", on_softintr_raw, h as u64);
-    }
-}
-
-/// Ethernet frame arrival: the hardware interrupt.
-fn on_eth_arrival(w: &mut World, s: &mut Scheduler<World>, h: usize, bytes: Vec<u8>) {
-    let host = &mut w.hosts[h];
-    let Nic::Ether(nic) = &mut host.nic else {
-        panic!("Ethernet delivery to a non-Ethernet host");
-    };
-    if let Some(at) = ether_receive(&mut host.kernel, nic, s.now(), &bytes) {
-        s.schedule_raw_at(at, "softintr", on_softintr_raw, h as u64);
+    if let Some(at) = softintr {
+        s.schedule_raw_at(at, "softintr", on_softintr, h as u64);
     }
 }
 
 /// The software interrupt: IP/TCP input, wakeups, responses.
-fn on_softintr(w: &mut World, s: &mut Scheduler<World>, h: usize) {
+fn on_softintr(w: &mut World, s: &mut Scheduler<World>, h: u64) {
+    let h = h as usize;
     let host = &mut w.hosts[h];
     let out = host.kernel.ipintr(s.now(), &mut host.nic);
     flush_host(w, s, h);
     for (_, run_at) in out.wakeups.iter().chain(out.writer_wakeups.iter()) {
         let at = (*run_at).max(s.now());
-        s.schedule_raw_at(at, "app-wakeup", app_step_raw, h as u64);
+        s.schedule_raw_at(at, "app-wakeup", app_step, h as u64);
     }
 }
 
 /// A TCP timer event.
-fn on_timer(w: &mut World, s: &mut Scheduler<World>, h: usize) {
+fn on_timer(w: &mut World, s: &mut Scheduler<World>, h: u64) {
+    let h = h as usize;
     w.hosts[h].timer_at = None;
     let host = &mut w.hosts[h];
     let _ = host.kernel.check_timers(s.now(), &mut host.nic);
@@ -299,13 +290,13 @@ fn on_timer(w: &mut World, s: &mut Scheduler<World>, h: usize) {
     // this wakeup an aborted run would hang instead of terminating.
     for (_sock, run_at) in w.hosts[h].kernel.take_timer_wakeups() {
         let at = run_at.max(s.now());
-        s.schedule_raw_at(at, "abort-wakeup", app_step_raw, h as u64);
+        s.schedule_raw_at(at, "abort-wakeup", app_step, h as u64);
     }
 }
 
 /// Runs a process until it blocks or finishes.
-fn app_step(w: &mut World, s: &mut Scheduler<World>, h: usize) {
-    app_step_inner(w, s, h);
+fn app_step(w: &mut World, s: &mut Scheduler<World>, h: u64) {
+    app_step_inner(w, s, h as usize);
     // When the RPC client finishes, the benchmark is over: the echo
     // server (which would otherwise block in read forever)
     // terminates too.

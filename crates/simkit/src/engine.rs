@@ -1,41 +1,29 @@
 //! The discrete-event engine.
 //!
 //! [`Sim`] owns a pending-event set and a user-supplied *world* — the
-//! mutable state the events act upon. Events come in two flavours: a
-//! boxed `FnOnce(&mut W, &mut Scheduler<W>)` for arbitrary captured
-//! state, and an allocation-free *raw* form — a plain function pointer
-//! plus one `u64` payload — for the hot paths that only need to name a
-//! host index. Handlers stage follow-up events on the [`Scheduler`],
-//! which the engine merges into the queue when the handler returns.
+//! mutable state the events act upon. Every event is a plain function
+//! pointer ([`RawEventFn`]) plus one `u64` payload, so scheduling one
+//! allocates nothing. The payload names a host, a connection, or a
+//! slot in a [`Parked`](crate::Parked) slab where the world keeps a
+//! bigger value the event carries, such as a cell train. Handlers
+//! schedule follow-up events through the [`Scheduler`], which lends
+//! them the queue itself.
 //!
 //! The pending set is one `std` [`BinaryHeap`] keyed on `(time, seq)`,
-//! where `seq` is a counter assigned as each event is enqueued. Both a
-//! raw event and a boxed closure ride in the heap entry itself, so
-//! there is no side table to index. Two events at the same timestamp therefore
-//! execute in the order they were scheduled, and the queue always pops
-//! the strict minimum of `(time, seq)`, which makes every simulation
-//! run fully deterministic.
+//! where `seq` is a counter assigned as each event is scheduled. Two
+//! events at the same timestamp therefore execute in the order they
+//! were scheduled, and the queue always pops the strict minimum of
+//! `(time, seq)`, which makes every simulation run fully deterministic.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// The type of a boxed event handler.
-///
-/// The first argument is the simulation world, the second a
-/// [`Scheduler`] for staging follow-up events.
-pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Scheduler<W>)>;
-
-/// The type of a *raw* event handler: a plain function pointer taking
-/// the world, the scheduler, and the `u64` payload captured when the
-/// event was scheduled.
-///
-/// Raw events cost no allocation to schedule — the function pointer
-/// and payload are stored inline in the heap entry — so the per-event
-/// hot paths (software interrupts, application wakeups, timer
-/// firings) should prefer them over boxed closures.
-pub type RawEventFn<W> = fn(&mut W, &mut Scheduler<W>, u64);
+/// The type of an event handler: a plain function pointer taking the
+/// world, the scheduler, and the `u64` payload captured when the event
+/// was scheduled.
+pub type RawEventFn<W> = fn(&mut W, &mut Scheduler<'_, W>, u64);
 
 /// The type of a post-event observer (see [`Sim::set_observer`]).
 ///
@@ -44,20 +32,13 @@ pub type RawEventFn<W> = fn(&mut W, &mut Scheduler<W>, u64);
 /// can check invariants but never perturb the simulation.
 pub type ObserverFn<W> = Box<dyn FnMut(&W, SimTime, &'static str)>;
 
-/// What runs when an event comes due.
-enum Payload<W> {
-    /// A function pointer plus its payload: no allocation.
-    Raw(RawEventFn<W>, u64),
-    /// A boxed closure.
-    Boxed(EventFn<W>),
-}
-
 /// A pending event in the heap.
 struct Event<W> {
     at: SimTime,
     seq: u64,
     label: &'static str,
-    payload: Payload<W>,
+    f: RawEventFn<W>,
+    data: u64,
 }
 
 // Ordered on `(at, seq)` alone, reversed so that the max-heap pops the
@@ -80,28 +61,26 @@ impl<W> PartialEq for Event<W> {
 }
 impl<W> Eq for Event<W> {}
 
-/// Panics when an event named `label` is scheduled before `now`.
-fn check_future(now: SimTime, at: SimTime, label: &'static str) {
-    assert!(
-        at >= now,
-        "event '{label}' scheduled into the past: {at:?} < now {now:?}"
-    );
+/// The pending-event set: the heap and its `seq` counter.
+struct Queue<W> {
+    heap: BinaryHeap<Event<W>>,
+    seq: u64,
 }
 
-/// Staging area handed to event handlers for scheduling follow-up work.
+/// The queue as a handler sees it: the current time and a borrow of
+/// the engine's pending set, lent beside the world.
 ///
-/// Times passed to [`Scheduler::schedule_at`] must not be earlier than
-/// the current simulation time; scheduling into the past is a logic
-/// error and panics, since it would silently corrupt causality.
-///
-/// The staging buffer is owned by the [`Sim`] and lent to each handler
-/// in turn, so steady-state event dispatch allocates nothing for it.
-pub struct Scheduler<W> {
+/// Times passed to [`Scheduler::schedule_raw_at`] must not be earlier
+/// than the current simulation time; scheduling into the past is a
+/// logic error and panics, since it would silently corrupt causality.
+/// An event takes its `seq` when it is scheduled, so follow-ups keep
+/// the FIFO tie-break in the order the handler scheduled them.
+pub struct Scheduler<'a, W> {
     now: SimTime,
-    staged: Vec<(SimTime, &'static str, Payload<W>)>,
+    queue: &'a mut Queue<W>,
 }
 
-impl<W> Scheduler<W> {
+impl<W> Scheduler<'_, W> {
     /// Current simulation time (the timestamp of the running event).
     #[inline]
     #[must_use]
@@ -109,29 +88,8 @@ impl<W> Scheduler<W> {
         self.now
     }
 
-    /// Stages an event to run `delay` after the current time.
-    pub fn schedule<F>(&mut self, delay: SimTime, label: &'static str, f: F)
-    where
-        F: FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    {
-        self.schedule_at(self.now + delay, label, f);
-    }
-
-    /// Stages an event to run at the absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time.
-    pub fn schedule_at<F>(&mut self, at: SimTime, label: &'static str, f: F)
-    where
-        F: FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    {
-        check_future(self.now, at, label);
-        self.staged.push((at, label, Payload::Boxed(Box::new(f))));
-    }
-
-    /// Stages a raw (allocation-free) event to run `delay` after the
-    /// current time. `data` is passed back to `f` when it fires.
+    /// Schedules an event to run `delay` after the current time.
+    /// `data` is passed back to `f` when it fires.
     pub fn schedule_raw(
         &mut self,
         delay: SimTime,
@@ -142,7 +100,7 @@ impl<W> Scheduler<W> {
         self.schedule_raw_at(self.now + delay, label, f, data);
     }
 
-    /// Stages a raw (allocation-free) event at the absolute time `at`.
+    /// Schedules an event at the absolute time `at`.
     ///
     /// # Panics
     ///
@@ -154,8 +112,20 @@ impl<W> Scheduler<W> {
         f: RawEventFn<W>,
         data: u64,
     ) {
-        check_future(self.now, at, label);
-        self.staged.push((at, label, Payload::Raw(f, data)));
+        assert!(
+            at >= self.now,
+            "event '{label}' scheduled into the past: {at:?} < now {:?}",
+            self.now
+        );
+        let seq = self.queue.seq;
+        self.queue.seq += 1;
+        self.queue.heap.push(Event {
+            at,
+            seq,
+            label,
+            f,
+            data,
+        });
     }
 }
 
@@ -164,14 +134,18 @@ impl<W> Scheduler<W> {
 /// # Examples
 ///
 /// ```
-/// use simkit::{Sim, SimTime};
+/// use simkit::{Scheduler, Sim, SimTime};
+///
+/// fn tick(w: &mut u32, s: &mut Scheduler<u32>, n: u64) {
+///     *w += n as u32;
+///     // Events may schedule further events.
+///     if n == 1 {
+///         s.schedule_raw(SimTime::from_us(1), "tock", tick, 10);
+///     }
+/// }
 ///
 /// let mut sim = Sim::new(0u32);
-/// sim.schedule(SimTime::from_us(1), "tick", |w: &mut u32, s| {
-///     *w += 1;
-///     // Events may schedule further events.
-///     s.schedule(SimTime::from_us(1), "tock", |w: &mut u32, _| *w += 10);
-/// });
+/// sim.schedule_raw(SimTime::from_us(1), "tick", tick, 1);
 /// sim.run();
 /// assert_eq!(sim.world, 11);
 /// assert_eq!(sim.now(), SimTime::from_us(2));
@@ -180,10 +154,7 @@ pub struct Sim<W> {
     /// The simulation world, freely accessible between runs.
     pub world: W,
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Event<W>>,
-    /// Reused staging buffer lent to each handler's [`Scheduler`].
-    staged_pool: Vec<(SimTime, &'static str, Payload<W>)>,
+    queue: Queue<W>,
     executed: u64,
     observer: Option<ObserverFn<W>>,
 }
@@ -195,9 +166,10 @@ impl<W> Sim<W> {
         Sim {
             world,
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            staged_pool: Vec::new(),
+            queue: Queue {
+                heap: BinaryHeap::new(),
+                seq: 0,
+            },
             executed: 0,
             observer: None,
         }
@@ -229,29 +201,16 @@ impl<W> Sim<W> {
         self.executed
     }
 
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule<F>(&mut self, delay: SimTime, label: &'static str, f: F)
-    where
-        F: FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    {
-        self.schedule_at(self.now + delay, label, f);
+    /// The scheduler at the current time.
+    fn scheduler(&mut self) -> Scheduler<'_, W> {
+        Scheduler {
+            now: self.now,
+            queue: &mut self.queue,
+        }
     }
 
-    /// Schedules an event at the absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time.
-    pub fn schedule_at<F>(&mut self, at: SimTime, label: &'static str, f: F)
-    where
-        F: FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    {
-        check_future(self.now, at, label);
-        self.push(at, label, Payload::Boxed(Box::new(f)));
-    }
-
-    /// Schedules a raw (allocation-free) event `delay` after the
-    /// current time. `data` is passed back to `f` when it fires.
+    /// Schedules an event `delay` after the current time. `data` is
+    /// passed back to `f` when it fires.
     pub fn schedule_raw(
         &mut self,
         delay: SimTime,
@@ -259,11 +218,10 @@ impl<W> Sim<W> {
         f: RawEventFn<W>,
         data: u64,
     ) {
-        self.schedule_raw_at(self.now + delay, label, f, data);
+        self.scheduler().schedule_raw(delay, label, f, data);
     }
 
-    /// Schedules a raw (allocation-free) event at the absolute time
-    /// `at`.
+    /// Schedules an event at the absolute time `at`.
     ///
     /// # Panics
     ///
@@ -275,20 +233,7 @@ impl<W> Sim<W> {
         f: RawEventFn<W>,
         data: u64,
     ) {
-        check_future(self.now, at, label);
-        self.push(at, label, Payload::Raw(f, data));
-    }
-
-    /// Enqueues an event with the next sequence number.
-    #[inline]
-    fn push(&mut self, at: SimTime, label: &'static str, payload: Payload<W>) {
-        self.queue.push(Event {
-            at,
-            seq: self.seq,
-            label,
-            payload,
-        });
-        self.seq += 1;
+        self.scheduler().schedule_raw_at(at, label, f, data);
     }
 
     /// Executes the next pending event, if any.
@@ -296,31 +241,19 @@ impl<W> Sim<W> {
     /// Returns `true` if an event ran, `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
         let Some(Event {
-            at, label, payload, ..
-        }) = self.queue.pop()
+            at, label, f, data, ..
+        }) = self.queue.heap.pop()
         else {
             return false;
         };
         debug_assert!(at >= self.now, "event violates causality");
         self.now = at;
         self.executed += 1;
-        let mut sched = Scheduler {
-            now: at,
-            staged: core::mem::take(&mut self.staged_pool),
-        };
-        match payload {
-            Payload::Raw(f, data) => f(&mut self.world, &mut sched, data),
-            Payload::Boxed(f) => f(&mut self.world, &mut sched),
-        }
-        // Staging order is `seq` order: follow-ups keep the FIFO
-        // tie-break in the order the handler scheduled them.
-        let mut staged = sched.staged;
-        for (at, label, payload) in staged.drain(..) {
-            self.push(at, label, payload);
-        }
-        self.staged_pool = staged;
+        // The handler borrows the world and the queue side by side.
+        let queue = &mut self.queue;
+        f(&mut self.world, &mut Scheduler { now: at, queue }, data);
         if let Some(obs) = self.observer.as_mut() {
-            obs(&self.world, self.now, label);
+            obs(&self.world, at, label);
         }
         true
     }
@@ -354,24 +287,31 @@ impl<W> Sim<W> {
 /// Compile-time witness that a world type can be fanned out across
 /// sweep worker threads.
 ///
-/// A [`Sim`] itself is never sent anywhere — its event queue holds
-/// non-`Send` boxed closures, so each worker builds and runs its own
-/// simulation locally. The only requirement parallel sweeps place on a
-/// simulation is therefore that the *world* (and whatever results are
-/// extracted from it) crosses threads: assert it once, next to the
-/// world type, as `const _: () = simkit::assert_world_send::<MyWorld>();`.
+/// A [`Sim`] itself is never sent anywhere. Its queue holds only
+/// function pointers and `u64` payloads, but its observer slot is a
+/// non-`Send` box (observers share their results through `Rc`), so
+/// each worker builds and runs its own simulation locally. The only
+/// requirement parallel sweeps place on a simulation is therefore that
+/// the *world* (and whatever results are extracted from it) crosses
+/// threads: assert it once, next to the world type, as
+/// `const _: () = simkit::assert_world_send::<MyWorld>();`.
 pub const fn assert_world_send<W: Send>() {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Appends the payload to the world.
+    fn push(w: &mut Vec<u64>, _: &mut Scheduler<Vec<u64>>, data: u64) {
+        w.push(data);
+    }
+
     #[test]
     fn events_run_in_time_order() {
         let mut sim = Sim::new(Vec::new());
-        sim.schedule(SimTime::from_us(3), "c", |w: &mut Vec<u32>, _| w.push(3));
-        sim.schedule(SimTime::from_us(1), "a", |w: &mut Vec<u32>, _| w.push(1));
-        sim.schedule(SimTime::from_us(2), "b", |w: &mut Vec<u32>, _| w.push(2));
+        sim.schedule_raw(SimTime::from_us(3), "c", push, 3);
+        sim.schedule_raw(SimTime::from_us(1), "a", push, 1);
+        sim.schedule_raw(SimTime::from_us(2), "b", push, 2);
         sim.run();
         assert_eq!(sim.world, vec![1, 2, 3]);
         assert_eq!(sim.events_executed(), 3);
@@ -380,10 +320,8 @@ mod tests {
     #[test]
     fn equal_timestamps_run_fifo() {
         let mut sim = Sim::new(Vec::new());
-        for i in 0..10u32 {
-            sim.schedule(SimTime::from_us(7), "same", move |w: &mut Vec<u32>, _| {
-                w.push(i)
-            });
+        for i in 0..10 {
+            sim.schedule_raw(SimTime::from_us(7), "same", push, i);
         }
         sim.run();
         assert_eq!(sim.world, (0..10).collect::<Vec<_>>());
@@ -391,14 +329,14 @@ mod tests {
 
     #[test]
     fn handlers_can_chain_events() {
-        let mut sim = Sim::new(0u64);
-        fn tick(w: &mut u64, s: &mut Scheduler<u64>) {
+        fn tick(w: &mut u64, s: &mut Scheduler<u64>, _: u64) {
             *w += 1;
             if *w < 100 {
-                s.schedule(SimTime::from_us(1), "tick", tick);
+                s.schedule_raw(SimTime::from_us(1), "tick", tick, 0);
             }
         }
-        sim.schedule(SimTime::ZERO, "tick", tick);
+        let mut sim = Sim::new(0u64);
+        sim.schedule_raw(SimTime::ZERO, "tick", tick, 0);
         sim.run();
         assert_eq!(sim.world, 100);
         assert_eq!(sim.now(), SimTime::from_us(99));
@@ -406,9 +344,12 @@ mod tests {
 
     #[test]
     fn run_while_predicate() {
+        fn inc(w: &mut u32, _: &mut Scheduler<u32>, _: u64) {
+            *w += 1;
+        }
         let mut sim = Sim::new(0u32);
         for _ in 0..10 {
-            sim.schedule(SimTime::from_us(1), "inc", |w: &mut u32, _| *w += 1);
+            sim.schedule_raw(SimTime::from_us(1), "inc", inc, 0);
         }
         let satisfied = sim.run_while(|w| *w < 4);
         assert!(satisfied);
@@ -436,10 +377,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "scheduled into the past")]
     fn scheduling_into_the_past_panics() {
+        fn later(_: &mut (), s: &mut Scheduler<()>, _: u64) {
+            s.schedule_raw_at(SimTime::from_us(1), "past", later, 0);
+        }
         let mut sim = Sim::new(());
-        sim.schedule(SimTime::from_us(5), "later", |_: &mut (), s| {
-            s.schedule_at(SimTime::from_us(1), "past", |_, _| {});
-        });
+        sim.schedule_raw(SimTime::from_us(5), "later", later, 0);
         sim.run();
     }
 
@@ -455,34 +397,19 @@ mod tests {
         use std::cell::RefCell;
         use std::rc::Rc;
 
-        type Seen = Vec<(u32, u64, &'static str)>;
+        type Seen = Vec<(u64, u64, &'static str)>;
         let seen: Rc<RefCell<Seen>> = Rc::default();
         let log = Rc::clone(&seen);
-        let mut sim = Sim::new(0u32);
+        let mut sim = Sim::new(Vec::new());
         sim.set_observer(Box::new(move |w, at, label| {
-            log.borrow_mut().push((*w, at.as_ns(), label));
+            log.borrow_mut().push((w.iter().sum(), at.as_ns(), label));
         }));
-        sim.schedule(SimTime::from_us(2), "b", |w: &mut u32, _| *w += 10);
-        sim.schedule(SimTime::from_us(1), "a", |w: &mut u32, _| *w += 1);
+        sim.schedule_raw(SimTime::from_us(2), "b", push, 10);
+        sim.schedule_raw(SimTime::from_us(1), "a", push, 1);
         sim.run();
         // The observer runs after each handler, with its effects
         // already applied, in execution order.
         assert_eq!(*seen.borrow(), vec![(1, 1000, "a"), (11, 2000, "b")]);
-    }
-
-    #[test]
-    fn raw_and_boxed_events_share_one_fifo_order() {
-        fn push_raw(w: &mut Vec<u32>, _: &mut Scheduler<Vec<u32>>, data: u64) {
-            w.push(data as u32);
-        }
-        let mut sim = Sim::new(Vec::new());
-        let t = SimTime::from_us(5);
-        sim.schedule_raw_at(t, "raw0", push_raw, 0);
-        sim.schedule_at(t, "boxed1", |w: &mut Vec<u32>, _| w.push(1));
-        sim.schedule_raw_at(t, "raw2", push_raw, 2);
-        sim.schedule_at(t, "boxed3", |w: &mut Vec<u32>, _| w.push(3));
-        sim.run();
-        assert_eq!(sim.world, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -502,18 +429,16 @@ mod tests {
 
     #[test]
     fn far_future_events_stay_ordered() {
-        // A follow-up half a second out, staged from a microsecond-scale
-        // event, still runs before a later pre-scheduled event.
-        let mut sim = Sim::new(Vec::new());
-        sim.schedule_at(SimTime::from_us(1), "near", |w: &mut Vec<u64>, s| {
+        // A follow-up half a second out, scheduled from a
+        // microsecond-scale event, still runs before a later
+        // pre-scheduled event.
+        fn near(w: &mut Vec<u64>, s: &mut Scheduler<Vec<u64>>, _: u64) {
             w.push(1);
-            s.schedule_at(SimTime::from_ns(500_000_000), "rto", |w, _| w.push(2));
-        });
-        sim.schedule_at(
-            SimTime::from_ns(500_000_040),
-            "after",
-            |w: &mut Vec<u64>, _| w.push(3),
-        );
+            s.schedule_raw_at(SimTime::from_ns(500_000_000), "rto", push, 2);
+        }
+        let mut sim = Sim::new(Vec::new());
+        sim.schedule_raw_at(SimTime::from_us(1), "near", near, 0);
+        sim.schedule_raw_at(SimTime::from_ns(500_000_040), "after", push, 3);
         sim.run();
         assert_eq!(sim.world, vec![1, 2, 3]);
         assert_eq!(sim.now(), SimTime::from_ns(500_000_040));
@@ -523,13 +448,14 @@ mod tests {
     fn clustered_bursts_stay_ordered() {
         // Hundreds of events in seven clusters a millisecond apart,
         // scheduled out of time order.
+        fn stamp(w: &mut Vec<(u64, u64)>, s: &mut Scheduler<Vec<(u64, u64)>>, i: u64) {
+            w.push((s.now().as_ns(), i));
+        }
         let mut sim = Sim::new(Vec::new());
         let mut expect = Vec::new();
         for i in 0..500u64 {
             let at = SimTime::from_ns((i % 7) * 1_000_000 + i * 13);
-            sim.schedule_at(at, "e", move |w: &mut Vec<(u64, u64)>, _| {
-                w.push((at.as_ns(), i))
-            });
+            sim.schedule_raw_at(at, "e", stamp, i);
             expect.push((at.as_ns(), i));
         }
         sim.run();

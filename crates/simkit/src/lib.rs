@@ -10,14 +10,11 @@
 //!
 //! # Design
 //!
-//! Events are either boxed closures of type [`EventFn`] or
-//! allocation-free *raw* events ([`RawEventFn`]: a function pointer
-//! plus a `u64` payload), executed against a user-supplied world type
-//! `W`. Handlers cannot touch the event queue directly (that would
-//! alias the engine borrow); instead they receive a [`Scheduler`] into
-//! which new events are staged and merged after the handler returns.
-//! This keeps the engine free of interior mutability while still
-//! allowing handlers to schedule arbitrary follow-up work.
+//! Every event is a function pointer ([`RawEventFn`]) plus one `u64`
+//! payload, executed against a user-supplied world type `W`; a bigger
+//! value waits in a [`Parked`] slab and the payload names its slot.
+//! Handlers get the world and, beside it, a [`Scheduler`] that borrows
+//! the engine's queue, so follow-ups go straight onto the heap.
 //!
 //! The queue is one binary heap on `(time, seq)`, so equal-time events
 //! run in the order they were scheduled; see [`engine`].
@@ -25,15 +22,19 @@
 //! # Examples
 //!
 //! ```
-//! use simkit::{Sim, SimTime};
+//! use simkit::{Scheduler, Sim, SimTime};
 //!
 //! struct World {
-//!     fired: Vec<u32>,
+//!     fired: Vec<u64>,
+//! }
+//!
+//! fn fire(w: &mut World, _s: &mut Scheduler<World>, n: u64) {
+//!     w.fired.push(n);
 //! }
 //!
 //! let mut sim = Sim::new(World { fired: Vec::new() });
-//! sim.schedule(SimTime::from_us(5), "later", |w: &mut World, _s| w.fired.push(2));
-//! sim.schedule(SimTime::from_us(1), "sooner", |w: &mut World, _s| w.fired.push(1));
+//! sim.schedule_raw(SimTime::from_us(5), "later", fire, 2);
+//! sim.schedule_raw(SimTime::from_us(1), "sooner", fire, 1);
 //! sim.run();
 //! assert_eq!(sim.world.fired, vec![1, 2]);
 //! assert_eq!(sim.now(), SimTime::from_us(5));
@@ -44,10 +45,12 @@
 
 pub mod cpu;
 pub mod engine;
+pub mod parked;
 pub mod rng;
 pub mod time;
 
 pub use cpu::{Cpu, CpuBand, CpuStats};
-pub use engine::{assert_world_send, EventFn, ObserverFn, RawEventFn, Scheduler, Sim};
+pub use engine::{assert_world_send, ObserverFn, RawEventFn, Scheduler, Sim};
+pub use parked::Parked;
 pub use rng::SimRng;
 pub use time::SimTime;

@@ -2,7 +2,7 @@
 //! causality guarantees everything else is built on.
 
 use proptest::prelude::*;
-use simkit::{Cpu, CpuBand, Sim, SimTime};
+use simkit::{Cpu, CpuBand, Scheduler, Sim, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -11,17 +11,19 @@ proptest! {
     /// order they were scheduled, and ties preserve FIFO order.
     #[test]
     fn execution_order_is_causal(times in proptest::collection::vec(0u64..10_000, 1..200)) {
+        fn stamp(w: &mut Vec<(u64, usize)>, s: &mut Scheduler<Vec<(u64, usize)>>, i: u64) {
+            w.push((s.now().as_ns() / 1_000, i as usize));
+        }
         let mut sim = Sim::new(Vec::<(u64, usize)>::new());
         for (i, &t) in times.iter().enumerate() {
-            sim.schedule(
-                SimTime::from_us(t),
-                "ev",
-                move |w: &mut Vec<(u64, usize)>, _| w.push((t, i)),
-            );
+            sim.schedule_raw(SimTime::from_us(t), "ev", stamp, i as u64);
         }
         sim.run();
         let log = &sim.world;
         prop_assert_eq!(log.len(), times.len());
+        for &(t, i) in log {
+            prop_assert_eq!(t, times[i], "each event runs at its own time");
+        }
         for pair in log.windows(2) {
             prop_assert!(pair[0].0 <= pair[1].0, "time order");
             if pair[0].0 == pair[1].0 {
@@ -38,16 +40,16 @@ proptest! {
             idx: usize,
             stamps: Vec<SimTime>,
         }
-        fn step(w: &mut W, s: &mut simkit::Scheduler<W>) {
+        fn step(w: &mut W, s: &mut Scheduler<W>, _: u64) {
             w.stamps.push(s.now());
             if w.idx < w.delays.len() {
                 let d = w.delays[w.idx];
                 w.idx += 1;
-                s.schedule(SimTime::from_us(d), "step", step);
+                s.schedule_raw(SimTime::from_us(d), "step", step, 0);
             }
         }
         let mut sim = Sim::new(W { delays: delays.clone(), idx: 0, stamps: Vec::new() });
-        sim.schedule(SimTime::ZERO, "step", step);
+        sim.schedule_raw(SimTime::ZERO, "step", step, 0);
         sim.run();
         prop_assert_eq!(sim.world.stamps.len(), delays.len() + 1);
         let total: u64 = delays.iter().sum();
@@ -84,8 +86,8 @@ proptest! {
     }
 
     /// The queue pops the exact total order `(at, seq)` that a sorted
-    /// reference model predicts, across boxed events and raw events
-    /// under two labels, with dense clustered times mixed with sparse
+    /// reference model predicts, across two handlers under three
+    /// labels, with dense clustered times mixed with sparse
     /// far-future ones. The observer sees each event's own time and
     /// label.
     #[test]
@@ -95,10 +97,13 @@ proptest! {
         use std::cell::RefCell;
         use std::rc::Rc;
 
-        fn raw(w: &mut Vec<usize>, _: &mut simkit::Scheduler<Vec<usize>>, data: u64) {
+        fn push(w: &mut Vec<usize>, _: &mut Scheduler<Vec<usize>>, data: u64) {
             w.push(data as usize);
         }
-        const LABELS: [&str; 3] = ["boxed", "raw", "raw-b"];
+        fn push_again(w: &mut Vec<usize>, s: &mut Scheduler<Vec<usize>>, data: u64) {
+            push(w, s, data);
+        }
+        const LABELS: [&str; 3] = ["a", "b", "c"];
         // Mix dense and sparse times: every 7th event lands far out.
         let time_of = |i: usize, t_ns: u64| {
             if i % 7 == 3 { t_ns * 4_096 + 300_000_000 } else { t_ns }
@@ -109,10 +114,8 @@ proptest! {
         sim.set_observer(Box::new(move |_, at, label| log.borrow_mut().push((at.as_ns(), label))));
         for (i, &(kind, t_ns)) in evs.iter().enumerate() {
             let at = SimTime::from_ns(time_of(i, t_ns));
-            match kind {
-                0 => sim.schedule_at(at, LABELS[0], move |w: &mut Vec<usize>, _| w.push(i)),
-                k => sim.schedule_raw_at(at, LABELS[k as usize], raw, i as u64),
-            }
+            let f = if kind == 0 { push_again } else { push };
+            sim.schedule_raw_at(at, LABELS[kind as usize], f, i as u64);
         }
         sim.run();
         // Reference: stable sort by time (stability = seq order).
@@ -132,10 +135,10 @@ proptest! {
         prop_assert_eq!(sim.events_executed(), evs.len() as u64);
     }
 
-    /// Follow-ups that handlers stage at `now` and later interleave
-    /// with pre-scheduled events at equal times exactly as a naive
-    /// reference queue predicts when it assigns `seq` at merge time,
-    /// in staging order, after the handler returns.
+    /// Follow-ups that handlers schedule at `now` and later
+    /// interleave with pre-scheduled events at equal times exactly as
+    /// a naive reference queue predicts when it assigns `seq` in the
+    /// order the handler scheduled them.
     #[test]
     fn staged_followups_take_seq_in_staging_order(
         plan in proptest::collection::vec(
@@ -149,7 +152,7 @@ proptest! {
             delays: Vec<Vec<u64>>,
             log: Vec<u64>,
         }
-        fn fire(w: &mut W, s: &mut simkit::Scheduler<W>, id: u64) {
+        fn fire(w: &mut W, s: &mut Scheduler<W>, id: u64) {
             w.log.push(id);
             if id & 0xff != 0 {
                 return;
@@ -157,14 +160,9 @@ proptest! {
             let delays = w.delays[(id >> 8) as usize].clone();
             for (k, d) in delays.into_iter().enumerate() {
                 let child = id | (k as u64 + 1);
-                // Delays are in 40 ns ticks, so 0 stages at `now` and
-                // the rest collide with pre-scheduled times.
-                let delay = SimTime::from_ns(d * 40);
-                if k % 2 == 0 {
-                    s.schedule_raw(delay, "child", fire, child);
-                } else {
-                    s.schedule(delay, "child-boxed", move |w: &mut W, s| fire(w, s, child));
-                }
+                // Delays are in 40 ns ticks, so 0 schedules at `now`
+                // and the rest collide with pre-scheduled times.
+                s.schedule_raw(SimTime::from_ns(d * 40), "child", fire, child);
             }
         }
         let mut sim = Sim::new(W {
@@ -172,14 +170,7 @@ proptest! {
             log: Vec::new(),
         });
         for (i, &(t, _)) in plan.iter().enumerate() {
-            let id = (i as u64) << 8;
-            if i % 2 == 0 {
-                sim.schedule_raw_at(SimTime::from_ns(t * 40), "pre", fire, id);
-            } else {
-                sim.schedule_at(SimTime::from_ns(t * 40), "pre-boxed", move |w: &mut W, s| {
-                    fire(w, s, id)
-                });
-            }
+            sim.schedule_raw_at(SimTime::from_ns(t * 40), "pre", fire, (i as u64) << 8);
         }
         sim.run();
 

@@ -14,7 +14,7 @@
 //!    result whether it runs first, last, or concurrently with the
 //!    whole grid.
 //! 2. **Thread-confined simulation.** Each worker builds, runs and
-//!    tears down its own [`simkit::Sim`] — event closures never cross
+//!    tears down its own [`simkit::Sim`] — a simulation never crosses
 //!    threads; only the (plain-data, `Send`) experiment in and the
 //!    result out do. `simkit::assert_world_send` pins that contract at
 //!    compile time next to the world type.

@@ -19,7 +19,7 @@ use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
 use latency_core::app::{period_bytes, period_matches};
 use latency_core::nic::{arm_host, atm_receive, AtmDelivery, AtmNic, NicMut};
-use simkit::{Scheduler, Sim, SimTime};
+use simkit::{Parked, Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
 use tcpip::{Kernel, PcbCounters, PcbKey, SockId};
 
@@ -200,6 +200,9 @@ pub struct DcWorld {
     live_clients: usize,
     /// The world seed; churn think-time draws derive from it.
     seed: u64,
+    /// Each cell train past the switch and its source host, parked
+    /// until its arrival event fires.
+    in_flight: Parked<(usize, Vec<(SimTime, LinkFault)>)>,
 }
 
 // The parallel sweep runner builds and runs one world per cell inside
@@ -455,6 +458,7 @@ impl DcWorld {
             switch,
             live_clients,
             seed,
+            in_flight: Parked::default(),
         }
     }
 
@@ -622,6 +626,10 @@ fn run_dc_sim(topo: &Topology, sched: TrafficSchedule, seed: u64) -> Sim<DcWorld
         let _ = sim.run_while(|w| !w.finished());
     } else {
         sim.run();
+        debug_assert!(
+            sim.world.in_flight.is_empty(),
+            "a drained run parks nothing"
+        );
     }
     assert!(
         sim.world.finished(),
@@ -716,8 +724,8 @@ fn paused_until(w: &DcWorld, h: usize, now: SimTime) -> Option<SimTime> {
     w.hosts[h].pause.and_then(|p| p.resume_after(now))
 }
 
-/// Raw-event trampolines (function pointer + packed payload: the
-/// steady-state loop allocates only for arrival trains).
+/// Event entry points (function pointer + packed payload: scheduling
+/// allocates nothing). Each defers itself while its host is paused.
 fn conn_step_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
     let h = (data >> 32) as usize;
     if let Some(resume) = paused_until(w, h, s.now()) {
@@ -752,9 +760,13 @@ fn flush_dc(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
         // reaches the destination adapter. A fully-lost train arrives
         // nowhere; TCP's retransmit timer is the recovery path.
         if let Some((last, out)) = w.switch.forward_train(h, train, w.topo.link_delay(dst)) {
-            s.schedule_at(last.max(s.now()), "dc-arrival", move |w, s| {
-                on_dc_arrival(w, s, h, dst, out)
-            });
+            let slot = w.in_flight.park((h, out));
+            s.schedule_raw_at(
+                last.max(s.now()),
+                "dc-arrival",
+                on_dc_arrival,
+                pack(dst, slot as usize),
+            );
         }
     }
     if let Some(dl) = w.hosts[h].kernel.next_deadline() {
@@ -766,22 +778,17 @@ fn flush_dc(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
     }
 }
 
-/// ATM datagram arrival at host `h` from host `src`: the hardware
-/// interrupt.
-fn on_dc_arrival(
-    w: &mut DcWorld,
-    s: &mut Scheduler<DcWorld>,
-    src: usize,
-    h: usize,
-    train: Vec<(SimTime, LinkFault)>,
-) {
-    // A paused host's adapter holds the interrupt until it resumes.
+/// ATM datagram arrival at host `h` of the train parked in `slot`,
+/// packed as `pack(h, slot)`: the hardware interrupt.
+fn on_dc_arrival(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
+    let h = (data >> 32) as usize;
+    // A paused host's adapter holds the interrupt until it resumes;
+    // the train stays parked.
     if let Some(resume) = paused_until(w, h, s.now()) {
-        s.schedule_at(resume, "dc-paused-arrival", move |w, s| {
-            on_dc_arrival(w, s, src, h, train)
-        });
+        s.schedule_raw_at(resume, "dc-paused-arrival", on_dc_arrival, data);
         return;
     }
+    let (src, train) = w.in_flight.take(data & 0xffff_ffff);
     // Fan-out landing stamp: on a fan-out client, connection `c`
     // talks exclusively to server `clients + h*span + c` (the
     // client's private server block, primaries then replicas), so the
@@ -1468,6 +1475,61 @@ mod tests {
         assert_eq!(a.events, b.events);
         assert_eq!(a.sim_time, b.sim_time);
         assert_eq!(a.pcb, b.pcb);
+    }
+
+    #[test]
+    fn paused_arrivals_keep_their_trains_parked() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        // Cell loss plus servers stalled 1 ms in every 4 ms: arrivals
+        // that land in a window re-schedule with their train parked.
+        let mut topo = quick(2, 2, 2);
+        topo.iterations = 12;
+        topo.faults = Some(
+            faultkit::FaultSchedule::default()
+                .with_atm_loss(faultkit::GilbertElliott::heavy_bursts())
+                .with_host_pause(faultkit::PauseSchedule::new(
+                    SimTime::from_us(500),
+                    SimTime::from_ms(4),
+                    SimTime::from_ms(1),
+                )),
+        );
+        let run = || {
+            let paused = Rc::new(Cell::new(0u64));
+            let seen = Rc::clone(&paused);
+            let mut sim = prepare_dc(DcWorld::new(topo.clone(), TrafficSchedule::staggered(), 3));
+            sim.set_observer(Box::new(move |_, _, label| {
+                seen.set(seen.get() + u64::from(label == "dc-paused-arrival"));
+            }));
+            sim.run();
+            assert!(sim.world.finished(), "the paused, lossy run completes");
+            assert!(sim.world.in_flight.is_empty(), "no train left parked");
+            let rtts: Vec<SimTime> = sim
+                .world
+                .hosts
+                .iter()
+                .flat_map(|h| h.conns.iter().flat_map(|c| c.rtts.iter().copied()))
+                .collect();
+            let rexmits: u64 = sim
+                .world
+                .hosts
+                .iter()
+                .map(|h| h.kernel.rexmits_total())
+                .sum();
+            (
+                rtts,
+                rexmits,
+                paused.get(),
+                sim.events_executed(),
+                sim.now(),
+            )
+        };
+        let a = run();
+        assert_eq!(a.0.len(), 2 * 2 * 12, "every measured RPC completes");
+        assert!(a.1 > 0, "the loss bites");
+        assert!(a.2 > 0, "some arrival lands in a pause window");
+        assert_eq!(a, run(), "the same seed replays bit for bit");
     }
 
     #[test]
