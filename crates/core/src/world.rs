@@ -217,14 +217,15 @@ fn flush_host(w: &mut World, s: &mut Scheduler<World>, h: usize) {
             for AtmDelivery { train, .. } in std::mem::take(&mut nic.staged) {
                 let delivery = match &mut host.switch {
                     // Switchless fiber: the interrupt fires when the
-                    // train's last cell arrives, lost or not.
-                    None => {
-                        let last = train
-                            .iter()
-                            .map(|&(t, _)| t)
-                            .fold(SimTime::ZERO, SimTime::max);
-                        Some((last, train))
-                    }
+                    // train's last surviving cell arrives. A train that
+                    // lost every cell arrives nowhere, as through a
+                    // switch; TCP's retransmit timer recovers it.
+                    None => train
+                        .iter()
+                        .filter(|(_, fault)| !matches!(fault, atm::LinkFault::Lost))
+                        .map(|&(t, _)| t)
+                        .max()
+                        .map(|last| (last, train)),
                     Some(sw) => sw.forward_train(0, train, nic.link.config.propagation),
                 };
                 if let Some((arrival, train)) = delivery {

@@ -148,3 +148,74 @@ fn steady_state_is_steady() {
         r.stddev_rtt_us()
     );
 }
+
+/// A switchless ATM path raises no interrupt for a train that lost
+/// every cell: nothing reaches the adapter, so no `atm-arrival` fires
+/// and no RxDriver span is charged, as on switched and datacenter
+/// paths. The link flaps down for 1 ms in every 4 ms, so whole trains
+/// vanish.
+#[test]
+fn a_train_that_loses_every_cell_raises_no_interrupt() {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    use latency_core::nic::Nic;
+
+    // (cells that reached an adapter, RxDriver spans) at the last
+    // arrival, and the arrivals that brought no cell or charged a span
+    // for none.
+    #[derive(Clone, Copy, Default)]
+    struct Seen {
+        cells: u64,
+        spans: usize,
+        arrivals: u64,
+        empty: u64,
+        empty_spans: u64,
+    }
+    let seen = Rc::new(Cell::new(Seen::default()));
+    let log = Rc::clone(&seen);
+    let mut e = Experiment::rpc(NetKind::Atm, 200).with_faults(
+        faultkit::FaultSchedule::default().with_link_flap(faultkit::FlapSchedule::new(
+            simkit::SimTime::from_ms(1),
+            simkit::SimTime::from_ms(4),
+            simkit::SimTime::from_ms(1),
+        )),
+    );
+    e.iterations = 30;
+    e.warmup = 2;
+    let r = e
+        .plan()
+        .seed(3)
+        .observer(Box::new(move |w, _, label| {
+            if label != "atm-arrival" {
+                return;
+            }
+            let (mut cells, mut spans) = (0, 0);
+            for host in &w.hosts {
+                let Nic::Atm(nic) = &host.nic else {
+                    unreachable!("an ATM world")
+                };
+                let rx = &nic.adapter.rx;
+                cells += rx.cells_received + rx.overflow_drops + nic.hec_drops;
+                let all = host.kernel.spans.spans().iter();
+                spans += all.filter(|s| s.kind == SpanKind::RxDriver).count();
+            }
+            let mut s = log.get();
+            s.arrivals += 1;
+            if cells == s.cells {
+                s.empty += 1;
+                s.empty_spans += u64::from(spans > s.spans);
+            }
+            (s.cells, s.spans) = (cells, spans);
+            log.set(s);
+        }))
+        .execute();
+    let s = seen.get();
+    assert!(
+        r.client_tcp.rexmits + r.server_tcp.rexmits > 0,
+        "the flap bites"
+    );
+    assert!(s.arrivals > 0);
+    assert_eq!(s.empty, 0, "an all-lost train raised an interrupt");
+    assert_eq!(s.empty_spans, 0, "an all-lost train charged the driver");
+}
