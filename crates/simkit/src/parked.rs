@@ -4,7 +4,6 @@
 /// in flight, parked by slot: [`park`](Parked::park) returns the slot
 /// to pass as the payload, and [`take`](Parked::take) hands the value
 /// back when the event fires and frees the slot for reuse.
-#[derive(Debug)]
 pub struct Parked<T> {
     slots: Vec<Option<T>>,
     free: Vec<u64>,
