@@ -4,75 +4,174 @@
 //!
 //! ```sh
 //! repro [all|table1|table2|table3|table4|table5|table6|table7|pcb|mbuf|predict|errors]
-//!       [faults|churn|ablation|switch|ethernet-errors|udp|trace]
-//!       [dc] [tails] [hedge] [cc]
+//!       [extras|faults|churn|ablation|switch|ethernet-errors|udp|trace]
 //!       [verify [--bless] [--golden-dir DIR]] [invariants]
+//!       [dc] [tails] [hedge] [cc]
 //!       [--iterations N] [--reps N] [--jobs N] [--seed N]
 //!       [--sweep-json FILE] [--out-dir DIR] [--full] [--quick] [--sketch]
 //! ```
 //!
-//! The second group are extension experiments beyond the paper's
-//! tables; `repro all` runs the tables, `repro extras` the extensions.
-//! An unknown subcommand or flag, or a zero `--iterations`, `--reps`
-//! or `--jobs`, prints one line on stderr and exits with code 2.
+//! Every subcommand is one entry of [`ENTRIES`]. `repro all` (the
+//! default) runs the `all` group, the paper's tables; `repro extras`
+//! the `extras` group, the extension experiments beyond them. Every
+//! selected entry runs once, in table order, and the exit code is the
+//! worst of theirs. An unknown subcommand or flag, a zero
+//! `--iterations`, `--reps` or `--jobs`, or a flag that no selected
+//! subcommand reads prints one line on stderr and exits with code 2.
 //!
 //! `--full` uses the paper's methodology scale (40 000 iterations ×
 //! 3 repetitions); `--quick` is the CI fast pass (200 × 1); the
 //! default produces the same means (the simulation is deterministic,
-//! so extra iterations only confirm stability).
+//! so extra iterations only confirm stability). The two presets and
+//! `--jobs N` (sweep workers; no output depends on it) apply to every
+//! subcommand. The other flags are refused unless a selected
+//! subcommand reads them:
 //!
-//! The shared flags mean the same thing under every subcommand:
-//! `--jobs N` fans work across N sweep workers; `--quick` selects the
-//! CI scale; `--sweep-json FILE` writes the canonical report of the
-//! sweep grid or study that ran; `--seed N` is the base seed of every
-//! directly seeded experiment (default 1). Sweep-grid cells derive
-//! their seeds from their cell keys instead — that is what pins the
-//! blessed goldens — so `--seed` shifts the directly seeded studies
-//! (`predict`, `switch`, `udp`, `errors`, `invariants`) and never the
-//! golden grids. All output files land under `--out-dir` (default
-//! `out/`, created on demand); absolute paths are honoured as given.
+//! - `--iterations N` and `--reps N`: the paper's tables and the
+//!   loss-recovery grid (`faults`); `--iterations` also scales
+//!   `predict`, `errors`, `ablation`, `switch`, `ethernet-errors`,
+//!   `udp` and `invariants`, each up to its own cap;
+//! - `--seed N` (default 1): the base seed of the directly seeded
+//!   subcommands, `predict`, `errors`, `switch`, `ethernet-errors`,
+//!   `udp`, `trace` and `invariants`. Study cells derive their seeds
+//!   from their cell keys instead — that is what pins the blessed
+//!   goldens — so `--seed` never shifts a study;
+//! - `--sketch`: the four world studies record completions in
+//!   mergeable-sketch mode;
+//! - `--sweep-json FILE` and `--out-dir DIR`: write the canonical
+//!   report of the one study the command line runs (any of the tables,
+//!   `faults`, or a world study), the same bytes at any `--jobs`, to
+//!   `FILE` under `DIR` (default `out/`, created on demand; an
+//!   absolute `FILE` is honoured as given). Refused when two studies
+//!   would each write one;
+//! - `--bless` and `--golden-dir DIR`: `repro verify`.
 //!
-//! The table experiments are declared as one grid and executed by the
-//! deterministic parallel sweep runner (`crates/sweep`): cells shared
-//! between tables (the ATM baseline appears in Tables 1, 2/3, 4, 6
-//! and 7) run once, `--jobs N` fans the grid across N workers
-//! (default: available parallelism), and the printed tables are
-//! byte-identical at every worker count. `--sweep-json` writes the
-//! grid's canonical report (mean/stddev/min/max, events, simulated
-//! time), the same bytes at any `--jobs`.
+//! Every study runs through `world::Study`. The paper's tables are one
+//! study: its grid runs once however many of Tables 1–7 are asked
+//! for, cells shared between tables run once, and the printed tables
+//! are byte-identical at every worker count.
 
 #![forbid(unsafe_code)]
 
 use latency_core::experiment::{Experiment, NetKind};
-use latency_core::{faults, micro, paper, tables};
+use latency_core::{faults, micro, paper, tables, ObsMode};
 use sweep::grid::Variant;
-use sweep::{Sweep, SweepResults};
-use world::Study;
+use world::{Scale, Study, StudyReport};
 
-/// Every subcommand besides the `world::Study` names.
-const SUBCOMMANDS: &str = "all extras table1 table2 table3 table4 table5 table6 table7 \
-    pcb mbuf predict errors faults churn ablation switch ethernet-errors udp trace \
-    verify invariants";
+/// The flags a subcommand may or may not read, one bit each (bit `i`
+/// is `KNOBS[i]`), in [`Opts::given`] and [`Entry::reads`].
+const KNOBS: [&str; 8] = [
+    "--iterations",
+    "--reps",
+    "--seed",
+    "--sketch",
+    "--sweep-json",
+    "--out-dir",
+    "--bless",
+    "--golden-dir",
+];
+const ITERS: u8 = 1;
+const SEED: u8 = 1 << 2;
+/// `--iterations` and `--reps`.
+const SCALE: u8 = ITERS | 1 << 1;
+const SKETCH: u8 = 1 << 3;
+/// `--sweep-json` and `--out-dir`.
+const REPORT: u8 = 1 << 4 | 1 << 5;
+/// `--bless` and `--golden-dir`.
+const GOLDEN: u8 = 1 << 6 | 1 << 7;
 
-/// Command-line options. The scale/fan-out/seed/output flags are
-/// shared by every subcommand and mean the same thing under each.
+/// What an entry runs.
+#[derive(Clone, Copy)]
+enum Run {
+    /// Prints the entry's section of a study. The study runs once per
+    /// command line, when its first entry does.
+    Study(Study),
+    /// Prints a stdout-only experiment.
+    Text(fn(&Opts)),
+    /// A gate: its verdict is its exit code.
+    Gate(fn(&Opts) -> i32),
+}
+
+/// One subcommand.
+struct Entry {
+    name: &'static str,
+    /// The group name that also selects it; `None` runs it only when
+    /// named.
+    group: Option<&'static str>,
+    /// The [`KNOBS`] it reads.
+    reads: u8,
+    run: Run,
+}
+
+const fn entry(name: &'static str, group: Option<&'static str>, reads: u8, run: Run) -> Entry {
+    Entry {
+        name,
+        group,
+        reads,
+        run,
+    }
+}
+
+const ALL: Option<&str> = Some("all");
+const EXTRAS: Option<&str> = Some("extras");
+const TABLES: Run = Run::Study(Study::Tables);
+
+/// Every subcommand, in run order.
+const ENTRIES: [Entry; 24] = [
+    entry("table1", ALL, SCALE | REPORT, TABLES),
+    entry("table2", ALL, SCALE | REPORT, TABLES),
+    entry("table3", ALL, SCALE | REPORT, TABLES),
+    entry("table4", ALL, SCALE | REPORT, TABLES),
+    entry("table5", ALL, 0, Run::Text(table5)),
+    entry("table6", ALL, SCALE | REPORT, TABLES),
+    entry("table7", ALL, SCALE | REPORT, TABLES),
+    entry("pcb", ALL, 0, Run::Text(pcb)),
+    entry("mbuf", ALL, 0, Run::Text(mbuf_bench)),
+    entry("predict", ALL, ITERS | SEED, Run::Text(predict)),
+    entry("errors", ALL, ITERS | SEED, Run::Text(errors)),
+    entry("faults", EXTRAS, SCALE | REPORT, Run::Study(Study::Faults)),
+    entry("churn", EXTRAS, 0, Run::Text(churn_exp)),
+    entry("ablation", EXTRAS, ITERS, Run::Text(ablation_exp)),
+    entry("switch", EXTRAS, ITERS | SEED, Run::Text(switch_exp)),
+    entry(
+        "ethernet-errors",
+        EXTRAS,
+        ITERS | SEED,
+        Run::Text(ethernet_errors),
+    ),
+    entry("udp", EXTRAS, ITERS | SEED, Run::Text(udp_exp)),
+    entry("trace", EXTRAS, SEED, Run::Text(trace_timeline)),
+    entry("verify", None, GOLDEN, Run::Gate(verify)),
+    entry("invariants", None, ITERS | SEED, Run::Gate(invariants)),
+    entry("dc", None, SKETCH | REPORT, Run::Study(Study::Dc)),
+    entry("tails", None, SKETCH | REPORT, Run::Study(Study::Tails)),
+    entry("hedge", None, SKETCH | REPORT, Run::Study(Study::Hedge)),
+    entry("cc", None, SKETCH | REPORT, Run::Study(Study::Cc)),
+];
+
+/// The entries `what` names, directly or by group, in table order.
+fn selected(what: &[String]) -> impl Iterator<Item = &'static Entry> + '_ {
+    ENTRIES.iter().filter(move |e| {
+        what.iter()
+            .any(|w| w == e.name || Some(w.as_str()) == e.group)
+    })
+}
+
+/// Command-line options.
 struct Opts {
     what: Vec<String>,
-    iterations: u64,
-    reps: u64,
+    scale: Scale,
     jobs: usize,
-    /// Base seed for directly seeded experiments (grid cells keep
-    /// their key-derived seeds, which is what pins the goldens).
     seed: u64,
-    /// Whether the scale flags were the `--quick` CI pass.
-    quick: bool,
+    /// The [`KNOBS`] given on the command line.
+    given: u8,
     sweep_json: Option<String>,
     /// Directory every output file is written under.
     out_dir: String,
     bless: bool,
     golden_dir: String,
-    /// Record study completions in mergeable-sketch mode instead of
-    /// exact pooled samples.
+    /// Record world-study completions in mergeable-sketch mode instead
+    /// of exact pooled samples.
     sketch: bool,
 }
 
@@ -97,77 +196,84 @@ fn positive<T: std::str::FromStr + PartialEq + From<u8>>(
 
 /// Parses the command line. A usage error is a one-line message.
 fn parse_args() -> Result<Opts, String> {
-    let mut what = Vec::new();
-    let mut iterations = 1500;
-    let mut reps = 1;
-    let mut jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut seed = 1;
-    let mut quick = false;
-    let mut sweep_json = None;
-    let mut out_dir = String::from("out");
-    let mut bless = false;
-    let mut golden_dir = String::from("tests/golden");
-    let mut sketch = false;
+    let mut o = Opts {
+        what: Vec::new(),
+        scale: Scale {
+            iterations: 1500,
+            reps: 1,
+            quick: false,
+        },
+        jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        seed: 1,
+        given: 0,
+        sweep_json: None,
+        out_dir: String::from("out"),
+        bless: false,
+        golden_dir: String::from("tests/golden"),
+        sketch: false,
+    };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        o.given |= KNOBS.iter().position(|k| *k == a).map_or(0, |i| 1 << i);
         match a.as_str() {
-            "--iterations" => iterations = positive(&a, args.next())?,
-            "--reps" => reps = positive(&a, args.next())?,
-            "--jobs" => jobs = positive(&a, args.next())?,
-            "--seed" => seed = number(&a, args.next())?,
-            "--sweep-json" => sweep_json = Some(args.next().ok_or("--sweep-json needs a FILE")?),
-            "--out-dir" => out_dir = args.next().ok_or("--out-dir needs a DIR")?,
-            "--bless" => bless = true,
-            "--golden-dir" => golden_dir = args.next().ok_or("--golden-dir needs a DIR")?,
-            "--sketch" => sketch = true,
+            "--iterations" => o.scale.iterations = positive(&a, args.next())?,
+            "--reps" => o.scale.reps = positive(&a, args.next())?,
+            "--jobs" => o.jobs = positive(&a, args.next())?,
+            "--seed" => o.seed = number(&a, args.next())?,
+            "--sweep-json" => o.sweep_json = Some(args.next().ok_or("--sweep-json needs a FILE")?),
+            "--out-dir" => o.out_dir = args.next().ok_or("--out-dir needs a DIR")?,
+            "--bless" => o.bless = true,
+            "--golden-dir" => o.golden_dir = args.next().ok_or("--golden-dir needs a DIR")?,
+            "--sketch" => o.sketch = true,
             "--full" => {
-                iterations = 40_000;
-                reps = 3;
-                quick = false;
+                o.scale = Scale {
+                    iterations: 40_000,
+                    reps: 3,
+                    quick: false,
+                };
             }
-            "--quick" => {
-                iterations = 200;
-                reps = 1;
-                quick = true;
-            }
+            "--quick" => o.scale = Scale::QUICK,
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
             other => {
-                let studies = Study::ALL.map(Study::name);
-                if !SUBCOMMANDS.split(' ').chain(studies).any(|k| k == other) {
+                let names = ["all", "extras"]
+                    .into_iter()
+                    .chain(ENTRIES.iter().map(|e| e.name));
+                if !names.clone().any(|k| k == other) {
+                    let known: Vec<&str> = names.collect();
                     return Err(format!(
-                        "unknown subcommand `{other}` (known: {SUBCOMMANDS} {})",
-                        studies.join(" ")
+                        "unknown subcommand `{other}` (known: {})",
+                        known.join(" ")
                     ));
                 }
-                what.push(a);
+                o.what.push(a);
             }
         }
     }
-    if what.is_empty() {
-        what.push("all".to_string());
+    if o.what.is_empty() {
+        o.what.push("all".to_string());
     }
-    Ok(Opts {
-        what,
-        iterations,
-        reps,
-        jobs,
-        seed,
-        quick,
-        sweep_json,
-        out_dir,
-        bless,
-        golden_dir,
-        sketch,
-    })
-}
-
-/// The observation mode the study subcommands run under.
-fn obs_mode(opts: &Opts) -> latency_core::ObsMode {
-    if opts.sketch {
-        latency_core::ObsMode::Sketch
-    } else {
-        latency_core::ObsMode::Exact
+    let reads = selected(&o.what).fold(0, |r, e| r | e.reads);
+    if let Some(i) = (0..KNOBS.len()).find(|i| o.given & !reads & 1 << i != 0) {
+        return Err(format!(
+            "{} is read by none of the selected subcommands",
+            KNOBS[i]
+        ));
     }
+    // A study's entries are adjacent in the table.
+    let mut writers: Vec<&str> = selected(&o.what)
+        .filter_map(|e| match e.run {
+            Run::Study(study) => Some(study.name()),
+            _ => None,
+        })
+        .collect();
+    writers.dedup();
+    if o.sweep_json.is_some() && writers.len() > 1 {
+        return Err(format!(
+            "--sweep-json writes one report, but {} would each write one",
+            writers.join(" and ")
+        ));
+    }
+    Ok(o)
 }
 
 /// Resolves an output file under `--out-dir`, creating the directory.
@@ -187,200 +293,30 @@ fn main() {
         eprintln!("repro: {msg}");
         std::process::exit(2);
     });
-    if opts.what.iter().any(|w| w == "verify") {
-        std::process::exit(cmd_verify(&opts));
-    }
-    if opts.what.iter().any(|w| w == "invariants") {
-        std::process::exit(cmd_invariants(&opts));
-    }
-    if let Some(study) = Study::ALL
-        .into_iter()
-        .find(|s| opts.what.iter().any(|w| w == s.name()))
-    {
-        std::process::exit(cmd_study(study, &opts));
-    }
-    let all = opts.what.iter().any(|w| w == "all");
-    let want = |k: &str| all || opts.what.iter().any(|w| w == k);
-    let extras = opts.what.iter().any(|w| w == "extras");
-    let want_x = |k: &str| extras || opts.what.iter().any(|w| w == k);
-
-    // Phase 1: declare the full grid up front. `ensure` deduplicates
-    // cells shared between tables — the ATM baseline appears in
-    // Tables 1, 2/3, 4, 6 and 7 but runs once.
-    let mut sw = Sweep::new("repro");
-    if want("table1") {
-        for &size in &paper::SIZES {
-            declare_rpc(&mut sw, NetKind::Atm, size, Variant::Base, &opts);
-            declare_rpc(&mut sw, NetKind::Ether, size, Variant::Base, &opts);
-        }
-    }
-    if want("table2") || want("table3") {
-        for &size in &paper::SIZES {
-            declare_rpc(&mut sw, NetKind::Atm, size, Variant::Base, &opts);
-        }
-    }
-    if want("table4") {
-        for &size in &paper::SIZES {
-            declare_rpc(&mut sw, NetKind::Atm, size, Variant::Base, &opts);
-            declare_rpc(&mut sw, NetKind::Atm, size, Variant::NoPrediction, &opts);
-        }
-    }
-    if want("table6") {
-        for &size in &paper::SIZES {
-            declare_rpc(&mut sw, NetKind::Atm, size, Variant::Base, &opts);
-            declare_rpc(
-                &mut sw,
-                NetKind::Atm,
-                size,
-                Variant::IntegratedChecksum,
-                &opts,
-            );
-        }
-    }
-    if want("table7") {
-        for &size in &paper::SIZES {
-            declare_rpc(&mut sw, NetKind::Atm, size, Variant::Base, &opts);
-            declare_rpc(&mut sw, NetKind::Atm, size, Variant::NoChecksum, &opts);
-        }
-    }
-    if want_x("faults") {
-        declare_faults(&mut sw, &opts);
-    }
-
-    // Phase 2: one deterministic parallel run over the merged grid.
-    let grid = if sw.is_empty() {
-        None
-    } else {
-        eprintln!(
-            "sweep: {} cell(s) across {} worker(s)...",
-            sw.len(),
-            opts.jobs
-        );
-        Some(sw.run(opts.jobs))
-    };
-    if let Some(path) = &opts.sweep_json {
-        match &grid {
-            Some(grid) => {
-                let p = out_path(&opts, path);
-                std::fs::write(&p, grid.canonical_json()).expect("write sweep json");
-                eprintln!("sweep report written to {}", p.display());
+    let mut reports = std::collections::BTreeMap::new();
+    let mut code = 0;
+    for e in selected(&opts.what) {
+        code = code.max(match e.run {
+            Run::Study(study) => {
+                let report = reports
+                    .entry(study.name())
+                    .or_insert_with(|| run_study(study, &opts));
+                for (_, text) in report.sections.iter().filter(|(name, _)| *name == e.name) {
+                    print!("{text}");
+                }
+                i32::from(!report.failed.is_empty())
             }
-            None => eprintln!("sweep-json: no grid cells were declared; nothing written"),
-        }
+            Run::Text(f) => {
+                f(&opts);
+                0
+            }
+            Run::Gate(f) => f(&opts),
+        });
     }
-
-    // Phase 3: render the tables, in table order, from the merged
-    // results. Rendering recomputes each cell's key; `expect` turns
-    // any declaration/rendering mismatch into a named panic.
-    if want("table1") {
-        table1(&opts, grid.as_ref().expect("grid"));
-    }
-    if want("table2") || want("table3") {
-        tables_2_3(&opts, grid.as_ref().expect("grid"));
-    }
-    if want("table4") {
-        table4(&opts, grid.as_ref().expect("grid"));
-    }
-    if want("table5") {
-        table5();
-    }
-    if want("table6") {
-        table6(&opts, grid.as_ref().expect("grid"));
-    }
-    if want("table7") {
-        table7(&opts, grid.as_ref().expect("grid"));
-    }
-    if want("pcb") {
-        pcb();
-    }
-    if want("mbuf") {
-        mbuf_bench();
-    }
-    if want("predict") {
-        predict_stats(&opts);
-    }
-    if want("errors") {
-        errors(&opts);
-    }
-    if want_x("faults") {
-        faults_study(&opts, grid.as_ref().expect("grid"));
-    }
-    if want_x("churn") {
-        churn_exp();
-    }
-    if want_x("ablation") {
-        ablation_exp(&opts);
-    }
-    if want_x("switch") {
-        switch_exp(&opts);
-    }
-    if want_x("ethernet-errors") {
-        ethernet_errors(&opts);
-    }
-    if want_x("udp") {
-        udp_exp(&opts);
-    }
-    if want_x("trace") {
-        trace_timeline(&opts);
-    }
+    std::process::exit(code);
 }
 
-/// The message sizes of the loss-recovery study: one single-segment
-/// size and one that the 9180-byte ATM MSS still carries whole but
-/// whose longer 176-cell train gives bursts more to bite on.
-const FAULT_SIZES: [usize; 2] = [1400, 8000];
-
-fn fault_iters(opts: &Opts) -> u64 {
-    // Faulted runs pay real retransmission timeouts (hundreds of ms of
-    // simulated time each); cap the scale so `--full` stays pleasant.
-    opts.iterations.min(400)
-}
-
-/// The grid key of a loss-recovery cell. Declaration and rendering
-/// share this, exactly like the table cells.
-fn fault_key(scenario: &str, size: usize, opts: &Opts) -> String {
-    sweep::grid::fault_cell_key(scenario, size, fault_iters(opts), opts.reps)
-}
-
-fn declare_faults(sw: &mut Sweep, opts: &Opts) {
-    for sc in latency_core::recovery::scenarios() {
-        for &size in &FAULT_SIZES {
-            sw.ensure(
-                fault_key(sc.name, size, opts),
-                latency_core::recovery::experiment(&sc, size, fault_iters(opts)),
-                opts.reps,
-            );
-        }
-    }
-}
-
-fn faults_study(opts: &Opts, grid: &SweepResults) {
-    eprintln!("faults: loss-recovery latency study...");
-    use latency_core::recovery;
-    let mut rows = Vec::new();
-    for &size in &FAULT_SIZES {
-        let clean_mean = grid
-            .expect(&fault_key("clean", size, opts))
-            .result
-            .mean_rtt_us();
-        for sc in recovery::scenarios() {
-            let r = &grid.expect(&fault_key(sc.name, size, opts)).result;
-            rows.push(recovery::reduce(sc.name, size, r, clean_mean));
-        }
-    }
-    let mut text = recovery::format_table(&rows);
-    let corrupted: u64 = rows.iter().map(|r| r.verify_failures).sum();
-    text.push_str(&format!(
-        "payload verification failures across every scenario: {corrupted}\n"
-    ));
-    assert_eq!(
-        corrupted, 0,
-        "faults must cost latency, never integrity: {rows:?}"
-    );
-    println!("{text}");
-}
-
-fn churn_exp() {
+fn churn_exp(_: &Opts) {
     eprintln!("churn: live connections under both PCB organizations...");
     use tcpip::config::PcbOrg;
     let mut text = String::from(
@@ -412,7 +348,7 @@ fn churn_exp() {
 
 fn ablation_exp(opts: &Opts) {
     eprintln!("ablation: CPU scaling, checksum algorithms, MSS rounding...");
-    let iters = opts.iterations.min(400);
+    let iters = opts.scale.iterations.min(400);
     let pts = latency_core::ablation::cpu_scaling(&[1.0, 2.0, 4.0, 10.0, 40.0], iters);
     let mut text = String::from(
         "CPU scaling (host speedup over the 25 MHz R3000; wire fixed at 140 Mbit/s)
@@ -460,7 +396,7 @@ MSS rounding at 8000 B: two 4096-byte segments {two:.0} us vs one
 
 fn switch_exp(opts: &Opts) {
     eprintln!("switch: switched vs switchless path...");
-    let iters = opts.iterations.min(500);
+    let iters = opts.scale.iterations.min(500);
     let mut text = String::from(
         "ATM switch in the path (the paper's testbed was switchless)
 ",
@@ -506,7 +442,7 @@ fabric corruption, TCP checksum OFF: {} AAL3/4 drops, {} app-visible
 
 fn ethernet_errors(opts: &Opts) {
     eprintln!("ethernet-errors: the departmental-Ethernet observation...");
-    let iters = opts.iterations.min(300);
+    let iters = opts.scale.iterations.min(300);
     let local = faults::departmental_ethernet(1e-5, 0.0, iters, opts.seed.wrapping_add(8));
     let mixed = faults::departmental_ethernet(1e-5, 0.005, iters, opts.seed.wrapping_add(9));
     let text = format!(
@@ -521,7 +457,7 @@ fn ethernet_errors(opts: &Opts) {
 
 fn udp_exp(opts: &Opts) {
     eprintln!("udp: TCP vs UDP RPC latency...");
-    let iters = opts.iterations.min(800);
+    let iters = opts.scale.iterations.min(800);
     let mut text = String::from(
         "RPC echo over ATM: TCP vs UDP (extension; the comparison behind
          §1's 'is TCP a viable transport for RPC?')
@@ -558,171 +494,41 @@ fn udp_exp(opts: &Opts) {
 }
 
 /// Prints an annotated timeline of one 1400-byte RPC iteration —
-/// every probe interval the instrumentation recorded, in order.
+/// every probe interval the client's instrumentation recorded, in
+/// order.
 fn trace_timeline(opts: &Opts) {
     let mut e = Experiment::rpc(NetKind::Atm, 1400);
     e.iterations = 1;
     e.warmup = 2;
-    // Rebuild at the world level to keep the recorder.
-    use latency_core::app::{App, Role};
-    use latency_core::nic::{AtmNic, Nic};
-    use latency_core::world::{run_world, World};
-    let costs = e.costs.clone();
-    let apps = [
-        App::new(Role::RpcClient, e.size, e.iterations, e.warmup),
-        App::new(Role::RpcServer, e.size, u64::MAX / 4, 0),
-    ];
-    let nics = [
-        Nic::Atm(AtmNic::new(
-            atm::FiberLink::new(atm::LinkConfig::default(), opts.seed),
-            costs.clone(),
-            opts.seed,
-        )),
-        Nic::Atm(AtmNic::new(
-            atm::FiberLink::new(atm::LinkConfig::default(), opts.seed.wrapping_add(1)),
-            costs.clone(),
-            opts.seed.wrapping_add(1),
-        )),
-    ];
-    let sim = run_world(World::new(e.cfg, costs, nics, apps), None);
+    let run = e.plan().seed(opts.seed).captured().execute();
     println!("timeline of one 1400-byte RPC iteration (client side, us relative to write()):");
-    let rec = &sim.world.hosts[0].kernel.spans;
+    let rec = &run.client_spans;
     let t0 = rec
         .marks()
         .iter()
         .find(|(m, _)| *m == tcpip::Mark::WriteStart)
         .map_or(simkit::SimTime::ZERO, |&(_, t)| t);
+    let us = |t: simkit::SimTime| t.saturating_since(t0).as_us_f64();
     let mut events: Vec<(f64, String)> = rec
         .spans()
         .iter()
         .map(|s| {
-            (
-                s.start.saturating_since(t0).as_us_f64(),
-                format!(
-                    "{:>9.1} ..{:>9.1}  {:?}",
-                    s.start.saturating_since(t0).as_us_f64(),
-                    s.end.saturating_since(t0).as_us_f64(),
-                    s.kind
-                ),
-            )
+            let line = format!("{:>9.1} ..{:>9.1}  {:?}", us(s.start), us(s.end), s.kind);
+            (us(s.start), line)
         })
         .collect();
-    events.extend(rec.marks().iter().map(|&(m, t)| {
-        (
-            t.saturating_since(t0).as_us_f64(),
-            format!(
-                "{:>9.1}              * {m:?}",
-                t.saturating_since(t0).as_us_f64()
-            ),
-        )
-    }));
+    events.extend(
+        rec.marks()
+            .iter()
+            .map(|&(m, t)| (us(t), format!("{:>9.1}              * {m:?}", us(t)))),
+    );
     events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
     for (_, line) in events {
         println!("{line}");
     }
 }
 
-fn effective_iterations(net: NetKind, opts: &Opts) -> u64 {
-    // Ethernet at 8 KB is ~20 ms per iteration of simulated time; cap
-    // the slow substrate so full runs stay pleasant.
-    if net == NetKind::Ether {
-        opts.iterations.min(4_000)
-    } else {
-        opts.iterations
-    }
-}
-
-fn rpc(net: NetKind, size: usize, opts: &Opts) -> Experiment {
-    let mut e = Experiment::rpc(net, size);
-    e.iterations = effective_iterations(net, opts);
-    e.warmup = 16;
-    e
-}
-
-/// The grid key of an RPC cell. Declaration and rendering both go
-/// through this, so a key mismatch between the two is impossible.
-fn rpc_key(net: NetKind, size: usize, v: Variant, opts: &Opts) -> String {
-    sweep::grid::rpc_cell_key(net, size, v, effective_iterations(net, opts), opts.reps)
-}
-
-fn declare_rpc(sw: &mut Sweep, net: NetKind, size: usize, v: Variant, opts: &Opts) {
-    sw.ensure(
-        rpc_key(net, size, v, opts),
-        v.apply(rpc(net, size, opts)),
-        opts.reps,
-    );
-}
-
-fn table1(opts: &Opts, grid: &SweepResults) {
-    eprintln!("table1: ATM vs Ethernet rendering...");
-    let mean = |net, size| grid.mean_us(&rpc_key(net, size, Variant::Base, opts));
-    let atm: Vec<f64> = paper::SIZES
-        .iter()
-        .map(|&s| mean(NetKind::Atm, s))
-        .collect();
-    let eth: Vec<f64> = paper::SIZES
-        .iter()
-        .map(|&s| mean(NetKind::Ether, s))
-        .collect();
-    let text = tables::rtt_comparison(
-        "Table 1: ATM vs Ethernet round-trip times",
-        "Ether",
-        "ATM",
-        &paper::SIZES,
-        &eth,
-        &atm,
-        &paper::T1_ETHERNET_RTT,
-        &paper::T1_ATM_RTT,
-    );
-    println!("{text}");
-}
-
-fn tables_2_3(opts: &Opts, grid: &SweepResults) {
-    eprintln!("table2/3: breakdown rendering...");
-    let mut txs = Vec::new();
-    let mut rxs = Vec::new();
-    for &size in &paper::SIZES {
-        let r = &grid
-            .expect(&rpc_key(NetKind::Atm, size, Variant::Base, opts))
-            .result;
-        txs.push(r.tx);
-        rxs.push(r.rx);
-    }
-    let t2 = tables::table2(&paper::SIZES, &txs);
-    let t3 = tables::table3(&paper::SIZES, &rxs);
-    println!("{t2}");
-    println!("{t3}");
-}
-
-fn table4(opts: &Opts, grid: &SweepResults) {
-    eprintln!("table4: header prediction on/off...");
-    let mut with = Vec::new();
-    let mut without = Vec::new();
-    for &size in &paper::SIZES {
-        with.push(grid.mean_us(&rpc_key(NetKind::Atm, size, Variant::Base, opts)));
-        without.push(grid.mean_us(&rpc_key(NetKind::Atm, size, Variant::NoPrediction, opts)));
-    }
-    let text = tables::rtt_comparison(
-        "Table 4: effect of header prediction",
-        "NoPred",
-        "Pred",
-        &paper::SIZES,
-        &without,
-        &with,
-        &paper::T4_NO_PREDICTION_RTT,
-        &paper::T1_ATM_RTT,
-    );
-    println!("{text}");
-    let fig = tables::ascii_figure(
-        "Figure 1: Effects of Header Prediction (round-trip time, us)",
-        &paper::SIZES,
-        &[("with prediction", &with), ("without prediction", &without)],
-        16,
-    );
-    println!("{fig}");
-}
-
-fn table5() {
+fn table5(_: &Opts) {
     eprintln!("table5: user-level copy & checksum (modelled DECstation costs)...");
     let costs = decstation::CostModel::calibrated();
     let rows = micro::table5_model(&costs, &paper::SIZES);
@@ -780,54 +586,7 @@ fn table5() {
     println!("{native}");
 }
 
-fn table6(opts: &Opts, grid: &SweepResults) {
-    eprintln!("table6: integrated copy-and-checksum kernel...");
-    let mut base = Vec::new();
-    let mut integ = Vec::new();
-    for &size in &paper::SIZES {
-        base.push(grid.mean_us(&rpc_key(NetKind::Atm, size, Variant::Base, opts)));
-        integ.push(grid.mean_us(&rpc_key(
-            NetKind::Atm,
-            size,
-            Variant::IntegratedChecksum,
-            opts,
-        )));
-    }
-    let text = tables::rtt_comparison(
-        "Table 6: standard vs combined copy-and-checksum round trips",
-        "Std",
-        "Combined",
-        &paper::SIZES,
-        &base,
-        &integ,
-        &paper::T1_ATM_RTT,
-        &paper::T6_COMBINED_RTT,
-    );
-    println!("{text}");
-}
-
-fn table7(opts: &Opts, grid: &SweepResults) {
-    eprintln!("table7: checksum elimination...");
-    let mut base = Vec::new();
-    let mut none = Vec::new();
-    for &size in &paper::SIZES {
-        base.push(grid.mean_us(&rpc_key(NetKind::Atm, size, Variant::Base, opts)));
-        none.push(grid.mean_us(&rpc_key(NetKind::Atm, size, Variant::NoChecksum, opts)));
-    }
-    let text = tables::rtt_comparison(
-        "Table 7: round trips with and without the TCP checksum",
-        "Cksum",
-        "NoCksum",
-        &paper::SIZES,
-        &base,
-        &none,
-        &paper::T1_ATM_RTT,
-        &paper::T7_NO_CKSUM_RTT,
-    );
-    println!("{text}");
-}
-
-fn pcb() {
+fn pcb(_: &Opts) {
     eprintln!("pcb: lookup scaling (§3)...");
     let costs = decstation::CostModel::calibrated();
     let lengths = [20usize, 50, 100, 250, 500, 750, 1000];
@@ -855,7 +614,7 @@ fn pcb() {
     println!("{text}");
 }
 
-fn mbuf_bench() {
+fn mbuf_bench(_: &Opts) {
     eprintln!("mbuf: allocator microbenchmark (§2.2.1)...");
     let costs = decstation::CostModel::calibrated();
     let us = micro::mbuf_pair_cost_us(&costs);
@@ -866,24 +625,24 @@ fn mbuf_bench() {
     println!("{text}");
 }
 
-fn predict_stats(opts: &Opts) {
+fn predict(opts: &Opts) {
     eprintln!("predict: fast-path statistics (§3)...");
-    let r = rpc(NetKind::Atm, 200, opts)
-        .plan()
-        .seed(opts.seed)
-        .execute();
+    let rpc = |size| {
+        let mut e = Experiment::rpc(NetKind::Atm, size);
+        e.iterations = opts.scale.iterations;
+        e.warmup = 16;
+        e.plan().seed(opts.seed).execute()
+    };
+    let r = rpc(200);
     let rpc_rate = 100.0 * (r.client_tcp.predict_data_hits + r.client_tcp.predict_ack_hits) as f64
         / r.client_tcp.predict_checks.max(1) as f64;
-    let b = Experiment::bulk(NetKind::Atm, 4000, opts.iterations.min(2_000))
+    let b = Experiment::bulk(NetKind::Atm, 4000, opts.scale.iterations.min(2_000))
         .plan()
         .seed(opts.seed)
         .execute();
     let bulk_rate =
         100.0 * b.server_tcp.predict_data_hits as f64 / b.server_tcp.predict_checks.max(1) as f64;
-    let r8k = rpc(NetKind::Atm, 8000, opts)
-        .plan()
-        .seed(opts.seed)
-        .execute();
+    let r8k = rpc(8000);
     let second_seg =
         100.0 * r8k.client_tcp.predict_data_hits as f64 / (2.0 * r8k.rtts.len() as f64);
     let text = format!(
@@ -897,7 +656,7 @@ fn predict_stats(opts: &Opts) {
 
 fn errors(opts: &Opts) {
     eprintln!("errors: §4.2.1 detection layering...");
-    let iters = opts.iterations.min(300);
+    let iters = opts.scale.iterations.min(300);
     let mut text =
         String::from("fault injection (RPC 1400 B): which layer detects each error class\n");
     text.push_str(&format!(
@@ -939,112 +698,21 @@ fn errors(opts: &Opts) {
     println!("{text}");
 }
 
-// --------------------------------------------------------------------------
-// `repro verify` / `repro invariants` — the oracle subcommands.
-// --------------------------------------------------------------------------
-
-/// Golden comparisons run at the CI quick scale regardless of which
-/// scale flags accompany the command: the blessed files pin their
-/// scale into every cell key, so verifying at any other scale could
-/// only ever report "cell missing".
-fn golden_scale(opts: &Opts) -> Opts {
-    Opts {
-        what: Vec::new(),
-        iterations: 200,
-        reps: 1,
-        jobs: opts.jobs,
-        // Golden cells are seeded from their keys; the base seed is
-        // pinned so `--seed` can never manufacture a drift.
-        seed: 1,
-        quick: true,
-        sweep_json: None,
-        out_dir: opts.out_dir.clone(),
-        bless: opts.bless,
-        golden_dir: opts.golden_dir.clone(),
-        sketch: false,
-    }
-}
-
-/// The two golden grids: every Tables 1–7 cell, and the
-/// loss-recovery study.
-fn golden_grids(q: &Opts) -> [Sweep; 2] {
-    let mut tables = Sweep::new("tables");
-    for &size in &paper::SIZES {
-        for v in Variant::ALL {
-            declare_rpc(&mut tables, NetKind::Atm, size, v, q);
-        }
-        declare_rpc(&mut tables, NetKind::Ether, size, Variant::Base, q);
-    }
-    let mut faults = Sweep::new("faults");
-    declare_faults(&mut faults, q);
-    [tables, faults]
-}
-
-/// A blessed grid: one of the two `Sweep` grids, or a world study's
-/// quick grid.
-enum Golden {
-    Sweep(Sweep),
-    Study(Study),
-}
-
-/// A golden grid's live side: its canonical JSON, its cell count, and
-/// (for `Sweep` grids) the results drift shrinking reruns from.
-struct Live {
-    json: String,
-    cells: usize,
-    sweep: Option<SweepResults>,
-}
-
-impl Golden {
-    /// The golden file's stem, `<grid>_quick`.
-    fn stem(&self) -> String {
-        match self {
-            Golden::Sweep(grid) => format!("{}_quick", grid.name),
-            Golden::Study(study) => study.report_name(true),
-        }
-    }
-
-    fn run(self, jobs: usize) -> Live {
-        match self {
-            Golden::Sweep(grid) => {
-                let live = grid.run(jobs);
-                Live {
-                    json: live.canonical_json(),
-                    cells: live.outcomes.len(),
-                    sweep: Some(live),
-                }
-            }
-            // Goldens are blessed in exact mode; verify never sketches.
-            Golden::Study(study) => {
-                let live = study.run(true, jobs, latency_core::ObsMode::Exact);
-                Live {
-                    json: live.json,
-                    cells: live.cells,
-                    sweep: None,
-                }
-            }
-        }
-    }
-}
-
-/// `repro verify`: every golden — the tables and faults grids, then
-/// each world study's quick grid — runs live, and its canonical report
-/// must equal `<golden_dir>/<stem>.json` byte for byte. A mismatch
+/// `repro verify`: every study's quick grid runs live in exact mode,
+/// and its canonical report must equal
+/// `<golden_dir>/<report_name(true)>.json` byte for byte. A mismatch
 /// prints the golden and live line of every changed, missing or extra
-/// cell.
-fn cmd_verify(opts: &Opts) -> i32 {
-    let q = golden_scale(opts);
+/// cell; a failed cell prints its line too. Exit 0 when clean, 1 on
+/// any drift or failed cell, 2 when a golden is missing. `--bless`
+/// writes the live reports instead.
+fn verify(opts: &Opts) -> i32 {
     let mut code = 0;
-    let goldens = golden_grids(&q)
-        .into_iter()
-        .map(Golden::Sweep)
-        .chain(Study::ALL.map(Golden::Study));
-    for grid in goldens {
-        let stem = grid.stem();
-        let path = format!("{}/{stem}.json", q.golden_dir);
+    for study in Study::ALL {
+        let stem = study.report_name(true);
+        let path = format!("{}/{stem}.json", opts.golden_dir);
         // Read the golden before paying for the live grid, so a
         // missing or corrupt file fails fast.
-        let golden = if q.bless {
+        let golden = if opts.bless {
             None
         } else {
             match std::fs::read_to_string(&path) {
@@ -1058,10 +726,14 @@ fn cmd_verify(opts: &Opts) -> i32 {
                 }
             }
         };
-        eprintln!("verify: {stem}: running across {} worker(s)...", q.jobs);
-        let live = grid.run(q.jobs);
+        eprintln!("verify: {stem}: running across {} worker(s)...", opts.jobs);
+        let live = study.run(Scale::QUICK, opts.jobs, ObsMode::Exact);
+        for failure in &live.failed {
+            code = 1;
+            eprintln!("verify: {stem}: {failure}");
+        }
         let Some(golden) = golden else {
-            std::fs::create_dir_all(&q.golden_dir).expect("create golden dir");
+            std::fs::create_dir_all(&opts.golden_dir).expect("create golden dir");
             std::fs::write(&path, &live.json).expect("write golden file");
             eprintln!("verify: blessed {} cell(s) into {path}", live.cells);
             continue;
@@ -1079,72 +751,16 @@ fn cmd_verify(opts: &Opts) -> i32 {
         for d in &drifts {
             eprintln!("  {d}");
         }
-        if let Some(sweep) = &live.sweep {
-            shrink_fault_drifts(sweep, &drifts);
-        }
     }
-    if code == 0 && !q.bless {
+    if code == 0 && !opts.bless {
         eprintln!("verify: clean");
     }
     code
 }
 
-/// Integrity anomalies in a drifted fault cell (payload corruption
-/// reaching the application) shrink to a minimal reproducing schedule
-/// before being reported, so the console shows the smallest injector
-/// that still breaks the run rather than the full scenario.
-fn shrink_fault_drifts(live: &SweepResults, drifts: &[oracle::LineDiff]) {
-    use latency_core::recovery;
-    for d in drifts {
-        if !d.key.starts_with("faults/") {
-            continue;
-        }
-        let Some(out) = live.get(&d.key) else {
-            continue;
-        };
-        if out.result.verify_failures == 0 {
-            continue;
-        }
-        // Key shape: faults/{scenario}/{size}/i{iters}r{reps}.
-        let parts: Vec<&str> = d.key.split('/').collect();
-        let (Some(name), Some(size), Some(iters)) = (
-            parts.get(1),
-            parts.get(2).and_then(|s| s.parse::<usize>().ok()),
-            parts
-                .get(3)
-                .and_then(|s| s.strip_prefix('i'))
-                .and_then(|s| s.split('r').next())
-                .and_then(|s| s.parse::<u64>().ok()),
-        ) else {
-            continue;
-        };
-        let Some(sc) = recovery::scenarios().into_iter().find(|s| s.name == *name) else {
-            continue;
-        };
-        let seed = out.seed;
-        let minimal = oracle::shrink_schedule(sc.faults, |cand| {
-            let probe = recovery::Scenario {
-                name: sc.name,
-                blurb: sc.blurb,
-                faults: *cand,
-            };
-            recovery::experiment(&probe, size, iters)
-                .plan()
-                .seed(seed)
-                .execute()
-                .verify_failures
-                > 0
-        });
-        eprintln!(
-            "  minimal schedule reproducing the corruption in {}: {minimal:?}",
-            d.key
-        );
-    }
-}
-
-fn cmd_invariants(opts: &Opts) -> i32 {
+fn invariants(opts: &Opts) -> i32 {
     use oracle::InvariantSet;
-    let iters = opts.iterations.min(200);
+    let iters = opts.scale.iterations.min(200);
     let mut cells: Vec<(String, Experiment, InvariantSet)> = Vec::new();
     for &size in &[4usize, 1400, 8000] {
         for v in Variant::ALL {
@@ -1272,31 +888,29 @@ fn cmd_invariants(opts: &Opts) -> i32 {
     }
 }
 
-/// `repro <study>`: one of the datacenter studies over the shared
-/// world pipeline (`world::Study`). Prints the study table, writes the
-/// canonical report under `--sweep-json FILE`, and fails the run if
-/// any cell failed the study's predicate (payload corruption, a leaked
-/// mbuf, or no samples with no abort to explain them; in `dc`, any
-/// aborted connection). `--quick` runs the CI grid whose canonical
-/// JSON is blessed as `tests/golden/<study>_quick.json` and gated by
-/// `repro verify`; `--sketch` records samples in sketch mode.
-fn cmd_study(study: Study, opts: &Opts) -> i32 {
+/// Runs a study at the command line's scale: its failed cells go to
+/// stderr (a cell fails on payload corruption, a leaked mbuf, no
+/// samples with no abort to explain them, or, in `tables` and `dc`,
+/// an abort), its canonical report to `--sweep-json FILE`.
+fn run_study(study: Study, opts: &Opts) -> StudyReport {
     let name = study.name();
     eprintln!("{name}: running across {} worker(s)...", opts.jobs);
-    let report = study.run(opts.quick, opts.jobs, obs_mode(opts));
-    print!("{}", report.table);
+    let mode = if opts.sketch {
+        ObsMode::Sketch
+    } else {
+        ObsMode::Exact
+    };
+    let report = study.run(opts.scale, opts.jobs, mode);
     for failure in &report.failed {
         eprintln!("{name}: {failure}");
     }
     if let Some(path) = &opts.sweep_json {
         let p = out_path(opts, path);
-        std::fs::write(&p, &report.json).expect("write study sweep json");
+        std::fs::write(&p, &report.json).expect("write canonical report");
         eprintln!("{name} canonical report written to {}", p.display());
     }
     if report.failed.is_empty() {
         eprintln!("{name}: {} cell(s) clean", report.cells);
-        0
-    } else {
-        1
     }
+    report
 }

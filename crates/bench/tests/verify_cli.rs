@@ -5,13 +5,16 @@
 //! - a clean re-run verifies with exit 0;
 //! - any byte of golden drift makes verification exit 1 and names
 //!   each drifted cell on stderr, however small the numeric change;
-//! - missing goldens exit with a distinct code and a hint to bless.
+//! - missing goldens exit with a distinct code and a hint to bless;
+//! - `tests/golden/` holds one golden per study, each one clean cell
+//!   per line.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use oracle::{diff_report, LineDiff};
 use sweep::report::{canonical_report, ReportCell};
+use world::Study;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -62,8 +65,9 @@ fn verify_roundtrip_and_drift_detection() {
         .status()
         .expect("run repro");
     assert!(st.success(), "--bless failed: {st:?}");
-    for grid in ["tables", "faults", "dc", "tails", "hedge", "cc"] {
-        assert!(dir.join(format!("{grid}_quick.json")).is_file(), "{grid}");
+    for study in Study::ALL {
+        let file = format!("{}.json", study.report_name(true));
+        assert!(dir.join(&file).is_file(), "{file}");
     }
 
     // Clean re-run: the simulation is deterministic, so the live grid
@@ -116,6 +120,70 @@ fn verify_roundtrip_and_drift_detection() {
     assert!(!stderr.contains("verify: clean"), "{stderr}");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_golden_has_one_clean_cell_per_line() {
+    // The line diff pairs cells by key, one cell per line; a hand-edit
+    // that breaks that shape, or a blessed cell that records payload
+    // corruption, fails here rather than in CI's verify step.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    for study in Study::ALL {
+        let grid = study.name();
+        let path = dir.join(format!("{}.json", study.report_name(true)));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "cannot read {}: {e} (run `repro verify --bless`)",
+                path.display()
+            )
+        });
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(
+            text.ends_with("\n}\n"),
+            "{grid}: report must end in \"}}\\n\""
+        );
+        assert_eq!(lines[0], "{", "{grid}");
+        assert!(
+            lines[1].starts_with(&format!("  \"name\": \"{grid}")),
+            "{grid}"
+        );
+        assert_eq!(lines[2], "  \"cells\": {", "{grid}");
+        assert_eq!(lines[lines.len() - 2], "  }", "{grid}");
+        let cells = &lines[3..lines.len() - 2];
+        assert!(!cells.is_empty(), "{grid} has no cells");
+        for (i, line) in cells.iter().enumerate() {
+            let last = i + 1 == cells.len();
+            assert!(
+                line.starts_with("    \"") && line.ends_with(if last { " }" } else { " }," }),
+                "{grid}: line {} is not one whole cell: {line}",
+                i + 4
+            );
+            let body = line.trim_end_matches(',');
+            assert!(
+                body.contains("\"verify_failures\": 0,")
+                    || body.ends_with("\"verify_failures\": 0 }"),
+                "{grid}: blessed cell records payload corruption: {line}"
+            );
+        }
+    }
+    // One golden per study and nothing else: an orphan or a missing
+    // golden fails here.
+    let mut found: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list tests/golden")
+        .map(|e| {
+            e.expect("golden entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    found.sort();
+    let mut want: Vec<String> = Study::ALL
+        .iter()
+        .map(|s| format!("{}.json", s.report_name(true)))
+        .collect();
+    want.sort();
+    assert_eq!(found, want);
 }
 
 #[test]

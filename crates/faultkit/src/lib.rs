@@ -30,6 +30,8 @@
 //! - [`FaultSchedule`] — the composable, plain-data description of all
 //!   of the above plus the mbuf-pool limit, carried by an experiment
 //!   and armed per host.
+//! - [`shrink_schedule`] — reduces a schedule that makes a run fail to
+//!   its smallest reproducer.
 //!
 //! # Determinism
 //!
@@ -62,6 +64,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod shrink;
+
+pub use shrink::shrink_schedule;
 
 use simkit::{SimRng, SimTime};
 

@@ -1,16 +1,16 @@
 //! Fault-schedule shrinking: reduce a failing [`FaultSchedule`] to a
 //! smallest reproducer before reporting it.
 //!
-//! `repro verify` (and any test that finds a boolean anomaly under a
-//! fault schedule) hands the schedule plus a `fails` predicate to
-//! [`shrink_schedule`]. The shrinker greedily removes whole fault
+//! The `faults` study (for a cell whose payload was corrupted), and any
+//! test that finds a boolean anomaly under a fault schedule, hands the
+//! schedule plus a `fails` predicate to [`shrink_schedule`]. The shrinker greedily removes whole fault
 //! components, then halves the magnitudes of whatever must stay,
 //! re-running the predicate after each candidate simplification and
 //! keeping only changes that still reproduce the failure — the
 //! classic delta-debugging loop, specialized to the schedule's
 //! structure.
 
-use faultkit::FaultSchedule;
+use crate::FaultSchedule;
 
 /// Upper bound on shrink passes; each pass either simplifies the
 /// schedule or terminates the loop, and magnitudes halve at most ~60
@@ -192,7 +192,7 @@ pub fn shrink_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultkit::GilbertElliott;
+    use crate::GilbertElliott;
 
     #[test]
     fn non_failing_schedule_is_returned_unchanged() {

@@ -14,8 +14,7 @@
 //!   experiment — off by default and zero-cost when clean;
 //! - [`golden`] checks live canonical reports against the blessed
 //!   JSON under `tests/golden/` byte for byte and explains a mismatch
-//!   cell line by cell line, and [`shrink`] minimizes a failing fault
-//!   schedule to its smallest reproducer before reporting.
+//!   cell line by cell line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,9 +22,7 @@
 pub mod golden;
 pub mod invariants;
 pub mod model;
-pub mod shrink;
 
 pub use golden::{diff_report, LineDiff};
 pub use invariants::{check_experiment, InvariantReport, InvariantSet, Violation};
 pub use model::{predict, predict_dc, PredictError, Prediction};
-pub use shrink::shrink_schedule;

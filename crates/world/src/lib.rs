@@ -21,9 +21,11 @@
 //!   `faultkit` fault processes on every uplink;
 //! - [`run_dc`] pools per-connection RPC round-trips with PCB lookup
 //!   and switch contention counters for the `repro dc` study;
-//! - [`study`] is the one study layer: it runs every study's grid and
-//!   turns each cell into a table row and canonical-JSON fields,
-//!   including the fan-out studies' scenarios, rows and reducers.
+//! - [`study`] is the one study layer: it runs every study's grid,
+//!   the paper's Tables 1–7 and the loss-recovery grid over the
+//!   two-host world included, and turns each cell into a table row and
+//!   canonical-JSON fields, including the fan-out studies' scenarios,
+//!   rows and reducers.
 //!
 //! The same machinery hosts the `repro tails` study: a fan-out
 //! topology ([`Topology::fanout`]) turns each client into a fan-out
@@ -53,8 +55,8 @@ pub use dc::{dc_pattern, run_dc, DcConn, DcHost, DcRunResult, DcWorld, RequestOu
 pub use study::{
     cc_canonical_json, cc_grid, cc_policies, cc_quick_grid, cc_rows, dc_grid, dc_quick_grid,
     hedge_grid, hedge_quick_grid, rep_seed, run_cc_cells, run_cells, tails_grid, tails_quick_grid,
-    CcCell, CcRow, DcCell, DcCellResult, HedgeCell, Mitigation, MitigationCost, Study, StudyReport,
-    TailsCell,
+    CcCell, CcRow, DcCell, DcCellResult, HedgeCell, Mitigation, MitigationCost, Scale, Section,
+    Study, StudyReport, TailsCell,
 };
 pub use topology::{
     ChurnTraffic, FaultScope, HedgePolicy, PcbStrategy, RetryPolicy, TailPolicy, Topology,

@@ -1,61 +1,71 @@
-//! The datacenter studies: deterministic grids over
-//! [`DcWorld`](crate::DcWorld)s, all driven through one pipeline.
+//! The studies: deterministic grids, all driven through one pipeline.
 //!
-//! [`Study`] names the four studies: `repro dc` sweeps hosts x
-//! connections x PCB strategy x incast fan-in; `repro tails` sweeps
-//! fan-out width x fault scenario x background churn over the
-//! fan-out/wait-for-all world; `repro hedge` prices tail mitigations
-//! under the same fault regimes; `repro cc` sweeps congestion-control
-//! variant x UBR drop policy x switch buffer. Every study runs the same
-//! way: [`run_cells`] pools each cell's repetitions into a
-//! [`DcCellResult`], the study renders its table and its extra
-//! per-cell fields, one writer emits the canonical JSON, and one
-//! predicate ([`Study::failure`]) decides which cells failed.
+//! [`Study`] names six studies. `tables` (the paper's Tables 1–7) and
+//! `faults` (the loss-recovery grid) run the two-host world as one
+//! `sweep::Sweep` each. The rest run [`DcWorld`](crate::DcWorld)s:
+//! `repro dc` sweeps hosts x connections x PCB strategy x incast
+//! fan-in; `repro tails` sweeps fan-out width x fault scenario x
+//! background churn over the fan-out/wait-for-all world; `repro hedge`
+//! prices tail mitigations under the same fault regimes; `repro cc`
+//! sweeps congestion-control variant x UBR drop policy x switch
+//! buffer. Every study runs the same way: its cells run on the
+//! grid-order pool (the world studies' through [`run_cells`], which
+//! pools each cell's repetitions into a [`DcCellResult`]), the study
+//! renders its printed sections (and the world studies their extra
+//! per-cell fields), one writer emits the canonical JSON, and one
+//! failure predicate decides which cells failed.
 //!
-//! Every study row reads its latency columns from one
-//! [`Summary`] per cell. The fan-out studies' scenarios, rows and
-//! table formatters live in the `tails` and `hedge` submodules; one
-//! amplification join prices each of their rows against its group's
-//! baseline row.
+//! Every world-study row reads its latency columns from one
+//! [`Summary`] per cell. The `tails` and `hedge` submodules hold the
+//! fan-out studies' scenarios, rows and table formatters, priced by
+//! one amplification join against each group's baseline row; the
+//! `tables` and `faults` submodules the two two-host grids and their
+//! renderers.
 //!
-//! Each grid cell is one [`Topology`] + [`TrafficSchedule`] pair; its
-//! seed derives from the cell *key* (not its position), so adding or
-//! reordering cells never changes any other cell's bytes, and cells
-//! run under `sweep::pool::run_ordered` so the report is
-//! byte-identical at any `--jobs` value. The canonical JSON comes from
-//! the same writer as the table and fault sweeps
-//! ([`sweep::report::canonical_report`]), with each study's extra
-//! per-cell fields after `verify_failures`; `repro verify` checks it
-//! against the goldens byte for byte.
+//! Every cell's seed derives from its *key* (not its position), so
+//! adding or reordering cells never changes any other cell's bytes,
+//! and cells run under `sweep::pool::run_ordered` so the report is
+//! byte-identical at any `--jobs` value. Every canonical JSON comes
+//! from one writer ([`sweep::report::canonical_report`]), with each
+//! world study's extra per-cell fields after `verify_failures`;
+//! `repro verify` checks it against the goldens byte for byte.
 //!
-//! Repetition seeding: rep 0 runs on the key-derived base seed (so
-//! single-rep grids — every golden — are untouched), and rep `r > 0`
-//! folds the rep into the key hash (`cell_seed("<key>/r<r>")`).
-//! The older `seed + rep` derivation could collide with an adjacent
-//! cell's base seed, silently correlating cells that must be
-//! independent.
+//! Repetition seeding in the world studies: rep 0 runs on the
+//! key-derived base seed (so single-rep grids — every golden — are
+//! untouched), and rep `r > 0` folds the rep into the key hash
+//! (`cell_seed("<key>/r<r>")`). The older `seed + rep` derivation
+//! could collide with an adjacent cell's base seed, silently
+//! correlating cells that must be independent.
 
 use std::fmt::Write as _;
 
 use atm::{DropPolicy, TrainMarking};
-use latency_core::{ObsMode, Samples, Summary};
+use latency_core::{Experiment, ObsMode, Samples, Summary};
 use simkit::SimTime;
 use sweep::report::{canonical_report, json_num, ReportCell};
+use sweep::{CellOutcome, Sweep, SweepResults};
 use tcpip::{CcVariant, PcbCounters};
 
 use crate::dc::{run_dc, DcRunResult};
 use crate::topology::{ChurnTraffic, FaultScope, PcbStrategy, Topology, TrafficSchedule};
 
+mod faults;
 mod hedge;
+mod tables;
 mod tails;
 
 use hedge::MITIGATIONS;
 pub use hedge::{Mitigation, MitigationCost};
 
-/// The datacenter studies. A closed set: each variant names its grid,
-/// its sample set, its table and its extra canonical-JSON fields.
+/// The studies. A closed set: each variant names its grid, its sample
+/// set, its printed sections and its canonical JSON.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Study {
+    /// The paper's Tables 1–7 (`repro table1` .. `table7`, but
+    /// Table 5, which runs no simulation).
+    Tables,
+    /// `repro faults`: the loss-recovery study.
+    Faults,
     /// `repro dc`: the §3 PCB-lookup incast study.
     Dc,
     /// `repro tails`: fan-out/wait-for-all completion tails.
@@ -66,16 +76,48 @@ pub enum Study {
     Cc,
 }
 
+/// The scale a study runs at, as `repro` resolves it from `--quick`,
+/// `--full`, `--iterations` and `--reps`. The two-host studies read
+/// every field; the world studies read only `quick`, which picks
+/// their CI grid.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Scale {
+    /// Measured iterations per two-host cell (some grids cap it).
+    pub iterations: u64,
+    /// Repetitions pooled into each two-host cell.
+    pub reps: u64,
+    /// Whether this is the CI quick scale.
+    pub quick: bool,
+}
+
+impl Scale {
+    /// The CI quick scale, at which every golden is blessed: every
+    /// cell key pins its scale, so verifying at any other scale could
+    /// only ever report "cell missing".
+    pub const QUICK: Scale = Scale {
+        iterations: 200,
+        reps: 1,
+        quick: true,
+    };
+}
+
+/// One printed section of a study: the `repro` subcommand that prints
+/// it, and its text exactly as printed.
+pub type Section = (&'static str, String);
+
 /// What one study run produced.
 pub struct StudyReport {
-    /// The study table, exactly as `repro <study>` prints it.
-    pub table: String,
+    /// The printed sections in print order: one per world study and
+    /// for `faults`, one per table for `tables`. A filtered run
+    /// ([`Study::run_where`]) of `tables` prints none.
+    pub sections: Vec<Section>,
     /// The canonical JSON report (`--sweep-json`, and the golden).
     pub json: String,
     /// Cells run.
     pub cells: usize,
-    /// One line per failed cell, led by its key (see
-    /// [`Study::failure`]).
+    /// One line per failed cell, led by its key: payload corruption,
+    /// a leaked mbuf, no samples and no abort to explain it, or an
+    /// abort in a study whose world must never lose a connection.
     pub failed: Vec<String>,
 }
 
@@ -87,14 +129,40 @@ type Extras = Vec<(&'static str, String)>;
 /// list per cell.
 type Render<C> = fn(&[C], &[DcCellResult]) -> (String, Vec<Extras>);
 
-impl Study {
-    /// Every study, in `repro` order.
-    pub const ALL: [Study; 4] = [Study::Dc, Study::Tails, Study::Hedge, Study::Cc];
+/// What the failure predicate reads of one cell, whichever world ran
+/// it.
+#[derive(Clone, Copy)]
+struct Health<'a> {
+    key: &'a str,
+    /// Samples in the study's sample set.
+    samples: usize,
+    verify_failures: u64,
+    /// Retransmit-limit aborts: connections in the incast worlds,
+    /// fan-out clients in the fan-out worlds, an aborted run in the
+    /// two-host world.
+    aborts: u64,
+    /// Mbufs still outstanding after teardown.
+    mbufs_leaked: u64,
+}
 
-    /// The subcommand name.
+impl Study {
+    /// Every study, in `repro verify` order.
+    pub const ALL: [Study; 6] = [
+        Study::Tables,
+        Study::Faults,
+        Study::Dc,
+        Study::Tails,
+        Study::Hedge,
+        Study::Cc,
+    ];
+
+    /// The study's name; the subcommand name of the world studies and
+    /// of `faults`.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
+            Study::Tables => "tables",
+            Study::Faults => "faults",
             Study::Dc => "dc",
             Study::Tails => "tails",
             Study::Hedge => "hedge",
@@ -102,8 +170,11 @@ impl Study {
         }
     }
 
-    /// The canonical report's name: `<name>_quick` for the CI grid
-    /// (also the stem of its golden file), `<name>` for the full grid.
+    /// `<name>_quick` at the quick scale (the stem of the study's
+    /// golden file), `<name>` otherwise. The world studies' canonical
+    /// JSON carries it as its `name`; the two `Sweep` studies' JSON
+    /// carries their plain sweep name, `tables` or `faults`, at every
+    /// scale.
     #[must_use]
     pub fn report_name(self, quick: bool) -> String {
         if quick {
@@ -113,26 +184,49 @@ impl Study {
         }
     }
 
-    /// Runs the study's quick (CI + golden) or full grid on up to
-    /// `jobs` workers, recording samples in `mode`.
+    /// Runs the study's grid at `scale` on up to `jobs` workers,
+    /// recording world-study samples in `mode` (the two-host studies
+    /// pool exact samples in every mode).
     #[must_use]
-    pub fn run(self, quick: bool, jobs: usize, mode: ObsMode) -> StudyReport {
-        self.run_where(quick, jobs, mode, |_| true)
+    pub fn run(self, scale: Scale, jobs: usize, mode: ObsMode) -> StudyReport {
+        self.run_where(scale, jobs, mode, |_| true)
     }
 
     /// [`Study::run`] over only the grid cells whose key passes
-    /// `keep`. Table-level joins (amplification baselines) see only
-    /// the kept cells.
+    /// `keep`. Table-level joins (amplification baselines, the clean
+    /// fault baseline) see only the kept cells.
     #[must_use]
     pub fn run_where(
         self,
-        quick: bool,
+        scale: Scale,
         jobs: usize,
         mode: ObsMode,
         keep: impl Fn(&str) -> bool,
     ) -> StudyReport {
         let keep: &dyn Fn(&str) -> bool = &keep;
+        let quick = scale.quick;
         match self {
+            Study::Tables => {
+                let cells = tables::cells(scale);
+                // Every table reads all eight sizes: a filtered run
+                // prints none.
+                let whole = cells.iter().all(|(key, _)| keep(key));
+                let render = |grid: &_| {
+                    if whole {
+                        tables::render(grid, scale)
+                    } else {
+                        Vec::new()
+                    }
+                };
+                self.sweep(cells, scale, jobs, keep, render, |_| None)
+            }
+            Study::Faults => {
+                let cells = faults::cells(scale);
+                let declared = cells.iter().map(|c| (c.key.clone(), c.experiment()));
+                let render = |grid: &_| vec![faults::render(&cells, grid)];
+                let diagnose = |o: &_| faults::diagnose(&cells, o, scale.reps);
+                self.sweep(declared, scale, jobs, keep, render, diagnose)
+            }
             Study::Dc => {
                 let cells = if quick { dc_quick_grid() } else { dc_grid() };
                 self.drive(quick, cells, jobs, mode, keep, dc_render)
@@ -173,29 +267,80 @@ impl Study {
         let results = run_cells(&cells, jobs, mode);
         let (table, extras) = render(&cells, &results);
         StudyReport {
-            table,
+            sections: vec![(self.name(), table)],
             json: canonical(&self.report_name(quick), self, &results, &extras),
             cells: results.len(),
-            failed: results.iter().filter_map(|r| self.failure(r)).collect(),
+            failed: results
+                .iter()
+                .filter_map(|r| self.failure(&self.health(r)))
+                .collect(),
         }
     }
 
-    /// The sample set the study reports: RPC round trips for the
+    /// Runs a two-host study's kept cells as one `Sweep` named after
+    /// the study, each pooling `scale.reps` repetitions, and reports
+    /// `render`'s sections, the sweep's canonical JSON, and a failed
+    /// line per cell the predicate flags, followed by whatever
+    /// `diagnose` adds about the cell.
+    fn sweep(
+        self,
+        cells: impl IntoIterator<Item = (String, Experiment)>,
+        scale: Scale,
+        jobs: usize,
+        keep: &dyn Fn(&str) -> bool,
+        render: impl FnOnce(&SweepResults) -> Vec<Section>,
+        diagnose: impl Fn(&CellOutcome) -> Option<String>,
+    ) -> StudyReport {
+        let mut sw = Sweep::new(self.name());
+        for (key, exp) in cells.into_iter().filter(|(key, _)| keep(key)) {
+            sw.ensure(key, exp, scale.reps);
+        }
+        let grid = sw.run(jobs);
+        let failed = grid.outcomes.iter().filter_map(|o| {
+            let r = &o.result;
+            let line = self.failure(&Health {
+                key: &o.key,
+                samples: r.rtts.len(),
+                verify_failures: r.verify_failures,
+                aborts: u64::from(r.aborted),
+                mbufs_leaked: r.mbufs_leaked.0 + r.mbufs_leaked.1,
+            })?;
+            Some(match diagnose(o) {
+                Some(why) => format!("{line}; {why}"),
+                None => line,
+            })
+        });
+        StudyReport {
+            failed: failed.collect(),
+            sections: render(&grid),
+            json: grid.canonical_json(),
+            cells: grid.outcomes.len(),
+        }
+    }
+
+    /// The sample set a world study reports: RPC round trips for the
     /// incast studies, logical-request completions for the fan-out
     /// ones.
     fn samples(self, r: &DcCellResult) -> &Samples {
         match self {
-            Study::Dc | Study::Cc => &r.rtts,
             Study::Tails | Study::Hedge => &r.completions,
+            _ => &r.rtts,
         }
     }
 
-    /// The study's abort counter: aborted connections in the incast
-    /// worlds, aborted fan-out clients in the fan-out worlds.
-    fn aborts(self, r: &DcCellResult) -> u64 {
-        match self {
-            Study::Dc | Study::Cc => r.aborted_conns,
-            Study::Tails | Study::Hedge => r.fanout_aborts,
+    /// What the failure predicate reads of a world-study cell; the
+    /// abort counter is aborted connections in the incast worlds,
+    /// aborted fan-out clients in the fan-out worlds.
+    fn health(self, r: &DcCellResult) -> Health<'_> {
+        Health {
+            key: &r.key,
+            samples: self.samples(r).len(),
+            verify_failures: r.verify_failures,
+            aborts: match self {
+                Study::Tails | Study::Hedge => r.fanout_aborts,
+                _ => r.aborted_conns,
+            },
+            mbufs_leaked: r.mbufs_leaked,
         }
     }
 
@@ -203,21 +348,24 @@ impl Study {
     /// on an mbuf leaked past teardown (cancelled and hedged requests
     /// must clean up too), or on producing no samples with no abort to
     /// explain them. Retransmit-limit aborts are data in every study
-    /// but `dc`, whose clean incast must never lose a connection.
-    /// `None` for a healthy cell, else a one-line reason led by the
-    /// cell key.
-    #[must_use]
-    pub fn failure(self, r: &DcCellResult) -> Option<String> {
-        let samples = self.samples(r).len();
-        let aborts = self.aborts(r);
-        let failed = r.verify_failures > 0
-            || r.mbufs_leaked > 0
+    /// but `tables` and `dc`, whose clean worlds must never lose a
+    /// connection. `None` for a healthy cell, else a one-line reason
+    /// led by the cell key.
+    fn failure(self, h: &Health) -> Option<String> {
+        let Health {
+            key,
+            samples,
+            verify_failures,
+            aborts,
+            mbufs_leaked,
+        } = *h;
+        let failed = verify_failures > 0
+            || mbufs_leaked > 0
             || (samples == 0 && aborts == 0)
-            || (self == Study::Dc && aborts > 0);
+            || (matches!(self, Study::Tables | Study::Dc) && aborts > 0);
         failed.then(|| {
             format!(
-                "{}: FAILED ({samples} sample(s), {} verify failure(s), {aborts} abort(s), {} leaked mbuf(s))",
-                r.key, r.verify_failures, r.mbufs_leaked
+                "{key}: FAILED ({samples} sample(s), {verify_failures} verify failure(s), {aborts} abort(s), {mbufs_leaked} leaked mbuf(s))"
             )
         })
     }
@@ -1276,6 +1424,13 @@ mod tests {
         // the CI determinism loop.
         let newreno = format!("cc/{}/", CcVariant::NewReno.name());
         let tiny = |study: Study, key: &str| match study {
+            // The Ethernet baseline next to its ATM cell.
+            Study::Tables => key.starts_with("rpc/atm/4/base/") || key.starts_with("rpc/ether/4/"),
+            // The clean baseline and one faulted cell at one size.
+            Study::Faults => {
+                key.starts_with("faults/clean/1400/")
+                    || key.starts_with("faults/light-bursts/1400/")
+            }
             Study::Dc => key.starts_with("dc/h2/c1/mtf/"),
             // Widths 1 and 4 exercise the amplification join.
             Study::Tails => {
@@ -1290,16 +1445,36 @@ mod tests {
             }
         };
         for study in Study::ALL {
-            let a = study.run_where(true, 1, ObsMode::Exact, |k| tiny(study, k));
-            let b = study.run_where(true, 4, ObsMode::Exact, |k| tiny(study, k));
+            let a = study.run_where(Scale::QUICK, 1, ObsMode::Exact, |k| tiny(study, k));
+            let b = study.run_where(Scale::QUICK, 4, ObsMode::Exact, |k| tiny(study, k));
             assert_eq!(a.cells, 2, "{study:?}");
             assert_eq!(a.json, b.json, "{study:?}");
-            assert_eq!(a.table, b.table, "{study:?}");
+            assert_eq!(a.sections, b.sections, "{study:?}");
             assert!(a.failed.is_empty(), "{study:?}: {:?}", a.failed);
-            let name = format!("{{\n  \"name\": \"{}_quick\",", study.name());
-            assert!(a.json.starts_with(&name), "{}", a.json);
+            // The two `Sweep` studies keep their plain sweep name.
+            let name = match study {
+                Study::Tables | Study::Faults => study.name().to_string(),
+                _ => study.report_name(true),
+            };
+            assert!(
+                a.json.starts_with(&format!("{{\n  \"name\": \"{name}\",")),
+                "{}",
+                a.json
+            );
             let json = &a.json;
             match study {
+                // Every table needs all eight sizes: a two-cell run
+                // prints none of them.
+                Study::Tables => assert!(a.sections.is_empty(), "{:?}", a.sections),
+                // The faulted row is priced against the clean one.
+                Study::Faults => {
+                    let [(name, text)] = &a.sections[..] else {
+                        panic!("{:?}", a.sections)
+                    };
+                    assert_eq!(*name, "faults");
+                    assert!(text.contains("light-bursts"), "{text}");
+                    assert!(text.contains("across every scenario: 0\n"), "{text}");
+                }
                 Study::Dc => {}
                 Study::Tails => {
                     // The width-1 cell is its own baseline, and p999
@@ -1324,38 +1499,51 @@ mod tests {
 
     #[test]
     fn failure_predicate_flags_leaks_in_every_study() {
-        let healthy = || {
-            let mut r = DcCellResult {
-                key: "cell".to_string(),
-                ..DcCellResult::default()
-            };
-            r.rtts.push(SimTime::from_us(100));
-            r.completions.push(SimTime::from_us(100));
-            r
+        let healthy = Health {
+            key: "cell",
+            samples: 1,
+            verify_failures: 0,
+            aborts: 0,
+            mbufs_leaked: 0,
         };
         for study in Study::ALL {
-            assert_eq!(study.failure(&healthy()), None, "{study:?}");
-            let mut leaked = healthy();
-            leaked.mbufs_leaked = 1;
+            assert_eq!(study.failure(&healthy), None, "{study:?}");
+            let leaked = Health {
+                mbufs_leaked: 1,
+                ..healthy
+            };
             let why = study.failure(&leaked).expect("a leaked cell fails");
             assert!(why.contains("1 leaked mbuf(s)"), "{study:?}: {why}");
-            let mut corrupt = healthy();
-            corrupt.verify_failures = 1;
+            let corrupt = Health {
+                verify_failures: 1,
+                ..healthy
+            };
             assert!(study.failure(&corrupt).is_some(), "{study:?}");
             // Empty cells fail unless an abort explains them.
-            let empty = DcCellResult::default();
-            assert!(study.failure(&empty).is_some(), "{study:?}");
-            let explained = DcCellResult {
-                aborted_conns: 1,
-                fanout_aborts: 1,
-                ..DcCellResult::default()
+            let empty = Health {
+                samples: 0,
+                ..healthy
             };
+            assert!(study.failure(&empty).is_some(), "{study:?}");
+            let explained = Health { aborts: 1, ..empty };
             assert_eq!(
                 study.failure(&explained).is_some(),
-                study == Study::Dc,
-                "{study:?}: aborts are data everywhere but dc"
+                matches!(study, Study::Tables | Study::Dc),
+                "{study:?}: aborts are data everywhere but tables and dc"
             );
         }
+        // A world-study cell's health reads the study's own sample set
+        // and abort counter.
+        let mut r = DcCellResult {
+            key: "cell".to_string(),
+            aborted_conns: 2,
+            mbufs_leaked: 3,
+            ..DcCellResult::default()
+        };
+        r.completions.push(SimTime::from_us(100));
+        let (dc, tails) = (Study::Dc.health(&r), Study::Tails.health(&r));
+        assert_eq!((dc.samples, dc.aborts, dc.mbufs_leaked), (0, 2, 3));
+        assert_eq!((tails.samples, tails.aborts), (1, 0));
     }
 
     #[test]

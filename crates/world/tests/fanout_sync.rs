@@ -6,7 +6,7 @@
 use latency_core::ObsMode;
 use simkit::SimTime;
 use world::dc::run_dc_world;
-use world::{ChurnTraffic, Study, Topology, TrafficSchedule};
+use world::{ChurnTraffic, Scale, Study, Topology, TrafficSchedule};
 
 /// Sweep fan-out widths x seeds x churn on/off and check, round by
 /// round, that every recorded completion equals the max of that
@@ -54,11 +54,11 @@ fn completion_is_max_of_subrequest_rtts_across_widths_and_seeds() {
 /// Runs the quick tails grid at 1, 2 and 4 workers and checks the
 /// table and canonical JSON never change.
 fn assert_report_is_jobs_invariant(mode: ObsMode) {
-    let one = Study::Tails.run(true, 1, mode);
+    let one = Study::Tails.run(Scale::QUICK, 1, mode);
     for jobs in [2usize, 4] {
-        let many = Study::Tails.run(true, jobs, mode);
+        let many = Study::Tails.run(Scale::QUICK, jobs, mode);
         assert_eq!(one.json, many.json, "jobs {jobs} changed the report bytes");
-        assert_eq!(one.table, many.table, "jobs {jobs} changed the table");
+        assert_eq!(one.sections, many.sections, "jobs {jobs} changed the table");
     }
 }
 

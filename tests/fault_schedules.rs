@@ -179,9 +179,9 @@ proptest! {
 #[test]
 fn pause_and_flap_hedge_cells_are_byte_identical_across_worker_counts() {
     let injected = |key: &str| key.contains("/host-pause/") || key.contains("/link-flap/");
-    let serial = world::Study::Hedge.run_where(true, 1, ObsMode::Exact, injected);
+    let serial = world::Study::Hedge.run_where(world::Scale::QUICK, 1, ObsMode::Exact, injected);
     assert!(serial.cells > 0, "quick grid covers the injector scenarios");
-    let parallel = world::Study::Hedge.run_where(true, 4, ObsMode::Exact, injected);
+    let parallel = world::Study::Hedge.run_where(world::Scale::QUICK, 4, ObsMode::Exact, injected);
     assert_eq!(serial.json, parallel.json);
 }
 
