@@ -31,25 +31,27 @@
 //!   loss-recovery grid (`faults`); `--iterations` also scales
 //!   `predict`, `errors`, `ablation`, `switch`, `ethernet-errors`,
 //!   `udp` and `invariants`, each up to its own cap;
-//! - `--seed N` (default 1): the base seed of the directly seeded
-//!   subcommands, `predict`, `errors`, `switch`, `ethernet-errors`,
-//!   `udp`, `trace` and `invariants`. Study cells derive their seeds
-//!   from their cell keys instead — that is what pins the blessed
-//!   goldens — so `--seed` never shifts a study;
+//! - `--seed N` (default 1): the base seed of the subcommands whose
+//!   runs draw from it, `errors`, `switch`, `ethernet-errors` and
+//!   `invariants`. Study cells derive their seeds from their cell keys
+//!   instead — that is what pins the blessed goldens — so `--seed`
+//!   never shifts a study;
 //! - `--sketch`: the four world studies record completions in
 //!   mergeable-sketch mode;
 //! - `--sweep-json FILE` and `--out-dir DIR`: write the canonical
 //!   report of the one study the command line runs (any of the tables,
 //!   `faults`, or a world study), the same bytes at any `--jobs`, to
 //!   `FILE` under `DIR` (default `out/`, created on demand; an
-//!   absolute `FILE` is honoured as given). Refused when two studies
-//!   would each write one;
+//!   absolute `FILE` is honoured as given). `--sweep-json` is refused
+//!   when two studies would each write one, `--out-dir` without
+//!   `--sweep-json`;
 //! - `--bless` and `--golden-dir DIR`: `repro verify`.
 //!
 //! Every study runs through `world::Study`. The paper's tables are one
 //! study: its grid runs once however many of Tables 1–7 are asked
-//! for, cells shared between tables run once, and the printed tables
-//! are byte-identical at every worker count.
+//! for, and only the cells the asked-for tables read (the whole grid
+//! under `--sweep-json`); cells shared between tables run once, and
+//! the printed tables are byte-identical at every worker count.
 
 #![forbid(unsafe_code)]
 
@@ -58,8 +60,8 @@ use latency_core::{faults, micro, paper, tables, ObsMode};
 use sweep::grid::Variant;
 use world::{Scale, Study, StudyReport};
 
-/// The flags a subcommand may or may not read, one bit each (bit `i`
-/// is `KNOBS[i]`), in [`Opts::given`] and [`Entry::reads`].
+/// The flags a command line may give only if a selected subcommand
+/// reads them ([`Entry::reads`]).
 const KNOBS: [&str; 8] = [
     "--iterations",
     "--reps",
@@ -70,15 +72,11 @@ const KNOBS: [&str; 8] = [
     "--bless",
     "--golden-dir",
 ];
-const ITERS: u8 = 1;
-const SEED: u8 = 1 << 2;
-/// `--iterations` and `--reps`.
-const SCALE: u8 = ITERS | 1 << 1;
-const SKETCH: u8 = 1 << 3;
-/// `--sweep-json` and `--out-dir`.
-const REPORT: u8 = 1 << 4 | 1 << 5;
-/// `--bless` and `--golden-dir`.
-const GOLDEN: u8 = 1 << 6 | 1 << 7;
+const ITERS: &[&str] = &["--iterations"];
+const ITERS_SEED: &[&str] = &["--iterations", "--seed"];
+const TWO_HOST: &[&str] = &["--iterations", "--reps", "--sweep-json", "--out-dir"];
+const WORLD: &[&str] = &["--sketch", "--sweep-json", "--out-dir"];
+const GOLDEN: &[&str] = &["--bless", "--golden-dir"];
 
 /// What an entry runs.
 #[derive(Clone, Copy)]
@@ -99,11 +97,16 @@ struct Entry {
     /// named.
     group: Option<&'static str>,
     /// The [`KNOBS`] it reads.
-    reads: u8,
+    reads: &'static [&'static str],
     run: Run,
 }
 
-const fn entry(name: &'static str, group: Option<&'static str>, reads: u8, run: Run) -> Entry {
+const fn entry(
+    name: &'static str,
+    group: Option<&'static str>,
+    reads: &'static [&'static str],
+    run: Run,
+) -> Entry {
     Entry {
         name,
         group,
@@ -118,35 +121,35 @@ const TABLES: Run = Run::Study(Study::Tables);
 
 /// Every subcommand, in run order.
 const ENTRIES: [Entry; 24] = [
-    entry("table1", ALL, SCALE | REPORT, TABLES),
-    entry("table2", ALL, SCALE | REPORT, TABLES),
-    entry("table3", ALL, SCALE | REPORT, TABLES),
-    entry("table4", ALL, SCALE | REPORT, TABLES),
-    entry("table5", ALL, 0, Run::Text(table5)),
-    entry("table6", ALL, SCALE | REPORT, TABLES),
-    entry("table7", ALL, SCALE | REPORT, TABLES),
-    entry("pcb", ALL, 0, Run::Text(pcb)),
-    entry("mbuf", ALL, 0, Run::Text(mbuf_bench)),
-    entry("predict", ALL, ITERS | SEED, Run::Text(predict)),
-    entry("errors", ALL, ITERS | SEED, Run::Text(errors)),
-    entry("faults", EXTRAS, SCALE | REPORT, Run::Study(Study::Faults)),
-    entry("churn", EXTRAS, 0, Run::Text(churn_exp)),
+    entry("table1", ALL, TWO_HOST, TABLES),
+    entry("table2", ALL, TWO_HOST, TABLES),
+    entry("table3", ALL, TWO_HOST, TABLES),
+    entry("table4", ALL, TWO_HOST, TABLES),
+    entry("table5", ALL, &[], Run::Text(table5)),
+    entry("table6", ALL, TWO_HOST, TABLES),
+    entry("table7", ALL, TWO_HOST, TABLES),
+    entry("pcb", ALL, &[], Run::Text(pcb)),
+    entry("mbuf", ALL, &[], Run::Text(mbuf_bench)),
+    entry("predict", ALL, ITERS, Run::Text(predict)),
+    entry("errors", ALL, ITERS_SEED, Run::Text(errors)),
+    entry("faults", EXTRAS, TWO_HOST, Run::Study(Study::Faults)),
+    entry("churn", EXTRAS, &[], Run::Text(churn_exp)),
     entry("ablation", EXTRAS, ITERS, Run::Text(ablation_exp)),
-    entry("switch", EXTRAS, ITERS | SEED, Run::Text(switch_exp)),
+    entry("switch", EXTRAS, ITERS_SEED, Run::Text(switch_exp)),
     entry(
         "ethernet-errors",
         EXTRAS,
-        ITERS | SEED,
+        ITERS_SEED,
         Run::Text(ethernet_errors),
     ),
-    entry("udp", EXTRAS, ITERS | SEED, Run::Text(udp_exp)),
-    entry("trace", EXTRAS, SEED, Run::Text(trace_timeline)),
+    entry("udp", EXTRAS, ITERS, Run::Text(udp_exp)),
+    entry("trace", EXTRAS, &[], Run::Text(trace_timeline)),
     entry("verify", None, GOLDEN, Run::Gate(verify)),
-    entry("invariants", None, ITERS | SEED, Run::Gate(invariants)),
-    entry("dc", None, SKETCH | REPORT, Run::Study(Study::Dc)),
-    entry("tails", None, SKETCH | REPORT, Run::Study(Study::Tails)),
-    entry("hedge", None, SKETCH | REPORT, Run::Study(Study::Hedge)),
-    entry("cc", None, SKETCH | REPORT, Run::Study(Study::Cc)),
+    entry("invariants", None, ITERS_SEED, Run::Gate(invariants)),
+    entry("dc", None, WORLD, Run::Study(Study::Dc)),
+    entry("tails", None, WORLD, Run::Study(Study::Tails)),
+    entry("hedge", None, WORLD, Run::Study(Study::Hedge)),
+    entry("cc", None, WORLD, Run::Study(Study::Cc)),
 ];
 
 /// The entries `what` names, directly or by group, in table order.
@@ -163,16 +166,13 @@ struct Opts {
     scale: Scale,
     jobs: usize,
     seed: u64,
-    /// The [`KNOBS`] given on the command line.
-    given: u8,
+    /// The [`KNOBS`] given on the command line; `--bless` and
+    /// `--sketch` are read from here.
+    given: Vec<&'static str>,
     sweep_json: Option<String>,
     /// Directory every output file is written under.
     out_dir: String,
-    bless: bool,
     golden_dir: String,
-    /// Record world-study completions in mergeable-sketch mode instead
-    /// of exact pooled samples.
-    sketch: bool,
 }
 
 /// The value after `flag`, parsed.
@@ -205,16 +205,14 @@ fn parse_args() -> Result<Opts, String> {
         },
         jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         seed: 1,
-        given: 0,
+        given: Vec::new(),
         sweep_json: None,
         out_dir: String::from("out"),
-        bless: false,
         golden_dir: String::from("tests/golden"),
-        sketch: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        o.given |= KNOBS.iter().position(|k| *k == a).map_or(0, |i| 1 << i);
+        o.given.extend(KNOBS.iter().find(|k| **k == a));
         match a.as_str() {
             "--iterations" => o.scale.iterations = positive(&a, args.next())?,
             "--reps" => o.scale.reps = positive(&a, args.next())?,
@@ -222,9 +220,8 @@ fn parse_args() -> Result<Opts, String> {
             "--seed" => o.seed = number(&a, args.next())?,
             "--sweep-json" => o.sweep_json = Some(args.next().ok_or("--sweep-json needs a FILE")?),
             "--out-dir" => o.out_dir = args.next().ok_or("--out-dir needs a DIR")?,
-            "--bless" => o.bless = true,
+            "--bless" | "--sketch" => {}
             "--golden-dir" => o.golden_dir = args.next().ok_or("--golden-dir needs a DIR")?,
-            "--sketch" => o.sketch = true,
             "--full" => {
                 o.scale = Scale {
                     iterations: 40_000,
@@ -252,12 +249,14 @@ fn parse_args() -> Result<Opts, String> {
     if o.what.is_empty() {
         o.what.push("all".to_string());
     }
-    let reads = selected(&o.what).fold(0, |r, e| r | e.reads);
-    if let Some(i) = (0..KNOBS.len()).find(|i| o.given & !reads & 1 << i != 0) {
+    let read = |f: &str| selected(&o.what).any(|e| e.reads.contains(&f));
+    if let Some(flag) = KNOBS.iter().find(|f| o.given.contains(f) && !read(f)) {
         return Err(format!(
-            "{} is read by none of the selected subcommands",
-            KNOBS[i]
+            "{flag} is read by none of the selected subcommands"
         ));
+    }
+    if o.given.contains(&"--out-dir") && o.sweep_json.is_none() {
+        return Err("--out-dir is read only with --sweep-json".into());
     }
     // A study's entries are adjacent in the table.
     let mut writers: Vec<&str> = selected(&o.what)
@@ -276,18 +275,6 @@ fn parse_args() -> Result<Opts, String> {
     Ok(o)
 }
 
-/// Resolves an output file under `--out-dir`, creating the directory.
-/// Absolute paths are honoured as given.
-fn out_path(opts: &Opts, file: &str) -> std::path::PathBuf {
-    let p = std::path::Path::new(file);
-    if p.is_absolute() {
-        return p.to_path_buf();
-    }
-    let dir = std::path::Path::new(&opts.out_dir);
-    std::fs::create_dir_all(dir).expect("create out dir");
-    dir.join(p)
-}
-
 fn main() {
     let opts = parse_args().unwrap_or_else(|msg| {
         eprintln!("repro: {msg}");
@@ -301,9 +288,12 @@ fn main() {
                 let report = reports
                     .entry(study.name())
                     .or_insert_with(|| run_study(study, &opts));
-                for (_, text) in report.sections.iter().filter(|(name, _)| *name == e.name) {
-                    print!("{text}");
-                }
+                let (_, text) = report
+                    .sections
+                    .iter()
+                    .find(|(name, _)| *name == e.name)
+                    .unwrap_or_else(|| panic!("the {} study prints no {}", study.name(), e.name));
+                print!("{text}");
                 i32::from(!report.failed.is_empty())
             }
             Run::Text(f) => {
@@ -473,8 +463,8 @@ fn udp_exp(opts: &Opts) {
         t.iterations = iters;
         let mut u = Experiment::udp_rpc(NetKind::Atm, size);
         u.iterations = iters;
-        let tcp = t.plan().seed(opts.seed).execute().mean_rtt_us();
-        let udp = u.plan().seed(opts.seed).execute().mean_rtt_us();
+        let tcp = t.plan().execute().mean_rtt_us();
+        let udp = u.plan().execute().mean_rtt_us();
         text.push_str(&format!(
             "{size:>6} | {tcp:>9.0} {udp:>9.0} {:>12.1}
 ",
@@ -496,11 +486,11 @@ fn udp_exp(opts: &Opts) {
 /// Prints an annotated timeline of one 1400-byte RPC iteration —
 /// every probe interval the client's instrumentation recorded, in
 /// order.
-fn trace_timeline(opts: &Opts) {
+fn trace_timeline(_: &Opts) {
     let mut e = Experiment::rpc(NetKind::Atm, 1400);
     e.iterations = 1;
     e.warmup = 2;
-    let run = e.plan().seed(opts.seed).captured().execute();
+    let run = e.plan().captured().execute();
     println!("timeline of one 1400-byte RPC iteration (client side, us relative to write()):");
     let rec = &run.client_spans;
     let t0 = rec
@@ -631,14 +621,13 @@ fn predict(opts: &Opts) {
         let mut e = Experiment::rpc(NetKind::Atm, size);
         e.iterations = opts.scale.iterations;
         e.warmup = 16;
-        e.plan().seed(opts.seed).execute()
+        e.plan().execute()
     };
     let r = rpc(200);
     let rpc_rate = 100.0 * (r.client_tcp.predict_data_hits + r.client_tcp.predict_ack_hits) as f64
         / r.client_tcp.predict_checks.max(1) as f64;
     let b = Experiment::bulk(NetKind::Atm, 4000, opts.scale.iterations.min(2_000))
         .plan()
-        .seed(opts.seed)
         .execute();
     let bulk_rate =
         100.0 * b.server_tcp.predict_data_hits as f64 / b.server_tcp.predict_checks.max(1) as f64;
@@ -706,13 +695,14 @@ fn errors(opts: &Opts) {
 /// any drift or failed cell, 2 when a golden is missing. `--bless`
 /// writes the live reports instead.
 fn verify(opts: &Opts) -> i32 {
+    let bless = opts.given.contains(&"--bless");
     let mut code = 0;
     for study in Study::ALL {
         let stem = study.report_name(true);
         let path = format!("{}/{stem}.json", opts.golden_dir);
         // Read the golden before paying for the live grid, so a
         // missing or corrupt file fails fast.
-        let golden = if opts.bless {
+        let golden = if bless {
             None
         } else {
             match std::fs::read_to_string(&path) {
@@ -752,7 +742,7 @@ fn verify(opts: &Opts) -> i32 {
             eprintln!("  {d}");
         }
     }
-    if code == 0 && !opts.bless {
+    if code == 0 && !bless {
         eprintln!("verify: clean");
     }
     code
@@ -895,17 +885,29 @@ fn invariants(opts: &Opts) -> i32 {
 fn run_study(study: Study, opts: &Opts) -> StudyReport {
     let name = study.name();
     eprintln!("{name}: running across {} worker(s)...", opts.jobs);
-    let mode = if opts.sketch {
+    let mode = if opts.given.contains(&"--sketch") {
         ObsMode::Sketch
     } else {
         ObsMode::Exact
     };
-    let report = study.run(opts.scale, opts.jobs, mode);
+    // A report holds the whole grid; a printed table needs only the
+    // cells it reads.
+    let whole = opts.sweep_json.is_some();
+    let sections: Vec<&str> = selected(&opts.what)
+        .filter(|e| matches!(e.run, Run::Study(s) if s == study))
+        .map(|e| e.name)
+        .collect();
+    let report = study.run_where(opts.scale, opts.jobs, mode, |key| {
+        whole || sections.iter().any(|s| study.reads(s, key, opts.scale))
+    });
     for failure in &report.failed {
         eprintln!("{name}: {failure}");
     }
     if let Some(path) = &opts.sweep_json {
-        let p = out_path(opts, path);
+        // An absolute FILE is honoured as given.
+        let p = std::path::Path::new(&opts.out_dir).join(path);
+        let dir = p.parent().expect("a file has a directory");
+        std::fs::create_dir_all(dir).expect("create out dir");
         std::fs::write(&p, &report.json).expect("write canonical report");
         eprintln!("{name} canonical report written to {}", p.display());
     }

@@ -10,7 +10,7 @@ use std::process::Command;
 #[test]
 fn bad_command_lines_exit_2_with_one_line() {
     let unread = "is read by none of the selected subcommands";
-    let cases: [(&[&str], String); 16] = [
+    let cases: [(&[&str], String); 18] = [
         // The refusal names every known subcommand, studies last.
         (
             &["extra", "--quick"],
@@ -53,6 +53,11 @@ fn bad_command_lines_exit_2_with_one_line() {
             &["dc", "--quick", "--reps", "3"],
             format!("--reps {unread}"),
         ),
+        // The clean two-host world draws nothing from the seed.
+        (
+            &["udp", "--quick", "--seed", "9"],
+            format!("--seed {unread}"),
+        ),
         (
             &["table1", "--quick", "--sketch", "--bless"],
             format!("--sketch {unread}"),
@@ -65,7 +70,12 @@ fn bad_command_lines_exit_2_with_one_line() {
             &["verify", "--sketch", "--iterations", "5"],
             format!("--iterations {unread}"),
         ),
-        // `--sweep-json` needs exactly one report to write.
+        // `--sweep-json` needs exactly one report to write, and
+        // `--out-dir` a report to put there.
+        (
+            &["dc", "--quick", "--out-dir", "x"],
+            "--out-dir is read only with --sweep-json".into(),
+        ),
         (
             &["pcb", "trace", "--sweep-json", "x.json"],
             format!("--sweep-json {unread}"),
@@ -108,5 +118,32 @@ fn every_named_subcommand_runs_in_table_order() {
     assert!(
         mbuf.is_some() && dc.is_some() && mbuf < dc,
         "both sections, mbuf first:\n{stdout}"
+    );
+}
+
+#[test]
+fn every_study_entry_prints_its_section() {
+    // Each table is a section of one study, found by its entry's name.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "table2", "table3", "table4", "table6", "table7"])
+        .args(["faults", "--quick", "--iterations", "20", "--jobs", "2"])
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let headings = [
+        "Table 1: ",
+        "Table 2: ",
+        "Table 3: ",
+        "Table 4: ",
+        "Table 6: ",
+        "Table 7: ",
+        "loss-recovery latency",
+    ];
+    let at: Vec<Option<usize>> = headings.iter().map(|h| stdout.find(h)).collect();
+    assert!(
+        at.iter().all(Option::is_some) && at.is_sorted(),
+        "{headings:?} in order:\n{stdout}"
     );
 }

@@ -109,7 +109,8 @@ pub type Section = (&'static str, String);
 pub struct StudyReport {
     /// The printed sections in print order: one per world study and
     /// for `faults`, one per table for `tables`. A filtered run
-    /// ([`Study::run_where`]) of `tables` prints none.
+    /// ([`Study::run_where`]) of `tables` prints the tables whose
+    /// every cell ran.
     pub sections: Vec<Section>,
     /// The canonical JSON report (`--sweep-json`, and the golden).
     pub json: String,
@@ -192,6 +193,17 @@ impl Study {
         self.run_where(scale, jobs, mode, |_| true)
     }
 
+    /// Whether the printed section `section` reads the grid cell
+    /// `key` at `scale`. Each table reads its own columns of the
+    /// tables grid; every other study's one section reads every cell.
+    #[must_use]
+    pub fn reads(self, section: &str, key: &str, scale: Scale) -> bool {
+        match self {
+            Study::Tables => tables::reads(section, key, scale),
+            _ => true,
+        }
+    }
+
     /// [`Study::run`] over only the grid cells whose key passes
     /// `keep`. Table-level joins (amplification baselines, the clean
     /// fault baseline) see only the kept cells.
@@ -207,18 +219,8 @@ impl Study {
         let quick = scale.quick;
         match self {
             Study::Tables => {
-                let cells = tables::cells(scale);
-                // Every table reads all eight sizes: a filtered run
-                // prints none.
-                let whole = cells.iter().all(|(key, _)| keep(key));
-                let render = |grid: &_| {
-                    if whole {
-                        tables::render(grid, scale)
-                    } else {
-                        Vec::new()
-                    }
-                };
-                self.sweep(cells, scale, jobs, keep, render, |_| None)
+                let render = |grid: &_| tables::render(grid, scale);
+                self.sweep(tables::cells(scale), scale, jobs, keep, render, |_| None)
             }
             Study::Faults => {
                 let cells = faults::cells(scale);
@@ -1416,6 +1418,36 @@ mod tests {
         // Maxima pool as maxima, not sums.
         assert_eq!(two.sim_time, run.sim_time);
         assert_eq!(two.max_backlog_cells, one.max_backlog_cells);
+    }
+
+    #[test]
+    fn a_table_runs_only_the_cells_it_reads() {
+        let scale = Scale {
+            iterations: 8,
+            ..Scale::QUICK
+        };
+        let keys: Vec<String> = tables::cells(scale).into_iter().map(|c| c.0).collect();
+        let read = |section| {
+            let n = keys
+                .iter()
+                .filter(|k| Study::Tables.reads(section, k, scale));
+            n.count()
+        };
+        let counts = ["table1", "table2", "table3", "table4", "table6", "table7"].map(read);
+        assert_eq!(counts, [16, 8, 8, 16, 16, 16]);
+        assert_eq!(read("table5"), 0, "Table 5 has no cells");
+        assert!(Study::Dc.reads("dc", "any/key", scale));
+        // Tables 2 and 3 read the same eight cells, so both print.
+        let r = Study::Tables.run_where(scale, 2, ObsMode::Exact, |k| {
+            Study::Tables.reads("table2", k, scale)
+        });
+        let names: Vec<&str> = r.sections.iter().map(|s| s.0).collect();
+        assert_eq!((r.cells, names), (8, vec!["table2", "table3"]));
+        assert!(
+            r.sections[0].1.starts_with("Table 2"),
+            "{}",
+            r.sections[0].1
+        );
     }
 
     #[test]

@@ -42,73 +42,84 @@ pub(super) fn cells(scale: Scale) -> Vec<(String, Experiment)> {
     cells
 }
 
-/// Tables 1–4, 6 and 7 (with Figure 1) from the whole grid's results.
+type Column = (NetKind, Variant);
+
+const BASE: Column = (NetKind::Atm, Variant::Base);
+
+/// Tables 1–4, 6 and 7 in print order, each with the two columns it
+/// reads at every size.
+const SECTIONS: [(&str, [Column; 2]); 6] = [
+    ("table1", [(NetKind::Ether, Variant::Base), BASE]),
+    ("table2", [BASE, BASE]),
+    ("table3", [BASE, BASE]),
+    ("table4", [(NetKind::Atm, Variant::NoPrediction), BASE]),
+    (
+        "table6",
+        [BASE, (NetKind::Atm, Variant::IntegratedChecksum)],
+    ),
+    ("table7", [BASE, (NetKind::Atm, Variant::NoChecksum)]),
+];
+
+/// Whether the section `name` reads the cell `key`.
+pub(super) fn reads(name: &str, key: &str, scale: Scale) -> bool {
+    let columns = SECTIONS.iter().filter(|s| s.0 == name).flat_map(|s| s.1);
+    columns
+        .flat_map(|(net, v)| paper::SIZES.map(|size| self::key(net, size, v, scale)))
+        .any(|k| k == key)
+}
+
+/// Every table (with Figure 1) whose cells all ran in `grid`.
 pub(super) fn render(grid: &SweepResults, scale: Scale) -> Vec<Section> {
-    let runs = |net, v| paper::SIZES.map(|size| &grid.expect(&key(net, size, v, scale)).result);
-    let atm = |v| runs(NetKind::Atm, v).map(RunResult::mean_rtt_us);
-    let base = atm(Variant::Base);
-    let no_prediction = atm(Variant::NoPrediction);
-    // Two measured columns side by side with the paper's.
-    let compare = |title, [(a, a_us), (b, b_us)]: [(&str, [f64; 8]); 2], [pa, pb]: [&[f64]; 2]| {
-        tables::rtt_comparison(title, a, b, &paper::SIZES, &a_us, &b_us, pa, pb)
+    let runs = |(net, v): Column| -> Option<Vec<&RunResult>> {
+        let run = |size| grid.get(&key(net, size, v, scale)).map(|o| &o.result);
+        paper::SIZES.iter().map(|&size| run(size)).collect()
     };
-    let figure1 = tables::ascii_figure(
-        "Figure 1: Effects of Header Prediction (round-trip time, us)",
-        &paper::SIZES,
-        &[
-            ("with prediction", &base),
-            ("without prediction", &no_prediction),
-        ],
-        16,
-    );
-    let ether = runs(NetKind::Ether, Variant::Base).map(RunResult::mean_rtt_us);
-    let baseline = runs(NetKind::Atm, Variant::Base);
-    [
-        (
-            "table1",
-            compare(
+    let rtts = |runs: &[&RunResult]| runs.iter().map(|r| r.mean_rtt_us()).collect::<Vec<_>>();
+    let section = |name, a: Vec<&RunResult>, b: Vec<&RunResult>| {
+        // Two measured columns side by side with the paper's.
+        let compare = |title, [la, lb]: [&str; 2], [pa, pb]: [&[f64]; 2]| {
+            tables::rtt_comparison(title, la, lb, &paper::SIZES, &rtts(&a), &rtts(&b), pa, pb)
+        };
+        match name {
+            "table1" => compare(
                 "Table 1: ATM vs Ethernet round-trip times",
-                [("Ether", ether), ("ATM", base)],
+                ["Ether", "ATM"],
                 [&paper::T1_ETHERNET_RTT, &paper::T1_ATM_RTT],
             ),
-        ),
-        (
-            "table2",
-            tables::table2(&paper::SIZES, &baseline.map(|r| r.tx)),
-        ),
-        (
-            "table3",
-            tables::table3(&paper::SIZES, &baseline.map(|r| r.rx)),
-        ),
-        (
-            "table4",
-            compare(
-                "Table 4: effect of header prediction",
-                [("NoPred", no_prediction), ("Pred", base)],
-                [&paper::T4_NO_PREDICTION_RTT, &paper::T1_ATM_RTT],
-            ) + "\n"
-                + &figure1,
-        ),
-        (
-            "table6",
-            compare(
+            "table2" => tables::table2(&paper::SIZES, &a.iter().map(|r| r.tx).collect::<Vec<_>>()),
+            "table3" => tables::table3(&paper::SIZES, &a.iter().map(|r| r.rx).collect::<Vec<_>>()),
+            "table4" => {
+                let figure1 = tables::ascii_figure(
+                    "Figure 1: Effects of Header Prediction (round-trip time, us)",
+                    &paper::SIZES,
+                    &[
+                        ("with prediction", &rtts(&b)),
+                        ("without prediction", &rtts(&a)),
+                    ],
+                    16,
+                );
+                compare(
+                    "Table 4: effect of header prediction",
+                    ["NoPred", "Pred"],
+                    [&paper::T4_NO_PREDICTION_RTT, &paper::T1_ATM_RTT],
+                ) + "\n"
+                    + &figure1
+            }
+            "table6" => compare(
                 "Table 6: standard vs combined copy-and-checksum round trips",
-                [
-                    ("Std", base),
-                    ("Combined", atm(Variant::IntegratedChecksum)),
-                ],
+                ["Std", "Combined"],
                 [&paper::T1_ATM_RTT, &paper::T6_COMBINED_RTT],
             ),
-        ),
-        (
-            "table7",
-            compare(
+            "table7" => compare(
                 "Table 7: round trips with and without the TCP checksum",
-                [("Cksum", base), ("NoCksum", atm(Variant::NoChecksum))],
+                ["Cksum", "NoCksum"],
                 [&paper::T1_ATM_RTT, &paper::T7_NO_CKSUM_RTT],
             ),
-        ),
-    ]
-    .map(|(name, text)| (name, text + "\n"))
-    .into()
+            _ => unreachable!("{name} is not a table"),
+        }
+    };
+    let sections = SECTIONS
+        .iter()
+        .filter_map(|&(name, [a, b])| Some((name, section(name, runs(a)?, runs(b)?) + "\n")));
+    sections.collect()
 }
