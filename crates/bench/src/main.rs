@@ -4,18 +4,20 @@
 //!
 //! ```sh
 //! repro [all|table1|table2|table3|table4|table5|table6|table7|pcb|mbuf|predict|errors]
-//!       [extras|faults|churn|ablation|switch|ethernet-errors|udp|trace]
+//!       [extras|faults|ablation|switch|ethernet-errors|udp]
 //!       [verify [--bless] [--golden-dir DIR]] [invariants]
 //!       [dc] [tails] [hedge] [cc]
 //!       [--iterations N] [--reps N] [--jobs N] [--seed N]
 //!       [--sweep-json FILE] [--out-dir DIR] [--full] [--quick] [--sketch]
 //! ```
 //!
-//! Every subcommand is one entry of [`ENTRIES`]. `repro all` (the
-//! default) runs the `all` group, the paper's tables; `repro extras`
-//! the `extras` group, the extension experiments beyond them. Every
-//! selected entry runs once, in table order, and the exit code is the
-//! worst of theirs. An unknown subcommand or flag, a zero
+//! Every subcommand is one entry of [`ENTRIES`]: a section of a
+//! `world::Study`, or a gate (`verify`, `invariants`). `repro all` (the
+//! default) runs the `all` group, the paper's tables and the claims of
+//! its text; `repro extras` the `extras` group, the loss-recovery grid
+//! and the experiments that extend the paper. Every selected entry
+//! runs once, in table order, and the exit code is the worst of
+//! theirs. An unknown subcommand or flag, a zero
 //! `--iterations`, `--reps` or `--jobs`, or a flag that no selected
 //! subcommand reads prints one line on stderr and exits with code 2.
 //!
@@ -27,36 +29,36 @@
 //! subcommand. The other flags are refused unless a selected
 //! subcommand reads them:
 //!
-//! - `--iterations N` and `--reps N`: the paper's tables and the
-//!   loss-recovery grid (`faults`); `--iterations` also scales
-//!   `predict`, `errors`, `ablation`, `switch`, `ethernet-errors`,
-//!   `udp` and `invariants`, each up to its own cap;
-//! - `--seed N` (default 1): the base seed of the subcommands whose
-//!   runs draw from it, `errors`, `switch`, `ethernet-errors` and
-//!   `invariants`. Study cells derive their seeds from their cell keys
-//!   instead — that is what pins the blessed goldens — so `--seed`
-//!   never shifts a study;
+//! - `--iterations N`: the paper's tables, the loss-recovery grid
+//!   (`faults`), the extras study (`predict`, `errors`, `ablation`,
+//!   `switch`, `ethernet-errors`, `udp`) and `invariants`; `--reps N`:
+//!   the tables and `faults` (an extras cell runs once);
+//! - `--seed N` (default 1): the base seed of `invariants`. Study cells
+//!   derive their seeds from their cell keys instead — that is what
+//!   pins the blessed goldens — so `--seed` never shifts a study;
 //! - `--sketch`: the four world studies record completions in
 //!   mergeable-sketch mode;
 //! - `--sweep-json FILE` and `--out-dir DIR`: write the canonical
-//!   report of the one study the command line runs (any of the tables,
-//!   `faults`, or a world study), the same bytes at any `--jobs`, to
-//!   `FILE` under `DIR` (default `out/`, created on demand; an
-//!   absolute `FILE` is honoured as given). `--sweep-json` is refused
-//!   when two studies would each write one, `--out-dir` without
+//!   report of the one study the command line runs (the tables,
+//!   `faults`, the extras, or a world study), the same bytes at any
+//!   `--jobs`, to `FILE` under `DIR` (default `out/`, created on
+//!   demand; an absolute `FILE` is honoured as given). `--sweep-json`
+//!   is refused when two studies would each write one (`repro all`
+//!   selects the tables and the extras), `--out-dir` without
 //!   `--sweep-json`;
 //! - `--bless` and `--golden-dir DIR`: `repro verify`.
 //!
 //! Every study runs through `world::Study`. The paper's tables are one
-//! study: its grid runs once however many of Tables 1–7 are asked
-//! for, and only the cells the asked-for tables read (the whole grid
-//! under `--sweep-json`); cells shared between tables run once, and
-//! the printed tables are byte-identical at every worker count.
+//! study, the extras another: a study's grid runs once however many
+//! of its sections are asked for, and only the cells the asked-for
+//! sections read (the whole grid under `--sweep-json`); cells shared
+//! between sections run once, and the printed sections are
+//! byte-identical at every worker count.
 
 #![forbid(unsafe_code)]
 
 use latency_core::experiment::{Experiment, NetKind};
-use latency_core::{faults, micro, paper, tables, ObsMode};
+use latency_core::ObsMode;
 use sweep::grid::Variant;
 use world::{Scale, Study, StudyReport};
 
@@ -72,9 +74,9 @@ const KNOBS: [&str; 8] = [
     "--bless",
     "--golden-dir",
 ];
-const ITERS: &[&str] = &["--iterations"];
 const ITERS_SEED: &[&str] = &["--iterations", "--seed"];
 const TWO_HOST: &[&str] = &["--iterations", "--reps", "--sweep-json", "--out-dir"];
+const ONE_REP: &[&str] = &["--iterations", "--sweep-json", "--out-dir"];
 const WORLD: &[&str] = &["--sketch", "--sweep-json", "--out-dir"];
 const GOLDEN: &[&str] = &["--bless", "--golden-dir"];
 
@@ -84,8 +86,6 @@ enum Run {
     /// Prints the entry's section of a study. The study runs once per
     /// command line, when its first entry does.
     Study(Study),
-    /// Prints a stdout-only experiment.
-    Text(fn(&Opts)),
     /// A gate: its verdict is its exit code.
     Gate(fn(&Opts) -> i32),
 }
@@ -118,32 +118,27 @@ const fn entry(
 const ALL: Option<&str> = Some("all");
 const EXTRAS: Option<&str> = Some("extras");
 const TABLES: Run = Run::Study(Study::Tables);
+const EXTRAS_STUDY: Run = Run::Study(Study::Extras);
 
-/// Every subcommand, in run order.
-const ENTRIES: [Entry; 24] = [
+/// Every subcommand, in run order. Table 5, `pcb` and `mbuf` run no
+/// simulation, so they read no flag.
+const ENTRIES: [Entry; 22] = [
     entry("table1", ALL, TWO_HOST, TABLES),
     entry("table2", ALL, TWO_HOST, TABLES),
     entry("table3", ALL, TWO_HOST, TABLES),
     entry("table4", ALL, TWO_HOST, TABLES),
-    entry("table5", ALL, &[], Run::Text(table5)),
+    entry("table5", ALL, &[], TABLES),
     entry("table6", ALL, TWO_HOST, TABLES),
     entry("table7", ALL, TWO_HOST, TABLES),
-    entry("pcb", ALL, &[], Run::Text(pcb)),
-    entry("mbuf", ALL, &[], Run::Text(mbuf_bench)),
-    entry("predict", ALL, ITERS, Run::Text(predict)),
-    entry("errors", ALL, ITERS_SEED, Run::Text(errors)),
+    entry("pcb", ALL, &[], TABLES),
+    entry("mbuf", ALL, &[], TABLES),
+    entry("predict", ALL, ONE_REP, EXTRAS_STUDY),
+    entry("errors", ALL, ONE_REP, EXTRAS_STUDY),
     entry("faults", EXTRAS, TWO_HOST, Run::Study(Study::Faults)),
-    entry("churn", EXTRAS, &[], Run::Text(churn_exp)),
-    entry("ablation", EXTRAS, ITERS, Run::Text(ablation_exp)),
-    entry("switch", EXTRAS, ITERS_SEED, Run::Text(switch_exp)),
-    entry(
-        "ethernet-errors",
-        EXTRAS,
-        ITERS_SEED,
-        Run::Text(ethernet_errors),
-    ),
-    entry("udp", EXTRAS, ITERS, Run::Text(udp_exp)),
-    entry("trace", EXTRAS, &[], Run::Text(trace_timeline)),
+    entry("ablation", EXTRAS, ONE_REP, EXTRAS_STUDY),
+    entry("switch", EXTRAS, ONE_REP, EXTRAS_STUDY),
+    entry("ethernet-errors", EXTRAS, ONE_REP, EXTRAS_STUDY),
+    entry("udp", EXTRAS, ONE_REP, EXTRAS_STUDY),
     entry("verify", None, GOLDEN, Run::Gate(verify)),
     entry("invariants", None, ITERS_SEED, Run::Gate(invariants)),
     entry("dc", None, WORLD, Run::Study(Study::Dc)),
@@ -296,395 +291,10 @@ fn main() {
                 print!("{text}");
                 i32::from(!report.failed.is_empty())
             }
-            Run::Text(f) => {
-                f(&opts);
-                0
-            }
             Run::Gate(f) => f(&opts),
         });
     }
     std::process::exit(code);
-}
-
-fn churn_exp(_: &Opts) {
-    eprintln!("churn: live connections under both PCB organizations...");
-    use tcpip::config::PcbOrg;
-    let mut text = String::from(
-        "connection churn: server TCP-input cost for a segment on the OLDEST
-         of n live connections (three-way handshakes, real SYN options)
-",
-    );
-    text.push_str(&format!(
-        "{:>6} | {:>14} {:>14} {:>14}
-",
-        "conns", "list(us)", "list+cache(us)", "hash(us)"
-    ));
-    for &n in &[5usize, 25, 100, 250] {
-        let list = latency_core::churn::churn(n, PcbOrg::List);
-        let hash = latency_core::churn::churn(n, PcbOrg::Hash);
-        text.push_str(&format!(
-            "{n:>6} | {:>14.1} {:>14.1} {:>14.1}
-",
-            list.oldest_input_us, list.cached_input_us, hash.oldest_input_us
-        ));
-    }
-    text.push_str(
-        "=> the list organization pays ~1.28 us per connection on a cache
-   miss; the hash table is flat, as the paper predicted (§3).
-",
-    );
-    println!("{text}");
-}
-
-fn ablation_exp(opts: &Opts) {
-    eprintln!("ablation: CPU scaling, checksum algorithms, MSS rounding...");
-    let iters = opts.scale.iterations.min(400);
-    let pts = latency_core::ablation::cpu_scaling(&[1.0, 2.0, 4.0, 10.0, 40.0], iters);
-    let mut text = String::from(
-        "CPU scaling (host speedup over the 25 MHz R3000; wire fixed at 140 Mbit/s)
-",
-    );
-    text.push_str(&format!(
-        "{:>8} | {:>10} {:>10} {:>16}
-",
-        "speedup", "rtt4(us)", "rtt8k(us)", "elim saving(%)"
-    ));
-    for p in &pts {
-        text.push_str(&format!(
-            "{:>8.0} | {:>10.0} {:>10.0} {:>16.1}
-",
-            p.speedup, p.rtt4_us, p.rtt8k_us, p.elim_saving_pct
-        ));
-    }
-    text.push_str(
-        "=> a wire/adapter latency floor remains; the checksum question
-   fades as CPUs outrun the link (§1's technology question, forwards).
-
-",
-    );
-    let impls = latency_core::ablation::checksum_impls(8000, iters);
-    text.push_str(
-        "kernel checksum algorithm at 8000 B:
-",
-    );
-    for (which, rtt) in impls {
-        text.push_str(&format!(
-            "  {which:?}: {rtt:.0} us
-"
-        ));
-    }
-    let (two, one) = latency_core::ablation::mss_rounding(iters);
-    text.push_str(&format!(
-        "
-MSS rounding at 8000 B: two 4096-byte segments {two:.0} us vs one
-         8192-MSS segment {one:.0} us — the page-sized segments WIN by
-         pipelining receive processing against wire time.
-"
-    ));
-    println!("{text}");
-}
-
-fn switch_exp(opts: &Opts) {
-    eprintln!("switch: switched vs switchless path...");
-    let iters = opts.scale.iterations.min(500);
-    let mut text = String::from(
-        "ATM switch in the path (the paper's testbed was switchless)
-",
-    );
-    text.push_str(&format!(
-        "{:>6} | {:>12} {:>12} {:>8}
-",
-        "size", "direct(us)", "switched(us)", "delta"
-    ));
-    for &size in &[4usize, 1400, 8000] {
-        let mut d = Experiment::rpc(NetKind::Atm, size);
-        d.iterations = iters;
-        let mut s =
-            Experiment::rpc(NetKind::Atm, size).through_switch(atm::SwitchConfig::default());
-        s.iterations = iters;
-        let direct = d.plan().seed(opts.seed).execute().mean_rtt_us();
-        let switched = s.plan().seed(opts.seed).execute().mean_rtt_us();
-        text.push_str(&format!(
-            "{size:>6} | {direct:>12.0} {switched:>12.0} {:>8.0}
-",
-            switched - direct
-        ));
-    }
-    // Fabric corruption is caught end to end even without the TCP
-    // checksum (§4.2.1 error source #1).
-    let mut e = Experiment::rpc(NetKind::Atm, 1400).without_checksum();
-    e.iterations = iters;
-    e.switch = Some(atm::SwitchConfig {
-        corrupt_prob: 0.001,
-        ..atm::SwitchConfig::default()
-    });
-    let r = e.plan().seed(opts.seed).execute();
-    text.push_str(&format!(
-        "
-fabric corruption, TCP checksum OFF: {} AAL3/4 drops, {} app-visible
-         corruptions — the end-to-end AAL CRC covers the switch, as §4.2.1 argues.
-",
-        r.client_nic.aal_drops + r.server_nic.aal_drops,
-        r.verify_failures
-    ));
-    println!("{text}");
-}
-
-fn ethernet_errors(opts: &Opts) {
-    eprintln!("ethernet-errors: the departmental-Ethernet observation...");
-    let iters = opts.scale.iterations.min(300);
-    let local = faults::departmental_ethernet(1e-5, 0.0, iters, opts.seed.wrapping_add(8));
-    let mixed = faults::departmental_ethernet(1e-5, 0.005, iters, opts.seed.wrapping_add(9));
-    let text = format!(
-        "departmental Ethernet (§4.2.1): errors caught by the FCS vs TCP
-         local traffic only : CRC {} / TCP {}  (paper: TCP detected none)
-         with WAN traffic   : CRC {} / TCP {}  (paper: TCP ~100x fewer)
-",
-        local.caught_by_crc, local.caught_by_tcp, mixed.caught_by_crc, mixed.caught_by_tcp
-    );
-    println!("{text}");
-}
-
-fn udp_exp(opts: &Opts) {
-    eprintln!("udp: TCP vs UDP RPC latency...");
-    let iters = opts.scale.iterations.min(800);
-    let mut text = String::from(
-        "RPC echo over ATM: TCP vs UDP (extension; the comparison behind
-         §1's 'is TCP a viable transport for RPC?')
-",
-    );
-    text.push_str(&format!(
-        "{:>6} | {:>9} {:>9} {:>12}
-",
-        "size", "tcp(us)", "udp(us)", "tcp extra(%)"
-    ));
-    for &size in &paper::SIZES {
-        let mut t = Experiment::rpc(NetKind::Atm, size);
-        t.iterations = iters;
-        let mut u = Experiment::udp_rpc(NetKind::Atm, size);
-        u.iterations = iters;
-        let tcp = t.plan().execute().mean_rtt_us();
-        let udp = u.plan().execute().mean_rtt_us();
-        text.push_str(&format!(
-            "{size:>6} | {tcp:>9.0} {udp:>9.0} {:>12.1}
-",
-            (tcp / udp - 1.0) * 100.0
-        ));
-    }
-    text.push_str(
-        "=> TCP costs ~30% over a bare datagram exchange at small sizes — the
-         price of reliability state, mcopy and the heavier input path — and
-         the gap closes with size until TCP WINS at 8 KB: its two page-sized
-         segments pipeline receive processing against wire time, while the
-         single large UDP datagram serializes. Same order of magnitude
-         throughout, supporting the paper's 'viable for RPC' conclusion.
-",
-    );
-    println!("{text}");
-}
-
-/// Prints an annotated timeline of one 1400-byte RPC iteration —
-/// every probe interval the client's instrumentation recorded, in
-/// order.
-fn trace_timeline(_: &Opts) {
-    let mut e = Experiment::rpc(NetKind::Atm, 1400);
-    e.iterations = 1;
-    e.warmup = 2;
-    let run = e.plan().captured().execute();
-    println!("timeline of one 1400-byte RPC iteration (client side, us relative to write()):");
-    let rec = &run.client_spans;
-    let t0 = rec
-        .marks()
-        .iter()
-        .find(|(m, _)| *m == tcpip::Mark::WriteStart)
-        .map_or(simkit::SimTime::ZERO, |&(_, t)| t);
-    let us = |t: simkit::SimTime| t.saturating_since(t0).as_us_f64();
-    let mut events: Vec<(f64, String)> = rec
-        .spans()
-        .iter()
-        .map(|s| {
-            let line = format!("{:>9.1} ..{:>9.1}  {:?}", us(s.start), us(s.end), s.kind);
-            (us(s.start), line)
-        })
-        .collect();
-    events.extend(
-        rec.marks()
-            .iter()
-            .map(|&(m, t)| (us(t), format!("{:>9.1}              * {m:?}", us(t)))),
-    );
-    events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-    for (_, line) in events {
-        println!("{line}");
-    }
-}
-
-fn table5(_: &Opts) {
-    eprintln!("table5: user-level copy & checksum (modelled DECstation costs)...");
-    let costs = decstation::CostModel::calibrated();
-    let rows = micro::table5_model(&costs, &paper::SIZES);
-    let mut text = String::from("Table 5: copy and checksum costs (modelled us, measured/paper)\n");
-    text.push_str(&format!(
-        "{:>6} | {:>13} {:>13} {:>13} {:>13} {:>8}\n",
-        "size", "ULTRIXcksum", "bcopy", "opt.cksum", "integrated", "save%"
-    ));
-    let mut integ_series = Vec::new();
-    for (i, &size) in paper::SIZES.iter().enumerate() {
-        let [u, b, o, g] = rows[i];
-        let save = (1.0 - g / (b + o)) * 100.0;
-        text.push_str(&format!(
-            "{size:>6} | {u:>6.0}/{:<6.0} {b:>6.0}/{:<6.0} {o:>6.0}/{:<6.0} {g:>6.0}/{:<6.0} {save:>8.1}\n",
-            paper::t5::ULTRIX_CKSUM[i],
-            paper::t5::BCOPY[i],
-            paper::t5::OPT_CKSUM[i],
-            paper::t5::INTEGRATED[i],
-        ));
-        integ_series.push(g);
-    }
-    println!("{text}");
-    // Figure 2: the three strategies for copy+checksum.
-    let copy_ultrix: Vec<f64> = paper::SIZES
-        .iter()
-        .enumerate()
-        .map(|(i, _)| rows[i][0] + rows[i][1])
-        .collect();
-    let copy_opt: Vec<f64> = paper::SIZES
-        .iter()
-        .enumerate()
-        .map(|(i, _)| rows[i][2] + rows[i][1])
-        .collect();
-    let fig = tables::ascii_figure(
-        "Figure 2: Copy and Checksum Measurements (us)",
-        &paper::SIZES,
-        &[
-            ("copy & ULTRIX checksum", &copy_ultrix),
-            ("copy & optimized checksum", &copy_opt),
-            ("integrated copy & checksum", &integ_series),
-        ],
-        16,
-    );
-    println!("{fig}");
-    // Native shape check: the real routines on this machine.
-    let mut native = String::from("Native (this machine) checksum routine times, ns/call:\n");
-    native.push_str(&format!(
-        "{:>6} {:>12} {:>12} {:>12}\n",
-        "size", "ultrix", "optimized", "copy+cksum"
-    ));
-    for &size in &paper::SIZES {
-        let [u, o, i] = micro::native_cksum_ns(size, 2000);
-        native.push_str(&format!("{size:>6} {u:>12.0} {o:>12.0} {i:>12.0}\n"));
-    }
-    println!("{native}");
-}
-
-fn pcb(_: &Opts) {
-    eprintln!("pcb: lookup scaling (§3)...");
-    let costs = decstation::CostModel::calibrated();
-    let lengths = [20usize, 50, 100, 250, 500, 750, 1000];
-    let pts = micro::pcb_lookup_sweep(&costs, &lengths);
-    let fit = micro::pcb_lookup_fit(&pts).expect("fit");
-    let mut text = String::from(
-        "PCB linear-search cost (paper: 20 -> 26 us, 1000 -> 1280 us, ~1.3 us/entry)\n",
-    );
-    text.push_str(&format!(
-        "{:>8} {:>12} {:>12}\n",
-        "entries", "model(us)", "steps"
-    ));
-    for p in &pts {
-        text.push_str(&format!(
-            "{:>8} {:>12.1} {:>12}\n",
-            p.entries, p.model_us, p.real_steps
-        ));
-    }
-    text.push_str(&format!(
-        "fit: {:.3} us/entry (r^2 = {:.6}); paper: ~{} us/entry\n",
-        fit.slope,
-        fit.r_squared,
-        paper::PCB_PER_ENTRY_US
-    ));
-    println!("{text}");
-}
-
-fn mbuf_bench(_: &Opts) {
-    eprintln!("mbuf: allocator microbenchmark (§2.2.1)...");
-    let costs = decstation::CostModel::calibrated();
-    let us = micro::mbuf_pair_cost_us(&costs);
-    let text = format!(
-        "mbuf allocate+free pair: {us:.1} us (paper: just over {} us)\n",
-        paper::MBUF_ALLOC_FREE_US
-    );
-    println!("{text}");
-}
-
-fn predict(opts: &Opts) {
-    eprintln!("predict: fast-path statistics (§3)...");
-    let rpc = |size| {
-        let mut e = Experiment::rpc(NetKind::Atm, size);
-        e.iterations = opts.scale.iterations;
-        e.warmup = 16;
-        e.plan().execute()
-    };
-    let r = rpc(200);
-    let rpc_rate = 100.0 * (r.client_tcp.predict_data_hits + r.client_tcp.predict_ack_hits) as f64
-        / r.client_tcp.predict_checks.max(1) as f64;
-    let b = Experiment::bulk(NetKind::Atm, 4000, opts.scale.iterations.min(2_000))
-        .plan()
-        .execute();
-    let bulk_rate =
-        100.0 * b.server_tcp.predict_data_hits as f64 / b.server_tcp.predict_checks.max(1) as f64;
-    let r8k = rpc(8000);
-    let second_seg =
-        100.0 * r8k.client_tcp.predict_data_hits as f64 / (2.0 * r8k.rtts.len() as f64);
-    let text = format!(
-        "header-prediction fast path hit rates:\n\
-         RPC 200 B client:         {rpc_rate:>5.1}%  (paper: fails for piggybacked-ACK RPC)\n\
-         bulk 4000 B receiver:     {bulk_rate:>5.1}%  (paper: the case it was built for)\n\
-         RPC 8000 B data segments: {second_seg:>5.1}%  (paper: succeeds for half: the 2nd of 2)\n"
-    );
-    println!("{text}");
-}
-
-fn errors(opts: &Opts) {
-    eprintln!("errors: §4.2.1 detection layering...");
-    let iters = opts.scale.iterations.min(300);
-    let mut text =
-        String::from("fault injection (RPC 1400 B): which layer detects each error class\n");
-    text.push_str(&format!(
-        "{:<34} {:>8} {:>5} {:>5} {:>5} {:>5} {:>7}\n",
-        "class", "injected", "HEC", "AAL", "TCP", "app", "rexmit"
-    ));
-    let mut row = |name: &str, r: &faults::DetectionReport| {
-        text.push_str(&format!(
-            "{name:<34} {:>8} {:>5} {:>5} {:>5} {:>5} {:>7}\n",
-            r.injected_link,
-            r.caught_hec,
-            r.caught_aal,
-            r.caught_tcp,
-            r.reached_app,
-            r.retransmissions
-        ));
-    };
-    row(
-        "fiber BER 1e-5",
-        &faults::link_bit_errors(1e-5, iters, opts.seed.wrapping_add(1)),
-    );
-    row(
-        "fiber BER 1e-4",
-        &faults::link_bit_errors(1e-4, iters, opts.seed.wrapping_add(2)),
-    );
-    row(
-        "cell loss 0.2%",
-        &faults::cell_loss(0.002, iters, opts.seed.wrapping_add(3)),
-    );
-    let on = faults::controller_corruption(0.03, true, iters, opts.seed.wrapping_add(4));
-    let off = faults::controller_corruption(0.03, false, iters, opts.seed.wrapping_add(5));
-    row("controller corruption, cksum ON", &on);
-    row("controller corruption, cksum OFF", &off);
-    text.push_str(
-        "=> link errors never pass AAL3/4; controller corruption passes every\n\
-         link CRC and reaches the application once the TCP checksum is off —\n\
-         the boundary condition of the paper's elimination argument.\n",
-    );
-    println!("{text}");
 }
 
 /// `repro verify`: every study's quick grid runs live in exact mode,
@@ -881,7 +491,8 @@ fn invariants(opts: &Opts) -> i32 {
 /// Runs a study at the command line's scale: its failed cells go to
 /// stderr (a cell fails on payload corruption, a leaked mbuf, no
 /// samples with no abort to explain them, or, in `tables` and `dc`,
-/// an abort), its canonical report to `--sweep-json FILE`.
+/// an abort; see `Study`'s failure predicate), its canonical report to
+/// `--sweep-json FILE`.
 fn run_study(study: Study, opts: &Opts) -> StudyReport {
     let name = study.name();
     eprintln!("{name}: running across {} worker(s)...", opts.jobs);
@@ -890,7 +501,7 @@ fn run_study(study: Study, opts: &Opts) -> StudyReport {
     } else {
         ObsMode::Exact
     };
-    // A report holds the whole grid; a printed table needs only the
+    // A report holds the whole grid; a printed section needs only the
     // cells it reads.
     let whole = opts.sweep_json.is_some();
     let sections: Vec<&str> = selected(&opts.what)

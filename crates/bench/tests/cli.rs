@@ -10,7 +10,7 @@ use std::process::Command;
 #[test]
 fn bad_command_lines_exit_2_with_one_line() {
     let unread = "is read by none of the selected subcommands";
-    let cases: [(&[&str], String); 18] = [
+    let cases: [(&[&str], String); 23] = [
         // The refusal names every known subcommand, studies last.
         (
             &["extra", "--quick"],
@@ -18,6 +18,12 @@ fn bad_command_lines_exit_2_with_one_line() {
         ),
         (&["tablex"], "unknown subcommand `tablex` (known: ".into()),
         (&["tablex"], " verify invariants dc tails hedge cc)".into()),
+        // `churn` and `trace` printed what other studies print.
+        (&["churn"], "unknown subcommand `churn` (known: ".into()),
+        (
+            &["trace", "--quick"],
+            "unknown subcommand `trace` (known: ".into(),
+        ),
         (
             &["table1", "--reps", "0"],
             "--reps must be at least 1".into(),
@@ -53,9 +59,19 @@ fn bad_command_lines_exit_2_with_one_line() {
             &["dc", "--quick", "--reps", "3"],
             format!("--reps {unread}"),
         ),
-        // The clean two-host world draws nothing from the seed.
+        // Study cells draw their seeds from their keys, faulted or
+        // not: only `invariants` reads `--seed`.
         (
             &["udp", "--quick", "--seed", "9"],
+            format!("--seed {unread}"),
+        ),
+        (
+            &["switch", "--quick", "--seed", "9"],
+            format!("--seed {unread}"),
+        ),
+        (&["errors", "--seed", "9"], format!("--seed {unread}")),
+        (
+            &["ethernet-errors", "--quick", "--seed", "9"],
             format!("--seed {unread}"),
         ),
         (
@@ -77,7 +93,7 @@ fn bad_command_lines_exit_2_with_one_line() {
             "--out-dir is read only with --sweep-json".into(),
         ),
         (
-            &["pcb", "trace", "--sweep-json", "x.json"],
+            &["pcb", "mbuf", "--sweep-json", "x.json"],
             format!("--sweep-json {unread}"),
         ),
         (
@@ -123,10 +139,13 @@ fn every_named_subcommand_runs_in_table_order() {
 
 #[test]
 fn every_study_entry_prints_its_section() {
-    // Each table is a section of one study, found by its entry's name.
+    // Each table is a section of one study, each experiment beyond
+    // them a section of another, found by its entry's name.
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["table1", "table2", "table3", "table4", "table6", "table7"])
-        .args(["faults", "--quick", "--iterations", "20", "--jobs", "2"])
+        .args(["table1", "table2", "table3", "table4", "table5", "table6"])
+        .args(["table7", "pcb", "mbuf", "predict", "errors", "faults"])
+        .args(["ablation", "switch", "ethernet-errors", "udp"])
+        .args(["--quick", "--iterations", "20", "--jobs", "2"])
         .output()
         .expect("run repro");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -137,9 +156,18 @@ fn every_study_entry_prints_its_section() {
         "Table 2: ",
         "Table 3: ",
         "Table 4: ",
+        "Table 5: ",
         "Table 6: ",
         "Table 7: ",
+        "PCB linear-search cost",
+        "mbuf allocate+free pair",
+        "header-prediction fast path",
+        "fault injection (RPC 1400 B)",
         "loss-recovery latency",
+        "CPU scaling",
+        "ATM switch in the path",
+        "departmental Ethernet",
+        "RPC echo over ATM: TCP vs UDP",
     ];
     let at: Vec<Option<usize>> = headings.iter().map(|h| stdout.find(h)).collect();
     assert!(

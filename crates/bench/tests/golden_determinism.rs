@@ -3,9 +3,9 @@
 //!
 //! `repro verify` passes against the blessed goldens at `--jobs 1`
 //! and `--jobs 4`. Verify compares bytes, so the live canonical
-//! reports of all six golden grids (tables, faults, and the dc,
-//! tails, hedge and cc studies) are byte-identical to the goldens at
-//! both worker counts, and therefore to each other.
+//! reports of all seven golden grids (tables, faults, extras, and the
+//! dc, tails, hedge and cc studies) are byte-identical to the goldens
+//! at both worker counts, and therefore to each other.
 
 use std::path::PathBuf;
 use std::process::Command;

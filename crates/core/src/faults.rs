@@ -1,33 +1,42 @@
-//! The §4.2.1 error-detection study.
+//! The §4.2.1 error-detection counts of one run.
 //!
 //! The paper argues the TCP checksum can be eliminated on local ATM
 //! because the AAL CRCs catch link errors, and enumerates four error
-//! sources. This module injects three of them and counts which layer
-//! detects each:
+//! sources. Three of them can be injected into an [`Experiment`]
+//! (`ber`, `cell_loss`, `controller_corrupt`, and `gateway_corrupt` on
+//! Ethernet), and [`DetectionReport::from_run`] counts which layer
+//! detected each:
 //!
 //! 1. **link bit errors** (BER on the fiber) — caught by HEC (header
-//!    bits) or the AAL3/4 CRC-10 (payload bits);
+//!    bits) or the AAL3/4 CRC-10 (payload bits); on Ethernet by the
+//!    FCS;
 //! 2. **cell loss** — caught by the AAL3/4 sequence numbers / length;
 //! 3. **controller corruption** (bits flipped between controller and
-//!    host memory) — invisible to every link CRC; only the TCP
-//!    checksum (when enabled) or the application notices.
+//!    host memory) and **gateway corruption** (a frame damaged before
+//!    framing) — invisible to every link CRC; only the TCP checksum
+//!    (when enabled) or the application notices.
 //!
-//! The experiment mirrors the paper's departmental-Ethernet
-//! observation: with a checksum-eliminating configuration, class 3
-//! errors reach the application, while classes 1–2 never do.
+//! The `errors` and `ethernet-errors` sections of the extras study
+//! mirror the paper's departmental-Ethernet observation: with a
+//! checksum-eliminating configuration, class 3 errors reach the
+//! application, while classes 1–2 never do.
+//!
+//! [`Experiment`]: crate::experiment::Experiment
 
-use crate::experiment::{Experiment, NetKind, RunResult};
-use tcpip::ChecksumMode;
+use crate::experiment::RunResult;
 
-/// Detection counts for one fault-injection run.
+/// Detection counts for one fault-injection run, summed over both
+/// hosts.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DetectionReport {
-    /// Cells the link corrupted or dropped.
+    /// Cells (or frames) the link corrupted or dropped.
     pub injected_link: u64,
     /// Header corruptions caught by the HEC.
     pub caught_hec: u64,
     /// Payload corruptions / losses caught by AAL3/4.
     pub caught_aal: u64,
+    /// Frames caught by the Ethernet FCS.
+    pub caught_fcs: u64,
     /// Segments caught by the TCP checksum.
     pub caught_tcp: u64,
     /// Corruptions that reached the application (verification
@@ -35,177 +44,24 @@ pub struct DetectionReport {
     pub reached_app: u64,
     /// TCP retransmissions triggered while recovering.
     pub retransmissions: u64,
-    /// Iterations completed despite the faults.
+    /// Iterations measured despite the faults.
     pub iterations: u64,
 }
 
 impl DetectionReport {
-    fn from_run(r: &RunResult) -> DetectionReport {
+    /// The detection counts of `r`.
+    #[must_use]
+    pub fn from_run(r: &RunResult) -> DetectionReport {
+        let (c, s) = (&r.client_nic, &r.server_nic);
         DetectionReport {
-            injected_link: r.client_nic.link_lost
-                + r.client_nic.link_corrupted
-                + r.server_nic.link_lost
-                + r.server_nic.link_corrupted,
-            caught_hec: r.client_nic.hec_drops + r.server_nic.hec_drops,
-            caught_aal: r.client_nic.aal_drops + r.server_nic.aal_drops,
+            injected_link: c.link_lost + c.link_corrupted + s.link_lost + s.link_corrupted,
+            caught_hec: c.hec_drops + s.hec_drops,
+            caught_aal: c.aal_drops + s.aal_drops,
+            caught_fcs: c.fcs_drops + s.fcs_drops,
             caught_tcp: r.client_kernel.tcp_cksum_drops + r.server_kernel.tcp_cksum_drops,
             reached_app: r.verify_failures,
             retransmissions: r.client_tcp.rexmits + r.server_tcp.rexmits,
             iterations: r.rtts.len() as u64,
         }
-    }
-}
-
-/// Runs the RPC workload under link bit errors.
-#[must_use]
-pub fn link_bit_errors(ber: f64, iterations: u64, seed: u64) -> DetectionReport {
-    let mut e = Experiment::rpc(NetKind::Atm, 1400);
-    e.iterations = iterations;
-    e.ber = ber;
-    DetectionReport::from_run(&e.plan().seed(seed).execute())
-}
-
-/// Runs the RPC workload under cell loss.
-#[must_use]
-pub fn cell_loss(prob: f64, iterations: u64, seed: u64) -> DetectionReport {
-    let mut e = Experiment::rpc(NetKind::Atm, 1400);
-    e.iterations = iterations;
-    e.cell_loss = prob;
-    DetectionReport::from_run(&e.plan().seed(seed).execute())
-}
-
-/// Runs the RPC workload under controller corruption, with or
-/// without the TCP checksum — the crux of the §4.2.1 argument.
-#[must_use]
-pub fn controller_corruption(
-    prob: f64,
-    with_tcp_checksum: bool,
-    iterations: u64,
-    seed: u64,
-) -> DetectionReport {
-    let mut e = Experiment::rpc(NetKind::Atm, 1400);
-    e.iterations = iterations;
-    e.controller_corrupt = prob;
-    if !with_tcp_checksum {
-        e.cfg.checksum = ChecksumMode::None;
-    }
-    DetectionReport::from_run(&e.plan().seed(seed).execute())
-}
-
-/// Detection counts for the departmental-Ethernet observation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EthernetErrorReport {
-    /// Frames the Ethernet CRC (FCS) rejected — local wire errors.
-    pub caught_by_crc: u64,
-    /// Segments the TCP checksum rejected — errors injected past the
-    /// CRC (gateway/bridge traffic).
-    pub caught_by_tcp: u64,
-    /// Corruptions that reached the application.
-    pub reached_app: u64,
-    /// Iterations completed.
-    pub iterations: u64,
-}
-
-/// §4.2.1's departmental-Ethernet experiment: "TCP detects two orders
-/// of magnitude fewer errors than the Ethernet CRC when wide-area
-/// traffic is included. Without wide-area traffic, TCP detected no
-/// checksum errors."
-///
-/// `local_ber` drives wire errors (caught by the FCS);
-/// `gateway_rate` drives per-frame corruption injected *before*
-/// framing, as a misbehaving gateway would (only TCP can catch it).
-#[must_use]
-pub fn departmental_ethernet(
-    local_ber: f64,
-    gateway_rate: f64,
-    iterations: u64,
-    seed: u64,
-) -> EthernetErrorReport {
-    let mut e = Experiment::rpc(NetKind::Ether, 1400);
-    e.iterations = iterations;
-    e.ber = local_ber;
-    e.gateway_corrupt = gateway_rate;
-    let r = e.plan().seed(seed).execute();
-    EthernetErrorReport {
-        caught_by_crc: r.client_nic.fcs_drops + r.server_nic.fcs_drops,
-        caught_by_tcp: r.client_kernel.tcp_cksum_drops + r.server_kernel.tcp_cksum_drops,
-        reached_app: r.verify_failures,
-        iterations: r.rtts.len() as u64,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn clean_link_detects_nothing() {
-        let r = link_bit_errors(0.0, 20, 1);
-        assert_eq!(r.injected_link, 0);
-        assert_eq!(r.caught_aal + r.caught_hec + r.caught_tcp, 0);
-        assert_eq!(r.reached_app, 0);
-        assert_eq!(r.iterations, 20);
-    }
-
-    #[test]
-    fn noisy_fiber_is_caught_below_tcp() {
-        // A very noisy fiber: ~1 bit error per ~120 cells, i.e. a
-        // ~25% corruption chance per 34-cell RPC packet — enough that
-        // AAL drops and retransmissions are certain, but far from the
-        // ~12-consecutive-loss run that would (correctly, per the
-        // retransmit limit) abort the connection.
-        let r = link_bit_errors(2e-5, 20, 2);
-        assert!(r.injected_link > 0, "{r:?}");
-        assert!(r.caught_aal + r.caught_hec > 0, "{r:?}");
-        assert_eq!(r.reached_app, 0, "AAL3/4 shields the app: {r:?}");
-        assert!(r.retransmissions > 0, "TCP recovered the drops: {r:?}");
-        assert_eq!(r.iterations, 20, "all iterations completed");
-    }
-
-    #[test]
-    fn cell_loss_recovered_by_tcp() {
-        let r = cell_loss(0.002, 20, 3);
-        assert!(r.injected_link > 0);
-        assert!(
-            r.caught_aal > 0,
-            "loss shows up as AAL sequence gaps: {r:?}"
-        );
-        assert_eq!(r.reached_app, 0);
-        assert_eq!(r.iterations, 20);
-    }
-
-    #[test]
-    fn departmental_ethernet_ratio() {
-        // Local-only traffic: the FCS catches everything, TCP sees
-        // nothing — "Without wide-area traffic, TCP detected no
-        // checksum errors."
-        let local = departmental_ethernet(1e-5, 0.0, 150, 9);
-        assert!(local.caught_by_crc > 0, "{local:?}");
-        assert_eq!(local.caught_by_tcp, 0, "{local:?}");
-        assert_eq!(local.reached_app, 0);
-        // Adding wide-area (gateway) traffic: TCP starts catching a
-        // much smaller stream of errors the CRC cannot see. (The
-        // paper's exact ratio — two orders of magnitude — reflects
-        // its ambient traffic mix; the mechanism is what we check.)
-        let mixed = departmental_ethernet(1e-5, 0.005, 150, 10);
-        assert!(mixed.caught_by_tcp > 0, "{mixed:?}");
-        assert!(
-            mixed.caught_by_crc > 8 * mixed.caught_by_tcp,
-            "CRC should dominate: {mixed:?}"
-        );
-        assert_eq!(mixed.reached_app, 0, "TCP shields the app");
-    }
-
-    #[test]
-    fn controller_corruption_needs_the_tcp_checksum() {
-        // With the checksum: TCP catches it, the app never sees it.
-        let with = controller_corruption(0.05, true, 30, 4);
-        assert!(with.caught_tcp > 0, "{with:?}");
-        assert_eq!(with.reached_app, 0, "{with:?}");
-        // Without: it sails past every CRC into the application —
-        // the §4.2.1 caveat about buggy controllers.
-        let without = controller_corruption(0.05, false, 30, 4);
-        assert_eq!(without.caught_tcp, 0);
-        assert!(without.reached_app > 0, "{without:?}");
     }
 }

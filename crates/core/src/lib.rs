@@ -20,7 +20,7 @@
 //!   numbers for side-by-side comparison;
 //! - [`micro`] covers the in-text microbenchmarks (PCB lookup
 //!   scaling, mbuf allocation, the Table 5 copy/checksum costs);
-//! - [`faults`] runs the §4.2.1 error-injection study;
+//! - [`faults`] reduces a run to the §4.2.1 error-detection counts;
 //! - [`obs`] holds the study-side sample containers and
 //!   [`obs::Summary`], the latency columns every study row reads;
 //!   [`recovery`] is the loss-recovery study built on it (the
@@ -46,11 +46,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablation;
 pub mod app;
 pub mod breakdown;
 pub mod capture;
-pub mod churn;
 pub mod experiment;
 pub mod faults;
 pub mod micro;

@@ -2,13 +2,12 @@
 //! allocation (§2.2.1), and the Table 5 user-level copy/checksum
 //! costs.
 //!
-//! Two kinds of numbers come out of this module:
-//!
-//! - **modelled DECstation costs** from the calibrated cost model
-//!   (these regenerate the paper's numbers), and
-//! - **real executions** — the checksum routines run over real bytes
-//!   and the PCB search walks a real list — which pin the *shape*
-//!   (linearity, relative ordering) independent of calibration.
+//! The numbers are **modelled DECstation costs** from the calibrated
+//! cost model (these regenerate the paper's numbers); the PCB search
+//! walks a real list and the mbuf benchmark exercises the real
+//! allocator, so the counts behind them are real. The tests also run
+//! the checksum routines natively, which pins their *shape*
+//! (linearity, relative ordering) independent of calibration.
 
 use decstation::{linear_fit, CostModel, LinearFit};
 use tcpip::config::PcbOrg;
@@ -24,6 +23,10 @@ pub struct PcbPoint {
     /// Steps the real search actually took.
     pub real_steps: usize,
 }
+
+/// The list lengths `repro pcb` sweeps, spanning the §3
+/// measurement's 20 and 1000 entries.
+pub const PCB_LENGTHS: [usize; 7] = [20, 50, 100, 250, 500, 750, 1000];
 
 /// Sweeps PCB list lengths, searching for the deepest entry, as the
 /// §3 measurement did (20 entries → 26 µs ... 1000 → 1280 µs).
@@ -79,36 +82,6 @@ pub fn table5_model(costs: &CostModel, sizes: &[usize]) -> Vec<[f64; 4]> {
         .collect()
 }
 
-/// Native wall-clock execution of the three checksum/copy routines
-/// over `n` bytes, in nanoseconds per call. Modern hardware is vastly
-/// faster than a DECstation, but the *shape* — linear scaling, the
-/// integrated routine beating copy + separate checksum — carries
-/// over. `repro table5` prints it beside the modelled Table 5; the
-/// tests here check its shape.
-#[must_use]
-pub fn native_cksum_ns(n: usize, reps: u32) -> [f64; 3] {
-    let data: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
-    let mut dst = vec![0u8; n];
-    let time = |mut f: Box<dyn FnMut() -> u16>| {
-        let start = std::time::Instant::now();
-        let mut acc = 0u16;
-        for _ in 0..reps {
-            acc = acc.wrapping_add(f());
-        }
-        std::hint::black_box(acc);
-        start.elapsed().as_nanos() as f64 / f64::from(reps)
-    };
-    let d1 = data.clone();
-    let ultrix = time(Box::new(move || cksum::ultrix_cksum(&d1).value()));
-    let d2 = data.clone();
-    let opt = time(Box::new(move || cksum::optimized_cksum(&d2).value()));
-    let d3 = data;
-    let integ = time(Box::new(move || {
-        cksum::copy_and_cksum(&d3, &mut dst).value()
-    }));
-    [ultrix, opt, integ]
-}
-
 /// The §2.2.1 mbuf microbenchmark: the modelled alloc+free pair cost
 /// plus a real allocator exercise (counts verified, no leak).
 #[must_use]
@@ -129,12 +102,41 @@ mod tests {
     use super::*;
     use crate::paper;
 
+    /// Native wall-clock execution of the three checksum/copy routines
+    /// over `n` bytes, in nanoseconds per call. Modern hardware is
+    /// vastly faster than a DECstation, but the *shape* — linear
+    /// scaling, the optimized routine beating the halfword one —
+    /// carries over.
+    fn native_cksum_ns(n: usize, reps: u32) -> [f64; 3] {
+        let data: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
+        let mut dst = vec![0u8; n];
+        let time = |mut f: Box<dyn FnMut() -> u16>| {
+            let start = std::time::Instant::now();
+            let mut acc = 0u16;
+            for _ in 0..reps {
+                acc = acc.wrapping_add(f());
+            }
+            std::hint::black_box(acc);
+            start.elapsed().as_nanos() as f64 / f64::from(reps)
+        };
+        let d1 = data.clone();
+        let ultrix = time(Box::new(move || cksum::ultrix_cksum(&d1).value()));
+        let d2 = data.clone();
+        let opt = time(Box::new(move || cksum::optimized_cksum(&d2).value()));
+        let d3 = data;
+        let integ = time(Box::new(move || {
+            cksum::copy_and_cksum(&d3, &mut dst).value()
+        }));
+        [ultrix, opt, integ]
+    }
+
     #[test]
     fn pcb_sweep_matches_paper_endpoints() {
         let costs = CostModel::calibrated();
-        let pts = pcb_lookup_sweep(&costs, &[20, 100, 250, 500, 1000]);
+        let pts = pcb_lookup_sweep(&costs, &PCB_LENGTHS);
+        assert_eq!((pts[0].entries, pts[6].entries), (20, 1000));
         assert!((pts[0].model_us - paper::PCB_SEARCH_20_US).abs() < 3.0);
-        assert!((pts[4].model_us - paper::PCB_SEARCH_1000_US).abs() < 20.0);
+        assert!((pts[6].model_us - paper::PCB_SEARCH_1000_US).abs() < 20.0);
         let fit = pcb_lookup_fit(&pts).unwrap();
         assert!(
             (fit.slope - paper::PCB_PER_ENTRY_US).abs() < 0.05,

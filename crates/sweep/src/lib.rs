@@ -74,7 +74,9 @@ pub struct Cell {
 pub struct CellOutcome {
     /// The cell's grid key.
     pub key: String,
-    /// Base seed derived from the key.
+    /// The seed the cell's first repetition ran on, derived from the
+    /// key: rerunning the cell's experiment from it reproduces the
+    /// cell.
     pub seed: u64,
     /// Repetitions pooled.
     pub reps: u64,
@@ -203,13 +205,8 @@ impl Sweep {
         let t0 = Instant::now();
         let outcomes = pool::run_ordered(&self.cells, jobs, |_, cell| {
             let started = Instant::now();
-            let seed = cell_seed(&cell.key);
-            let result = cell
-                .exp
-                .plan()
-                .seed(seed.wrapping_add(1))
-                .reps(cell.reps)
-                .execute();
+            let seed = cell_seed(&cell.key).wrapping_add(1);
+            let result = cell.exp.plan().seed(seed).reps(cell.reps).execute();
             CellOutcome {
                 key: cell.key.clone(),
                 seed,
@@ -284,6 +281,24 @@ mod tests {
         for jobs in [2, 3, 8] {
             assert_eq!(seq, sw.run(jobs).canonical_json(), "jobs = {jobs}");
         }
+    }
+
+    #[test]
+    fn a_faulted_cell_reruns_from_its_reported_seed() {
+        // A lossy cell draws from its seed, so only the seed it ran on
+        // reproduces its line of the report.
+        let scenario = latency_core::recovery::scenarios()
+            .into_iter()
+            .find(|s| s.name == "light-bursts")
+            .expect("a faulted scenario");
+        let exp = latency_core::recovery::experiment(&scenario, 1400, 30);
+        let mut sw = Sweep::new("rerun");
+        sw.ensure("faulted".into(), exp.clone(), 1);
+        let mut ran = sw.run(1);
+        let line = ran.canonical_json();
+        let seed = ran.outcomes[0].seed;
+        ran.outcomes[0].result = exp.plan().seed(seed).execute();
+        assert_eq!(ran.canonical_json(), line);
     }
 
     #[test]

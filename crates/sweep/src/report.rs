@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use crate::SweepResults;
+use crate::{CellOutcome, SweepResults};
 
 /// Finite-number JSON rendering; NaN/inf become null (like
 /// serde_json). Public so the world studies render their extra fields
@@ -134,22 +134,36 @@ impl SweepResults {
     /// any `--jobs` value (and across repeated runs).
     #[must_use]
     pub fn canonical_json(&self) -> String {
+        self.canonical_json_with(|_| Vec::new())
+    }
+
+    /// [`SweepResults::canonical_json`] with each cell's schema fields
+    /// followed by `extras(cell)`.
+    #[must_use]
+    pub fn canonical_json_with(
+        &self,
+        extras: impl Fn(&CellOutcome) -> Vec<(&'static str, String)>,
+    ) -> String {
+        let extras: Vec<_> = self.outcomes.iter().map(extras).collect();
         canonical_report(
             &self.name,
-            self.outcomes.iter().map(|c| ReportCell {
-                key: &c.key,
-                seed: c.seed,
-                reps: c.reps,
-                samples: c.result.rtts.len(),
-                mean_us: c.result.mean_rtt_us(),
-                stddev_us: c.result.stddev_rtt_us(),
-                min_us: latency_core::stats::min_us(&c.result.rtts),
-                max_us: latency_core::stats::max_us(&c.result.rtts),
-                events: c.result.events,
-                sim_time_us: c.result.sim_time.as_us_f64(),
-                verify_failures: c.result.verify_failures,
-                extras: &[],
-            }),
+            self.outcomes
+                .iter()
+                .zip(&extras)
+                .map(|(c, extras)| ReportCell {
+                    key: &c.key,
+                    seed: c.seed,
+                    reps: c.reps,
+                    samples: c.result.rtts.len(),
+                    mean_us: c.result.mean_rtt_us(),
+                    stddev_us: c.result.stddev_rtt_us(),
+                    min_us: latency_core::stats::min_us(&c.result.rtts),
+                    max_us: latency_core::stats::max_us(&c.result.rtts),
+                    events: c.result.events,
+                    sim_time_us: c.result.sim_time.as_us_f64(),
+                    verify_failures: c.result.verify_failures,
+                    extras,
+                }),
         )
     }
 }

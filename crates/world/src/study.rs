@@ -1,8 +1,10 @@
 //! The studies: deterministic grids, all driven through one pipeline.
 //!
-//! [`Study`] names six studies. `tables` (the paper's Tables 1–7) and
-//! `faults` (the loss-recovery grid) run the two-host world as one
-//! `sweep::Sweep` each. The rest run [`DcWorld`](crate::DcWorld)s:
+//! [`Study`] names seven studies. `tables` (the paper's Tables 1–7),
+//! `faults` (the loss-recovery grid) and `extras` (the claims of the
+//! paper's text and the experiments that extend them) run the two-host
+//! world as one `sweep::Sweep` each. The rest run
+//! [`DcWorld`](crate::DcWorld)s:
 //! `repro dc` sweeps hosts x connections x PCB strategy x incast
 //! fan-in; `repro tails` sweeps fan-out width x fault scenario x
 //! background churn over the fan-out/wait-for-all world; `repro hedge`
@@ -19,8 +21,8 @@
 //! [`Summary`] per cell. The `tails` and `hedge` submodules hold the
 //! fan-out studies' scenarios, rows and table formatters, priced by
 //! one amplification join against each group's baseline row; the
-//! `tables` and `faults` submodules the two two-host grids and their
-//! renderers.
+//! `tables`, `faults` and `extras` submodules the three two-host grids
+//! and their renderers.
 //!
 //! Every cell's seed derives from its *key* (not its position), so
 //! adding or reordering cells never changes any other cell's bytes,
@@ -37,18 +39,21 @@
 //! could collide with an adjacent cell's base seed, silently
 //! correlating cells that must be independent.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use atm::{DropPolicy, TrainMarking};
-use latency_core::{Experiment, ObsMode, Samples, Summary};
+use latency_core::experiment::Workload;
+use latency_core::{Experiment, ObsMode, RunResult, Samples, Summary};
 use simkit::SimTime;
 use sweep::report::{canonical_report, json_num, ReportCell};
 use sweep::{CellOutcome, Sweep, SweepResults};
-use tcpip::{CcVariant, PcbCounters};
+use tcpip::{CcVariant, ChecksumMode, PcbCounters};
 
 use crate::dc::{run_dc, DcRunResult};
 use crate::topology::{ChurnTraffic, FaultScope, PcbStrategy, Topology, TrafficSchedule};
 
+mod extras;
 mod faults;
 mod hedge;
 mod tables;
@@ -61,11 +66,16 @@ pub use hedge::{Mitigation, MitigationCost};
 /// set, its printed sections and its canonical JSON.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Study {
-    /// The paper's Tables 1–7 (`repro table1` .. `table7`, but
-    /// Table 5, which runs no simulation).
+    /// The paper's Tables 1–7 (`repro table1` .. `table7`), and the
+    /// `pcb` and `mbuf` microbenchmarks. Table 5, `pcb` and `mbuf` run
+    /// no simulation.
     Tables,
     /// `repro faults`: the loss-recovery study.
     Faults,
+    /// `repro predict`, `errors`, `ablation`, `switch`,
+    /// `ethernet-errors` and `udp`: the text's claims and their
+    /// extensions.
+    Extras,
     /// `repro dc`: the §3 PCB-lookup incast study.
     Dc,
     /// `repro tails`: fan-out/wait-for-all completion tails.
@@ -78,8 +88,8 @@ pub enum Study {
 
 /// The scale a study runs at, as `repro` resolves it from `--quick`,
 /// `--full`, `--iterations` and `--reps`. The two-host studies read
-/// every field; the world studies read only `quick`, which picks
-/// their CI grid.
+/// every field (`extras` runs each cell once, whatever `reps`); the
+/// world studies read only `quick`, which picks their CI grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Scale {
     /// Measured iterations per two-host cell (some grids cap it).
@@ -107,10 +117,10 @@ pub type Section = (&'static str, String);
 
 /// What one study run produced.
 pub struct StudyReport {
-    /// The printed sections in print order: one per world study and
-    /// for `faults`, one per table for `tables`. A filtered run
-    /// ([`Study::run_where`]) of `tables` prints the tables whose
-    /// every cell ran.
+    /// The printed sections: one per world study and for `faults`,
+    /// one per table or experiment for `tables` and `extras`. A
+    /// filtered run ([`Study::run_where`]) of those two prints the
+    /// sections whose every cell ran.
     pub sections: Vec<Section>,
     /// The canonical JSON report (`--sweep-json`, and the golden).
     pub json: String,
@@ -144,13 +154,19 @@ struct Health<'a> {
     aborts: u64,
     /// Mbufs still outstanding after teardown.
     mbufs_leaked: u64,
+    /// The cell records no samples by design: a bulk transfer.
+    unsampled: bool,
+    /// Corruption reaching the application is what the cell shows:
+    /// corruption past every link CRC with the TCP checksum off.
+    corrupting: bool,
 }
 
 impl Study {
     /// Every study, in `repro verify` order.
-    pub const ALL: [Study; 6] = [
+    pub const ALL: [Study; 7] = [
         Study::Tables,
         Study::Faults,
+        Study::Extras,
         Study::Dc,
         Study::Tails,
         Study::Hedge,
@@ -158,12 +174,13 @@ impl Study {
     ];
 
     /// The study's name; the subcommand name of the world studies and
-    /// of `faults`.
+    /// of `faults`, the group name of `extras`.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Study::Tables => "tables",
             Study::Faults => "faults",
+            Study::Extras => "extras",
             Study::Dc => "dc",
             Study::Tails => "tails",
             Study::Hedge => "hedge",
@@ -173,9 +190,8 @@ impl Study {
 
     /// `<name>_quick` at the quick scale (the stem of the study's
     /// golden file), `<name>` otherwise. The world studies' canonical
-    /// JSON carries it as its `name`; the two `Sweep` studies' JSON
-    /// carries their plain sweep name, `tables` or `faults`, at every
-    /// scale.
+    /// JSON carries it as its `name`; the three `Sweep` studies' JSON
+    /// carries their plain sweep name at every scale.
     #[must_use]
     pub fn report_name(self, quick: bool) -> String {
         if quick {
@@ -194,12 +210,14 @@ impl Study {
     }
 
     /// Whether the printed section `section` reads the grid cell
-    /// `key` at `scale`. Each table reads its own columns of the
-    /// tables grid; every other study's one section reads every cell.
+    /// `key` at `scale`. Each section of `tables` and `extras` reads
+    /// its own cells of the study's grid; every other study's one
+    /// section reads every cell.
     #[must_use]
     pub fn reads(self, section: &str, key: &str, scale: Scale) -> bool {
         match self {
             Study::Tables => tables::reads(section, key, scale),
+            Study::Extras => extras::reads(section, key, scale),
             _ => true,
         }
     }
@@ -220,14 +238,20 @@ impl Study {
         match self {
             Study::Tables => {
                 let render = |grid: &_| tables::render(grid, scale);
-                self.sweep(tables::cells(scale), scale, jobs, keep, render, |_| None)
+                self.sweep(tables::cells(scale), scale.reps, jobs, keep, render, |_| {
+                    None
+                })
             }
             Study::Faults => {
                 let cells = faults::cells(scale);
                 let declared = cells.iter().map(|c| (c.key.clone(), c.experiment()));
                 let render = |grid: &_| vec![faults::render(&cells, grid)];
                 let diagnose = |o: &_| faults::diagnose(&cells, o, scale.reps);
-                self.sweep(declared, scale, jobs, keep, render, diagnose)
+                self.sweep(declared, scale.reps, jobs, keep, render, diagnose)
+            }
+            Study::Extras => {
+                let render = |grid: &_| extras::render(grid, scale);
+                self.sweep(extras::cells(scale), 1, jobs, keep, render, |_| None)
             }
             Study::Dc => {
                 let cells = if quick { dc_quick_grid() } else { dc_grid() };
@@ -280,32 +304,41 @@ impl Study {
     }
 
     /// Runs a two-host study's kept cells as one `Sweep` named after
-    /// the study, each pooling `scale.reps` repetitions, and reports
+    /// the study, each pooling `reps` repetitions, and reports
     /// `render`'s sections, the sweep's canonical JSON, and a failed
     /// line per cell the predicate flags, followed by whatever
     /// `diagnose` adds about the cell.
     fn sweep(
         self,
         cells: impl IntoIterator<Item = (String, Experiment)>,
-        scale: Scale,
+        reps: u64,
         jobs: usize,
         keep: &dyn Fn(&str) -> bool,
         render: impl FnOnce(&SweepResults) -> Vec<Section>,
         diagnose: impl Fn(&CellOutcome) -> Option<String>,
     ) -> StudyReport {
         let mut sw = Sweep::new(self.name());
+        // What each cell's configuration lets it show, read before the
+        // sweep takes the experiment.
+        let mut by_design = BTreeMap::new();
         for (key, exp) in cells.into_iter().filter(|(key, _)| keep(key)) {
-            sw.ensure(key, exp, scale.reps);
+            let corrupting = (exp.controller_corrupt > 0.0 || exp.gateway_corrupt > 0.0)
+                && exp.cfg.checksum == ChecksumMode::None;
+            by_design.insert(key.clone(), (exp.workload == Workload::Bulk, corrupting));
+            sw.ensure(key, exp, reps);
         }
         let grid = sw.run(jobs);
         let failed = grid.outcomes.iter().filter_map(|o| {
             let r = &o.result;
+            let (unsampled, corrupting) = by_design[&o.key];
             let line = self.failure(&Health {
                 key: &o.key,
                 samples: r.rtts.len(),
                 verify_failures: r.verify_failures,
                 aborts: u64::from(r.aborted),
                 mbufs_leaked: r.mbufs_leaked.0 + r.mbufs_leaked.1,
+                unsampled,
+                corrupting,
             })?;
             Some(match diagnose(o) {
                 Some(why) => format!("{line}; {why}"),
@@ -315,8 +348,17 @@ impl Study {
         StudyReport {
             failed: failed.collect(),
             sections: render(&grid),
-            json: grid.canonical_json(),
+            json: grid.canonical_json_with(|o| self.counters(&o.result)),
             cells: grid.outcomes.len(),
+        }
+    }
+
+    /// A two-host cell's extra canonical-JSON fields: the counters
+    /// `extras` prints, none for the other studies.
+    fn counters(self, r: &RunResult) -> Extras {
+        match self {
+            Study::Extras => extras::counters(r),
+            _ => Vec::new(),
         }
     }
 
@@ -343,16 +385,21 @@ impl Study {
                 _ => r.aborted_conns,
             },
             mbufs_leaked: r.mbufs_leaked,
+            unsampled: false,
+            corrupting: false,
         }
     }
 
     /// The one failure predicate. A cell fails on payload corruption,
     /// on an mbuf leaked past teardown (cancelled and hedged requests
     /// must clean up too), or on producing no samples with no abort to
-    /// explain them. Retransmit-limit aborts are data in every study
-    /// but `tables` and `dc`, whose clean worlds must never lose a
-    /// connection. `None` for a healthy cell, else a one-line reason
-    /// led by the cell key.
+    /// explain them, unless its configuration makes that outcome its
+    /// point (a bulk transfer records no samples; controller
+    /// corruption with the TCP checksum off reaches the application).
+    /// Retransmit-limit aborts are data in every study but `tables`
+    /// and `dc`, whose clean worlds must never lose a connection.
+    /// `None` for a healthy cell, else a one-line reason led by the
+    /// cell key.
     fn failure(self, h: &Health) -> Option<String> {
         let Health {
             key,
@@ -360,10 +407,12 @@ impl Study {
             verify_failures,
             aborts,
             mbufs_leaked,
+            unsampled,
+            corrupting,
         } = *h;
-        let failed = verify_failures > 0
+        let failed = (verify_failures > 0 && !corrupting)
             || mbufs_leaked > 0
-            || (samples == 0 && aborts == 0)
+            || (samples == 0 && aborts == 0 && !unsampled)
             || (matches!(self, Study::Tables | Study::Dc) && aborts > 0);
         failed.then(|| {
             format!(
@@ -1435,14 +1484,20 @@ mod tests {
         };
         let counts = ["table1", "table2", "table3", "table4", "table6", "table7"].map(read);
         assert_eq!(counts, [16, 8, 8, 16, 16, 16]);
-        assert_eq!(read("table5"), 0, "Table 5 has no cells");
+        for modelled in ["table5", "pcb", "mbuf"] {
+            assert_eq!(read(modelled), 0, "{modelled} has no cells");
+        }
         assert!(Study::Dc.reads("dc", "any/key", scale));
-        // Tables 2 and 3 read the same eight cells, so both print.
+        // Tables 2 and 3 read the same eight cells, so both print, and
+        // so do the sections that read none.
         let r = Study::Tables.run_where(scale, 2, ObsMode::Exact, |k| {
             Study::Tables.reads("table2", k, scale)
         });
         let names: Vec<&str> = r.sections.iter().map(|s| s.0).collect();
-        assert_eq!((r.cells, names), (8, vec!["table2", "table3"]));
+        assert_eq!(
+            (r.cells, names),
+            (8, vec!["table2", "table3", "table5", "pcb", "mbuf"])
+        );
         assert!(
             r.sections[0].1.starts_with("Table 2"),
             "{}",
@@ -1463,6 +1518,8 @@ mod tests {
                 key.starts_with("faults/clean/1400/")
                     || key.starts_with("faults/light-bursts/1400/")
             }
+            // Both cells of `ethernet-errors`, faulted and seeded.
+            Study::Extras => Study::Extras.reads("ethernet-errors", key, Scale::QUICK),
             Study::Dc => key.starts_with("dc/h2/c1/mtf/"),
             // Widths 1 and 4 exercise the amplification join.
             Study::Tails => {
@@ -1483,9 +1540,9 @@ mod tests {
             assert_eq!(a.json, b.json, "{study:?}");
             assert_eq!(a.sections, b.sections, "{study:?}");
             assert!(a.failed.is_empty(), "{study:?}: {:?}", a.failed);
-            // The two `Sweep` studies keep their plain sweep name.
+            // The three `Sweep` studies keep their plain sweep name.
             let name = match study {
-                Study::Tables | Study::Faults => study.name().to_string(),
+                Study::Tables | Study::Faults | Study::Extras => study.name().to_string(),
                 _ => study.report_name(true),
             };
             assert!(
@@ -1496,8 +1553,11 @@ mod tests {
             let json = &a.json;
             match study {
                 // Every table needs all eight sizes: a two-cell run
-                // prints none of them.
-                Study::Tables => assert!(a.sections.is_empty(), "{:?}", a.sections),
+                // prints only the sections that read no cells.
+                Study::Tables => {
+                    let names: Vec<&str> = a.sections.iter().map(|s| s.0).collect();
+                    assert_eq!(names, ["table5", "pcb", "mbuf"]);
+                }
                 // The faulted row is priced against the clean one.
                 Study::Faults => {
                     let [(name, text)] = &a.sections[..] else {
@@ -1506,6 +1566,17 @@ mod tests {
                     assert_eq!(*name, "faults");
                     assert!(text.contains("light-bursts"), "{text}");
                     assert!(text.contains("across every scenario: 0\n"), "{text}");
+                }
+                // Every extras cell carries the counters its sections
+                // print.
+                Study::Extras => {
+                    let [(name, text)] = &a.sections[..] else {
+                        panic!("{:?}", a.sections)
+                    };
+                    assert_eq!(*name, "ethernet-errors");
+                    assert!(text.contains("TCP 0  (paper"), "{text}");
+                    assert_eq!(json.matches("\"fcs_drops\": ").count(), 2, "{json}");
+                    assert!(json.contains("\"predict_checks\": ["), "{json}");
                 }
                 Study::Dc => {}
                 Study::Tails => {
@@ -1537,6 +1608,8 @@ mod tests {
             verify_failures: 0,
             aborts: 0,
             mbufs_leaked: 0,
+            unsampled: false,
+            corrupting: false,
         };
         for study in Study::ALL {
             assert_eq!(study.failure(&healthy), None, "{study:?}");
@@ -1563,7 +1636,38 @@ mod tests {
                 matches!(study, Study::Tables | Study::Dc),
                 "{study:?}: aborts are data everywhere but tables and dc"
             );
+            // A cell whose configuration makes corruption or an empty
+            // sample set its point passes on that alone, never on a
+            // leak.
+            let bulk = Health {
+                unsampled: true,
+                ..empty
+            };
+            let exposed = Health {
+                corrupting: true,
+                ..corrupt
+            };
+            assert_eq!(study.failure(&bulk), None, "{study:?}");
+            assert_eq!(study.failure(&exposed), None, "{study:?}");
+            for by_design in [bulk, exposed] {
+                let leaked = Health {
+                    mbufs_leaked: 1,
+                    ..by_design
+                };
+                assert!(study.failure(&leaked).is_some(), "{study:?}");
+            }
         }
+        // The extras study exempts exactly its bulk transfer and its
+        // controller corruption with the checksum off.
+        let r = Study::Extras.run_where(Scale::QUICK, 2, ObsMode::Exact, |k| {
+            Study::Extras.reads("predict", k, Scale::QUICK) || k.starts_with("errors/controller-")
+        });
+        assert_eq!(r.cells, 5);
+        assert!(r.failed.is_empty(), "{:?}", r.failed);
+        let line = |key: &str| r.json.lines().find(|l| l.contains(key)).expect(key);
+        assert!(line("bulk/").contains("\"samples\": 0,"), "{}", r.json);
+        let off = line("controller-0.03/atm/1400/nocksum/");
+        assert!(!off.contains("\"verify_failures\": 0,"), "{off}");
         // A world-study cell's health reads the study's own sample set
         // and abort counter.
         let mut r = DcCellResult {

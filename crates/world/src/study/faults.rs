@@ -29,11 +29,15 @@ impl FaultCell {
     }
 }
 
-/// The grid, scenario-major. Faulted runs pay real retransmission
-/// timeouts (hundreds of ms of simulated time each), so the scale's
-/// iterations are capped at 400 to keep `--full` pleasant.
+/// The most iterations a faulted two-host cell runs. Faulted runs pay
+/// real retransmission timeouts (hundreds of ms of simulated time
+/// each), so the cap keeps `--full` pleasant.
+pub(super) const FAULTED_ITERATIONS: u64 = 400;
+
+/// The grid, scenario-major, at the scale's iterations up to
+/// [`FAULTED_ITERATIONS`].
 pub(super) fn cells(scale: Scale) -> Vec<FaultCell> {
-    let iterations = scale.iterations.min(400);
+    let iterations = scale.iterations.min(FAULTED_ITERATIONS);
     recovery::scenarios()
         .into_iter()
         .flat_map(|scenario| {

@@ -11,12 +11,20 @@
 //! cargo run --release --example error_injection
 //! ```
 
-use tcp_atm_latency::faults;
+use tcp_atm_latency::faults::DetectionReport;
+use tcp_atm_latency::{ChecksumMode, Experiment, NetKind};
 
 fn main() {
-    let iters = 150;
+    // The 1400-byte RPC over ATM, with one error class injected.
+    let rpc = |set: fn(&mut Experiment)| {
+        let mut e = Experiment::rpc(NetKind::Atm, 1400);
+        e.iterations = 150;
+        set(&mut e);
+        e
+    };
     println!("fault class                     | injected  HEC  AAL  TCP  app | rexmit done");
-    let row = |name: &str, r: &faults::DetectionReport| {
+    let row = |name: &str, e: Experiment, seed: u64| {
+        let r = DetectionReport::from_run(&e.plan().seed(seed).execute());
         println!(
             "{name:<31} | {:>8} {:>4} {:>4} {:>4} {:>4} | {:>6} {:>4}",
             r.injected_link,
@@ -29,22 +37,24 @@ fn main() {
         );
     };
 
-    row(
-        "clean fiber (baseline)",
-        &faults::link_bit_errors(0.0, iters, 1),
-    );
-    row("fiber BER 1e-6", &faults::link_bit_errors(1e-6, iters, 2));
-    row("fiber BER 1e-5", &faults::link_bit_errors(1e-5, iters, 3));
-    row("fiber BER 1e-4", &faults::link_bit_errors(1e-4, iters, 4));
-    row("cell loss 0.1%", &faults::cell_loss(0.001, iters, 5));
-    row("cell loss 0.5%", &faults::cell_loss(0.005, iters, 6));
+    row("clean fiber (baseline)", rpc(|_| {}), 1);
+    row("fiber BER 1e-6", rpc(|e| e.ber = 1e-6), 2);
+    row("fiber BER 1e-5", rpc(|e| e.ber = 1e-5), 3);
+    row("fiber BER 1e-4", rpc(|e| e.ber = 1e-4), 4);
+    row("cell loss 0.1%", rpc(|e| e.cell_loss = 0.001), 5);
+    row("cell loss 0.5%", rpc(|e| e.cell_loss = 0.005), 6);
     row(
         "controller corrupt., cksum ON",
-        &faults::controller_corruption(0.03, true, iters, 7),
+        rpc(|e| e.controller_corrupt = 0.03),
+        7,
     );
     row(
         "controller corrupt., cksum OFF",
-        &faults::controller_corruption(0.03, false, iters, 8),
+        rpc(|e| {
+            e.controller_corrupt = 0.03;
+            e.cfg.checksum = ChecksumMode::None;
+        }),
+        8,
     );
 
     println!();

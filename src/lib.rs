@@ -64,5 +64,5 @@ pub use world;
 pub use latency_core::capture::{CapturePlan, CaptureRun, HostCapture};
 pub use latency_core::experiment::{Experiment, NetKind, RunPlan, RunResult, Workload};
 pub use latency_core::prelude;
-pub use latency_core::{ablation, breakdown, capture, churn, faults, micro, paper, tables};
+pub use latency_core::{breakdown, capture, faults, micro, paper, tables};
 pub use tcpip::{ChecksumMode, StackConfig};
