@@ -7,7 +7,7 @@
 //!       [extras|faults|ablation|switch|ethernet-errors|udp]
 //!       [verify [--bless] [--golden-dir DIR]] [invariants]
 //!       [dc] [tails] [hedge] [cc]
-//!       [--iterations N] [--reps N] [--jobs N] [--seed N]
+//!       [--iterations N] [--reps N] [--jobs N]
 //!       [--sweep-json FILE] [--out-dir DIR] [--full] [--quick] [--sketch]
 //! ```
 //!
@@ -32,10 +32,8 @@
 //! - `--iterations N`: the paper's tables, the loss-recovery grid
 //!   (`faults`), the extras study (`predict`, `errors`, `ablation`,
 //!   `switch`, `ethernet-errors`, `udp`) and `invariants`; `--reps N`:
-//!   the tables and `faults` (an extras cell runs once);
-//! - `--seed N` (default 1): the base seed of `invariants`. Study cells
-//!   derive their seeds from their cell keys instead — that is what
-//!   pins the blessed goldens — so `--seed` never shifts a study;
+//!   the three two-host studies. Every cell's seed derives from its
+//!   key, which is what pins the blessed goldens;
 //! - `--sketch`: the four world studies record completions in
 //!   mergeable-sketch mode;
 //! - `--sweep-json FILE` and `--out-dir DIR`: write the canonical
@@ -57,26 +55,21 @@
 
 #![forbid(unsafe_code)]
 
-use latency_core::experiment::{Experiment, NetKind};
 use latency_core::ObsMode;
-use sweep::grid::Variant;
 use world::{Scale, Study, StudyReport};
 
 /// The flags a command line may give only if a selected subcommand
 /// reads them ([`Entry::reads`]).
-const KNOBS: [&str; 8] = [
+const KNOBS: [&str; 7] = [
     "--iterations",
     "--reps",
-    "--seed",
     "--sketch",
     "--sweep-json",
     "--out-dir",
     "--bless",
     "--golden-dir",
 ];
-const ITERS_SEED: &[&str] = &["--iterations", "--seed"];
 const TWO_HOST: &[&str] = &["--iterations", "--reps", "--sweep-json", "--out-dir"];
-const ONE_REP: &[&str] = &["--iterations", "--sweep-json", "--out-dir"];
 const WORLD: &[&str] = &["--sketch", "--sweep-json", "--out-dir"];
 const GOLDEN: &[&str] = &["--bless", "--golden-dir"];
 
@@ -132,15 +125,15 @@ const ENTRIES: [Entry; 22] = [
     entry("table7", ALL, TWO_HOST, TABLES),
     entry("pcb", ALL, &[], TABLES),
     entry("mbuf", ALL, &[], TABLES),
-    entry("predict", ALL, ONE_REP, EXTRAS_STUDY),
-    entry("errors", ALL, ONE_REP, EXTRAS_STUDY),
+    entry("predict", ALL, TWO_HOST, EXTRAS_STUDY),
+    entry("errors", ALL, TWO_HOST, EXTRAS_STUDY),
     entry("faults", EXTRAS, TWO_HOST, Run::Study(Study::Faults)),
-    entry("ablation", EXTRAS, ONE_REP, EXTRAS_STUDY),
-    entry("switch", EXTRAS, ONE_REP, EXTRAS_STUDY),
-    entry("ethernet-errors", EXTRAS, ONE_REP, EXTRAS_STUDY),
-    entry("udp", EXTRAS, ONE_REP, EXTRAS_STUDY),
+    entry("ablation", EXTRAS, TWO_HOST, EXTRAS_STUDY),
+    entry("switch", EXTRAS, TWO_HOST, EXTRAS_STUDY),
+    entry("ethernet-errors", EXTRAS, TWO_HOST, EXTRAS_STUDY),
+    entry("udp", EXTRAS, TWO_HOST, EXTRAS_STUDY),
     entry("verify", None, GOLDEN, Run::Gate(verify)),
-    entry("invariants", None, ITERS_SEED, Run::Gate(invariants)),
+    entry("invariants", None, &["--iterations"], Run::Gate(invariants)),
     entry("dc", None, WORLD, Run::Study(Study::Dc)),
     entry("tails", None, WORLD, Run::Study(Study::Tails)),
     entry("hedge", None, WORLD, Run::Study(Study::Hedge)),
@@ -160,7 +153,6 @@ struct Opts {
     what: Vec<String>,
     scale: Scale,
     jobs: usize,
-    seed: u64,
     /// The [`KNOBS`] given on the command line; `--bless` and
     /// `--sketch` are read from here.
     given: Vec<&'static str>,
@@ -170,19 +162,15 @@ struct Opts {
     golden_dir: String,
 }
 
-/// The value after `flag`, parsed.
-fn number<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
-    let v = v.ok_or_else(|| format!("{flag} needs a number"))?;
-    v.parse()
-        .map_err(|_| format!("{flag} needs a number, got `{v}`"))
-}
-
 /// The value after `flag`, parsed and at least 1.
 fn positive<T: std::str::FromStr + PartialEq + From<u8>>(
     flag: &str,
     v: Option<String>,
 ) -> Result<T, String> {
-    let n = number(flag, v)?;
+    let v = v.ok_or_else(|| format!("{flag} needs a number"))?;
+    let n: T = v
+        .parse()
+        .map_err(|_| format!("{flag} needs a number, got `{v}`"))?;
     if n == T::from(0) {
         return Err(format!("{flag} must be at least 1"));
     }
@@ -199,7 +187,6 @@ fn parse_args() -> Result<Opts, String> {
             quick: false,
         },
         jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        seed: 1,
         given: Vec::new(),
         sweep_json: None,
         out_dir: String::from("out"),
@@ -212,7 +199,6 @@ fn parse_args() -> Result<Opts, String> {
             "--iterations" => o.scale.iterations = positive(&a, args.next())?,
             "--reps" => o.scale.reps = positive(&a, args.next())?,
             "--jobs" => o.jobs = positive(&a, args.next())?,
-            "--seed" => o.seed = number(&a, args.next())?,
             "--sweep-json" => o.sweep_json = Some(args.next().ok_or("--sweep-json needs a FILE")?),
             "--out-dir" => o.out_dir = args.next().ok_or("--out-dir needs a DIR")?,
             "--bless" | "--sketch" => {}
@@ -358,122 +344,44 @@ fn verify(opts: &Opts) -> i32 {
     code
 }
 
+/// `repro invariants`: every distinct cell of the three two-host
+/// studies at the command line's scale, each once (its first
+/// repetition), from the seed its canonical report names ([`sweep::run_seed`]), observed and captured
+/// with every checker armed ([`oracle::check_experiment`]). At
+/// `--quick` these are the runs the goldens pin. Exit 0 when clean, 1
+/// on any violation.
 fn invariants(opts: &Opts) -> i32 {
-    use oracle::InvariantSet;
-    let iters = opts.scale.iterations.min(200);
-    let mut cells: Vec<(String, Experiment, InvariantSet)> = Vec::new();
-    for &size in &[4usize, 1400, 8000] {
-        for v in Variant::ALL {
-            let mut e = v.apply(Experiment::rpc(NetKind::Atm, size));
-            e.iterations = iters;
-            e.warmup = 8;
-            cells.push((format!("atm/{size}/{}", v.tag()), e, InvariantSet::all()));
-        }
-    }
-    for &size in &[200usize, 8000] {
-        let mut e = Experiment::rpc(NetKind::Ether, size);
-        e.iterations = iters.min(200);
-        e.warmup = 8;
-        cells.push((format!("ether/{size}/base"), e, InvariantSet::all()));
-    }
-    // Faulted runs too: the invariants must hold under injected loss.
-    // The capture comparator assumes the clean orbit's frame pairing,
-    // so it sits out here; every other checker stays armed.
-    let mut faulted = InvariantSet::all();
-    faulted.capture_agreement = false;
-    for sc in latency_core::recovery::scenarios() {
-        let e = latency_core::recovery::experiment(&sc, 1400, iters.min(60));
-        cells.push((format!("faults/{}/1400", sc.name), e, faulted));
-    }
+    let mut keys = std::collections::BTreeSet::new();
+    // Each cell is named by its key and the seed it runs on, so a line
+    // reruns as `exp.plan().seed(seed)`.
+    let cells: Vec<_> = [Study::Tables, Study::Faults, Study::Extras]
+        .into_iter()
+        .flat_map(|study| study.cells(opts.scale))
+        .filter(|(key, _)| keys.insert(key.clone()))
+        .map(|(key, e)| (sweep::run_seed(&key), key, e))
+        .collect();
     eprintln!(
-        "invariants: {} run(s) across {} worker(s), checkers armed...",
+        "invariants: {} cell(s) across {} worker(s), every checker armed...",
         cells.len(),
         opts.jobs
     );
-    // `--seed N` shifts every run's base seed uniformly (the default
-    // of 1 keeps the historical key-derived seeds).
-    let offset = opts.seed.wrapping_sub(1);
-    let reports = sweep::pool::run_ordered(&cells, opts.jobs, move |_, (name, e, set)| {
-        (
-            name.clone(),
-            oracle::check_experiment(e, sweep::cell_seed(name).wrapping_add(offset), set),
-        )
+    let reports = sweep::pool::run_ordered(&cells, opts.jobs, |_, (seed, _, e)| {
+        oracle::check_experiment(e, *seed)
     });
     let mut failures = 0usize;
-    // Oracle scope guards: the analytic model must refuse each world
-    // it cannot price with a typed error, never extrapolate the
-    // two-host fiber path to it. Multi-host worlds share a switch.
-    // Mitigated worlds get the most specific refusal of all: the
-    // tail-tolerance control layer (hedge races, retry budgets,
-    // deadlines) shapes completion before topology even matters.
-    // Fan-out worlds complete at the max over N coupled sub-requests
-    // (an order statistic), wrong for the per-connection orbit
-    // regardless of host count.
-    let mut mitigated = world::Topology::fanout(4, 16);
-    mitigated.tail = world::Mitigation::Hedge.policy(16);
-    type Expect = fn(&oracle::PredictError) -> Option<String>;
-    let guards: [(&str, &str, world::Topology, Expect); 3] = [
-        (
-            "oracle scope guard",
-            "multi-host",
-            world::Topology::incast(32, 16, 4),
-            |e| match e {
-                oracle::PredictError::MultiHostWorld { hosts } => {
-                    Some(format!("the {hosts}-host world"))
-                }
-                _ => None,
-            },
-        ),
-        (
-            "oracle mitigation scope guard",
-            "mitigated",
-            mitigated,
-            |e| {
-                matches!(e, oracle::PredictError::MitigatedWorld { .. })
-                    .then(|| "the tail-mitigated world".to_string())
-            },
-        ),
-        (
-            "oracle fan-out scope guard",
-            "fan-out",
-            world::Topology::fanout(4, 16),
-            |e| match e {
-                oracle::PredictError::FanoutWorld { width } => {
-                    Some(format!("the width-{width} fan-out world"))
-                }
-                _ => None,
-            },
-        ),
-    ];
-    for (guard, kind, topo, expect) in guards {
-        match oracle::predict_dc(&topo) {
-            Err(e) => match expect(&e) {
-                Some(world) => eprintln!(
-                    "invariants: oracle scope guard: clean (refused {world} with a typed error)"
-                ),
-                None => {
-                    failures += 1;
-                    eprintln!("invariants: {guard}: wrong error: {e}");
-                }
-            },
-            Ok(_) => {
-                failures += 1;
-                eprintln!("invariants: {guard}: a {kind} world was accepted");
-            }
-        }
-    }
-    for (name, rep) in reports {
+    for ((seed, key, _), rep) in cells.iter().zip(&reports) {
+        let key = format!("{key} (seed {seed})");
         if let Some(msg) = &rep.capture_skipped {
-            eprintln!("invariants: {name}: capture comparison skipped ({msg})");
+            eprintln!("invariants: {key}: capture comparison skipped ({msg})");
         }
         if rep.is_clean() {
             eprintln!(
-                "invariants: {name}: clean ({} event(s) checked)",
+                "invariants: {key}: clean ({} event(s) checked)",
                 rep.events_checked
             );
         } else {
             failures += rep.violations.len();
-            eprintln!("invariants: {name}: {} violation(s):", rep.violations.len());
+            eprintln!("invariants: {key}: {} violation(s):", rep.violations.len());
             for v in &rep.violations {
                 eprintln!("  [{}] {}", v.invariant, v.detail);
             }

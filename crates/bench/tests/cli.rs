@@ -10,7 +10,7 @@ use std::process::Command;
 #[test]
 fn bad_command_lines_exit_2_with_one_line() {
     let unread = "is read by none of the selected subcommands";
-    let cases: [(&[&str], String); 23] = [
+    let cases: [(&[&str], String); 21] = [
         // The refusal names every known subcommand, studies last.
         (
             &["extra", "--quick"],
@@ -37,42 +37,25 @@ fn bad_command_lines_exit_2_with_one_line() {
             "--jobs must be at least 1".into(),
         ),
         (&["table1", "--json", "x"], "unknown flag --json".into()),
+        // Every cell's seed derives from its key: there is no seed flag.
+        (
+            &["invariants", "--quick", "--seed", "9"],
+            "unknown flag --seed".into(),
+        ),
+        (&["errors", "--seed", "9"], "unknown flag --seed".into()),
         // A flag no selected subcommand reads would change nothing.
         (
-            &[
-                "dc",
-                "--quick",
-                "--iterations",
-                "7",
-                "--seed",
-                "9",
-                "--reps",
-                "3",
-            ],
+            &["dc", "--quick", "--iterations", "7", "--reps", "3"],
             format!("--iterations {unread}"),
-        ),
-        (
-            &["dc", "--quick", "--seed", "9"],
-            format!("--seed {unread}"),
         ),
         (
             &["dc", "--quick", "--reps", "3"],
             format!("--reps {unread}"),
         ),
-        // Study cells draw their seeds from their keys, faulted or
-        // not: only `invariants` reads `--seed`.
+        // The gate checks each cell's first repetition.
         (
-            &["udp", "--quick", "--seed", "9"],
-            format!("--seed {unread}"),
-        ),
-        (
-            &["switch", "--quick", "--seed", "9"],
-            format!("--seed {unread}"),
-        ),
-        (&["errors", "--seed", "9"], format!("--seed {unread}")),
-        (
-            &["ethernet-errors", "--quick", "--seed", "9"],
-            format!("--seed {unread}"),
+            &["invariants", "--quick", "--reps", "2"],
+            format!("--reps {unread}"),
         ),
         (
             &["table1", "--quick", "--sketch", "--bless"],
@@ -140,12 +123,21 @@ fn every_named_subcommand_runs_in_table_order() {
 #[test]
 fn every_study_entry_prints_its_section() {
     // Each table is a section of one study, each experiment beyond
-    // them a section of another, found by its entry's name.
+    // them a section of another, found by its entry's name. Every
+    // two-host study pools `--reps` repetitions.
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["table1", "table2", "table3", "table4", "table5", "table6"])
         .args(["table7", "pcb", "mbuf", "predict", "errors", "faults"])
         .args(["ablation", "switch", "ethernet-errors", "udp"])
-        .args(["--quick", "--iterations", "20", "--jobs", "2"])
+        .args([
+            "--quick",
+            "--iterations",
+            "20",
+            "--reps",
+            "2",
+            "--jobs",
+            "2",
+        ])
         .output()
         .expect("run repro");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -173,5 +165,11 @@ fn every_study_entry_prints_its_section() {
     assert!(
         at.iter().all(Option::is_some) && at.is_sorted(),
         "{headings:?} in order:\n{stdout}"
+    );
+    // Warm-up iterations and repetitions count in the hits and in
+    // the segments alike.
+    assert!(
+        stdout.contains("RPC 8000 B data segments:  50.0%"),
+        "{stdout}"
     );
 }

@@ -7,14 +7,16 @@
 //!   each drifted cell on stderr, however small the numeric change;
 //! - missing goldens exit with a distinct code and a hint to bless;
 //! - `tests/golden/` holds one golden per study, each one clean cell
-//!   per line.
+//!   per line;
+//! - `repro invariants --quick` checks each run the two-host goldens
+//!   pin, once, from its golden seed.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use oracle::{diff_report, LineDiff};
 use sweep::report::{canonical_report, ReportCell};
-use world::Study;
+use world::{Scale, Study};
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -188,6 +190,57 @@ fn every_golden_has_one_clean_cell_per_line() {
         .collect();
     want.sort();
     assert_eq!(found, want);
+}
+
+#[test]
+fn invariants_check_each_golden_two_host_run_once() {
+    // At `--quick` the gate checks exactly the runs the two-host
+    // goldens pin: every distinct key, once, from the seed its golden
+    // line names, which is where the study runs it.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let mut pinned = std::collections::BTreeSet::new();
+    for study in [Study::Tables, Study::Faults, Study::Extras] {
+        let path = dir.join(format!("{}.json", study.report_name(true)));
+        let text = std::fs::read_to_string(&path).expect("read golden");
+        let golden: Vec<(String, u64)> = text
+            .lines()
+            .filter_map(|l| {
+                let (key, rest) = l.trim_start().strip_prefix('"')?.split_once('"')?;
+                let seed = rest.strip_prefix(": { \"seed\": ")?.split(',').next()?;
+                Some((key.to_string(), seed.parse().expect("a seed")))
+            })
+            .collect();
+        let declared: Vec<(String, u64)> = study
+            .cells(Scale::QUICK)
+            .into_iter()
+            .map(|(key, _)| {
+                let seed = sweep::run_seed(&key);
+                (key, seed)
+            })
+            .collect();
+        assert_eq!(declared, golden, "{}", study.name());
+        pinned.extend(
+            golden
+                .into_iter()
+                .map(|(key, seed)| format!("{key} (seed {seed})")),
+        );
+    }
+    let out = repro()
+        .args(["invariants", "--quick", "--jobs", "2"])
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let mut checked: Vec<&str> = stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix("invariants: ")?.split_once(": clean ("))
+        .map(|(cell, _)| cell)
+        .collect();
+    checked.sort_unstable();
+    // A key the two-host studies share names one run and one seed.
+    assert!(pinned.iter().eq(checked.iter().copied()), "{stderr}");
+    assert!(stderr.contains(&format!("invariants: {} cell(s)", pinned.len())));
+    assert!(stderr.ends_with("invariants: all clean\n"), "{stderr}");
 }
 
 #[test]

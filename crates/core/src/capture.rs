@@ -125,10 +125,10 @@ impl<'a> crate::experiment::RunPlan<'a> {
     /// Arms every capture tap: the resulting [`CapturePlan`]'s
     /// [`execute`](CapturePlan::execute) returns a [`CaptureRun`] with
     /// both hosts' captures alongside the ordinary results. Taps
-    /// record serialized frames only; they never perturb timing, so
-    /// `result` is identical to an uncaptured plan of the same seed
-    /// (except `mbufs_leaked`, which stays zero because the world must
-    /// outlive the run for the taps to be drained).
+    /// record serialized frames only; they never perturb timing, and
+    /// the world is torn down after its taps are drained, so `result`
+    /// equals an uncaptured plan's of the same seed field for field,
+    /// `mbufs_leaked` included.
     ///
     /// A capture is one repetition: the plan's (first-repetition) seed
     /// is used and [`reps`](crate::experiment::RunPlan::reps) does not
@@ -173,30 +173,25 @@ impl CapturePlan<'_> {
         self
     }
 
-    /// Arms a read-only per-event observer (see
-    /// [`RunPlan::observer`](crate::experiment::RunPlan::observer)).
-    #[must_use]
-    pub fn observer(mut self, obs: simkit::ObserverFn<crate::world::World>) -> Self {
-        self.observers.push(obs);
-        self
-    }
-
     /// Executes the captured repetition.
     #[must_use]
     pub fn execute(self) -> CaptureRun {
         let shared = crate::experiment::share_observers(self.observers);
-        let (mut result, mut w) = self.exp.run_sim_with(
+        let ether = self.exp.net == NetKind::Ether;
+        let (mut result, its, (client_spans, client, server)) = self.exp.run_sim_with(
             self.seed,
             true,
             self.flight,
             crate::experiment::fan_out(&shared),
+            |w| {
+                (
+                    std::mem::take(&mut w.hosts[0].kernel.spans),
+                    HostCapture::drain(&mut w.hosts[0], ether),
+                    HostCapture::drain(&mut w.hosts[1], ether),
+                )
+            },
         );
-        let its = iterations(&w.hosts[0].kernel.spans);
         (result.tx, result.rx, result.breakdown_iters) = mean(&its);
-        let ether = self.exp.net == NetKind::Ether;
-        let client_spans = w.hosts[0].kernel.spans.clone();
-        let client = HostCapture::drain(&mut w.hosts[0], ether);
-        let server = HostCapture::drain(&mut w.hosts[1], ether);
         CaptureRun {
             result,
             client,
@@ -440,21 +435,30 @@ pub fn compare_with_inline(run: &CaptureRun) -> Result<Comparison, String> {
         let nic_tx = last_at_or_before(frames, TapPoint::NicDmaTx, weq)
             .filter(|&t| t >= wq)
             .ok_or_else(|| format!("iteration {i}: no NicDmaTx frame in the write window"))?;
-        if it.arrival.is_none() {
+        let Some(arrival) = it.arrival else {
             continue;
-        }
-        // Two arrivals inside one window (e.g. a delayed-ACK timer's
-        // pure ACK landing next to the response) break the hop
-        // pairing: the tap queries would mix frames of different
-        // segments, so the comparison skips such iterations. This is
-        // its own rule; the breakdown keeps them, clipped to the last
-        // arrival.
+        };
+        // The comparison skips two kinds of window whose hop pairing
+        // breaks; the breakdown keeps both, clipped to the paper's
+        // windows:
+        // - two arrivals (e.g. a delayed-ACK timer's pure ACK landing
+        //   next to the response): the tap queries would mix frames of
+        //   different segments;
+        // - a segment the client transmits inside the receive window
+        //   (e.g. its own delayed-ACK timer's pure ACK, sent while the
+        //   response climbs the stack): its transmit processing lands
+        //   in the capture hops, while the inline breakdown clips
+        //   transmit spans to the write window.
         let arrivals = rec
             .marks()
             .iter()
             .filter(|&&(m, t)| m == Mark::SegmentArrived && t >= w && t <= r)
             .count();
-        if arrivals != 1 {
+        let aq = arrival.quantized().as_ns();
+        let sent = frames
+            .iter()
+            .any(|f| f.tap == TapPoint::TcpSend && (aq..=rq).contains(&f.at.as_ns()));
+        if arrivals != 1 || sent {
             continue;
         }
         let wire = last_at_or_before(frames, TapPoint::Wire, rq)

@@ -211,27 +211,30 @@ impl Experiment {
         }
     }
 
-    /// Builds and runs one world. The result's breakdown fields are
-    /// left empty: the caller reduces the client recorder in the
-    /// returned world, pooling repetitions if it runs several.
-    pub(crate) fn run_sim_with(
+    /// Builds and runs one world, hands it to `inspect` (the capture
+    /// harness drains its taps there), then tears it down and counts
+    /// the mbufs still outstanding. The result's breakdown fields are
+    /// left empty: the caller reduces the client's returned iterations,
+    /// pooling repetitions if it runs several.
+    pub(crate) fn run_sim_with<T>(
         &self,
         seed: u64,
         capture: bool,
         flight: Option<usize>,
         obs: Option<simkit::ObserverFn<World>>,
-    ) -> (RunResult, World) {
+        inspect: impl FnOnce(&mut World) -> T,
+    ) -> (RunResult, Vec<Iteration>, T) {
         let mut world = self.build_world(seed);
         world.capture = capture;
         world.flight_k = flight;
         let sim = run_world(world, obs);
         let events = sim.events_executed();
         let sim_time = sim.now();
-        let w = sim.world;
+        let mut w = sim.world;
         let client = &w.hosts[0];
         let server = &w.hosts[1];
         let (client_nic_stats, server_nic_stats) = (nic_stats(&client.nic), nic_stats(&server.nic));
-        let result = RunResult {
+        let mut result = RunResult {
             rtts: client.app.stats.rtts.clone(),
             tx: TxBreakdown::default(),
             rx: RxBreakdown::default(),
@@ -263,7 +266,20 @@ impl Experiment {
             events,
             sim_time,
         };
-        (result, w)
+        let its = iterations(&w.hosts[0].kernel.spans);
+        let inspected = inspect(&mut w);
+        let pools = (
+            w.hosts[0].kernel.pool.clone(),
+            w.hosts[1].kernel.pool.clone(),
+        );
+        // Teardown frees every chain still held by sockets, queues and
+        // adapters; whatever remains outstanding is a genuine leak.
+        drop(w);
+        result.mbufs_leaked = (
+            pools.0.stats().mbufs_outstanding(),
+            pools.1.stats().mbufs_outstanding(),
+        );
+        (result, its, inspected)
     }
 }
 
@@ -292,10 +308,10 @@ impl Experiment {
 ///   only on `(experiment, seed, reps)` — never on which thread runs
 ///   it or in what order, which is what the sweep runner's
 ///   per-cell-key seeding relies on.
-/// - [`reps`](RunPlan::reps) (default 1) pools the RTT samples across
-///   repetitions, and the layer breakdowns are one mean over every
-///   kept iteration of every repetition — the paper's "at least 3
-///   repetitions … and took the average".
+/// - [`reps`](RunPlan::reps) (default 1) pools the RTT samples and
+///   sums every counter across repetitions; the layer breakdowns are
+///   one mean over every kept iteration of every repetition — the
+///   paper's "at least 3 repetitions … and took the average".
 /// - [`observer`](RunPlan::observer) arms read-only per-event
 ///   observers (any number; they fire in registration order after
 ///   every executed event of every repetition). Observers never
@@ -337,25 +353,22 @@ impl RunPlan<'_> {
         self
     }
 
-    /// Executes the plan: `reps` repetitions starting at `seed`, RTT
-    /// samples and breakdown iterations pooled.
+    /// Executes the plan: `reps` repetitions starting at `seed`. RTT
+    /// samples append in repetition order, breakdown iterations pool
+    /// into one mean, and every counter is the sum over repetitions.
     #[must_use]
     pub fn execute(self) -> RunResult {
         assert!(self.reps >= 1, "a plan needs at least one repetition");
         let shared = share_observers(self.observers);
-        let (mut acc, mut its) = run_single(self.exp, self.seed, &shared);
+        let run = |seed| {
+            self.exp
+                .run_sim_with(seed, false, None, fan_out(&shared), |_| ())
+        };
+        let (mut acc, mut its, ()) = run(self.seed);
         for rep in 1..self.reps {
-            let (r, more) = run_single(self.exp, self.seed.wrapping_add(rep), &shared);
+            let (r, more, ()) = run(self.seed.wrapping_add(rep));
             its.extend(more);
-            acc.rtts.extend(r.rtts);
-            acc.verify_failures += r.verify_failures;
-            acc.bytes_moved += r.bytes_moved;
-            acc.events += r.events;
-            acc.enobufs.0 += r.enobufs.0;
-            acc.enobufs.1 += r.enobufs.1;
-            acc.aborted |= r.aborted;
-            acc.mbufs_leaked.0 += r.mbufs_leaked.0;
-            acc.mbufs_leaked.1 += r.mbufs_leaked.1;
+            acc.absorb(r);
         }
         (acc.tx, acc.rx, acc.breakdown_iters) = mean(&its);
         acc
@@ -390,29 +403,6 @@ pub(crate) fn fan_out(shared: &SharedObservers) -> Option<simkit::ObserverFn<Wor
     })
 }
 
-/// One repetition: build, run, pair the client's iterations, tear
-/// down, account for leaks.
-fn run_single(
-    exp: &Experiment,
-    seed: u64,
-    shared: &SharedObservers,
-) -> (RunResult, Vec<Iteration>) {
-    let (mut result, world) = exp.run_sim_with(seed, false, None, fan_out(shared));
-    let its = iterations(&world.hosts[0].kernel.spans);
-    let pools = (
-        world.hosts[0].kernel.pool.clone(),
-        world.hosts[1].kernel.pool.clone(),
-    );
-    // Teardown frees every chain still held by sockets, queues and
-    // adapters; whatever remains outstanding is a genuine leak.
-    drop(world);
-    result.mbufs_leaked = (
-        pools.0.stats().mbufs_outstanding(),
-        pools.1.stats().mbufs_outstanding(),
-    );
-    (result, its)
-}
-
 // Sweep workers receive experiments and hand back results across
 // thread boundaries; keep both plain data.
 const _: () = simkit::assert_world_send::<Experiment>();
@@ -435,6 +425,29 @@ pub struct NicStats {
     pub rx_overflow_drops: u64,
     /// Received datagrams/frames shed for mbuf exhaustion (ENOBUFS).
     pub enobufs_drops: u64,
+}
+
+impl std::ops::AddAssign for NicStats {
+    /// Field-wise sum. Destructures exhaustively, so a new counter
+    /// fails to compile here until it is pooled too.
+    fn add_assign(&mut self, o: NicStats) {
+        let NicStats {
+            hec_drops,
+            aal_drops,
+            fcs_drops,
+            link_lost,
+            link_corrupted,
+            rx_overflow_drops,
+            enobufs_drops,
+        } = o;
+        self.hec_drops += hec_drops;
+        self.aal_drops += aal_drops;
+        self.fcs_drops += fcs_drops;
+        self.link_lost += link_lost;
+        self.link_corrupted += link_corrupted;
+        self.rx_overflow_drops += rx_overflow_drops;
+        self.enobufs_drops += enobufs_drops;
+    }
 }
 
 fn nic_stats(nic: &Nic) -> NicStats {
@@ -497,8 +510,6 @@ pub struct RunResult {
     /// Mbufs still outstanding per host pool (client, server) *after*
     /// the world was torn down. Non-zero means a leak: every code
     /// path — including every fault path — must return its buffers.
-    /// Filled by [`RunPlan::execute`]; zero when the world outlives the
-    /// result (the capture harness).
     pub mbufs_leaked: (u64, u64),
     /// Events executed.
     pub events: u64,
@@ -517,6 +528,48 @@ impl RunResult {
     #[must_use]
     pub fn stddev_rtt_us(&self) -> f64 {
         stats::stddev_us(&self.rtts)
+    }
+
+    /// Pools a later repetition into this one: samples append,
+    /// counters add, `aborted` ors and `sim_time` keeps its maximum;
+    /// the caller reduces the breakdowns. Destructures exhaustively, so
+    /// a new field fails to compile here until it is pooled too.
+    fn absorb(&mut self, r: RunResult) {
+        let RunResult {
+            rtts,
+            tx: _,
+            rx: _,
+            breakdown_iters: _,
+            verify_failures,
+            bytes_moved,
+            client_tcp,
+            server_tcp,
+            client_kernel,
+            server_kernel,
+            client_nic,
+            server_nic,
+            enobufs,
+            aborted,
+            mbufs_leaked,
+            events,
+            sim_time,
+        } = r;
+        self.rtts.extend(rtts);
+        self.verify_failures += verify_failures;
+        self.bytes_moved += bytes_moved;
+        self.client_tcp += client_tcp;
+        self.server_tcp += server_tcp;
+        self.client_kernel += client_kernel;
+        self.server_kernel += server_kernel;
+        self.client_nic += client_nic;
+        self.server_nic += server_nic;
+        self.enobufs.0 += enobufs.0;
+        self.enobufs.1 += enobufs.1;
+        self.aborted |= aborted;
+        self.mbufs_leaked.0 += mbufs_leaked.0;
+        self.mbufs_leaked.1 += mbufs_leaked.1;
+        self.events += events;
+        self.sim_time = self.sim_time.max(sim_time);
     }
 }
 

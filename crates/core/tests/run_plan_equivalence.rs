@@ -7,6 +7,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use latency_core::prelude::*;
+use tcpip::tcb::TcpStats;
+use tcpip::KernelStats;
 
 fn quick(net: NetKind, size: usize) -> Experiment {
     let mut e = Experiment::rpc(net, size);
@@ -59,26 +61,145 @@ fn different_seeds_differ() {
     assert_ne!(a.rtts, b.rtts);
 }
 
+/// Every counter of a run, each stats type destructured field by
+/// field (independently of the pooling code), so a counter added
+/// anywhere fails to compile here until the test reads it.
+fn counters(r: &RunResult) -> Vec<u64> {
+    let RunResult {
+        rtts: _,
+        tx: _,
+        rx: _,
+        breakdown_iters: _,
+        verify_failures,
+        bytes_moved,
+        client_tcp,
+        server_tcp,
+        client_kernel,
+        server_kernel,
+        client_nic,
+        server_nic,
+        enobufs,
+        aborted: _,
+        mbufs_leaked,
+        events,
+        sim_time: _,
+    } = r;
+    let mut out = vec![
+        *verify_failures,
+        *bytes_moved,
+        enobufs.0,
+        enobufs.1,
+        mbufs_leaked.0,
+        mbufs_leaked.1,
+        *events,
+    ];
+    for t in [client_tcp, server_tcp] {
+        let TcpStats {
+            segs_out,
+            segs_in,
+            acks_only_out,
+            predict_checks,
+            predict_data_hits,
+            predict_ack_hits,
+            rexmits,
+            cksum_drops,
+            ooo_segments,
+        } = *t;
+        out.extend([
+            segs_out,
+            segs_in,
+            acks_only_out,
+            predict_checks,
+            predict_data_hits,
+            predict_ack_hits,
+            rexmits,
+            cksum_drops,
+            ooo_segments,
+        ]);
+    }
+    for k in [client_kernel, server_kernel] {
+        let KernelStats {
+            ipq_enqueued,
+            ip_header_drops,
+            no_pcb_drops,
+            tcp_cksum_drops,
+            delack_fires,
+            rto_fires,
+            conn_aborts,
+        } = *k;
+        out.extend([
+            ipq_enqueued,
+            ip_header_drops,
+            no_pcb_drops,
+            tcp_cksum_drops,
+            delack_fires,
+            rto_fires,
+            conn_aborts,
+        ]);
+    }
+    for n in [client_nic, server_nic] {
+        let NicStats {
+            hec_drops,
+            aal_drops,
+            fcs_drops,
+            link_lost,
+            link_corrupted,
+            rx_overflow_drops,
+            enobufs_drops,
+        } = *n;
+        out.extend([
+            hec_drops,
+            aal_drops,
+            fcs_drops,
+            link_lost,
+            link_corrupted,
+            rx_overflow_drops,
+            enobufs_drops,
+        ]);
+    }
+    out
+}
+
 #[test]
 fn reps_pool_sequential_seeds() {
     // Repetition r (1-based, starting from the plan seed) must be
-    // bit-identical to a single run at that seed, and the pooled
-    // vector is their concatenation in order.
-    let base = 41u64;
-    let pooled = quick(NetKind::Ether, 200)
-        .plan()
-        .seed(base.wrapping_add(1))
-        .reps(3)
-        .execute();
-    let mut expect = Vec::new();
-    for r in 1..=3u64 {
-        let one = quick(NetKind::Ether, 200)
-            .plan()
-            .seed(base.wrapping_add(r))
-            .execute();
-        expect.extend_from_slice(&one.rtts);
+    // bit-identical to a single run at that seed: the pooled samples
+    // are their concatenation in order, every counter is their sum,
+    // and the simulated time is the longest repetition's. Light
+    // bursts make the repetitions retransmit, and differently.
+    let sc = latency_core::recovery::scenario("light-bursts").expect("a faulted scenario");
+    let faulted = latency_core::recovery::experiment(&sc, 1400, 25);
+    for (exp, lossy) in [(quick(NetKind::Ether, 200), false), (faulted, true)] {
+        let base = 41u64;
+        let pooled = exp.plan().seed(base.wrapping_add(1)).reps(3).execute();
+        let singles: Vec<RunResult> = (1..=3u64)
+            .map(|r| exp.plan().seed(base.wrapping_add(r)).execute())
+            .collect();
+        let rtts: Vec<SimTime> = singles.iter().flat_map(|s| s.rtts.clone()).collect();
+        assert_eq!(pooled.rtts, rtts);
+        let mut sum = vec![0u64; counters(&pooled).len()];
+        for s in &singles {
+            for (acc, c) in sum.iter_mut().zip(counters(s)) {
+                *acc += c;
+            }
+        }
+        assert_eq!(counters(&pooled), sum);
+        let longest = singles.iter().map(|s| s.sim_time).max();
+        assert_eq!(Some(pooled.sim_time), longest);
+        assert_eq!(pooled.aborted, singles.iter().any(|s| s.aborted));
+        if lossy {
+            // Each repetition retransmitted a different number of
+            // times, so a counter kept from one repetition would show.
+            let rexmits: Vec<u64> = singles
+                .iter()
+                .map(|s| s.client_tcp.rexmits + s.server_tcp.rexmits)
+                .collect();
+            assert!(
+                rexmits.iter().all(|&n| n > 0) && rexmits.windows(2).any(|p| p[0] != p[1]),
+                "{rexmits:?}"
+            );
+        }
     }
-    assert_eq!(pooled.rtts, expect);
 }
 
 #[test]

@@ -8,10 +8,10 @@
 //!   closed form from the cost tables and protocol constants, and
 //!   [`model::predict`] must agree with the event-driven simulation
 //!   to within one 40 ns clock tick per span;
-//! - [`invariants`] arms pluggable runtime checkers (event-time
-//!   monotonicity, clock quantization, mbuf conservation, TCP
-//!   sequence-space sanity, capture/span agreement) on any
-//!   experiment — off by default and zero-cost when clean;
+//! - [`invariants`] runs an experiment with every runtime checker
+//!   armed (event-time monotonicity, clock quantization, mbuf
+//!   conservation, TCP sequence-space sanity, capture/span
+//!   agreement);
 //! - [`golden`] checks live canonical reports against the blessed
 //!   JSON under `tests/golden/` byte for byte and explains a mismatch
 //!   cell line by cell line.
@@ -24,5 +24,5 @@ pub mod invariants;
 pub mod model;
 
 pub use golden::{diff_report, LineDiff};
-pub use invariants::{check_experiment, InvariantReport, InvariantSet, Violation};
+pub use invariants::{check_experiment, InvariantReport, Violation};
 pub use model::{predict, predict_dc, PredictError, Prediction};

@@ -1598,6 +1598,12 @@ mod tests {
         }
         let msg = predict_dc(&topo).unwrap_err().to_string();
         assert!(msg.contains("tail-tolerant"), "{msg}");
+        // So is the hedge study's mitigated world.
+        topo.tail = world::Mitigation::Hedge.policy(16);
+        assert!(matches!(
+            predict_dc(&topo),
+            Err(PredictError::MitigatedWorld { .. })
+        ));
         // The default (wait-for-all) policy arms nothing: the refusal
         // falls through to the fan-out check.
         topo.tail = world::TailPolicy::default();

@@ -74,8 +74,8 @@ pub struct Cell {
 pub struct CellOutcome {
     /// The cell's grid key.
     pub key: String,
-    /// The seed the cell's first repetition ran on, derived from the
-    /// key: rerunning the cell's experiment from it reproduces the
+    /// The seed the cell's first repetition ran on, [`run_seed`] of
+    /// the key: rerunning the cell's experiment from it reproduces the
     /// cell.
     pub seed: u64,
     /// Repetitions pooled.
@@ -139,6 +139,15 @@ pub fn cell_seed(key: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     (h >> 32) ^ (h & 0xffff_ffff)
+}
+
+/// The seed a cell's first repetition runs on: [`cell_seed`] of its
+/// key, plus one. [`Sweep::run`] runs every cell from it and reports
+/// it as [`CellOutcome::seed`], so rerunning the cell's experiment from
+/// `run_seed(key)` reproduces the cell's first repetition.
+#[must_use]
+pub fn run_seed(key: &str) -> u64 {
+    cell_seed(key).wrapping_add(1)
 }
 
 /// A declarative grid of experiment cells.
@@ -205,7 +214,7 @@ impl Sweep {
         let t0 = Instant::now();
         let outcomes = pool::run_ordered(&self.cells, jobs, |_, cell| {
             let started = Instant::now();
-            let seed = cell_seed(&cell.key).wrapping_add(1);
+            let seed = run_seed(&cell.key);
             let result = cell.exp.plan().seed(seed).reps(cell.reps).execute();
             CellOutcome {
                 key: cell.key.clone(),
@@ -297,6 +306,7 @@ mod tests {
         let mut ran = sw.run(1);
         let line = ran.canonical_json();
         let seed = ran.outcomes[0].seed;
+        assert_eq!(seed, run_seed("faulted"));
         ran.outcomes[0].result = exp.plan().seed(seed).execute();
         assert_eq!(ran.canonical_json(), line);
     }

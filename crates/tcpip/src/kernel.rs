@@ -198,6 +198,29 @@ pub struct KernelStats {
     pub conn_aborts: u64,
 }
 
+impl std::ops::AddAssign for KernelStats {
+    /// Field-wise sum. Destructures exhaustively, so a new counter
+    /// fails to compile here until it is pooled too.
+    fn add_assign(&mut self, o: KernelStats) {
+        let KernelStats {
+            ipq_enqueued,
+            ip_header_drops,
+            no_pcb_drops,
+            tcp_cksum_drops,
+            delack_fires,
+            rto_fires,
+            conn_aborts,
+        } = o;
+        self.ipq_enqueued += ipq_enqueued;
+        self.ip_header_drops += ip_header_drops;
+        self.no_pcb_drops += no_pcb_drops;
+        self.tcp_cksum_drops += tcp_cksum_drops;
+        self.delack_fires += delack_fires;
+        self.rto_fires += rto_fires;
+        self.conn_aborts += conn_aborts;
+    }
+}
+
 /// A bound UDP socket.
 struct UdpSock {
     laddr: [u8; 4],

@@ -86,6 +86,33 @@ pub struct TcpStats {
     pub ooo_segments: u64,
 }
 
+impl std::ops::AddAssign for TcpStats {
+    /// Field-wise sum. Destructures exhaustively, so a new counter
+    /// fails to compile here until it is pooled too.
+    fn add_assign(&mut self, o: TcpStats) {
+        let TcpStats {
+            segs_out,
+            segs_in,
+            acks_only_out,
+            predict_checks,
+            predict_data_hits,
+            predict_ack_hits,
+            rexmits,
+            cksum_drops,
+            ooo_segments,
+        } = o;
+        self.segs_out += segs_out;
+        self.segs_in += segs_in;
+        self.acks_only_out += acks_only_out;
+        self.predict_checks += predict_checks;
+        self.predict_data_hits += predict_data_hits;
+        self.predict_ack_hits += predict_ack_hits;
+        self.rexmits += rexmits;
+        self.cksum_drops += cksum_drops;
+        self.ooo_segments += ooo_segments;
+    }
+}
+
 /// Connection state (the subset of the RFC 793 machine the
 /// experiments exercise; teardown is administrative).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

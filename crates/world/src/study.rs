@@ -88,8 +88,8 @@ pub enum Study {
 
 /// The scale a study runs at, as `repro` resolves it from `--quick`,
 /// `--full`, `--iterations` and `--reps`. The two-host studies read
-/// every field (`extras` runs each cell once, whatever `reps`); the
-/// world studies read only `quick`, which picks their CI grid.
+/// every field; the world studies read only `quick`, which picks
+/// their CI grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Scale {
     /// Measured iterations per two-host cell (some grids cap it).
@@ -238,20 +238,17 @@ impl Study {
         match self {
             Study::Tables => {
                 let render = |grid: &_| tables::render(grid, scale);
-                self.sweep(tables::cells(scale), scale.reps, jobs, keep, render, |_| {
-                    None
-                })
+                self.sweep(scale, jobs, keep, render, |_| None)
             }
             Study::Faults => {
                 let cells = faults::cells(scale);
-                let declared = cells.iter().map(|c| (c.key.clone(), c.experiment()));
                 let render = |grid: &_| vec![faults::render(&cells, grid)];
                 let diagnose = |o: &_| faults::diagnose(&cells, o, scale.reps);
-                self.sweep(declared, scale.reps, jobs, keep, render, diagnose)
+                self.sweep(scale, jobs, keep, render, diagnose)
             }
             Study::Extras => {
                 let render = |grid: &_| extras::render(grid, scale);
-                self.sweep(extras::cells(scale), 1, jobs, keep, render, |_| None)
+                self.sweep(scale, jobs, keep, render, |_| None)
             }
             Study::Dc => {
                 let cells = if quick { dc_quick_grid() } else { dc_grid() };
@@ -303,15 +300,33 @@ impl Study {
         }
     }
 
-    /// Runs a two-host study's kept cells as one `Sweep` named after
-    /// the study, each pooling `reps` repetitions, and reports
-    /// `render`'s sections, the sweep's canonical JSON, and a failed
-    /// line per cell the predicate flags, followed by whatever
-    /// `diagnose` adds about the cell.
+    /// The two-host cells the study declares at `scale`, in grid
+    /// order: each cell's key and the experiment it runs, from the
+    /// seed [`sweep::run_seed`] derives from the key, for `scale.reps`
+    /// repetitions. Keys repeat across `tables` and `extras` where
+    /// they name the same run. Empty for the world studies, whose
+    /// cells are [`DcCell`]s.
+    #[must_use]
+    pub fn cells(self, scale: Scale) -> Vec<(String, Experiment)> {
+        match self {
+            Study::Tables => tables::cells(scale),
+            Study::Faults => faults::cells(scale)
+                .into_iter()
+                .map(|c| (c.key.clone(), c.experiment()))
+                .collect(),
+            Study::Extras => extras::cells(scale),
+            Study::Dc | Study::Tails | Study::Hedge | Study::Cc => Vec::new(),
+        }
+    }
+
+    /// Runs a two-host study's kept [`cells`](Study::cells) as one
+    /// `Sweep` named after the study, each pooling `scale.reps`
+    /// repetitions, and reports `render`'s sections, the sweep's
+    /// canonical JSON, and a failed line per cell the predicate flags,
+    /// followed by whatever `diagnose` adds about the cell.
     fn sweep(
         self,
-        cells: impl IntoIterator<Item = (String, Experiment)>,
-        reps: u64,
+        scale: Scale,
         jobs: usize,
         keep: &dyn Fn(&str) -> bool,
         render: impl FnOnce(&SweepResults) -> Vec<Section>,
@@ -321,11 +336,11 @@ impl Study {
         // What each cell's configuration lets it show, read before the
         // sweep takes the experiment.
         let mut by_design = BTreeMap::new();
-        for (key, exp) in cells.into_iter().filter(|(key, _)| keep(key)) {
+        for (key, exp) in self.cells(scale).into_iter().filter(|(key, _)| keep(key)) {
             let corrupting = (exp.controller_corrupt > 0.0 || exp.gateway_corrupt > 0.0)
                 && exp.cfg.checksum == ChecksumMode::None;
             by_design.insert(key.clone(), (exp.workload == Workload::Bulk, corrupting));
-            sw.ensure(key, exp, reps);
+            sw.ensure(key, exp, scale.reps);
         }
         let grid = sw.run(jobs);
         let failed = grid.outcomes.iter().filter_map(|o| {

@@ -10,9 +10,9 @@
 //! table prints; every other cell is keyed by what it varies. Cells
 //! run the scale's iterations after the tables' 16 warm-up ones; a
 //! faulted cell, which pays retransmission timeouts, runs at most
-//! [`FAULTED_ITERATIONS`]. Each cell runs once: the counters the
-//! sections print are one run's, and the canonical report carries all
-//! of them on every cell ([`counters`]).
+//! [`FAULTED_ITERATIONS`]. Each cell pools the scale's repetitions:
+//! the counters the sections print are sums over them, and the
+//! canonical report carries all of them on every cell ([`counters`]).
 
 use std::fmt::Write as _;
 
@@ -77,7 +77,9 @@ impl Cell {
     fn key(self, scale: Scale) -> String {
         let iterations = self.iterations(scale);
         let what = match self {
-            Cell::Rpc(size, v) => return rpc_cell_key(NetKind::Atm, size, v, iterations, 1),
+            Cell::Rpc(size, v) => {
+                return rpc_cell_key(NetKind::Atm, size, v, iterations, scale.reps)
+            }
             Cell::Cpu(x, size, v) => format!("cpu/{x}x/atm/{size}/{}", v.tag()),
             Cell::Cksum(which) => format!("cksum/{which:?}/atm/8000").to_lowercase(),
             Cell::OneSegment => "mss/one-segment/atm/8000".to_string(),
@@ -96,7 +98,7 @@ impl Cell {
                 if gateway { "+gateway-0.005" } else { "" }
             ),
         };
-        format!("{what}/i{iterations}r1")
+        format!("{what}/i{iterations}r{}", scale.reps)
     }
 
     fn experiment(self, scale: Scale) -> Experiment {
@@ -242,7 +244,8 @@ fn reads_cells(section: &str) -> Vec<Cell> {
     }
 }
 
-/// The grid: every section's cells in print order, each run once.
+/// The grid: every section's cells in print order, each declared
+/// once.
 pub(super) fn cells(scale: Scale) -> Vec<(String, Experiment)> {
     let mut cells: Vec<Cell> = Vec::new();
     for c in SECTIONS.iter().flat_map(|s| reads_cells(s)) {
@@ -296,7 +299,7 @@ pub(super) fn render(grid: &SweepResults, scale: Scale) -> Vec<Section> {
         .map(|&name| {
             let run = |c: Cell| run(c).expect("the section's cells ran");
             let text = match name {
-                "predict" => predict(run),
+                "predict" => predict(run, scale),
                 "errors" => errors(run),
                 "ablation" => ablation(run),
                 "switch" => switch(run),
@@ -313,13 +316,17 @@ fn rate(hits: u64, checks: u64) -> f64 {
     100.0 * hits as f64 / checks.max(1) as f64
 }
 
-fn predict<'a>(run: impl Fn(Cell) -> &'a RunResult) -> String {
+fn predict<'a>(run: impl Fn(Cell) -> &'a RunResult, scale: Scale) -> String {
     let r = &run(Cell::Rpc(200, Variant::Base)).client_tcp;
     let rpc_rate = rate(r.predict_data_hits + r.predict_ack_hits, r.predict_checks);
     let b = &run(Cell::Bulk).server_tcp;
     let bulk_rate = rate(b.predict_data_hits, b.predict_checks);
-    let r8k = run(Cell::Rpc(8000, Variant::Base));
-    let second_seg = rate(r8k.client_tcp.predict_data_hits, 2 * r8k.rtts.len() as u64);
+    // The hits count every iteration the client ran, warm-up included,
+    // in every repetition: two data segments each.
+    let r8k = Cell::Rpc(8000, Variant::Base);
+    let e = r8k.experiment(scale);
+    let segments = 2 * (e.warmup + e.iterations) * scale.reps;
+    let second_seg = rate(run(r8k).client_tcp.predict_data_hits, segments);
     format!(
         "header-prediction fast path hit rates:\n\
          RPC 200 B client:         {rpc_rate:>5.1}%  (paper: fails for piggybacked-ACK RPC)\n\
