@@ -10,24 +10,55 @@
 //! which is what lets [`crate::Sweep::run`] promise byte-identical
 //! output at any worker count.
 //!
+//! **Nesting.** A `run_ordered` call made from inside another call's
+//! `f` runs its items inline on the calling thread, whatever its
+//! `jobs`. The outer call already holds the workers, so a nested pool
+//! would only oversubscribe the cores: a study cell that splits its
+//! world into components (`world::run_dc`) runs them one after another
+//! inside its sweep worker, and `--jobs 1` stays on one thread. Only a
+//! top-level call spawns threads.
+//!
 //! No registry access is available to this build, so there is no
 //! rayon; this is the whole pool, matching the `vendor/` philosophy.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// Set while this thread runs some `run_ordered` call's `f`.
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as inside a pool call until dropped, and
+/// restores the previous mark then, unwinding included.
+struct InPool(bool);
+
+impl InPool {
+    fn enter() -> InPool {
+        InPool(IN_POOL.replace(true))
+    }
+}
+
+impl Drop for InPool {
+    fn drop(&mut self) {
+        IN_POOL.set(self.0);
+    }
+}
 
 /// Runs `f` over every item on up to `jobs` worker threads and
 /// returns the results **in item order**, regardless of which worker
 /// ran which item or in what interleaving.
 ///
-/// `f` receives `(index, &item)`. With `jobs == 1` (or one item) no
-/// thread is spawned at all: the items run inline on the caller's
-/// thread, which doubles as the reference sequential execution that
-/// parallel runs must reproduce.
+/// `f` receives `(index, &item)`. With `jobs == 1` (or one item), or
+/// when called from inside another call's `f`, no thread is spawned
+/// at all: the items run inline on the caller's thread, which doubles
+/// as the reference sequential execution that parallel runs must
+/// reproduce.
 ///
 /// # Panics
 ///
-/// Panics if `jobs == 0`, or propagates a panic from `f` (the
-/// remaining workers finish their current item first).
+/// Panics if `jobs == 0`, or propagates a panic from `f` with its own
+/// payload (the other workers run on until every item is claimed).
 pub fn run_ordered<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -35,15 +66,17 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     assert!(jobs >= 1, "a sweep needs at least one worker");
-    let jobs = jobs.min(items.len().max(1));
-    if jobs == 1 {
+    if jobs == 1 || items.len() <= 1 || IN_POOL.get() {
+        let _inside = InPool::enter();
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
+    let jobs = jobs.min(items.len());
     let next = AtomicUsize::new(0);
     let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
                 s.spawn(|| {
+                    let _inside = InPool::enter();
                     let mut out = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -56,7 +89,7 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
     // Merge back into item order: each index was claimed exactly once.
@@ -102,6 +135,49 @@ mod tests {
             i
         });
         assert_eq!(got, items);
+    }
+
+    /// A nested call runs on its caller's thread: inside a 4-worker
+    /// pool it spawns no thread and returns what a top-level call
+    /// returns, and so does a nested call under the inline `jobs == 1`
+    /// path.
+    #[test]
+    fn nested_calls_run_inline_on_the_callers_thread() {
+        use std::thread::{current, ThreadId};
+        let outer: Vec<u64> = (0..8).collect();
+        let inner: Vec<u64> = (0..5).collect();
+        let square = |_: usize, &x: &u64| (x * x, current().id());
+        let top: Vec<u64> = run_ordered(&inner, 4, square)
+            .into_iter()
+            .map(|(x, _)| x)
+            .collect();
+        for jobs in [4, 1] {
+            let got: Vec<(ThreadId, Vec<(u64, ThreadId)>)> = run_ordered(&outer, jobs, |_, _| {
+                (current().id(), run_ordered(&inner, 4, square))
+            });
+            for (worker, nested) in got {
+                let values: Vec<u64> = nested.iter().map(|&(x, _)| x).collect();
+                assert_eq!(values, top, "jobs = {jobs}");
+                assert!(
+                    nested.iter().all(|&(_, t)| t == worker),
+                    "jobs = {jobs}: a nested item ran off its caller's thread"
+                );
+            }
+        }
+        // The mark is scoped to the call: a later top-level call on
+        // this thread fans out again.
+        let after = run_ordered(&inner, 4, square);
+        assert!(after.iter().all(|&(_, t)| t != current().id()));
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3 refused")]
+    fn a_workers_panic_reaches_the_caller_with_its_message() {
+        let items: Vec<u32> = (0..8).collect();
+        let _ = run_ordered(&items, 4, |_, &x| {
+            assert!(x != 3, "item {x} refused");
+            x
+        });
     }
 
     #[test]

@@ -14,6 +14,17 @@
 //! from the seed by host index, the switch has its own stream, and the
 //! switch pass runs at event-execution time inside one simulation —
 //! nothing depends on wall clock or scheduling outside the sim.
+//!
+//! A world is the disjoint union of its components
+//! ([`Topology::components`]), and [`run_dc`] runs each one as its own
+//! simulation, on the sweep pool, then merges the results. That run is
+//! the whole world's, byte for byte: a component's events keep their
+//! relative `(time, seq)` order, the switch keeps its queues and
+//! counters per output port, and every per-host stream, delay, start
+//! time, address, VCI and MID derives from the host's *global* index
+//! (`DcWorld::ids`), never from its place in the component.
+
+use std::sync::OnceLock;
 
 use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
@@ -56,12 +67,12 @@ pub struct DcConn {
     pub sock: SockId,
     /// Client side (drives the RPC loop) or server side (echoes).
     pub client: bool,
-    /// Peer host index.
+    /// Peer host index, in the world's own (local) numbering.
     pub peer_host: usize,
     /// Peer connection index on the peer host.
     pub peer_conn: usize,
     /// Connection identity for payload verification: the client-side
-    /// `(host, conn)` pair, identical on both endpoints.
+    /// `(global host, conn)` pair, identical on both endpoints.
     pub ident: (usize, usize),
     state: ConnState,
     /// Completed RPCs (client) / echoed RPCs (server).
@@ -192,11 +203,18 @@ pub struct DcWorld {
     pub topo: Topology,
     /// The traffic schedule (plain data).
     pub sched: TrafficSchedule,
-    /// All hosts: clients `0..topo.clients`, then servers.
+    /// The world's hosts, in ascending global order: `hosts[h]` is
+    /// topology host `ids[h]`. A whole world holds every host, clients
+    /// `0..topo.clients` then servers.
     pub hosts: Vec<DcHost>,
-    /// The shared switch; host `h` is both input and output port `h`.
+    /// Global topology index of each local host, ascending. Events,
+    /// `DcConn::peer_host`, NIC peers, parked trains and switch ports
+    /// use local indices; topology queries and seeds take `ids[h]`.
+    ids: Vec<usize>,
+    /// The shared switch; local host `h` is both input and output
+    /// port `h`.
     pub switch: AtmSwitch,
-    /// Client connections still running.
+    /// Client connections of this world still running.
     live_clients: usize,
     /// The world seed; churn think-time draws derive from it.
     seed: u64,
@@ -261,12 +279,21 @@ fn splitmix64(x: u64) -> u64 {
 }
 
 impl DcWorld {
-    /// Builds the world: one kernel + uplink per host, the shared
-    /// switch with a per-destination VC plan, and every client-server
-    /// connection pair established administratively with aligned
-    /// sequence state (the paper measures established connections).
+    /// Builds the whole world: one kernel + uplink per host, the
+    /// shared switch with a per-destination VC plan, and every
+    /// client-server connection pair established administratively with
+    /// aligned sequence state (the paper measures established
+    /// connections).
     #[must_use]
     pub fn new(topo: Topology, sched: TrafficSchedule, seed: u64) -> DcWorld {
+        let ids = (0..topo.hosts()).collect();
+        DcWorld::over(topo, sched, seed, ids)
+    }
+
+    /// Builds the world over the topology hosts `ids` (ascending), which
+    /// must hold every peer of every client among them: the whole world,
+    /// or one of [`Topology::components`].
+    fn over(topo: Topology, sched: TrafficSchedule, seed: u64, ids: Vec<usize>) -> DcWorld {
         assert!(topo.clients > 0, "a world needs at least one client");
         assert!(topo.conns_per_host > 0, "at least one connection");
         assert!(topo.conns_per_host <= 4096, "client port space");
@@ -278,10 +305,15 @@ impl DcWorld {
         }
         let n = topo.hosts();
         let measured = topo.measured_hosts();
+        debug_assert!(ids.windows(2).all(|p| p[0] < p[1]), "ascending host ids");
+        let mut local = vec![usize::MAX; n];
+        for (l, &g) in ids.iter().enumerate() {
+            local[g] = l;
+        }
         let costs = CostModel::calibrated();
         let cfg = topo.strategy.apply(topo.stack);
-        let mut hosts = Vec::with_capacity(n);
-        for h in 0..n {
+        let mut hosts = Vec::with_capacity(ids.len());
+        for &h in &ids {
             let hs = host_seed(seed, h);
             let link = atm::FiberLink::new(
                 atm::LinkConfig {
@@ -330,10 +362,14 @@ impl DcWorld {
         }
 
         // Client-side hosts in wiring order: measured clients, then
-        // churn hosts.
-        let client_side: Vec<usize> = (0..topo.clients).chain(measured..n).collect();
-
-        let mut switch = AtmSwitch::new(n, topo.switch, host_seed(seed, n + 1));
+        // churn hosts (ascending ids put them in that order).
+        let client_side: Vec<usize> = ids
+            .iter()
+            .copied()
+            .filter(|&h| h < topo.clients || h >= measured)
+            .collect();
+        // The switch stream keys on the whole topology's size.
+        let mut switch = AtmSwitch::new(ids.len(), topo.switch, host_seed(seed, n + 1));
         for &c in &client_side {
             let mut wired: Vec<usize> = Vec::new();
             for j in 0..topo.conns_of(c) {
@@ -343,19 +379,23 @@ impl DcWorld {
                 }
                 wired.push(srv);
                 for (src, dst) in [(c, srv), (srv, c)] {
+                    let (src_l, dst_l) = (local[src], local[dst]);
                     // The MID carries the low bits of the sender index
                     // (10-bit field); trains are delivered whole, so
                     // MID collisions cannot occur mid-reassembly.
                     let mid = (src & 0x3ff) as u16;
-                    hosts[src]
-                        .nic
-                        .add_peer(Topology::addr(dst), dst, Topology::vci_to(dst), mid);
+                    hosts[src_l].nic.add_peer(
+                        Topology::addr(dst),
+                        dst_l,
+                        Topology::vci_to(dst),
+                        mid,
+                    );
                     switch.add_vc(
-                        src,
+                        src_l,
                         0,
                         Topology::vci_to(dst),
                         VcRoute {
-                            out_port: dst,
+                            out_port: dst_l,
                             out_vpi: 0,
                             out_vci: Topology::vci_to(dst),
                         },
@@ -365,10 +405,16 @@ impl DcWorld {
         }
 
         let mss = tcp_mss(topo.mtu, cfg.mss_one_cluster);
+        let mut live_clients = 0;
         for &c in &client_side {
             let background = c >= measured;
+            if !background {
+                live_clients += topo.conns_of(c);
+            }
+            let c_l = local[c];
             for j in 0..topo.conns_of(c) {
                 let srv = topo.peer_server(c, j);
+                let srv_l = local[srv];
                 let (size, total, think) = if background {
                     let ch = topo.churn.as_ref().expect("churn host implies config");
                     // Per-server echo size: the heterogeneous hiccup
@@ -384,21 +430,21 @@ impl DcWorld {
                     fport: SERVER_PORT,
                 };
                 let [client, server] = hosts
-                    .get_disjoint_mut([c, srv])
+                    .get_disjoint_mut([c_l, srv_l])
                     .expect("client and server are distinct hosts");
                 let (sock_c, sock_s) =
                     Kernel::connect_pair(&mut client.kernel, &mut server.kernel, key, mss);
-                debug_assert_eq!(sock_c, hosts[c].conns.len());
-                debug_assert_eq!(sock_s, hosts[srv].conns.len());
-                let conn_s = hosts[srv].conns.len();
+                debug_assert_eq!(sock_c, hosts[c_l].conns.len());
+                debug_assert_eq!(sock_s, hosts[srv_l].conns.len());
+                let conn_s = hosts[srv_l].conns.len();
                 // Replica connections of a hedged fan-out client park
                 // idle until a hedge trigger activates them.
                 let fanout_client = !background && topo.fanout_width > 0 && c < topo.clients;
                 let replica = fanout_client && j >= topo.fanout_width;
-                hosts[c].conns.push(DcConn {
+                hosts[c_l].conns.push(DcConn {
                     sock: sock_c,
                     client: true,
-                    peer_host: srv,
+                    peer_host: srv_l,
                     peer_conn: conn_s,
                     ident: (c, j),
                     state: if replica {
@@ -424,10 +470,10 @@ impl DcWorld {
                     round_sent: u32::from(fanout_client && !replica),
                     round_rcvd: 0,
                 });
-                hosts[srv].conns.push(DcConn {
+                hosts[srv_l].conns.push(DcConn {
                     sock: sock_s,
                     client: false,
-                    peer_host: c,
+                    peer_host: c_l,
                     peer_conn: sock_c,
                     ident: (c, j),
                     state: ConnState::WantRead,
@@ -450,11 +496,11 @@ impl DcWorld {
             }
         }
 
-        let live_clients = topo.client_conns();
         DcWorld {
             topo,
             sched,
             hosts,
+            ids,
             switch,
             live_clients,
             seed,
@@ -471,10 +517,10 @@ impl DcWorld {
     }
 
     /// PCB lookup counters summed over `hosts` (by predicate on the
-    /// host index).
+    /// global host index).
     fn pcb_counters_where(&self, keep: impl Fn(usize) -> bool) -> PcbCounters {
         let mut acc = PcbCounters::default();
-        for (h, host) in self.hosts.iter().enumerate() {
+        for (&h, host) in self.ids.iter().zip(&self.hosts) {
             if keep(h) {
                 acc += host.kernel.pcbs.counters();
             }
@@ -484,6 +530,7 @@ impl DcWorld {
 }
 
 /// One run's pooled results.
+#[derive(Debug, Default, PartialEq)]
 pub struct DcRunResult {
     /// Every measured RPC round-trip, pooled in (client host,
     /// connection, iteration) order — a stable order so reports are
@@ -534,79 +581,146 @@ pub struct DcRunResult {
     pub cost: MitigationCost,
 }
 
-/// Builds and runs a world to completion.
+/// Builds and runs a world to completion: each of its
+/// [`Topology::components`] as its own simulation on the sweep pool,
+/// with up to `available_parallelism()` workers (inline when called
+/// from inside a sweep worker), merged into the whole world's result.
+/// Each component is built inside its worker and dropped there once
+/// its result is taken; the whole world is never built.
 ///
 /// # Panics
 ///
-/// Panics if the event queue drains while a client connection is
-/// still waiting — a protocol deadlock, which the tests treat as a
-/// bug.
+/// Panics if a component's event queue drains while one of its client
+/// connections is still waiting — a protocol deadlock, which the tests
+/// treat as a bug.
 #[must_use]
 pub fn run_dc(topo: &Topology, sched: TrafficSchedule, seed: u64) -> DcRunResult {
-    let sim = run_dc_sim(topo, sched, seed);
-    let w = &sim.world;
-    let mut rtts = Vec::new();
-    let mut verify_failures = 0;
-    let mut aborted_conns = 0;
-    let mut completions = Vec::new();
-    let mut fanout_aborts = 0;
-    let mut cost = MitigationCost::default();
-    for host in &w.hosts {
-        for conn in &host.conns {
-            rtts.extend_from_slice(&conn.rtts);
-            verify_failures += conn.verify_failures;
-            aborted_conns += u64::from(conn.aborted);
-        }
-        if let Some(ctl) = &host.fanout {
-            completions.extend_from_slice(&ctl.completions);
-            fanout_aborts += u64::from(ctl.aborted);
-            cost += ctl.cost;
-        }
-    }
-    let clients = w.topo.clients;
-    let (mut fwd, mut drops, mut backlog) = (0, 0, 0usize);
-    let (mut epd, mut ppd) = (0, 0);
+    // The host's parallelism, read once: the query parses cgroup files.
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    let workers = *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
+    merge(sweep::pool::run_ordered(
+        &topo.components(),
+        workers,
+        |_, ids| run_part(topo, sched, seed, ids.clone()),
+    ))
+}
+
+/// One component's share of a run.
+struct Part {
+    /// `(global host, round trips, fan-out completions)` of each host,
+    /// ascending.
+    hosts: Vec<(usize, Vec<SimTime>, Vec<SimTime>)>,
+    /// Every other field over the component; `rtts` and `completions`
+    /// stay empty.
+    totals: DcRunResult,
+}
+
+/// Builds and runs the world over hosts `ids` and takes its results.
+fn run_part(topo: &Topology, sched: TrafficSchedule, seed: u64, ids: Vec<usize>) -> Part {
+    let mut sim = run_dc_sim(DcWorld::over(topo.clone(), sched, seed, ids));
+    let (events, sim_time) = (sim.events_executed(), sim.now());
+    let w = &mut sim.world;
+    let (clients, measured) = (w.topo.clients, w.topo.measured_hosts());
+    let mut totals = DcRunResult {
+        events,
+        sim_time,
+        pcb: w.pcb_counters_where(|_| true),
+        server_pcb: w.pcb_counters_where(|h| h >= clients && h < measured),
+        rexmits: w.hosts.iter().map(|h| h.kernel.rexmits_total()).sum(),
+        rto_fires: w.hosts.iter().map(|h| h.kernel.stats.rto_fires).sum(),
+        ..DcRunResult::default()
+    };
     for p in 0..w.switch.ports() {
         let ps = w.switch.port_stats(p);
-        fwd += ps.forwarded;
-        drops += ps.queue_drops;
-        epd += ps.epd_drops;
-        ppd += ps.ppd_drops;
-        backlog = backlog.max(ps.max_backlog_cells);
+        totals.switch_forwarded += ps.forwarded;
+        totals.switch_drops += ps.queue_drops;
+        totals.epd_drops += ps.epd_drops;
+        totals.ppd_drops += ps.ppd_drops;
+        totals.max_backlog_cells = totals.max_backlog_cells.max(ps.max_backlog_cells);
     }
-    let rexmits = w.hosts.iter().map(|h| h.kernel.rexmits_total()).sum();
-    let rto_fires = w.hosts.iter().map(|h| h.kernel.stats.rto_fires).sum();
-    let mut result = DcRunResult {
-        rtts,
-        verify_failures,
-        aborted_conns,
-        completions,
-        fanout_aborts,
-        events: sim.events_executed(),
-        sim_time: sim.now(),
-        pcb: w.pcb_counters_where(|_| true),
-        server_pcb: w.pcb_counters_where(|h| h >= clients && h < w.topo.measured_hosts()),
-        switch_forwarded: fwd,
-        switch_drops: drops,
-        epd_drops: epd,
-        ppd_drops: ppd,
-        max_backlog_cells: backlog,
-        rexmits,
-        rto_fires,
-        mbufs_leaked: 0,
-        cost,
-    };
+    let mut hosts = Vec::with_capacity(w.hosts.len());
+    for (&g, host) in w.ids.iter().zip(&mut w.hosts) {
+        let mut rtts = Vec::new();
+        for conn in &mut host.conns {
+            rtts.append(&mut conn.rtts);
+            totals.verify_failures += conn.verify_failures;
+            totals.aborted_conns += u64::from(conn.aborted);
+        }
+        let mut completions = Vec::new();
+        if let Some(ctl) = &mut host.fanout {
+            completions = std::mem::take(&mut ctl.completions);
+            totals.fanout_aborts += u64::from(ctl.aborted);
+            totals.cost += ctl.cost;
+        }
+        hosts.push((g, rtts, completions));
+    }
     // Teardown frees every chain still held by sockets, queues and
     // adapters — including the connections of cancelled or hedged
     // sub-requests; whatever remains outstanding is a genuine leak.
     let pools: Vec<_> = w.hosts.iter().map(|h| h.kernel.pool.clone()).collect();
     drop(sim);
-    result.mbufs_leaked = pools.iter().map(|p| p.stats().mbufs_outstanding()).sum();
-    result
+    totals.mbufs_leaked = pools.iter().map(|p| p.stats().mbufs_outstanding()).sum();
+    Part { hosts, totals }
 }
 
-/// Builds and runs a world, returning the final world state — tests
-/// inspect per-connection sub-request RTTs and per-host fan-out
+/// Merges component results into the whole world's, in any part
+/// order: round trips and completions in global host order, counters
+/// summed, the final time and the deepest backlog their maxima.
+fn merge(parts: Vec<Part>) -> DcRunResult {
+    let mut r = DcRunResult::default();
+    let mut hosts = Vec::new();
+    for part in parts {
+        hosts.extend(part.hosts);
+        // Exhaustive: a new field fails to compile here until merged.
+        let DcRunResult {
+            rtts: _,
+            verify_failures,
+            aborted_conns,
+            completions: _,
+            fanout_aborts,
+            events,
+            sim_time,
+            pcb,
+            server_pcb,
+            switch_forwarded,
+            switch_drops,
+            epd_drops,
+            ppd_drops,
+            max_backlog_cells,
+            rexmits,
+            rto_fires,
+            mbufs_leaked,
+            cost,
+        } = part.totals;
+        r.verify_failures += verify_failures;
+        r.aborted_conns += aborted_conns;
+        r.fanout_aborts += fanout_aborts;
+        r.events += events;
+        r.sim_time = r.sim_time.max(sim_time);
+        r.pcb += pcb;
+        r.server_pcb += server_pcb;
+        r.switch_forwarded += switch_forwarded;
+        r.switch_drops += switch_drops;
+        r.epd_drops += epd_drops;
+        r.ppd_drops += ppd_drops;
+        r.max_backlog_cells = r.max_backlog_cells.max(max_backlog_cells);
+        r.rexmits += rexmits;
+        r.rto_fires += rto_fires;
+        r.mbufs_leaked += mbufs_leaked;
+        r.cost += cost;
+    }
+    hosts.sort_unstable_by_key(|&(g, ..)| g);
+    for (_, rtts, completions) in hosts {
+        r.rtts.extend(rtts);
+        r.completions.extend(completions);
+    }
+    r
+}
+
+/// Builds and runs the whole world, returning the final world state —
+/// tests inspect per-connection sub-request RTTs and per-host fan-out
 /// completions directly.
 ///
 /// # Panics
@@ -614,11 +728,10 @@ pub fn run_dc(topo: &Topology, sched: TrafficSchedule, seed: u64) -> DcRunResult
 /// Panics on protocol deadlock, like [`run_dc`].
 #[must_use]
 pub fn run_dc_world(topo: &Topology, sched: TrafficSchedule, seed: u64) -> DcWorld {
-    run_dc_sim(topo, sched, seed).world
+    run_dc_sim(DcWorld::new(topo.clone(), sched, seed)).world
 }
 
-fn run_dc_sim(topo: &Topology, sched: TrafficSchedule, seed: u64) -> Sim<DcWorld> {
-    let world = DcWorld::new(topo.clone(), sched, seed);
+fn run_dc_sim(world: DcWorld) -> Sim<DcWorld> {
     let mut sim = prepare_dc(world);
     if sim.world.topo.churn.is_some() {
         // Churn connections never finish on their own: stop when the
@@ -631,11 +744,15 @@ fn run_dc_sim(topo: &Topology, sched: TrafficSchedule, seed: u64) -> Sim<DcWorld
             "a drained run parks nothing"
         );
     }
+    let w = &sim.world;
     assert!(
-        sim.world.finished(),
+        w.finished(),
         "deadlock: event queue empty with live connections \
-         (live_clients {})",
-        sim.world.live_clients
+         (hosts {}..={} of {}, live_clients {})",
+        w.ids[0],
+        w.ids[w.ids.len() - 1],
+        w.topo.hosts(),
+        w.live_clients
     );
     sim
 }
@@ -652,7 +769,17 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
     let mut sim = Sim::new(world);
     let clients = sim.world.topo.clients;
     let measured = sim.world.topo.measured_hosts();
-    for h in clients..measured {
+    // `(local, global)` of the hosts whose global index is in `role`,
+    // ascending, as in the whole world.
+    let ids = sim.world.ids.clone();
+    let local = |role: std::ops::Range<usize>| -> Vec<(usize, usize)> {
+        ids.iter()
+            .enumerate()
+            .filter(|&(_, g)| role.contains(g))
+            .map(|(h, &g)| (h, g))
+            .collect()
+    };
+    for (h, _) in local(clients..measured) {
         for c in 0..sim.world.hosts[h].conns.len() {
             sim.schedule_raw(SimTime::ZERO, "dc-conn-start", conn_step_raw, pack(h, c));
         }
@@ -660,14 +787,14 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
     let sched = sim.world.sched;
     let fanout = sim.world.topo.fanout_width > 0;
     let mitigated = fanout && sim.world.topo.mitigated();
-    for h in 0..clients {
+    for (h, g) in local(0..clients) {
         // A fan-out host whose policy arms a lever schedules round
         // one's control events (hedge trigger, retry timers) at its
         // traffic slot; every later round re-arms at its release.
         // Wait-for-all arms nothing, so it schedules no event here.
         if mitigated {
             sim.schedule_raw(
-                sched.start_of(h, 0),
+                sched.start_of(g, 0),
                 "dc-round-arm",
                 on_round_arm_raw,
                 h as u64,
@@ -682,9 +809,9 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
             // sub-request starts at the host's slot (the client CPU
             // serializes the actual writes).
             let at = if fanout {
-                sched.start_of(h, 0)
+                sched.start_of(g, 0)
             } else {
-                sched.start_of(h, c)
+                sched.start_of(g, c)
             };
             sim.schedule_raw(at, "dc-conn-start", conn_step_raw, pack(h, c));
         }
@@ -694,16 +821,15 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
     // one burst.
     if let Some(ch) = sim.world.topo.churn.clone() {
         let servers = sim.world.topo.servers() as u64;
-        let clients = sim.world.topo.clients;
-        for h in measured..sim.world.hosts.len() {
+        for (h, g) in local(measured..usize::MAX) {
             for c in 0..sim.world.hosts[h].conns.len() {
                 // Spread by the global server index so the whole
                 // churn population covers one think period even when
                 // it is sliced across several churn hosts.
-                let srv = (sim.world.topo.peer_server(h, c) - clients) as u64;
+                let srv = (sim.world.topo.peer_server(g, c) - clients) as u64;
                 let spread = SimTime::from_ns(ch.think.as_ns() / servers * srv);
                 sim.schedule_raw(
-                    sched.start_of(h, c) + spread,
+                    sched.start_of(g, c) + spread,
                     "dc-churn-start",
                     conn_step_raw,
                     pack(h, c),
@@ -759,7 +885,8 @@ fn flush_dc(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
         // The hardware interrupt fires when the train's last cell
         // reaches the destination adapter. A fully-lost train arrives
         // nowhere; TCP's retransmit timer is the recovery path.
-        if let Some((last, out)) = w.switch.forward_train(h, train, w.topo.link_delay(dst)) {
+        let downlink = w.topo.link_delay(w.ids[dst]);
+        if let Some((last, out)) = w.switch.forward_train(h, train, downlink) {
             let slot = w.in_flight.park((h, out));
             s.schedule_raw_at(
                 last.max(s.now()),
@@ -797,7 +924,8 @@ fn on_dc_arrival(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
     // this interrupt).
     if w.hosts[h].fanout.is_some() {
         let span = w.topo.fanout_conns();
-        let first = w.topo.clients + h * span;
+        let first = w.topo.clients + w.ids[h] * span;
+        let src = w.ids[src];
         if (first..first + span).contains(&src) {
             w.hosts[h].conns[src - first].last_arrival = s.now();
         }
@@ -1040,8 +1168,9 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                     // the draw makes background arrivals aperiodic, so
                     // fan-out amplification reflects probability, not
                     // phase.
-                    let draw = splitmix64(host_seed(w.seed, h) ^ ((c as u64) << 40) ^ rounds)
-                        % think.as_ns().max(1);
+                    let draw =
+                        splitmix64(host_seed(w.seed, w.ids[h]) ^ ((c as u64) << 40) ^ rounds)
+                            % think.as_ns().max(1);
                     let at = now.max(s.now()) + think + SimTime::from_ns(draw);
                     s.schedule_raw_at(at, "dc-churn-next", conn_step_raw, pack(h, c));
                     break;
@@ -1239,7 +1368,7 @@ fn arm_round(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, at: SimTime)
     if let Some(rp) = tail.retry {
         if rp.max_attempts > 1 {
             for slot in 0..width {
-                let jitter = retry_jitter(w.seed, h, slot, round, 1, rp.jitter);
+                let jitter = retry_jitter(w.seed, w.ids[h], slot, round, 1, rp.jitter);
                 s.schedule_raw_at(
                     at + rp.backoff + jitter,
                     "dc-retry",
@@ -1406,7 +1535,7 @@ fn on_retry(
     }
     if attempt + 1 < rp.max_attempts {
         let backoff = SimTime::from_ns(rp.backoff.as_ns() << attempt);
-        let jitter = retry_jitter(w.seed, h, slot, round, attempt + 1, rp.jitter);
+        let jitter = retry_jitter(w.seed, w.ids[h], slot, round, attempt + 1, rp.jitter);
         s.schedule_raw_at(
             now + backoff + jitter,
             "dc-retry",
@@ -1417,7 +1546,7 @@ fn on_retry(
 }
 
 /// Deterministic key-derived retry jitter in `[0, jitter)`: a pure
-/// function of `(seed, host, slot, round, attempt)`, so the schedule
+/// function of `(seed, global host, slot, round, attempt)`, so the schedule
 /// is byte-identical at any sweep worker count.
 fn retry_jitter(
     seed: u64,
@@ -1745,6 +1874,83 @@ mod tests {
             r.cost.retries_issued
         );
         assert_eq!(r.mbufs_leaked, 0);
+    }
+
+    /// The whole world run as one simulation: the reference that the
+    /// component split must reproduce.
+    fn whole(topo: &Topology, sched: TrafficSchedule, seed: u64) -> DcRunResult {
+        merge(vec![run_part(
+            topo,
+            sched,
+            seed,
+            (0..topo.hosts()).collect(),
+        )])
+    }
+
+    /// `run_dc` equals the one-component run field by field, and so
+    /// does a merge of the components taken in reverse order.
+    fn assert_split_exact(topo: &Topology, sched: TrafficSchedule, seed: u64, what: &str) {
+        let reference = whole(topo, sched, seed);
+        assert_eq!(run_dc(topo, sched, seed), reference, "{what}");
+        let mut parts: Vec<Part> = topo
+            .components()
+            .into_iter()
+            .map(|ids| run_part(topo, sched, seed, ids))
+            .collect();
+        parts.reverse();
+        assert_eq!(merge(parts), reference, "{what}: reversed parts");
+    }
+
+    #[test]
+    fn components_reproduce_the_whole_world() {
+        use crate::study::{cc_quick_grid, dc_quick_grid, hedge_quick_grid, tails_quick_grid};
+        use crate::{rep_seed, DcCell};
+
+        let mut cells: Vec<DcCell> = dc_quick_grid();
+        cells.extend(tails_quick_grid().into_iter().map(|c| c.cell));
+        cells.extend(hedge_quick_grid().into_iter().map(|c| c.cell));
+        cells.extend(cc_quick_grid().into_iter().map(|c| c.cell));
+        for cell in &cells {
+            for rep in 0..cell.reps.max(1) {
+                let seed = rep_seed(&cell.key, rep);
+                assert_split_exact(&cell.topo, cell.sched, seed, &cell.key);
+            }
+        }
+
+        // The benchmark's shapes, scaled down.
+        let small_incast = Topology::incast(32, 8, 16);
+        assert_eq!(small_incast.components().len(), 4);
+        assert_split_exact(
+            &small_incast,
+            TrafficSchedule::staggered(),
+            7,
+            "incast(32, 8, 16)",
+        );
+        let mut small_fanout = Topology::fanout(4, 8);
+        small_fanout.iterations = 20;
+        assert_split_exact(
+            &small_fanout,
+            TrafficSchedule::staggered(),
+            7,
+            "fanout(4, 8) x 20",
+        );
+
+        // A faulted, host-paused fan-out world: lossy uplinks and
+        // stalled hosts on every component.
+        let mut faulted = Topology::fanout(4, 4);
+        faulted.iterations = 8;
+        faulted.faults = Some(
+            faultkit::FaultSchedule::default()
+                .with_atm_loss(faultkit::GilbertElliott::heavy_bursts())
+                .with_host_pause(faultkit::PauseSchedule::new(
+                    SimTime::from_us(500),
+                    SimTime::from_ms(4),
+                    SimTime::from_ms(1),
+                )),
+        );
+        let r = whole(&faulted, TrafficSchedule::staggered(), 5);
+        assert!(r.rexmits > 0, "the loss bites");
+        assert_split_exact(&faulted, TrafficSchedule::staggered(), 5, "faulted fan-out");
     }
 
     #[test]

@@ -20,7 +20,12 @@
 //!   capacity, tail-drops into TCP loss recovery), composing with the
 //!   `faultkit` fault processes on every uplink;
 //! - [`run_dc`] pools per-connection RPC round-trips with PCB lookup
-//!   and switch contention counters for the `repro dc` study;
+//!   and switch contention counters for the `repro dc` study. It runs
+//!   each of the world's independent components
+//!   ([`Topology::components`]: a server and its fan-in clients, or a
+//!   fan-out client and its server block) as its own simulation on the
+//!   sweep pool and merges the results into the whole world's, byte for
+//!   byte; churn and fabric corruption couple every host into one;
 //! - [`study`] is the one study layer: it runs every study's grid,
 //!   the paper's Tables 1–7 and the loss-recovery grid over the
 //!   two-host world included, and turns each cell into a table row and

@@ -518,6 +518,51 @@ impl Topology {
             self.clients * self.conns_per_host
         }
     }
+
+    /// The world's independent components: the hosts joined by some
+    /// connection, each group ascending, groups ordered by their
+    /// smallest host. No cell, timer or counter crosses between
+    /// groups, so each runs as its own simulation with the same
+    /// events in the same order (see [`crate::run_dc`]).
+    ///
+    /// Two couplings force one group over every host: churn, whose run
+    /// stops on a predicate over the whole world, and fabric
+    /// corruption (`switch.corrupt_prob > 0`), which every output port
+    /// draws from one switch random stream.
+    #[must_use]
+    pub fn components(&self) -> Vec<Vec<usize>> {
+        let n = self.hosts();
+        if self.churn.is_some() || self.switch.corrupt_prob > 0.0 {
+            return vec![(0..n).collect()];
+        }
+        // Union-find over every (client, server) pair, linking each
+        // root to the smaller one so a root is its group's first host.
+        let mut root: Vec<usize> = (0..n).collect();
+        fn find(root: &mut [usize], mut h: usize) -> usize {
+            while root[h] != h {
+                root[h] = root[root[h]];
+                h = root[h];
+            }
+            h
+        }
+        for c in 0..self.clients {
+            for j in 0..self.conns_of(c) {
+                let (a, b) = (find(&mut root, c), find(&mut root, self.peer_server(c, j)));
+                root[a.max(b)] = a.min(b);
+            }
+        }
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of = vec![usize::MAX; n];
+        for h in 0..n {
+            let r = find(&mut root, h);
+            if r == h {
+                group_of[h] = groups.len();
+                groups.push(Vec::new());
+            }
+            groups[group_of[r]].push(h);
+        }
+        groups
+    }
 }
 
 /// When each client connection starts: plain data, a pure function of
@@ -696,6 +741,48 @@ mod tests {
         assert!(t.faults_apply_to(2));
         assert!(t.faults_apply_to(9));
         assert!(!t.faults_apply_to(10));
+    }
+
+    #[test]
+    fn components_split_disjoint_groups() {
+        let sizes = |t: &Topology| t.components().iter().map(Vec::len).collect::<Vec<_>>();
+        // Incast: each server and its fan-in clients.
+        let t = Topology::incast(256, 16, 64);
+        let groups = t.components();
+        assert_eq!(sizes(&t), vec![17; 16]);
+        for (k, g) in groups.iter().enumerate() {
+            let mut want: Vec<usize> = (16 * k..16 * k + 16).collect();
+            want.push(256 + k);
+            assert_eq!(*g, want, "group {k}");
+        }
+        // Fan-out: each client and its private server block.
+        let t = Topology::fanout(4, 64);
+        assert_eq!(sizes(&t), vec![65; 4]);
+        assert_eq!(t.components()[1][..2], [1, 4 + 64]);
+        // Hedged fan-out: the block doubles with the replicas.
+        let mut t = Topology::fanout(4, 3);
+        t.tail = TailPolicy {
+            hedge: Some(HedgePolicy::default()),
+            ..TailPolicy::default()
+        };
+        assert_eq!(sizes(&t), vec![1 + 2 * 3; 4]);
+        // The cc cells' world, four clients and their server, is one
+        // group.
+        assert_eq!(sizes(&Topology::incast(4, 4, 1)), vec![5]);
+    }
+
+    #[test]
+    fn churn_and_fabric_corruption_couple_every_host() {
+        let mut t = Topology::fanout(4, 4);
+        t.churn = Some(ChurnTraffic::background());
+        assert_eq!(t.components(), vec![(0..t.hosts()).collect::<Vec<_>>()]);
+        let mut t = Topology::incast(32, 8, 2);
+        t.churn = Some(ChurnTraffic::background());
+        assert_eq!(t.components(), vec![(0..t.hosts()).collect::<Vec<_>>()]);
+        let mut t = Topology::incast(32, 8, 2);
+        assert_eq!(t.components().len(), 4);
+        t.switch.corrupt_prob = 1e-6;
+        assert_eq!(t.components(), vec![(0..t.hosts()).collect::<Vec<_>>()]);
     }
 
     #[test]
