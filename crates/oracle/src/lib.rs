@@ -25,4 +25,4 @@ pub mod model;
 
 pub use golden::{diff_report, LineDiff};
 pub use invariants::{check_experiment, InvariantReport, Violation};
-pub use model::{predict, predict_dc, PredictError, Prediction};
+pub use model::{predict, PredictError, Prediction};

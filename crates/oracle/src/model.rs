@@ -66,42 +66,6 @@ pub enum PredictError {
     /// The orbit failed to reach a steady state within the walked
     /// iterations.
     NoConvergence(String),
-    /// The world spans more hosts than the two point-to-point
-    /// DECstations the model walks: per-host CPU timelines interleave
-    /// through shared-switch queueing, which the closed-form orbit
-    /// cannot price.
-    MultiHostWorld {
-        /// Hosts in the offending world.
-        hosts: usize,
-    },
-    /// The world is a fan-out/wait-for-all client: its completion time
-    /// is the *max* over N coupled sub-request RTTs, an order
-    /// statistic the per-connection orbit cannot express even before
-    /// the shared switch enters the picture.
-    FanoutWorld {
-        /// Fan-out width N of the offending world.
-        width: usize,
-    },
-    /// The world arms a tail-tolerance policy (deadline, retries,
-    /// hedging, or partial fan-out): completion depends on control
-    /// decisions taken *during* the request — which copy answered
-    /// first, whether the budget had a token — not on any per-
-    /// connection orbit.
-    MitigatedWorld {
-        /// The offending policy, rendered for the message.
-        policy: String,
-    },
-    /// The world's throughput is shaped by congestion-control
-    /// dynamics: a cold-start congestion window or a non-tail-drop
-    /// switch policy. The orbit walker prices one steady-state clean
-    /// round trip; slow start, fast recovery, and policy-driven
-    /// whole-train refusals are trajectories through cwnd/ssthresh
-    /// state that a fixed-point orbit cannot express.
-    CwndLimitedWorld {
-        /// What arms the dynamics, rendered for the message (the
-        /// cold-start window, the drop policy, or both).
-        dynamics: String,
-    },
 }
 
 impl fmt::Display for PredictError {
@@ -109,31 +73,6 @@ impl fmt::Display for PredictError {
         match self {
             PredictError::Unsupported(s) => write!(f, "analytic model unsupported: {s}"),
             PredictError::NoConvergence(s) => write!(f, "analytic model did not converge: {s}"),
-            PredictError::MultiHostWorld { hosts } => write!(
-                f,
-                "analytic model covers exactly two hosts on a private fiber; \
-                 this world has {hosts} hosts behind a shared switch"
-            ),
-            PredictError::MitigatedWorld { policy } => write!(
-                f,
-                "analytic model prices one connection's round trip; a \
-                 tail-tolerant world ({policy}) completes on control-layer \
-                 decisions (hedge races, retry budgets, deadlines), not an \
-                 orbit"
-            ),
-            PredictError::FanoutWorld { width } => write!(
-                f,
-                "analytic model prices one connection's round trip; a \
-                 fan-out world completes on the slowest of {width} parallel \
-                 sub-requests (an order statistic, not an orbit)"
-            ),
-            PredictError::CwndLimitedWorld { dynamics } => write!(
-                f,
-                "analytic model walks one steady-state clean orbit; a \
-                 cwnd-limited world ({dynamics}) completes on congestion \
-                 trajectories — slow start, fast recovery, policy-refused \
-                 trains — not a fixed point"
-            ),
         }
     }
 }
@@ -201,66 +140,6 @@ pub fn predict(exp: &Experiment) -> Result<Prediction, PredictError> {
         samples,
         iterations: w.completed,
     })
-}
-
-/// Scope guard for the datacenter world: the analytic orbit walks the
-/// two-host point-to-point timeline, so any [`world::Topology`] is
-/// out of scope — multi-host worlds because per-host CPU timelines
-/// couple through shared-switch queueing, and even a single
-/// client-server pair because its path crosses the switch (fabric
-/// latency + output-queue serialization) rather than the private
-/// fiber the model prices. The refusal is typed so callers can tell
-/// "out of scope" from "model bug".
-///
-/// # Errors
-///
-/// Always: [`PredictError::MitigatedWorld`] for a world with an armed
-/// tail-tolerance policy (the most specific refusal — the control
-/// layer's choices shape completion before topology even matters),
-/// then [`PredictError::FanoutWorld`] for a fan-out/wait-for-all
-/// world (completion is an order statistic, wrong for the model
-/// regardless of host count), [`PredictError::CwndLimitedWorld`] for
-/// a world with armed congestion-control dynamics (cold-start cwnd or
-/// a non-tail drop policy), [`PredictError::MultiHostWorld`] for
-/// more than two hosts, [`PredictError::Unsupported`] for a switched
-/// two-host world.
-pub fn predict_dc(topo: &world::Topology) -> Result<Prediction, PredictError> {
-    if topo.mitigated() {
-        let policy = format!("{:?}", topo.tail);
-        return Err(PredictError::MitigatedWorld { policy });
-    }
-    if topo.fanout_width > 0 {
-        return Err(PredictError::FanoutWorld {
-            width: topo.fanout_width,
-        });
-    }
-    let cold = topo.stack.initial_cwnd_segs.is_some();
-    let policy_armed = topo.switch.drop_policy != atm::DropPolicy::Tail;
-    if cold || policy_armed {
-        let dynamics = match (cold, policy_armed) {
-            (true, true) => format!(
-                "cold-start cwnd {} segs + {} drop",
-                topo.stack.initial_cwnd_segs.unwrap_or(0),
-                topo.switch.drop_policy.name()
-            ),
-            (true, false) => format!(
-                "cold-start cwnd {} segs",
-                topo.stack.initial_cwnd_segs.unwrap_or(0)
-            ),
-            (false, true) => format!("{} drop", topo.switch.drop_policy.name()),
-            (false, false) => unreachable!(),
-        };
-        return Err(PredictError::CwndLimitedWorld { dynamics });
-    }
-    let hosts = topo.hosts();
-    if hosts > 2 {
-        return Err(PredictError::MultiHostWorld { hosts });
-    }
-    Err(PredictError::Unsupported(
-        "switched datacenter path (shared-switch queueing is outside the \
-         two-host fiber model)"
-            .to_string(),
-    ))
 }
 
 fn check_supported(exp: &Experiment) -> Result<(), PredictError> {
@@ -1542,119 +1421,6 @@ mod tests {
         let mut exp = Experiment::rpc(NetKind::Atm, 200);
         exp.workload = Workload::Bulk;
         assert!(matches!(predict(&exp), Err(PredictError::Unsupported(_))));
-    }
-
-    #[test]
-    fn datacenter_worlds_are_refused_with_a_typed_error() {
-        let big = world::Topology::incast(32, 16, 4);
-        match predict_dc(&big) {
-            Err(PredictError::MultiHostWorld { hosts }) => assert_eq!(hosts, 34),
-            other => panic!("expected MultiHostWorld, got {other:?}"),
-        }
-        // Even the degenerate one-client case crosses the switch, so
-        // the two-host fiber model still refuses — but as Unsupported,
-        // not MultiHostWorld.
-        let tiny = world::Topology::incast(1, 1, 1);
-        assert_eq!(tiny.hosts(), 2);
-        assert!(matches!(
-            predict_dc(&tiny),
-            Err(PredictError::Unsupported(_))
-        ));
-        let msg = predict_dc(&big).unwrap_err().to_string();
-        assert!(msg.contains("34 hosts"), "{msg}");
-    }
-
-    #[test]
-    fn fanout_worlds_are_refused_before_the_host_count_check() {
-        let fo = world::Topology::fanout(4, 16);
-        match predict_dc(&fo) {
-            Err(PredictError::FanoutWorld { width }) => assert_eq!(width, 16),
-            other => panic!("expected FanoutWorld, got {other:?}"),
-        }
-        // Even a width-1 fan-out world is refused as FanoutWorld, not
-        // mistaken for a point-to-point pair: the barrier semantics
-        // (and the switch) are still there.
-        let narrow = world::Topology::fanout(1, 1);
-        match predict_dc(&narrow) {
-            Err(PredictError::FanoutWorld { width }) => assert_eq!(width, 1),
-            other => panic!("expected FanoutWorld, got {other:?}"),
-        }
-        let msg = predict_dc(&fo).unwrap_err().to_string();
-        assert!(msg.contains("slowest of 16"), "{msg}");
-    }
-
-    #[test]
-    fn mitigated_worlds_are_refused_before_the_fanout_check() {
-        let mut topo = world::Topology::fanout(4, 16);
-        topo.tail = world::TailPolicy {
-            deadline: Some(simkit::SimTime::from_ms(10)),
-            ..world::TailPolicy::default()
-        };
-        match predict_dc(&topo) {
-            Err(PredictError::MitigatedWorld { policy }) => {
-                assert!(policy.contains("deadline"), "{policy}");
-            }
-            other => panic!("expected MitigatedWorld, got {other:?}"),
-        }
-        let msg = predict_dc(&topo).unwrap_err().to_string();
-        assert!(msg.contains("tail-tolerant"), "{msg}");
-        // So is the hedge study's mitigated world.
-        topo.tail = world::Mitigation::Hedge.policy(16);
-        assert!(matches!(
-            predict_dc(&topo),
-            Err(PredictError::MitigatedWorld { .. })
-        ));
-        // The default (wait-for-all) policy arms nothing: the refusal
-        // falls through to the fan-out check.
-        topo.tail = world::TailPolicy::default();
-        assert!(matches!(
-            predict_dc(&topo),
-            Err(PredictError::FanoutWorld { width: 16 })
-        ));
-    }
-
-    #[test]
-    fn cwnd_limited_worlds_are_refused_before_the_host_count_check() {
-        // A cold-start window arms slow start: the orbit is a
-        // trajectory, not a fixed point — even on a 2-host world that
-        // would otherwise fall through to Unsupported.
-        let mut topo = world::Topology::incast(1, 1, 1);
-        assert_eq!(topo.hosts(), 2);
-        topo.stack.initial_cwnd_segs = Some(2);
-        match predict_dc(&topo) {
-            Err(PredictError::CwndLimitedWorld { dynamics }) => {
-                assert!(dynamics.contains("cold-start cwnd 2 segs"), "{dynamics}");
-            }
-            other => panic!("expected CwndLimitedWorld, got {other:?}"),
-        }
-        // A non-tail drop policy alone is enough: whole-train refusals
-        // reshape the loss pattern the warm stack would never see.
-        let mut topo = world::Topology::incast(4, 4, 1);
-        topo.switch.drop_policy = atm::DropPolicy::Epd {
-            threshold_cells: 64,
-        };
-        match predict_dc(&topo) {
-            Err(PredictError::CwndLimitedWorld { dynamics }) => {
-                assert!(dynamics.contains("epd drop"), "{dynamics}");
-            }
-            other => panic!("expected CwndLimitedWorld, got {other:?}"),
-        }
-        // Both armed: the message names both.
-        topo.stack.initial_cwnd_segs = Some(2);
-        let msg = predict_dc(&topo).unwrap_err().to_string();
-        assert!(msg.contains("cold-start cwnd 2 segs + epd drop"), "{msg}");
-        assert!(msg.contains("not a fixed point"), "{msg}");
-        // The mitigation refusal still wins over the cwnd one.
-        let mut topo = world::Topology::fanout(4, 16);
-        topo.stack.initial_cwnd_segs = Some(2);
-        topo.tail = world::TailPolicy {
-            deadline: Some(simkit::SimTime::from_ms(10)),
-            ..world::TailPolicy::default()
-        };
-        assert!(matches!(
-            predict_dc(&topo),
-            Err(PredictError::MitigatedWorld { .. })
-        ));
     }
 
     #[test]

@@ -45,6 +45,18 @@ impl Drop for InPool {
     }
 }
 
+/// Moves the shared claim counter past the last item if its worker
+/// unwinds, so that the other workers claim nothing more.
+struct StopOnPanic<'a>(&'a AtomicUsize, usize);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(self.1, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Runs `f` over every item on up to `jobs` worker threads and
 /// returns the results **in item order**, regardless of which worker
 /// ran which item or in what interleaving.
@@ -58,7 +70,8 @@ impl Drop for InPool {
 /// # Panics
 ///
 /// Panics if `jobs == 0`, or propagates a panic from `f` with its own
-/// payload (the other workers run on until every item is claimed).
+/// payload. Once one worker panics, the others claim no new item: each
+/// finishes only the item it holds.
 pub fn run_ordered<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -77,6 +90,7 @@ where
             .map(|_| {
                 s.spawn(|| {
                     let _inside = InPool::enter();
+                    let _stop = StopOnPanic(&next, items.len());
                     let mut out = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -178,6 +192,40 @@ mod tests {
             assert!(x != 3, "item {x} refused");
             x
         });
+    }
+
+    /// A panic stops the pool: the other worker finishes the item it
+    /// holds and claims no more, instead of running the whole grid
+    /// before the panic surfaces. Every other item waits until item 0
+    /// unwinds out of `f` (the panic hook, which may print a slow
+    /// backtrace, runs before that), then takes about 1 ms.
+    #[test]
+    fn a_panic_stops_the_other_workers_claiming() {
+        use std::sync::atomic::AtomicBool;
+        struct Unwound<'a>(&'a AtomicBool);
+        impl Drop for Unwound<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let items: Vec<u32> = (0..200).collect();
+        let (unwound, ran) = (AtomicBool::new(false), AtomicUsize::new(0));
+        let outcome = std::panic::catch_unwind(|| {
+            run_ordered(&items, 2, |i, _| {
+                if i == 0 {
+                    let _unwound = Unwound(&unwound);
+                    panic!("item 0 refused");
+                }
+                while !unwound.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            })
+        });
+        assert!(outcome.is_err(), "the panic reaches the caller");
+        let ran = ran.into_inner();
+        assert!(ran < 20, "{ran} of 199 items ran after the panic");
     }
 
     #[test]

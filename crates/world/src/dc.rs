@@ -17,7 +17,10 @@
 //!
 //! A world is the disjoint union of its components
 //! ([`Topology::components`]), and [`run_dc`] runs each one as its own
-//! simulation, on the sweep pool, then merges the results. That run is
+//! simulation, on the sweep pool, then merges the results. A run and a
+//! study cell's repetitions pool into one result type, [`DcResult`],
+//! by one rule: counters add, the final time and the deepest backlog
+//! keep their maximum, samples append. That run is
 //! the whole world's, byte for byte: a component's events keep their
 //! relative `(time, seq)` order, the switch keeps its queues and
 //! counters per output port, and every per-host stream, delay, start
@@ -30,6 +33,7 @@ use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
 use latency_core::app::{period_bytes, period_matches};
 use latency_core::nic::{arm_host, atm_receive, AtmDelivery, AtmNic, NicMut};
+use latency_core::Samples;
 use simkit::{Parked, Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
 use tcpip::{Kernel, PcbCounters, PcbKey, SockId};
@@ -515,44 +519,41 @@ impl DcWorld {
             .iter()
             .all(|h| h.conns.iter().all(|c| c.state == ConnState::Done))
     }
-
-    /// PCB lookup counters summed over `hosts` (by predicate on the
-    /// global host index).
-    fn pcb_counters_where(&self, keep: impl Fn(usize) -> bool) -> PcbCounters {
-        let mut acc = PcbCounters::default();
-        for (&h, host) in self.ids.iter().zip(&self.hosts) {
-            if keep(h) {
-                acc += host.kernel.pcbs.counters();
-            }
-        }
-        acc
-    }
 }
 
-/// One run's pooled results.
+/// A datacenter world's pooled outcome, declared once for both of its
+/// sample containers: one run of a world ([`DcRunResult`], every
+/// sample in a `Vec`) and one study cell pooled over its repetitions
+/// ([`DcCellResult`], exact or sketched [`Samples`]). Components merge
+/// into a run, and runs into a cell, through one pooling rule, the
+/// crate's `DcResult::absorb`.
 #[derive(Debug, Default, PartialEq)]
-pub struct DcRunResult {
-    /// Every measured RPC round-trip, pooled in (client host,
+pub struct DcResult<S> {
+    /// The study cell's key; empty on a bare run.
+    pub key: String,
+    /// The cell's key-derived base seed (its rep 0's); 0 on a bare run.
+    pub seed: u64,
+    /// Repetitions a cell pools; 0 on a bare run.
+    pub reps: u64,
+    /// Every measured RPC round-trip, in (rep, client host,
     /// connection, iteration) order — a stable order so reports are
     /// byte-identical across `--jobs` values.
-    pub rtts: Vec<SimTime>,
+    pub rtts: S,
+    /// Fan-out worlds: per-logical-request completion times (the tail
+    /// policy's K-th smallest sub-request RTT capped by its deadline;
+    /// the max under wait-for-all), in (rep, client host) order.
+    /// Empty in incast worlds.
+    pub completions: S,
+    /// Events executed by the simulation.
+    pub events: u64,
+    /// Final simulated time (the longest component's and rep's).
+    pub sim_time: SimTime,
     /// Payload verification failures across every endpoint.
     pub verify_failures: u64,
     /// Connections that aborted (retransmit limit, under faults).
     pub aborted_conns: u64,
-    /// Fan-out worlds: per-logical-request completion times (the tail
-    /// policy's K-th smallest sub-request RTT capped by its deadline;
-    /// the max under wait-for-all), pooled in client-host order.
-    /// Empty in incast worlds.
-    pub completions: Vec<SimTime>,
     /// Fan-out client hosts whose rounds were cut short by an abort.
     pub fanout_aborts: u64,
-    /// Events executed by the simulation.
-    pub events: u64,
-    /// Final simulated time.
-    pub sim_time: SimTime,
-    /// PCB lookup counters summed over every host.
-    pub pcb: PcbCounters,
     /// PCB lookup counters summed over the server hosts only — the
     /// side whose table holds `fanin x conns_per_host` entries and
     /// where the paper's strategy differences live.
@@ -579,6 +580,83 @@ pub struct DcRunResult {
     pub mbufs_leaked: u64,
     /// Tail-policy cost counters summed over every fan-out client.
     pub cost: MitigationCost,
+}
+
+/// One run of a world.
+pub type DcRunResult = DcResult<Vec<SimTime>>;
+
+/// One study cell's outcome, pooled over its repetitions.
+pub type DcCellResult = DcResult<Samples>;
+
+/// A sample container a [`DcResult`] pools round trips into.
+pub(crate) trait Pool {
+    /// Appends `times`, in order.
+    fn pool(&mut self, times: &[SimTime]);
+}
+
+impl Pool for Vec<SimTime> {
+    fn pool(&mut self, times: &[SimTime]) {
+        self.extend_from_slice(times);
+    }
+}
+
+impl Pool for Samples {
+    fn pool(&mut self, times: &[SimTime]) {
+        self.extend_from(times);
+    }
+}
+
+impl<S> DcResult<S> {
+    /// Pools one run (or one component's share of a run) into this
+    /// result: samples append in order, counters add, and the
+    /// simulated time and the deepest backlog keep their maximum.
+    /// `key`, `seed` and `reps` name the pooled result and stay as
+    /// they are. The run is destructured field by field, so a field
+    /// added to [`DcResult`] fails to compile here until it is pooled.
+    pub(crate) fn absorb(&mut self, r: &DcRunResult)
+    where
+        S: Pool,
+    {
+        let DcResult {
+            key: _,
+            seed: _,
+            reps: _,
+            rtts,
+            completions,
+            events,
+            sim_time,
+            verify_failures,
+            aborted_conns,
+            fanout_aborts,
+            server_pcb,
+            switch_forwarded,
+            switch_drops,
+            epd_drops,
+            ppd_drops,
+            max_backlog_cells,
+            rexmits,
+            rto_fires,
+            mbufs_leaked,
+            cost,
+        } = r;
+        self.rtts.pool(rtts);
+        self.completions.pool(completions);
+        self.events += events;
+        self.sim_time = self.sim_time.max(*sim_time);
+        self.verify_failures += verify_failures;
+        self.aborted_conns += aborted_conns;
+        self.fanout_aborts += fanout_aborts;
+        self.server_pcb += *server_pcb;
+        self.switch_forwarded += switch_forwarded;
+        self.switch_drops += switch_drops;
+        self.epd_drops += epd_drops;
+        self.ppd_drops += ppd_drops;
+        self.max_backlog_cells = self.max_backlog_cells.max(*max_backlog_cells);
+        self.rexmits += rexmits;
+        self.rto_fires += rto_fires;
+        self.mbufs_leaked += mbufs_leaked;
+        self.cost += *cost;
+    }
 }
 
 /// Builds and runs a world to completion: each of its
@@ -626,8 +704,6 @@ fn run_part(topo: &Topology, sched: TrafficSchedule, seed: u64, ids: Vec<usize>)
     let mut totals = DcRunResult {
         events,
         sim_time,
-        pcb: w.pcb_counters_where(|_| true),
-        server_pcb: w.pcb_counters_where(|h| h >= clients && h < measured),
         rexmits: w.hosts.iter().map(|h| h.kernel.rexmits_total()).sum(),
         rto_fires: w.hosts.iter().map(|h| h.kernel.stats.rto_fires).sum(),
         ..DcRunResult::default()
@@ -642,6 +718,9 @@ fn run_part(topo: &Topology, sched: TrafficSchedule, seed: u64, ids: Vec<usize>)
     }
     let mut hosts = Vec::with_capacity(w.hosts.len());
     for (&g, host) in w.ids.iter().zip(&mut w.hosts) {
+        if g >= clients && g < measured {
+            totals.server_pcb += host.kernel.pcbs.counters();
+        }
         let mut rtts = Vec::new();
         for conn in &mut host.conns {
             rtts.append(&mut conn.rtts);
@@ -666,50 +745,14 @@ fn run_part(topo: &Topology, sched: TrafficSchedule, seed: u64, ids: Vec<usize>)
 }
 
 /// Merges component results into the whole world's, in any part
-/// order: round trips and completions in global host order, counters
-/// summed, the final time and the deepest backlog their maxima.
+/// order: each part's totals through [`DcResult::absorb`], then round
+/// trips and completions in global host order.
 fn merge(parts: Vec<Part>) -> DcRunResult {
     let mut r = DcRunResult::default();
     let mut hosts = Vec::new();
     for part in parts {
         hosts.extend(part.hosts);
-        // Exhaustive: a new field fails to compile here until merged.
-        let DcRunResult {
-            rtts: _,
-            verify_failures,
-            aborted_conns,
-            completions: _,
-            fanout_aborts,
-            events,
-            sim_time,
-            pcb,
-            server_pcb,
-            switch_forwarded,
-            switch_drops,
-            epd_drops,
-            ppd_drops,
-            max_backlog_cells,
-            rexmits,
-            rto_fires,
-            mbufs_leaked,
-            cost,
-        } = part.totals;
-        r.verify_failures += verify_failures;
-        r.aborted_conns += aborted_conns;
-        r.fanout_aborts += fanout_aborts;
-        r.events += events;
-        r.sim_time = r.sim_time.max(sim_time);
-        r.pcb += pcb;
-        r.server_pcb += server_pcb;
-        r.switch_forwarded += switch_forwarded;
-        r.switch_drops += switch_drops;
-        r.epd_drops += epd_drops;
-        r.ppd_drops += ppd_drops;
-        r.max_backlog_cells = r.max_backlog_cells.max(max_backlog_cells);
-        r.rexmits += rexmits;
-        r.rto_fires += rto_fires;
-        r.mbufs_leaked += mbufs_leaked;
-        r.cost += cost;
+        r.absorb(&part.totals);
     }
     hosts.sort_unstable_by_key(|&(g, ..)| g);
     for (_, rtts, completions) in hosts {
@@ -1603,7 +1646,7 @@ mod tests {
         assert_eq!(a.rtts, b.rtts);
         assert_eq!(a.events, b.events);
         assert_eq!(a.sim_time, b.sim_time);
-        assert_eq!(a.pcb, b.pcb);
+        assert_eq!(a.server_pcb, b.server_pcb);
     }
 
     #[test]

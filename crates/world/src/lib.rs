@@ -25,7 +25,9 @@
 //!   ([`Topology::components`]: a server and its fan-in clients, or a
 //!   fan-out client and its server block) as its own simulation on the
 //!   sweep pool and merges the results into the whole world's, byte for
-//!   byte; churn and fabric corruption couple every host into one;
+//!   byte; churn and fabric corruption couple every host into one. A
+//!   run ([`DcRunResult`]) and a study cell pooled over its repetitions
+//!   ([`DcCellResult`]) are one type, [`DcResult`], pooled by one rule;
 //! - [`study`] is the one study layer: it runs every study's grid,
 //!   the paper's Tables 1–7 and the loss-recovery grid over the
 //!   two-host world included, and turns each cell into a table row and
@@ -56,12 +58,15 @@ pub mod dc;
 pub mod study;
 pub mod topology;
 
-pub use dc::{dc_pattern, run_dc, DcConn, DcHost, DcRunResult, DcWorld, RequestOutcome};
+pub use dc::{
+    dc_pattern, run_dc, DcCellResult, DcConn, DcHost, DcResult, DcRunResult, DcWorld,
+    RequestOutcome,
+};
 pub use study::{
     cc_canonical_json, cc_grid, cc_policies, cc_quick_grid, cc_rows, dc_grid, dc_quick_grid,
     hedge_grid, hedge_quick_grid, rep_seed, run_cc_cells, run_cells, tails_grid, tails_quick_grid,
-    CcCell, CcRow, DcCell, DcCellResult, HedgeCell, Mitigation, MitigationCost, Scale, Section,
-    Study, StudyReport, TailsCell,
+    CcCell, CcRow, DcCell, HedgeCell, Mitigation, MitigationCost, Scale, Section, Study,
+    StudyReport, TailsCell,
 };
 pub use topology::{
     ChurnTraffic, FaultScope, HedgePolicy, PcbStrategy, RetryPolicy, TailPolicy, Topology,

@@ -45,12 +45,11 @@ use std::fmt::Write as _;
 use atm::{DropPolicy, TrainMarking};
 use latency_core::experiment::Workload;
 use latency_core::{Experiment, ObsMode, RunResult, Samples, Summary};
-use simkit::SimTime;
 use sweep::report::{canonical_report, json_num, ReportCell};
 use sweep::{CellOutcome, Sweep, SweepResults};
-use tcpip::{CcVariant, ChecksumMode, PcbCounters};
+use tcpip::{CcVariant, ChecksumMode};
 
-use crate::dc::{run_dc, DcRunResult};
+use crate::dc::{run_dc, DcCellResult};
 use crate::topology::{ChurnTraffic, FaultScope, PcbStrategy, Topology, TrafficSchedule};
 
 mod extras;
@@ -487,108 +486,6 @@ impl DcCell {
 impl AsRef<DcCell> for DcCell {
     fn as_ref(&self) -> &DcCell {
         self
-    }
-}
-
-/// One cell's pooled outcome.
-#[derive(Default)]
-pub struct DcCellResult {
-    /// The cell key.
-    pub key: String,
-    /// The key-derived base seed.
-    pub seed: u64,
-    /// Repetitions pooled.
-    pub reps: u64,
-    /// Every measured RPC round-trip, in (rep, client host,
-    /// connection, iteration) order — exact by default, a bounded
-    /// sketch under [`ObsMode::Sketch`].
-    pub rtts: Samples,
-    /// Events executed, summed over reps.
-    pub events: u64,
-    /// Final simulated time (max over reps).
-    pub sim_time: SimTime,
-    /// Payload verification failures, summed.
-    pub verify_failures: u64,
-    /// Aborted connections, summed.
-    pub aborted_conns: u64,
-    /// Server-side PCB lookup counters, summed.
-    pub server_pcb: PcbCounters,
-    /// Switch cells forwarded, summed.
-    pub switch_forwarded: u64,
-    /// Switch tail drops, summed.
-    pub switch_drops: u64,
-    /// Cells discarded by Early Packet Discard, summed.
-    pub epd_drops: u64,
-    /// Cells discarded by Partial Packet Discard, summed.
-    pub ppd_drops: u64,
-    /// Largest output-queue backlog seen (max over reps).
-    pub max_backlog_cells: usize,
-    /// Segments retransmitted (RTO + fast), summed over hosts and reps.
-    pub rexmits: u64,
-    /// Retransmission timeouts fired, summed over hosts and reps.
-    pub rto_fires: u64,
-    /// Fan-out logical-request completions (the tail policy's
-    /// K-th-fastest sub-request RTT capped by its deadline; the max
-    /// over all N under wait-for-all), pooled across reps. Empty for
-    /// incast cells.
-    pub completions: Samples,
-    /// Client hosts whose fan-out rounds were killed by the
-    /// retransmit-limit abort, summed over reps.
-    pub fanout_aborts: u64,
-    /// Mbufs still outstanding after world teardown, summed over reps
-    /// (must be zero: cancelled and hedged requests may not leak).
-    pub mbufs_leaked: u64,
-    /// Tail-mitigation cost counters, summed over reps. All zero for
-    /// unmitigated cells.
-    pub cost: MitigationCost,
-}
-
-impl DcCellResult {
-    /// Pools one repetition's run into this cell: samples append in
-    /// rep order, counters add, and the simulated time and backlog
-    /// keep their maximum. The run is destructured field by field, so
-    /// a counter added to [`DcRunResult`] fails to compile here until
-    /// it is pooled or explicitly ignored.
-    pub fn absorb(&mut self, r: &DcRunResult) {
-        let DcRunResult {
-            rtts,
-            verify_failures,
-            aborted_conns,
-            completions,
-            fanout_aborts,
-            events,
-            sim_time,
-            // Every host's lookups; the cell keeps the server side,
-            // where the strategies differ.
-            pcb: _,
-            server_pcb,
-            switch_forwarded,
-            switch_drops,
-            epd_drops,
-            ppd_drops,
-            max_backlog_cells,
-            rexmits,
-            rto_fires,
-            mbufs_leaked,
-            cost,
-        } = r;
-        self.rtts.extend_from(rtts);
-        self.completions.extend_from(completions);
-        self.events += events;
-        self.sim_time = self.sim_time.max(*sim_time);
-        self.verify_failures += verify_failures;
-        self.aborted_conns += aborted_conns;
-        self.fanout_aborts += fanout_aborts;
-        self.server_pcb += *server_pcb;
-        self.switch_forwarded += switch_forwarded;
-        self.switch_drops += switch_drops;
-        self.epd_drops += epd_drops;
-        self.ppd_drops += ppd_drops;
-        self.max_backlog_cells = self.max_backlog_cells.max(*max_backlog_cells);
-        self.rexmits += rexmits;
-        self.rto_fires += rto_fires;
-        self.mbufs_leaked += mbufs_leaked;
-        self.cost += *cost;
     }
 }
 
@@ -1404,6 +1301,8 @@ fn cc_render(cells: &[CcCell], results: &[DcCellResult]) -> (String, Vec<Extras>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dc::DcRunResult;
+    use simkit::SimTime;
 
     #[test]
     fn quick_grid_has_unique_keys_and_expected_axes() {
@@ -1482,6 +1381,21 @@ mod tests {
         // Maxima pool as maxima, not sums.
         assert_eq!(two.sim_time, run.sim_time);
         assert_eq!(two.max_backlog_cells, one.max_backlog_cells);
+        // A run-shaped result pools by the same rule: its `Vec` holds
+        // exactly what the cell's exact `Samples` hold.
+        let mut twice = DcRunResult::default();
+        twice.absorb(&run);
+        twice.absorb(&run);
+        assert_eq!(twice.rtts, [&run.rtts[..], &run.rtts[..]].concat());
+        assert_eq!(two.rtts.raw(), Some(&twice.rtts[..]));
+        assert_eq!(
+            (twice.events, twice.server_pcb, twice.switch_forwarded),
+            (two.events, two.server_pcb, two.switch_forwarded)
+        );
+        assert_eq!(
+            (twice.sim_time, twice.max_backlog_cells),
+            (run.sim_time, run.max_backlog_cells)
+        );
     }
 
     #[test]

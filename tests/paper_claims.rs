@@ -146,15 +146,16 @@ fn s3_prediction_works_for_bulk() {
 /// disabling prediction hurts the 8 KB case more than the small ones.
 #[test]
 fn s3_8kb_case_uses_fast_path_for_second_segment() {
-    let with = rpc(NetKind::Atm, 8000, 100).plan().seed(1).execute();
-    assert!(
-        with.client_tcp.predict_data_hits > 0,
+    let exp = rpc(NetKind::Atm, 8000, 100);
+    let with = exp.plan().seed(1).execute();
+    // Exactly one of the two data segments of every response, warm-up
+    // iterations included: a rate of exactly 0.5.
+    assert_eq!(
+        with.client_tcp.predict_data_hits,
+        exp.warmup + exp.iterations,
         "second response segment is predicted: {:?}",
         with.client_tcp
     );
-    // Roughly half the data segments (one of two per message).
-    let rate = with.client_tcp.predict_data_hits as f64 / (2.0 * with.rtts.len() as f64);
-    assert!((0.3..0.7).contains(&rate), "rate {rate:.2}");
 }
 
 /// Table 6 / §4.1.1: the integrated copy-and-checksum LOSES on small
