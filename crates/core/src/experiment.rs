@@ -1,7 +1,8 @@
 //! Runnable experiments: one per configuration the paper measures.
 //!
 //! An [`Experiment`] describes a two-host run (network, message
-//! size, stack configuration, fault injection); [`Experiment::plan`]
+//! size, stack configuration, and one [`faultkit::FaultSchedule`]
+//! that [`arm_host`] arms on both hosts); [`Experiment::plan`]
 //! builds a [`RunPlan`] that executes it deterministically — one
 //! repetition or several averaged ones, as the paper did ("we ran
 //! 40000 iterations for at least 3 repetitions and took the
@@ -19,7 +20,7 @@ use tcpip::{ChecksumMode, KernelStats, StackConfig};
 
 use crate::app::{App, Role};
 use crate::breakdown::{iterations, mean, Iteration, RxBreakdown, TxBreakdown};
-use crate::nic::{arm_host, AtmNic, EtherNic, Nic};
+use crate::nic::{arm_host, AtmNic, EtherNic, Nic, NicMut};
 use crate::stats;
 use crate::world::{run_world, World};
 
@@ -62,23 +63,14 @@ pub struct Experiment {
     pub cfg: StackConfig,
     /// Host cost model.
     pub costs: CostModel,
-    /// Link bit error rate.
-    pub ber: f64,
-    /// Link cell/frame loss probability.
-    pub cell_loss: f64,
-    /// Controller corruption probability per received datagram (the
-    /// §4.2.1 error class no link CRC can catch).
-    pub controller_corrupt: f64,
     /// Route both directions through an ATM switch (the paper's
     /// testbed was switchless).
     pub switch: Option<atm::SwitchConfig>,
-    /// Gateway-injection probability per Ethernet frame (the §4.2.1
-    /// third error source; Ethernet only).
-    pub gateway_corrupt: f64,
-    /// Scheduled fault processes (faultkit): burst loss, train
-    /// shaping, RX contention, FIFO/pool limits. `None` is clean; the
-    /// i.i.d. knobs above remain for the §4.2.1 detection study.
-    pub faults: Option<faultkit::FaultSchedule>,
+    /// Injected faults (faultkit): the §4.2.1 error sources (bit
+    /// errors, cell loss, controller and gateway corruption), burst
+    /// loss, train shaping, RX contention, FIFO/pool limits. The
+    /// default schedule is clean.
+    pub faults: faultkit::FaultSchedule,
 }
 
 impl Experiment {
@@ -94,12 +86,8 @@ impl Experiment {
             warmup: 8,
             cfg: StackConfig::default(),
             costs: CostModel::calibrated(),
-            ber: 0.0,
-            cell_loss: 0.0,
-            controller_corrupt: 0.0,
             switch: None,
-            gateway_corrupt: 0.0,
-            faults: None,
+            faults: faultkit::FaultSchedule::default(),
         }
     }
 
@@ -137,62 +125,34 @@ impl Experiment {
                 App::new(Role::UdpRpcServer, self.size, u64::MAX / 4, 0),
             ],
         };
-        let nics = match self.net {
-            NetKind::Atm => {
-                let lc = LinkConfig {
-                    ber: self.ber,
-                    cell_loss: self.cell_loss,
-                    ..LinkConfig::default()
-                };
-                let mut n0 =
-                    AtmNic::new(FiberLink::new(lc, seed * 2 + 1), self.costs.clone(), seed);
-                let mut n1 = AtmNic::new(
-                    FiberLink::new(lc, seed * 2 + 2),
+        let nics = [0u8, 1].map(|h| {
+            let (link_seed, nic_seed) = (seed * 2 + 1 + u64::from(h), seed + 9 * u64::from(h));
+            match self.net {
+                NetKind::Atm => Nic::Atm(AtmNic::new(
+                    FiberLink::new(LinkConfig::default(), link_seed),
                     self.costs.clone(),
-                    seed + 9,
-                );
-                n0.controller_corrupt_prob = self.controller_corrupt;
-                n1.controller_corrupt_prob = self.controller_corrupt;
-                [Nic::Atm(n0), Nic::Atm(n1)]
+                    nic_seed,
+                )),
+                NetKind::Ether => Nic::Ether(EtherNic::new(
+                    EtherWire::new(WireConfig::default(), link_seed),
+                    self.costs.clone(),
+                    h,
+                    nic_seed,
+                )),
             }
-            NetKind::Ether => {
-                let wc = WireConfig {
-                    ber: self.ber,
-                    ..WireConfig::default()
-                };
-                let mut n0 = EtherNic::new(
-                    EtherWire::new(wc, seed * 2 + 1),
-                    self.costs.clone(),
-                    0,
-                    seed,
-                );
-                let mut n1 = EtherNic::new(
-                    EtherWire::new(wc, seed * 2 + 2),
-                    self.costs.clone(),
-                    1,
-                    seed + 9,
-                );
-                n0.controller_corrupt_prob = self.controller_corrupt;
-                n1.controller_corrupt_prob = self.controller_corrupt;
-                n0.gateway_corrupt_prob = self.gateway_corrupt;
-                n1.gateway_corrupt_prob = self.gateway_corrupt;
-                [Nic::Ether(n0), Nic::Ether(n1)]
-            }
-        };
+        });
         let mut world = World::new(self.cfg, self.costs.clone(), nics, apps);
         for (h, host) in (0u64..).zip(&mut world.hosts) {
             if let (Some(swc), NetKind::Atm) = (self.switch, self.net) {
                 host.route_through_switch(swc, seed * 3 + 1 + h);
             }
-            if let Some(f) = &self.faults {
-                // Per-direction seeds match the link seeds; the fault
-                // processes draw from their own RNG streams, so they
-                // never collide with the BER streams.
-                // Not pausable, so no pause schedule comes back.
-                let seed = seed * 2 + 1 + h;
-                arm_host(f, &host.kernel, (&mut host.nic).into(), seed, false)
-                    .unwrap_or_else(|refusal| panic!("{refusal}"));
-            }
+            // Per-direction seeds match the link seeds; the fault
+            // processes draw from their own RNG streams, so they never
+            // collide with the BER streams. Not pausable, so no pause
+            // schedule comes back.
+            let nic = NicMut::from(&mut host.nic);
+            arm_host(&self.faults, &host.kernel, nic, seed * 2 + 1 + h, false)
+                .unwrap_or_else(|refusal| panic!("{refusal}"));
         }
         world
     }
@@ -605,14 +565,14 @@ impl Experiment {
         self
     }
 
-    /// Attaches a faultkit schedule (burst loss, train shaping, RX
-    /// contention, FIFO/pool limits), armed per host at build time by
+    /// Attaches a faultkit schedule, armed per host at build time by
     /// [`crate::nic::arm_host`]. Running the experiment panics with
     /// the [`crate::nic::FaultRefusal`] if a field cannot be carried:
-    /// ATM fields on Ethernet, `ether_loss` on ATM, or `host_pause`.
+    /// ATM-only fields on Ethernet, Ethernet-only fields on ATM, or
+    /// `host_pause`.
     #[must_use]
     pub fn with_faults(mut self, faults: faultkit::FaultSchedule) -> Self {
-        self.faults = Some(faults);
+        self.faults = faults;
         self
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! The paper argues the TCP checksum can be eliminated on local ATM
 //! because the AAL CRCs catch link errors, and enumerates four error
-//! sources. Three of them can be injected into an [`Experiment`]
-//! (`ber`, `cell_loss`, `controller_corrupt`, and `gateway_corrupt` on
-//! Ethernet), and [`DetectionReport::from_run`] counts which layer
-//! detected each:
+//! sources. Three of them can be injected through an [`Experiment`]'s
+//! [`FaultSchedule`] (`ber`, `cell_loss` on ATM, `controller_corrupt`,
+//! and `gateway_corrupt` on Ethernet), armed by
+//! [`arm_host`](crate::nic::arm_host) like every other fault, and
+//! [`DetectionReport::from_run`] counts which layer detected each:
 //!
 //! 1. **link bit errors** (BER on the fiber) — caught by HEC (header
 //!    bits) or the AAL3/4 CRC-10 (payload bits); on Ethernet by the
@@ -22,6 +23,7 @@
 //! application, while classes 1–2 never do.
 //!
 //! [`Experiment`]: crate::experiment::Experiment
+//! [`FaultSchedule`]: faultkit::FaultSchedule
 
 use crate::experiment::RunResult;
 

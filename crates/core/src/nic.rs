@@ -569,8 +569,8 @@ impl<'a> From<&'a mut Nic> for NicMut<'a> {
 pub enum FaultRefusal {
     /// An ATM-only field (named) on an Ethernet host.
     AtmFieldOnEthernet(&'static str),
-    /// `ether_loss` on an ATM host.
-    EtherLossOnAtm,
+    /// An Ethernet-only field (named) on an ATM host.
+    EtherFieldOnAtm(&'static str),
     /// `host_pause` in an event loop that cannot defer a paused
     /// host's events (the two-host world).
     PauseUnsupported,
@@ -582,8 +582,8 @@ impl std::fmt::Display for FaultRefusal {
             FaultRefusal::AtmFieldOnEthernet(field) => {
                 write!(f, "fault `{field}` cannot be armed on an Ethernet host")
             }
-            FaultRefusal::EtherLossOnAtm => {
-                write!(f, "fault `ether_loss` cannot be armed on an ATM host")
+            FaultRefusal::EtherFieldOnAtm(field) => {
+                write!(f, "fault `{field}` cannot be armed on an ATM host")
             }
             FaultRefusal::PauseUnsupported => write!(
                 f,
@@ -595,19 +595,21 @@ impl std::fmt::Display for FaultRefusal {
 
 impl std::error::Error for FaultRefusal {}
 
-/// Arms every field of `faults` on one host: link loss, train
-/// shaping, RX contention, RX FIFO size and link flap on the NIC, the
-/// mbuf pool limit on the kernel. Every stochastic process draws from
-/// its own stream of `seed`. `pausable` says whether the host's event
-/// loop can defer a paused host's events.
+/// Arms every field of `faults` on one host: link loss, bit errors,
+/// train shaping, RX contention, RX FIFO size and link flap on the
+/// medium and the adapter, controller and gateway corruption on the
+/// NIC, the mbuf pool limit on the kernel. Every stochastic process
+/// draws from its own stream of `seed`. `pausable` says whether the
+/// host's event loop can defer a paused host's events.
 ///
 /// Returns the pause schedule for the event loop to apply, or the
 /// first field the host cannot carry — before arming anything.
 ///
 /// # Errors
 ///
-/// [`FaultRefusal`] for an ATM-only field on Ethernet, `ether_loss`
-/// on ATM, or `host_pause` when `pausable` is false.
+/// [`FaultRefusal`] for an ATM-only field on Ethernet, an
+/// Ethernet-only field on ATM, or `host_pause` when `pausable` is
+/// false.
 pub fn arm_host(
     faults: &FaultSchedule,
     kernel: &Kernel,
@@ -625,15 +627,26 @@ pub fn arm_host(
         mbuf_limit,
         host_pause,
         link_flap,
+        ber,
+        cell_loss,
+        controller_corrupt,
+        gateway_corrupt,
     } = *faults;
     if host_pause.is_some() && !pausable {
         return Err(FaultRefusal::PauseUnsupported);
     }
     match nic {
         NicMut::Atm(nic) => {
-            if ether_loss.is_some() {
-                return Err(FaultRefusal::EtherLossOnAtm);
+            let ether_only = [
+                ("ether_loss", ether_loss.is_some()),
+                ("gateway_corrupt", gateway_corrupt != 0.0),
+            ];
+            if let Some(&(field, _)) = ether_only.iter().find(|(_, set)| *set) {
+                return Err(FaultRefusal::EtherFieldOnAtm(field));
             }
+            nic.link.config.ber = ber;
+            nic.link.config.cell_loss = cell_loss;
+            nic.controller_corrupt_prob = controller_corrupt;
             if let Some(model) = atm_loss {
                 nic.link.arm_burst_loss(model, seed);
             }
@@ -657,10 +670,14 @@ pub fn arm_host(
                 ("rx_contention", rx_contention.is_some()),
                 ("rx_fifo_cells", rx_fifo_cells.is_some()),
                 ("link_flap", link_flap.is_some()),
+                ("cell_loss", cell_loss != 0.0),
             ];
             if let Some(&(field, _)) = atm_only.iter().find(|(_, set)| *set) {
                 return Err(FaultRefusal::AtmFieldOnEthernet(field));
             }
+            nic.wire.config.ber = ber;
+            nic.controller_corrupt_prob = controller_corrupt;
+            nic.gateway_corrupt_prob = gateway_corrupt;
             if let Some(model) = ether_loss {
                 nic.wire.arm_burst_loss(model, seed);
             }
@@ -798,6 +815,44 @@ mod tests {
         assert!(soft.is_some());
         assert_eq!(nb.fcs_drops, 0);
         assert_eq!(kb.stats.ipq_enqueued, 1);
+    }
+
+    #[test]
+    fn gateway_corruption_is_refused_on_atm() {
+        let faults = FaultSchedule {
+            ber: 1e-6,
+            gateway_corrupt: 0.005,
+            ..FaultSchedule::default()
+        };
+        let mut nic = atm_nic(9);
+        let refusal = arm_host(&faults, &kernel(), NicMut::Atm(&mut nic), 9, true);
+        assert_eq!(
+            refusal,
+            Err(FaultRefusal::EtherFieldOnAtm("gateway_corrupt"))
+        );
+        assert_eq!(nic.link.config.ber, 0.0, "refused before arming anything");
+    }
+
+    #[test]
+    fn cell_loss_is_refused_on_ethernet() {
+        let faults = FaultSchedule {
+            ber: 1e-6,
+            cell_loss: 0.01,
+            ..FaultSchedule::default()
+        };
+        let mut nic = EtherNic::new(
+            EtherWire::new(WireConfig::default(), 9),
+            CostModel::calibrated(),
+            0,
+            9,
+        );
+        let refusal = arm_host(&faults, &kernel(), NicMut::Ether(&mut nic), 9, true);
+        assert_eq!(refusal, Err(FaultRefusal::AtmFieldOnEthernet("cell_loss")));
+        assert_eq!(nic.wire.config.ber, 0.0, "refused before arming anything");
+        assert_eq!(
+            refusal.unwrap_err().to_string(),
+            "fault `cell_loss` cannot be armed on an Ethernet host"
+        );
     }
 
     #[test]

@@ -100,9 +100,7 @@ pub fn experiment(sc: &Scenario, size: usize, iterations: u64) -> Experiment {
     let mut e = Experiment::rpc(NetKind::Atm, size);
     e.iterations = iterations;
     e.warmup = 16;
-    if !sc.faults.is_clean() {
-        e = e.with_faults(sc.faults);
-    }
+    e.faults = sc.faults;
     e
 }
 

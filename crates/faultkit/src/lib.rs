@@ -2,12 +2,12 @@
 //!
 //! The paper's robustness story (§4.2.1: when may a checksum be
 //! elided?) turns on how the stack behaves when the network
-//! misbehaves. The seed repository injected faults with ad-hoc
-//! i.i.d. Bernoulli knobs (per-cell loss, per-bit error rate); the
-//! TCP-over-ATM literature, however, finds that the regimes that
-//! actually hurt TCP are *bursty* and *congestive* — consecutive cell
-//! drops from switch buffer overruns, not independent bit flips
-//! (Kalyanaraman et al. on ABR; Goyal et al. on UBR).
+//! misbehaves. The paper's own error sources are i.i.d. Bernoulli
+//! knobs (per-bit error rate, per-cell loss, controller and gateway
+//! corruption); the TCP-over-ATM literature, however, finds that the
+//! regimes that actually hurt TCP are *bursty* and *congestive* —
+//! consecutive cell drops from switch buffer overruns, not independent
+//! bit flips (Kalyanaraman et al. on ABR; Goyal et al. on UBR).
 //!
 //! This crate provides the fault *processes* those regimes need, as
 //! small deterministic state machines:
@@ -28,7 +28,8 @@
 //!   functions of time — no RNG stream — so arming them never
 //!   perturbs any other process's draws.
 //! - [`FaultSchedule`] — the composable, plain-data description of all
-//!   of the above plus the mbuf-pool limit, carried by an experiment
+//!   of the above plus the mbuf-pool limit and the four §4.2.1
+//!   i.i.d. knobs, carried by an experiment or a datacenter topology
 //!   and armed per host.
 //! - [`shrink_schedule`] — reduces a schedule that makes a run fail to
 //!   its smallest reproducer.
@@ -466,6 +467,17 @@ pub struct FaultSchedule {
     /// Periodic link up/down windows (cells offered while down are
     /// dropped).
     pub link_flap: Option<FlapSchedule>,
+    /// Bit error rate on the ATM fiber or the Ethernet wire (the
+    /// §4.2.1 link errors the AAL CRC or the FCS catches).
+    pub ber: f64,
+    /// Independent per-cell loss probability on the ATM fiber.
+    pub cell_loss: f64,
+    /// Per-datagram probability that a bit flips between controller
+    /// and host memory on receive, past every link CRC (§4.2.1).
+    pub controller_corrupt: f64,
+    /// Per-frame probability that an Ethernet gateway corrupts a
+    /// payload bit before framing, so the FCS validates (§4.2.1).
+    pub gateway_corrupt: f64,
 }
 
 impl FaultSchedule {
@@ -546,14 +558,30 @@ impl FaultSchedule {
     /// Whether the schedule injects nothing at all.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.atm_loss.is_none()
-            && !self.train.any()
-            && self.rx_contention.is_none()
-            && self.rx_fifo_cells.is_none()
-            && self.ether_loss.is_none()
-            && self.mbuf_limit.is_none()
-            && self.host_pause.is_none()
-            && self.link_flap.is_none()
+        // Exhaustive: a new field fails to compile here until it counts.
+        let FaultSchedule {
+            atm_loss,
+            train,
+            rx_contention,
+            rx_fifo_cells,
+            ether_loss,
+            mbuf_limit,
+            host_pause,
+            link_flap,
+            ber,
+            cell_loss,
+            controller_corrupt,
+            gateway_corrupt,
+        } = *self;
+        atm_loss.is_none()
+            && !train.any()
+            && rx_contention.is_none()
+            && rx_fifo_cells.is_none()
+            && ether_loss.is_none()
+            && mbuf_limit.is_none()
+            && host_pause.is_none()
+            && link_flap.is_none()
+            && [ber, cell_loss, controller_corrupt, gateway_corrupt] == [0.0; 4]
     }
 }
 

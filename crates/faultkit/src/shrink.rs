@@ -22,50 +22,49 @@ const MAX_ROUNDS: usize = 64;
 /// halving forever.
 const EPS_PROB: f64 = 1e-6;
 
+/// One candidate per set field: `cur` with that field reset to its
+/// clean default.
 fn removal_candidates(cur: &FaultSchedule) -> Vec<FaultSchedule> {
-    let mut out = Vec::new();
-    if cur.atm_loss.is_some() {
-        let mut c = *cur;
-        c.atm_loss = None;
-        out.push(c);
-    }
-    if cur.ether_loss.is_some() {
-        let mut c = *cur;
-        c.ether_loss = None;
-        out.push(c);
-    }
-    if cur.rx_contention.is_some() {
-        let mut c = *cur;
-        c.rx_contention = None;
-        out.push(c);
-    }
-    if cur.rx_fifo_cells.is_some() {
-        let mut c = *cur;
-        c.rx_fifo_cells = None;
-        out.push(c);
-    }
-    if cur.mbuf_limit.is_some() {
-        let mut c = *cur;
-        c.mbuf_limit = None;
-        out.push(c);
-    }
-    if cur.train.reorder_prob > 0.0 {
-        let mut c = *cur;
-        c.train.reorder_prob = 0.0;
-        out.push(c);
-    }
-    if cur.train.duplicate_prob > 0.0 {
-        let mut c = *cur;
-        c.train.duplicate_prob = 0.0;
-        out.push(c);
-    }
-    if cur.train.jitter_prob > 0.0 || cur.train.jitter_max_ns > 0 {
-        let mut c = *cur;
-        c.train.jitter_prob = 0.0;
-        c.train.jitter_max_ns = 0;
-        out.push(c);
-    }
-    out
+    // Exhaustive: a new field fails to compile here until it can be
+    // removed.
+    let FaultSchedule {
+        atm_loss,
+        train,
+        rx_contention,
+        rx_fifo_cells,
+        ether_loss,
+        mbuf_limit,
+        host_pause,
+        link_flap,
+        ber,
+        cell_loss,
+        controller_corrupt,
+        gateway_corrupt,
+    } = FaultSchedule::default();
+    let c = *cur;
+    [
+        FaultSchedule { atm_loss, ..c },
+        FaultSchedule { train, ..c },
+        FaultSchedule { rx_contention, ..c },
+        FaultSchedule { rx_fifo_cells, ..c },
+        FaultSchedule { ether_loss, ..c },
+        FaultSchedule { mbuf_limit, ..c },
+        FaultSchedule { host_pause, ..c },
+        FaultSchedule { link_flap, ..c },
+        FaultSchedule { ber, ..c },
+        FaultSchedule { cell_loss, ..c },
+        FaultSchedule {
+            controller_corrupt,
+            ..c
+        },
+        FaultSchedule {
+            gateway_corrupt,
+            ..c
+        },
+    ]
+    .into_iter()
+    .filter(|cand| cand != cur)
+    .collect()
 }
 
 fn halve(p: f64) -> f64 {
@@ -77,80 +76,63 @@ fn halve(p: f64) -> f64 {
     }
 }
 
+/// One candidate per magnitude, each a milder fault: `cur` with one
+/// probability, burst or jitter bound halved, or its FIFO or pool cap
+/// doubled. Candidates that change nothing are dropped: one equal to
+/// `cur` would undo what the shrink loop kept from an earlier
+/// candidate of the same pass.
 fn magnitude_candidates(cur: &FaultSchedule) -> Vec<FaultSchedule> {
+    // Exhaustive: a new field fails to compile here until it is
+    // handled. Pause and flap windows are only ever removed whole.
+    let FaultSchedule {
+        atm_loss: _,
+        train: _,
+        rx_contention: _,
+        rx_fifo_cells: _,
+        ether_loss: _,
+        mbuf_limit: _,
+        host_pause: _,
+        link_flap: _,
+        ber: _,
+        cell_loss: _,
+        controller_corrupt: _,
+        gateway_corrupt: _,
+    } = cur;
+    let probs: [fn(&mut FaultSchedule) -> Option<&mut f64>; 12] = [
+        |s| Some(&mut s.atm_loss.as_mut()?.p_good_to_bad),
+        |s| Some(&mut s.atm_loss.as_mut()?.loss_bad),
+        |s| Some(&mut s.atm_loss.as_mut()?.loss_good),
+        |s| Some(&mut s.ether_loss.as_mut()?.p_good_to_bad),
+        |s| Some(&mut s.ether_loss.as_mut()?.loss_bad),
+        |s| Some(&mut s.train.reorder_prob),
+        |s| Some(&mut s.train.duplicate_prob),
+        |s| Some(&mut s.rx_contention.as_mut()?.stall_prob),
+        |s| Some(&mut s.ber),
+        |s| Some(&mut s.cell_loss),
+        |s| Some(&mut s.controller_corrupt),
+        |s| Some(&mut s.gateway_corrupt),
+    ];
+    let sizes: [fn(&mut FaultSchedule); 4] = [
+        |s| s.train.jitter_max_ns /= 2,
+        |s| s.rx_contention.iter_mut().for_each(|c| c.burst_cells /= 2),
+        // Grow toward the TCA-100's real 292-cell buffer.
+        |s| s.rx_fifo_cells = s.rx_fifo_cells.map(|f| f.max((f * 2).min(292))),
+        |s| s.mbuf_limit = s.mbuf_limit.map(|m| m.saturating_mul(2)),
+    ];
     let mut out = Vec::new();
-    if let Some(ge) = cur.atm_loss {
-        if ge.p_good_to_bad > EPS_PROB {
-            let mut c = *cur;
-            c.atm_loss.as_mut().expect("present").p_good_to_bad = halve(ge.p_good_to_bad);
-            out.push(c);
-        }
-        if ge.loss_bad > EPS_PROB {
-            let mut c = *cur;
-            c.atm_loss.as_mut().expect("present").loss_bad = halve(ge.loss_bad);
-            out.push(c);
-        }
-        if ge.loss_good > EPS_PROB {
-            let mut c = *cur;
-            c.atm_loss.as_mut().expect("present").loss_good = halve(ge.loss_good);
-            out.push(c);
-        }
-    }
-    if let Some(ge) = cur.ether_loss {
-        if ge.p_good_to_bad > EPS_PROB {
-            let mut c = *cur;
-            c.ether_loss.as_mut().expect("present").p_good_to_bad = halve(ge.p_good_to_bad);
-            out.push(c);
-        }
-        if ge.loss_bad > EPS_PROB {
-            let mut c = *cur;
-            c.ether_loss.as_mut().expect("present").loss_bad = halve(ge.loss_bad);
-            out.push(c);
-        }
-    }
-    if cur.train.reorder_prob > EPS_PROB {
+    for prob in probs {
         let mut c = *cur;
-        c.train.reorder_prob = halve(cur.train.reorder_prob);
+        if let Some(p) = prob(&mut c) {
+            *p = halve(*p);
+        }
         out.push(c);
     }
-    if cur.train.duplicate_prob > EPS_PROB {
+    for size in sizes {
         let mut c = *cur;
-        c.train.duplicate_prob = halve(cur.train.duplicate_prob);
+        size(&mut c);
         out.push(c);
     }
-    if cur.train.jitter_max_ns > 1 {
-        let mut c = *cur;
-        c.train.jitter_max_ns /= 2;
-        out.push(c);
-    }
-    if let Some(cc) = cur.rx_contention {
-        if cc.stall_prob > EPS_PROB {
-            let mut c = *cur;
-            c.rx_contention.as_mut().expect("present").stall_prob = halve(cc.stall_prob);
-            out.push(c);
-        }
-        if cc.burst_cells > 1 {
-            let mut c = *cur;
-            c.rx_contention.as_mut().expect("present").burst_cells = cc.burst_cells / 2;
-            out.push(c);
-        }
-    }
-    if let Some(f) = cur.rx_fifo_cells {
-        // A larger FIFO is a milder fault; grow toward the TCA-100's
-        // real 292-cell buffer.
-        let grown = (f * 2).min(292);
-        if grown > f {
-            let mut c = *cur;
-            c.rx_fifo_cells = Some(grown);
-            out.push(c);
-        }
-    }
-    if let Some(m) = cur.mbuf_limit {
-        // A looser pool cap is a milder fault.
-        let mut c = *cur;
-        c.mbuf_limit = Some(m.saturating_mul(2));
-        out.push(c);
-    }
+    out.retain(|c| c != cur);
     out
 }
 
@@ -212,6 +194,49 @@ mod tests {
         assert!(out.atm_loss.is_some());
         assert_eq!(out.train.reorder_prob, 0.0);
         assert_eq!(out.train.duplicate_prob, 0.0);
+    }
+
+    #[test]
+    fn every_field_can_be_removed() {
+        // `link_flap` is the field the failure does not need.
+        let flap = crate::FlapSchedule::new(
+            simkit::SimTime::ZERO,
+            simkit::SimTime::from_us(100),
+            simkit::SimTime::from_us(20),
+        );
+        let base = FaultSchedule::default()
+            .with_link_flap(flap)
+            .with_atm_loss(GilbertElliott::heavy_bursts());
+        let out = shrink_schedule(base, |s| s.atm_loss.is_some());
+        assert!(out.atm_loss.is_some());
+        assert!(
+            FaultSchedule {
+                atm_loss: None,
+                ..out
+            }
+            .is_clean(),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn the_iid_probabilities_halve_and_go() {
+        let base = FaultSchedule {
+            ber: 1e-5,
+            cell_loss: 0.01,
+            controller_corrupt: 0.03,
+            gateway_corrupt: 0.005,
+            ..FaultSchedule::default()
+        };
+        let out = shrink_schedule(base, |s| s.controller_corrupt >= 0.01);
+        assert_eq!(
+            out,
+            FaultSchedule {
+                controller_corrupt: 0.015,
+                ..FaultSchedule::default()
+            }
+        );
+        assert!(shrink_schedule(base, |_| true).is_clean());
     }
 
     #[test]

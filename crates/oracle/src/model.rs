@@ -148,19 +148,11 @@ fn check_supported(exp: &Experiment) -> Result<(), PredictError> {
         Workload::Rpc => {}
         _ => return unsup("only the RPC ping-pong workload has a closed form"),
     }
-    if exp.ber != 0.0 || exp.cell_loss != 0.0 {
-        return unsup("link loss breaks the deterministic orbit");
-    }
-    if exp.controller_corrupt != 0.0 || exp.gateway_corrupt != 0.0 {
-        return unsup("corruption injection breaks the deterministic orbit");
+    if !exp.faults.is_clean() {
+        return unsup("fault injection breaks the deterministic orbit");
     }
     if exp.switch.is_some() {
         return unsup("switched-path timing is not modeled analytically");
-    }
-    if let Some(f) = &exp.faults {
-        if !f.is_clean() {
-            return unsup("fault schedules break the deterministic orbit");
-        }
     }
     if exp.size == 0 {
         return unsup("zero-byte RPC has no data orbit");
@@ -1415,9 +1407,18 @@ mod tests {
 
     #[test]
     fn unsupported_configs_are_refused() {
-        let mut exp = Experiment::rpc(NetKind::Atm, 200);
-        exp.ber = 1e-9;
-        assert!(matches!(predict(&exp), Err(PredictError::Unsupported(_))));
+        // Each §4.2.1 knob alone.
+        for knob in 0..4 {
+            let mut exp = Experiment::rpc(NetKind::Atm, 200);
+            let f = &mut exp.faults;
+            *[
+                &mut f.ber,
+                &mut f.cell_loss,
+                &mut f.controller_corrupt,
+                &mut f.gateway_corrupt,
+            ][knob] = 1e-9;
+            assert!(matches!(predict(&exp), Err(PredictError::Unsupported(_))));
+        }
         let mut exp = Experiment::rpc(NetKind::Atm, 200);
         exp.workload = Workload::Bulk;
         assert!(matches!(predict(&exp), Err(PredictError::Unsupported(_))));

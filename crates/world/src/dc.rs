@@ -334,13 +334,13 @@ impl DcWorld {
             // train and the reassembler would drop the PDU. The
             // aperiodic think-time draw is the churn RNG stream
             // instead.
-            let pause = match &topo.faults {
-                Some(faults) if topo.faults_apply_to(h) => {
-                    arm_host(faults, &kernel, NicMut::Atm(&mut nic), hs, true)
-                        .unwrap_or_else(|refusal| panic!("{refusal}"))
-                }
-                _ => None,
+            let faults = if topo.faults_apply_to(h) {
+                topo.faults
+            } else {
+                faultkit::FaultSchedule::default()
             };
+            let pause = arm_host(&faults, &kernel, NicMut::Atm(&mut nic), hs, true)
+                .unwrap_or_else(|refusal| panic!("{refusal}"));
             let fanout = (topo.fanout_width > 0 && h < topo.clients).then(|| FanoutCtl {
                 width: topo.fanout_width,
                 pending: topo.fanout_width,
@@ -1658,15 +1658,13 @@ mod tests {
         // that land in a window re-schedule with their train parked.
         let mut topo = quick(2, 2, 2);
         topo.iterations = 12;
-        topo.faults = Some(
-            faultkit::FaultSchedule::default()
-                .with_atm_loss(faultkit::GilbertElliott::heavy_bursts())
-                .with_host_pause(faultkit::PauseSchedule::new(
-                    SimTime::from_us(500),
-                    SimTime::from_ms(4),
-                    SimTime::from_ms(1),
-                )),
-        );
+        topo.faults = faultkit::FaultSchedule::default()
+            .with_atm_loss(faultkit::GilbertElliott::heavy_bursts())
+            .with_host_pause(faultkit::PauseSchedule::new(
+                SimTime::from_us(500),
+                SimTime::from_ms(4),
+                SimTime::from_ms(1),
+            ));
         let run = || {
             let paused = Rc::new(Cell::new(0u64));
             let seen = Rc::clone(&paused);
@@ -1982,15 +1980,13 @@ mod tests {
         // stalled hosts on every component.
         let mut faulted = Topology::fanout(4, 4);
         faulted.iterations = 8;
-        faulted.faults = Some(
-            faultkit::FaultSchedule::default()
-                .with_atm_loss(faultkit::GilbertElliott::heavy_bursts())
-                .with_host_pause(faultkit::PauseSchedule::new(
-                    SimTime::from_us(500),
-                    SimTime::from_ms(4),
-                    SimTime::from_ms(1),
-                )),
-        );
+        faulted.faults = faultkit::FaultSchedule::default()
+            .with_atm_loss(faultkit::GilbertElliott::heavy_bursts())
+            .with_host_pause(faultkit::PauseSchedule::new(
+                SimTime::from_us(500),
+                SimTime::from_ms(4),
+                SimTime::from_ms(1),
+            ));
         let r = whole(&faulted, TrafficSchedule::staggered(), 5);
         assert!(r.rexmits > 0, "the loss bites");
         assert_split_exact(&faulted, TrafficSchedule::staggered(), 5, "faulted fan-out");

@@ -336,7 +336,8 @@ impl Study {
         // sweep takes the experiment.
         let mut by_design = BTreeMap::new();
         for (key, exp) in self.cells(scale).into_iter().filter(|(key, _)| keep(key)) {
-            let corrupting = (exp.controller_corrupt > 0.0 || exp.gateway_corrupt > 0.0)
+            let corrupting = (exp.faults.controller_corrupt > 0.0
+                || exp.faults.gateway_corrupt > 0.0)
                 && exp.cfg.checksum == ChecksumMode::None;
             by_design.insert(key.clone(), (exp.workload == Workload::Bulk, corrupting));
             sw.ensure(key, exp, scale.reps);
@@ -755,13 +756,11 @@ fn tails_grid_from(
                 let mut topo = Topology::fanout(clients, w);
                 topo.iterations = iterations;
                 topo.warmup = warmup;
-                if !sc.faults.is_clean() {
-                    topo.faults = Some(sc.faults);
-                    // The story is "a server hiccups", not "the whole
-                    // fabric is broken": clients stay clean so every
-                    // tail in the data came from the remote side.
-                    topo.fault_scope = FaultScope::ServersOnly;
-                }
+                topo.faults = sc.faults;
+                // The story is "a server hiccups", not "the whole
+                // fabric is broken": clients stay clean so every tail
+                // in the data came from the remote side.
+                topo.fault_scope = FaultScope::ServersOnly;
                 if churn {
                     topo.churn = Some(ChurnTraffic::background());
                 }
@@ -827,10 +826,8 @@ fn tails_reno_rerun() -> Vec<TailsCell> {
             let mut topo = Topology::fanout(4, w);
             topo.iterations = 60;
             topo.warmup = 2;
-            if !sc.faults.is_clean() {
-                topo.faults = Some(sc.faults);
-                topo.fault_scope = FaultScope::ServersOnly;
-            }
+            topo.faults = sc.faults;
+            topo.fault_scope = FaultScope::ServersOnly;
             arm_cold_reno(&mut topo);
             let key = format!("tails/{}+reno/f{w}/solo/i60r1", sc.name);
             cells.push(TailsCell {
@@ -921,12 +918,10 @@ fn hedge_grid_from(
             let mut topo = Topology::fanout(clients, width);
             topo.iterations = iterations;
             topo.warmup = warmup;
-            if !sc.faults.is_clean() {
-                topo.faults = Some(sc.faults);
-                // Same story as the tails study: the servers hiccup,
-                // the clients stay clean, every tail is remote.
-                topo.fault_scope = FaultScope::ServersOnly;
-            }
+            topo.faults = sc.faults;
+            // Same story as the tails study: the servers hiccup, the
+            // clients stay clean, every tail is remote.
+            topo.fault_scope = FaultScope::ServersOnly;
             topo.tail = m.policy(width);
             let key = format!(
                 "hedge/{}/{}/f{}/i{}r{}",
@@ -971,10 +966,8 @@ fn hedge_reno_rerun() -> Vec<HedgeCell> {
             let mut topo = Topology::fanout(4, 16);
             topo.iterations = 60;
             topo.warmup = 2;
-            if !sc.faults.is_clean() {
-                topo.faults = Some(sc.faults);
-                topo.fault_scope = FaultScope::ServersOnly;
-            }
+            topo.faults = sc.faults;
+            topo.fault_scope = FaultScope::ServersOnly;
             topo.tail = m.policy(16);
             arm_cold_reno(&mut topo);
             let key = format!("hedge/{}+reno/{}/f16/i60r1", sc.name, m.tag());
@@ -1641,17 +1634,13 @@ mod tests {
         }
         assert!(g.iter().any(|c| c.scenario == "mbuf-exhaustion"));
         assert!(g.iter().any(|c| c.width == 16 && c.churn));
-        // Clean cells carry no fault schedule; faulty cells scope the
-        // schedule to servers so client NICs stay pristine.
+        // Only the clean cells carry the clean schedule; every cell
+        // scopes it to servers so client NICs stay pristine.
         for c in &g {
             assert_eq!(c.cell.topo.fanout_width, c.width);
             assert_eq!(c.cell.topo.churn.is_some(), c.churn);
-            if c.scenario == "clean" {
-                assert!(c.cell.topo.faults.is_none());
-            } else {
-                assert!(c.cell.topo.faults.is_some());
-                assert_eq!(c.cell.topo.fault_scope, FaultScope::ServersOnly);
-            }
+            assert_eq!(c.cell.topo.faults.is_clean(), c.scenario == "clean");
+            assert_eq!(c.cell.topo.fault_scope, FaultScope::ServersOnly);
         }
         let full = tails_grid();
         // 32 warm-stack cells + 8 `+reno` re-runs (4 scenarios x
@@ -1701,12 +1690,8 @@ mod tests {
             // mitigations must not.
             let replicated = matches!(c.mitigation, Mitigation::Hedge | Mitigation::HedgeQuorum);
             assert_eq!(c.cell.topo.replicated(), replicated, "{}", c.cell.key);
-            if c.scenario == "clean" {
-                assert!(c.cell.topo.faults.is_none());
-            } else {
-                assert!(c.cell.topo.faults.is_some());
-                assert_eq!(c.cell.topo.fault_scope, FaultScope::ServersOnly);
-            }
+            assert_eq!(c.cell.topo.faults.is_clean(), c.scenario == "clean");
+            assert_eq!(c.cell.topo.fault_scope, FaultScope::ServersOnly);
         }
         assert!(g.iter().any(|c| c.scenario == "host-pause"));
         assert!(g.iter().any(|c| c.scenario == "link-flap"));

@@ -17,6 +17,7 @@
 use std::fmt::Write as _;
 
 use decstation::ChecksumImpl;
+use faultkit::FaultSchedule;
 use latency_core::experiment::{Experiment, NetKind, RunResult};
 use latency_core::faults::DetectionReport;
 use latency_core::paper;
@@ -103,6 +104,7 @@ impl Cell {
 
     fn experiment(self, scale: Scale) -> Experiment {
         let rpc = |size| Experiment::rpc(NetKind::Atm, size);
+        let clean = FaultSchedule::default();
         let mut e = match self {
             Cell::Rpc(size, v) => v.apply(rpc(size)),
             Cell::Cpu(x, size, v) => {
@@ -131,27 +133,26 @@ impl Cell {
             }
             Cell::Udp(size) => Experiment::udp_rpc(NetKind::Atm, size),
             Cell::Bulk => Experiment::bulk(NetKind::Atm, 4000, 0),
-            Cell::Ber(ber) => Experiment { ber, ..rpc(1400) },
-            Cell::Loss(cell_loss) => Experiment {
-                cell_loss,
-                ..rpc(1400)
-            },
+            Cell::Ber(ber) => rpc(1400).with_faults(FaultSchedule { ber, ..clean }),
+            Cell::Loss(cell_loss) => rpc(1400).with_faults(FaultSchedule { cell_loss, ..clean }),
             Cell::Controller { checksum } => {
-                let e = Experiment {
+                let e = rpc(1400).with_faults(FaultSchedule {
                     controller_corrupt: 0.03,
-                    ..rpc(1400)
-                };
+                    ..clean
+                });
                 if checksum {
                     e
                 } else {
                     e.without_checksum()
                 }
             }
-            Cell::Ethernet { gateway } => Experiment {
-                ber: 1e-5,
-                gateway_corrupt: if gateway { 0.005 } else { 0.0 },
-                ..Experiment::rpc(NetKind::Ether, 1400)
-            },
+            Cell::Ethernet { gateway } => {
+                Experiment::rpc(NetKind::Ether, 1400).with_faults(FaultSchedule {
+                    ber: 1e-5,
+                    gateway_corrupt: if gateway { 0.005 } else { 0.0 },
+                    ..clean
+                })
+            }
         };
         e.iterations = self.iterations(scale);
         e.warmup = 16;

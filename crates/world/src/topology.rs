@@ -292,8 +292,9 @@ pub struct Topology {
     /// drops it to 1500 — the classical-IP-over-ATM LIS configuration
     /// — so windows hold enough segments for dup-ACK-driven recovery.
     pub mtu: usize,
-    /// Optional fault schedule armed on every host's uplink.
-    pub faults: Option<faultkit::FaultSchedule>,
+    /// Fault schedule armed on every host in
+    /// [`fault_scope`](Self::fault_scope); the default is clean.
+    pub faults: faultkit::FaultSchedule,
     /// Hosts the fault schedule is armed on.
     pub fault_scope: FaultScope,
     /// Fan-out width N (0 = classic incast wiring). When positive,
@@ -329,7 +330,7 @@ impl Topology {
             switch: SwitchConfig::default(),
             stack: StackConfig::default(),
             mtu: latency_core::nic::ATM_MTU,
-            faults: None,
+            faults: faultkit::FaultSchedule::default(),
             fault_scope: FaultScope::AllHosts,
             fanout_width: 0,
             churn: None,
@@ -358,7 +359,7 @@ impl Topology {
             switch: SwitchConfig::default(),
             stack: StackConfig::default(),
             mtu: latency_core::nic::ATM_MTU,
-            faults: None,
+            faults: faultkit::FaultSchedule::default(),
             fault_scope: FaultScope::AllHosts,
             fanout_width: width,
             churn: None,

@@ -15,7 +15,8 @@ use tcp_atm_latency::faults::DetectionReport;
 use tcp_atm_latency::{ChecksumMode, Experiment, NetKind};
 
 fn main() {
-    // The 1400-byte RPC over ATM, with one error class injected.
+    // The 1400-byte RPC over ATM, with one error class injected
+    // through the experiment's fault schedule.
     let rpc = |set: fn(&mut Experiment)| {
         let mut e = Experiment::rpc(NetKind::Atm, 1400);
         e.iterations = 150;
@@ -38,20 +39,20 @@ fn main() {
     };
 
     row("clean fiber (baseline)", rpc(|_| {}), 1);
-    row("fiber BER 1e-6", rpc(|e| e.ber = 1e-6), 2);
-    row("fiber BER 1e-5", rpc(|e| e.ber = 1e-5), 3);
-    row("fiber BER 1e-4", rpc(|e| e.ber = 1e-4), 4);
-    row("cell loss 0.1%", rpc(|e| e.cell_loss = 0.001), 5);
-    row("cell loss 0.5%", rpc(|e| e.cell_loss = 0.005), 6);
+    row("fiber BER 1e-6", rpc(|e| e.faults.ber = 1e-6), 2);
+    row("fiber BER 1e-5", rpc(|e| e.faults.ber = 1e-5), 3);
+    row("fiber BER 1e-4", rpc(|e| e.faults.ber = 1e-4), 4);
+    row("cell loss 0.1%", rpc(|e| e.faults.cell_loss = 0.001), 5);
+    row("cell loss 0.5%", rpc(|e| e.faults.cell_loss = 0.005), 6);
     row(
         "controller corrupt., cksum ON",
-        rpc(|e| e.controller_corrupt = 0.03),
+        rpc(|e| e.faults.controller_corrupt = 0.03),
         7,
     );
     row(
         "controller corrupt., cksum OFF",
         rpc(|e| {
-            e.controller_corrupt = 0.03;
+            e.faults.controller_corrupt = 0.03;
             e.cfg.checksum = ChecksumMode::None;
         }),
         8,

@@ -56,7 +56,7 @@ proptest! {
         clean.iterations = 15;
         clean.warmup = 2;
         let mut lossy = clean.clone();
-        lossy.cell_loss = loss;
+        lossy.faults.cell_loss = loss;
         let rc = clean.plan().seed(seed).execute();
         let rl = lossy.plan().seed(seed).execute();
         prop_assert_eq!(rl.verify_failures, 0);

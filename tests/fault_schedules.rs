@@ -147,10 +147,8 @@ proptest! {
                     quorum: 3,
                 };
             }
-            if !f.is_clean() {
-                t.faults = Some(f);
-                t.fault_scope = FaultScope::ServersOnly;
-            }
+            t.faults = f;
+            t.fault_scope = FaultScope::ServersOnly;
             t
         };
         let t = build();

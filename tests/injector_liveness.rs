@@ -1,9 +1,10 @@
 //! Injector liveness: an armed fault that silently does nothing is a
 //! bug. Every `FaultSchedule` field, armed alone at a setting that
-//! bites, must either change the run (events, simulated time, RTTs or
-//! counters) or be refused when the world is built — on the two-host
-//! ATM world, the two-host Ethernet world, and a small fan-out
-//! datacenter world. Every `TailPolicy` lever, armed alone, must
+//! bites, must change the run (events, simulated time, RTTs or
+//! counters) or, where the world lists it as one its hosts cannot
+//! carry, be refused when the world is built — on the two-host ATM
+//! world, the two-host Ethernet world, and a small fan-out datacenter
+//! world. Every `TailPolicy` lever, armed alone, must
 //! change the fan-out run the same way. Every switch `DropPolicy` must
 //! change an overloaded incast run against every other policy, and
 //! every `CcVariant` on a cold start must change a lossy incast run
@@ -48,6 +49,13 @@ fn cases() -> Vec<(&'static str, FaultSchedule)> {
             SimTime::from_ms(5),
             SimTime::from_ms(2),
         ));
+    let armed = FaultSchedule {
+        ber: 1e-4,
+        cell_loss: 0.05,
+        controller_corrupt: 0.5,
+        gateway_corrupt: 0.5,
+        ..armed
+    };
     // Exhaustive: a new field fails to compile here until it has a case.
     let FaultSchedule {
         atm_loss,
@@ -58,6 +66,10 @@ fn cases() -> Vec<(&'static str, FaultSchedule)> {
         mbuf_limit,
         host_pause,
         link_flap,
+        ber,
+        cell_loss,
+        controller_corrupt,
+        gateway_corrupt,
     } = armed;
     let clean = FaultSchedule::default();
     vec![
@@ -99,44 +111,64 @@ fn cases() -> Vec<(&'static str, FaultSchedule)> {
             },
         ),
         ("link_flap", FaultSchedule { link_flap, ..clean }),
+        ("ber", FaultSchedule { ber, ..clean }),
+        ("cell_loss", FaultSchedule { cell_loss, ..clean }),
+        (
+            "controller_corrupt",
+            FaultSchedule {
+                controller_corrupt,
+                ..clean
+            },
+        ),
+        (
+            "gateway_corrupt",
+            FaultSchedule {
+                gateway_corrupt,
+                ..clean
+            },
+        ),
     ]
 }
 
-/// Runs `run` once per case and asserts each armed field either
-/// changes the run's fingerprint against the clean run or makes the
-/// world refuse it (a panic naming the field).
+/// Runs `run` once per case and asserts each armed field in `refused`
+/// makes the world refuse it (a panic naming the field), and every
+/// other field changes the run's fingerprint against the clean run.
 fn assert_every_field_bites<F: PartialEq + std::fmt::Debug>(
     world: &str,
-    run: impl Fn(Option<FaultSchedule>) -> F,
+    refused: &[&str],
+    run: impl Fn(FaultSchedule) -> F,
 ) {
-    let clean = run(None);
+    let clean = run(FaultSchedule::default());
     for (field, faults) in cases() {
-        match catch_unwind(AssertUnwindSafe(|| run(Some(faults)))) {
-            Ok(armed) => assert_ne!(
-                armed, clean,
-                "{world}: `{field}` armed alone changed nothing"
-            ),
+        match catch_unwind(AssertUnwindSafe(|| run(faults))) {
+            Ok(armed) => {
+                assert!(
+                    !refused.contains(&field),
+                    "{world}: `{field}` was armed, not refused"
+                );
+                assert_ne!(
+                    armed, clean,
+                    "{world}: `{field}` armed alone changed nothing"
+                );
+            }
             Err(payload) => {
                 let msg = payload
                     .downcast_ref::<String>()
                     .map_or("<non-string panic>", String::as_str);
                 assert!(
-                    msg.contains(&format!("`{field}` cannot be armed")),
-                    "{world}: `{field}` panicked without a refusal: {msg}"
+                    refused.contains(&field) && msg.contains(&format!("`{field}` cannot be armed")),
+                    "{world}: `{field}` panicked without its refusal: {msg}"
                 );
             }
         }
     }
 }
 
-fn two_host(net: NetKind, size: usize) -> impl Fn(Option<FaultSchedule>) -> String {
+fn two_host(net: NetKind, size: usize) -> impl Fn(FaultSchedule) -> String {
     move |faults| {
-        let mut e = Experiment::rpc(net, size);
+        let mut e = Experiment::rpc(net, size).with_faults(faults);
         e.iterations = 20;
         e.warmup = 2;
-        if let Some(f) = faults {
-            e = e.with_faults(f);
-        }
         let r = e.plan().seed(3).execute();
         format!(
             "events {} sim_time {:?} rtts {:?} enobufs {:?} aborted {} nics {:?} {:?}",
@@ -147,17 +179,33 @@ fn two_host(net: NetKind, size: usize) -> impl Fn(Option<FaultSchedule>) -> Stri
 
 #[test]
 fn every_fault_field_bites_or_is_refused_on_two_host_atm() {
-    assert_every_field_bites("two-host ATM", two_host(NetKind::Atm, 8000));
+    assert_every_field_bites(
+        "two-host ATM",
+        &["ether_loss", "host_pause", "gateway_corrupt"],
+        two_host(NetKind::Atm, 8000),
+    );
 }
 
 #[test]
 fn every_fault_field_bites_or_is_refused_on_two_host_ethernet() {
-    assert_every_field_bites("two-host Ethernet", two_host(NetKind::Ether, 1400));
+    assert_every_field_bites(
+        "two-host Ethernet",
+        &[
+            "atm_loss",
+            "train",
+            "rx_contention",
+            "rx_fifo_cells",
+            "host_pause",
+            "link_flap",
+            "cell_loss",
+        ],
+        two_host(NetKind::Ether, 1400),
+    );
 }
 
 #[test]
 fn every_fault_field_bites_or_is_refused_on_fanout_world() {
-    assert_every_field_bites("fan-out", |faults| {
+    assert_every_field_bites("fan-out", &["ether_loss", "gateway_corrupt"], |faults| {
         let mut t = Topology::fanout(2, 4);
         t.iterations = 4;
         t.warmup = 1;
