@@ -30,9 +30,9 @@
 //! clears the memo. A damaged header differs from the key in some
 //! octet, so it still meets the HEC check.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 
-use simkit::{SimRng, SimTime};
+use simkit::{FxHashMap, SimRng, SimTime};
 
 use crate::aal5::PT_END_OF_PDU;
 use crate::cell::{Cell, CellHeader};
@@ -224,7 +224,7 @@ pub struct AtmSwitch {
     /// Configuration.
     pub config: SwitchConfig,
     /// Route and train slot of each `(in_port, vpi, vci)`.
-    routes: HashMap<(usize, u8, u16), (VcRoute, usize)>,
+    routes: FxHashMap<(usize, u8, u16), (VcRoute, usize)>,
     ports: Vec<OutPort>,
     trains: Vec<TrainState>,
     /// The last validated header: `(in_port, octets)` and what it
@@ -253,7 +253,7 @@ impl AtmSwitch {
     pub fn new(n_ports: usize, config: SwitchConfig, seed: u64) -> Self {
         AtmSwitch {
             config,
-            routes: HashMap::new(),
+            routes: FxHashMap::default(),
             ports: vec![OutPort::default(); n_ports],
             trains: Vec::new(),
             memo: None,

@@ -20,15 +20,13 @@
 //! [`arm_host`] is the one place a [`FaultSchedule`] is armed on a
 //! host, for every world.
 
-use std::collections::HashMap;
-
 use atm::{Aal34Reassembler, Aal34Segmenter, FiberLink, ForeTca100, LinkFault};
 use decstation::CostModel;
 use ether::{EtherAddr, EtherFrame, EtherWire, LanceAdapter, ETHERTYPE_IP};
 use faultkit::{FaultSchedule, PauseSchedule};
 use mbuf::chain::ultrix_uses_clusters;
 use mbuf::Chain;
-use simkit::{CpuBand, SimTime};
+use simkit::{CpuBand, FxHashMap, SimTime};
 use tcpip::{Kernel, Mark, SpanKind, SpanRecorder, TxDriver};
 
 /// The default ATM MTU (RFC 1626 style, "close to 9K" per §1.2).
@@ -61,7 +59,7 @@ pub struct AtmNic {
     pub adapter: ForeTca100,
     /// AAL3/4 segmentation state per peer, keyed by IP address, with
     /// the peer's host index.
-    peers: HashMap<[u8; 4], (usize, Aal34Segmenter)>,
+    peers: FxHashMap<[u8; 4], (usize, Aal34Segmenter)>,
     /// AAL3/4 reassembly state.
     pub reasm: Aal34Reassembler,
     /// The outbound fiber.
@@ -93,6 +91,10 @@ pub struct AtmNic {
     /// allocation (`ENOBUFS` backpressure, not a crash).
     pub enobufs_drops: u64,
     rng: simkit::SimRng,
+    /// The datagram being segmented, kept to reuse its buffer.
+    tx_bytes: Vec<u8>,
+    /// The datagrams one receive interrupt completes; empty between.
+    rx_done: Vec<Vec<u8>>,
 }
 
 impl AtmNic {
@@ -103,7 +105,7 @@ impl AtmNic {
         let cell_time = link.config.cell_time();
         AtmNic {
             adapter: ForeTca100::new(cell_time),
-            peers: HashMap::new(),
+            peers: FxHashMap::default(),
             reasm: Aal34Reassembler::new(),
             link,
             costs,
@@ -117,6 +119,8 @@ impl AtmNic {
             contention: None,
             enobufs_drops: 0,
             rng: simkit::SimRng::seed_stream(seed, 0xc0),
+            tx_bytes: Vec::new(),
+            rx_done: Vec::new(),
         }
     }
 
@@ -140,7 +144,13 @@ impl TxDriver for AtmNic {
     /// signal *is* the completion of the last programmed-I/O cell
     /// copy, which the FIFO may backpressure to wire speed.
     fn transmit(&mut self, now: SimTime, packet: &Chain, spans: &mut SpanRecorder) -> SimTime {
-        let bytes = packet.to_vec();
+        // The one copy out of the chain is `tx_bytes`; each cell takes
+        // its 44-byte window of the CPCS-PDU straight from it.
+        self.tx_bytes.clear();
+        for m in packet.iter() {
+            self.tx_bytes.extend_from_slice(m.data());
+        }
+        let bytes = &self.tx_bytes;
         let dst_addr = [bytes[16], bytes[17], bytes[18], bytes[19]];
         let (dst, seg) = self
             .peers
@@ -149,9 +159,7 @@ impl TxDriver for AtmNic {
         let dst = *dst;
         let mut cursor = now + SimTime::from_us_f64(self.costs.atm_tx_fixed_us);
         let per_cell = SimTime::from_us_f64(self.costs.atm_tx_per_cell_us);
-        // The one copy out of the chain is `bytes`; each cell takes
-        // its 44-byte window of the CPCS-PDU straight from it.
-        let cells = seg.cells(&bytes);
+        let cells = seg.cells(bytes);
         let mut train = Vec::with_capacity(cells.len());
         for cell in cells {
             let admit = self.adapter.tx.admit(cursor, per_cell);
@@ -167,7 +175,8 @@ impl TxDriver for AtmNic {
             // The datagram leaves host memory when the adapter is
             // signalled to send its last byte — the same instant
             // `TxSignalled` marks.
-            self.taps.record(simcap::TapPoint::NicDmaTx, cursor, bytes);
+            self.taps
+                .record(simcap::TapPoint::NicDmaTx, cursor, self.tx_bytes.clone());
         }
         self.staged.push(AtmDelivery { dst, train });
         cursor
@@ -197,7 +206,7 @@ pub fn atm_receive(
     // interrupt cost only when the CPU's driver work had finished.
     let continuation = kernel.cpu.busy_until() > now;
     let start = now.max(kernel.cpu.busy_until());
-    let mut datagrams = Vec::new();
+    let mut datagrams = std::mem::take(&mut nic.rx_done);
     let mut cells_processed = 0usize;
     for (cell_at, fault) in train {
         let cell = match fault {
@@ -271,7 +280,7 @@ pub fn atm_receive(
     kernel.cpu.occupy(start, end, CpuBand::HardIntr);
 
     let mut softintr_at = None;
-    for mut dgram in datagrams {
+    for mut dgram in datagrams.drain(..) {
         // The §4.2.1 controller-corruption fault: bits flipped while
         // moving data from controller to host memory — after every
         // link-level CRC has been checked.
@@ -301,6 +310,7 @@ pub fn atm_receive(
             softintr_at = Some(softintr_at.map_or(at, |t: SimTime| t.min(at)));
         }
     }
+    nic.rx_done = datagrams;
     if continuation {
         // Datagrams completed by an earlier interrupt of this drain
         // are handed to IP together with ours, at the end.

@@ -1,11 +1,14 @@
-//! The ATM cell path allocates per datagram, not per cell.
+//! The per-packet paths allocate per datagram, not per cell, and a
+//! warm mbuf pool not at all.
 //!
 //! A counting global allocator watches `AtmNic::transmit` and
 //! `atm_receive` carry datagrams of 1 cell (an SSM), 34 cells and 209
-//! cells (the 9188-byte MTU) from one NIC to another, and the number
-//! of heap allocations per datagram must be the same at all three
-//! sizes. This is the only test in its binary, so no parallel test
-//! adds to the count, and only the test's own thread is counted.
+//! cells (the 9188-byte MTU) from one NIC to another. Each datagram
+//! makes exactly [`PER_DATAGRAM`] heap allocations, at all three
+//! sizes. A second test allocates and frees mbufs and cluster mbufs
+//! on a warm thread and must allocate nothing. Each test counts only
+//! its own thread, so tests running in parallel cannot add to a
+//! count.
 //!
 //! The receiving host's mbuf pool is held at its cap, so the driver
 //! sheds each reassembled datagram with a counted ENOBUFS after all
@@ -15,7 +18,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use atm::{Aal34Segmenter, FiberLink, LinkConfig};
 use decstation::CostModel;
@@ -27,19 +29,24 @@ use tcpip::{Kernel, SpanRecorder, StackConfig, TxDriver};
 struct Counting;
 
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations while counting; `None` when not.
+    static ALLOCATIONS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
 fn note() {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+}
+
+/// Runs `f` and returns how many heap allocations it made on this
+/// thread.
+fn allocations_in(f: impl FnOnce()) -> usize {
+    ALLOCATIONS.set(Some(0));
+    f();
+    ALLOCATIONS.take().expect("counting")
 }
 
 // SAFETY: every call forwards to `System` unchanged; counting touches
-// only an atomic and a const-initialised thread-local.
+// only a const-initialised thread-local.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note();
@@ -65,6 +72,14 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 const PEER: [u8; 4] = [10, 0, 0, 2];
+
+/// Heap allocations per carried datagram, whatever its cell count:
+/// the cell train `transmit` stages (one `Vec` of cells, handed to
+/// the receiver by value) and the reassembly buffer the CPCS-PDU is
+/// rebuilt in (handed over as the datagram, freed when the driver
+/// sheds it). The transmit copy of the chain and the list of
+/// completed datagrams are buffers the NIC keeps.
+const PER_DATAGRAM: usize = 2;
 
 /// `len` patterned bytes whose IPv4 destination field names [`PEER`].
 fn datagram(len: usize) -> Vec<u8> {
@@ -98,29 +113,44 @@ fn cell_path_allocates_per_datagram_not_per_cell() {
     let mut now = SimTime::ZERO;
     let mut carried = 0u64;
     let mut carry = |chain: &Chain| -> usize {
-        ALLOCATIONS.store(0, Ordering::Relaxed);
-        COUNTING.set(true);
-        let done = tx.transmit(now, chain, &mut spans);
-        let train = tx.staged.pop().expect("one delivery per datagram").train;
-        let last = train.iter().map(|&(t, _)| t).max().expect("cells");
-        let _ = atm_receive(&mut kernel, &mut rx, last, train);
-        COUNTING.set(false);
-        now = last.max(done);
+        let n = allocations_in(|| {
+            let done = tx.transmit(now, chain, &mut spans);
+            let train = tx.staged.pop().expect("one delivery per datagram").train;
+            let last = train.iter().map(|&(t, _)| t).max().expect("cells");
+            let _ = atm_receive(&mut kernel, &mut rx, last, train);
+            now = last.max(done);
+        });
         carried += 1;
         assert_eq!(rx.reasm.stats().datagrams_ok, carried, "reassembled");
         assert_eq!(rx.enobufs_drops, carried, "shed at the mbuf cap");
-        ALLOCATIONS.load(Ordering::Relaxed)
+        n
     };
-    // Warm-up: the FIFOs and the staging vector reach their working
-    // capacity, which they keep.
+    // Warm-up: the FIFOs, the staging vector and the NICs' kept
+    // buffers reach their working capacity, which they keep.
     for _ in 0..2 {
         for chain in &chains {
             carry(chain);
         }
     }
     let counts: Vec<usize> = chains.iter().map(&mut carry).collect();
-    assert!(
-        counts.iter().all(|&n| n == counts[0]),
-        "allocations per datagram at 1, 34 and 209 cells: {counts:?}"
+    assert_eq!(
+        counts, [PER_DATAGRAM; 3],
+        "allocations per datagram at 1, 34 and 209 cells"
     );
+}
+
+#[test]
+fn warm_mbuf_allocation_reuses_freed_buffers() {
+    let pool = MbufPool::new();
+    // Arrays, not vectors: the mbufs are all the heap there is.
+    let cycle = || {
+        let small: [Mbuf; 100] = std::array::from_fn(|_| Mbuf::get(&pool));
+        let clusters: [Mbuf; 8] = std::array::from_fn(|_| Mbuf::getcl(&pool));
+        drop((small, clusters));
+    };
+    // Warm-up: this thread's free lists fill as the mbufs drop.
+    cycle();
+    assert_eq!(allocations_in(cycle), 0, "warm Mbuf::get/getcl plus drop");
+    assert_eq!(pool.stats().mbufs_outstanding(), 0);
+    assert_eq!(pool.stats().clusters_outstanding(), 0);
 }

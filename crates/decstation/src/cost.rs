@@ -438,19 +438,12 @@ impl Default for CostModel {
     }
 }
 
-/// Precomputed and memoized cost lookups for the per-segment hot
-/// path.
-///
-/// Every scalar cost the kernel charges per event is converted to
-/// [`SimTime`] exactly once (via the same `SimTime::from_us_f64` the
-/// call sites used, so the values are bit-identical); the linear
-/// costs whose inputs repeat across a run — checksums over the
-/// handful of distinct segment sizes, mcopy, the socket-layer read
-/// copy, PCB list positions — are cached on first evaluation using
-/// the very same formula, so memoization cannot change any result.
-///
-/// The tables are a pure function of the [`CostModel`] they were
-/// built from; rebuild them if the model changes.
+/// The scalar costs the kernel charges per event, each converted to
+/// [`SimTime`] once with the model's own `SimTime::from_us_f64`, so
+/// the values are bit-identical. Linear costs are evaluated from the
+/// model at each charge: [`LinearCost::eval`] is a multiply-add, and
+/// no cache can then disagree with the model. Rebuild the tables if
+/// the model changes.
 #[derive(Clone, Debug)]
 pub struct CostTables {
     /// `user_tx_small.fixed_us`: syscall entry overhead.
@@ -473,24 +466,10 @@ pub struct CostTables {
     pub udp_out: SimTime,
     /// `udp_in_us`: UDP input processing.
     pub udp_in: SimTime,
-    /// `mbuf_alloc_free_pair_us` (§2.2.1).
-    pub mbuf_alloc_free_pair: SimTime,
-    /// Memoized `kernel_cksum` by implementation and `(bytes, mbufs)`.
-    cksum: [std::collections::HashMap<(usize, usize), SimTime>; 3],
-    /// Memoized `mcopy_small.eval` / `mcopy_cluster.eval` by
-    /// `(bytes, units)`.
-    mcopy_small: std::collections::HashMap<(usize, usize), SimTime>,
-    mcopy_cluster: std::collections::HashMap<(usize, usize), SimTime>,
-    /// Memoized `user_rx.eval` by `(bytes, mbufs)`.
-    user_rx: std::collections::HashMap<(usize, usize), SimTime>,
-    /// Memoized `partial_combine.eval` by `(bytes, mbufs)`.
-    partial_combine: std::collections::HashMap<(usize, usize), SimTime>,
-    /// Memoized PCB list-lookup cost by 1-based position.
-    pcb_lookup: Vec<Option<SimTime>>,
 }
 
 impl CostTables {
-    /// Precomputes the scalar tables from a cost model.
+    /// Converts the scalar costs of a cost model.
     #[must_use]
     pub fn new(m: &CostModel) -> Self {
         CostTables {
@@ -504,72 +483,7 @@ impl CostTables {
             wakeup: SimTime::from_us_f64(m.wakeup_us),
             udp_out: SimTime::from_us_f64(m.udp_out_us),
             udp_in: SimTime::from_us_f64(m.udp_in_us),
-            mbuf_alloc_free_pair: SimTime::from_us_f64(m.mbuf_alloc_free_pair_us),
-            cksum: Default::default(),
-            mcopy_small: Default::default(),
-            mcopy_cluster: Default::default(),
-            user_rx: Default::default(),
-            partial_combine: Default::default(),
-            pcb_lookup: Vec::new(),
         }
-    }
-
-    /// Memoized [`CostModel::kernel_cksum`].
-    pub fn kernel_cksum(
-        &mut self,
-        m: &CostModel,
-        which: ChecksumImpl,
-        bytes: usize,
-        mbufs: usize,
-    ) -> SimTime {
-        let idx = match which {
-            ChecksumImpl::Ultrix => 0,
-            ChecksumImpl::Bsd => 1,
-            ChecksumImpl::Optimized => 2,
-        };
-        *self.cksum[idx]
-            .entry((bytes, mbufs))
-            .or_insert_with(|| m.kernel_cksum(which, bytes, mbufs))
-    }
-
-    /// Memoized `mcopy_small.eval(bytes, units)`.
-    pub fn mcopy_small(&mut self, m: &CostModel, bytes: usize, units: usize) -> SimTime {
-        *self
-            .mcopy_small
-            .entry((bytes, units))
-            .or_insert_with(|| m.mcopy_small.eval(bytes, units))
-    }
-
-    /// Memoized `mcopy_cluster.eval(bytes, units)`.
-    pub fn mcopy_cluster(&mut self, m: &CostModel, bytes: usize, units: usize) -> SimTime {
-        *self
-            .mcopy_cluster
-            .entry((bytes, units))
-            .or_insert_with(|| m.mcopy_cluster.eval(bytes, units))
-    }
-
-    /// Memoized `user_rx.eval(bytes, mbufs)`.
-    pub fn user_rx(&mut self, m: &CostModel, bytes: usize, mbufs: usize) -> SimTime {
-        *self
-            .user_rx
-            .entry((bytes, mbufs))
-            .or_insert_with(|| m.user_rx.eval(bytes, mbufs))
-    }
-
-    /// Memoized `partial_combine.eval(bytes, mbufs)`.
-    pub fn partial_combine(&mut self, m: &CostModel, bytes: usize, mbufs: usize) -> SimTime {
-        *self
-            .partial_combine
-            .entry((bytes, mbufs))
-            .or_insert_with(|| m.partial_combine.eval(bytes, mbufs))
-    }
-
-    /// Memoized [`CostModel::pcb_lookup`].
-    pub fn pcb_lookup(&mut self, m: &CostModel, position: usize) -> SimTime {
-        if position >= self.pcb_lookup.len() {
-            self.pcb_lookup.resize(position + 1, None);
-        }
-        *self.pcb_lookup[position].get_or_insert_with(|| m.pcb_lookup(position))
     }
 }
 

@@ -22,9 +22,14 @@ const MAX_ROUNDS: usize = 64;
 /// halving forever.
 const EPS_PROB: f64 = 1e-6;
 
-/// One candidate per set field: `cur` with that field reset to its
-/// clean default.
-fn removal_candidates(cur: &FaultSchedule) -> Vec<FaultSchedule> {
+/// Candidates per pass: one removal per field, then one milder
+/// magnitude per probability (12) and size (4).
+const REMOVALS: usize = 12;
+const MAGNITUDES: usize = 16;
+
+/// One candidate per field: `cur` with that field reset to its clean
+/// default.
+fn removal_candidates(cur: &FaultSchedule) -> [FaultSchedule; REMOVALS] {
     // Exhaustive: a new field fails to compile here until it can be
     // removed.
     let FaultSchedule {
@@ -62,9 +67,6 @@ fn removal_candidates(cur: &FaultSchedule) -> Vec<FaultSchedule> {
             ..c
         },
     ]
-    .into_iter()
-    .filter(|cand| cand != cur)
-    .collect()
 }
 
 fn halve(p: f64) -> f64 {
@@ -78,10 +80,8 @@ fn halve(p: f64) -> f64 {
 
 /// One candidate per magnitude, each a milder fault: `cur` with one
 /// probability, burst or jitter bound halved, or its FIFO or pool cap
-/// doubled. Candidates that change nothing are dropped: one equal to
-/// `cur` would undo what the shrink loop kept from an earlier
-/// candidate of the same pass.
-fn magnitude_candidates(cur: &FaultSchedule) -> Vec<FaultSchedule> {
+/// doubled.
+fn magnitude_candidates(cur: &FaultSchedule) -> [FaultSchedule; MAGNITUDES] {
     // Exhaustive: a new field fails to compile here until it is
     // handled. Pause and flap windows are only ever removed whole.
     let FaultSchedule {
@@ -119,29 +119,36 @@ fn magnitude_candidates(cur: &FaultSchedule) -> Vec<FaultSchedule> {
         |s| s.rx_fifo_cells = s.rx_fifo_cells.map(|f| f.max((f * 2).min(292))),
         |s| s.mbuf_limit = s.mbuf_limit.map(|m| m.saturating_mul(2)),
     ];
-    let mut out = Vec::new();
-    for prob in probs {
-        let mut c = *cur;
-        if let Some(p) = prob(&mut c) {
+    let mut out = [*cur; MAGNITUDES];
+    for (c, prob) in out.iter_mut().zip(probs) {
+        if let Some(p) = prob(c) {
             *p = halve(*p);
         }
-        out.push(c);
     }
-    for size in sizes {
-        let mut c = *cur;
-        size(&mut c);
-        out.push(c);
+    for (c, size) in out[probs.len()..].iter_mut().zip(sizes) {
+        size(c);
     }
-    out.retain(|c| c != cur);
     out
+}
+
+/// Candidate `i` of a pass, built from `cur`: the removals, then the
+/// magnitudes.
+fn candidate(cur: &FaultSchedule, i: usize) -> FaultSchedule {
+    match i.checked_sub(REMOVALS) {
+        None => removal_candidates(cur)[i],
+        Some(j) => magnitude_candidates(cur)[j],
+    }
 }
 
 /// Minimizes `base` against `fails` (true = the failure reproduces).
 ///
 /// Returns the smallest schedule found that still fails; if `base`
-/// itself does not fail, it is returned unchanged. The predicate is
-/// called once per candidate, so callers paying per-run simulation
-/// cost get a deterministic, bounded number of runs.
+/// itself does not fail, it is returned unchanged. Each candidate is
+/// built from the schedule as the pass has shrunk it so far, so every
+/// simplification a pass accepts survives it. The predicate is called
+/// once per candidate that differs from that schedule, so callers
+/// paying per-run simulation cost get a deterministic, bounded number
+/// of runs.
 pub fn shrink_schedule(
     base: FaultSchedule,
     mut fails: impl FnMut(&FaultSchedule) -> bool,
@@ -152,13 +159,8 @@ pub fn shrink_schedule(
     let mut cur = base;
     for _ in 0..MAX_ROUNDS {
         let mut changed = false;
-        for cand in removal_candidates(&cur) {
-            if fails(&cand) {
-                cur = cand;
-                changed = true;
-            }
-        }
-        for cand in magnitude_candidates(&cur) {
+        for i in 0..REMOVALS + MAGNITUDES {
+            let cand = candidate(&cur, i);
             if cand != cur && fails(&cand) {
                 cur = cand;
                 changed = true;
@@ -237,6 +239,35 @@ mod tests {
             }
         );
         assert!(shrink_schedule(base, |_| true).is_clean());
+    }
+
+    #[test]
+    fn one_pass_keeps_every_removal_it_accepts() {
+        // The failure needs neither `ber` nor `cell_loss`; both go in
+        // the first pass, and a second pass confirms nothing else can.
+        let base = FaultSchedule {
+            ber: 1e-5,
+            cell_loss: 0.01,
+            controller_corrupt: 0.03,
+            ..FaultSchedule::default()
+        };
+        let mut calls = 0;
+        let out = shrink_schedule(base, |s| {
+            calls += 1;
+            s.controller_corrupt == 0.03
+        });
+        assert_eq!(
+            out,
+            FaultSchedule {
+                controller_corrupt: 0.03,
+                ..FaultSchedule::default()
+            }
+        );
+        // 1 for `base`; pass 1: three removals and the one halving
+        // left; pass 2: one removal and one halving. Building each
+        // candidate from the pass's starting schedule took 11: pass 1
+        // put `ber` back when it removed `cell_loss`.
+        assert_eq!(calls, 7);
     }
 
     #[test]

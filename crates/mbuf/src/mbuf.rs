@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use cksum::PartialChecksum;
 
-use crate::pool::{Enobufs, MbufPool, PoolInner};
+use crate::pool::{self as free, ClusterPage, Enobufs, MbufPool, PoolInner};
 
 /// Total size of an mbuf including its header (BSD `MSIZE`).
 pub const MSIZE: usize = 128;
@@ -32,36 +32,6 @@ pub enum MbufKind {
     Small,
     /// A shared 4096-byte cluster page.
     Cluster,
-}
-
-/// A reference-counted cluster page. Dropping the last reference
-/// returns the page to the pool statistics.
-struct ClusterPage {
-    /// `Some` for the page's whole life; taken only inside `Drop`,
-    /// when the buffer moves to the pool's free list.
-    data: Option<Box<[u8; MCLBYTES]>>,
-    pool: Arc<PoolInner>,
-}
-
-impl ClusterPage {
-    #[inline]
-    fn data(&self) -> &[u8; MCLBYTES] {
-        self.data.as_ref().expect("cluster page alive")
-    }
-
-    #[inline]
-    fn data_mut(&mut self) -> &mut [u8; MCLBYTES] {
-        self.data.as_mut().expect("cluster page alive")
-    }
-}
-
-impl Drop for ClusterPage {
-    fn drop(&mut self) {
-        PoolInner::bump(&self.pool.clusters_freed);
-        if let Some(buf) = self.data.take() {
-            self.pool.recycle_cluster(buf);
-        }
-    }
 }
 
 enum Storage {
@@ -124,10 +94,10 @@ impl Drop for Mbuf {
         PoolInner::bump(&self.pool.mbufs_freed);
         match core::mem::replace(&mut self.storage, Storage::Reclaimed) {
             // Small buffers go straight to the free list; cluster
-            // pages recycle when their last reference drops (in
-            // `ClusterPage::drop`).
-            Storage::Small { buf, .. } => self.pool.recycle_small(buf),
-            Storage::Cluster { .. } | Storage::Reclaimed => {}
+            // pages when their last reference drops.
+            Storage::Small { buf, .. } => free::recycle_small(buf),
+            Storage::Cluster { page, .. } => free::release_cluster(page),
+            Storage::Reclaimed => {}
         }
     }
 }
@@ -139,7 +109,7 @@ impl Mbuf {
         PoolInner::bump(&pool.inner.mbufs_allocated);
         Mbuf {
             storage: Storage::Small {
-                buf: pool.inner.alloc_small(),
+                buf: free::alloc_small(),
                 off: 0,
                 len: 0,
             },
@@ -172,10 +142,7 @@ impl Mbuf {
         PoolInner::bump(&pool.inner.clusters_allocated);
         Mbuf {
             storage: Storage::Cluster {
-                page: Arc::new(ClusterPage {
-                    data: Some(pool.inner.alloc_cluster()),
-                    pool: Arc::clone(&pool.inner),
-                }),
+                page: free::alloc_cluster(&pool.inner),
                 off: 0,
                 len: 0,
             },
@@ -224,7 +191,7 @@ impl Mbuf {
     pub fn data(&self) -> &[u8] {
         match &self.storage {
             Storage::Small { buf, off, len } => &buf[*off..*off + *len],
-            Storage::Cluster { page, off, len } => &page.data()[*off..*off + *len],
+            Storage::Cluster { page, off, len } => &page.data[*off..*off + *len],
             Storage::Reclaimed => unreachable!("reclaimed mbuf"),
         }
     }
@@ -282,7 +249,7 @@ impl Mbuf {
             Storage::Cluster { page, off, len } => {
                 let page = Arc::get_mut(page)
                     .expect("append to a shared cluster page would corrupt peer data");
-                page.data_mut()[*off + *len..*off + *len + n].copy_from_slice(&src[..n]);
+                page.data[*off + *len..*off + *len + n].copy_from_slice(&src[..n]);
                 *len += n;
             }
             Storage::Reclaimed => unreachable!("reclaimed mbuf"),
@@ -316,7 +283,7 @@ impl Mbuf {
                     .expect("prepend to a shared cluster page would corrupt peer data");
                 *off -= n;
                 *len += n;
-                page.data_mut()[*off..*off + n].copy_from_slice(src);
+                page.data[*off..*off + n].copy_from_slice(src);
             }
             Storage::Reclaimed => unreachable!("reclaimed mbuf"),
         }

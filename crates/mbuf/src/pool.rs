@@ -12,9 +12,16 @@
 //! across sweep worker threads. At runtime each pool still belongs to
 //! exactly one world on one thread; relaxed ordering is all the
 //! statistics need.
+//!
+//! The recycled buffers are not the pool's: each thread keeps one
+//! small-mbuf and one cluster free list, shared by every pool on it,
+//! so allocation takes no lock. A buffer is zeroed on reuse, and a
+//! chain dropped on another thread feeds that thread's lists.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::thread::LocalKey;
 
 use crate::mbuf::{MCLBYTES, MLEN};
 
@@ -65,11 +72,95 @@ impl PoolStats {
     }
 }
 
-/// Most recycled buffers kept per free list; beyond this, freed
-/// buffers are released to the allocator. Sized for the deepest
-/// chains a sweep cell builds (8 KB messages ≈ 76 small mbufs) with
-/// ample slack.
+/// Most buffers of each kind a thread keeps for reuse; past this,
+/// freed ones go back to the host allocator. A list need only cover a
+/// run of frees before the allocations that reuse them, and the
+/// deepest chain a cell builds is an 8 KB message (≈ 76 small mbufs)
+/// or a 9188-byte datagram (3 pages). 512 leaves ample slack and caps
+/// what a thread holds idle at ≈ 2.1 MB, whatever the number of pools.
 const FREE_LIST_CAP: usize = 512;
+
+thread_local! {
+    /// This thread's recycled buffers: BSD's free lists, so the
+    /// steady-state fast path allocates no heap memory. Boxed, so
+    /// push/pop moves a pointer, not the bytes.
+    #[allow(clippy::vec_box)]
+    static SMALL: RefCell<Vec<Box<[u8; MLEN]>>> = const { RefCell::new(Vec::new()) };
+    static CLUSTERS: RefCell<Vec<Arc<ClusterPage>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Pops from this thread's `list`: `None` when it is empty, or gone
+/// (thread teardown).
+fn take<T>(list: &'static LocalKey<RefCell<Vec<T>>>) -> Option<T> {
+    list.try_with(|l| l.borrow_mut().pop()).ok().flatten()
+}
+
+/// Pushes onto this thread's `list`, or frees `item` past the cap.
+fn give<T>(list: &'static LocalKey<RefCell<Vec<T>>>, item: T) {
+    let _ = list.try_with(|l| {
+        let mut l = l.borrow_mut();
+        if l.len() < FREE_LIST_CAP {
+            l.push(item);
+        }
+    });
+}
+
+/// A zeroed small-mbuf buffer: zeroing on reuse keeps a recycled
+/// buffer indistinguishable from a fresh one.
+pub(crate) fn alloc_small() -> Box<[u8; MLEN]> {
+    let mut buf = take(&SMALL).unwrap_or_else(|| Box::new([0; MLEN]));
+    buf.fill(0);
+    buf
+}
+
+/// Recycles a small-mbuf buffer.
+pub(crate) fn recycle_small(buf: Box<[u8; MLEN]>) {
+    give(&SMALL, buf);
+}
+
+/// A reference-counted cluster page. The reference that drops last
+/// counts the page freed and recycles it ([`release_cluster`]).
+pub(crate) struct ClusterPage {
+    pub(crate) data: [u8; MCLBYTES],
+    /// The pool counting the page; `None` on a free list.
+    pool: Option<Arc<PoolInner>>,
+}
+
+impl Drop for ClusterPage {
+    /// Counts the page freed if [`release_cluster`] did not: the last
+    /// two references dropped at once on two threads.
+    fn drop(&mut self) {
+        if let Some(pool) = &self.pool {
+            PoolInner::bump(&pool.clusters_freed);
+        }
+    }
+}
+
+/// A zeroed, unshared cluster page counted against `pool`.
+pub(crate) fn alloc_cluster(pool: &Arc<PoolInner>) -> Arc<ClusterPage> {
+    let pool = Some(Arc::clone(pool));
+    let Some(mut page) = take(&CLUSTERS) else {
+        return Arc::new(ClusterPage {
+            data: [0; MCLBYTES],
+            pool,
+        });
+    };
+    let p = Arc::get_mut(&mut page).expect("a free page is unshared");
+    p.data.fill(0);
+    p.pool = pool;
+    page
+}
+
+/// Drops one reference to a cluster page; the last one counts the
+/// page freed and recycles it.
+pub(crate) fn release_cluster(mut page: Arc<ClusterPage>) {
+    if let Some(p) = Arc::get_mut(&mut page) {
+        if let Some(pool) = p.pool.take() {
+            PoolInner::bump(&pool.clusters_freed);
+        }
+        give(&CLUSTERS, page);
+    }
+}
 
 #[derive(Default)]
 pub(crate) struct PoolInner {
@@ -82,19 +173,6 @@ pub(crate) struct PoolInner {
     /// unlimited (the default, matching the pre-faultkit behaviour).
     pub(crate) limit: AtomicU64,
     pub(crate) enobufs_drops: AtomicU64,
-    /// Recycled small-mbuf buffers: BSD's free list, so the
-    /// steady-state RPC fast path allocates no heap memory. The
-    /// statistics above are unaffected — accounting (and the ≈7 µs
-    /// simulated allocator cost) is identical whether a buffer came
-    /// off the free list or from the host allocator.
-    /// (The `Box` indirection is the point: the list recycles the
-    /// heap allocations themselves, so push/pop moves a pointer, not
-    /// `MLEN` bytes.)
-    #[allow(clippy::vec_box)]
-    small_free: Mutex<Vec<Box<[u8; MLEN]>>>,
-    /// Recycled cluster pages.
-    #[allow(clippy::vec_box)]
-    cluster_free: Mutex<Vec<Box<[u8; MCLBYTES]>>>,
 }
 
 /// Handle to a host's mbuf allocator.
@@ -189,48 +267,6 @@ impl PoolInner {
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Hands out a zeroed small-mbuf buffer, reusing a recycled one
-    /// when available. Zeroing on reuse keeps recycled buffers
-    /// indistinguishable from fresh allocations.
-    pub(crate) fn alloc_small(&self) -> Box<[u8; MLEN]> {
-        match self.small_free.lock().unwrap().pop() {
-            Some(mut buf) => {
-                buf.fill(0);
-                buf
-            }
-            None => Box::new([0; MLEN]),
-        }
-    }
-
-    /// Hands out a zeroed cluster page, reusing a recycled one when
-    /// available.
-    pub(crate) fn alloc_cluster(&self) -> Box<[u8; MCLBYTES]> {
-        match self.cluster_free.lock().unwrap().pop() {
-            Some(mut buf) => {
-                buf.fill(0);
-                buf
-            }
-            None => Box::new([0; MCLBYTES]),
-        }
-    }
-
-    /// Returns a small-mbuf buffer to the free list (dropped past the
-    /// cap).
-    pub(crate) fn recycle_small(&self, buf: Box<[u8; MLEN]>) {
-        let mut free = self.small_free.lock().unwrap();
-        if free.len() < FREE_LIST_CAP {
-            free.push(buf);
-        }
-    }
-
-    /// Returns a cluster page to the free list (dropped past the cap).
-    pub(crate) fn recycle_cluster(&self, buf: Box<[u8; MCLBYTES]>) {
-        let mut free = self.cluster_free.lock().unwrap();
-        if free.len() < FREE_LIST_CAP {
-            free.push(buf);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -253,6 +289,49 @@ mod tests {
         check::<MbufPool>();
         check::<crate::Mbuf>();
         check::<crate::Chain>();
+    }
+
+    #[test]
+    fn a_buffer_freed_by_one_pool_is_reused_zeroed_by_another() {
+        use crate::Mbuf;
+        let (a, b, scratch) = (MbufPool::new(), MbufPool::new(), MbufPool::new());
+        let mut small = Mbuf::get(&a);
+        small.append_from(&[0xa5; MLEN]);
+        let mut cluster = Mbuf::getcl(&a);
+        cluster.append_from(&[0x5a; MCLBYTES]);
+        let addrs = (small.data().as_ptr(), cluster.data().as_ptr());
+        drop((small, cluster));
+        // The next buffers this thread hands out are those two, zeroed.
+        let buf = alloc_small();
+        let page = alloc_cluster(&scratch.inner);
+        assert_eq!((buf.as_ptr(), page.data.as_ptr()), addrs);
+        assert!(buf.iter().chain(&page.data).all(|&x| x == 0));
+        recycle_small(buf);
+        release_cluster(page);
+        // A buffer belongs to no pool: `b` takes the same two.
+        let small = Mbuf::get(&b);
+        let cluster = Mbuf::getcl(&b);
+        assert_eq!((small.data().as_ptr(), cluster.data().as_ptr()), addrs);
+        drop((small, cluster));
+        // Each pool counts its own mbufs only.
+        for pool in [&a, &b] {
+            let s = pool.stats();
+            assert_eq!((s.mbufs_allocated, s.mbufs_freed), (2, 2), "two mbufs each");
+            assert_eq!((s.clusters_allocated, s.clusters_freed), (1, 1));
+        }
+    }
+
+    #[test]
+    fn a_chain_dropped_on_another_thread_is_counted_freed() {
+        let pool = MbufPool::new();
+        let (chain, _) = crate::Chain::from_user_data(&pool, &[7; 6000], true);
+        let copy = chain.copy_range(&pool, 0, 6000).0;
+        assert!(pool.stats().mbufs_outstanding() > 0);
+        std::thread::spawn(move || drop((chain, copy)))
+            .join()
+            .expect("dropping thread");
+        assert_eq!(pool.stats().mbufs_outstanding(), 0);
+        assert_eq!(pool.stats().clusters_outstanding(), 0);
     }
 
     #[test]

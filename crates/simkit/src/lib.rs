@@ -45,12 +45,14 @@
 
 pub mod cpu;
 pub mod engine;
+pub mod hash;
 pub mod parked;
 pub mod rng;
 pub mod time;
 
 pub use cpu::{Cpu, CpuBand, CpuStats};
 pub use engine::{assert_world_send, ObserverFn, RawEventFn, Scheduler, Sim};
+pub use hash::{FxHashMap, FxHasher};
 pub use parked::Parked;
 pub use rng::SimRng;
 pub use time::SimTime;

@@ -241,8 +241,9 @@ pub struct Kernel {
     pub cfg: StackConfig,
     /// Cost model (one per host; hosts are identical DECstations).
     pub costs: CostModel,
-    /// Precomputed/memoized cost tables derived from `costs`
-    /// (rebuilt if the model is replaced; see [`CostTables`]).
+    /// The scalar costs of `costs`, converted to [`SimTime`] once
+    /// (rebuild them if the model is replaced; see [`CostTables`]).
+    /// The linear costs are evaluated from `costs` at each charge.
     pub tables: CostTables,
     /// The host's mbuf pool.
     pub pool: MbufPool,
@@ -276,6 +277,10 @@ pub struct Kernel {
     /// Earliest time the software interrupt may begin (dispatch
     /// latency from the most recent enqueue).
     ipq_ready_at: SimTime,
+    /// Floor on the queued datagrams' enqueue times, raised by
+    /// [`Kernel::retime_ipq`] and applied as each one is dequeued;
+    /// zero again once the queue drains.
+    ipq_floor: SimTime,
     /// Wakeups produced by [`Kernel::check_timers`] (a connection
     /// abort wakes its blocked process so it observes `so_error`).
     /// The binding drains these with [`Kernel::take_timer_wakeups`].
@@ -306,6 +311,7 @@ impl Kernel {
             ipq: VecDeque::new(),
             softintr_pending: false,
             ipq_ready_at: SimTime::ZERO,
+            ipq_floor: SimTime::ZERO,
             timer_wakeups: Vec::new(),
         };
         k.pcbs.add_ambient(k.cfg.ambient_pcbs);
@@ -603,11 +609,13 @@ impl Kernel {
             // buffer (Table 2 mcopy row).
             let (mut seg, copy_receipt) = conn.sock.snd.peek_copy(&self.pool, offset, len);
             let mcopy_cost = if copy_receipt.clusters_shared > 0 {
-                self.tables
-                    .mcopy_cluster(&self.costs, 0, copy_receipt.clusters_shared)
+                self.costs
+                    .mcopy_cluster
+                    .eval(0, copy_receipt.clusters_shared)
             } else {
-                self.tables
-                    .mcopy_small(&self.costs, len, copy_receipt.mbufs_allocated)
+                self.costs
+                    .mcopy_small
+                    .eval(len, copy_receipt.mbufs_allocated)
             };
             self.spans
                 .span(SpanKind::TxTcpMcopy, cursor, cursor + mcopy_cost);
@@ -735,12 +743,9 @@ impl Kernel {
             ChecksumMode::Standard(which) => {
                 let (payload_sum, bytes) = seg.checksum_walk();
                 hdr.tcp_cksum = hdr.tcp_checksum_with(payload_sum);
-                let cost = self.tables.kernel_cksum(
-                    &self.costs,
-                    which,
-                    bytes + TCPIP_HDR_LEN,
-                    seg.mbuf_count().max(1),
-                );
+                let cost =
+                    self.costs
+                        .kernel_cksum(which, bytes + TCPIP_HDR_LEN, seg.mbuf_count().max(1));
                 self.spans
                     .span(SpanKind::TxTcpChecksum, cursor, cursor + cost);
                 cursor += cost;
@@ -752,15 +757,15 @@ impl Kernel {
                 let (payload_sum, cost) = match seg.stored_checksum() {
                     Some(sum) => (
                         sum,
-                        self.tables
-                            .partial_combine(&self.costs, TCPIP_HDR_LEN, seg.mbuf_count()),
+                        self.costs
+                            .partial_combine
+                            .eval(TCPIP_HDR_LEN, seg.mbuf_count()),
                     ),
                     None => {
                         let (sum, bytes) = seg.checksum_walk();
                         (
                             sum,
-                            self.tables.kernel_cksum(
-                                &self.costs,
+                            self.costs.kernel_cksum(
                                 decstation::ChecksumImpl::Optimized,
                                 bytes + TCPIP_HDR_LEN,
                                 seg.mbuf_count().max(1),
@@ -789,6 +794,13 @@ impl Kernel {
     /// `now`. Returns the time at which the software interrupt should
     /// be dispatched, or `None` if one is already pending.
     pub fn enqueue_ip(&mut self, now: SimTime, chain: Chain) -> Option<SimTime> {
+        // The floor reaches datagrams queued after it rose too, which
+        // is harmless: driver interrupt ends never decrease.
+        debug_assert!(
+            now >= self.ipq_floor,
+            "datagram enqueued at {now:?} below the IPQ floor {:?}",
+            self.ipq_floor
+        );
         self.stats.ipq_enqueued += 1;
         let cluster = chain.iter().any(mbuf::Mbuf::is_cluster);
         self.ipq.push_back((chain, now));
@@ -807,11 +819,10 @@ impl Kernel {
     /// Driver upcall when a hardware-interrupt service *extends* an
     /// ongoing FIFO drain (back-to-back datagrams): the driver hands
     /// everything to IP only when its drain loop finishes, so queued
-    /// datagrams' enqueue times move to the end of the service.
+    /// datagrams' enqueue times move to the end of the service. O(1):
+    /// the move is applied as each datagram leaves the queue.
     pub fn retime_ipq(&mut self, t: SimTime) {
-        for (_, enq) in &mut self.ipq {
-            *enq = (*enq).max(t);
-        }
+        self.ipq_floor = self.ipq_floor.max(t);
         self.ipq_ready_at = self.ipq_ready_at.max(t + self.tables.softintr_dispatch);
     }
 
@@ -823,6 +834,7 @@ impl Kernel {
         let mut out = RxOutcome::default();
         let mut first_dgram = true;
         while let Some((chain, enq_at)) = self.ipq.pop_front() {
+            let enq_at = enq_at.max(self.ipq_floor);
             // The IPQ span: enqueue to the start of this drain batch
             // (the dispatch latency). Waiting behind an earlier
             // datagram's protocol processing is attributed to that
@@ -832,6 +844,7 @@ impl Kernel {
             cursor = self.ip_input(cursor, chain, first_dgram, drv, &mut out);
             first_dgram = false;
         }
+        self.ipq_floor = SimTime::ZERO;
         self.cpu.occupy(start, cursor, CpuBand::SoftIntr);
         out.done_at = cursor;
         out
@@ -1123,9 +1136,9 @@ impl Kernel {
                 let hdr_sum = cksum::optimized_cksum(&hdr40);
                 let payload_sum = whole_sum.sub(hdr_sum);
                 let ok = hdr.tcp_checksum_ok(payload_sum);
-                let cost =
-                    self.tables
-                        .kernel_cksum(&self.costs, which, bytes, chain.mbuf_count().max(1));
+                let cost = self
+                    .costs
+                    .kernel_cksum(which, bytes, chain.mbuf_count().max(1));
                 (ok, cost)
             }
             ChecksumMode::Integrated => {
@@ -1141,9 +1154,7 @@ impl Kernel {
                         let hdr_sum = cksum::optimized_cksum(&hdr40);
                         let payload_sum = whole_sum.sub(hdr_sum);
                         let ok = hdr.tcp_checksum_ok(payload_sum);
-                        let cost = self
-                            .tables
-                            .partial_combine(&self.costs, 0, chain.mbuf_count());
+                        let cost = self.costs.partial_combine.eval(0, chain.mbuf_count());
                         (ok, cost)
                     }
                     None => {
@@ -1152,8 +1163,7 @@ impl Kernel {
                         let _ = chain.copy_out(0, &mut hdr40);
                         let payload_sum = whole_sum.sub(cksum::optimized_cksum(&hdr40));
                         let ok = hdr.tcp_checksum_ok(payload_sum);
-                        let cost = self.tables.kernel_cksum(
-                            &self.costs,
+                        let cost = self.costs.kernel_cksum(
                             decstation::ChecksumImpl::Optimized,
                             bytes,
                             chain.mbuf_count().max(1),
@@ -1211,7 +1221,7 @@ impl Kernel {
         let mbufs = conn.sock.rcv.chain.mbuf_count();
         let _ = conn.sock.rcv.chain.copy_out(0, &mut data);
         let _ = conn.sock.rcv.drop_front(take);
-        let cost = self.tables.user_rx(&self.costs, take, mbufs);
+        let cost = self.costs.user_rx.eval(take, mbufs);
         self.spans.span(SpanKind::RxUser, cursor, cursor + cost);
         cursor += cost;
 
@@ -1612,8 +1622,7 @@ impl Kernel {
         if s.checksum {
             let (sum, bytes) = chain.checksum_walk();
             hdr.udp_cksum = hdr.udp_checksum_with(sum);
-            let cost = self.tables.kernel_cksum(
-                &self.costs,
+            let cost = self.costs.kernel_cksum(
                 decstation::ChecksumImpl::Bsd,
                 bytes + crate::udp::UDPIP_HDR_LEN,
                 chain.mbuf_count().max(1),
@@ -1660,8 +1669,9 @@ impl Kernel {
             };
         };
         let cost = self
-            .tables
-            .user_rx(&self.costs, data.len(), 1 + data.len() / mbuf::MCLBYTES);
+            .costs
+            .user_rx
+            .eval(data.len(), 1 + data.len() / mbuf::MCLBYTES);
         self.spans.span(SpanKind::RxUser, cursor, cursor + cost);
         cursor += cost;
         if self.taps.wants(simcap::TapPoint::SockRecv) {
@@ -1707,8 +1717,7 @@ impl Kernel {
         let _ = chain.copy_out(crate::udp::UDPIP_HDR_LEN, &mut payload);
         if hdr.udp_cksum != 0 {
             let sum = cksum::optimized_cksum(&payload);
-            let cost = self.tables.kernel_cksum(
-                &self.costs,
+            let cost = self.costs.kernel_cksum(
                 decstation::ChecksumImpl::Bsd,
                 payload.len() + crate::udp::UDPIP_HDR_LEN,
                 chain.mbuf_count().max(1),
@@ -1746,8 +1755,7 @@ impl Kernel {
         let wire = chain.to_vec();
         // SYN checksums are always verified (the negotiation cannot
         // assume its own outcome).
-        let ck_cost = self.tables.kernel_cksum(
-            &self.costs,
+        let ck_cost = self.costs.kernel_cksum(
             decstation::ChecksumImpl::Bsd,
             wire.len(),
             chain.mbuf_count().max(1),
@@ -2025,6 +2033,64 @@ mod tests {
             }
         }
         let _ = (sa, sb);
+    }
+
+    /// `retime_ipq`'s floor gives every datagram the IPQ span that
+    /// moving each queued enqueue time at the retime would, over
+    /// random enqueue/retime/softintr sequences.
+    #[test]
+    fn ipq_floor_matches_retiming_every_queued_datagram() {
+        for seed in 0..50 {
+            let mut rng = simkit::SimRng::seed_from(seed);
+            let mut k = Kernel::new(StackConfig::default(), CostModel::calibrated());
+            k.spans.enabled = true;
+            let mut drv = CaptureDriver::new(9188);
+            // The walk the floor replaces: each queued enqueue time,
+            // and the earliest instant the softintr may start.
+            let mut queued: Vec<SimTime> = Vec::new();
+            let mut ready = SimTime::ZERO;
+            let dispatch = k.tables.softintr_dispatch;
+            let mut softintr_at = None;
+            let mut now = SimTime::ZERO;
+            for _ in 0..200 {
+                now += SimTime::from_us(u64::from(rng.next_below(40)));
+                match rng.next_below(3) {
+                    0 => {
+                        // Shorter than any IP header: dropped after
+                        // its IPQ and IP spans.
+                        let (chain, _) = Chain::from_user_data(&k.pool, &[0; 20], false);
+                        let raised = k.enqueue_ip(now, chain);
+                        assert_eq!(raised.is_some(), softintr_at.is_none());
+                        softintr_at = softintr_at.or(raised);
+                        queued.push(now);
+                        ready = ready.max(now + dispatch);
+                    }
+                    1 => {
+                        k.retime_ipq(now);
+                        queued.iter_mut().for_each(|e| *e = (*e).max(now));
+                        ready = ready.max(now + dispatch);
+                    }
+                    _ => {
+                        let Some(at) = softintr_at.take() else {
+                            continue;
+                        };
+                        let seen = k.spans.spans().len();
+                        let start = now.max(at).max(k.cpu.busy_until()).max(ready);
+                        now = k.ipintr(now.max(at), &mut drv).done_at;
+                        let new = &k.spans.spans()[seen..];
+                        let first_ip = new.iter().find(|s| s.kind == SpanKind::RxIp);
+                        assert_eq!(first_ip.map(|s| s.start), Some(start), "seed {seed}");
+                        let got: Vec<_> = new
+                            .iter()
+                            .filter(|s| s.kind == SpanKind::RxIpq)
+                            .map(|s| (s.start, s.end))
+                            .collect();
+                        let want: Vec<_> = queued.drain(..).map(|e| (e, start.max(e))).collect();
+                        assert_eq!(got, want, "seed {seed}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

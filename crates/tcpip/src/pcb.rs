@@ -17,7 +17,7 @@
 //! The table stores connection *keys*; the TCP state itself lives in
 //! [`crate::tcb::Tcb`], indexed by the id this table returns.
 
-use std::collections::HashMap;
+use simkit::FxHashMap;
 
 use crate::config::PcbOrg;
 
@@ -411,7 +411,7 @@ impl PcbLookup for MtfList {
 #[derive(Clone, Debug)]
 pub struct HashTable {
     list: Vec<(PcbKey, usize)>,
-    hash: HashMap<PcbKey, usize>,
+    hash: FxHashMap<PcbKey, usize>,
     cache: FrontCache,
     counters: PcbCounters,
 }
@@ -422,7 +422,7 @@ impl HashTable {
     pub fn new(use_cache: bool) -> Self {
         HashTable {
             list: Vec::new(),
-            hash: HashMap::new(),
+            hash: FxHashMap::default(),
             cache: FrontCache::new(use_cache),
             counters: PcbCounters::default(),
         }
