@@ -19,6 +19,8 @@
 //! gaps from dropped cells, length mismatches, and tag mismatches
 //! from interleaved or lost frames.
 
+use std::cell::RefCell;
+
 use cksum::crc::crc10_sar;
 
 use crate::cell::{Cell, CellHeader, CELL_SIZE};
@@ -283,10 +285,24 @@ struct Partial {
 /// A BOM that arrives mid-message is a [`Aal34Error::MidCollision`],
 /// so interleaved messages on one reassembler are an error, not
 /// demultiplexed by MID.
+///
+/// A caller done with a delivered datagram hands its buffer back with
+/// [`Aal34Reassembler::recycle`]; the next message any reassembler on
+/// the thread starts is rebuilt in it, so a steady stream of
+/// datagrams allocates no heap memory.
 #[derive(Default)]
 pub struct Aal34Reassembler {
     partial: Option<Partial>,
     stats: Aal34Stats,
+}
+
+thread_local! {
+    /// This thread's buffer for the next message: the larger of the
+    /// delivered datagrams handed back since it was last taken. One
+    /// per thread, not one per reassembler: a message is reassembled
+    /// and handed back within one receive interrupt, so the thread's
+    /// reassemblers take turns with it.
+    static SPARE: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Aal34Reassembler {
@@ -300,6 +316,18 @@ impl Aal34Reassembler {
     #[must_use]
     pub fn stats(&self) -> Aal34Stats {
         self.stats
+    }
+
+    /// Takes back a datagram [`Aal34Reassembler::push`] delivered, to
+    /// reassemble a later message into. The thread keeps one buffer,
+    /// the larger.
+    pub fn recycle(buf: Vec<u8>) {
+        let _ = SPARE.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if buf.capacity() > spare.capacity() {
+                *spare = buf;
+            }
+        });
     }
 
     /// Consumes one cell. Returns `Ok(Some(datagram))` when a message
@@ -363,9 +391,14 @@ impl Aal34Reassembler {
     /// reserved for the BASize bytes and the trailer.
     fn start(&mut self, sn: u8, li: usize, data: &[u8]) -> Result<(), Aal34Error> {
         let basize = usize::from(u16::from_be_bytes([data[2], data[3]]));
+        let mut buf = SPARE
+            .try_with(|spare| std::mem::take(&mut *spare.borrow_mut()))
+            .unwrap_or_default();
+        buf.clear();
+        buf.reserve(basize + 4);
         self.partial = Some(Partial {
             sn_expect: (sn + 1) & 0xf,
-            buf: Vec::with_capacity(basize + 4),
+            buf,
             basize,
             btag: data[1],
         });

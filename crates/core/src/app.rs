@@ -107,18 +107,18 @@ impl App {
         }
     }
 
-    /// The deterministic request pattern for iteration `i`: byte `b`
-    /// is `31·b + 7·i + 1 (mod 256)`. As 223 is the inverse of 31 mod
+    /// Sets `buf` to the deterministic `size`-byte request pattern for
+    /// iteration `i`, reusing its storage: byte `b` is
+    /// `31·b + 7·i + 1 (mod 256)`. As 223 is the inverse of 31 mod
     /// 256, that is `31·(b + s)` with `s = 223·(7·i + 1) mod 256`, so
     /// the pattern is one 256-byte period read from byte `s` on, built by
     /// slice copies.
-    #[must_use]
-    pub fn pattern(size: usize, i: u64) -> Vec<u8> {
-        period_bytes(&PATTERN_PERIOD, pattern_start(i), size)
+    pub fn pattern(buf: &mut Vec<u8>, size: usize, i: u64) {
+        period_fill(buf, &PATTERN_PERIOD, pattern_start(i), size);
     }
 
-    /// Whether `got` is exactly `App::pattern(size, i)`, compared in
-    /// place.
+    /// Whether `got` is exactly the `App::pattern` of `size` and `i`,
+    /// compared in place.
     #[must_use]
     pub(crate) fn pattern_matches(got: &[u8], size: usize, i: u64) -> bool {
         period_matches(got, &PATTERN_PERIOD, pattern_start(i), size)
@@ -176,18 +176,18 @@ fn period_chunks(
     })
 }
 
-/// The `size` bytes of `period` repeated from byte `start` on, built
-/// by slice copies.
-#[must_use]
-pub fn period_bytes(period: &'static [u8], start: usize, size: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(size);
+/// Sets `out` to the `size` bytes of `period` repeated from byte
+/// `start` on, built by slice copies into its storage.
+pub fn period_fill(out: &mut Vec<u8>, period: &'static [u8], start: usize, size: usize) {
+    out.clear();
+    out.reserve(size);
     for chunk in period_chunks(period, start, size) {
         out.extend_from_slice(chunk);
     }
-    out
 }
 
-/// Whether `got` is exactly `period_bytes(period, start, size)`,
+/// Whether `got` is exactly what `period_fill(_, period, start, size)`
+/// writes,
 /// compared in place without allocating.
 #[must_use]
 pub fn period_matches(got: &[u8], period: &'static [u8], start: usize, size: usize) -> bool {
@@ -222,11 +222,17 @@ mod tests {
         );
     }
 
+    fn pattern(size: usize, i: u64) -> Vec<u8> {
+        let mut buf = vec![0xee; 3];
+        App::pattern(&mut buf, size, i);
+        buf
+    }
+
     #[test]
     fn pattern_is_deterministic_and_iteration_dependent() {
-        assert_eq!(App::pattern(100, 3), App::pattern(100, 3));
-        assert_ne!(App::pattern(100, 3), App::pattern(100, 4));
-        assert_eq!(App::pattern(0, 1), Vec::<u8>::new());
+        assert_eq!(pattern(100, 3), pattern(100, 3));
+        assert_ne!(pattern(100, 3), pattern(100, 4));
+        assert_eq!(pattern(0, 1), Vec::<u8>::new());
     }
 
     /// The pattern's per-byte formula, the reference for the period
@@ -245,7 +251,7 @@ mod tests {
         for i in [0, 1, 32, 73, 255, 256, 1000, 123_456] {
             for size in (0..=1024).chain([8000, 16_000]) {
                 assert_eq!(
-                    App::pattern(size, i),
+                    pattern(size, i),
                     pattern_reference(size, i),
                     "size {size}, iteration {i}"
                 );
@@ -259,7 +265,7 @@ mod tests {
     fn in_place_check_agrees_with_comparison() {
         for i in [32, 73] {
             for size in [1, 256, 1400] {
-                let want = App::pattern(size, i);
+                let want = pattern(size, i);
                 let check = |got: &[u8]| {
                     assert_eq!(
                         App::pattern_matches(got, size, i),

@@ -20,6 +20,8 @@
 //! [`arm_host`] is the one place a [`FaultSchedule`] is armed on a
 //! host, for every world.
 
+use std::cell::RefCell;
+
 use atm::{Aal34Reassembler, Aal34Segmenter, FiberLink, ForeTca100, LinkFault};
 use decstation::CostModel;
 use ether::{EtherAddr, EtherFrame, EtherWire, LanceAdapter, ETHERTYPE_IP};
@@ -97,6 +99,55 @@ pub struct AtmNic {
     rx_done: Vec<Vec<u8>>,
 }
 
+/// A cell train: per cell, its arrival time and link fault.
+type Train = Vec<(SimTime, LinkFault)>;
+
+/// Trains of at most this many cells are small: every ACK and every
+/// datagram of up to 300 bytes, such as a 200-byte RPC.
+const SMALL_TRAIN: usize = 8;
+
+/// Most drained trains a thread keeps, small and large. Small trains
+/// carry the per-RPC traffic, so the thread keeps a 64-wide fan-out
+/// round's worth (at most 32 KB). A large train's cells cost far more
+/// host time than its allocation, so the thread keeps only the last
+/// two, enough for a stream of large datagrams. Trains are recycled
+/// across every NIC on the thread, so what is kept is also bounded by
+/// what the thread's worlds had in flight at once, and keeping the
+/// classes apart keeps a large train from carrying an ACK.
+const SPARE_TRAINS_KEPT: [usize; 2] = [64, 2];
+
+thread_local! {
+    /// This thread's drained trains, small then large.
+    static SPARE_TRAINS: RefCell<[Vec<Train>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
+}
+
+/// The size class of a train of `cells` cells: 0 small, 1 large.
+fn train_class(cells: usize) -> usize {
+    usize::from(cells > SMALL_TRAIN)
+}
+
+/// An empty train with room for `cells` cells, recycled when one of
+/// its class is free.
+fn alloc_train(cells: usize) -> Train {
+    let spare = SPARE_TRAINS.try_with(|spare| spare.borrow_mut()[train_class(cells)].pop());
+    let mut train = spare.ok().flatten().unwrap_or_default();
+    train.reserve_exact(cells);
+    train
+}
+
+/// Recycles a train [`atm_receive`] drained, or frees it past its
+/// class's [`SPARE_TRAINS_KEPT`].
+fn recycle_train(train: Train) {
+    debug_assert!(train.is_empty(), "a drained train");
+    let _ = SPARE_TRAINS.try_with(|spare| {
+        let class = train_class(train.capacity());
+        let trains = &mut spare.borrow_mut()[class];
+        if trains.len() < SPARE_TRAINS_KEPT[class] {
+            trains.push(train);
+        }
+    });
+}
+
 impl AtmNic {
     /// Builds an ATM interface over the given outbound link, with the
     /// plain [`ATM_MTU`] and no peers installed.
@@ -160,7 +211,7 @@ impl TxDriver for AtmNic {
         let mut cursor = now + SimTime::from_us_f64(self.costs.atm_tx_fixed_us);
         let per_cell = SimTime::from_us_f64(self.costs.atm_tx_per_cell_us);
         let cells = seg.cells(bytes);
-        let mut train = Vec::with_capacity(cells.len());
+        let mut train = alloc_train(cells.len());
         for cell in cells {
             let admit = self.adapter.tx.admit(cursor, per_cell);
             cursor = admit.copy_end;
@@ -188,15 +239,17 @@ impl TxDriver for AtmNic {
 /// event). Returns the softintr dispatch time if one must be
 /// scheduled.
 ///
-/// The train is taken by value: each delivered cell moves into the RX
-/// FIFO and out again through [`atm::RxFifo::drain`], with no clone
-/// and no heap allocation per cell. A completed datagram is the
-/// reassembler's own buffer, handed over.
+/// The train is taken by value and drained: each delivered cell moves
+/// into the RX FIFO and out again through [`atm::RxFifo::drain`], with
+/// no clone and no heap allocation per cell, and the emptied train is
+/// kept for this thread's next `transmit`. A completed datagram is the
+/// reassembler's own buffer, handed over and, once copied into mbufs
+/// (or shed), handed back.
 pub fn atm_receive(
     kernel: &mut Kernel,
     nic: &mut AtmNic,
     now: SimTime,
-    train: Vec<(SimTime, LinkFault)>,
+    mut train: Train,
 ) -> Option<SimTime> {
     kernel.spans.mark(Mark::SegmentArrived, now);
     // The driver drains the whole RX FIFO under one interrupt. Cells
@@ -208,7 +261,7 @@ pub fn atm_receive(
     let start = now.max(kernel.cpu.busy_until());
     let mut datagrams = std::mem::take(&mut nic.rx_done);
     let mut cells_processed = 0usize;
-    for (cell_at, fault) in train {
+    for (cell_at, fault) in train.drain(..) {
         let cell = match fault {
             LinkFault::Lost => continue,
             LinkFault::Clean(c) => c,
@@ -259,6 +312,7 @@ pub fn atm_receive(
             }
         }
     }
+    recycle_train(train);
     // Driver CPU: fixed per interrupt plus per-cell SAR + copy work.
     let fixed = if continuation {
         0.0
@@ -295,8 +349,9 @@ pub fn atm_receive(
                 .record(simcap::TapPoint::NicDmaRx, end, dgram.clone());
         }
         let use_clusters = ultrix_uses_clusters(dgram.len());
-        let Ok((mut chain, _)) = Chain::try_from_user_data(&kernel.pool, &dgram, use_clusters)
-        else {
+        let filled = Chain::try_from_user_data(&kernel.pool, &dgram, use_clusters);
+        Aal34Reassembler::recycle(dgram);
+        let Ok((mut chain, _)) = filled else {
             // ENOBUFS: the pool is at its limit, so the driver sheds
             // the datagram instead of allocating past it — BSD's
             // receive-path backpressure. TCP retransmits.

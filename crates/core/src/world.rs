@@ -88,6 +88,9 @@ pub struct World {
     /// Each datagram on the wire and its destination host, parked
     /// until its arrival event fires.
     in_flight: Parked<(usize, Arrival)>,
+    /// The client's request of the iteration being written, built in
+    /// place each time.
+    request: Vec<u8>,
 }
 
 /// A datagram as the receiving adapter will see it.
@@ -156,6 +159,7 @@ impl World {
             capture: false,
             flight_k: None,
             in_flight: Parked::default(),
+            request: Vec::new(),
         }
     }
 
@@ -214,7 +218,7 @@ fn flush_host(w: &mut World, s: &mut Scheduler<World>, h: usize) {
     let host = &mut w.hosts[h];
     match &mut host.nic {
         Nic::Atm(nic) => {
-            for AtmDelivery { train, .. } in std::mem::take(&mut nic.staged) {
+            for AtmDelivery { train, .. } in nic.staged.drain(..) {
                 let delivery = match &mut host.switch {
                     // Switchless fiber: the interrupt fires when the
                     // train's last surviving cell arrives. A train that
@@ -235,7 +239,7 @@ fn flush_host(w: &mut World, s: &mut Scheduler<World>, h: usize) {
             }
         }
         Nic::Ether(nic) => {
-            for EtherDelivery { arrival, frame } in std::mem::take(&mut nic.staged) {
+            for EtherDelivery { arrival, frame } in nic.staged.drain(..) {
                 let slot = w.in_flight.park((peer, Arrival::Ether(frame)));
                 s.schedule_raw_at(arrival.max(s.now()), "eth-arrival", on_arrival, slot);
             }
@@ -271,10 +275,10 @@ fn on_arrival(w: &mut World, s: &mut Scheduler<World>, slot: u64) {
 fn on_softintr(w: &mut World, s: &mut Scheduler<World>, h: u64) {
     let h = h as usize;
     let host = &mut w.hosts[h];
-    let out = host.kernel.ipintr(s.now(), &mut host.nic);
+    let _ = host.kernel.ipintr(s.now(), &mut host.nic);
     flush_host(w, s, h);
-    for (_, run_at) in out.wakeups.iter().chain(out.writer_wakeups.iter()) {
-        let at = (*run_at).max(s.now());
+    for (_, run_at) in w.hosts[h].kernel.drain_wakeups() {
+        let at = run_at.max(s.now());
         s.schedule_raw_at(at, "app-wakeup", app_step, h as u64);
     }
 }
@@ -368,13 +372,12 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                     app,
                     ..
                 } = host;
-                let pattern;
                 let data = match app.role {
                     // The server echoes what it received.
                     Role::RpcServer | Role::UdpRpcServer => &app.got,
                     _ => {
-                        pattern = App::pattern(app.size, app.done_count);
-                        &pattern
+                        App::pattern(&mut w.request, app.size, app.done_count);
+                        &w.request
                     }
                 };
                 let out = if udp {
@@ -422,12 +425,16 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                 let want = host.app.size - host.app.got.len();
                 let udp = matches!(host.app.role, Role::UdpRpcClient | Role::UdpRpcServer);
                 let Host {
-                    kernel, nic, sock, ..
+                    kernel,
+                    nic,
+                    sock,
+                    app,
+                    ..
                 } = host;
                 let out = if udp {
-                    kernel.udp_recvfrom(now, *sock)
+                    kernel.udp_recvfrom(now, *sock, &mut app.got)
                 } else {
-                    kernel.syscall_read(now, *sock, want, nic)
+                    kernel.syscall_read(now, *sock, want, &mut app.got, nic)
                 };
                 flush_host(w, s, h);
                 let host = &mut w.hosts[h];
@@ -441,8 +448,7 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                     break;
                 }
                 now = out.done_at;
-                host.app.got.extend_from_slice(&out.data);
-                host.app.stats.bytes += out.data.len() as u64;
+                host.app.stats.bytes += out.len as u64;
                 if host.app.got.len() < host.app.size {
                     continue;
                 }

@@ -1,20 +1,18 @@
-//! The per-packet paths allocate per datagram, not per cell, and a
-//! warm mbuf pool not at all.
+//! The warm per-packet paths allocate no heap memory: not per cell,
+//! not per datagram.
 //!
 //! A counting global allocator watches `AtmNic::transmit` and
 //! `atm_receive` carry datagrams of 1 cell (an SSM), 34 cells and 209
 //! cells (the 9188-byte MTU) from one NIC to another. Each datagram
 //! makes exactly [`PER_DATAGRAM`] heap allocations, at all three
-//! sizes. A second test allocates and frees mbufs and cluster mbufs
-//! on a warm thread and must allocate nothing. Each test counts only
-//! its own thread, so tests running in parallel cannot add to a
+//! sizes. A second test allocates and frees mbufs and cluster
+//! mbufs on a warm thread and must allocate nothing. Each test counts
+//! only its own thread, so tests running in parallel cannot add to a
 //! count.
 //!
 //! The receiving host's mbuf pool is held at its cap, so the driver
 //! sheds each reassembled datagram with a counted ENOBUFS after all
-//! of its cell work is done. The mbuf chain a datagram would become
-//! allocates once per 4 KB cluster page; that is the mbuf layer's
-//! cost, not the cell path's.
+//! of its cell work is done.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,13 +71,14 @@ static GLOBAL: Counting = Counting;
 
 const PEER: [u8; 4] = [10, 0, 0, 2];
 
-/// Heap allocations per carried datagram, whatever its cell count:
-/// the cell train `transmit` stages (one `Vec` of cells, handed to
-/// the receiver by value) and the reassembly buffer the CPCS-PDU is
-/// rebuilt in (handed over as the datagram, freed when the driver
-/// sheds it). The transmit copy of the chain and the list of
-/// completed datagrams are buffers the NIC keeps.
-const PER_DATAGRAM: usize = 2;
+/// Heap allocations per carried datagram, whatever its cell count.
+/// The cell train `transmit` stages is one `atm_receive` drained and
+/// kept for the thread; the reassembly buffer the CPCS-PDU is rebuilt
+/// in is the last datagram's, handed back to the reassembler once
+/// shed.
+/// The transmit copy of the chain, the staging vector and the list of
+/// completed datagrams are buffers the NICs keep.
+const PER_DATAGRAM: usize = 0;
 
 /// `len` patterned bytes whose IPv4 destination field names [`PEER`].
 fn datagram(len: usize) -> Vec<u8> {
@@ -89,7 +88,7 @@ fn datagram(len: usize) -> Vec<u8> {
 }
 
 #[test]
-fn cell_path_allocates_per_datagram_not_per_cell() {
+fn warm_cell_path_allocates_nothing() {
     let costs = CostModel::calibrated();
     let mut tx = AtmNic::new(FiberLink::new(LinkConfig::default(), 1), costs.clone(), 1);
     tx.add_peer(PEER, 1, 42, 1);
@@ -125,8 +124,8 @@ fn cell_path_allocates_per_datagram_not_per_cell() {
         assert_eq!(rx.enobufs_drops, carried, "shed at the mbuf cap");
         n
     };
-    // Warm-up: the FIFOs, the staging vector and the NICs' kept
-    // buffers reach their working capacity, which they keep.
+    // Warm-up: the FIFOs, the staging vector, the train and the NICs'
+    // kept buffers reach their working capacity, which they keep.
     for _ in 0..2 {
         for chain in &chains {
             carry(chain);

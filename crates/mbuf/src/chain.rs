@@ -21,7 +21,7 @@ use cksum::{PartialChecksum, Sum16};
 
 use crate::cost::OpCost;
 use crate::mbuf::{Mbuf, PktHdr, MCLBYTES, MHLEN, MLEN};
-use crate::pool::{Enobufs, MbufPool};
+use crate::pool::{self as free, Enobufs, MbufPool};
 
 /// The ULTRIX 4.2A socket layer switches from ordinary mbufs to
 /// cluster mbufs once the transfer exceeds 1 KB (§2.2.1).
@@ -40,16 +40,46 @@ pub const CLUSTER_THRESHOLD: usize = 1024;
 /// assert_eq!(cost.bytes_copied, 5);
 /// assert_eq!(cost.mbufs_allocated, 1);
 /// ```
+///
+/// The chain keeps its byte count, so [`Chain::len`] is O(1). A
+/// dropped chain's mbuf list goes onto this thread's free list of
+/// lists, from which the next chain built from user data or by
+/// [`Chain::copy_range`] takes it (see [`crate::pool`]).
 #[derive(Default)]
 pub struct Chain {
     mbufs: VecDeque<Mbuf>,
+    /// Total data bytes: the sum of `Mbuf::len` over `mbufs`.
+    len: usize,
+}
+
+impl Drop for Chain {
+    fn drop(&mut self) {
+        if self.mbufs.capacity() > 0 {
+            free::recycle_list(std::mem::take(&mut self.mbufs));
+        }
+    }
 }
 
 impl Chain {
-    /// An empty chain.
+    /// An empty chain. It holds no storage until an mbuf is added.
     #[must_use]
     pub fn new() -> Self {
         Chain::default()
+    }
+
+    /// An empty chain over a recycled mbuf list, for the builders
+    /// that add mbufs straight away.
+    fn with_list() -> Self {
+        Chain {
+            mbufs: free::alloc_list(),
+            len: 0,
+        }
+    }
+
+    /// Adds `m` at the back.
+    fn push_back(&mut self, m: Mbuf) {
+        self.len += m.len();
+        self.mbufs.push_back(m);
     }
 
     /// Fills a chain from user data the way the ULTRIX socket layer
@@ -103,7 +133,7 @@ impl Chain {
     }
 
     fn fill(pool: &MbufPool, data: &[u8], use_clusters: bool, cksum: bool) -> (Chain, OpCost) {
-        let mut chain = Chain::new();
+        let mut chain = Chain::with_list();
         let mut cost = OpCost::ZERO;
         let mut remaining = data;
         let mut first = true;
@@ -130,7 +160,7 @@ impl Chain {
                 m.partial_cksum = Some(PartialChecksum::over(m.data()));
             }
             remaining = &remaining[taken..];
-            chain.mbufs.push_back(m);
+            chain.push_back(m);
             if remaining.is_empty() {
                 break;
             }
@@ -147,7 +177,12 @@ impl Chain {
     /// Total data bytes in the chain.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.mbufs.iter().map(Mbuf::len).sum()
+        debug_assert_eq!(
+            self.len,
+            self.mbufs.iter().map(Mbuf::len).sum::<usize>(),
+            "kept byte count"
+        );
+        self.len
     }
 
     /// Whether the chain holds no data.
@@ -206,6 +241,18 @@ impl Chain {
         OpCost::copy(len)
     }
 
+    /// Appends the first `len` bytes to `dst`: [`Chain::copy_out`]
+    /// into a growing buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain holds fewer than `len` bytes.
+    pub fn copy_prefix_into(&self, len: usize, dst: &mut Vec<u8>) -> OpCost {
+        let at = dst.len();
+        dst.resize(at + len, 0);
+        self.copy_out(0, &mut dst[at..])
+    }
+
     /// BSD `m_copy(m, off, len)`: a copy of the byte range for
     /// retransmission-safe transmission. Cluster mbufs are *shared*
     /// (reference count bump, no bytes move); ordinary mbufs are
@@ -222,11 +269,11 @@ impl Chain {
     #[must_use]
     pub fn copy_range(&self, pool: &MbufPool, off: usize, len: usize) -> (Chain, OpCost) {
         assert!(off + len <= self.len(), "copy_range out of bounds");
-        let mut out = Chain::new();
         let mut cost = OpCost::ZERO;
         if len == 0 {
-            return (out, cost);
+            return (Chain::new(), cost);
         }
+        let mut out = Chain::with_list();
         let mut skipped = 0usize;
         let mut remaining = len;
         for m in &self.mbufs {
@@ -250,7 +297,7 @@ impl Chain {
                 if take == d_len {
                     shared.partial_cksum = m.partial_cksum;
                 }
-                out.mbufs.push_back(shared);
+                out.push_back(shared);
             } else {
                 // Deep copy through fresh ordinary mbufs.
                 let src = &m.data()[start..start + take];
@@ -264,16 +311,22 @@ impl Chain {
                         fresh.partial_cksum = m.partial_cksum;
                     }
                     rest = &rest[n..];
-                    out.mbufs.push_back(fresh);
+                    out.push_back(fresh);
                 }
             }
         }
         (out, cost)
     }
 
-    /// Appends another chain (BSD `m_cat` without compaction).
+    /// Appends another chain (BSD `m_cat` without compaction). An
+    /// empty chain takes `other`'s mbuf list whole.
     pub fn append(&mut self, mut other: Chain) {
-        self.mbufs.append(&mut other.mbufs);
+        if self.mbufs.is_empty() {
+            std::mem::swap(&mut self.mbufs, &mut other.mbufs);
+        } else {
+            self.mbufs.append(&mut other.mbufs);
+        }
+        self.len += std::mem::take(&mut other.len);
     }
 
     /// Drops `n` bytes from the front, freeing emptied mbufs (BSD
@@ -287,10 +340,12 @@ impl Chain {
             };
             if front.len() <= n {
                 n -= front.len();
+                self.len -= front.len();
                 self.mbufs.pop_front();
                 cost.mbufs_freed += 1;
             } else {
                 front.trim_front(n);
+                self.len -= n;
                 n = 0;
             }
         }
@@ -307,9 +362,11 @@ impl Chain {
             };
             if back.len() <= n {
                 n -= back.len();
+                self.len -= back.len();
                 self.mbufs.pop_back();
             } else {
                 back.trim_back(n);
+                self.len -= n;
                 n = 0;
             }
         }
@@ -336,6 +393,7 @@ impl Chain {
             assert_eq!(took, header.len(), "header exceeds MHLEN");
             self.mbufs.push_front(m);
         }
+        self.len = total;
         if let Some(front) = self.mbufs.front_mut() {
             let hdr = front.pkthdr.get_or_insert(PktHdr::default());
             hdr.len = total;

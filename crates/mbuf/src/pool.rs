@@ -16,14 +16,19 @@
 //! The recycled buffers are not the pool's: each thread keeps one
 //! small-mbuf and one cluster free list, shared by every pool on it,
 //! so allocation takes no lock. A buffer is zeroed on reuse, and a
-//! chain dropped on another thread feeds that thread's lists.
+//! chain dropped on another thread feeds that thread's lists. A third
+//! list keeps the emptied mbuf lists of dropped [`Chain`]s, so
+//! building a packet chain allocates no heap memory either.
+//!
+//! [`Chain`]: crate::Chain
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::LocalKey;
 
-use crate::mbuf::{MCLBYTES, MLEN};
+use crate::mbuf::{Mbuf, MCLBYTES, MLEN};
 
 /// Typed allocation-failure signal: the pool is at its configured
 /// limit. BSD returns `ENOBUFS` from the allocator in this situation;
@@ -80,6 +85,16 @@ impl PoolStats {
 /// what a thread holds idle at ≈ 2.1 MB, whatever the number of pools.
 const FREE_LIST_CAP: usize = 512;
 
+/// Most emptied chain lists a thread keeps, and the largest capacity
+/// (in mbufs) of a list it keeps. 4 is the least a `VecDeque` of
+/// mbufs grows to, so a recycled list never makes a chain hold more
+/// than it would have grown itself; a list that grew past it (a long
+/// small-mbuf fill, a socket buffer) is freed. 64 covers the chains a
+/// fan-out round drops before it builds new ones. Together the caps
+/// bound what a thread holds idle at ≈ 21 kB.
+const LIST_FREE_CAP: usize = 64;
+const LIST_CAPACITY_CAP: usize = 4;
+
 thread_local! {
     /// This thread's recycled buffers: BSD's free lists, so the
     /// steady-state fast path allocates no heap memory. Boxed, so
@@ -87,6 +102,7 @@ thread_local! {
     #[allow(clippy::vec_box)]
     static SMALL: RefCell<Vec<Box<[u8; MLEN]>>> = const { RefCell::new(Vec::new()) };
     static CLUSTERS: RefCell<Vec<Arc<ClusterPage>>> = const { RefCell::new(Vec::new()) };
+    static LISTS: RefCell<Vec<VecDeque<Mbuf>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Pops from this thread's `list`: `None` when it is empty, or gone
@@ -95,11 +111,11 @@ fn take<T>(list: &'static LocalKey<RefCell<Vec<T>>>) -> Option<T> {
     list.try_with(|l| l.borrow_mut().pop()).ok().flatten()
 }
 
-/// Pushes onto this thread's `list`, or frees `item` past the cap.
-fn give<T>(list: &'static LocalKey<RefCell<Vec<T>>>, item: T) {
+/// Pushes onto this thread's `list`, or frees `item` past `cap`.
+fn give<T>(list: &'static LocalKey<RefCell<Vec<T>>>, item: T, cap: usize) {
     let _ = list.try_with(|l| {
         let mut l = l.borrow_mut();
-        if l.len() < FREE_LIST_CAP {
+        if l.len() < cap {
             l.push(item);
         }
     });
@@ -115,7 +131,22 @@ pub(crate) fn alloc_small() -> Box<[u8; MLEN]> {
 
 /// Recycles a small-mbuf buffer.
 pub(crate) fn recycle_small(buf: Box<[u8; MLEN]>) {
-    give(&SMALL, buf);
+    give(&SMALL, buf, FREE_LIST_CAP);
+}
+
+/// An empty mbuf list for a new chain, recycled when one is free.
+pub(crate) fn alloc_list() -> VecDeque<Mbuf> {
+    take(&LISTS).unwrap_or_default()
+}
+
+/// Recycles a dropped chain's mbuf list: its mbufs are freed first,
+/// and a list past [`LIST_CAPACITY_CAP`] goes back to the host
+/// allocator.
+pub(crate) fn recycle_list(mut list: VecDeque<Mbuf>) {
+    list.clear();
+    if list.capacity() <= LIST_CAPACITY_CAP {
+        give(&LISTS, list, LIST_FREE_CAP);
+    }
 }
 
 /// A reference-counted cluster page. The reference that drops last
@@ -158,7 +189,7 @@ pub(crate) fn release_cluster(mut page: Arc<ClusterPage>) {
         if let Some(pool) = p.pool.take() {
             PoolInner::bump(&pool.clusters_freed);
         }
-        give(&CLUSTERS, page);
+        give(&CLUSTERS, page, FREE_LIST_CAP);
     }
 }
 

@@ -107,4 +107,76 @@ proptest! {
         prop_assert_eq!(s.mbufs_outstanding(), 0);
         prop_assert_eq!(s.clusters_outstanding(), 0);
     }
+
+    /// Any sequence of fill, `copy_range`, `append`, `trim_front`,
+    /// `trim_back_bytes` and `prepend_header` over a few chains keeps
+    /// each chain's kept byte count equal to its flattened length and
+    /// its bytes equal to a `Vec` model, and dropping them leaks no
+    /// mbuf or cluster.
+    #[test]
+    fn kept_length_tracks_every_operation(
+        ops in proptest::collection::vec((0u8..7, any::<u16>(), any::<u16>()), 1..60),
+        seed in any::<u8>(),
+    ) {
+        let pool = MbufPool::new();
+        {
+            let mut chains: Vec<(Chain, Vec<u8>)> = Vec::new();
+            for (op, a, b) in ops {
+                let (a, b) = (usize::from(a), usize::from(b));
+                let pick = |k: usize, n: usize| (n > 0).then(|| k % n);
+                match op {
+                    0 => {
+                        let data = payload(a % 9_000, seed ^ b as u8);
+                        let clusters = ultrix_uses_clusters(data.len()) || b % 4 == 0;
+                        let (chain, _) = Chain::from_user_data(&pool, &data, clusters);
+                        chains.push((chain, data));
+                    }
+                    1 => if let Some(i) = pick(a, chains.len()) {
+                        let n = chains[i].1.len();
+                        let off = b % (n + 1);
+                        let len = (a / 7) % (n - off + 1);
+                        let (copy, _) = chains[i].0.copy_range(&pool, off, len);
+                        let model = chains[i].1[off..off + len].to_vec();
+                        chains.push((copy, model));
+                    },
+                    2 => if chains.len() >= 2 {
+                        let j = b % chains.len();
+                        let (other, model) = chains.swap_remove(j);
+                        let i = a % chains.len();
+                        chains[i].0.append(other);
+                        chains[i].1.extend(model);
+                    },
+                    3 => if let Some(i) = pick(a, chains.len()) {
+                        // Trims may run past the end: the chain empties.
+                        let len = chains[i].1.len();
+                        let n = b % (len + 50);
+                        let _ = chains[i].0.trim_front(n);
+                        chains[i].1.drain(..n.min(len));
+                    },
+                    4 => if let Some(i) = pick(a, chains.len()) {
+                        let len = chains[i].1.len();
+                        let n = b % (len + 50);
+                        chains[i].0.trim_back_bytes(n);
+                        chains[i].1.truncate(len.saturating_sub(n));
+                    },
+                    5 => if let Some(i) = pick(a, chains.len()) {
+                        let header = payload(b % 41, seed.wrapping_add(1));
+                        let _ = chains[i].0.prepend_header(&pool, &header);
+                        chains[i].1.splice(0..0, header);
+                    },
+                    _ => if let Some(i) = pick(a, chains.len()) {
+                        drop(chains.swap_remove(i));
+                    },
+                }
+                for (chain, model) in &chains {
+                    prop_assert_eq!(chain.len(), chain.to_vec().len());
+                    prop_assert_eq!(chain.is_empty(), model.is_empty());
+                    prop_assert!(chain.data_equals(model));
+                }
+            }
+        }
+        let s = pool.stats();
+        prop_assert_eq!(s.mbufs_outstanding(), 0);
+        prop_assert_eq!(s.clusters_outstanding(), 0);
+    }
 }

@@ -9,14 +9,14 @@
 //! schedule follow-up events through the [`Scheduler`], which lends
 //! them the queue itself.
 //!
-//! The pending set is one `std` [`BinaryHeap`] keyed on `(time, seq)`,
-//! where `seq` is a counter assigned as each event is scheduled. Two
-//! events at the same timestamp therefore execute in the order they
-//! were scheduled, and the queue always pops the strict minimum of
-//! `(time, seq)`, which makes every simulation run fully deterministic.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! The pending set is a 4-ary min-heap in a `Vec`, keyed by one
+//! `u128`: `(time_ns << 64) | seq`, where `seq` is a counter assigned
+//! as each event is scheduled. Two events at the same timestamp
+//! therefore execute in the order they were scheduled, and the keys
+//! are unique, so the queue always pops the strict minimum of
+//! `(time, seq)`, which makes every simulation run fully
+//! deterministic. Four children per node halve the depth of a binary
+//! heap, and a sift compares one integer per step.
 
 use crate::time::SimTime;
 
@@ -34,37 +34,89 @@ pub type ObserverFn<W> = Box<dyn FnMut(&W, SimTime, &'static str)>;
 
 /// A pending event in the heap.
 struct Event<W> {
-    at: SimTime,
-    seq: u64,
+    /// `(at_ns << 64) | seq`.
+    key: u128,
     label: &'static str,
     f: RawEventFn<W>,
     data: u64,
 }
 
-// Ordered on `(at, seq)` alone, reversed so that the max-heap pops the
-// earliest event first and breaks equal times FIFO. `seq` is unique,
-// so no two pending events compare equal.
-impl<W> Ord for Event<W> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+// Every field is `Copy` whatever `W` is; a derive would demand `W: Copy`.
+impl<W> Clone for Event<W> {
+    fn clone(&self) -> Self {
+        *self
     }
 }
-impl<W> PartialOrd for Event<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<W> PartialEq for Event<W> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl<W> Eq for Event<W> {}
+impl<W> Copy for Event<W> {}
 
-/// The pending-event set: the heap and its `seq` counter.
+impl<W> Event<W> {
+    fn at(&self) -> SimTime {
+        SimTime::from_ns((self.key >> 64) as u64)
+    }
+}
+
+/// Children per heap node.
+const ARITY: usize = 4;
+
+/// The pending-event set: the 4-ary min-heap on `Event::key` and its
+/// `seq` counter.
 struct Queue<W> {
-    heap: BinaryHeap<Event<W>>,
+    heap: Vec<Event<W>>,
     seq: u64,
+}
+
+impl<W> Queue<W> {
+    fn push(&mut self, at: SimTime, label: &'static str, f: RawEventFn<W>, data: u64) {
+        let ev = Event {
+            key: (u128::from(at.as_ns()) << 64) | u128::from(self.seq),
+            label,
+            f,
+            data,
+        };
+        self.seq += 1;
+        // Sift up: move parents down into the hole until `ev` fits.
+        let mut i = self.heap.len();
+        self.heap.push(ev);
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if self.heap[parent].key < ev.key {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            i = parent;
+        }
+        self.heap[i] = ev;
+    }
+
+    fn pop(&mut self) -> Option<Event<W>> {
+        let last = self.heap.pop()?;
+        let Some(&top) = self.heap.first() else {
+            return Some(last);
+        };
+        // Sift `last` down from the root: move the least child up
+        // into the hole until `last` fits.
+        let n = self.heap.len();
+        let mut i = 0;
+        loop {
+            let first = ARITY * i + 1;
+            if first >= n {
+                break;
+            }
+            let mut min = first;
+            for c in first + 1..(first + ARITY).min(n) {
+                if self.heap[c].key < self.heap[min].key {
+                    min = c;
+                }
+            }
+            if last.key < self.heap[min].key {
+                break;
+            }
+            self.heap[i] = self.heap[min];
+            i = min;
+        }
+        self.heap[i] = last;
+        Some(top)
+    }
 }
 
 /// The queue as a handler sees it: the current time and a borrow of
@@ -117,15 +169,7 @@ impl<W> Scheduler<'_, W> {
             "event '{label}' scheduled into the past: {at:?} < now {:?}",
             self.now
         );
-        let seq = self.queue.seq;
-        self.queue.seq += 1;
-        self.queue.heap.push(Event {
-            at,
-            seq,
-            label,
-            f,
-            data,
-        });
+        self.queue.push(at, label, f, data);
     }
 }
 
@@ -167,7 +211,7 @@ impl<W> Sim<W> {
             world,
             now: SimTime::ZERO,
             queue: Queue {
-                heap: BinaryHeap::new(),
+                heap: Vec::new(),
                 seq: 0,
             },
             executed: 0,
@@ -240,12 +284,11 @@ impl<W> Sim<W> {
     ///
     /// Returns `true` if an event ran, `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
-        let Some(Event {
-            at, label, f, data, ..
-        }) = self.queue.heap.pop()
-        else {
+        let Some(ev) = self.queue.pop() else {
             return false;
         };
+        let Event { label, f, data, .. } = ev;
+        let at = ev.at();
         debug_assert!(at >= self.now, "event violates causality");
         self.now = at;
         self.executed += 1;

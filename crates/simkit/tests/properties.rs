@@ -196,6 +196,73 @@ proptest! {
         prop_assert_eq!(&sim.world.log, &want);
     }
 
+    /// The heap pops exactly the `(time, seq)` sequence of a sorted
+    /// reference, over schedules deep enough to fill several heap
+    /// levels, with many equal timestamps and with handlers that
+    /// schedule follow-ups at `now`, which are themselves handlers.
+    /// `seq` is the order of scheduling, which the world mirrors: each
+    /// event's payload is its own `seq`.
+    #[test]
+    fn heap_pops_the_sorted_time_seq_sequence(
+        seed in any::<u64>(),
+        initial in proptest::collection::vec(0u64..64, 1..400),
+    ) {
+        use std::collections::BTreeSet;
+
+        /// Delays of the follow-ups event `seq` schedules, in 40 ns
+        /// ticks: mostly 0 (at `now`) and near ties, sometimes far.
+        fn children(seed: u64, seq: u64) -> Vec<u64> {
+            let mut x = seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = || {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z ^ (z >> 31)
+            };
+            (0..next() % 3)
+                .map(|_| [0, 0, 0, 1, 2, 5, 1_000][(next() % 7) as usize])
+                .collect()
+        }
+        const BUDGET: u64 = 3_000;
+        struct W {
+            seed: u64,
+            seq: u64,
+            log: Vec<(u64, u64)>,
+        }
+        fn fire(w: &mut W, s: &mut Scheduler<W>, seq: u64) {
+            w.log.push((s.now().as_ns(), seq));
+            for d in children(w.seed, seq) {
+                if w.seq < BUDGET {
+                    s.schedule_raw(SimTime::from_ns(d * 40), "child", fire, w.seq);
+                    w.seq += 1;
+                }
+            }
+        }
+        let mut sim = Sim::new(W { seed, seq: 0, log: Vec::new() });
+        for &t in &initial {
+            let seq = sim.world.seq;
+            sim.schedule_raw_at(SimTime::from_ns(t * 40), "pre", fire, seq);
+            sim.world.seq += 1;
+        }
+        sim.run();
+
+        // Reference: a sorted set of `(at, seq)`, first out first.
+        let mut pending: BTreeSet<(u64, u64)> =
+            initial.iter().enumerate().map(|(i, &t)| (t * 40, i as u64)).collect();
+        let mut seq = initial.len() as u64;
+        let mut want = Vec::new();
+        while let Some((at, q)) = pending.pop_first() {
+            want.push((at, q));
+            for d in children(seed, q) {
+                if seq < BUDGET {
+                    pending.insert((at + d * 40, seq));
+                    seq += 1;
+                }
+            }
+        }
+        prop_assert_eq!(sim.world.log.len() as u64, seq);
+        prop_assert_eq!(&sim.world.log, &want);
+    }
+
     /// Quantization is idempotent, monotone, and never in the future.
     #[test]
     fn clock_quantization(ns in any::<u64>()) {

@@ -148,25 +148,14 @@ pub struct TxOutcome {
 pub struct RxSyscallOutcome {
     /// When the syscall returned (or the process blocked).
     pub done_at: SimTime,
-    /// Bytes delivered (empty when blocked).
-    pub data: Vec<u8>,
+    /// Bytes delivered, appended to the caller's buffer (0 when
+    /// blocked).
+    pub len: usize,
     /// The process blocked waiting for data.
     pub blocked: bool,
     /// The connection's pending `so_error`, delivered instead of
     /// data: the connection is dead and no more data will arrive.
     pub error: Option<ConnError>,
-}
-
-/// Outcome of the software interrupt.
-#[derive(Debug, Default)]
-pub struct RxOutcome {
-    /// When the interrupt handler finished.
-    pub done_at: SimTime,
-    /// Sockets whose blocked readers were woken, with the time each
-    /// process starts running.
-    pub wakeups: Vec<(SockId, SimTime)>,
-    /// Sockets whose blocked writers were woken (buffer space freed).
-    pub writer_wakeups: Vec<(SockId, SimTime)>,
 }
 
 /// A datagram emitted by the stack, for bindings that want them (the
@@ -285,6 +274,14 @@ pub struct Kernel {
     /// abort wakes its blocked process so it observes `so_error`).
     /// The binding drains these with [`Kernel::take_timer_wakeups`].
     timer_wakeups: Vec<(SockId, SimTime)>,
+    /// Sockets whose blocked readers the software interrupt woke, with
+    /// the time each process starts running; drained by
+    /// [`Kernel::drain_wakeups`].
+    wakeups: Vec<(SockId, SimTime)>,
+    /// Sockets whose blocked writers it woke (buffer space freed).
+    writer_wakeups: Vec<(SockId, SimTime)>,
+    /// Scratch list of the sockets due in [`Kernel::check_timers`].
+    due: Vec<SockId>,
 }
 
 impl Kernel {
@@ -313,6 +310,9 @@ impl Kernel {
             ipq_ready_at: SimTime::ZERO,
             ipq_floor: SimTime::ZERO,
             timer_wakeups: Vec::new(),
+            wakeups: Vec::new(),
+            writer_wakeups: Vec::new(),
+            due: Vec::new(),
         };
         k.pcbs.add_ambient(k.cfg.ambient_pcbs);
         k
@@ -826,12 +826,13 @@ impl Kernel {
         self.ipq_ready_at = self.ipq_ready_at.max(t + self.tables.softintr_dispatch);
     }
 
-    /// The software interrupt: drains the IP input queue.
-    pub fn ipintr(&mut self, now: SimTime, drv: &mut dyn TxDriver) -> RxOutcome {
+    /// The software interrupt: drains the IP input queue. Returns when
+    /// the handler finished; the processes it woke wait for
+    /// [`Kernel::drain_wakeups`].
+    pub fn ipintr(&mut self, now: SimTime, drv: &mut dyn TxDriver) -> SimTime {
         self.softintr_pending = false;
         let start = now.max(self.cpu.busy_until()).max(self.ipq_ready_at);
         let mut cursor = start;
-        let mut out = RxOutcome::default();
         let mut first_dgram = true;
         while let Some((chain, enq_at)) = self.ipq.pop_front() {
             let enq_at = enq_at.max(self.ipq_floor);
@@ -841,13 +842,19 @@ impl Kernel {
             // processing, keeping the rows a disjoint partition of
             // the receive window as in the paper's tables.
             self.spans.span(SpanKind::RxIpq, enq_at, start.max(enq_at));
-            cursor = self.ip_input(cursor, chain, first_dgram, drv, &mut out);
+            cursor = self.ip_input(cursor, chain, first_dgram, drv);
             first_dgram = false;
         }
         self.ipq_floor = SimTime::ZERO;
         self.cpu.occupy(start, cursor, CpuBand::SoftIntr);
-        out.done_at = cursor;
-        out
+        cursor
+    }
+
+    /// Drains the processes the software interrupt woke, each with the
+    /// time it starts running: every blocked reader, then every
+    /// blocked writer, in the order they were woken.
+    pub fn drain_wakeups(&mut self) -> impl Iterator<Item = (SockId, SimTime)> + '_ {
+        self.wakeups.drain(..).chain(self.writer_wakeups.drain(..))
     }
 
     /// IP input for one datagram, then TCP input.
@@ -857,7 +864,6 @@ impl Kernel {
         mut chain: Chain,
         first_dgram: bool,
         drv: &mut dyn TxDriver,
-        out: &mut RxOutcome,
     ) -> SimTime {
         let cluster = chain.iter().any(mbuf::Mbuf::is_cluster);
         let ip_us = if !first_dgram {
@@ -885,7 +891,7 @@ impl Kernel {
         let mut proto = [0u8; 10];
         let _ = chain.copy_out(0, &mut proto);
         if proto[9] == crate::udp::IPPROTO_UDP {
-            return self.udp_input(cursor, &chain, out);
+            return self.udp_input(cursor, &chain);
         }
         let mut hdr40 = [0u8; TCPIP_HDR_LEN];
         if chain.len() < TCPIP_HDR_LEN {
@@ -903,7 +909,7 @@ impl Kernel {
             let excess = chain.len() - usize::from(hdr.ip_len);
             chain.trim_back_bytes(excess);
         }
-        self.tcp_input(cursor, hdr, chain, drv, out)
+        self.tcp_input(cursor, hdr, chain, drv)
     }
 
     /// TCP input for one segment.
@@ -913,7 +919,6 @@ impl Kernel {
         hdr: TcpIpHeader,
         mut chain: Chain,
         drv: &mut dyn TxDriver,
-        out: &mut RxOutcome,
     ) -> SimTime {
         if hdr.flags & crate::hdr::flags::SYN != 0 {
             return self.handshake_input(cursor, &chain, drv);
@@ -1054,10 +1059,8 @@ impl Kernel {
             }
             Prediction::FastData => {
                 conn.tcb.stats.predict_data_hits += 1;
-                let res = conn.tcb.process_data(hdr.seq, chain);
-                for c in res.deliver {
-                    conn.sock.rcv.append(c);
-                }
+                conn.tcb
+                    .process_data(hdr.seq, chain, &mut conn.sock.rcv.chain);
                 if conn.sock.proc_state == crate::socket::ProcState::BlockedInRead {
                     woke_reader = true;
                 }
@@ -1076,10 +1079,8 @@ impl Kernel {
                     woke_writer = true;
                 }
                 if payload_len > 0 {
-                    let res = conn.tcb.process_data(hdr.seq, chain);
-                    for c in res.deliver {
-                        conn.sock.rcv.append(c);
-                    }
+                    conn.tcb
+                        .process_data(hdr.seq, chain, &mut conn.sock.rcv.chain);
                 }
                 if conn.sock.proc_state == crate::socket::ProcState::BlockedInRead
                     && !conn.sock.rcv.is_empty()
@@ -1103,12 +1104,12 @@ impl Kernel {
             let run_at = cursor + self.tables.wakeup;
             self.spans.span(SpanKind::RxWakeup, cursor, run_at);
             self.conns[sock].sock.proc_state = crate::socket::ProcState::Running;
-            out.wakeups.push((sock, run_at));
+            self.wakeups.push((sock, run_at));
         }
         if woke_writer {
             let run_at = cursor + self.tables.wakeup;
             self.conns[sock].sock.proc_state = crate::socket::ProcState::Running;
-            out.writer_wakeups.push((sock, run_at));
+            self.writer_wakeups.push((sock, run_at));
         }
 
         // Output in response: retransmit (fast retransmit reset
@@ -1183,12 +1184,14 @@ impl Kernel {
     // Read path and timers.
     // ------------------------------------------------------------------
 
-    /// The read system call: returns up to `want` bytes, or blocks.
+    /// The read system call: appends up to `want` bytes to `buf`, or
+    /// blocks.
     pub fn syscall_read(
         &mut self,
         now: SimTime,
         sock: SockId,
         want: usize,
+        buf: &mut Vec<u8>,
         drv: &mut dyn TxDriver,
     ) -> RxSyscallOutcome {
         let start = now.max(self.cpu.busy_until());
@@ -1201,7 +1204,7 @@ impl Kernel {
             if let Some(err) = conn.tcb.so_error {
                 return RxSyscallOutcome {
                     done_at: cursor,
-                    data: Vec::new(),
+                    len: 0,
                     blocked: false,
                     error: Some(err),
                 };
@@ -1211,15 +1214,14 @@ impl Kernel {
             // into the wakeup constant as the paper's probes did.
             return RxSyscallOutcome {
                 done_at: cursor,
-                data: Vec::new(),
+                len: 0,
                 blocked: true,
                 error: None,
             };
         }
         let take = want.min(avail);
-        let mut data = vec![0u8; take];
         let mbufs = conn.sock.rcv.chain.mbuf_count();
-        let _ = conn.sock.rcv.chain.copy_out(0, &mut data);
+        let _ = conn.sock.rcv.chain.copy_prefix_into(take, buf);
         let _ = conn.sock.rcv.drop_front(take);
         let cost = self.costs.user_rx.eval(take, mbufs);
         self.spans.span(SpanKind::RxUser, cursor, cursor + cost);
@@ -1237,14 +1239,14 @@ impl Kernel {
         // The probe point is the return to user space, after any
         // window-update output — the same instant `ReadReturn` marks.
         if self.taps.wants(simcap::TapPoint::SockRecv) {
-            self.taps
-                .record(simcap::TapPoint::SockRecv, cursor, data.clone());
+            let data = buf[buf.len() - take..].to_vec();
+            self.taps.record(simcap::TapPoint::SockRecv, cursor, data);
         }
 
         self.cpu.occupy(start, cursor, CpuBand::Process);
         RxSyscallOutcome {
             done_at: cursor,
-            data,
+            len: take,
             blocked: false,
             error: None,
         }
@@ -1258,7 +1260,9 @@ impl Kernel {
     pub fn check_timers(&mut self, now: SimTime, drv: &mut dyn TxDriver) -> Option<SimTime> {
         let start = now.max(self.cpu.busy_until());
         let mut cursor = start;
-        for sock in self.due_socks(now) {
+        let mut due = std::mem::take(&mut self.due);
+        self.due_socks(now, &mut due);
+        for &sock in &due {
             self.touch(sock);
             let conn = &mut self.conns[sock];
             if let Some(dl) = conn.delack_deadline {
@@ -1366,6 +1370,8 @@ impl Kernel {
                 }
             }
         }
+        due.clear();
+        self.due = due;
         if cursor > start {
             self.cpu.occupy(start, cursor, CpuBand::Process);
         }
@@ -1654,8 +1660,13 @@ impl Kernel {
         }
     }
 
-    /// Receives one whole datagram, or blocks.
-    pub fn udp_recvfrom(&mut self, now: SimTime, sock: SockId) -> RxSyscallOutcome {
+    /// Receives one whole datagram, appended to `buf`, or blocks.
+    pub fn udp_recvfrom(
+        &mut self,
+        now: SimTime,
+        sock: SockId,
+        buf: &mut Vec<u8>,
+    ) -> RxSyscallOutcome {
         let start = now.max(self.cpu.busy_until());
         let mut cursor = start;
         let s = &mut self.udp_socks[sock];
@@ -1663,7 +1674,7 @@ impl Kernel {
             s.reader_blocked = true;
             return RxSyscallOutcome {
                 done_at: cursor,
-                data: Vec::new(),
+                len: 0,
                 blocked: true,
                 error: None,
             };
@@ -1674,21 +1685,22 @@ impl Kernel {
             .eval(data.len(), 1 + data.len() / mbuf::MCLBYTES);
         self.spans.span(SpanKind::RxUser, cursor, cursor + cost);
         cursor += cost;
+        buf.extend_from_slice(&data);
+        let len = data.len();
         if self.taps.wants(simcap::TapPoint::SockRecv) {
-            self.taps
-                .record(simcap::TapPoint::SockRecv, cursor, data.clone());
+            self.taps.record(simcap::TapPoint::SockRecv, cursor, data);
         }
         self.cpu.occupy(start, cursor, CpuBand::Process);
         RxSyscallOutcome {
             done_at: cursor,
-            data,
+            len,
             blocked: false,
             error: None,
         }
     }
 
     /// UDP input for one datagram.
-    fn udp_input(&mut self, mut cursor: SimTime, chain: &Chain, out: &mut RxOutcome) -> SimTime {
+    fn udp_input(&mut self, mut cursor: SimTime, chain: &Chain) -> SimTime {
         let mut hdr28 = [0u8; crate::udp::UDPIP_HDR_LEN];
         if chain.len() < crate::udp::UDPIP_HDR_LEN {
             self.stats.ip_header_drops += 1;
@@ -1740,7 +1752,7 @@ impl Kernel {
             s.reader_blocked = false;
             let run_at = cursor + self.tables.wakeup;
             self.spans.span(SpanKind::RxWakeup, cursor, run_at);
-            out.wakeups.push((sock, run_at));
+            self.wakeups.push((sock, run_at));
         }
         cursor
     }
@@ -1896,17 +1908,18 @@ impl Kernel {
         self.timers.first().map(|&(dl, _)| dl)
     }
 
-    /// The sockets with a deadline at or before `now`, ascending.
-    fn due_socks(&mut self, now: SimTime) -> Vec<SockId> {
+    /// Sets `due` to the sockets with a deadline at or before `now`,
+    /// ascending.
+    fn due_socks(&mut self, now: SimTime, due: &mut Vec<SockId>) {
         self.sync_timers();
-        let mut due: Vec<SockId> = self
-            .timers
-            .iter()
-            .take_while(|&&(dl, _)| dl <= now)
-            .map(|&(_, sock)| sock)
-            .collect();
+        due.clear();
+        due.extend(
+            self.timers
+                .iter()
+                .take_while(|&&(dl, _)| dl <= now)
+                .map(|&(_, sock)| sock),
+        );
         due.sort_unstable();
-        due
     }
 
     /// Queues `sock` for a timer-index resync. Every path that can move
@@ -2076,7 +2089,7 @@ mod tests {
                         };
                         let seen = k.spans.spans().len();
                         let start = now.max(at).max(k.cpu.busy_until()).max(ready);
-                        now = k.ipintr(now.max(at), &mut drv).done_at;
+                        now = k.ipintr(now.max(at), &mut drv);
                         let new = &k.spans.spans()[seen..];
                         let first_ip = new.iter().find(|s| s.kind == SpanKind::RxIp);
                         assert_eq!(first_ip.map(|s| s.start), Some(start), "seed {seed}");
@@ -2123,9 +2136,10 @@ mod tests {
         let _ = a.syscall_write(SimTime::ZERO, sa, &data, &mut da);
         pump(&mut a, &mut b, sa, sb, &mut da, &mut db);
         assert_eq!(b.rcv_buffered(sb), 5000);
-        let got = b.syscall_read(SimTime::from_ms(100), sb, 5000, &mut db);
+        let mut got_buf = Vec::new();
+        let got = b.syscall_read(SimTime::from_ms(100), sb, 5000, &mut got_buf, &mut db);
         assert!(!got.blocked);
-        assert_eq!(got.data, data, "payload integrity end to end");
+        assert_eq!(got_buf, data, "payload integrity end to end");
     }
 
     #[test]
@@ -2195,20 +2209,22 @@ mod tests {
         let (mut a, mut b, sa, sb) = pair();
         let mut da = CaptureDriver::new(9188);
         let mut db = CaptureDriver::new(9188);
-        let r = b.syscall_read(SimTime::ZERO, sb, 100, &mut db);
+        let r = b.syscall_read(SimTime::ZERO, sb, 100, &mut Vec::new(), &mut db);
         assert!(r.blocked);
         assert!(b.reader_blocked(sb));
         let _ = a.syscall_write(SimTime::ZERO, sa, &[1u8; 100], &mut da);
         let pkt = da.packets.remove(0);
         let (chain, _) = Chain::from_user_data(&b.pool, &pkt, false);
         let at = b.enqueue_ip(SimTime::from_ms(1), chain).unwrap();
-        let out = b.ipintr(at, &mut db);
-        assert_eq!(out.wakeups.len(), 1);
-        let (wsock, run_at) = out.wakeups[0];
+        let done = b.ipintr(at, &mut db);
+        let wakeups: Vec<_> = b.drain_wakeups().collect();
+        assert_eq!(wakeups.len(), 1);
+        let (wsock, run_at) = wakeups[0];
         assert_eq!(wsock, sb);
-        assert!(run_at >= out.done_at);
-        let r = b.syscall_read(run_at, sb, 100, &mut db);
-        assert_eq!(r.data, vec![1u8; 100]);
+        assert!(run_at >= done);
+        let mut r = Vec::new();
+        let _ = b.syscall_read(run_at, sb, 100, &mut r, &mut db);
+        assert_eq!(r, vec![1u8; 100]);
     }
 
     #[test]
@@ -2272,7 +2288,7 @@ mod tests {
         da.packets.clear();
         // The application now waits for a response that will never
         // come; the abort must wake it rather than hang it.
-        let r = a.syscall_read(SimTime::ZERO, sa, 100, &mut da);
+        let r = a.syscall_read(SimTime::ZERO, sa, 100, &mut Vec::new(), &mut da);
         assert!(r.blocked);
         // Every retransmission is also lost; the timer escalates to
         // the abort in a bounded number of fires.
@@ -2295,7 +2311,7 @@ mod tests {
         let wakeups = a.take_timer_wakeups();
         assert_eq!(wakeups.len(), 1);
         assert_eq!(wakeups[0].0, sa);
-        let r = a.syscall_read(wakeups[0].1, sa, 100, &mut da);
+        let r = a.syscall_read(wakeups[0].1, sa, 100, &mut Vec::new(), &mut da);
         assert!(!r.blocked, "reader returns instead of sleeping forever");
         assert_eq!(r.error, Some(crate::tcb::ConnError::TimedOut));
         // Writes fail the same way.
@@ -2341,8 +2357,9 @@ mod tests {
         assert_eq!(a.stats.rto_fires, 0, "recovery did not wait for the timer");
         // The retransmission fills the gap; everything delivers.
         pump(&mut a, &mut b, sa, sb, &mut da, &mut db);
-        let got = b.syscall_read(t + SimTime::from_ms(5), sb, 16_000, &mut db);
-        assert_eq!(got.data, data, "payload intact after burst recovery");
+        let mut got = Vec::new();
+        let _ = b.syscall_read(t + SimTime::from_ms(5), sb, 16_000, &mut got, &mut db);
+        assert_eq!(got, data, "payload intact after burst recovery");
     }
 
     #[test]
@@ -2362,7 +2379,7 @@ mod tests {
                 }
             }
             t += SimTime::from_ms(1);
-            let _ = b.syscall_read(t, sb, 200, &mut db);
+            let _ = b.syscall_read(t, sb, 200, &mut Vec::new(), &mut db);
             let _ = b.syscall_write(t, sb, &[4u8; 200], &mut db);
             let pkts: Vec<_> = db.packets.drain(..).collect();
             for p in pkts {
@@ -2371,7 +2388,7 @@ mod tests {
                     let _ = a.ipintr(at, &mut da);
                 }
             }
-            let _ = a.syscall_read(t + SimTime::from_ms(1), sa, 200, &mut da);
+            let _ = a.syscall_read(t + SimTime::from_ms(1), sa, 200, &mut Vec::new(), &mut da);
             t += SimTime::from_ms(10);
         }
         // §3: the piggybacked-ACK round trip does not take the fast
@@ -2414,9 +2431,10 @@ mod tests {
         let _ = a.udp_sendto(SimTime::ZERO, ua, [10, 0, 0, 2], 2049, &data, &mut da);
         assert_eq!(da.packets.len(), 1, "one datagram, no segmentation");
         shuttle(&mut da, &mut b, &mut db, SimTime::from_ms(1));
-        let r = b.udp_recvfrom(SimTime::from_ms(2), ub);
+        let mut r_buf = Vec::new();
+        let r = b.udp_recvfrom(SimTime::from_ms(2), ub, &mut r_buf);
         assert!(!r.blocked);
-        assert_eq!(r.data, data);
+        assert_eq!(r_buf, data);
         assert_eq!(b.udp_cksum_drops(ub), 0);
     }
 
@@ -2451,12 +2469,13 @@ mod tests {
         }
         // Checksummed socket: dropped. Checksum-off socket: delivered
         // corrupted — the §4.2 trade, demonstrated on UDP.
-        let r1 = b.udp_recvfrom(SimTime::from_ms(5), rb_with);
+        let r1 = b.udp_recvfrom(SimTime::from_ms(5), rb_with, &mut Vec::new());
         assert!(r1.blocked, "corrupted datagram was dropped");
         assert_eq!(b.udp_cksum_drops(rb_with), 1);
-        let r2 = b.udp_recvfrom(SimTime::from_ms(5), rb_without);
+        let mut r2_buf = Vec::new();
+        let r2 = b.udp_recvfrom(SimTime::from_ms(5), rb_without, &mut r2_buf);
         assert!(!r2.blocked);
-        assert_ne!(r2.data, vec![7u8; 200], "corruption delivered silently");
+        assert_ne!(r2_buf, vec![7u8; 200], "corruption delivered silently");
     }
 
     #[test]
@@ -2469,16 +2488,18 @@ mod tests {
         let mut db = CaptureDriver::new(9188);
         let ua = a.udp_bind([10, 0, 0, 1], 700, true);
         let ub = b.udp_bind([10, 0, 0, 2], 800, true);
-        let r = b.udp_recvfrom(SimTime::ZERO, ub);
+        let r = b.udp_recvfrom(SimTime::ZERO, ub, &mut Vec::new());
         assert!(r.blocked);
         let _ = a.udp_sendto(SimTime::ZERO, ua, [10, 0, 0, 2], 800, &[1u8; 50], &mut da);
         let pkt = da.packets.remove(0);
         let (chain, _) = Chain::from_user_data(&b.pool, &pkt, false);
         let at = b.enqueue_ip(SimTime::from_ms(1), chain).unwrap();
-        let out = b.ipintr(at, &mut db);
-        assert_eq!(out.wakeups.len(), 1, "blocked UDP reader woken");
-        let r = b.udp_recvfrom(out.wakeups[0].1, ub);
-        assert_eq!(r.data, vec![1u8; 50]);
+        let _ = b.ipintr(at, &mut db);
+        let wakeups: Vec<_> = b.drain_wakeups().collect();
+        assert_eq!(wakeups.len(), 1, "blocked UDP reader woken");
+        let mut r = Vec::new();
+        let _ = b.udp_recvfrom(wakeups[0].1, ub, &mut r);
+        assert_eq!(r, vec![1u8; 50]);
     }
 
     #[test]
@@ -2521,8 +2542,9 @@ mod tests {
         let data: Vec<u8> = (0..5000).map(|i| (i % 247) as u8).collect();
         let _ = client.syscall_write(SimTime::from_ms(4), sc, &data, &mut dc);
         shuttle(&mut dc, &mut server, &mut ds, SimTime::from_ms(5));
-        let r = server.syscall_read(SimTime::from_ms(6), srv_sock, 5000, &mut ds);
-        assert_eq!(r.data, data);
+        let mut r = Vec::new();
+        let _ = server.syscall_read(SimTime::from_ms(6), srv_sock, 5000, &mut r, &mut ds);
+        assert_eq!(r, data);
     }
 
     #[test]
@@ -2627,8 +2649,9 @@ mod tests {
         let data = vec![0x3cu8; 700];
         let _ = client.syscall_write(SimTime::from_ms(4), sc, &data, &mut dc);
         shuttle(&mut dc, &mut server, &mut ds, SimTime::from_ms(5));
-        let r = server.syscall_read(SimTime::from_ms(6), ss, 700, &mut ds);
-        assert_eq!(r.data, data);
+        let mut r = Vec::new();
+        let _ = server.syscall_read(SimTime::from_ms(6), ss, 700, &mut r, &mut ds);
+        assert_eq!(r, data);
         // Let the delayed ACK drain so the client's buffer empties.
         let t = SimTime::from_secs(1);
         let _ = server.check_timers(t, &mut ds);
@@ -2689,8 +2712,9 @@ mod tests {
         assert_eq!(written, data.len());
         assert!(a.tcb(sa).persist_deadline.is_some(), "persist armed");
         // b's app drains everything; the window update is LOST.
-        let r = b.syscall_read(t, sb, 8192, &mut db);
-        assert_eq!(r.data.len(), 8192);
+        let mut r = Vec::new();
+        let _ = b.syscall_read(t, sb, 8192, &mut r, &mut db);
+        assert_eq!(r.len(), 8192);
         db.packets.clear(); // The lost window update.
                             // The persist timer fires and probes; b now advertises an
                             // open window and the transfer completes.
@@ -2704,8 +2728,9 @@ mod tests {
                 break;
             }
         }
-        let r = b.syscall_read(t + SimTime::from_ms(1), sb, 10_000, &mut db);
-        assert_eq!(r.data, data[8192..].to_vec(), "tail delivered after probe");
+        let mut r = Vec::new();
+        let _ = b.syscall_read(t + SimTime::from_ms(1), sb, 10_000, &mut r, &mut db);
+        assert_eq!(r, data[8192..].to_vec(), "tail delivered after probe");
     }
 
     #[test]
@@ -2788,8 +2813,9 @@ mod tests {
             t += SimTime::from_ms(1);
         }
         assert_eq!(b.stats.tcp_cksum_drops, 0);
-        let r = b.syscall_read(t, sb, 8000, &mut db);
-        assert_eq!(r.data, data);
+        let mut r = Vec::new();
+        let _ = b.syscall_read(t, sb, 8000, &mut r, &mut db);
+        assert_eq!(r, data);
     }
 
     /// Every deadline a connection holds, read straight from its
@@ -2820,7 +2846,9 @@ mod tests {
             let due: Vec<SockId> = (0..k.conns.len())
                 .filter(|&s| deadlines(&k.conns[s]).any(|dl| dl <= at))
                 .collect();
-            assert_eq!(k.due_socks(at), due, "due sockets at {at:?}");
+            let mut got = Vec::new();
+            k.due_socks(at, &mut got);
+            assert_eq!(got, due, "due sockets at {at:?}");
         }
     }
 
@@ -3004,7 +3032,9 @@ mod tests {
             for s in 1..net.server.conns.len() {
                 let late = net.server.tcb(s).key.fport % 2 == 1;
                 if net.server.rcv_buffered(s) > 0 && (!late || step >= 300) {
-                    let _ = net.server.syscall_read(net.now, s, 4096, &mut net.ds);
+                    let _ = net
+                        .server
+                        .syscall_read(net.now, s, 4096, &mut Vec::new(), &mut net.ds);
                     net.check();
                 } else if net.server.tcb(s).state == TcpState::CloseWait {
                     net.server.close(net.now, s, &mut net.ds);

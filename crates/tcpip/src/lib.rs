@@ -47,8 +47,7 @@ pub mod udp;
 pub use config::{CcVariant, ChecksumMode, PcbOrg, StackConfig};
 pub use hdr::TcpIpHeader;
 pub use kernel::{
-    CaptureDriver, Kernel, KernelStats, RxOutcome, RxSyscallOutcome, SockId, TxDriver, TxEmission,
-    TxOutcome,
+    CaptureDriver, Kernel, KernelStats, RxSyscallOutcome, SockId, TxDriver, TxEmission, TxOutcome,
 };
 pub use pcb::{PcbCounters, PcbKey, PcbLookup, PcbTable};
 pub use seq::{seq_ge, seq_gt, seq_le, seq_lt};

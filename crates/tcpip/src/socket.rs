@@ -84,8 +84,6 @@ pub struct Socket {
     pub rcv: SockBuf,
     /// The owning process's wait state.
     pub proc_state: ProcState,
-    /// Bytes the blocked writer still has to hand to the kernel.
-    pub pending_write: Vec<u8>,
 }
 
 impl Socket {
@@ -96,7 +94,6 @@ impl Socket {
             snd: SockBuf::new(sockbuf),
             rcv: SockBuf::new(sockbuf),
             proc_state: ProcState::Running,
-            pending_write: Vec::new(),
         }
     }
 }

@@ -847,16 +847,13 @@ impl Tcb {
     }
 
     /// Accepts a data segment. In-order data (plus any reassembly-
-    /// queue continuation it unblocks) is returned for appending to
-    /// the receive buffer; out-of-order data is queued; stale data is
+    /// queue continuation it unblocks) is appended to `rcv`, the
+    /// receive buffer; out-of-order data is queued; stale data is
     /// dropped.
-    pub fn process_data(&mut self, seq: u32, mut chain: Chain) -> DataOutcome {
+    pub fn process_data(&mut self, seq: u32, mut chain: Chain, rcv: &mut Chain) {
         let len = chain.len();
         if len == 0 {
-            return DataOutcome {
-                deliver: Vec::new(),
-                acknow: false,
-            };
+            return;
         }
         self.stats.segs_in += 1;
         let end = seq.wrapping_add(len as u32);
@@ -864,19 +861,16 @@ impl Tcb {
             // Entirely old: a retransmission we already have. ACK now
             // so the peer resynchronizes.
             self.acknow = true;
-            return DataOutcome {
-                deliver: Vec::new(),
-                acknow: true,
-            };
+            return;
         }
         if seq_lt(seq, self.rcv_nxt) {
             // Partial overlap: trim the stale prefix.
             let stale = seq_diff(seq, self.rcv_nxt) as usize;
             let _ = chain.trim_front(stale);
-            return self.accept_in_order(chain);
+            return self.accept_in_order(chain, rcv);
         }
         if seq == self.rcv_nxt {
-            return self.accept_in_order(chain);
+            return self.accept_in_order(chain, rcv);
         }
         // A gap: queue out of order, ACK immediately (dup ACK driving
         // the peer's fast retransmit).
@@ -888,16 +882,11 @@ impl Tcb {
             .position(|(s, _)| seq_lt(seq, *s))
             .unwrap_or(self.reasm.len());
         self.reasm.insert(pos, (seq, chain));
-        DataOutcome {
-            deliver: Vec::new(),
-            acknow: true,
-        }
     }
 
-    fn accept_in_order(&mut self, chain: Chain) -> DataOutcome {
-        let mut deliver = Vec::new();
+    fn accept_in_order(&mut self, chain: Chain, rcv: &mut Chain) {
         self.rcv_nxt = self.rcv_nxt.wrapping_add(chain.len() as u32);
-        deliver.push(chain);
+        rcv.append(chain);
         // Drain the reassembly queue as the gap closes.
         while let Some(pos) = self.reasm.iter().position(|(s, c)| {
             seq_le(*s, self.rcv_nxt) && seq_gt(s.wrapping_add(c.len() as u32), self.rcv_nxt)
@@ -906,7 +895,7 @@ impl Tcb {
             let stale = seq_diff(s, self.rcv_nxt) as usize;
             let _ = c.trim_front(stale);
             self.rcv_nxt = self.rcv_nxt.wrapping_add(c.len() as u32);
-            deliver.push(c);
+            rcv.append(c);
         }
         // Discard fully stale queue entries.
         self.reasm
@@ -918,10 +907,6 @@ impl Tcb {
             self.acknow = true;
         } else {
             self.delack = true;
-        }
-        DataOutcome {
-            deliver,
-            acknow: self.acknow,
         }
     }
 
@@ -949,14 +934,6 @@ pub struct AckOutcome {
     pub newly_acked: usize,
     /// Resend from `snd_una` immediately.
     pub fast_retransmit: bool,
-}
-
-/// Result of data acceptance.
-pub struct DataOutcome {
-    /// Chains to append to the receive buffer, in order.
-    pub deliver: Vec<Chain>,
-    /// An ACK must be sent immediately.
-    pub acknow: bool,
 }
 
 #[cfg(test)]
@@ -1259,28 +1236,30 @@ mod tests {
     fn in_order_data_delivers_and_alternates_acks() {
         let pool = MbufPool::new();
         let mut t = tcb();
-        let r1 = t.process_data(t.rcv_nxt, chain_of(&pool, 100));
-        assert_eq!(r1.deliver.len(), 1);
-        assert!(!r1.acknow, "first segment: delayed ack");
+        let mut rcv = Chain::new();
+        t.process_data(t.rcv_nxt, chain_of(&pool, 100), &mut rcv);
+        assert_eq!(rcv.len(), 100);
+        assert!(!t.acknow, "first segment: delayed ack");
         assert!(t.delack);
-        let r2 = t.process_data(t.rcv_nxt, chain_of(&pool, 100));
-        assert!(r2.acknow, "second segment: ack now (every other)");
+        t.process_data(t.rcv_nxt, chain_of(&pool, 100), &mut rcv);
+        assert_eq!(rcv.len(), 200);
+        assert!(t.acknow, "second segment: ack now (every other)");
     }
 
     #[test]
     fn out_of_order_data_queues_then_drains() {
         let pool = MbufPool::new();
         let mut t = tcb();
+        let mut rcv = Chain::new();
         let base = t.rcv_nxt;
         // Segment 2 arrives first.
-        let r = t.process_data(base.wrapping_add(100), chain_of(&pool, 100));
-        assert!(r.deliver.is_empty());
-        assert!(r.acknow, "gap triggers immediate ack");
+        t.process_data(base.wrapping_add(100), chain_of(&pool, 100), &mut rcv);
+        assert!(rcv.is_empty());
+        assert!(t.acknow, "gap triggers immediate ack");
         assert_eq!(t.stats.ooo_segments, 1);
         // Segment 1 fills the gap; both deliver.
-        let r = t.process_data(base, chain_of(&pool, 100));
-        let total: usize = r.deliver.iter().map(Chain::len).sum();
-        assert_eq!(total, 200);
+        t.process_data(base, chain_of(&pool, 100), &mut rcv);
+        assert_eq!(rcv.len(), 200);
         assert_eq!(t.rcv_nxt, base.wrapping_add(200));
         assert!(t.reasm.is_empty());
     }
@@ -1289,23 +1268,25 @@ mod tests {
     fn duplicate_data_acked_not_delivered() {
         let pool = MbufPool::new();
         let mut t = tcb();
+        let mut rcv = Chain::new();
         let base = t.rcv_nxt;
-        let _ = t.process_data(base, chain_of(&pool, 100));
-        let r = t.process_data(base, chain_of(&pool, 100));
-        assert!(r.deliver.is_empty());
-        assert!(r.acknow);
+        t.process_data(base, chain_of(&pool, 100), &mut rcv);
+        t.acknow = false;
+        t.process_data(base, chain_of(&pool, 100), &mut rcv);
+        assert_eq!(rcv.len(), 100);
+        assert!(t.acknow);
     }
 
     #[test]
     fn partial_overlap_trimmed() {
         let pool = MbufPool::new();
         let mut t = tcb();
+        let mut rcv = Chain::new();
         let base = t.rcv_nxt;
-        let _ = t.process_data(base, chain_of(&pool, 100));
+        t.process_data(base, chain_of(&pool, 100), &mut rcv);
         // Retransmission covering [50, 150): only [100, 150) is new.
-        let r = t.process_data(base.wrapping_add(50), chain_of(&pool, 100));
-        let total: usize = r.deliver.iter().map(Chain::len).sum();
-        assert_eq!(total, 50);
+        t.process_data(base.wrapping_add(50), chain_of(&pool, 100), &mut rcv);
+        assert_eq!(rcv.len(), 150);
         assert_eq!(t.rcv_nxt, base.wrapping_add(150));
     }
 
@@ -1318,8 +1299,9 @@ mod tests {
         let mut t = Tcb::established(key, 0, 4096, &c);
         t.rcv_nxt = u32::MAX - 1000;
         let base = t.rcv_nxt;
-        let r = t.process_data(base, chain_of(&pool, 4000));
-        assert_eq!(r.deliver.len(), 1);
+        let mut rcv = Chain::new();
+        t.process_data(base, chain_of(&pool, 4000), &mut rcv);
+        assert_eq!(rcv.len(), 4000);
         assert_eq!(t.rcv_nxt, base.wrapping_add(4000), "wrapped cleanly");
         // Sender side wrap.
         assert_eq!(t.next_send(8000), Some((0, 4096)));

@@ -82,8 +82,9 @@ fn shuttle_lossy(cfg: StackConfig, data: &[u8], drop_mask: u64) -> Vec<u8> {
             break;
         }
     }
-    let got = b.syscall_read(t, sb, data.len(), &mut db);
-    got.data
+    let mut got = Vec::new();
+    let _ = b.syscall_read(t, sb, data.len(), &mut got, &mut db);
+    got
 }
 
 /// Runs a clean (lossless) request/response exchange and returns every
@@ -133,8 +134,9 @@ fn clean_trace(cfg: StackConfig, reqs: &[u16]) -> Vec<Vec<u8>> {
                 let _ = b.check_timers(t, &mut db);
             }
         }
-        let got = b.syscall_read(t, sb, data.len(), &mut db);
-        assert_eq!(got.data, data, "clean path must deliver");
+        let mut got = Vec::new();
+        let _ = b.syscall_read(t, sb, data.len(), &mut got, &mut db);
+        assert_eq!(got, data, "clean path must deliver");
         // Drain the window-update ACK the read may have produced.
         for p in db.packets.drain(..) {
             wire.push(p.clone());

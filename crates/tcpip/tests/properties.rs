@@ -44,16 +44,13 @@ proptest! {
         arrivals.extend(0..segs.len());
         arrivals.extend(dups.iter().map(|&x| x as usize % segs.len()));
 
-        let mut delivered = Vec::new();
+        let mut rcv = Chain::new();
         for idx in arrivals {
             let (off, len) = segs[idx];
             let (chain, _) = Chain::from_user_data(&pool, &data[off..off + len], len > 1024);
-            let res = tcb.process_data(base.wrapping_add(off as u32), chain);
-            for c in res.deliver {
-                delivered.extend(c.to_vec());
-            }
+            tcb.process_data(base.wrapping_add(off as u32), chain, &mut rcv);
         }
-        prop_assert_eq!(delivered, data);
+        prop_assert_eq!(rcv.to_vec(), data);
         prop_assert!(tcb.reasm.is_empty(), "queue drains once the stream completes");
     }
 
@@ -144,7 +141,8 @@ proptest! {
             }
         }
         prop_assert_eq!(b.rcv_buffered(sb), data.len(), "all bytes arrived");
-        let got = b.syscall_read(t, sb, data.len(), &mut db);
-        prop_assert_eq!(got.data, data);
+        let mut got = Vec::new();
+        let _ = b.syscall_read(t, sb, data.len(), &mut got, &mut db);
+        prop_assert_eq!(got, data);
     }
 }

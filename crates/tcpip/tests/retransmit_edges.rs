@@ -123,7 +123,7 @@ fn karn_acks_of_retransmitted_data_neither_sample_nor_reset_backoff() {
     deliver(&mut a, &mut da, t, &ack);
     assert_eq!(a.tcb(sa).rtt_samples, 1, "the clean round trip was timed");
     assert_eq!(a.tcb(sa).flight_size(), 0);
-    let _ = b.syscall_read(t, sb, 512, &mut db);
+    let _ = b.syscall_read(t, sb, 512, &mut Vec::new(), &mut db);
     db.packets.clear(); // Drop any window-update ACK from the read.
 
     // Two full segments, both lost. The RTO resends only the first
@@ -192,8 +192,9 @@ fn karn_acks_of_retransmitted_data_neither_sample_nor_reset_backoff() {
         1,
         "no sample from any retransmitted data"
     );
-    let got = b.syscall_read(t, sb, 2 * mss, &mut db);
-    assert_eq!(got.data, data, "payload intact through the recovery");
+    let mut got = Vec::new();
+    let _ = b.syscall_read(t, sb, 2 * mss, &mut got, &mut db);
+    assert_eq!(got, data, "payload intact through the recovery");
 }
 
 #[test]
@@ -383,8 +384,9 @@ fn armed_variants_fire_on_exactly_the_third_duplicate_ack() {
             }
         }
         assert_eq!(a.tcb(sa).dupacks, 0, "{cc:?}: new ACK reset the count");
-        let got = b.syscall_read(t, sb, 4 * mss, &mut db);
-        assert_eq!(got.data, data, "{cc:?}: payload intact through recovery");
+        let mut got = Vec::new();
+        let _ = b.syscall_read(t, sb, 4 * mss, &mut got, &mut db);
+        assert_eq!(got, data, "{cc:?}: payload intact through recovery");
     }
 }
 
@@ -467,6 +469,7 @@ fn fast_retransmit_fires_on_exactly_the_third_duplicate_ack() {
         deliver(&mut a, &mut da, t, ackp);
     }
     assert_eq!(a.tcb(sa).dupacks, 0, "a new ACK resets the duplicate count");
-    let got = b.syscall_read(t, sb, 4 * mss, &mut db);
-    assert_eq!(got.data, data, "payload intact after fast recovery");
+    let mut got = Vec::new();
+    let _ = b.syscall_read(t, sb, 4 * mss, &mut got, &mut db);
+    assert_eq!(got, data, "payload intact after fast recovery");
 }

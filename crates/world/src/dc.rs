@@ -31,7 +31,7 @@ use std::sync::OnceLock;
 
 use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
-use latency_core::app::{period_bytes, period_matches};
+use latency_core::app::{period_fill, period_matches};
 use latency_core::nic::{arm_host, atm_receive, AtmDelivery, AtmNic, NicMut};
 use latency_core::Samples;
 use simkit::{Parked, Scheduler, Sim, SimTime};
@@ -225,6 +225,10 @@ pub struct DcWorld {
     /// Each cell train past the switch and its source host, parked
     /// until its arrival event fires.
     in_flight: Parked<(usize, Vec<(SimTime, LinkFault)>)>,
+    /// The request a client connection is writing, built in place each
+    /// time ([`dc_pattern`]). One per world: a write copies it into
+    /// mbufs before the next one starts.
+    request: Vec<u8>,
 }
 
 // The parallel sweep runner builds and runs one world per cell inside
@@ -235,14 +239,13 @@ const _: () = simkit::assert_world_send::<DcWorld>();
 /// identity and the iteration — so a segment delivered to the wrong
 /// connection (a PCB demultiplex bug) fails verification instead of
 /// passing silently. Byte `i` is `(i + salt) % 251`, where the salt
-/// mixes `iter` and `ident`.
-#[must_use]
-pub fn dc_pattern(size: usize, iter: u64, ident: (usize, usize)) -> Vec<u8> {
-    period_bytes(&PATTERN_PERIOD, pattern_start(iter, ident), size)
+/// mixes `iter` and `ident`. Written into `buf`, reusing its storage.
+pub fn dc_pattern(buf: &mut Vec<u8>, size: usize, iter: u64, ident: (usize, usize)) {
+    period_fill(buf, &PATTERN_PERIOD, pattern_start(iter, ident), size);
 }
 
-/// Whether `got` is exactly `dc_pattern(size, iter, ident)`, compared
-/// in place.
+/// Whether `got` is exactly the `dc_pattern` of `size`, `iter` and
+/// `ident`, compared in place.
 fn pattern_matches(got: &[u8], size: usize, iter: u64, ident: (usize, usize)) -> bool {
     period_matches(got, &PATTERN_PERIOD, pattern_start(iter, ident), size)
 }
@@ -509,6 +512,7 @@ impl DcWorld {
             live_clients,
             seed,
             in_flight: Parked::default(),
+            request: Vec::new(),
         }
     }
 
@@ -924,13 +928,21 @@ fn on_timer_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: u64) {
 /// shared switch — and (re)arms the TCP timer after any kernel
 /// interaction on host `h`.
 fn flush_dc(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
-    for AtmDelivery { dst, train } in std::mem::take(&mut w.hosts[h].nic.staged) {
+    let DcWorld {
+        topo,
+        hosts,
+        ids,
+        switch,
+        in_flight,
+        ..
+    } = w;
+    for AtmDelivery { dst, train } in hosts[h].nic.staged.drain(..) {
         // The hardware interrupt fires when the train's last cell
         // reaches the destination adapter. A fully-lost train arrives
         // nowhere; TCP's retransmit timer is the recovery path.
-        let downlink = w.topo.link_delay(w.ids[dst]);
-        if let Some((last, out)) = w.switch.forward_train(h, train, downlink) {
-            let slot = w.in_flight.park((h, out));
+        let downlink = topo.link_delay(ids[dst]);
+        if let Some((last, out)) = switch.forward_train(h, train, downlink) {
+            let slot = in_flight.park((h, out));
             s.schedule_raw_at(
                 last.max(s.now()),
                 "dc-arrival",
@@ -981,15 +993,12 @@ fn on_dc_arrival(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
 
 /// The software interrupt: IP/TCP input, wakeups, responses.
 fn on_softintr(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
-    let host = &mut w.hosts[h];
-    let out = {
-        let DcHost { kernel, nic, .. } = host;
-        kernel.ipintr(s.now(), nic)
-    };
+    let DcHost { kernel, nic, .. } = &mut w.hosts[h];
+    let _ = kernel.ipintr(s.now(), nic);
     flush_dc(w, s, h);
-    for (sock, run_at) in out.wakeups.iter().chain(out.writer_wakeups.iter()) {
-        let at = (*run_at).max(s.now());
-        s.schedule_raw_at(at, "dc-wakeup", conn_step_raw, pack(h, *sock));
+    for (sock, run_at) in w.hosts[h].kernel.drain_wakeups() {
+        let at = run_at.max(s.now());
+        s.schedule_raw_at(at, "dc-wakeup", conn_step_raw, pack(h, sock));
     }
 }
 
@@ -1104,13 +1113,12 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                         kernel, nic, conns, ..
                     } = host;
                     let conn = &conns[c];
-                    let pattern;
                     let data = if conn.client {
                         // `sent` indexes past any retried copies, so
                         // every message on the stream carries a
                         // distinct pattern.
-                        pattern = dc_pattern(size, conn.sent, conn.ident);
-                        &pattern
+                        dc_pattern(&mut w.request, size, conn.sent, conn.ident);
+                        &w.request
                     } else {
                         // The server echoes what it received.
                         &conn.got
@@ -1143,8 +1151,10 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                 let want = size - conn.got.len();
                 let sock = conn.sock;
                 let out = {
-                    let DcHost { kernel, nic, .. } = host;
-                    kernel.syscall_read(now, sock, want, nic)
+                    let DcHost {
+                        kernel, nic, conns, ..
+                    } = host;
+                    kernel.syscall_read(now, sock, want, &mut conns[c].got, nic)
                 };
                 flush_dc(w, s, h);
                 let conn = &mut w.hosts[h].conns[c];
@@ -1156,7 +1166,6 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                     break;
                 }
                 now = out.done_at;
-                conn.got.extend_from_slice(&out.data);
                 if conn.got.len() < size {
                     continue;
                 }
@@ -1546,14 +1555,13 @@ fn on_retry(
         ctl.cost.retries_issued += 1;
     }
     let now = s.now();
-    let (sock, data) = {
-        let conn = &w.hosts[h].conns[slot];
-        (conn.sock, dc_pattern(conn.size, conn.sent, conn.ident))
-    };
     let out = {
-        let host = &mut w.hosts[h];
-        let DcHost { kernel, nic, .. } = host;
-        kernel.syscall_write(now, sock, &data, nic)
+        let DcHost {
+            kernel, nic, conns, ..
+        } = &mut w.hosts[h];
+        let conn = &conns[slot];
+        dc_pattern(&mut w.request, conn.size, conn.sent, conn.ident);
+        kernel.syscall_write(now, conn.sock, &w.request, nic)
     };
     flush_dc(w, s, h);
     if out.error.is_some() {
@@ -1992,13 +2000,19 @@ mod tests {
         assert_split_exact(&faulted, TrafficSchedule::staggered(), 5, "faulted fan-out");
     }
 
+    fn pattern(size: usize, iter: u64, ident: (usize, usize)) -> Vec<u8> {
+        let mut buf = vec![0xee; 3];
+        dc_pattern(&mut buf, size, iter, ident);
+        buf
+    }
+
     #[test]
     fn pattern_is_connection_unique() {
-        let a = dc_pattern(64, 0, (0, 0));
-        assert_ne!(a, dc_pattern(64, 0, (0, 1)));
-        assert_ne!(a, dc_pattern(64, 0, (1, 0)));
-        assert_ne!(a, dc_pattern(64, 1, (0, 0)));
-        assert_eq!(a, dc_pattern(64, 0, (0, 0)));
+        let a = pattern(64, 0, (0, 0));
+        assert_ne!(a, pattern(64, 0, (0, 1)));
+        assert_ne!(a, pattern(64, 0, (1, 0)));
+        assert_ne!(a, pattern(64, 1, (0, 0)));
+        assert_eq!(a, pattern(64, 0, (0, 0)));
     }
 
     /// The pattern's per-byte formula, the reference for the period
@@ -2033,7 +2047,7 @@ mod tests {
         for (iter, ident) in idents {
             for size in (0..=1004).chain([16_000]) {
                 assert_eq!(
-                    dc_pattern(size, iter, ident),
+                    pattern(size, iter, ident),
                     pattern_reference(size, iter, ident),
                     "size {size}, iter {iter}, ident {ident:?}"
                 );
@@ -2047,7 +2061,7 @@ mod tests {
     fn in_place_verifier_agrees_with_comparison() {
         let (iter, ident) = (228, (2, 3));
         for size in [1, 252, 1400] {
-            let want = dc_pattern(size, iter, ident);
+            let want = pattern(size, iter, ident);
             let check = |got: &[u8]| {
                 assert_eq!(
                     pattern_matches(got, size, iter, ident),
