@@ -22,8 +22,10 @@
 use std::cell::RefCell;
 
 use cksum::crc::crc10_sar;
+use simkit::SimTime;
 
-use crate::cell::{Cell, CellHeader, CELL_SIZE};
+use crate::cell::{Cell, CellHeader};
+use crate::link::LinkFault;
 
 /// SAR payload bytes per cell (48 minus 2-byte header and 2-byte
 /// trailer).
@@ -125,19 +127,34 @@ impl Aal34Segmenter {
     /// Panics on datagrams longer than 65535 bytes (the CPCS Length
     /// field width).
     pub fn segment(&mut self, data: &[u8]) -> Vec<Cell> {
-        self.cells(data).collect()
+        let mut train = Vec::new();
+        self.segment_into(data, &mut train, |_| {});
+        train
+            .into_iter()
+            .map(|(_, fault)| match fault {
+                LinkFault::Clean(cell) => cell,
+                _ => unreachable!("no link carried it"),
+            })
+            .collect()
     }
 
-    /// The cells of [`Aal34Segmenter::segment`], built one at a time
-    /// straight from `data`: the CPCS-PDU is never materialised. The
-    /// segmenter's state (BTag, sequence number) advances as the
-    /// cells are taken.
+    /// Segments a datagram straight into the slots of `train`, each
+    /// cell written once, where it lies: cell `i` fills slot `i`,
+    /// labelled `Clean`, and `carry` then times and faults that slot
+    /// in place before the next cell is written. The train is cut or
+    /// grown to the datagram's cell count, and every byte of a reused
+    /// slot is rewritten. The CPCS-PDU is never materialised.
     ///
     /// # Panics
     ///
     /// Panics on datagrams longer than 65535 bytes (the CPCS Length
     /// field width).
-    pub fn cells<'a>(&'a mut self, data: &'a [u8]) -> impl ExactSizeIterator<Item = Cell> + 'a {
+    pub fn segment_into(
+        &mut self,
+        data: &[u8],
+        train: &mut Vec<(SimTime, LinkFault)>,
+        mut carry: impl FnMut(&mut (SimTime, LinkFault)),
+    ) {
         assert!(
             data.len() <= u16::MAX as usize,
             "datagram too long for AAL3/4"
@@ -145,7 +162,8 @@ impl Aal34Segmenter {
         self.btag = self.btag.wrapping_add(1);
         let pdu = CpcsPdu::new(self.btag, data);
         let n_cells = pdu.len().div_ceil(SAR_PAYLOAD);
-        (0..n_cells).map(move |i| {
+        train.resize(n_cells, (SimTime::ZERO, LinkFault::Lost));
+        for (i, slot) in train.iter_mut().enumerate() {
             let st = if n_cells == 1 {
                 SegType::Ssm
             } else if i == 0 {
@@ -155,17 +173,24 @@ impl Aal34Segmenter {
             } else {
                 SegType::Com
             };
-            let cell = self.sar_cell(st, &pdu, i * SAR_PAYLOAD);
+            // A lost or corrupted slot gets a blank cell to write over.
+            if !matches!(slot.1, LinkFault::Clean(_)) {
+                slot.1 = LinkFault::Clean(Cell::BLANK);
+            }
+            let LinkFault::Clean(cell) = &mut slot.1 else {
+                unreachable!("relabelled above")
+            };
+            self.write_cell(st, &pdu, i * SAR_PAYLOAD, cell);
             self.sn = (self.sn + 1) & 0xf;
-            cell
-        })
+            carry(slot);
+        }
     }
 
-    /// Builds the cell carrying the CPCS-PDU bytes from `off` on (at
-    /// most 44 of them).
-    fn sar_cell(&self, st: SegType, cpcs: &CpcsPdu, off: usize) -> Cell {
+    /// Writes all 53 bytes of the cell carrying the CPCS-PDU bytes
+    /// from `off` on (at most 44 of them) over `cell`.
+    fn write_cell(&self, st: SegType, cpcs: &CpcsPdu, off: usize, cell: &mut Cell) {
         let li = (cpcs.len() - off).min(SAR_PAYLOAD);
-        let mut bytes = [0u8; CELL_SIZE];
+        let bytes = cell.bytes_mut();
         bytes[..5].copy_from_slice(&self.header);
         let pdu: &mut [u8; 48] = (&mut bytes[5..]).try_into().expect("48-byte SAR-PDU");
         // SAR header: ST(2) SN(4) MID(10). SAR trailer: LI(6) CRC(10).
@@ -189,6 +214,10 @@ impl Aal34Segmenter {
                 chunk.copy_from_slice(&word.to_be_bytes());
             }
         } else {
+            // A cell with CPCS framing in it: zero the payload first,
+            // since the slot may hold an earlier cell and the padding
+            // is not written.
+            pdu.fill(0);
             pdu[..2].copy_from_slice(&sar.to_be_bytes());
             cpcs.copy_window(off, &mut pdu[2..2 + li]);
             pdu[46] = li_bits;
@@ -197,7 +226,6 @@ impl Aal34Segmenter {
         let crc = crc10_sar(pdu);
         pdu[46] |= (crc >> 8) as u8;
         pdu[47] = (crc & 0xff) as u8;
-        Cell::from_encoded(bytes)
     }
 }
 
@@ -650,6 +678,55 @@ mod tests {
                 (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
             });
         assert_eq!(fnv, 0xd72e_6313_f361_5031);
+    }
+
+    /// Cells written over a train that still holds another VC's
+    /// cells, some of its slots lost and some corrupted, are the cells
+    /// [`Aal34Segmenter::segment`] builds fresh: no stale byte shows in
+    /// the padding of a BOM, EOM or SSM cell. The FNV-1a answer over
+    /// the sizes around the cell boundaries, 0 and 1 B included, was
+    /// recorded when each cell was built on its own and moved out.
+    #[test]
+    fn cells_written_over_stale_slots_match_known_wire_bytes() {
+        const SIZES: [usize; 8] = [0, 1, 36, 37, 44, 200, 4040, 9188];
+        const KNOWN: u64 = 0x38ad_cdbb_7b4e_1f45;
+        let data = |n: usize| (0..n).map(|i| (i * 7 + 1) as u8).collect::<Vec<u8>>();
+        let fnv = |cells: &[Cell]| {
+            cells
+                .iter()
+                .flat_map(Cell::to_bytes)
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                })
+        };
+        let mut fresh = Aal34Segmenter::new(0, 42, 7);
+        let cells: Vec<Cell> = SIZES
+            .iter()
+            .flat_map(|&n| fresh.segment(&data(n)))
+            .collect();
+        assert_eq!(fnv(&cells), KNOWN, "fresh cells");
+
+        let mut stale = Aal34Segmenter::new(3, 99, 1);
+        let mut seg = Aal34Segmenter::new(0, 42, 7);
+        let mut train = Vec::new();
+        let mut written = Vec::new();
+        for n in SIZES {
+            stale.segment_into(&[0xff; 9188], &mut train, |_| {});
+            for (i, (_, fault)) in train.iter_mut().enumerate() {
+                if i % 3 == 1 {
+                    *fault = LinkFault::Lost;
+                } else if let (2, LinkFault::Clean(c)) = (i % 5, &*fault) {
+                    *fault = LinkFault::Corrupted(c.clone());
+                }
+            }
+            seg.segment_into(&data(n), &mut train, |_| {});
+            assert_eq!(train.len(), Aal34Segmenter::cells_for(n), "{n} B");
+            written.extend(train.iter().map(|(_, fault)| match fault {
+                LinkFault::Clean(c) => c.clone(),
+                other => panic!("{n} B: a written slot is {other:?}"),
+            }));
+        }
+        assert_eq!(fnv(&written), KNOWN, "cells written over stale slots");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! The adapter model is pure state + timing arithmetic; the
 //! simulation layer owns event scheduling.
 
-use std::collections::vec_deque::{Drain, VecDeque};
+use std::collections::VecDeque;
 
 use simkit::SimTime;
 
@@ -133,10 +133,12 @@ impl TxFifo {
 /// Cells arrive from the link at their wire-arrival times; the driver
 /// drains them under interrupt. A cell arriving into a full FIFO is
 /// dropped and counted — the overflow path of the loss experiments.
-#[derive(Debug, Default)]
+/// A cell is stored only while a stalled drain leaves it waiting.
+#[derive(Debug)]
 pub struct RxFifo {
     capacity: usize,
-    cells: VecDeque<Cell>,
+    /// The cells a stalled drain left waiting, oldest first.
+    backlog: VecDeque<Cell>,
     /// Cells dropped on overflow.
     pub overflow_drops: u64,
     /// Cells accepted.
@@ -149,37 +151,37 @@ impl RxFifo {
     pub fn new(capacity: usize) -> Self {
         RxFifo {
             capacity,
-            cells: VecDeque::new(),
+            backlog: VecDeque::new(),
             overflow_drops: 0,
             cells_received: 0,
         }
     }
 
-    /// A cell arrives; returns whether it was accepted.
+    /// A cell arrives; returns whether it was accepted. When `stalled`,
+    /// an accepted cell waits in the FIFO. Otherwise the driver drains
+    /// the whole FIFO under this interrupt, handing `service` each
+    /// waiting cell, oldest first, and then the arriving one if it was
+    /// accepted.
     #[inline]
-    pub fn arrive(&mut self, cell: Cell) -> bool {
-        if self.cells.len() >= self.capacity {
-            self.overflow_drops += 1;
-            return false;
+    pub fn arrive(&mut self, cell: &Cell, stalled: bool, mut service: impl FnMut(&Cell)) -> bool {
+        let accepted = self.backlog.len() < self.capacity;
+        self.cells_received += u64::from(accepted);
+        self.overflow_drops += u64::from(!accepted);
+        if stalled && accepted {
+            self.backlog.push_back(cell.clone());
+        } else if !stalled {
+            self.backlog.drain(..).for_each(|waiting| service(&waiting));
+            if accepted {
+                service(cell);
+            }
         }
-        self.cells.push_back(cell);
-        self.cells_received += 1;
-        true
+        accepted
     }
 
     /// Current occupancy.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Drains every queued cell, oldest first (the driver's interrupt
-    /// service). The cells move out of the FIFO's own ring as the
-    /// iterator is consumed, so a drain allocates nothing; any the
-    /// caller leaves unconsumed are dropped with the iterator.
-    #[inline]
-    pub fn drain(&mut self) -> Drain<'_, Cell> {
-        self.cells.drain(..)
+        self.backlog.len()
     }
 }
 
@@ -285,32 +287,51 @@ mod tests {
         assert_eq!(tx.stall_time, SimTime::ZERO);
     }
 
-    #[test]
-    fn rx_fifo_accepts_and_drains() {
-        let mut rx = RxFifo::new(292);
-        for i in 0..100u8 {
-            assert!(rx.arrive(cell_with(i)));
+    /// Feeds `cells` to `rx`, stalled where `stalls` says; returns
+    /// the first payload byte of each cell serviced, in order.
+    fn feed(rx: &mut RxFifo, cells: impl IntoIterator<Item = (u8, bool)>) -> Vec<u8> {
+        let mut serviced = Vec::new();
+        for (byte, stalled) in cells {
+            let _ = rx.arrive(&cell_with(byte), stalled, |c| serviced.push(c.payload()[0]));
         }
-        assert_eq!(rx.occupancy(), 100);
-        let drained = rx.drain();
-        assert_eq!(drained.len(), 100);
-        // Arrival order, every cell once.
-        assert!(drained.enumerate().all(|(i, c)| c.payload()[0] == i as u8));
+        serviced
+    }
+
+    #[test]
+    fn rx_fifo_services_each_cell_once_in_arrival_order() {
+        let mut rx = RxFifo::new(292);
+        // Every third arrival finds the drain unstalled.
+        let serviced = feed(&mut rx, (0..100u8).map(|i| (i, i % 3 != 2)));
+        assert_eq!(serviced, (0..99).collect::<Vec<u8>>());
+        // The last arrival's cell waits in the FIFO.
+        assert_eq!(rx.occupancy(), 1);
+        assert_eq!(feed(&mut rx, [(100, false)]), [99, 100]);
         assert_eq!(rx.occupancy(), 0);
-        assert_eq!(rx.cells_received, 100);
+        assert_eq!(rx.cells_received, 101);
         assert_eq!(rx.overflow_drops, 0);
     }
 
     #[test]
     fn rx_fifo_overflow_drops() {
         let mut rx = RxFifo::new(4);
-        for _ in 0..6 {
-            let _ = rx.arrive(a_cell());
-        }
+        assert!(feed(&mut rx, (0..6).map(|i| (i, true))).is_empty());
         assert_eq!(rx.occupancy(), 4);
         assert_eq!(rx.overflow_drops, 2);
-        assert_eq!(rx.drain().len(), 4);
-        assert!(rx.arrive(a_cell()));
+        // An overflowing arrival still drains the backlog.
+        let mut serviced = 0;
+        assert!(!rx.arrive(&a_cell(), false, |_| serviced += 1));
+        assert_eq!(serviced, 4);
+        assert_eq!(rx.overflow_drops, 3);
+        assert_eq!(rx.occupancy(), 0);
+        assert_eq!(feed(&mut rx, [(9, false)]), [9]);
+        assert_eq!(rx.cells_received, 5);
+    }
+
+    #[test]
+    fn zero_capacity_rx_fifo_drops_every_cell() {
+        let mut rx = RxFifo::new(0);
+        assert!(feed(&mut rx, (0..5).map(|i| (i, i % 2 == 0))).is_empty());
+        assert_eq!((rx.cells_received, rx.overflow_drops), (0, 5));
     }
 
     #[test]

@@ -89,11 +89,17 @@ impl Cell {
         Cell { bytes }
     }
 
-    /// Wraps 53 raw bytes whose header octets came from
-    /// [`CellHeader::encode5`], so the HEC holds by construction: the
-    /// segmenter encodes its header once per virtual channel.
-    pub(crate) fn from_encoded(bytes: [u8; CELL_SIZE]) -> Cell {
-        Cell { bytes }
+    /// A cell of zero bytes, whose HEC does not hold: only a slot for
+    /// the segmenter to overwrite whole, header first.
+    pub(crate) const BLANK: Cell = Cell {
+        bytes: [0; CELL_SIZE],
+    };
+
+    /// The raw bytes, for the segmenter to write a cell in place. It
+    /// writes the header from [`CellHeader::encode5`], so the HEC holds
+    /// by construction.
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8; CELL_SIZE] {
+        &mut self.bytes
     }
 
     /// Parses a 53-byte buffer, verifying the HEC. Returns `None` on

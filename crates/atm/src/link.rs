@@ -118,38 +118,6 @@ impl FiberLink {
         self.flap = Some(schedule);
     }
 
-    /// Carries one cell, applying the loss then error processes.
-    pub fn carry(&mut self, mut cell: Cell) -> LinkFault {
-        self.cells_carried += 1;
-        if let Some(burst) = self.burst.as_mut() {
-            if burst.drop_next() {
-                self.cells_lost += 1;
-                return LinkFault::Lost;
-            }
-        }
-        if self.rng.chance(self.config.cell_loss) {
-            self.cells_lost += 1;
-            return LinkFault::Lost;
-        }
-        let nbits = (CELL_SIZE * 8) as u64;
-        let flips = self.rng.binomial_small_p(nbits, self.config.ber);
-        if flips == 0 {
-            return LinkFault::Clean(cell);
-        }
-        // Flip `flips` *distinct* bits (re-flipping the same bit
-        // would undo the corruption).
-        let mut chosen = Vec::with_capacity(flips as usize);
-        while chosen.len() < flips as usize && chosen.len() < CELL_SIZE * 8 {
-            let bit = self.rng.next_below(nbits as u32) as usize;
-            if !chosen.contains(&bit) {
-                chosen.push(bit);
-                cell.flip_bit(bit);
-            }
-        }
-        self.cells_corrupted += 1;
-        LinkFault::Corrupted(cell)
-    }
-
     /// Arrival time at the far adapter for a cell whose last bit left
     /// the sender's wire at `wire_exit`.
     #[must_use]
@@ -157,26 +125,62 @@ impl FiberLink {
         wire_exit + self.config.propagation
     }
 
-    /// [`FiberLink::carry`] plus the arrival computation, feeding the
-    /// `LinkCell` capture tap: delivered cells (clean or corrupted)
-    /// are recorded with their 53 raw bytes at the arrival timestamp.
+    /// Carries the cell in `slot`, as the segmenter wrote it (`Clean`),
+    /// whose last bit left the sender's wire at `wire_exit`: the slot
+    /// is stamped with the cell's arrival at the far adapter and
+    /// rewritten in place by the flap schedule, the burst-loss process,
+    /// independent cell loss and bit errors, in that order. A
+    /// delivered cell (clean or corrupted) then feeds the `LinkCell`
+    /// capture tap with its 53 raw bytes at the arrival time.
     #[inline]
-    pub fn carry_at(&mut self, wire_exit: SimTime, cell: Cell) -> (SimTime, LinkFault) {
-        let at = self.arrival(wire_exit);
+    pub fn carry(&mut self, wire_exit: SimTime, slot: &mut (SimTime, LinkFault)) {
+        let (at, fault) = slot;
+        *at = self.arrival(wire_exit);
+        self.cells_carried += 1;
         if self.flap.as_ref().is_some_and(|f| f.is_down(wire_exit)) {
-            self.cells_carried += 1;
             self.cells_lost += 1;
             self.cells_flapped += 1;
-            return (at, LinkFault::Lost);
+            *fault = LinkFault::Lost;
+            return;
         }
-        let fault = self.carry(cell);
+        if self
+            .burst
+            .as_mut()
+            .is_some_and(faultkit::LossProcess::drop_next)
+            || self.rng.chance(self.config.cell_loss)
+        {
+            self.cells_lost += 1;
+            *fault = LinkFault::Lost;
+            return;
+        }
+        let nbits = (CELL_SIZE * 8) as u64;
+        let flips = self.rng.binomial_small_p(nbits, self.config.ber);
+        if flips > 0 {
+            let LinkFault::Clean(cell) = fault else {
+                unreachable!("a cell as sent")
+            };
+            // Flip `flips` *distinct* bits (re-flipping the same bit
+            // would undo the corruption).
+            let mut chosen = [0u64; (CELL_SIZE * 8).div_ceil(64)];
+            let mut flipped = 0;
+            while flipped < flips && flipped < nbits {
+                let bit = self.rng.next_below(nbits as u32) as usize;
+                let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+                if chosen[word] & mask == 0 {
+                    chosen[word] |= mask;
+                    cell.flip_bit(bit);
+                    flipped += 1;
+                }
+            }
+            *fault = LinkFault::Corrupted(std::mem::replace(cell, Cell::BLANK));
+            self.cells_corrupted += 1;
+        }
         if self.taps.wants(simcap::TapPoint::LinkCell) {
-            if let LinkFault::Clean(c) | LinkFault::Corrupted(c) = &fault {
+            if let LinkFault::Clean(c) | LinkFault::Corrupted(c) = fault {
                 self.taps
-                    .record(simcap::TapPoint::LinkCell, at, c.to_bytes().to_vec());
+                    .record(simcap::TapPoint::LinkCell, *at, c.to_bytes().to_vec());
             }
         }
-        (at, fault)
     }
 }
 
@@ -198,6 +202,20 @@ mod tests {
         )
     }
 
+    /// Carries [`a_cell`] leaving the wire at `wire_exit`; returns its
+    /// arrival and what the link did to it.
+    fn carry_at(link: &mut FiberLink, wire_exit: SimTime) -> (SimTime, LinkFault) {
+        let mut slot = (SimTime::ZERO, LinkFault::Clean(a_cell()));
+        link.carry(wire_exit, &mut slot);
+        slot
+    }
+
+    /// [`carry_at`] at time zero, for the processes that do not look
+    /// at the time.
+    fn carry(link: &mut FiberLink) -> LinkFault {
+        carry_at(link, SimTime::ZERO).1
+    }
+
     #[test]
     fn flap_drops_only_inside_down_windows() {
         let mut link = FiberLink::new(LinkConfig::default(), 9);
@@ -206,16 +224,16 @@ mod tests {
             SimTime::from_us(100),
             SimTime::from_us(20),
         ));
-        let (_, f) = link.carry_at(SimTime::from_us(5), a_cell());
+        let (_, f) = carry_at(&mut link, SimTime::from_us(5));
         assert!(matches!(f, LinkFault::Clean(_)), "up before the window");
-        let (at, f) = link.carry_at(SimTime::from_us(15), a_cell());
+        let (at, f) = carry_at(&mut link, SimTime::from_us(15));
         assert!(matches!(f, LinkFault::Lost), "down inside [10, 30)");
         assert_eq!(
             at,
             link.arrival(SimTime::from_us(15)),
             "arrival still computed"
         );
-        let (_, f) = link.carry_at(SimTime::from_us(30), a_cell());
+        let (_, f) = carry_at(&mut link, SimTime::from_us(30));
         assert!(matches!(f, LinkFault::Clean(_)), "window end is up again");
         assert_eq!(link.cells_flapped, 1);
         assert_eq!(link.cells_lost, 1);
@@ -235,7 +253,7 @@ mod tests {
     fn tally(link: &mut FiberLink, cells: usize) -> (u64, u64, u64) {
         let (mut clean, mut corrupted, mut lost) = (0u64, 0u64, 0u64);
         for _ in 0..cells {
-            match link.carry(a_cell()) {
+            match carry(link) {
                 LinkFault::Clean(c) => {
                     assert_eq!(c, a_cell());
                     clean += 1;
@@ -270,7 +288,7 @@ mod tests {
         );
         let mut lost = 0;
         for _ in 0..10_000 {
-            if link.carry(a_cell()) == LinkFault::Lost {
+            if carry(&mut link) == LinkFault::Lost {
                 lost += 1;
             }
         }
@@ -302,7 +320,7 @@ mod tests {
         };
         let run = |seed| {
             let mut link = FiberLink::new(cfg, seed);
-            (0..500).map(|_| link.carry(a_cell())).collect::<Vec<_>>()
+            (0..500).map(|_| carry(&mut link)).collect::<Vec<_>>()
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4));

@@ -9,11 +9,13 @@
 //! arrival times — that the world loop turns into events. An ATM
 //! train is timed at the far end of the sender's fiber; a world with
 //! a switch runs it through [`atm::AtmSwitch::forward_train`] at
-//! flush.
+//! flush. Each cell is written once, in its train slot, and the link
+//! faults it there.
 //!
 //! The receive side is a plain function called from the arrival event
 //! handler: it charges the hardware-interrupt costs, runs real
-//! reassembly (AAL3/4 CRC-10 / Ethernet FCS over real bytes), builds
+//! reassembly (AAL3/4 CRC-10 / Ethernet FCS over real bytes) on the
+//! cells where they lie in the train, builds
 //! the mbuf chain (with stored partial checksums in the integrated
 //! configuration), and hands the datagram to the kernel's IP queue.
 //!
@@ -106,7 +108,7 @@ type Train = Vec<(SimTime, LinkFault)>;
 /// datagram of up to 300 bytes, such as a 200-byte RPC.
 const SMALL_TRAIN: usize = 8;
 
-/// Most drained trains a thread keeps, small and large. Small trains
+/// Most received trains a thread keeps, small and large. Small trains
 /// carry the per-RPC traffic, so the thread keeps a 64-wide fan-out
 /// round's worth (at most 32 KB). A large train's cells cost far more
 /// host time than its allocation, so the thread keeps only the last
@@ -117,7 +119,7 @@ const SMALL_TRAIN: usize = 8;
 const SPARE_TRAINS_KEPT: [usize; 2] = [64, 2];
 
 thread_local! {
-    /// This thread's drained trains, small then large.
+    /// This thread's received trains, small then large.
     static SPARE_TRAINS: RefCell<[Vec<Train>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
 }
 
@@ -126,19 +128,21 @@ fn train_class(cells: usize) -> usize {
     usize::from(cells > SMALL_TRAIN)
 }
 
-/// An empty train with room for `cells` cells, recycled when one of
-/// its class is free.
+/// A train with room for `cells` cells, recycled when one of its
+/// class is free. A recycled train still holds up to `cells` of its
+/// last cells, for the segmenter to write over.
 fn alloc_train(cells: usize) -> Train {
     let spare = SPARE_TRAINS.try_with(|spare| spare.borrow_mut()[train_class(cells)].pop());
     let mut train = spare.ok().flatten().unwrap_or_default();
-    train.reserve_exact(cells);
+    train.truncate(cells);
+    train.reserve_exact(cells - train.len());
     train
 }
 
-/// Recycles a train [`atm_receive`] drained, or frees it past its
-/// class's [`SPARE_TRAINS_KEPT`].
+/// Recycles a train [`atm_receive`] read, or frees it past its
+/// class's [`SPARE_TRAINS_KEPT`]. Its cells stay in their slots for
+/// the next train to be written over.
 fn recycle_train(train: Train) {
-    debug_assert!(train.is_empty(), "a drained train");
     let _ = SPARE_TRAINS.try_with(|spare| {
         let class = train_class(train.capacity());
         let trains = &mut spare.borrow_mut()[class];
@@ -210,13 +214,13 @@ impl TxDriver for AtmNic {
         let dst = *dst;
         let mut cursor = now + SimTime::from_us_f64(self.costs.atm_tx_fixed_us);
         let per_cell = SimTime::from_us_f64(self.costs.atm_tx_per_cell_us);
-        let cells = seg.cells(bytes);
-        let mut train = alloc_train(cells.len());
-        for cell in cells {
-            let admit = self.adapter.tx.admit(cursor, per_cell);
+        let mut train = alloc_train(Aal34Segmenter::cells_for(bytes.len()));
+        let (tx, link) = (&mut self.adapter.tx, &mut self.link);
+        seg.segment_into(bytes, &mut train, |slot| {
+            let admit = tx.admit(cursor, per_cell);
             cursor = admit.copy_end;
-            train.push(self.link.carry_at(admit.wire_exit, cell));
-        }
+            link.carry(admit.wire_exit, slot);
+        });
         if let Some(shaper) = self.shaper.as_mut() {
             shaper.shape(&mut train);
         }
@@ -239,17 +243,18 @@ impl TxDriver for AtmNic {
 /// event). Returns the softintr dispatch time if one must be
 /// scheduled.
 ///
-/// The train is taken by value and drained: each delivered cell moves
-/// into the RX FIFO and out again through [`atm::RxFifo::drain`], with
-/// no clone and no heap allocation per cell, and the emptied train is
-/// kept for this thread's next `transmit`. A completed datagram is the
-/// reassembler's own buffer, handed over and, once copied into mbufs
-/// (or shed), handed back.
+/// The train's cells are read where they lie: a cell enters the RX
+/// FIFO's storage only when a stalled drain leaves it waiting, and
+/// otherwise goes from its train slot straight to reassembly, with no
+/// copy and no heap allocation per cell. The train, cells and all, is
+/// then kept for this thread's next `transmit` to write over. A
+/// completed datagram is the reassembler's own buffer, handed over
+/// and, once copied into mbufs (or shed), handed back.
 pub fn atm_receive(
     kernel: &mut Kernel,
     nic: &mut AtmNic,
     now: SimTime,
-    mut train: Train,
+    train: Train,
 ) -> Option<SimTime> {
     kernel.spans.mark(Mark::SegmentArrived, now);
     // The driver drains the whole RX FIFO under one interrupt. Cells
@@ -261,7 +266,7 @@ pub fn atm_receive(
     let start = now.max(kernel.cpu.busy_until());
     let mut datagrams = std::mem::take(&mut nic.rx_done);
     let mut cells_processed = 0usize;
-    for (cell_at, fault) in train.drain(..) {
+    for (cell_at, fault) in &train {
         let cell = match fault {
             LinkFault::Lost => continue,
             LinkFault::Clean(c) => c,
@@ -274,33 +279,28 @@ pub fn atm_receive(
                 c
             }
         };
-        // On overflow the arriving cell is gone (counted by the
-        // adapter) and reassembly will notice the sequence gap — but
-        // the service opportunity below still happens, so a full FIFO
-        // clears as soon as the host stops stalling rather than
-        // blackholing every later cell.
-        let _ = nic.adapter.rx.arrive(cell);
-        if nic
+        // DMA/bus contention may stall the drain for this arrival: the
+        // cell then sits in the FIFO as backlog, and if enough stalls
+        // pile up, later arrivals overrun the FIFO.
+        let stalled = nic
             .contention
             .as_mut()
-            .is_some_and(faultkit::ContentionProcess::stalled_next)
-        {
-            // DMA/bus contention stalls the drain for this arrival:
-            // the cell sits in the FIFO as backlog. If enough stalls
-            // pile up, later arrivals overrun the FIFO above.
-            continue;
-        }
-        // The driver drains the FIFO — the whole backlog — under this
-        // interrupt.
-        for cell in nic.adapter.rx.drain() {
+            .is_some_and(faultkit::ContentionProcess::stalled_next);
+        // On overflow the arriving cell is gone (counted by the
+        // adapter) and reassembly will notice the sequence gap — but
+        // the service opportunity still happens, so a full FIFO clears
+        // as soon as the host stops stalling rather than blackholing
+        // every later cell. Unstalled, the driver drains the FIFO —
+        // the whole backlog, then this cell — under this interrupt.
+        let _ = nic.adapter.rx.arrive(cell, stalled, |cell| {
             cells_processed += 1;
-            match nic.reasm.push(&cell) {
+            match nic.reasm.push(cell) {
                 Ok(Some(dgram)) => {
                     if nic.taps.wants(simcap::TapPoint::Wire) {
                         // Datagram granularity on the wire: stamped at
                         // the arrival of its completing (EOM) cell.
                         nic.taps
-                            .record(simcap::TapPoint::Wire, cell_at, dgram.clone());
+                            .record(simcap::TapPoint::Wire, *cell_at, dgram.clone());
                     }
                     datagrams.push(dgram);
                 }
@@ -310,7 +310,7 @@ pub fn atm_receive(
                 Err(atm::Aal34Error::Orphan) => {}
                 Err(_) => nic.aal_drops += 1,
             }
-        }
+        });
     }
     recycle_train(train);
     // Driver CPU: fixed per interrupt plus per-cell SAR + copy work.

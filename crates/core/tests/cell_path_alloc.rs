@@ -72,7 +72,7 @@ static GLOBAL: Counting = Counting;
 const PEER: [u8; 4] = [10, 0, 0, 2];
 
 /// Heap allocations per carried datagram, whatever its cell count.
-/// The cell train `transmit` stages is one `atm_receive` drained and
+/// The cell train `transmit` stages is one `atm_receive` read and
 /// kept for the thread; the reassembly buffer the CPCS-PDU is rebuilt
 /// in is the last datagram's, handed back to the reassembler once
 /// shed.
