@@ -40,6 +40,4 @@ pub use aal5::{aal5_segment, Aal5Error, Aal5Reassembler, PT_END_OF_PDU};
 pub use adapter::{ForeTca100, RxFifo, TxFifo, FORE_RX_FIFO_CELLS, FORE_TX_FIFO_CELLS};
 pub use cell::{Cell, CellHeader, CELL_PAYLOAD, CELL_SIZE};
 pub use link::{FiberLink, LinkConfig, LinkFault};
-pub use switch::{
-    AtmSwitch, DropPolicy, PortStats, SwitchConfig, SwitchOutcome, TrainMarking, VcRoute,
-};
+pub use switch::{AtmSwitch, DropPolicy, PortStats, SwitchConfig, SwitchOutcome, VcRoute};

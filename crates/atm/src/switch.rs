@@ -34,7 +34,6 @@ use std::collections::hash_map::Entry;
 
 use simkit::{FxHashMap, SimRng, SimTime};
 
-use crate::aal5::PT_END_OF_PDU;
 use crate::cell::{Cell, CellHeader};
 use crate::link::LinkFault;
 
@@ -55,17 +54,18 @@ pub struct VcRoute {
 /// On UBR there is no reservation: when TCP overruns a queue, the
 /// switch's only lever is *which* cells it throws away. Tail drop
 /// judges each cell alone and so tends to clip cells out of the middle
-/// of AAL5 trains — every surviving sibling of a clipped cell is then
-/// wasted bandwidth, because the end-to-end AAL5 CRC rejects the
-/// reassembled PDU anyway. The packet-aware policies avoid exactly
-/// that waste.
+/// of AAL3/4 trains — every surviving sibling of a clipped cell is
+/// then wasted bandwidth, because the reassembler drops the PDU at the
+/// sequence-number gap anyway. The packet-aware policies avoid exactly
+/// that waste. They find a train's end in the SAR header: segment type
+/// EOM or SSM (bit 6 of the first payload byte).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DropPolicy {
     /// Plain tail drop (the seed behaviour): each cell is judged
     /// alone against the queue capacity.
     #[default]
     Tail,
-    /// Early Packet Discard: when a *new* AAL5 train's first cell
+    /// Early Packet Discard: when a *new* train's first cell
     /// arrives and the backlog has reached `threshold_cells`, the
     /// whole train — every cell through its end-of-PDU marker — is
     /// refused before any of it commits queue space.
@@ -77,8 +77,8 @@ pub enum DropPolicy {
     },
     /// Partial Packet Discard: once one cell of a train is lost to a
     /// full queue, the train's remaining cells are discarded too —
-    /// they could only waste downstream bandwidth on a PDU the AAL5
-    /// CRC will reject — except the end-of-PDU marker, which is
+    /// they could only waste downstream bandwidth on a PDU the
+    /// reassembler will reject — except the end-of-PDU marker, which is
     /// forwarded so the reassembler still sees the PDU boundary and
     /// does not merge the ruined train into the next one.
     Ppd,
@@ -96,26 +96,6 @@ impl DropPolicy {
     }
 }
 
-/// How the packet-aware policies recognize the end of a train.
-///
-/// AAL5 puts the PDU boundary where a switch can see it — the AUU bit
-/// of the cell header's PT field — which is exactly what made EPD
-/// practical in real hardware. AAL3/4 buries the boundary inside the
-/// SAR header (first payload byte), invisible to a header-only
-/// switch. Since the adaptation layer running on a VC is part of this
-/// model's experiment configuration, the switch may be told to peek:
-/// with [`TrainMarking::Aal34SegType`] it reads the SAR segment type
-/// and treats EOM/SSM cells as train ends.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TrainMarking {
-    /// AAL5: end-of-PDU when the header PT field's AUU bit is set.
-    #[default]
-    Aal5Pt,
-    /// AAL3/4: end-of-PDU when the SAR segment type (top two bits of
-    /// payload byte 0) is EOM (`0b01`) or SSM (`0b11`).
-    Aal34SegType,
-}
-
 /// Configuration of a switch.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SwitchConfig {
@@ -130,9 +110,6 @@ pub struct SwitchConfig {
     pub corrupt_prob: f64,
     /// Cell-drop policy at the output queues.
     pub drop_policy: DropPolicy,
-    /// How the packet-aware policies find train boundaries (ignored
-    /// under [`DropPolicy::Tail`]).
-    pub marking: TrainMarking,
 }
 
 impl Default for SwitchConfig {
@@ -145,7 +122,6 @@ impl Default for SwitchConfig {
             queue_cells: 256,
             corrupt_prob: 0.0,
             drop_policy: DropPolicy::Tail,
-            marking: TrainMarking::Aal5Pt,
         }
     }
 }
@@ -197,7 +173,7 @@ pub enum SwitchOutcome {
     Discarded,
 }
 
-/// Per-VC AAL5 train tracking for the packet-aware drop policies.
+/// Per-VC train tracking for the packet-aware drop policies.
 #[derive(Clone, Copy, Debug, Default)]
 struct TrainState {
     /// A train has started (some cell seen) and its end-of-PDU marker
@@ -215,8 +191,6 @@ struct Resolved {
     slot: usize,
     /// The outgoing header octets: VPI/VCI rewritten, fresh HEC.
     out_header: [u8; 5],
-    /// The header's PT field carries the AAL5 end-of-PDU flag.
-    pt_eom: bool,
 }
 
 /// The switch.
@@ -316,7 +290,6 @@ impl AtmSwitch {
             route,
             slot,
             out_header,
-            pt_eom: h.pt & PT_END_OF_PDU != 0,
         };
         self.memo = Some((key, r));
         Ok(r)
@@ -365,12 +338,9 @@ impl AtmSwitch {
             return Ok(self.admit(r, arrival, cell));
         }
 
-        let eom = match self.config.marking {
-            TrainMarking::Aal5Pt => r.pt_eom,
-            // SAR segment type EOM (0b01) or SSM (0b11): bit 6 of the
-            // first payload byte.
-            TrainMarking::Aal34SegType => cell.payload()[0] & 0x40 != 0,
-        };
+        // SAR segment type EOM (0b01) or SSM (0b11): bit 6 of the
+        // first payload byte.
+        let eom = cell.payload()[0] & 0x40 != 0;
         let mut train = self.trains[r.slot];
         // EPD decides at a train's first cell, before any of it
         // commits queue space.
@@ -667,19 +637,6 @@ mod tests {
         );
     }
 
-    fn pt_cell(vci: u16, pt: u8) -> Cell {
-        Cell::new(
-            CellHeader {
-                gfc: 0,
-                vpi: 0,
-                vci,
-                pt,
-                clp: false,
-            },
-            [0x5a; CELL_PAYLOAD],
-        )
-    }
-
     /// A switch with a tiny queue and the given policy, one VC 42 on
     /// port 0 → port 1.
     fn tiny_switch(policy: DropPolicy, queue_cells: usize) -> AtmSwitch {
@@ -705,14 +662,14 @@ mod tests {
         sw
     }
 
-    /// Sends a train of `n` cells at `t`, returning the outcomes.
+    /// Sends an `n`-cell AAL3/4 train at `t` (`44n - 8` bytes: 44 per
+    /// SAR payload, less the CPCS header and trailer), returning the
+    /// outcomes. Every cell carries PT 0: its end is in the SAR header.
     fn send_train(sw: &mut AtmSwitch, t: SimTime, n: usize) -> Vec<SwitchOutcome> {
-        (0..n)
-            .map(|i| {
-                let pt = if i == n - 1 { PT_END_OF_PDU } else { 0 };
-                sw.forward(0, t, &pt_cell(42, pt))
-            })
-            .collect()
+        let data = vec![0xa5; n * 44 - 8];
+        let cells = crate::aal34::Aal34Segmenter::new(0, 42, 1).segment(&data);
+        assert_eq!(cells.len(), n);
+        cells.iter().map(|c| sw.forward(0, t, c)).collect()
     }
 
     #[test]
@@ -796,45 +753,6 @@ mod tests {
             SwitchOutcome::Forwarded { .. }
         ));
         assert_eq!(sw.epd_drops, 1);
-    }
-
-    #[test]
-    fn aal34_marking_sees_sar_train_boundaries() {
-        // AAL3/4 cells all carry PT 0 — the boundary is in the SAR
-        // header. With Aal34SegType marking, EPD still refuses whole
-        // trains; with the (wrong) default AAL5 marking it would never
-        // see a train end and wedge the VC in mid-train state.
-        use crate::aal34::Aal34Segmenter;
-        let mut sw = tiny_switch(DropPolicy::Epd { threshold_cells: 2 }, 64);
-        sw.config.marking = TrainMarking::Aal34SegType;
-        let mut seg = Aal34Segmenter::new(0, 42, 1);
-        let t = SimTime::from_us(1);
-        let first: Vec<_> = seg
-            .segment(&[0xa5; 150])
-            .iter()
-            .map(|c| sw.forward(0, t, c))
-            .collect();
-        assert_eq!(first.len(), 4, "150 bytes = BOM + 2 COM + EOM");
-        assert!(first
-            .iter()
-            .all(|o| matches!(o, SwitchOutcome::Forwarded { .. })));
-        // Backlog now past the threshold: next train refused whole.
-        let second: Vec<_> = seg
-            .segment(&[0x5a; 150])
-            .iter()
-            .map(|c| sw.forward(0, t, c))
-            .collect();
-        assert!(second.iter().all(|o| *o == SwitchOutcome::Discarded));
-        assert_eq!(sw.epd_drops, 4);
-        // The EOM closed the refused train: a later one commits again.
-        let later: Vec<_> = seg
-            .segment(&[0x11; 150])
-            .iter()
-            .map(|c| sw.forward(0, SimTime::from_ms(10), c))
-            .collect();
-        assert!(later
-            .iter()
-            .all(|o| matches!(o, SwitchOutcome::Forwarded { .. })));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Drop-policy conformance: AAL5 trains through the output-queued
+//! Drop-policy conformance: AAL3/4 trains through the output-queued
 //! switch under Tail / EPD / PPD, validated end-to-end against the
 //! reassembler.
 //!
@@ -11,8 +11,8 @@
 use std::collections::HashMap;
 
 use atm::{
-    aal5_segment, Aal5Reassembler, AtmSwitch, Cell, CellHeader, DropPolicy, LinkFault, PortStats,
-    SwitchConfig, SwitchOutcome, TrainMarking, VcRoute, CELL_PAYLOAD, PT_END_OF_PDU,
+    Aal34Reassembler, Aal34Segmenter, AtmSwitch, Cell, CellHeader, DropPolicy, LinkFault,
+    PortStats, SwitchConfig, SwitchOutcome, VcRoute, CELL_PAYLOAD,
 };
 use proptest::prelude::*;
 use simkit::{SimRng, SimTime};
@@ -48,18 +48,18 @@ fn datagram(len: usize, seed: u8) -> Vec<u8> {
         .collect()
 }
 
-/// Pushes `data` as one AAL5 train at `t`, feeding whatever the
+/// Pushes `data` as one AAL3/4 train at `t`, feeding whatever the
 /// switch forwards into `reasm`. Returns the per-cell outcomes and
 /// any datagram the reassembler completed.
 fn send_pdu(
     sw: &mut AtmSwitch,
-    reasm: &mut Aal5Reassembler,
+    reasm: &mut Aal34Reassembler,
     t: SimTime,
     data: &[u8],
 ) -> (Vec<SwitchOutcome>, Option<Vec<u8>>) {
     let mut outcomes = Vec::new();
     let mut delivered = None;
-    for cell in aal5_segment(0, VCI, data) {
+    for cell in Aal34Segmenter::new(0, VCI, 1).segment(data) {
         let out = sw.forward(0, t, &cell);
         if let SwitchOutcome::Forwarded { cell: fwd, .. } = &out {
             if let Ok(Some(d)) = reasm.push(fwd) {
@@ -86,7 +86,7 @@ fn policies_identical_when_buffers_never_fill() {
     let mut delivered_sets = Vec::new();
     for policy in policies {
         let mut sw = switch_with(policy, 256);
-        let mut reasm = Aal5Reassembler::new(9188);
+        let mut reasm = Aal34Reassembler::new();
         let mut got = Vec::new();
         for (i, len) in [500usize, 4040, 1400, 8040].iter().enumerate() {
             let data = datagram(*len, i as u8);
@@ -116,7 +116,7 @@ fn policies_identical_when_buffers_never_fill() {
 #[test]
 fn epd_never_forwards_a_refused_train() {
     let mut sw = switch_with(DropPolicy::Epd { threshold_cells: 8 }, 256);
-    let mut reasm = Aal5Reassembler::new(9188);
+    let mut reasm = Aal34Reassembler::new();
     let t = SimTime::from_ms(1);
     // First train commits and fills the backlog past the threshold.
     let first = datagram(4040, 1);
@@ -134,7 +134,8 @@ fn epd_never_forwards_a_refused_train() {
     assert_eq!(d, None);
     assert_eq!(sw.epd_drops, outs.len() as u64);
     assert_eq!(
-        reasm.datagrams_dropped, 0,
+        reasm.stats().datagrams_dropped,
+        0,
         "a cleanly refused train never reaches the reassembler, so it \
          costs no reassembly failure"
     );
@@ -151,13 +152,13 @@ fn epd_never_forwards_a_refused_train() {
 #[test]
 fn ppd_drops_remainder_except_marker() {
     let mut sw = switch_with(DropPolicy::Ppd, 16);
-    let mut reasm = Aal5Reassembler::new(9188);
+    let mut reasm = Aal34Reassembler::new();
     let t = SimTime::from_ms(1);
     let (outs, d) = send_pdu(&mut sw, &mut reasm, t, &datagram(4040, 1));
     let first_loss = outs
         .iter()
         .position(|o| *o == SwitchOutcome::QueueFull)
-        .expect("an 85-cell train into a 16-cell queue must overflow");
+        .expect("a 92-cell train into a 16-cell queue must overflow");
     for (i, o) in outs.iter().enumerate() {
         if i < first_loss {
             assert!(
@@ -176,7 +177,11 @@ fn ppd_drops_remainder_except_marker() {
         }
     }
     assert_eq!(d, None, "the ruined PDU fails reassembly");
-    assert_eq!(reasm.datagrams_dropped, 1, "rejected at the marker");
+    assert_eq!(
+        reasm.stats().datagrams_dropped,
+        1,
+        "rejected at the marker, on the sequence-number gap"
+    );
     assert_eq!(sw.queue_drops, 1, "exactly one cell charged to the queue");
     assert_eq!(sw.ppd_drops as usize, outs.len() - first_loss - 2);
     // The boundary survived: the next train, sent once the queue
@@ -187,13 +192,13 @@ fn ppd_drops_remainder_except_marker() {
     assert_eq!(d.expect("next PDU delivered"), next);
 }
 
-/// Tail drop clips mid-train cells, so the marker-less merge failure
-/// mode exists: without the boundary, the next PDU is ruined too.
+/// Tail drop clips mid-train cells: the surviving siblings of a
+/// clipped cell cross the switch for a PDU that cannot reassemble.
 /// (This is the waste EPD/PPD exist to avoid.)
 #[test]
 fn tail_drop_wastes_the_surviving_siblings() {
     let mut sw = switch_with(DropPolicy::Tail, 16);
-    let mut reasm = Aal5Reassembler::new(9188);
+    let mut reasm = Aal34Reassembler::new();
     let (outs, d) = send_pdu(&mut sw, &mut reasm, SimTime::from_ms(1), &datagram(4040, 1));
     let forwarded = outs
         .iter()
@@ -237,7 +242,7 @@ fn port_stats_sum_to_switch_totals() {
     }
     let t = SimTime::from_ms(1);
     for (i, vci) in [VCI, VCI + 1, VCI, VCI + 1].iter().enumerate() {
-        for cell in aal5_segment(0, *vci, &datagram(4040, i as u8)) {
+        for cell in Aal34Segmenter::new(0, *vci, 1).segment(&datagram(4040, i as u8)) {
             let _ = sw.forward(0, t, &cell);
         }
     }
@@ -315,10 +320,7 @@ impl RefSwitch {
             }
             return self.admit(route, arrival, cell);
         }
-        let eom = match self.config.marking {
-            TrainMarking::Aal5Pt => h.pt & PT_END_OF_PDU != 0,
-            TrainMarking::Aal34SegType => cell.payload()[0] & 0x40 != 0,
-        };
+        let eom = cell.payload()[0] & 0x40 != 0;
         let (mut mid_train, mut discarding) = self.trains.get(&key).copied().unwrap_or_default();
         if let DropPolicy::Epd { threshold_cells } = policy {
             if !mid_train && backlog >= threshold_cells {
@@ -420,11 +422,9 @@ impl RefSwitch {
 const VCS: [(u8, u16); 4] = [(0, 40), (0, 41), (1, 40), (2, 99)];
 
 /// Cell `i` of a train on `VCS[vc]`; the train's last cell carries
-/// the end-of-PDU mark of both AAL5 (PT) and AAL3/4 (segment type
-/// EOM).
+/// the AAL3/4 end-of-PDU mark (segment type EOM).
 fn make_cell(vc: usize, i: usize, last: bool, pt: u8, clp: bool, st: u8) -> Cell {
     let (vpi, vci) = VCS[vc];
-    let pt = if last { pt | PT_END_OF_PDU } else { pt };
     let st = if last { 0b01 } else { st };
     let mut payload = [0u8; CELL_PAYLOAD];
     for (k, b) in payload.iter_mut().enumerate() {
@@ -463,7 +463,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The header memo changes no outcome. Random trains over 2-4
-    /// in-ports, under every drop policy and train marking, with
+    /// in-ports, under every drop policy, with
     /// unknown VCs, damaged headers, lost cells, fabric corruption
     /// and re-routes between trains, leave the switch and the
     /// per-cell reference with identical outcomes, departures, cell
@@ -474,7 +474,6 @@ proptest! {
         n_ports in 2..5usize,
         policy in 0..3u8,
         threshold_cells in 1..24usize,
-        aal34 in any::<bool>(),
         queue_cells in 2..32usize,
         corrupt in 0..3usize,
         seed in any::<u64>(),
@@ -486,7 +485,6 @@ proptest! {
             corrupt_prob: [0.0, 0.05, 0.5][corrupt],
             drop_policy: [DropPolicy::Tail, DropPolicy::Epd { threshold_cells }, DropPolicy::Ppd]
                 [usize::from(policy)],
-            marking: if aal34 { TrainMarking::Aal34SegType } else { TrainMarking::Aal5Pt },
             ..SwitchConfig::default()
         };
         let mut sw = AtmSwitch::new(n_ports, config, seed);

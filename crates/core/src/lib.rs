@@ -10,7 +10,9 @@
 //! - [`app`] models the paper's benchmark processes: the RPC
 //!   ping-pong client/server pair (§1.2) plus the unidirectional bulk
 //!   transfer used to validate the header-prediction analysis (§3);
-//! - [`world`] is the two-host discrete-event simulation;
+//! - [`world`] is the two-host discrete-event simulation, and [`host`]
+//!   the software-interrupt and TCP-timer handlers it shares with the
+//!   datacenter world;
 //! - [`breakdown`] applies the paper's measurement methodology to the
 //!   recorded spans (transmit spans summed per send; receive spans
 //!   clipped to the window after "the arrival of the last group of
@@ -51,6 +53,7 @@ pub mod breakdown;
 pub mod capture;
 pub mod experiment;
 pub mod faults;
+pub mod host;
 pub mod micro;
 pub mod nic;
 pub mod obs;

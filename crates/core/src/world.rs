@@ -17,13 +17,19 @@
 //! timeline in [`simkit::Cpu`], which is what turns the paper's IPQ
 //! and Wakeup rows — and the transmit/receive overlap of the 8000-
 //! byte case — into emergent measurements rather than inputs.
+//!
+//! Events 3 and 4 are [`crate::host`]'s, shared with the datacenter
+//! world. This world owns the app steps, the arrival handler, and how
+//! a staged datagram reaches the peer: bare fiber, a 2-port switch or
+//! the Ethernet wire.
 
 use atm::{AtmSwitch, VcRoute};
-use simkit::{Parked, Scheduler, Sim, SimTime};
+use simkit::{Parked, RawEventFn, Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
-use tcpip::{Kernel, Mark, PcbKey, SockId, StackConfig, TxDriver as _};
+use tcpip::{Kernel, Mark, PcbKey, SockId, StackConfig, TxDriver};
 
 use crate::app::{App, AppState, Role};
+use crate::host::{flush, softintr_at, Hosts};
 use crate::nic::{atm_receive, ether_receive, AtmDelivery, EtherDelivery, Nic};
 
 /// Client and server IP addresses.
@@ -47,8 +53,6 @@ pub struct Host {
     pub app: App,
     /// The process's socket.
     pub sock: SockId,
-    /// Earliest scheduled TCP timer event, to avoid duplicates.
-    timer_at: Option<SimTime>,
 }
 
 impl Host {
@@ -150,7 +154,6 @@ impl World {
                 switch: None,
                 app,
                 sock,
-                timer_at: None,
             })
             .collect();
         World {
@@ -211,46 +214,49 @@ pub fn run_world(world: World, obs: Option<simkit::ObserverFn<World>>) -> Sim<Wo
     sim
 }
 
-/// Schedules staged deliveries and (re)arms the TCP timer after any
-/// kernel interaction on host `h`.
-fn flush_host(w: &mut World, s: &mut Scheduler<World>, h: usize) {
-    let peer = 1 - h;
-    let host = &mut w.hosts[h];
-    match &mut host.nic {
-        Nic::Atm(nic) => {
-            for AtmDelivery { train, .. } in nic.staged.drain(..) {
-                let delivery = match &mut host.switch {
-                    // Switchless fiber: the interrupt fires when the
-                    // train's last surviving cell arrives. A train that
-                    // lost every cell arrives nowhere, as through a
-                    // switch; TCP's retransmit timer recovers it.
-                    None => train
-                        .iter()
-                        .filter(|(_, fault)| !matches!(fault, atm::LinkFault::Lost))
-                        .map(|&(t, _)| t)
-                        .max()
-                        .map(|last| (last, train)),
-                    Some(sw) => sw.forward_train(0, train, nic.link.config.propagation),
-                };
-                if let Some((arrival, train)) = delivery {
-                    let slot = w.in_flight.park((peer, Arrival::Atm(train)));
-                    s.schedule_raw_at(arrival.max(s.now()), "atm-arrival", on_arrival, slot);
+impl Hosts for World {
+    fn stack(&mut self, h: usize) -> (&mut Kernel, &mut dyn TxDriver) {
+        let host = &mut self.hosts[h];
+        (&mut host.kernel, &mut host.nic)
+    }
+
+    fn send_staged(&mut self, s: &mut Scheduler<World>, h: usize) {
+        let peer = 1 - h;
+        let host = &mut self.hosts[h];
+        match &mut host.nic {
+            Nic::Atm(nic) => {
+                for AtmDelivery { train, .. } in nic.staged.drain(..) {
+                    let delivery = match &mut host.switch {
+                        // Switchless fiber: the interrupt fires when
+                        // the last surviving cell arrives. A train that
+                        // lost every cell arrives nowhere, as through a
+                        // switch; TCP's retransmit timer recovers it.
+                        None => train
+                            .iter()
+                            .filter(|(_, fault)| !matches!(fault, atm::LinkFault::Lost))
+                            .map(|&(t, _)| t)
+                            .max()
+                            .map(|last| (last, train)),
+                        Some(sw) => sw.forward_train(0, train, nic.link.config.propagation),
+                    };
+                    if let Some((arrival, train)) = delivery {
+                        let slot = self.in_flight.park((peer, Arrival::Atm(train)));
+                        s.schedule_raw_at(arrival.max(s.now()), "atm-arrival", on_arrival, slot);
+                    }
+                }
+            }
+            Nic::Ether(nic) => {
+                for EtherDelivery { arrival, frame } in nic.staged.drain(..) {
+                    let slot = self.in_flight.park((peer, Arrival::Ether(frame)));
+                    s.schedule_raw_at(arrival.max(s.now()), "eth-arrival", on_arrival, slot);
                 }
             }
         }
-        Nic::Ether(nic) => {
-            for EtherDelivery { arrival, frame } in nic.staged.drain(..) {
-                let slot = w.in_flight.park((peer, Arrival::Ether(frame)));
-                s.schedule_raw_at(arrival.max(s.now()), "eth-arrival", on_arrival, slot);
-            }
-        }
     }
-    if let Some(dl) = host.kernel.next_deadline() {
-        let stale = host.timer_at.is_none_or(|t| dl < t || t <= s.now());
-        if stale {
-            host.timer_at = Some(dl);
-            s.schedule_raw_at(dl.max(s.now()), "tcp-timer", on_timer, h as u64);
-        }
+
+    fn wakeup(h: usize, _sock: SockId, abort: bool) -> (&'static str, RawEventFn<World>, u64) {
+        let label = if abort { "abort-wakeup" } else { "app-wakeup" };
+        (label, app_step, h as u64)
     }
 }
 
@@ -267,35 +273,7 @@ fn on_arrival(w: &mut World, s: &mut Scheduler<World>, slot: u64) {
         _ => panic!("delivery to a host on another medium"),
     };
     if let Some(at) = softintr {
-        s.schedule_raw_at(at, "softintr", on_softintr, h as u64);
-    }
-}
-
-/// The software interrupt: IP/TCP input, wakeups, responses.
-fn on_softintr(w: &mut World, s: &mut Scheduler<World>, h: u64) {
-    let h = h as usize;
-    let host = &mut w.hosts[h];
-    let _ = host.kernel.ipintr(s.now(), &mut host.nic);
-    flush_host(w, s, h);
-    for (_, run_at) in w.hosts[h].kernel.drain_wakeups() {
-        let at = run_at.max(s.now());
-        s.schedule_raw_at(at, "app-wakeup", app_step, h as u64);
-    }
-}
-
-/// A TCP timer event.
-fn on_timer(w: &mut World, s: &mut Scheduler<World>, h: u64) {
-    let h = h as usize;
-    w.hosts[h].timer_at = None;
-    let host = &mut w.hosts[h];
-    let _ = host.kernel.check_timers(s.now(), &mut host.nic);
-    flush_host(w, s, h);
-    // A timer may have aborted a connection (retransmit limit) and
-    // woken the blocked process so it can observe the error: without
-    // this wakeup an aborted run would hang instead of terminating.
-    for (_sock, run_at) in w.hosts[h].kernel.take_timer_wakeups() {
-        let at = run_at.max(s.now());
-        s.schedule_raw_at(at, "abort-wakeup", app_step, h as u64);
+        softintr_at(s, at, h);
     }
 }
 
@@ -385,7 +363,7 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                 } else {
                     kernel.syscall_write(now, *sock, &data[offset..], nic)
                 };
-                flush_host(w, s, h);
+                flush(w, s, h);
                 let host = &mut w.hosts[h];
                 now = out.done_at;
                 if out.error.is_some() {
@@ -436,7 +414,7 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                 } else {
                     kernel.syscall_read(now, *sock, want, &mut app.got, nic)
                 };
-                flush_host(w, s, h);
+                flush(w, s, h);
                 let host = &mut w.hosts[h];
                 if out.error.is_some() {
                     // Read on an aborted connection: error, exit.

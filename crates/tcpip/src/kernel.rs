@@ -263,6 +263,8 @@ pub struct Kernel {
     ipq: VecDeque<(Chain, SimTime)>,
     /// A software interrupt has been raised and not yet serviced.
     pub softintr_pending: bool,
+    /// The outstanding TCP-timer event's time ([`Kernel::timer_event`]).
+    timer_pending: Option<SimTime>,
     /// Earliest time the software interrupt may begin (dispatch
     /// latency from the most recent enqueue).
     ipq_ready_at: SimTime,
@@ -272,7 +274,7 @@ pub struct Kernel {
     ipq_floor: SimTime,
     /// Wakeups produced by [`Kernel::check_timers`] (a connection
     /// abort wakes its blocked process so it observes `so_error`).
-    /// The binding drains these with [`Kernel::take_timer_wakeups`].
+    /// The binding drains these with [`Kernel::drain_timer_wakeups`].
     timer_wakeups: Vec<(SockId, SimTime)>,
     /// Sockets whose blocked readers the software interrupt woke, with
     /// the time each process starts running; drained by
@@ -307,6 +309,7 @@ impl Kernel {
             udp_socks: Vec::new(),
             ipq: VecDeque::new(),
             softintr_pending: false,
+            timer_pending: None,
             ipq_ready_at: SimTime::ZERO,
             ipq_floor: SimTime::ZERO,
             timer_wakeups: Vec::new(),
@@ -1258,6 +1261,7 @@ impl Kernel {
     /// whose earliest deadline is at or before `now`, are visited, in
     /// ascending socket index. Returns the next deadline, if any.
     pub fn check_timers(&mut self, now: SimTime, drv: &mut dyn TxDriver) -> Option<SimTime> {
+        self.timer_pending = None;
         let start = now.max(self.cpu.busy_until());
         let mut cursor = start;
         let mut due = std::mem::take(&mut self.due);
@@ -1538,8 +1542,8 @@ impl Kernel {
 
     /// Drains the wakeups produced by timer processing (connection
     /// aborts waking blocked readers/writers).
-    pub fn take_timer_wakeups(&mut self) -> Vec<(SockId, SimTime)> {
-        std::mem::take(&mut self.timer_wakeups)
+    pub fn drain_timer_wakeups(&mut self) -> impl Iterator<Item = (SockId, SimTime)> + '_ {
+        self.timer_wakeups.drain(..)
     }
 
     /// The connection's pending socket error, if it was aborted.
@@ -1906,6 +1910,18 @@ impl Kernel {
     pub fn next_deadline(&mut self) -> Option<SimTime> {
         self.sync_timers();
         self.timers.first().map(|&(dl, _)| dl)
+    }
+
+    /// When to schedule a TCP-timer event for the next deadline, at
+    /// `max(deadline, now)`; `None` while the outstanding one is yet to
+    /// fire, no later than it. [`Kernel::check_timers`] forgets it.
+    pub fn timer_event(&mut self, now: SimTime) -> Option<SimTime> {
+        let dl = self.next_deadline()?;
+        if self.timer_pending.is_some_and(|t| t <= dl && t > now) {
+            return None;
+        }
+        self.timer_pending = Some(dl);
+        Some(dl.max(now))
     }
 
     /// Sets `due` to the sockets with a deadline at or before `now`,
@@ -2308,7 +2324,7 @@ mod tests {
         assert!(a.is_closed(sa), "PCB reclaimed");
         assert_eq!(a.next_deadline(), None, "no timers survive the abort");
         // The blocked reader was woken to observe the error.
-        let wakeups = a.take_timer_wakeups();
+        let wakeups: Vec<_> = a.drain_timer_wakeups().collect();
         assert_eq!(wakeups.len(), 1);
         assert_eq!(wakeups[0].0, sa);
         let r = a.syscall_read(wakeups[0].1, sa, 100, &mut Vec::new(), &mut da);
@@ -2965,6 +2981,35 @@ mod tests {
             }
             true
         }
+    }
+
+    #[test]
+    fn timer_event_keeps_one_outstanding_event() {
+        let (mut a, _b, sa, _sb) = pair();
+        let mut da = CaptureDriver::new(9188);
+        let _ = a.syscall_write(SimTime::ZERO, sa, &[7; 100], &mut da);
+        let dl = a.next_deadline().expect("the retransmit timer runs");
+        let (us, t0) = (SimTime::from_us(1), SimTime::from_us(1));
+        assert!(t0 < dl);
+        // The first deadline is returned, and is then outstanding.
+        assert_eq!(a.timer_event(t0), Some(dl));
+        // A deadline equal to or later than the outstanding event: none.
+        assert_eq!(a.timer_event(t0), None);
+        a.timer_pending = Some(dl - us);
+        assert_eq!(a.timer_event(t0), None);
+        // A deadline earlier than the outstanding event is returned.
+        a.timer_pending = Some(dl + us);
+        assert_eq!(a.timer_event(t0), Some(dl));
+        // Once `now` reaches the outstanding event it has fired: the
+        // next deadline is returned again, at `max(dl, now)`.
+        assert_eq!(a.timer_event(dl), Some(dl));
+        assert_eq!(a.timer_event(dl + us), Some(dl + us));
+        assert_eq!(a.timer_event(t0), None);
+        // `check_timers` forgets the outstanding event even when it has
+        // not fired, so the unchanged deadline gets a second event.
+        let _ = a.check_timers(t0, &mut da);
+        assert_eq!(a.next_deadline(), Some(dl));
+        assert_eq!(a.timer_event(t0), Some(dl));
     }
 
     #[test]

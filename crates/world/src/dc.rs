@@ -7,7 +7,11 @@
 //! actually queues (and, past the port queue capacity, tail-drops into
 //! TCP's loss recovery). The event loop is the same four-event cycle —
 //! connection step, datagram arrival, software interrupt, TCP timer —
-//! with the host index packed into the raw event payload.
+//! with the host index packed into the raw event payload. The
+//! software interrupt and the timers are `latency_core::host`'s, as
+//! in the two-host world; this world owns the connection steps, the
+//! switch pass of each staged train, the host pauses and the fan-out
+//! landing stamp.
 //!
 //! Determinism: the world is a pure function of
 //! `(Topology, TrafficSchedule, seed)`. Per-host randomness derives
@@ -32,11 +36,12 @@ use std::sync::OnceLock;
 use atm::{AtmSwitch, LinkFault, VcRoute};
 use decstation::CostModel;
 use latency_core::app::{period_fill, period_matches};
+use latency_core::host::{flush, softintr_at, Hosts};
 use latency_core::nic::{arm_host, atm_receive, AtmDelivery, AtmNic, NicMut};
 use latency_core::Samples;
-use simkit::{Parked, Scheduler, Sim, SimTime};
+use simkit::{Parked, RawEventFn, Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
-use tcpip::{Kernel, PcbCounters, PcbKey, SockId};
+use tcpip::{Kernel, PcbCounters, PcbKey, SockId, TxDriver};
 
 use crate::study::MitigationCost;
 use crate::topology::{TailPolicy, Topology, TrafficSchedule};
@@ -190,8 +195,6 @@ pub struct DcHost {
     pub nic: AtmNic,
     /// Connection endpoints, indexed by socket id.
     pub conns: Vec<DcConn>,
-    /// Earliest scheduled TCP timer event, to avoid duplicates.
-    timer_at: Option<SimTime>,
     /// Fan-out barrier state (measured client hosts of a fan-out
     /// world only).
     pub fanout: Option<FanoutCtl>,
@@ -333,10 +336,10 @@ impl DcWorld {
             nic.mtu = topo.mtu;
             let kernel = Kernel::new(cfg, costs.clone());
             // Churn hosts are outside every fault scope: per-cell
-            // jitter would break the FIFO order of a multi-cell AAL5
-            // train and the reassembler would drop the PDU. The
-            // aperiodic think-time draw is the churn RNG stream
-            // instead.
+            // jitter would reorder a multi-cell AAL3/4 train, and the
+            // reassembler drops the PDU on the sequence-number gap
+            // (`Aal34Error::Sequence`). The aperiodic think-time draw
+            // is the churn RNG stream instead.
             let faults = if topo.faults_apply_to(h) {
                 topo.faults
             } else {
@@ -362,7 +365,6 @@ impl DcWorld {
                 kernel,
                 nic,
                 conns: Vec::new(),
-                timer_at: None,
                 fanout,
                 pause,
             });
@@ -887,76 +889,65 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
     sim
 }
 
-/// If host `h` is inside a pause window at `now`, the time it
-/// resumes. Every event entry point defers itself to that instant —
-/// a paused host stops servicing *everything* (arrivals, timers,
-/// process steps), exactly like a GC or scheduler stall. The resume
-/// point is outside the window (faultkit invariant), so a deferred
-/// event runs on its second attempt: pauses delay, never hang.
-fn paused_until(w: &DcWorld, h: usize, now: SimTime) -> Option<SimTime> {
-    w.hosts[h].pause.and_then(|p| p.resume_after(now))
-}
-
 /// Event entry points (function pointer + packed payload: scheduling
 /// allocates nothing). Each defers itself while its host is paused.
 fn conn_step_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
     let h = (data >> 32) as usize;
-    if let Some(resume) = paused_until(w, h, s.now()) {
+    if let Some(resume) = w.paused_until(h, s.now()) {
         s.schedule_raw_at(resume, "dc-paused-step", conn_step_raw, data);
         return;
     }
     conn_step(w, s, h, (data & 0xffff_ffff) as usize);
 }
 
-fn on_softintr_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: u64) {
-    if let Some(resume) = paused_until(w, h as usize, s.now()) {
-        s.schedule_raw_at(resume, "dc-paused-softintr", on_softintr_raw, h);
-        return;
+impl Hosts for DcWorld {
+    fn stack(&mut self, h: usize) -> (&mut Kernel, &mut dyn TxDriver) {
+        let DcHost { kernel, nic, .. } = &mut self.hosts[h];
+        (kernel, nic)
     }
-    on_softintr(w, s, h as usize);
-}
 
-fn on_timer_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: u64) {
-    if let Some(resume) = paused_until(w, h as usize, s.now()) {
-        s.schedule_raw_at(resume, "dc-paused-timer", on_timer_raw, h);
-        return;
-    }
-    on_timer(w, s, h as usize);
-}
-
-/// Schedules staged deliveries — running each train through the
-/// shared switch — and (re)arms the TCP timer after any kernel
-/// interaction on host `h`.
-fn flush_dc(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
-    let DcWorld {
-        topo,
-        hosts,
-        ids,
-        switch,
-        in_flight,
-        ..
-    } = w;
-    for AtmDelivery { dst, train } in hosts[h].nic.staged.drain(..) {
-        // The hardware interrupt fires when the train's last cell
-        // reaches the destination adapter. A fully-lost train arrives
-        // nowhere; TCP's retransmit timer is the recovery path.
-        let downlink = topo.link_delay(ids[dst]);
-        if let Some((last, out)) = switch.forward_train(h, train, downlink) {
-            let slot = in_flight.park((h, out));
-            s.schedule_raw_at(
-                last.max(s.now()),
-                "dc-arrival",
-                on_dc_arrival,
-                pack(dst, slot as usize),
-            );
+    /// Runs each staged train through the shared switch.
+    fn send_staged(&mut self, s: &mut Scheduler<DcWorld>, h: usize) {
+        let DcWorld {
+            topo,
+            hosts,
+            ids,
+            switch,
+            in_flight,
+            ..
+        } = self;
+        for AtmDelivery { dst, train } in hosts[h].nic.staged.drain(..) {
+            // The hardware interrupt fires when the train's last cell
+            // reaches the destination adapter. A fully-lost train
+            // arrives nowhere; TCP's retransmit timer is the recovery
+            // path.
+            let downlink = topo.link_delay(ids[dst]);
+            if let Some((last, out)) = switch.forward_train(h, train, downlink) {
+                let slot = in_flight.park((h, out));
+                s.schedule_raw_at(
+                    last.max(s.now()),
+                    "dc-arrival",
+                    on_dc_arrival,
+                    pack(dst, slot as usize),
+                );
+            }
         }
     }
-    if let Some(dl) = w.hosts[h].kernel.next_deadline() {
-        let stale = w.hosts[h].timer_at.is_none_or(|t| dl < t || t <= s.now());
-        if stale {
-            w.hosts[h].timer_at = Some(dl);
-            s.schedule_raw_at(dl.max(s.now()), "dc-tcp-timer", on_timer_raw, h as u64);
-        }
+
+    fn wakeup(h: usize, sock: SockId, abort: bool) -> (&'static str, RawEventFn<DcWorld>, u64) {
+        let label = if abort {
+            "dc-abort-wakeup"
+        } else {
+            "dc-wakeup"
+        };
+        (label, conn_step_raw, pack(h, sock))
+    }
+
+    /// A paused host, like a GC or scheduler stall, defers every event
+    /// to the window's end, which is outside the window (faultkit
+    /// invariant): pauses delay, never hang.
+    fn paused_until(&self, h: usize, now: SimTime) -> Option<SimTime> {
+        self.hosts[h].pause.and_then(|p| p.resume_after(now))
     }
 }
 
@@ -966,7 +957,7 @@ fn on_dc_arrival(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
     let h = (data >> 32) as usize;
     // A paused host's adapter holds the interrupt until it resumes;
     // the train stays parked.
-    if let Some(resume) = paused_until(w, h, s.now()) {
+    if let Some(resume) = w.paused_until(h, s.now()) {
         s.schedule_raw_at(resume, "dc-paused-arrival", on_dc_arrival, data);
         return;
     }
@@ -987,35 +978,7 @@ fn on_dc_arrival(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
     }
     let host = &mut w.hosts[h];
     if let Some(at) = atm_receive(&mut host.kernel, &mut host.nic, s.now(), train) {
-        s.schedule_raw_at(at, "dc-softintr", on_softintr_raw, h as u64);
-    }
-}
-
-/// The software interrupt: IP/TCP input, wakeups, responses.
-fn on_softintr(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
-    let DcHost { kernel, nic, .. } = &mut w.hosts[h];
-    let _ = kernel.ipintr(s.now(), nic);
-    flush_dc(w, s, h);
-    for (sock, run_at) in w.hosts[h].kernel.drain_wakeups() {
-        let at = run_at.max(s.now());
-        s.schedule_raw_at(at, "dc-wakeup", conn_step_raw, pack(h, sock));
-    }
-}
-
-/// A TCP timer event on host `h`.
-fn on_timer(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize) {
-    w.hosts[h].timer_at = None;
-    let host = &mut w.hosts[h];
-    let _ = {
-        let DcHost { kernel, nic, .. } = host;
-        kernel.check_timers(s.now(), nic)
-    };
-    flush_dc(w, s, h);
-    // A timer may have aborted a connection (retransmit limit) and
-    // woken the blocked process so it can observe the error.
-    for (sock, run_at) in w.hosts[h].kernel.take_timer_wakeups() {
-        let at = run_at.max(s.now());
-        s.schedule_raw_at(at, "dc-abort-wakeup", conn_step_raw, pack(h, sock));
+        softintr_at(s, at, h);
     }
 }
 
@@ -1125,7 +1088,7 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                     };
                     kernel.syscall_write(now, conn.sock, &data[offset..], nic)
                 };
-                flush_dc(w, s, h);
+                flush(w, s, h);
                 let conn = &mut w.hosts[h].conns[c];
                 now = out.done_at;
                 if out.error.is_some() {
@@ -1156,7 +1119,7 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                     } = host;
                     kernel.syscall_read(now, sock, want, &mut conns[c].got, nic)
                 };
-                flush_dc(w, s, h);
+                flush(w, s, h);
                 let conn = &mut w.hosts[h].conns[c];
                 if out.error.is_some() {
                     abort_pair(w, h, c);
@@ -1437,7 +1400,7 @@ fn arm_round(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, at: SimTime)
 /// re-arm at the barrier release). Wait-for-all needs none: the world
 /// is built with round one's scoreboard ready.
 fn on_round_arm_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: u64) {
-    if let Some(resume) = paused_until(w, h as usize, s.now()) {
+    if let Some(resume) = w.paused_until(h as usize, s.now()) {
         s.schedule_raw_at(resume, "dc-paused-arm", on_round_arm_raw, h);
         return;
     }
@@ -1446,7 +1409,7 @@ fn on_round_arm_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: u64) {
 
 fn on_hedge_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
     let h = (data >> 32) as usize;
-    if let Some(resume) = paused_until(w, h, s.now()) {
+    if let Some(resume) = w.paused_until(h, s.now()) {
         s.schedule_raw_at(resume, "dc-paused-hedge", on_hedge_raw, data);
         return;
     }
@@ -1501,7 +1464,7 @@ fn pack_retry(h: usize, slot: usize, round: u64, attempt: u32) -> u64 {
 
 fn on_retry_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
     let h = (data >> 48) as usize;
-    if let Some(resume) = paused_until(w, h, s.now()) {
+    if let Some(resume) = w.paused_until(h, s.now()) {
         s.schedule_raw_at(resume, "dc-paused-retry", on_retry_raw, data);
         return;
     }
@@ -1563,7 +1526,7 @@ fn on_retry(
         dc_pattern(&mut w.request, conn.size, conn.sent, conn.ident);
         kernel.syscall_write(now, conn.sock, &w.request, nic)
     };
-    flush_dc(w, s, h);
+    flush(w, s, h);
     if out.error.is_some() {
         abort_pair(w, h, slot);
         return;

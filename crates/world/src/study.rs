@@ -42,7 +42,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use atm::{DropPolicy, TrainMarking};
+use atm::DropPolicy;
 use latency_core::experiment::Workload;
 use latency_core::{Experiment, ObsMode, RunResult, Samples, Summary};
 use sweep::report::{canonical_report, json_num, ReportCell};
@@ -1094,7 +1094,6 @@ fn cc_grid_from(buffers: &[usize], rpc_size: usize, iterations: u64, warmup: u64
                 topo.stack.initial_cwnd_segs = Some(2);
                 topo.switch.queue_cells = q;
                 topo.switch.drop_policy = policy;
-                topo.switch.marking = TrainMarking::Aal34SegType;
                 let key = format!(
                     "cc/{}/{}/q{}/i{}r1",
                     variant.name(),
@@ -1728,13 +1727,12 @@ mod tests {
             }
         }
         for c in &g {
-            // Cold start and SAR-aware marking on every cell: the
-            // study is meaningless without either.
+            // Cold start on every cell: the study is meaningless
+            // without it.
             assert_eq!(c.cell.topo.stack.initial_cwnd_segs, Some(2));
             assert_eq!(c.cell.topo.stack.cc, c.variant);
             assert_eq!(c.cell.topo.switch.drop_policy, c.policy);
             assert_eq!(c.cell.topo.switch.queue_cells, c.queue_cells);
-            assert_eq!(c.cell.topo.switch.marking, TrainMarking::Aal34SegType);
             assert_eq!(c.cell.reps, 1);
         }
         assert!(g.iter().any(|c| c.variant == CcVariant::Sack

@@ -12,7 +12,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use atm::{DropPolicy, TrainMarking};
+use atm::DropPolicy;
 use faultkit::{FaultSchedule, FlapSchedule, GilbertElliott, PauseSchedule};
 use latency_core::experiment::{Experiment, NetKind};
 use simkit::SimTime;
@@ -312,7 +312,6 @@ fn overloaded_incast(cc: CcVariant, drop_policy: DropPolicy) -> impl PartialEq +
     t.stack.initial_cwnd_segs = Some(2);
     t.switch.queue_cells = 128;
     t.switch.drop_policy = drop_policy;
-    t.switch.marking = TrainMarking::Aal34SegType;
     let r = run_dc(&t, TrafficSchedule::staggered(), 3);
     assert!(
         r.switch_drops + r.epd_drops + r.ppd_drops > 0,
