@@ -1,6 +1,6 @@
-//! `atm` — the ATM substrate: 53-byte cells, AAL3/4 and AAL5
-//! segmentation/reassembly, the FORE TCA-100 adapter model, and the
-//! point-to-point fiber link.
+//! `atm` — the ATM substrate: 53-byte cells, AAL3/4
+//! segmentation/reassembly, the FORE TCA-100 adapter model, the
+//! point-to-point fiber link and an output-queued switch.
 //!
 //! The paper's testbed was a pair of FORE TCA-100 TurboChannel
 //! interfaces connected by a *switchless private* fiber at TAXI rates.
@@ -17,10 +17,6 @@
 //!   segmentation and reassembly of datagrams and the detection of
 //!   transmission errors and dropped cells".
 //!
-//! AAL5 is also provided: §4.2.1 cites both AAL3/4 and AAL5 CRCs when
-//! arguing that the TCP checksum can be eliminated on local ATM, and
-//! the error-injection experiments compare the two.
-//!
 //! Cells, CRCs and reassembly are computed over real bytes; only time
 //! is virtual (the adapter and link expose timing as data for the
 //! simulator to schedule with).
@@ -29,14 +25,12 @@
 #![warn(missing_docs)]
 
 pub mod aal34;
-pub mod aal5;
 pub mod adapter;
 pub mod cell;
 pub mod link;
 pub mod switch;
 
 pub use aal34::{Aal34Error, Aal34Reassembler, Aal34Segmenter};
-pub use aal5::{aal5_segment, Aal5Error, Aal5Reassembler, PT_END_OF_PDU};
 pub use adapter::{ForeTca100, RxFifo, TxFifo, FORE_RX_FIFO_CELLS, FORE_TX_FIFO_CELLS};
 pub use cell::{Cell, CellHeader, CELL_PAYLOAD, CELL_SIZE};
 pub use link::{FiberLink, LinkConfig, LinkFault};

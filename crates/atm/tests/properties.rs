@@ -3,10 +3,10 @@
 //! The load-bearing invariant — the one the paper's §4.2.1 checksum-
 //! elimination argument rests on — is **no silent corruption**: for
 //! any pattern of cell loss and bit corruption on the wire, the
-//! AAL3/4 (and AAL5) receivers either deliver the exact original
-//! datagram or deliver nothing. They must never hand up wrong bytes.
+//! AAL3/4 receiver either delivers the exact original datagram or
+//! delivers nothing. It must never hand up wrong bytes.
 
-use atm::{aal5_segment, Aal34Reassembler, Aal34Segmenter, Aal5Reassembler, Cell, CellHeader};
+use atm::{Aal34Reassembler, Aal34Segmenter, Cell, CellHeader};
 use cksum::crc::crc10_sar;
 use proptest::prelude::*;
 
@@ -149,45 +149,6 @@ proptest! {
         }
     }
 
-    /// The same invariant for AAL5.
-    #[test]
-    fn aal5_never_delivers_wrong_bytes(
-        sizes in proptest::collection::vec(1usize..3000, 1..4),
-        plan in proptest::collection::vec(
-            (any::<bool>(), proptest::option::of(0usize..424)), 0..220),
-        seed in any::<u8>(),
-    ) {
-        let mut sent = Vec::new();
-        let mut cells = Vec::new();
-        for (k, &n) in sizes.iter().enumerate() {
-            let d = datagram(n, seed.wrapping_add(k as u8));
-            cells.extend(aal5_segment(0, 9, &d));
-            sent.push(d);
-        }
-        let plan: Vec<_> = plan
-            .iter()
-            .enumerate()
-            .map(|(i, &(drop, flip))| if i % 4 == 0 { (drop, flip) } else { (false, None) })
-            .collect();
-        let cells = damage(cells, &plan);
-        let mut reasm = Aal5Reassembler::new(16 * 1024);
-        let mut delivered = Vec::new();
-        for c in &cells {
-            if !c.header_ok() {
-                continue;
-            }
-            if let Ok(Some(d)) = reasm.push(c) {
-                delivered.push(d);
-            }
-        }
-        let mut next_candidate = 0usize;
-        for d in &delivered {
-            let pos = sent[next_candidate..].iter().position(|s| s == d);
-            prop_assert!(pos.is_some(), "AAL5 delivered bytes matching nothing sent");
-            next_candidate += pos.unwrap() + 1;
-        }
-    }
-
     /// Cell encode/decode round-trips arbitrary headers and payloads.
     #[test]
     fn cell_roundtrip(vpi in any::<u8>(), vci in any::<u16>(), pt in 0u8..8,
@@ -207,9 +168,5 @@ proptest! {
         let mut seg = Aal34Segmenter::new(0, 7, 3);
         let cells = seg.segment(&datagram(n, 1));
         prop_assert_eq!(cells.len(), Aal34Segmenter::cells_for(n));
-        // AAL5 packs at least as densely for everything but trivial
-        // sizes.
-        let c5 = aal5_segment(0, 9, &datagram(n, 1)).len();
-        prop_assert!(c5 <= cells.len());
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! - **CRC-10** protects each AAL3/4 SAR cell payload (ITU-T I.363,
 //!   generator `x^10 + x^9 + x^5 + x^4 + x + 1`).
-//! - **CRC-32** protects the AAL5 CPCS-PDU and every Ethernet frame
+//! - **CRC-32** protects every Ethernet frame
 //!   (IEEE 802.3, the usual reflected 0x04C11DB7 polynomial).
 //! - **HEC** (CRC-8, `x^8 + x^2 + x + 1`, coset 0x55) protects the
 //!   ATM cell header.

@@ -27,8 +27,8 @@
 //! sums — provided it knows each chunk's byte offset parity within the
 //! segment ([`PartialChecksum`]).
 //!
-//! The [`crc`] module holds the link CRCs (AAL3/4 CRC-10, the CRC-32
-//! of AAL5 and Ethernet, the ATM HEC). On x86_64 CPUs with PCLMULQDQ,
+//! The [`crc`] module holds the link CRCs (AAL3/4 CRC-10, the
+//! Ethernet CRC-32, the ATM HEC). On x86_64 CPUs with PCLMULQDQ,
 //! detected at run time, CRC-10 and CRC-32 run on the carry-less
 //! multiplier; elsewhere on slicing-by-8 tables. Those kernels are the
 //! workspace's only `unsafe` code: the lints below deny it everywhere

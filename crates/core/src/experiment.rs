@@ -148,10 +148,9 @@ impl Experiment {
             }
             // Per-direction seeds match the link seeds; the fault
             // processes draw from their own RNG streams, so they never
-            // collide with the BER streams. Not pausable, so no pause
-            // schedule comes back.
+            // collide with the BER streams.
             let nic = NicMut::from(&mut host.nic);
-            arm_host(&self.faults, &host.kernel, nic, seed * 2 + 1 + h, false)
+            host.pause = arm_host(&self.faults, &host.kernel, nic, seed * 2 + 1 + h)
                 .unwrap_or_else(|refusal| panic!("{refusal}"));
         }
         world
@@ -568,8 +567,7 @@ impl Experiment {
     /// Attaches a faultkit schedule, armed per host at build time by
     /// [`crate::nic::arm_host`]. Running the experiment panics with
     /// the [`crate::nic::FaultRefusal`] if a field cannot be carried:
-    /// ATM-only fields on Ethernet, Ethernet-only fields on ATM, or
-    /// `host_pause`.
+    /// ATM-only fields on Ethernet, or Ethernet-only fields on ATM.
     #[must_use]
     pub fn with_faults(mut self, faults: faultkit::FaultSchedule) -> Self {
         self.faults = faults;

@@ -6,18 +6,19 @@
 //! driver CPU time, models the cut-through FIFO (ATM) or the
 //! descriptor ring (Ethernet), applies the link fault processes, and
 //! stages *deliveries* — per-datagram cell trains or frames with
-//! arrival times — that the world loop turns into events. An ATM
-//! train is timed at the far end of the sender's fiber; a world with
-//! a switch runs it through [`atm::AtmSwitch::forward_train`] at
+//! arrival times — that [`crate::host::flush`] turns into events. An
+//! ATM train is timed at the far end of the sender's fiber; a world
+//! with a switch runs it through [`atm::AtmSwitch::forward_train`] at
 //! flush. Each cell is written once, in its train slot, and the link
 //! faults it there.
 //!
-//! The receive side is a plain function called from the arrival event
-//! handler: it charges the hardware-interrupt costs, runs real
-//! reassembly (AAL3/4 CRC-10 / Ethernet FCS over real bytes) on the
-//! cells where they lie in the train, builds
-//! the mbuf chain (with stored partial checksums in the integrated
-//! configuration), and hands the datagram to the kernel's IP queue.
+//! The receive side is a plain function called from
+//! [`crate::host`]'s arrival event handler: it charges the
+//! hardware-interrupt costs, runs real reassembly (AAL3/4 CRC-10 /
+//! Ethernet FCS over real bytes) on the cells where they lie in the
+//! train, builds the mbuf chain (with stored partial checksums in the
+//! integrated configuration), and hands the datagram to the kernel's
+//! IP queue.
 //!
 //! [`arm_host`] is the one place a [`FaultSchedule`] is armed on a
 //! host, for every world.
@@ -50,6 +51,8 @@ pub struct AtmDelivery {
 
 /// A staged Ethernet delivery: one frame as the wire delivered it.
 pub struct EtherDelivery {
+    /// Destination host index: the peer on the two-host segment.
+    pub dst: usize,
     /// Arrival time of the frame at the peer's controller.
     pub arrival: SimTime,
     /// The frame bytes as delivered.
@@ -102,7 +105,7 @@ pub struct AtmNic {
 }
 
 /// A cell train: per cell, its arrival time and link fault.
-type Train = Vec<(SimTime, LinkFault)>;
+pub type Train = Vec<(SimTime, LinkFault)>;
 
 /// Trains of at most this many cells are small: every ACK and every
 /// datagram of up to 300 bytes, such as a 200-byte RPC.
@@ -384,6 +387,8 @@ pub struct EtherNic {
     pub addr: EtherAddr,
     /// Destination MAC (two-host segment).
     pub peer: EtherAddr,
+    /// The peer's host index.
+    peer_host: usize,
     /// Driver cost constants.
     pub costs: CostModel,
     /// Staged deliveries.
@@ -417,6 +422,7 @@ impl EtherNic {
             wire,
             addr: EtherAddr::from_host_id(host_id),
             peer: EtherAddr::from_host_id(host_id ^ 1),
+            peer_host: usize::from(host_id ^ 1),
             costs,
             staged: Vec::new(),
             fcs_drops: 0,
@@ -473,6 +479,7 @@ impl TxDriver for EtherNic {
         spans.mark(Mark::TxSignalled, cursor);
         if let Some(frame) = delivered {
             self.staged.push(EtherDelivery {
+                dst: self.peer_host,
                 arrival: delivered_at,
                 frame,
             });
@@ -555,23 +562,6 @@ pub enum Nic {
     Ether(EtherNic),
 }
 
-/// The kernel transmits through whichever interface the host has.
-impl TxDriver for Nic {
-    fn mtu(&self) -> usize {
-        match self {
-            Nic::Atm(a) => a.mtu(),
-            Nic::Ether(e) => e.mtu(),
-        }
-    }
-
-    fn transmit(&mut self, now: SimTime, packet: &Chain, spans: &mut SpanRecorder) -> SimTime {
-        match self {
-            Nic::Atm(a) => a.transmit(now, packet, spans),
-            Nic::Ether(e) => e.transmit(now, packet, spans),
-        }
-    }
-}
-
 impl Nic {
     /// Configures and arms every NIC- and medium-level capture tap
     /// (datagram taps on the NIC, raw cells/frames on the link).
@@ -628,6 +618,16 @@ impl<'a> From<&'a mut Nic> for NicMut<'a> {
     }
 }
 
+impl<'a> NicMut<'a> {
+    /// The interface as the kernel transmits through it.
+    pub fn driver(self) -> &'a mut dyn TxDriver {
+        match self {
+            NicMut::Atm(a) => a,
+            NicMut::Ether(e) => e,
+        }
+    }
+}
+
 /// A [`FaultSchedule`] field the host it was armed on cannot carry.
 /// Arming refuses it rather than silently injecting nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -636,9 +636,6 @@ pub enum FaultRefusal {
     AtmFieldOnEthernet(&'static str),
     /// An Ethernet-only field (named) on an ATM host.
     EtherFieldOnAtm(&'static str),
-    /// `host_pause` in an event loop that cannot defer a paused
-    /// host's events (the two-host world).
-    PauseUnsupported,
 }
 
 impl std::fmt::Display for FaultRefusal {
@@ -650,10 +647,6 @@ impl std::fmt::Display for FaultRefusal {
             FaultRefusal::EtherFieldOnAtm(field) => {
                 write!(f, "fault `{field}` cannot be armed on an ATM host")
             }
-            FaultRefusal::PauseUnsupported => write!(
-                f,
-                "fault `host_pause` cannot be armed in the two-host event loop"
-            ),
         }
     }
 }
@@ -664,23 +657,21 @@ impl std::error::Error for FaultRefusal {}
 /// train shaping, RX contention, RX FIFO size and link flap on the
 /// medium and the adapter, controller and gateway corruption on the
 /// NIC, the mbuf pool limit on the kernel. Every stochastic process
-/// draws from its own stream of `seed`. `pausable` says whether the
-/// host's event loop can defer a paused host's events.
+/// draws from its own stream of `seed`.
 ///
-/// Returns the pause schedule for the event loop to apply, or the
-/// first field the host cannot carry — before arming anything.
+/// Returns the pause schedule for the host's events to defer by
+/// ([`crate::host::deferred`]), or the first field the host cannot
+/// carry — before arming anything.
 ///
 /// # Errors
 ///
-/// [`FaultRefusal`] for an ATM-only field on Ethernet, an
-/// Ethernet-only field on ATM, or `host_pause` when `pausable` is
-/// false.
+/// [`FaultRefusal`] for an ATM-only field on Ethernet or an
+/// Ethernet-only field on ATM.
 pub fn arm_host(
     faults: &FaultSchedule,
     kernel: &Kernel,
     nic: NicMut<'_>,
     seed: u64,
-    pausable: bool,
 ) -> Result<Option<PauseSchedule>, FaultRefusal> {
     // Exhaustive: a new field fails to compile here until it is wired.
     let FaultSchedule {
@@ -697,9 +688,6 @@ pub fn arm_host(
         controller_corrupt,
         gateway_corrupt,
     } = *faults;
-    if host_pause.is_some() && !pausable {
-        return Err(FaultRefusal::PauseUnsupported);
-    }
     match nic {
         NicMut::Atm(nic) => {
             let ether_only = [
@@ -890,7 +878,7 @@ mod tests {
             ..FaultSchedule::default()
         };
         let mut nic = atm_nic(9);
-        let refusal = arm_host(&faults, &kernel(), NicMut::Atm(&mut nic), 9, true);
+        let refusal = arm_host(&faults, &kernel(), NicMut::Atm(&mut nic), 9);
         assert_eq!(
             refusal,
             Err(FaultRefusal::EtherFieldOnAtm("gateway_corrupt"))
@@ -911,7 +899,7 @@ mod tests {
             0,
             9,
         );
-        let refusal = arm_host(&faults, &kernel(), NicMut::Ether(&mut nic), 9, true);
+        let refusal = arm_host(&faults, &kernel(), NicMut::Ether(&mut nic), 9);
         assert_eq!(refusal, Err(FaultRefusal::AtmFieldOnEthernet("cell_loss")));
         assert_eq!(nic.wire.config.ber, 0.0, "refused before arming anything");
         assert_eq!(

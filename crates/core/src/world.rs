@@ -18,19 +18,21 @@
 //! and Wakeup rows — and the transmit/receive overlap of the 8000-
 //! byte case — into emergent measurements rather than inputs.
 //!
-//! Events 3 and 4 are [`crate::host`]'s, shared with the datacenter
-//! world. This world owns the app steps, the arrival handler, and how
-//! a staged datagram reaches the peer: bare fiber, a 2-port switch or
-//! the Ethernet wire.
+//! Events 2 to 4, the delivery of each staged datagram and the pause
+//! rule are [`crate::host`]'s, shared with the datacenter world. This
+//! world owns the app steps and where an ATM train lands: at the last
+//! surviving cell on bare fiber, or past a 2-port switch. An Ethernet
+//! frame lands when the wire delivers it.
 
 use atm::{AtmSwitch, VcRoute};
-use simkit::{Parked, RawEventFn, Scheduler, Sim, SimTime};
+use faultkit::PauseSchedule;
+use simkit::{Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
-use tcpip::{Kernel, Mark, PcbKey, SockId, StackConfig, TxDriver};
+use tcpip::{Kernel, Mark, PcbKey, SockId, StackConfig};
 
 use crate::app::{App, AppState, Role};
-use crate::host::{flush, softintr_at, Hosts};
-use crate::nic::{atm_receive, ether_receive, AtmDelivery, EtherDelivery, Nic};
+use crate::host::{deferred, flush, Hosts, InFlight, RawEvent};
+use crate::nic::{Nic, NicMut, Train};
 
 /// Client and server IP addresses.
 const ADDRS: [[u8; 4]; 2] = [[10, 0, 0, 1], [10, 0, 0, 2]];
@@ -53,6 +55,8 @@ pub struct Host {
     pub app: App,
     /// The process's socket.
     pub sock: SockId,
+    /// Pause windows, as [`crate::nic::arm_host`] returned them.
+    pub(crate) pause: Option<PauseSchedule>,
 }
 
 impl Host {
@@ -89,20 +93,11 @@ pub struct World {
     /// triggers ([`simcap::TriggerReason`]) freeze pcapng-ready
     /// snapshots instead of the run retaining everything.
     pub flight_k: Option<usize>,
-    /// Each datagram on the wire and its destination host, parked
-    /// until its arrival event fires.
-    in_flight: Parked<(usize, Arrival)>,
+    /// The datagrams on the wire.
+    in_flight: InFlight,
     /// The client's request of the iteration being written, built in
     /// place each time.
     request: Vec<u8>,
-}
-
-/// A datagram as the receiving adapter will see it.
-enum Arrival {
-    /// Per-cell (arrival, link fault) of one ATM cell train.
-    Atm(Vec<(SimTime, atm::LinkFault)>),
-    /// One Ethernet frame's bytes.
-    Ether(Vec<u8>),
 }
 
 // The parallel sweep runner builds and runs one world per cell inside
@@ -127,7 +122,10 @@ impl World {
                 a.add_peer(ADDRS[1 - h], 1 - h, VCI, MID);
             }
         }
-        let mss = tcp_mss(nics[0].mtu(), cfg.mss_one_cluster);
+        let mss = tcp_mss(
+            NicMut::from(&mut nics[0]).driver().mtu(),
+            cfg.mss_one_cluster,
+        );
         let [mut kc, mut ks] = [Kernel::new(cfg, costs.clone()), Kernel::new(cfg, costs)];
         // UDP workloads bind datagram sockets instead of a connection.
         let socks = if apps[0].role == Role::UdpRpcClient {
@@ -154,6 +152,7 @@ impl World {
                 switch: None,
                 app,
                 sock,
+                pause: None,
             })
             .collect();
         World {
@@ -161,7 +160,7 @@ impl World {
             measuring: false,
             capture: false,
             flight_k: None,
-            in_flight: Parked::default(),
+            in_flight: InFlight::default(),
             request: Vec::new(),
         }
     }
@@ -176,8 +175,9 @@ impl World {
 /// Runs a world to completion; returns the simulation for inspection.
 ///
 /// Every event is a function pointer plus one `u64`: the host index,
-/// or for "atm-arrival" and "eth-arrival" the slot where the datagram
-/// waits in the world's in-flight slab. Scheduling an event allocates
+/// or for "atm-arrival" and "eth-arrival" the destination host and the
+/// slot where the datagram waits in the world's in-flight slab,
+/// packed by [`crate::host::pack`]. Scheduling an event allocates
 /// nothing.
 ///
 /// `obs`, when given, fires after every executed event with
@@ -215,70 +215,46 @@ pub fn run_world(world: World, obs: Option<simkit::ObserverFn<World>>) -> Sim<Wo
 }
 
 impl Hosts for World {
-    fn stack(&mut self, h: usize) -> (&mut Kernel, &mut dyn TxDriver) {
+    fn stack(&mut self, h: usize) -> (&mut Kernel, NicMut<'_>) {
         let host = &mut self.hosts[h];
-        (&mut host.kernel, &mut host.nic)
+        (&mut host.kernel, NicMut::from(&mut host.nic))
     }
 
-    fn send_staged(&mut self, s: &mut Scheduler<World>, h: usize) {
-        let peer = 1 - h;
+    fn in_flight(&mut self) -> &mut InFlight {
+        &mut self.in_flight
+    }
+
+    fn pause(&self, h: usize) -> Option<PauseSchedule> {
+        self.hosts[h].pause
+    }
+
+    fn route(&mut self, h: usize, _dst: usize, train: Train) -> Option<(SimTime, Train)> {
         let host = &mut self.hosts[h];
-        match &mut host.nic {
-            Nic::Atm(nic) => {
-                for AtmDelivery { train, .. } in nic.staged.drain(..) {
-                    let delivery = match &mut host.switch {
-                        // Switchless fiber: the interrupt fires when
-                        // the last surviving cell arrives. A train that
-                        // lost every cell arrives nowhere, as through a
-                        // switch; TCP's retransmit timer recovers it.
-                        None => train
-                            .iter()
-                            .filter(|(_, fault)| !matches!(fault, atm::LinkFault::Lost))
-                            .map(|&(t, _)| t)
-                            .max()
-                            .map(|last| (last, train)),
-                        Some(sw) => sw.forward_train(0, train, nic.link.config.propagation),
-                    };
-                    if let Some((arrival, train)) = delivery {
-                        let slot = self.in_flight.park((peer, Arrival::Atm(train)));
-                        s.schedule_raw_at(arrival.max(s.now()), "atm-arrival", on_arrival, slot);
-                    }
-                }
-            }
-            Nic::Ether(nic) => {
-                for EtherDelivery { arrival, frame } in nic.staged.drain(..) {
-                    let slot = self.in_flight.park((peer, Arrival::Ether(frame)));
-                    s.schedule_raw_at(arrival.max(s.now()), "eth-arrival", on_arrival, slot);
-                }
-            }
+        match (&mut host.switch, &host.nic) {
+            (Some(sw), Nic::Atm(nic)) => sw.forward_train(0, train, nic.link.config.propagation),
+            // Switchless fiber: the interrupt fires when the last
+            // surviving cell arrives. A train that lost every cell
+            // arrives nowhere, as through a switch.
+            _ => train
+                .iter()
+                .filter(|(_, fault)| !matches!(fault, atm::LinkFault::Lost))
+                .map(|&(t, _)| t)
+                .max()
+                .map(|last| (last, train)),
         }
     }
 
-    fn wakeup(h: usize, _sock: SockId, abort: bool) -> (&'static str, RawEventFn<World>, u64) {
+    fn wakeup(h: usize, _sock: SockId, abort: bool) -> RawEvent<World> {
         let label = if abort { "abort-wakeup" } else { "app-wakeup" };
         (label, app_step, h as u64)
     }
 }
 
-/// Datagram arrival: the receiving host's hardware interrupt for the
-/// datagram parked in `slot`.
-fn on_arrival(w: &mut World, s: &mut Scheduler<World>, slot: u64) {
-    let (h, arrival) = w.in_flight.take(slot);
-    let host = &mut w.hosts[h];
-    let softintr = match (arrival, &mut host.nic) {
-        (Arrival::Atm(train), Nic::Atm(nic)) => atm_receive(&mut host.kernel, nic, s.now(), train),
-        (Arrival::Ether(frame), Nic::Ether(nic)) => {
-            ether_receive(&mut host.kernel, nic, s.now(), &frame)
-        }
-        _ => panic!("delivery to a host on another medium"),
-    };
-    if let Some(at) = softintr {
-        softintr_at(s, at, h);
-    }
-}
-
 /// Runs a process until it blocks or finishes.
 fn app_step(w: &mut World, s: &mut Scheduler<World>, h: u64) {
+    if deferred(w, s, h as usize, ("paused-step", app_step, h)) {
+        return;
+    }
     app_step_inner(w, s, h as usize);
     // When the RPC client finishes, the benchmark is over: the echo
     // server (which would otherwise block in read forever)
@@ -350,6 +326,7 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                     app,
                     ..
                 } = host;
+                let nic = NicMut::from(nic).driver();
                 let data = match app.role {
                     // The server echoes what it received.
                     Role::RpcServer | Role::UdpRpcServer => &app.got,
@@ -409,6 +386,7 @@ fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
                     app,
                     ..
                 } = host;
+                let nic = NicMut::from(nic).driver();
                 let out = if udp {
                     kernel.udp_recvfrom(now, *sock, &mut app.got)
                 } else {

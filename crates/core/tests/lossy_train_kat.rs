@@ -88,7 +88,7 @@ fn lossy_trains_match_their_known_answers() {
     .with_reorder(0.05)
     .with_duplicate(0.03)
     .with_jitter(0.1, 5_000);
-    let pause = arm_host(&faults, &tx_kernel, NicMut::Atm(&mut tx), 17, true);
+    let pause = arm_host(&faults, &tx_kernel, NicMut::Atm(&mut tx), 17);
     assert_eq!(pause, Ok(None));
     let mut spans = SpanRecorder::new();
     let user = MbufPool::new();

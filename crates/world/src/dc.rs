@@ -7,11 +7,12 @@
 //! actually queues (and, past the port queue capacity, tail-drops into
 //! TCP's loss recovery). The event loop is the same four-event cycle —
 //! connection step, datagram arrival, software interrupt, TCP timer —
-//! with the host index packed into the raw event payload. The
-//! software interrupt and the timers are `latency_core::host`'s, as
-//! in the two-host world; this world owns the connection steps, the
-//! switch pass of each staged train, the host pauses and the fan-out
-//! landing stamp.
+//! with the host index packed into the raw event payload. Delivery,
+//! arrival, the software interrupt, the timers and the pause rule are
+//! `latency_core::host`'s, as in the two-host world; this world owns
+//! the connection steps and the fan-out round events, where a train
+//! lands (through the shared switch, then down the destination's
+//! link), and the fan-out landing stamp.
 //!
 //! Determinism: the world is a pure function of
 //! `(Topology, TrafficSchedule, seed)`. Per-host randomness derives
@@ -33,15 +34,16 @@
 
 use std::sync::OnceLock;
 
-use atm::{AtmSwitch, LinkFault, VcRoute};
+use atm::{AtmSwitch, VcRoute};
 use decstation::CostModel;
+use faultkit::PauseSchedule;
 use latency_core::app::{period_fill, period_matches};
-use latency_core::host::{flush, softintr_at, Hosts};
-use latency_core::nic::{arm_host, atm_receive, AtmDelivery, AtmNic, NicMut};
+use latency_core::host::{deferred, flush, pack, unpack, Hosts, InFlight, RawEvent};
+use latency_core::nic::{arm_host, AtmNic, NicMut, Train};
 use latency_core::Samples;
-use simkit::{Parked, RawEventFn, Scheduler, Sim, SimTime};
+use simkit::{Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
-use tcpip::{Kernel, PcbCounters, PcbKey, SockId, TxDriver};
+use tcpip::{Kernel, PcbCounters, PcbKey, SockId};
 
 use crate::study::MitigationCost;
 use crate::topology::{TailPolicy, Topology, TrafficSchedule};
@@ -198,10 +200,8 @@ pub struct DcHost {
     /// Fan-out barrier state (measured client hosts of a fan-out
     /// world only).
     pub fanout: Option<FanoutCtl>,
-    /// Deterministic pause/resume windows (faultkit `host_pause`):
-    /// every event targeting this host while it is paused is deferred
-    /// to the window's end, modeling a GC or scheduler stall.
-    pause: Option<faultkit::PauseSchedule>,
+    /// Pause windows, as `arm_host` returned them.
+    pause: Option<PauseSchedule>,
 }
 
 /// The datacenter world.
@@ -225,9 +225,8 @@ pub struct DcWorld {
     live_clients: usize,
     /// The world seed; churn think-time draws derive from it.
     seed: u64,
-    /// Each cell train past the switch and its source host, parked
-    /// until its arrival event fires.
-    in_flight: Parked<(usize, Vec<(SimTime, LinkFault)>)>,
+    /// The cell trains past the switch.
+    in_flight: InFlight,
     /// The request a client connection is writing, built in place each
     /// time ([`dc_pattern`]). One per world: a write copies it into
     /// mbufs before the next one starts.
@@ -345,7 +344,7 @@ impl DcWorld {
             } else {
                 faultkit::FaultSchedule::default()
             };
-            let pause = arm_host(&faults, &kernel, NicMut::Atm(&mut nic), hs, true)
+            let pause = arm_host(&faults, &kernel, NicMut::Atm(&mut nic), hs)
                 .unwrap_or_else(|refusal| panic!("{refusal}"));
             let fanout = (topo.fanout_width > 0 && h < topo.clients).then(|| FanoutCtl {
                 width: topo.fanout_width,
@@ -513,7 +512,7 @@ impl DcWorld {
             switch,
             live_clients,
             seed,
-            in_flight: Parked::default(),
+            in_flight: InFlight::default(),
             request: Vec::new(),
         }
     }
@@ -806,11 +805,6 @@ fn run_dc_sim(world: DcWorld) -> Sim<DcWorld> {
     sim
 }
 
-/// Packs a (host, connection) pair into a raw event payload.
-fn pack(h: usize, c: usize) -> u64 {
-    ((h as u64) << 32) | c as u64
-}
-
 /// Builds the simulation over a world: schedules every connection's
 /// start event (servers first, at t = 0, so they are blocked in read
 /// before any client writes; clients per the traffic schedule).
@@ -830,7 +824,7 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
     };
     for (h, _) in local(clients..measured) {
         for c in 0..sim.world.hosts[h].conns.len() {
-            sim.schedule_raw(SimTime::ZERO, "dc-conn-start", conn_step_raw, pack(h, c));
+            sim.schedule_raw(SimTime::ZERO, "dc-conn-start", conn_step, pack(h, c));
         }
     }
     let sched = sim.world.sched;
@@ -842,12 +836,7 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
         // traffic slot; every later round re-arms at its release.
         // Wait-for-all arms nothing, so it schedules no event here.
         if mitigated {
-            sim.schedule_raw(
-                sched.start_of(g, 0),
-                "dc-round-arm",
-                on_round_arm_raw,
-                h as u64,
-            );
+            sim.schedule_raw(sched.start_of(g, 0), "dc-round-arm", on_round_arm, h as u64);
         }
         for c in 0..sim.world.hosts[h].conns.len() {
             // Hedge replicas park idle until their trigger fires.
@@ -862,7 +851,7 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
             } else {
                 sched.start_of(g, c)
             };
-            sim.schedule_raw(at, "dc-conn-start", conn_step_raw, pack(h, c));
+            sim.schedule_raw(at, "dc-conn-start", conn_step, pack(h, c));
         }
     }
     // Churn connections spread their first rounds across one think
@@ -880,7 +869,7 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
                 sim.schedule_raw(
                     sched.start_of(g, c) + spread,
                     "dc-churn-start",
-                    conn_step_raw,
+                    conn_step,
                     pack(h, c),
                 );
             }
@@ -889,96 +878,50 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
     sim
 }
 
-/// Event entry points (function pointer + packed payload: scheduling
-/// allocates nothing). Each defers itself while its host is paused.
-fn conn_step_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
-    let h = (data >> 32) as usize;
-    if let Some(resume) = w.paused_until(h, s.now()) {
-        s.schedule_raw_at(resume, "dc-paused-step", conn_step_raw, data);
-        return;
-    }
-    conn_step(w, s, h, (data & 0xffff_ffff) as usize);
-}
-
 impl Hosts for DcWorld {
-    fn stack(&mut self, h: usize) -> (&mut Kernel, &mut dyn TxDriver) {
+    fn stack(&mut self, h: usize) -> (&mut Kernel, NicMut<'_>) {
         let DcHost { kernel, nic, .. } = &mut self.hosts[h];
-        (kernel, nic)
+        (kernel, NicMut::Atm(nic))
     }
 
-    /// Runs each staged train through the shared switch.
-    fn send_staged(&mut self, s: &mut Scheduler<DcWorld>, h: usize) {
-        let DcWorld {
-            topo,
-            hosts,
-            ids,
-            switch,
-            in_flight,
-            ..
-        } = self;
-        for AtmDelivery { dst, train } in hosts[h].nic.staged.drain(..) {
-            // The hardware interrupt fires when the train's last cell
-            // reaches the destination adapter. A fully-lost train
-            // arrives nowhere; TCP's retransmit timer is the recovery
-            // path.
-            let downlink = topo.link_delay(ids[dst]);
-            if let Some((last, out)) = switch.forward_train(h, train, downlink) {
-                let slot = in_flight.park((h, out));
-                s.schedule_raw_at(
-                    last.max(s.now()),
-                    "dc-arrival",
-                    on_dc_arrival,
-                    pack(dst, slot as usize),
-                );
-            }
-        }
+    fn in_flight(&mut self) -> &mut InFlight {
+        &mut self.in_flight
     }
 
-    fn wakeup(h: usize, sock: SockId, abort: bool) -> (&'static str, RawEventFn<DcWorld>, u64) {
+    fn pause(&self, h: usize) -> Option<PauseSchedule> {
+        self.hosts[h].pause
+    }
+
+    /// Through the shared switch, then down `dst`'s link.
+    fn route(&mut self, h: usize, dst: usize, train: Train) -> Option<(SimTime, Train)> {
+        let downlink = self.topo.link_delay(self.ids[dst]);
+        self.switch.forward_train(h, train, downlink)
+    }
+
+    fn wakeup(h: usize, sock: SockId, abort: bool) -> RawEvent<DcWorld> {
         let label = if abort {
             "dc-abort-wakeup"
         } else {
             "dc-wakeup"
         };
-        (label, conn_step_raw, pack(h, sock))
+        (label, conn_step, pack(h, sock))
     }
 
-    /// A paused host, like a GC or scheduler stall, defers every event
-    /// to the window's end, which is outside the window (faultkit
-    /// invariant): pauses delay, never hang.
-    fn paused_until(&self, h: usize, now: SimTime) -> Option<SimTime> {
-        self.hosts[h].pause.and_then(|p| p.resume_after(now))
-    }
-}
-
-/// ATM datagram arrival at host `h` of the train parked in `slot`,
-/// packed as `pack(h, slot)`: the hardware interrupt.
-fn on_dc_arrival(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
-    let h = (data >> 32) as usize;
-    // A paused host's adapter holds the interrupt until it resumes;
-    // the train stays parked.
-    if let Some(resume) = w.paused_until(h, s.now()) {
-        s.schedule_raw_at(resume, "dc-paused-arrival", on_dc_arrival, data);
-        return;
-    }
-    let (src, train) = w.in_flight.take(data & 0xffff_ffff);
-    // Fan-out landing stamp: on a fan-out client, connection `c`
-    // talks exclusively to server `clients + h*span + c` (the
-    // client's private server block, primaries then replicas), so the
-    // sender maps to the connection without waiting for TCP
-    // demultiplexing (which runs serialized on the client CPU, after
-    // this interrupt).
-    if w.hosts[h].fanout.is_some() {
-        let span = w.topo.fanout_conns();
-        let first = w.topo.clients + w.ids[h] * span;
-        let src = w.ids[src];
-        if (first..first + span).contains(&src) {
-            w.hosts[h].conns[src - first].last_arrival = s.now();
+    /// The fan-out landing stamp: on a fan-out client, connection `c`
+    /// talks exclusively to server `clients + h*span + c` (the
+    /// client's private server block, primaries then replicas), so
+    /// the sender maps to the connection without waiting for TCP
+    /// demultiplexing (which runs serialized on the client CPU, after
+    /// this interrupt).
+    fn landed(&mut self, h: usize, src: usize, now: SimTime) {
+        if self.hosts[h].fanout.is_some() {
+            let span = self.topo.fanout_conns();
+            let first = self.topo.clients + self.ids[h] * span;
+            let src = self.ids[src];
+            if (first..first + span).contains(&src) {
+                self.hosts[h].conns[src - first].last_arrival = now;
+            }
         }
-    }
-    let host = &mut w.hosts[h];
-    if let Some(at) = atm_receive(&mut host.kernel, &mut host.nic, s.now(), train) {
-        softintr_at(s, at, h);
     }
 }
 
@@ -1047,9 +990,14 @@ fn abort_fanout_host(w: &mut DcWorld, ch: usize) {
     }
 }
 
-/// Runs one connection endpoint until it blocks or finishes — the RPC
-/// loop of the two-host world's app, per connection.
-fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
+/// Runs connection endpoint `pack(h, c)` until it blocks or finishes —
+/// the RPC loop of the two-host world's app, per connection. Like
+/// every event entry point here, it first defers while `h` is paused.
+fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
+    let (h, c) = unpack(data);
+    if deferred(w, s, h, ("paused-step", conn_step, data)) {
+        return;
+    }
     let mut now = s.now();
     // A fan-out host's round lifecycle (release, record, finish) is
     // owned by `fanout_reply`, not by this connection's echo.
@@ -1187,7 +1135,7 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, c: usize) {
                         splitmix64(host_seed(w.seed, w.ids[h]) ^ ((c as u64) << 40) ^ rounds)
                             % think.as_ns().max(1);
                     let at = now.max(s.now()) + think + SimTime::from_ns(draw);
-                    s.schedule_raw_at(at, "dc-churn-next", conn_step_raw, pack(h, c));
+                    s.schedule_raw_at(at, "dc-churn-next", conn_step, pack(h, c));
                     break;
                 }
             }
@@ -1325,7 +1273,7 @@ fn fanout_reply(
     for j in 0..w.hosts[h].conns.len() {
         if j < width {
             w.hosts[h].conns[j].state = ConnState::WantWrite(0);
-            s.schedule_raw_at(at, "dc-fanout-next", conn_step_raw, pack(h, j));
+            s.schedule_raw_at(at, "dc-fanout-next", conn_step, pack(h, j));
         } else {
             w.hosts[h].conns[j].state = ConnState::Idle;
         }
@@ -1373,12 +1321,7 @@ fn arm_round(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, at: SimTime)
             let ctl = w.hosts[h].fanout.as_ref().expect("fan-out host");
             ctl.p95.upper_estimate().unwrap_or(hp.initial)
         });
-        s.schedule_raw_at(
-            at + delay,
-            "dc-hedge",
-            on_hedge_raw,
-            pack(h, round as usize),
-        );
+        s.schedule_raw_at(at + delay, "dc-hedge", on_hedge, pack(h, round as usize));
     }
     if let Some(rp) = tail.retry {
         if rp.max_attempts > 1 {
@@ -1387,7 +1330,7 @@ fn arm_round(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, at: SimTime)
                 s.schedule_raw_at(
                     at + rp.backoff + jitter,
                     "dc-retry",
-                    on_retry_raw,
+                    on_retry,
                     pack_retry(h, slot, round, 1),
                 );
             }
@@ -1399,34 +1342,28 @@ fn arm_round(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, at: SimTime)
 /// (scheduled by `prepare_dc` at the host's traffic slot; later rounds
 /// re-arm at the barrier release). Wait-for-all needs none: the world
 /// is built with round one's scoreboard ready.
-fn on_round_arm_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: u64) {
-    if let Some(resume) = w.paused_until(h as usize, s.now()) {
-        s.schedule_raw_at(resume, "dc-paused-arm", on_round_arm_raw, h);
+fn on_round_arm(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: u64) {
+    if deferred(w, s, h as usize, ("paused-arm", on_round_arm, h)) {
         return;
     }
     arm_round(w, s, h as usize, s.now());
 }
 
-fn on_hedge_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
-    let h = (data >> 32) as usize;
-    if let Some(resume) = w.paused_until(h, s.now()) {
-        s.schedule_raw_at(resume, "dc-paused-hedge", on_hedge_raw, data);
+/// The hedge trigger for round `round` on host `h`, packed as
+/// `pack(h, round)`: reissue the slowest outstanding sub-request to
+/// its replica server, race the copies, take the first reply.
+fn on_hedge(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
+    let (h, round) = unpack(data);
+    if deferred(w, s, h, ("paused-hedge", on_hedge, data)) {
         return;
     }
-    on_hedge(w, s, h, data & 0xffff_ffff);
-}
-
-/// The hedge trigger for round `round` on host `h`: reissue the
-/// slowest outstanding sub-request to its replica server, race the
-/// copies, take the first reply.
-fn on_hedge(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, round: u64) {
     let slot = {
         let Some(ctl) = w.hosts[h].fanout.as_ref() else {
             return;
         };
         // Stale trigger (the round already ended), an aborted host, or
         // a round that already hedged: no-op.
-        if ctl.aborted || ctl.round != round || ctl.hedged_slot.is_some() {
+        if ctl.aborted || ctl.round != round as u64 || ctl.hedged_slot.is_some() {
             return;
         }
         // "Slowest outstanding": the round's sub-requests all started
@@ -1452,7 +1389,7 @@ fn on_hedge(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, round: u64) {
     conn.state = ConnState::WantWrite(0);
     conn.round_sent = 1;
     conn.round_rcvd = 0;
-    s.schedule_raw_at(s.now(), "dc-hedge-send", conn_step_raw, pack(h, rc));
+    s.schedule_raw_at(s.now(), "dc-hedge-send", conn_step, pack(h, rc));
 }
 
 /// Packs a retry timer payload: host, slot, round (low 20 bits — the
@@ -1462,30 +1399,18 @@ fn pack_retry(h: usize, slot: usize, round: u64, attempt: u32) -> u64 {
     ((h as u64) << 48) | ((slot as u64) << 36) | ((round & 0xf_ffff) << 16) | u64::from(attempt)
 }
 
-fn on_retry_raw(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
+/// Application-level retry timer for `slot` of round `round`, packed
+/// by [`pack_retry`]: if the slot is still unresolved and the budget
+/// has a token, write another copy of the round's request on the same
+/// stream and chain the next attempt at doubled backoff.
+fn on_retry(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
     let h = (data >> 48) as usize;
-    if let Some(resume) = w.paused_until(h, s.now()) {
-        s.schedule_raw_at(resume, "dc-paused-retry", on_retry_raw, data);
+    if deferred(w, s, h, ("paused-retry", on_retry, data)) {
         return;
     }
     let slot = ((data >> 36) & 0xfff) as usize;
     let round = (data >> 16) & 0xf_ffff;
     let attempt = (data & 0xffff) as u32;
-    on_retry(w, s, h, slot, round, attempt);
-}
-
-/// Application-level retry timer for `slot` of round `round`: if the
-/// slot is still unresolved and the budget has a token, write another
-/// copy of the round's request on the same stream and chain the next
-/// attempt at doubled backoff.
-fn on_retry(
-    w: &mut DcWorld,
-    s: &mut Scheduler<DcWorld>,
-    h: usize,
-    slot: usize,
-    round: u64,
-    attempt: u32,
-) {
     let rp = {
         let Some(ctl) = w.hosts[h].fanout.as_ref() else {
             return;
@@ -1553,7 +1478,7 @@ fn on_retry(
         s.schedule_raw_at(
             now + backoff + jitter,
             "dc-retry",
-            on_retry_raw,
+            on_retry,
             pack_retry(h, slot, round, attempt + 1),
         );
     }
@@ -1641,7 +1566,7 @@ mod tests {
             let seen = Rc::clone(&paused);
             let mut sim = prepare_dc(DcWorld::new(topo.clone(), TrafficSchedule::staggered(), 3));
             sim.set_observer(Box::new(move |_, _, label| {
-                seen.set(seen.get() + u64::from(label == "dc-paused-arrival"));
+                seen.set(seen.get() + u64::from(label == "paused-arrival"));
             }));
             sim.run();
             assert!(sim.world.finished(), "the paused, lossy run completes");

@@ -89,9 +89,9 @@ pub enum FaultScope {
 /// connection echoes `rpc_size` bytes, then idles a uniformly drawn
 /// `[think, 2*think)` before the next round; that draw is the RNG
 /// stream that de-phases the background load from the measured rounds
-/// (per-cell jitter would break the FIFO order of a multi-cell AAL5
-/// train, so churn uplinks carry no fault schedule at all). Churn
-/// connections are never measured and never counted toward run
+/// (per-cell jitter would reorder a multi-cell AAL3/4 train, dropped on
+/// the sequence-number gap, so churn uplinks carry no fault schedule).
+/// Churn connections are never measured and never counted toward run
 /// completion.
 #[derive(Clone, Debug)]
 pub struct ChurnTraffic {

@@ -21,7 +21,7 @@
 //! | [`decstation`] | Calibrated DECstation 5000/200 cost model and the TurboChannel measurement clock |
 //! | [`mbuf`] | BSD mbuf subsystem: 108-byte mbufs, 4 KB refcounted clusters, `m_copy` semantics |
 //! | [`cksum`] | Internet checksum algorithms (ULTRIX, optimized, integrated copy+checksum), partial-sum algebra, CRC-10/32/HEC |
-//! | [`atm`] | 53-byte cells, AAL3/4 and AAL5 SAR, FORE TCA-100 FIFO model, fiber link with fault injection |
+//! | [`atm`] | 53-byte cells, AAL3/4 SAR, FORE TCA-100 FIFO model, fiber link with fault injection, output-queued switch |
 //! | [`ether`] | Ethernet baseline: real framing + FCS, 10 Mbit/s wire, LANCE-class controller model |
 //! | [`tcpip`] | The BSD-style stack: sockets, TCP with header prediction, PCB management, IP queue, span instrumentation |
 //! | [`simcap`] | Packet capture: layer-boundary taps, dependency-free pcap/pcapng I/O, RFC 1242 same-packet latency analysis, the `capdiff` CLI |

@@ -181,7 +181,7 @@ fn two_host(net: NetKind, size: usize) -> impl Fn(FaultSchedule) -> String {
 fn every_fault_field_bites_or_is_refused_on_two_host_atm() {
     assert_every_field_bites(
         "two-host ATM",
-        &["ether_loss", "host_pause", "gateway_corrupt"],
+        &["ether_loss", "gateway_corrupt"],
         two_host(NetKind::Atm, 8000),
     );
 }
@@ -195,7 +195,6 @@ fn every_fault_field_bites_or_is_refused_on_two_host_ethernet() {
             "train",
             "rx_contention",
             "rx_fifo_cells",
-            "host_pause",
             "link_flap",
             "cell_loss",
         ],
