@@ -194,20 +194,20 @@ impl Experiment {
         let server = &w.hosts[1];
         let (client_nic_stats, server_nic_stats) = (nic_stats(&client.nic), nic_stats(&server.nic));
         let mut result = RunResult {
-            rtts: client.app.stats.rtts.clone(),
+            rtts: client.app.rtts.clone(),
             tx: TxBreakdown::default(),
             rx: RxBreakdown::default(),
             breakdown_iters: 0,
-            verify_failures: client.app.stats.verify_failures + server.app.stats.verify_failures,
-            bytes_moved: client.app.stats.bytes + server.app.stats.bytes,
+            verify_failures: client.app.ep.verify_failures + server.app.ep.verify_failures,
+            bytes_moved: client.app.bytes + server.app.bytes,
             client_tcp: client
                 .kernel
-                .try_tcb(client.sock)
+                .try_tcb(client.app.ep.sock)
                 .map(|t| t.stats)
                 .unwrap_or_default(),
             server_tcp: server
                 .kernel
-                .try_tcb(server.sock)
+                .try_tcb(server.app.ep.sock)
                 .map(|t| t.stats)
                 .unwrap_or_default(),
             client_kernel: client.kernel.stats,
@@ -218,8 +218,8 @@ impl Experiment {
                 client.kernel.pool.stats().enobufs_drops,
                 server.kernel.pool.stats().enobufs_drops,
             ),
-            aborted: client.app.aborted
-                || server.app.aborted
+            aborted: client.app.ep.aborted
+                || server.app.ep.aborted
                 || client.kernel.stats.conn_aborts + server.kernel.stats.conn_aborts > 0,
             mbufs_leaked: (0, 0),
             events,

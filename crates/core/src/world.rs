@@ -19,10 +19,14 @@
 //! byte case — into emergent measurements rather than inputs.
 //!
 //! Events 2 to 4, the delivery of each staged datagram and the pause
-//! rule are [`crate::host`]'s, shared with the datacenter world. This
-//! world owns the app steps and where an ATM train lands: at the last
-//! surviving cell on bare fiber, or past a 2-port switch. An Ethernet
-//! frame lands when the wire delivers it.
+//! rule are [`crate::host`]'s, and the write, read and verify step of
+//! event 1 is [`crate::app`]'s, both shared with the datacenter world.
+//! This world owns its processes' roles (RPC, UDP RPC, bulk sender and
+//! receiver), the arming of spans and taps at measurement start, the
+//! rules that a finished client ends the echo server and an abort ends
+//! both, and where an ATM train lands: at the last surviving cell on
+//! bare fiber, or past a 2-port switch. An Ethernet frame lands when
+//! the wire delivers it.
 
 use atm::{AtmSwitch, VcRoute};
 use faultkit::PauseSchedule;
@@ -30,7 +34,7 @@ use simkit::{Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
 use tcpip::{Kernel, Mark, PcbKey, SockId, StackConfig};
 
-use crate::app::{App, AppState, Role};
+use crate::app::{App, Phase, Role, Step};
 use crate::host::{deferred, flush, Hosts, InFlight, RawEvent};
 use crate::nic::{Nic, NicMut, Train};
 
@@ -53,8 +57,6 @@ pub struct Host {
     switch: Option<AtmSwitch>,
     /// The benchmark process.
     pub app: App,
-    /// The process's socket.
-    pub sock: SockId,
     /// Pause windows, as [`crate::nic::arm_host`] returned them.
     pub(crate) pause: Option<PauseSchedule>,
 }
@@ -128,7 +130,8 @@ impl World {
         );
         let [mut kc, mut ks] = [Kernel::new(cfg, costs.clone()), Kernel::new(cfg, costs)];
         // UDP workloads bind datagram sockets instead of a connection.
-        let socks = if apps[0].role == Role::UdpRpcClient {
+        let udp = apps[0].role == Role::UdpRpcClient;
+        let socks = if udp {
             (
                 kc.udp_bind(ADDRS[0], PORTS[0], true),
                 ks.udp_bind(ADDRS[1], PORTS[1], true),
@@ -146,13 +149,17 @@ impl World {
             .into_iter()
             .zip(nics)
             .zip(apps)
-            .map(|(((kernel, sock), nic), app)| Host {
-                kernel,
-                nic,
-                switch: None,
-                app,
-                sock,
-                pause: None,
+            .enumerate()
+            .map(|(h, (((kernel, sock), nic), mut app))| {
+                app.ep.sock = sock;
+                app.ep.udp = udp.then_some((ADDRS[1 - h], PORTS[1 - h]));
+                Host {
+                    kernel,
+                    nic,
+                    switch: None,
+                    app,
+                    pause: None,
+                }
             })
             .collect();
         World {
@@ -169,6 +176,25 @@ impl World {
     #[must_use]
     pub fn finished(&self) -> bool {
         self.hosts.iter().all(|h| h.app.finished())
+    }
+
+    /// Arms both hosts' span recorders, and with `capture` every
+    /// capture tap, once warm-up completes.
+    fn start_measuring(&mut self) {
+        self.measuring = true;
+        for host in &mut self.hosts {
+            host.kernel.spans.enabled = true;
+            if self.capture {
+                // Captures cover exactly the measured iterations, like
+                // the span recorders.
+                host.kernel.taps = match self.flight_k {
+                    Some(k) => simcap::TapSet::flight(k),
+                    None => simcap::TapSet::all(),
+                };
+                host.kernel.taps.arm();
+                host.nic.arm_taps_mode(self.flight_k);
+            }
+        }
     }
 }
 
@@ -206,10 +232,10 @@ pub fn run_world(world: World, obs: Option<simkit::ObserverFn<World>>) -> Sim<Wo
         sim.world.finished(),
         "deadlock: event queue empty, apps not finished \
          (client {:?} iter {}, server {:?} iter {})",
-        sim.world.hosts[0].app.state,
-        sim.world.hosts[0].app.done_count,
-        sim.world.hosts[1].app.state,
-        sim.world.hosts[1].app.done_count,
+        sim.world.hosts[0].app.ep.phase,
+        sim.world.hosts[0].app.ep.done_count,
+        sim.world.hosts[1].app.ep.phase,
+        sim.world.hosts[1].app.ep.done_count,
     );
     sim
 }
@@ -250,193 +276,86 @@ impl Hosts for World {
     }
 }
 
-/// Runs a process until it blocks or finishes.
-fn app_step(w: &mut World, s: &mut Scheduler<World>, h: u64) {
-    if deferred(w, s, h as usize, ("paused-step", app_step, h)) {
+/// Steps host `h`'s process until it blocks or finishes, and plays
+/// its role at each whole message: the client times the round trip,
+/// the bulk sender keeps writing and the bulk receiver keeps reading.
+fn app_step(w: &mut World, s: &mut Scheduler<World>, data: u64) {
+    let h = data as usize;
+    if deferred(w, s, h, ("paused-step", app_step, data)) {
         return;
     }
-    app_step_inner(w, s, h as usize);
+    let mut now = s.now();
+    loop {
+        let app = &w.hosts[h].app;
+        match app.ep.phase {
+            Phase::Parked | Phase::Done => break,
+            Phase::Write(_) if app.ep.done_count >= app.total_iterations() => {
+                w.hosts[h].app.ep.phase = Phase::Done;
+                break;
+            }
+            // Enable measurement once warm-up completes (the client
+            // drives this for both hosts).
+            Phase::Write(_) if h == 0 && app.measuring() && !w.measuring => w.start_measuring(),
+            _ => {}
+        }
+        let Host {
+            kernel, nic, app, ..
+        } = &mut w.hosts[h];
+        let nic = NicMut::from(nic).driver();
+        let step = app.ep.step(&mut now, kernel, nic, &mut w.request);
+        flush(w, s, h);
+        let Host { kernel, app, .. } = &mut w.hosts[h];
+        let (measuring, total) = (app.measuring(), app.total_iterations());
+        let ep = &mut app.ep;
+        if step == Step::Received {
+            app.bytes += ep.size as u64;
+        }
+        match (step, app.role) {
+            (Step::Blocked | Step::Failed, _) => break,
+            // One message in flight at a time: a client's pattern
+            // indices `sent` and `rcvd` are its iteration count.
+            (Step::Sent, Role::BulkSender) => {
+                ep.done_count += 1;
+                debug_assert_eq!(ep.sent, ep.done_count);
+                app.bytes += ep.size as u64;
+                ep.phase = Phase::Write(0);
+            }
+            (Step::Sent, _) => debug_assert!(!ep.client || ep.sent == ep.done_count + 1),
+            (Step::Received, Role::RpcClient | Role::UdpRpcClient) => {
+                debug_assert_eq!(ep.rcvd, ep.done_count + 1);
+                kernel.spans.mark(Mark::ReadReturn, now);
+                if measuring {
+                    app.rtts.push(ep.rtt(now));
+                }
+                ep.done_count += 1;
+            }
+            (Step::Received, Role::BulkReceiver) => {
+                ep.done_count += 1;
+                ep.got.clear();
+                ep.phase = if ep.done_count >= total {
+                    Phase::Done
+                } else {
+                    Phase::Read
+                };
+            }
+            _ => {}
+        }
+    }
     // When the RPC client finishes, the benchmark is over: the echo
     // server (which would otherwise block in read forever)
     // terminates too.
-    if w.hosts[0].app.state == AppState::Done
+    if w.hosts[0].app.finished()
         && matches!(w.hosts[1].app.role, Role::RpcServer | Role::UdpRpcServer)
     {
-        w.hosts[1].app.state = AppState::Done;
+        w.hosts[1].app.ep.phase = Phase::Done;
     }
     // Liveness under faults: an aborted connection can make no further
     // progress on either side (a real stack would RST the peer), so
     // the whole benchmark terminates rather than leaving the peer
     // blocked forever.
-    if w.hosts.iter().any(|h| h.app.aborted) {
+    if w.hosts.iter().any(|h| h.app.ep.aborted) {
         for host in &mut w.hosts {
-            host.app.state = AppState::Done;
-        }
-    }
-}
-
-fn app_step_inner(w: &mut World, s: &mut Scheduler<World>, h: usize) {
-    let mut now = s.now();
-    loop {
-        // Borrow checker dance: each arm re-borrows the host.
-        let state = w.hosts[h].app.state;
-        match state {
-            AppState::Done => break,
-            AppState::WantWrite | AppState::BlockedInWrite(_) => {
-                let host = &mut w.hosts[h];
-                if host.app.done_count >= host.app.total_iterations() {
-                    host.app.state = AppState::Done;
-                    break;
-                }
-                // Enable measurement once warm-up completes (client
-                // drives this for both hosts).
-                if h == 0 && host.app.measuring() && !w.measuring {
-                    w.measuring = true;
-                    let capture = w.capture;
-                    let flight_k = w.flight_k;
-                    for host in &mut w.hosts {
-                        host.kernel.spans.enabled = true;
-                        if capture {
-                            // Captures cover exactly the measured
-                            // iterations, like the span recorders.
-                            host.kernel.taps = match flight_k {
-                                Some(k) => simcap::TapSet::flight(k),
-                                None => simcap::TapSet::all(),
-                            };
-                            host.kernel.taps.arm();
-                            host.nic.arm_taps_mode(flight_k);
-                        }
-                    }
-                }
-                let host = &mut w.hosts[h];
-                let offset = match state {
-                    AppState::BlockedInWrite(n) => n,
-                    _ => 0,
-                };
-                if offset == 0 && matches!(host.app.role, Role::RpcClient | Role::UdpRpcClient) {
-                    // Start the iteration timer: read the clock just
-                    // before write(), as the benchmark did.
-                    host.app.t_start = now.max(host.kernel.cpu.busy_until()).quantized();
-                }
-                let udp = matches!(host.app.role, Role::UdpRpcClient | Role::UdpRpcServer);
-                let Host {
-                    kernel,
-                    nic,
-                    sock,
-                    app,
-                    ..
-                } = host;
-                let nic = NicMut::from(nic).driver();
-                let data = match app.role {
-                    // The server echoes what it received.
-                    Role::RpcServer | Role::UdpRpcServer => &app.got,
-                    _ => {
-                        App::pattern(&mut w.request, app.size, app.done_count);
-                        &w.request
-                    }
-                };
-                let out = if udp {
-                    kernel.udp_sendto(now, *sock, ADDRS[1 - h], PORTS[1 - h], data, nic)
-                } else {
-                    kernel.syscall_write(now, *sock, &data[offset..], nic)
-                };
-                flush(w, s, h);
-                let host = &mut w.hosts[h];
-                now = out.done_at;
-                if out.error.is_some() {
-                    // The connection was aborted (ETIMEDOUT): the
-                    // write fails cleanly and the process exits.
-                    host.app.aborted = true;
-                    host.app.state = AppState::Done;
-                    break;
-                }
-                if out.blocked {
-                    host.app.state = AppState::BlockedInWrite(offset + out.accepted);
-                    break;
-                }
-                // Write complete: what next depends on the role.
-                match host.app.role {
-                    Role::RpcClient | Role::UdpRpcClient => {
-                        host.app.got.clear();
-                        host.app.state = AppState::WantRead;
-                    }
-                    Role::RpcServer | Role::UdpRpcServer => {
-                        host.app.done_count += 1;
-                        host.app.got.clear();
-                        host.app.state = AppState::WantRead;
-                    }
-                    Role::BulkSender => {
-                        host.app.done_count += 1;
-                        host.app.stats.iterations += 1;
-                        host.app.stats.bytes += host.app.size as u64;
-                        // Clear any blocked-write offset carried here.
-                        host.app.state = AppState::WantWrite;
-                    }
-                    Role::BulkReceiver => unreachable!("receivers don't write"),
-                }
-            }
-            AppState::WantRead => {
-                let host = &mut w.hosts[h];
-                let want = host.app.size - host.app.got.len();
-                let udp = matches!(host.app.role, Role::UdpRpcClient | Role::UdpRpcServer);
-                let Host {
-                    kernel,
-                    nic,
-                    sock,
-                    app,
-                    ..
-                } = host;
-                let nic = NicMut::from(nic).driver();
-                let out = if udp {
-                    kernel.udp_recvfrom(now, *sock, &mut app.got)
-                } else {
-                    kernel.syscall_read(now, *sock, want, &mut app.got, nic)
-                };
-                flush(w, s, h);
-                let host = &mut w.hosts[h];
-                if out.error.is_some() {
-                    // Read on an aborted connection: error, exit.
-                    host.app.aborted = true;
-                    host.app.state = AppState::Done;
-                    break;
-                }
-                if out.blocked {
-                    break;
-                }
-                now = out.done_at;
-                host.app.stats.bytes += out.len as u64;
-                if host.app.got.len() < host.app.size {
-                    continue;
-                }
-                // A full message arrived: every reader verifies it.
-                if !App::pattern_matches(&host.app.got, host.app.size, host.app.done_count) {
-                    host.app.stats.verify_failures += 1;
-                }
-                match host.app.role {
-                    Role::RpcClient | Role::UdpRpcClient => {
-                        host.kernel.spans.mark(Mark::ReadReturn, now);
-                        if host.app.measuring() {
-                            let rtt = now.quantized().saturating_since(host.app.t_start);
-                            host.app.stats.rtts.push(rtt);
-                            host.app.stats.iterations += 1;
-                        }
-                        host.app.done_count += 1;
-                        host.app.state = AppState::WantWrite;
-                    }
-                    Role::RpcServer | Role::UdpRpcServer => {
-                        host.app.state = AppState::WantWrite;
-                    }
-                    Role::BulkReceiver => {
-                        host.app.done_count += 1;
-                        host.app.stats.iterations += 1;
-                        host.app.got.clear();
-                        if host.app.done_count >= host.app.total_iterations() {
-                            host.app.state = AppState::Done;
-                        }
-                    }
-                    Role::BulkSender => unreachable!("senders don't read"),
-                }
-            }
+            host.app.ep.phase = Phase::Done;
         }
     }
 }

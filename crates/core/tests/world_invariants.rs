@@ -92,12 +92,12 @@ fn no_mbuf_leaks_after_run() {
     let sim = run(1400);
     for (i, host) in sim.world.hosts.iter().enumerate() {
         assert_eq!(
-            host.kernel.rcv_buffered(host.sock),
+            host.kernel.rcv_buffered(host.app.ep.sock),
             0,
             "host {i} receive buffer drained"
         );
         assert_eq!(
-            host.kernel.snd_buffered(host.sock),
+            host.kernel.snd_buffered(host.app.ep.sock),
             0,
             "host {i} send buffer acked and freed"
         );

@@ -123,8 +123,8 @@ pub fn check_experiment(exp: &Experiment, seed: u64) -> InvariantReport {
         }
         s.last = s.last.max(t);
         for (h, host) in w.hosts.iter().enumerate() {
-            if let Some(tcb) = host.kernel.try_tcb(host.sock) {
-                let buffered = host.kernel.snd_buffered(host.sock);
+            if let Some(tcb) = host.kernel.try_tcb(host.app.ep.sock) {
+                let buffered = host.kernel.snd_buffered(host.app.ep.sock);
                 let sockbuf = host.kernel.cfg.sockbuf;
                 if let Some(detail) = check_tcb(tcb, buffered, sockbuf, h) {
                     push(

@@ -26,6 +26,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use decstation::{ChecksumImpl, CostModel};
+use latency_core::app::Phase;
 use latency_core::experiment::Workload;
 use latency_core::nic::{ATM_MTU, ETHER_MTU};
 use latency_core::{compute_breakdown_samples, Experiment, NetKind, RxBreakdown, TxBreakdown};
@@ -645,14 +646,6 @@ enum KProc {
     BlockedInWrite,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum AppState {
-    WantWrite,
-    BlockedInWrite(usize),
-    WantRead,
-    Done,
-}
-
 #[derive(Clone, Copy, Debug)]
 struct Pkt {
     hdr: MHdr,
@@ -703,7 +696,7 @@ struct WHost {
     wakeups: Vec<SimTime>,
     pcb_cache_ok: bool,
     nic: NicState,
-    app: AppState,
+    app: Phase,
     done_count: u64,
     got_len: usize,
 }
@@ -764,11 +757,7 @@ impl Walker {
                 NetKind::Atm => NicState::Atm(AtmTx::new()),
                 NetKind::Ether => NicState::Eth(EthTx::default()),
             },
-            app: if client {
-                AppState::WantWrite
-            } else {
-                AppState::WantRead
-            },
+            app: if client { Phase::Write(0) } else { Phase::Read },
             done_count: 0,
             got_len: 0,
         };
@@ -849,17 +838,13 @@ impl Walker {
         let mut now = self.now;
         loop {
             match self.hosts[h].app {
-                AppState::Done => return,
-                AppState::WantWrite | AppState::BlockedInWrite(_) => {
+                Phase::Parked | Phase::Done => return,
+                Phase::Write(offset) => {
                     if h == 0 && self.hosts[0].done_count >= self.total_iters {
-                        self.hosts[0].app = AppState::Done;
-                        self.hosts[1].app = AppState::Done;
+                        self.hosts[0].app = Phase::Done;
+                        self.hosts[1].app = Phase::Done;
                         return;
                     }
-                    let offset = match self.hosts[h].app {
-                        AppState::BlockedInWrite(o) => o,
-                        _ => 0,
-                    };
                     if h == 0 && offset == 0 {
                         let entry = now.max(self.hosts[0].busy);
                         self.raw_start = entry;
@@ -869,16 +854,16 @@ impl Walker {
                     self.flush(h);
                     now = out.done_at;
                     if out.blocked {
-                        self.hosts[h].app = AppState::BlockedInWrite(offset + out.accepted);
+                        self.hosts[h].app = Phase::Write(offset + out.accepted);
                         break;
                     }
                     if h == 1 {
                         self.hosts[1].done_count += 1;
                     }
                     self.hosts[h].got_len = 0;
-                    self.hosts[h].app = AppState::WantRead;
+                    self.hosts[h].app = Phase::Read;
                 }
-                AppState::WantRead => {
+                Phase::Read => {
                     let want = self.size - self.hosts[h].got_len;
                     let out = self.syscall_read(h, now, want);
                     self.flush(h);
@@ -898,7 +883,7 @@ impl Walker {
                         self.hosts[0].done_count += 1;
                         self.completed = self.hosts[0].done_count;
                     }
-                    self.hosts[h].app = AppState::WantWrite;
+                    self.hosts[h].app = Phase::Write(0);
                 }
             }
         }

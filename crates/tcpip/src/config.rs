@@ -27,6 +27,9 @@ impl ChecksumMode {
     }
 }
 
+/// Delayed-ACK timeout in microseconds (BSD fasttimo, 200 ms).
+pub const DELACK_US: u64 = 200_000;
+
 /// Congestion-control variant (RFC 5681/6582/2018 family).
 ///
 /// The seed stack recovered like 4.4BSD's fast retransmit but had no
@@ -134,8 +137,6 @@ pub struct StackConfig {
     /// Initial send sequence number (exposed so tests can start near
     /// the wrap point).
     pub iss: u32,
-    /// Delayed-ACK timeout (BSD fasttimo, 200 ms).
-    pub delack_us: u64,
     /// Retransmission timeout floor (BSD slowtimo granularity gives
     /// an effective 500 ms minimum initially).
     pub rto_min_us: u64,
@@ -167,7 +168,6 @@ impl Default for StackConfig {
             mss_one_cluster: true,
             sockbuf: 16 * 1024,
             iss: 0x0001_0000,
-            delack_us: 200_000,
             rto_min_us: 500_000,
             max_rexmt_shift: 12,
             cc: CcVariant::NewReno,

@@ -29,7 +29,7 @@ use mbuf::chain::ultrix_uses_clusters;
 use mbuf::{Chain, MbufPool};
 use simkit::{Cpu, CpuBand, SimTime};
 
-use crate::config::{CcVariant, ChecksumMode, StackConfig};
+use crate::config::{CcVariant, ChecksumMode, StackConfig, DELACK_US};
 use crate::hdr::{TcpIpHeader, TCPIP_HDR_LEN};
 use crate::options::{encode_sack_option, parse_sack_blocks};
 use crate::pcb::{PcbKey, PcbTable};
@@ -668,7 +668,7 @@ impl Kernel {
             cursor = self.send_pure_ack(cursor, sock, drv);
         }
         if self.conns[sock].tcb.delack && self.conns[sock].delack_deadline.is_none() {
-            self.conns[sock].delack_deadline = Some(cursor + SimTime::from_us(self.cfg.delack_us));
+            self.conns[sock].delack_deadline = Some(cursor + SimTime::from_us(DELACK_US));
         }
         // Re-arm the retransmit timer when an ACK cleared it but data
         // is still outstanding (BSD's REXMT re-arm on partial ACKs).
@@ -1330,44 +1330,29 @@ impl Kernel {
                 if dl <= now && matches!(conn.tcb.state, TcpState::FinWait1 | TcpState::LastAck) {
                     // FIN retransmission (backed off like data, so the
                     // abort limit above is reachable).
-                    self.stats.rto_fires += 1;
-                    self.taps.trigger(simcap::TriggerReason::Rto, now);
-                    conn.tcb.stats.rexmits += 1;
-                    conn.tcb.rexmt_shift = (conn.tcb.rexmt_shift + 1).min(self.cfg.max_rexmt_shift);
-                    conn.tcb.note_retransmit();
-                    conn.tcb.snd_nxt = conn.tcb.snd_una;
-                    conn.tcb.rexmt_deadline = None;
+                    self.rto_fire(sock, now);
                     cursor = self.send_fin(cursor.max(now), sock, drv);
                     continue;
                 }
                 if dl <= now && matches!(conn.tcb.state, TcpState::SynSent | TcpState::SynReceived)
                 {
                     // Handshake retransmission.
-                    self.stats.rto_fires += 1;
-                    self.taps.trigger(simcap::TriggerReason::Rto, now);
-                    conn.tcb.stats.rexmits += 1;
-                    conn.tcb.rexmt_shift = (conn.tcb.rexmt_shift + 1).min(self.cfg.max_rexmt_shift);
-                    conn.tcb.note_retransmit();
-                    conn.tcb.snd_nxt = conn.tcb.snd_una;
-                    conn.tcb.rexmt_deadline = None;
                     let synack = conn.tcb.state == crate::tcb::TcpState::SynReceived;
+                    self.rto_fire(sock, now);
                     cursor = self.send_syn(cursor, sock, synack, drv);
                     continue;
                 }
                 if dl <= now && conn.tcb.flight_size() > 0 {
                     // RTO: back off, shrink the window, resend. Karn:
                     // the retransmit cancels the RTT measurement and
-                    // pins the recovery point.
-                    self.stats.rto_fires += 1;
-                    self.taps.trigger(simcap::TriggerReason::Rto, now);
-                    conn.tcb.stats.rexmits += 1;
-                    conn.tcb.rexmt_shift = (conn.tcb.rexmt_shift + 1).min(self.cfg.max_rexmt_shift);
-                    conn.tcb.note_retransmit();
-                    conn.tcb.ssthresh = (conn.tcb.flight_size() / 2).max(2 * conn.tcb.mss);
-                    conn.tcb.cwnd = conn.tcb.mss;
-                    conn.tcb.snd_nxt = conn.tcb.snd_una;
-                    conn.tcb.rexmt_deadline = None;
-                    conn.tcb.on_rto();
+                    // pins the recovery point. The flight is read
+                    // before `rto_fire` rewinds `snd_nxt`.
+                    let flight = conn.tcb.flight_size();
+                    self.rto_fire(sock, now);
+                    let tcb = &mut self.conns[sock].tcb;
+                    tcb.ssthresh = (flight / 2).max(2 * tcb.mss);
+                    tcb.cwnd = tcb.mss;
+                    tcb.on_rto();
                     cursor = self.tcp_output(cursor, sock, drv);
                 } else if dl <= now {
                     conn.tcb.rexmt_deadline = None;
@@ -1380,6 +1365,21 @@ impl Kernel {
             self.cpu.occupy(start, cursor, CpuBand::Process);
         }
         self.next_deadline()
+    }
+
+    /// One retransmission-timer firing on `sock`: counts it, triggers
+    /// the `Rto` tap, backs the timer off (capped at the abort limit),
+    /// cancels the RTT measurement (Karn) and rewinds `snd_nxt` to
+    /// `snd_una` for the resend.
+    fn rto_fire(&mut self, sock: SockId, now: SimTime) {
+        self.stats.rto_fires += 1;
+        self.taps.trigger(simcap::TriggerReason::Rto, now);
+        let tcb = &mut self.conns[sock].tcb;
+        tcb.stats.rexmits += 1;
+        tcb.rexmt_shift = (tcb.rexmt_shift + 1).min(self.cfg.max_rexmt_shift);
+        tcb.note_retransmit();
+        tcb.snd_nxt = tcb.snd_una;
+        tcb.rexmt_deadline = None;
     }
 
     /// Closes a connection: sends a FIN (after any buffered data has

@@ -9,10 +9,12 @@
 //! connection step, datagram arrival, software interrupt, TCP timer —
 //! with the host index packed into the raw event payload. Delivery,
 //! arrival, the software interrupt, the timers and the pause rule are
-//! `latency_core::host`'s, as in the two-host world; this world owns
-//! the connection steps and the fan-out round events, where a train
-//! lands (through the shared switch, then down the destination's
-//! link), and the fan-out landing stamp.
+//! `latency_core::host`'s, and each connection endpoint's write, read
+//! and verify step is `latency_core::app`'s, as in the two-host world.
+//! This world owns the round control around that step (finishing and
+//! aborting clients, the fan-out barrier, churn think time, hedges and
+//! retries), where a train lands (through the shared switch, then down
+//! the destination's link), and the fan-out landing stamp.
 //!
 //! Determinism: the world is a pure function of
 //! `(Topology, TrafficSchedule, seed)`. Per-host randomness derives
@@ -37,7 +39,7 @@ use std::sync::OnceLock;
 use atm::{AtmSwitch, VcRoute};
 use decstation::CostModel;
 use faultkit::PauseSchedule;
-use latency_core::app::{period_fill, period_matches};
+use latency_core::app::{Endpoint, Payload, Phase, Step};
 use latency_core::host::{deferred, flush, pack, unpack, Hosts, InFlight, RawEvent};
 use latency_core::nic::{arm_host, AtmNic, NicMut, Train};
 use latency_core::Samples;
@@ -55,50 +57,19 @@ const CLIENT_PORT: u16 = 1024;
 /// what makes the server's PCB table grow with fan-in).
 const SERVER_PORT: u16 = 4242;
 
-/// Where one connection endpoint is in its RPC loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ConnState {
-    /// Writing a message, `offset` bytes already accepted.
-    WantWrite(usize),
-    /// Reading the next message.
-    WantRead,
-    /// Sub-request done, waiting for the host's other fan-out
-    /// connections to finish the round (fan-out clients only).
-    AtBarrier,
-    /// Parked replica connection of a hedged fan-out world: it carries
-    /// no traffic until the hedge trigger activates it for a round.
-    Idle,
-    /// Finished (client: all iterations done; server: released).
-    Done,
-}
-
 /// One TCP connection endpoint on one host.
 pub struct DcConn {
-    /// The socket (== this connection's index in the host's `conns`).
-    pub sock: SockId,
-    /// Client side (drives the RPC loop) or server side (echoes).
-    pub client: bool,
+    /// The endpoint's RPC loop; its socket is this connection's index
+    /// in the host's `conns`, and its payload is salted by the
+    /// client-side `(global host, conn)` pair, identical on both
+    /// endpoints.
+    pub ep: Endpoint,
     /// Peer host index, in the world's own (local) numbering.
     pub peer_host: usize,
     /// Peer connection index on the peer host.
     pub peer_conn: usize,
-    /// Connection identity for payload verification: the client-side
-    /// `(global host, conn)` pair, identical on both endpoints.
-    pub ident: (usize, usize),
-    state: ConnState,
-    /// Completed RPCs (client) / echoed RPCs (server).
-    pub done_count: u64,
-    got: Vec<u8>,
-    t_start: SimTime,
     /// Measured RPC round-trip times (client side only).
     pub rtts: Vec<SimTime>,
-    /// Payload verification failures.
-    pub verify_failures: u64,
-    /// Set when the connection died (retransmit limit under faults).
-    pub aborted: bool,
-    /// This connection's RPC size in bytes (per-connection because
-    /// churn traffic runs a different size than the measured flows).
-    size: usize,
     /// Rounds the client side runs (`warmup + iterations`;
     /// `u64::MAX` for background churn, which never finishes on its
     /// own).
@@ -117,14 +88,6 @@ pub struct DcConn {
     /// distinct peer server, so the sender identifies the connection
     /// without TCP demultiplexing.
     last_arrival: SimTime,
-    /// Messages fully written on this connection (client side): the
-    /// payload-pattern index of the next outgoing message. Equal to
-    /// `done_count` until application retries reissue a round's
-    /// request on the same stream.
-    sent: u64,
-    /// Full messages read back (client side): the pattern index the
-    /// next incoming echo must verify against.
-    rcvd: u64,
     /// Copies of the current round's request written on this stream
     /// (initial send + retries); fan-out only.
     round_sent: u32,
@@ -228,49 +191,14 @@ pub struct DcWorld {
     /// The cell trains past the switch.
     in_flight: InFlight,
     /// The request a client connection is writing, built in place each
-    /// time ([`dc_pattern`]). One per world: a write copies it into
-    /// mbufs before the next one starts.
+    /// time by [`Endpoint::step`]. One per world: a write copies it
+    /// into mbufs before the next one starts.
     request: Vec<u8>,
 }
 
 // The parallel sweep runner builds and runs one world per cell inside
 // a worker thread; the world must be able to cross threads.
 const _: () = simkit::assert_world_send::<DcWorld>();
-
-/// The expected bytes of one RPC, a pure function of the connection
-/// identity and the iteration — so a segment delivered to the wrong
-/// connection (a PCB demultiplex bug) fails verification instead of
-/// passing silently. Byte `i` is `(i + salt) % 251`, where the salt
-/// mixes `iter` and `ident`. Written into `buf`, reusing its storage.
-pub fn dc_pattern(buf: &mut Vec<u8>, size: usize, iter: u64, ident: (usize, usize)) {
-    period_fill(buf, &PATTERN_PERIOD, pattern_start(iter, ident), size);
-}
-
-/// Whether `got` is exactly the `dc_pattern` of `size`, `iter` and
-/// `ident`, compared in place.
-fn pattern_matches(got: &[u8], size: usize, iter: u64, ident: (usize, usize)) -> bool {
-    period_matches(got, &PATTERN_PERIOD, pattern_start(iter, ident), size)
-}
-
-/// One period of the pattern: byte `k` is `k`.
-const PATTERN_PERIOD: [u8; 251] = {
-    let mut t = [0; 251];
-    let mut k = 0;
-    while k < t.len() {
-        t[k] = k as u8;
-        k += 1;
-    }
-    t
-};
-
-/// Where the pattern starts in [`PATTERN_PERIOD`]: `salt % 251`.
-fn pattern_start(iter: u64, ident: (usize, usize)) -> usize {
-    let salt = iter
-        .wrapping_mul(131)
-        .wrapping_add(ident.0 as u64 * 17)
-        .wrapping_add(ident.1 as u64 * 7);
-    (salt % 251) as usize
-}
 
 /// Seed for host `h`, derived by key so every host has an independent
 /// stream and the derivation is order-free.
@@ -449,55 +377,34 @@ impl DcWorld {
                 // idle until a hedge trigger activates them.
                 let fanout_client = !background && topo.fanout_width > 0 && c < topo.clients;
                 let replica = fanout_client && j >= topo.fanout_width;
+                let payload = Payload::Salted(c, j);
+                let mut ep = Endpoint::new(sock_c, true, size, payload);
+                if replica {
+                    ep.phase = Phase::Parked;
+                }
                 hosts[c_l].conns.push(DcConn {
-                    sock: sock_c,
-                    client: true,
+                    ep,
                     peer_host: srv_l,
                     peer_conn: conn_s,
-                    ident: (c, j),
-                    state: if replica {
-                        ConnState::Idle
-                    } else {
-                        ConnState::WantWrite(0)
-                    },
-                    done_count: 0,
-                    got: Vec::new(),
-                    t_start: SimTime::ZERO,
                     rtts: Vec::new(),
-                    verify_failures: 0,
-                    aborted: false,
-                    size,
                     total,
                     background,
                     think,
                     last_arrival: SimTime::ZERO,
-                    sent: 0,
-                    rcvd: 0,
                     // Round one's request is on its way from the start;
                     // `arm_round` resets this for every later round.
                     round_sent: u32::from(fanout_client && !replica),
                     round_rcvd: 0,
                 });
                 hosts[srv_l].conns.push(DcConn {
-                    sock: sock_s,
-                    client: false,
+                    ep: Endpoint::new(sock_s, false, size, payload),
                     peer_host: c_l,
                     peer_conn: sock_c,
-                    ident: (c, j),
-                    state: ConnState::WantRead,
-                    done_count: 0,
-                    got: Vec::new(),
-                    t_start: SimTime::ZERO,
                     rtts: Vec::new(),
-                    verify_failures: 0,
-                    aborted: false,
-                    size,
                     total,
                     background,
                     think: SimTime::ZERO,
                     last_arrival: SimTime::ZERO,
-                    sent: 0,
-                    rcvd: 0,
                     round_sent: 0,
                     round_rcvd: 0,
                 });
@@ -522,7 +429,7 @@ impl DcWorld {
     pub fn finished(&self) -> bool {
         self.hosts
             .iter()
-            .all(|h| h.conns.iter().all(|c| c.state == ConnState::Done))
+            .all(|h| h.conns.iter().all(|c| c.ep.phase == Phase::Done))
     }
 }
 
@@ -729,8 +636,8 @@ fn run_part(topo: &Topology, sched: TrafficSchedule, seed: u64, ids: Vec<usize>)
         let mut rtts = Vec::new();
         for conn in &mut host.conns {
             rtts.append(&mut conn.rtts);
-            totals.verify_failures += conn.verify_failures;
-            totals.aborted_conns += u64::from(conn.aborted);
+            totals.verify_failures += conn.ep.verify_failures;
+            totals.aborted_conns += u64::from(conn.ep.aborted);
         }
         let mut completions = Vec::new();
         if let Some(ctl) = &mut host.fanout {
@@ -840,7 +747,7 @@ fn prepare_dc(world: DcWorld) -> Sim<DcWorld> {
         }
         for c in 0..sim.world.hosts[h].conns.len() {
             // Hedge replicas park idle until their trigger fires.
-            if sim.world.hosts[h].conns[c].state == ConnState::Idle {
+            if sim.world.hosts[h].conns[c].ep.phase == Phase::Parked {
                 continue;
             }
             // A fan-out host issues its whole round at once: every
@@ -929,8 +836,8 @@ impl Hosts for DcWorld {
 /// once no client traffic can reach it (the paper's RPC servers block
 /// in read forever; the run is over when every client is done).
 fn finish_client(w: &mut DcWorld, h: usize, c: usize) {
-    if w.hosts[h].conns[c].state != ConnState::Done {
-        w.hosts[h].conns[c].state = ConnState::Done;
+    if w.hosts[h].conns[c].ep.phase != Phase::Done {
+        w.hosts[h].conns[c].ep.phase = Phase::Done;
         // Background churn runs until the measured clients are done;
         // it never counts toward completion.
         if !w.hosts[h].conns[c].background {
@@ -940,7 +847,7 @@ fn finish_client(w: &mut DcWorld, h: usize, c: usize) {
     if w.live_clients == 0 {
         for host in &mut w.hosts {
             for conn in &mut host.conns {
-                conn.state = ConnState::Done;
+                conn.ep.phase = Phase::Done;
             }
         }
     }
@@ -953,21 +860,21 @@ fn finish_client(w: &mut DcWorld, h: usize, c: usize) {
 /// its sub-request connections — no future round can complete — so
 /// the abort widens to every connection of that client host.
 fn abort_pair(w: &mut DcWorld, h: usize, c: usize) {
-    w.hosts[h].conns[c].aborted = true;
+    w.hosts[h].conns[c].ep.aborted = true;
     let (peer_host, peer_conn, client) = {
         let conn = &w.hosts[h].conns[c];
-        (conn.peer_host, conn.peer_conn, conn.client)
+        (conn.peer_host, conn.peer_conn, conn.ep.client)
     };
     let client_host = if client { h } else { peer_host };
     if w.hosts[client_host].fanout.is_some() {
         abort_fanout_host(w, client_host);
         return;
     }
-    w.hosts[peer_host].conns[peer_conn].state = ConnState::Done;
+    w.hosts[peer_host].conns[peer_conn].ep.phase = Phase::Done;
     if client {
         finish_client(w, h, c);
     } else {
-        w.hosts[h].conns[c].state = ConnState::Done;
+        w.hosts[h].conns[c].ep.phase = Phase::Done;
         finish_client(w, peer_host, peer_conn);
     }
 }
@@ -985,14 +892,16 @@ fn abort_fanout_host(w: &mut DcWorld, ch: usize) {
             let conn = &w.hosts[ch].conns[j];
             (conn.peer_host, conn.peer_conn)
         };
-        w.hosts[ph].conns[pc].state = ConnState::Done;
+        w.hosts[ph].conns[pc].ep.phase = Phase::Done;
         finish_client(w, ch, j);
     }
 }
 
-/// Runs connection endpoint `pack(h, c)` until it blocks or finishes —
-/// the RPC loop of the two-host world's app, per connection. Like
-/// every event entry point here, it first defers while `h` is paused.
+/// Steps connection endpoint `pack(h, c)` until it blocks or
+/// finishes, and plays its round control at each echo a client reads:
+/// the closed loop's next request, churn think time, or the fan-out
+/// barrier. Like every event entry point here, it first defers while
+/// `h` is paused.
 fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
     let (h, c) = unpack(data);
     if deferred(w, s, h, ("paused-step", conn_step, data)) {
@@ -1003,142 +912,63 @@ fn conn_step(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
     // owned by `fanout_reply`, not by this connection's echo.
     let fanout_host = w.hosts[h].fanout.is_some();
     loop {
-        let state = w.hosts[h].conns[c].state;
-        match state {
-            ConnState::Done | ConnState::AtBarrier | ConnState::Idle => break,
-            ConnState::WantWrite(offset) => {
-                let host = &mut w.hosts[h];
-                let conn = &mut host.conns[c];
-                let size = conn.size;
-                if conn.client && conn.done_count >= conn.total {
-                    finish_client(w, h, c);
-                    break;
-                }
-                if offset == 0 && conn.client {
-                    // Start the iteration timer: read the clock just
-                    // before write(), as the benchmark did.
-                    conn.t_start = now.max(host.kernel.cpu.busy_until()).quantized();
-                }
-                let out = {
-                    let DcHost {
-                        kernel, nic, conns, ..
-                    } = host;
-                    let conn = &conns[c];
-                    let data = if conn.client {
-                        // `sent` indexes past any retried copies, so
-                        // every message on the stream carries a
-                        // distinct pattern.
-                        dc_pattern(&mut w.request, size, conn.sent, conn.ident);
-                        &w.request
-                    } else {
-                        // The server echoes what it received.
-                        &conn.got
-                    };
-                    kernel.syscall_write(now, conn.sock, &data[offset..], nic)
-                };
-                flush(w, s, h);
-                let conn = &mut w.hosts[h].conns[c];
-                now = out.done_at;
-                if out.error.is_some() {
-                    abort_pair(w, h, c);
-                    break;
-                }
-                if out.blocked {
-                    conn.state = ConnState::WantWrite(offset + out.accepted);
-                    break;
-                }
-                if conn.client {
-                    conn.sent += 1;
-                } else {
-                    conn.done_count += 1;
-                    conn.got.clear();
-                }
-                conn.state = ConnState::WantRead;
+        let conn = &w.hosts[h].conns[c];
+        match conn.ep.phase {
+            Phase::Parked | Phase::Done => break,
+            Phase::Write(_) if conn.ep.client && conn.ep.done_count >= conn.total => {
+                finish_client(w, h, c);
+                break;
             }
-            ConnState::WantRead => {
-                let host = &mut w.hosts[h];
-                let conn = &mut host.conns[c];
-                let size = conn.size;
-                let want = size - conn.got.len();
-                let sock = conn.sock;
-                let out = {
-                    let DcHost {
-                        kernel, nic, conns, ..
-                    } = host;
-                    kernel.syscall_read(now, sock, want, &mut conns[c].got, nic)
-                };
-                flush(w, s, h);
-                let conn = &mut w.hosts[h].conns[c];
-                if out.error.is_some() {
-                    abort_pair(w, h, c);
-                    break;
-                }
-                if out.blocked {
-                    break;
-                }
-                now = out.done_at;
-                if conn.got.len() < size {
-                    continue;
-                }
-                // A full message arrived. Clients verify against the
-                // receive index (echoes land in send order on the
-                // in-order stream, including retried copies); servers
-                // verify against their own echo count.
-                let idx = if conn.client {
-                    conn.rcvd
-                } else {
-                    conn.done_count
-                };
-                if !pattern_matches(&conn.got, size, idx, conn.ident) {
-                    conn.verify_failures += 1;
-                }
-                if !conn.client {
-                    conn.state = ConnState::WantWrite(0);
-                    continue;
-                }
-                // A client's buffer holds one echo at a time. It is
-                // cleared here, not at the next write: a retry copy
-                // may be written while a partial echo is assembling.
-                conn.got.clear();
-                conn.rcvd += 1;
-                // Fan-out sub-requests end when the reply *lands* (the
-                // last train from the peer server); everyone else ends
-                // at read completion, as the benchmark did. The
-                // landing stamp keeps the client CPU's serialized
-                // processing of N near-simultaneous replies out of the
-                // measured completion — it delays the next round, not
-                // this one's slowest-reply arrival.
-                let end = if fanout_host { conn.last_arrival } else { now };
-                let rtt = end.quantized().saturating_since(conn.t_start);
-                if fanout_host {
-                    if fanout_reply(w, s, h, c, rtt, end, now) {
-                        continue;
-                    }
-                    break;
-                }
-                if !conn.background && conn.done_count >= w.topo.warmup {
-                    conn.rtts.push(rtt);
-                }
-                conn.done_count += 1;
-                conn.state = ConnState::WantWrite(0);
-                let think = conn.think;
-                let rounds = conn.done_count;
-                if think > SimTime::ZERO {
-                    // Churn pacing: idle before the next round, drawn
-                    // uniformly from [think, 2*think). A fixed period
-                    // would phase-lock with the measured rounds and
-                    // turn the collision rate into a per-seed lottery;
-                    // the draw makes background arrivals aperiodic, so
-                    // fan-out amplification reflects probability, not
-                    // phase.
-                    let draw =
-                        splitmix64(host_seed(w.seed, w.ids[h]) ^ ((c as u64) << 40) ^ rounds)
-                            % think.as_ns().max(1);
-                    let at = now.max(s.now()) + think + SimTime::from_ns(draw);
-                    s.schedule_raw_at(at, "dc-churn-next", conn_step, pack(h, c));
-                    break;
-                }
+            _ => {}
+        }
+        let DcHost {
+            kernel, nic, conns, ..
+        } = &mut w.hosts[h];
+        let step = conns[c].ep.step(&mut now, kernel, nic, &mut w.request);
+        flush(w, s, h);
+        let conn = &mut w.hosts[h].conns[c];
+        match step {
+            Step::Failed => {
+                abort_pair(w, h, c);
+                break;
             }
+            Step::Blocked => break,
+            Step::Received if conn.ep.client => {}
+            Step::Sent | Step::Received => continue,
+        }
+        // Fan-out sub-requests end when the reply *lands* (the last
+        // train from the peer server); everyone else ends at read
+        // completion, as the benchmark did. The landing stamp keeps
+        // the client CPU's serialized processing of N near-simultaneous
+        // replies out of the measured completion — it delays the next
+        // round, not this one's slowest-reply arrival.
+        let end = if fanout_host { conn.last_arrival } else { now };
+        let rtt = conn.ep.rtt(end);
+        if fanout_host {
+            if fanout_reply(w, s, h, c, rtt, end, now) {
+                w.hosts[h].conns[c].ep.phase = Phase::Read;
+                continue;
+            }
+            break;
+        }
+        if !conn.background && conn.ep.done_count >= w.topo.warmup {
+            conn.rtts.push(rtt);
+        }
+        conn.ep.done_count += 1;
+        let think = conn.think;
+        let rounds = conn.ep.done_count;
+        if think > SimTime::ZERO {
+            // Churn pacing: idle before the next round, drawn
+            // uniformly from [think, 2*think). A fixed period would
+            // phase-lock with the measured rounds and turn the
+            // collision rate into a per-seed lottery; the draw makes
+            // background arrivals aperiodic, so fan-out amplification
+            // reflects probability, not phase.
+            let draw = splitmix64(host_seed(w.seed, w.ids[h]) ^ ((c as u64) << 40) ^ rounds)
+                % think.as_ns().max(1);
+            let at = now.max(s.now()) + think + SimTime::from_ns(draw);
+            s.schedule_raw_at(at, "dc-churn-next", conn_step, pack(h, c));
+            break;
         }
     }
 }
@@ -1170,15 +1000,14 @@ fn fanout_reply(
     let slot = if c < width { c } else { c - width };
     w.hosts[h].conns[c].round_rcvd += 1;
     if w.hosts[h].conns[c].round_rcvd == 1 {
-        w.hosts[h].conns[c].done_count += 1;
+        w.hosts[h].conns[c].ep.done_count += 1;
         // A slot resolves at its first reply from either path; a
         // replica's reply is timed from the *primary's* request start,
         // since both race to answer the same logical sub-request.
         let slot_time = if c < width {
             rtt
         } else {
-            end.quantized()
-                .saturating_since(w.hosts[h].conns[slot].t_start)
+            w.hosts[h].conns[slot].ep.rtt(end)
         };
         let ctl = w.hosts[h].fanout.as_mut().expect("fan-out host");
         if ctl.slot_rtt[slot].is_none() {
@@ -1212,11 +1041,7 @@ fn fanout_reply(
         (ctl.pending, ctl.round)
     };
     if pending > 0 {
-        w.hosts[h].conns[c].state = if c < width {
-            ConnState::AtBarrier
-        } else {
-            ConnState::Idle
-        };
+        w.hosts[h].conns[c].ep.phase = Phase::Parked;
         return false;
     }
     // Barrier: every stream drained, so every slot resolved. Record
@@ -1272,10 +1097,10 @@ fn fanout_reply(
     w.hosts[h].fanout.as_mut().expect("fan-out host").pending = width;
     for j in 0..w.hosts[h].conns.len() {
         if j < width {
-            w.hosts[h].conns[j].state = ConnState::WantWrite(0);
+            w.hosts[h].conns[j].ep.phase = Phase::Write(0);
             s.schedule_raw_at(at, "dc-fanout-next", conn_step, pack(h, j));
         } else {
-            w.hosts[h].conns[j].state = ConnState::Idle;
+            w.hosts[h].conns[j].ep.phase = Phase::Parked;
         }
     }
     arm_round(w, s, h, at);
@@ -1376,7 +1201,7 @@ fn on_hedge(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
     };
     let width = w.hosts[h].fanout.as_ref().expect("fan-out host").width;
     let rc = width + slot;
-    if rc >= w.hosts[h].conns.len() || w.hosts[h].conns[rc].state != ConnState::Idle {
+    if rc >= w.hosts[h].conns.len() || w.hosts[h].conns[rc].ep.phase != Phase::Parked {
         return;
     }
     {
@@ -1386,7 +1211,7 @@ fn on_hedge(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
         ctl.pending += 1;
     }
     let conn = &mut w.hosts[h].conns[rc];
-    conn.state = ConnState::WantWrite(0);
+    conn.ep.phase = Phase::Write(0);
     conn.round_sent = 1;
     conn.round_rcvd = 0;
     s.schedule_raw_at(s.now(), "dc-hedge-send", conn_step, pack(h, rc));
@@ -1429,7 +1254,7 @@ fn on_retry(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
         // interleaving a second copy into a partial first would
         // corrupt the stream.
         let conn = &w.hosts[h].conns[slot];
-        if conn.state != ConnState::WantRead || conn.aborted {
+        if conn.ep.phase != Phase::Read || conn.ep.aborted {
             return;
         }
     }
@@ -1447,9 +1272,9 @@ fn on_retry(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
         let DcHost {
             kernel, nic, conns, ..
         } = &mut w.hosts[h];
-        let conn = &conns[slot];
-        dc_pattern(&mut w.request, conn.size, conn.sent, conn.ident);
-        kernel.syscall_write(now, conn.sock, &w.request, nic)
+        let ep = &conns[slot].ep;
+        ep.payload.fill(&mut w.request, ep.size, ep.sent);
+        kernel.syscall_write(now, ep.sock, &w.request, nic)
     };
     flush(w, s, h);
     if out.error.is_some() {
@@ -1462,14 +1287,14 @@ fn on_retry(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, data: u64) {
             // machinery completes it (effectively unreachable: the
             // socket buffer dwarfs a handful of small RPC copies).
             let conn = &mut w.hosts[h].conns[slot];
-            conn.state = ConnState::WantWrite(out.accepted);
+            conn.ep.phase = Phase::Write(out.accepted);
             conn.round_sent += 1;
         }
         // accepted == 0 leaves the stream untouched: the token is
         // spent, the copy never went out.
     } else {
         let conn = &mut w.hosts[h].conns[slot];
-        conn.sent += 1;
+        conn.ep.sent += 1;
         conn.round_sent += 1;
     }
     if attempt + 1 < rp.max_attempts {
@@ -1886,89 +1711,5 @@ mod tests {
         let r = whole(&faulted, TrafficSchedule::staggered(), 5);
         assert!(r.rexmits > 0, "the loss bites");
         assert_split_exact(&faulted, TrafficSchedule::staggered(), 5, "faulted fan-out");
-    }
-
-    fn pattern(size: usize, iter: u64, ident: (usize, usize)) -> Vec<u8> {
-        let mut buf = vec![0xee; 3];
-        dc_pattern(&mut buf, size, iter, ident);
-        buf
-    }
-
-    #[test]
-    fn pattern_is_connection_unique() {
-        let a = pattern(64, 0, (0, 0));
-        assert_ne!(a, pattern(64, 0, (0, 1)));
-        assert_ne!(a, pattern(64, 0, (1, 0)));
-        assert_ne!(a, pattern(64, 1, (0, 0)));
-        assert_eq!(a, pattern(64, 0, (0, 0)));
-    }
-
-    /// The pattern's per-byte formula, the reference for the period
-    /// table.
-    fn pattern_reference(size: usize, iter: u64, ident: (usize, usize)) -> Vec<u8> {
-        let salt = iter
-            .wrapping_mul(131)
-            .wrapping_add(ident.0 as u64 * 17)
-            .wrapping_add(ident.1 as u64 * 7);
-        (0..size).map(|i| ((i as u64 + salt) % 251) as u8).collect()
-    }
-
-    #[test]
-    fn pattern_matches_the_per_byte_formula() {
-        // Salts ≡ 0 and ≡ 250 (mod 251) start the period at its first
-        // and its last byte.
-        let edges = [
-            ((251, (0, 0)), 0),
-            ((0, (2, 31)), 0),
-            ((228, (0, 0)), 250),
-            ((0, (11, 9)), 250),
-        ];
-        for ((iter, ident), first) in edges {
-            assert_eq!(pattern_reference(1, iter, ident), [first]);
-        }
-        let idents = edges.map(|(c, _)| c).into_iter().chain([
-            (0, (0, 0)),
-            (5, (3, 9)),
-            (1000, (63, 255)),
-            (123_456, (7, 1023)),
-        ]);
-        for (iter, ident) in idents {
-            for size in (0..=1004).chain([16_000]) {
-                assert_eq!(
-                    pattern(size, iter, ident),
-                    pattern_reference(size, iter, ident),
-                    "size {size}, iter {iter}, ident {ident:?}"
-                );
-            }
-        }
-    }
-
-    /// The in-place verifier counts what a full comparison counts: an
-    /// exact buffer passes, and any wrong byte or length fails.
-    #[test]
-    fn in_place_verifier_agrees_with_comparison() {
-        let (iter, ident) = (228, (2, 3));
-        for size in [1, 252, 1400] {
-            let want = pattern(size, iter, ident);
-            let check = |got: &[u8]| {
-                assert_eq!(
-                    pattern_matches(got, size, iter, ident),
-                    got == want.as_slice(),
-                    "size {size}, got {} bytes",
-                    got.len()
-                );
-            };
-            check(&want);
-            for pos in 0..size {
-                let mut got = want.clone();
-                got[pos] ^= 0x10;
-                check(&got);
-            }
-            check(&want[..size - 1]);
-            let mut long = want.clone();
-            long.push(want[0]);
-            check(&long);
-        }
-        assert!(pattern_matches(&[], 0, iter, ident));
     }
 }

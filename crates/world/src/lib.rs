@@ -59,8 +59,7 @@ pub mod study;
 pub mod topology;
 
 pub use dc::{
-    dc_pattern, run_dc, DcCellResult, DcConn, DcHost, DcResult, DcRunResult, DcWorld,
-    RequestOutcome,
+    run_dc, DcCellResult, DcConn, DcHost, DcResult, DcRunResult, DcWorld, RequestOutcome,
 };
 pub use study::{
     cc_canonical_json, cc_grid, cc_policies, cc_quick_grid, cc_rows, dc_grid, dc_quick_grid,
