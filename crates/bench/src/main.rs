@@ -55,7 +55,7 @@
 
 #![forbid(unsafe_code)]
 
-use latency_core::ObsMode;
+use simcap::RecorderMode;
 use world::{Scale, Study, StudyReport};
 
 /// The flags a command line may give only if a selected subcommand
@@ -313,7 +313,7 @@ fn verify(opts: &Opts) -> i32 {
             }
         };
         eprintln!("verify: {stem}: running across {} worker(s)...", opts.jobs);
-        let live = study.run(Scale::QUICK, opts.jobs, ObsMode::Exact);
+        let live = study.run(Scale::QUICK, opts.jobs, RecorderMode::Exact);
         for failure in &live.failed {
             code = 1;
             eprintln!("verify: {stem}: {failure}");
@@ -405,9 +405,9 @@ fn run_study(study: Study, opts: &Opts) -> StudyReport {
     let name = study.name();
     eprintln!("{name}: running across {} worker(s)...", opts.jobs);
     let mode = if opts.given.contains(&"--sketch") {
-        ObsMode::Sketch
+        RecorderMode::Sketch
     } else {
-        ObsMode::Exact
+        RecorderMode::Exact
     };
     // A report holds the whole grid; a printed section needs only the
     // cells it reads.

@@ -21,7 +21,6 @@ use tcpip::{ChecksumMode, KernelStats, StackConfig};
 use crate::app::{App, Role};
 use crate::breakdown::{iterations, mean, Iteration, RxBreakdown, TxBreakdown};
 use crate::nic::{arm_host, AtmNic, EtherNic, Nic, NicMut};
-use crate::stats;
 use crate::world::{run_world, World};
 
 /// Which substrate carries the traffic.
@@ -480,13 +479,25 @@ impl RunResult {
     /// Mean round-trip time in microseconds.
     #[must_use]
     pub fn mean_rtt_us(&self) -> f64 {
-        stats::mean_us(&self.rtts)
+        simcap::recorder::mean_us(&self.rtts)
     }
 
     /// RTT standard deviation in microseconds.
     #[must_use]
     pub fn stddev_rtt_us(&self) -> f64 {
-        stats::stddev_us(&self.rtts)
+        simcap::recorder::stddev_us(&self.rtts)
+    }
+
+    /// Smallest RTT in microseconds.
+    #[must_use]
+    pub fn min_rtt_us(&self) -> f64 {
+        simcap::recorder::min_us(&self.rtts)
+    }
+
+    /// Largest RTT in microseconds.
+    #[must_use]
+    pub fn max_rtt_us(&self) -> f64 {
+        simcap::recorder::max_us(&self.rtts)
     }
 
     /// Pools a later repetition into this one: samples append,

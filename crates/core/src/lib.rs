@@ -23,10 +23,11 @@
 //! - [`micro`] covers the in-text microbenchmarks (PCB lookup
 //!   scaling, mbuf allocation, the Table 5 copy/checksum costs);
 //! - [`faults`] reduces a run to the §4.2.1 error-detection counts;
-//! - [`obs`] holds the study-side sample containers and
-//!   [`obs::Summary`], the latency columns every study row reads;
-//!   [`recovery`] is the loss-recovery study built on it (the
-//!   datacenter studies and their reducers live in the `world` crate);
+//! - [`recovery`] is the loss-recovery study (the datacenter studies
+//!   and their reducers live in the `world` crate; every study keeps
+//!   its latency samples in a `simcap::Recorder`);
+//! - [`stats`] holds the paper's comparison metrics (percentage
+//!   decrease and error);
 //! - [`capture`] re-derives the latency tables a second, independent
 //!   way: packet taps at the layer boundaries feed pcap/pcapng
 //!   captures, and RFC 1242 same-packet matching across taps must
@@ -56,7 +57,6 @@ pub mod faults;
 pub mod host;
 pub mod micro;
 pub mod nic;
-pub mod obs;
 pub mod paper;
 pub mod recovery;
 pub mod stats;
@@ -66,7 +66,6 @@ pub mod world;
 pub use breakdown::{compute_breakdown_samples, RxBreakdown, TxBreakdown};
 pub use capture::{CapturePlan, CaptureRun, HostCapture};
 pub use experiment::{Experiment, NetKind, RunPlan, RunResult};
-pub use obs::{ObsMode, Samples, Summary};
 pub use world::{Host, World};
 
 /// One-stop imports for writing experiments: the experiment and plan

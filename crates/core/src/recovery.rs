@@ -15,9 +15,9 @@
 //! handful of RTTs. Mean alone hides that; p99 shows it.
 
 use faultkit::{FaultSchedule, GilbertElliott};
+use simcap::{Recorder, Summary};
 
 use crate::experiment::{Experiment, NetKind, RunResult};
-use crate::obs::Summary;
 
 /// A named fault regime of the study.
 #[derive(Clone, Copy, Debug)]
@@ -143,7 +143,7 @@ pub struct RecoveryRow {
 /// clean round trips at p99" reads directly off the table.
 #[must_use]
 pub fn reduce(sc_name: &str, size: usize, r: &RunResult, clean_mean_us: f64) -> RecoveryRow {
-    let latency = Summary::exact(&r.rtts);
+    let latency = Recorder::from_times(&r.rtts).summary();
     debug_assert_eq!(
         latency.saturated, 0,
         "RTT sample(s) overflowed i64 nanoseconds and were clamped to \

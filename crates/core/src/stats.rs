@@ -1,45 +1,5 @@
-//! Summary statistics over measured quantities.
-
-use simkit::SimTime;
-
-/// Mean of a slice of times, in microseconds.
-#[must_use]
-pub fn mean_us(samples: &[SimTime]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().map(|t| t.as_us_f64()).sum::<f64>() / samples.len() as f64
-}
-
-/// Population standard deviation, in microseconds.
-#[must_use]
-pub fn stddev_us(samples: &[SimTime]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
-    }
-    let m = mean_us(samples);
-    let var = samples
-        .iter()
-        .map(|t| {
-            let d = t.as_us_f64() - m;
-            d * d
-        })
-        .sum::<f64>()
-        / samples.len() as f64;
-    var.sqrt()
-}
-
-/// Minimum, in microseconds.
-#[must_use]
-pub fn min_us(samples: &[SimTime]) -> f64 {
-    samples.iter().min().map_or(0.0, |t| t.as_us_f64())
-}
-
-/// Maximum, in microseconds.
-#[must_use]
-pub fn max_us(samples: &[SimTime]) -> f64 {
-    samples.iter().max().map_or(0.0, |t| t.as_us_f64())
-}
+//! The paper's comparison metrics. The summary statistics of a
+//! sample set live next to `simcap::Recorder`.
 
 /// Percentage decrease from `from` to `to`, the paper's comparison
 /// metric ("Percentage Decrease (%)" in Tables 1, 4, 6, 7).
@@ -71,26 +31,6 @@ pub fn pct_error(got: f64, want: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn us(v: &[u64]) -> Vec<SimTime> {
-        v.iter().map(|&x| SimTime::from_us(x)).collect()
-    }
-
-    #[test]
-    fn mean_and_stddev() {
-        let s = us(&[10, 20, 30]);
-        assert!((mean_us(&s) - 20.0).abs() < 1e-9);
-        assert!((stddev_us(&s) - 8.1649).abs() < 1e-3);
-        assert_eq!(mean_us(&[]), 0.0);
-        assert_eq!(stddev_us(&us(&[5])), 0.0);
-    }
-
-    #[test]
-    fn min_max() {
-        let s = us(&[7, 3, 9]);
-        assert_eq!(min_us(&s), 3.0);
-        assert_eq!(max_us(&s), 9.0);
-    }
 
     #[test]
     fn percentage_metrics() {

@@ -20,11 +20,11 @@
 //!   Ethernet records;
 //! - [`analyze`]: FIFO same-packet matching between two captures and
 //!   min/median/p99/max + histogram reduction;
-//! - [`sketch`] / [`recorder`]: the streaming observability layer —
-//!   a mergeable log-linear quantile sketch with byte-deterministic
-//!   integer merges, and the [`Recorder`] that unifies exact,
-//!   sketched and trigger-only measurement behind one [`Quantiles`]
-//!   read interface;
+//! - [`sketch`] / [`recorder`]: the observability layer — a
+//!   mergeable log-linear quantile sketch with byte-deterministic
+//!   integer merges, and the [`Recorder`], the one latency sample set
+//!   (exact or sketched), with its [`Summary`] columns and the
+//!   [`Quantiles`] read interface;
 //! - the `capdiff` binary: the same analysis as a CLI over capture
 //!   files.
 
@@ -43,6 +43,6 @@ pub use analyze::{hop_between, HopReport, LatencyDist, P999_MIN_SAMPLES};
 pub use packet::TcpKey;
 pub use pcap::{CapError, Capture, PcapWriter, LINKTYPE_EN10MB, LINKTYPE_RAW, LINKTYPE_USER0};
 pub use pcapng::{read_any, PcapngWriter};
-pub use recorder::{Quantiles, Recorder, RecorderMode};
+pub use recorder::{Quantiles, Recorder, RecorderMode, Summary};
 pub use sketch::{QuantileSketch, MAX_MEMORY_BYTES, RELATIVE_ERROR};
 pub use tap::{CaptureMode, CapturedFrame, TapPoint, TapSet, TriggerReason, TriggerSnapshot};

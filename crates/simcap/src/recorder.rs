@@ -1,23 +1,24 @@
-//! One unified measurement API: the [`Recorder`].
+//! The one latency sample set: the [`Recorder`].
 //!
-//! [`Recorder`] puts every latency-measurement path behind one
-//! `observe` loop with three retention modes:
+//! Every measured latency — a study cell's round trips and fan-out
+//! completions, a datacenter run's, the benchmark's report — lands in
+//! a [`Recorder`] through one `observe`, in one of two retention
+//! modes ([`RecorderMode`]):
 //!
-//! - [`RecorderMode::Exact`] retains every sample — identical numbers
-//!   to `LatencyDist` (same sort, same nearest-rank formula, same
-//!   float summation order), plus saturation counting for samples
-//!   that overflow `i64` nanoseconds;
-//! - [`RecorderMode::Sketch`] retains only a [`QuantileSketch`]:
-//!   bounded memory, quantiles within [`RELATIVE_ERROR`], and a
-//!   merge that is byte-deterministic in any order;
-//! - [`RecorderMode::UpperOnly`] retains nothing but the O(1)
-//!   streaming upper-quantile estimate (the hedge trigger).
+//! - **Exact** keeps every sample, in observation order. Its mean,
+//!   stddev, min and max are this module's [`mean_us`], [`stddev_us`],
+//!   [`min_us`] and [`max_us`] (float sums in observation order, the
+//!   formulas the paper tables have always used); its percentiles
+//!   sort a copy into a [`LatencyDist`], the one nearest-rank
+//!   implementation.
+//! - **Sketch** keeps only a [`QuantileSketch`]: bounded memory,
+//!   quantiles within [`RELATIVE_ERROR`], and a merge that is
+//!   byte-deterministic in any order.
 //!
-//! Every mode also maintains the streaming upper estimate, so a
-//! recorder can both report a distribution *and* drive an online
-//! trigger. The [`Quantiles`] trait is the common read side; it is
-//! implemented by [`LatencyDist`], [`QuantileSketch`], and
-//! [`Recorder`] itself, so reduction code can be written once.
+//! [`Recorder::summary`] builds the latency columns every study row
+//! reports ([`Summary`]) in either mode. The [`Quantiles`] trait is
+//! the common read side of [`LatencyDist`], [`QuantileSketch`] and
+//! [`Recorder`], so reduction code can be written once.
 //!
 //! [`RELATIVE_ERROR`]: crate::sketch::RELATIVE_ERROR
 
@@ -101,218 +102,231 @@ impl Quantiles for QuantileSketch {
     }
 }
 
-/// What a [`Recorder`] retains per sample.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RecorderMode {
-    /// Every sample, exactly (the `LatencyDist` numbers, byte for
-    /// byte). Memory grows with the sample count.
-    #[default]
-    Exact,
-    /// A [`QuantileSketch`] only: bounded memory, quantiles within
-    /// the sketch's documented relative error.
-    Sketch,
-    /// Nothing but the O(1) streaming upper estimate — the hedge
-    /// trigger without a distribution.
-    UpperOnly,
+/// Mean of a sample set in µs: a float sum in observation order
+/// (0.0 when empty).
+#[must_use]
+pub fn mean_us(samples: &[SimTime]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    #[allow(clippy::cast_precision_loss)]
+    let n = samples.len() as f64;
+    samples.iter().map(|t| t.as_us_f64()).sum::<f64>() / n
 }
 
-/// The unified latency recorder (see the module docs).
+/// Population standard deviation in µs, about [`mean_us`] (0.0 below
+/// two samples).
+#[must_use]
+pub fn stddev_us(samples: &[SimTime]) -> f64 {
+    if samples.len() < 2 {
+        return 0.0;
+    }
+    let m = mean_us(samples);
+    #[allow(clippy::cast_precision_loss)]
+    let n = samples.len() as f64;
+    let var = samples
+        .iter()
+        .map(|t| {
+            let d = t.as_us_f64() - m;
+            d * d
+        })
+        .sum::<f64>()
+        / n;
+    var.sqrt()
+}
+
+/// Smallest sample in µs (0.0 when empty).
+#[must_use]
+pub fn min_us(samples: &[SimTime]) -> f64 {
+    samples.iter().min().map_or(0.0, |t| t.as_us_f64())
+}
+
+/// Largest sample in µs (0.0 when empty), unclamped: a sample past
+/// `i64::MAX` ns reads as it is.
+#[must_use]
+pub fn max_us(samples: &[SimTime]) -> f64 {
+    samples.iter().max().map_or(0.0, |t| t.as_us_f64())
+}
+
+/// What a [`Recorder`] retains per sample.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecorderMode {
+    /// Every sample, in observation order (the mode the goldens pin,
+    /// and [`Recorder::default`]'s). Memory grows with the sample
+    /// count.
+    Exact,
+    /// A [`QuantileSketch`] only (`--sketch`): bounded memory,
+    /// quantiles within the sketch's documented relative error.
+    Sketch,
+}
+
+/// The one latency sample set (see the module docs).
 ///
 /// Determinism: a recorder's state is a pure function of its
-/// observation sequence and merge sequence — no RNG, no clocks. In
-/// `Sketch` mode, merged results are additionally independent of
-/// merge *order* (integer bucket addition); in `Exact` mode every
-/// query sorts first, so merged results are also order-independent.
-/// Only the stream-local upper estimate depends on order, and it is
-/// never part of a canonical report.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// observation sequence and merge sequence — no RNG, no clocks. A
+/// sketch's merged results are independent of merge *order* (integer
+/// bucket addition); an exact recorder's percentiles sort first, so
+/// they are too.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Recorder {
-    mode: RecorderMode,
-    exact: Vec<i64>,
-    sketch: QuantileSketch,
-    /// Samples that overflowed `i64` nanoseconds and were clamped to
-    /// `i64::MAX` (still recorded; the count marks the tail a floor).
+    set: Set,
+    /// Observations that overflowed `i64` nanoseconds. An exact set
+    /// keeps them as they are; every nanosecond query clamps them to
+    /// `i64::MAX`, and a non-zero count marks that tail a floor.
     saturated: u64,
-    /// Frugal-style streaming upper-quantile estimate (Ma,
-    /// Muthukrishnan & Sandler 2013), RNG-free: the first sample seeds
-    /// it, then it moves up by an eighth of the gap and down by a
-    /// 128th, settling near the point ~1 in 16 samples exceed (≈ p94).
-    upper_est: Option<u64>,
-    observed: u64,
+}
+
+#[derive(Clone, Debug, PartialEq)]
+enum Set {
+    Exact(Vec<SimTime>),
+    Sketch(QuantileSketch),
+}
+
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder::new(RecorderMode::Exact)
+    }
+}
+
+/// `t` in signed nanoseconds, clamped to `i64::MAX`.
+fn clamped_ns(t: SimTime) -> i64 {
+    i64::try_from(t.as_ns()).unwrap_or(i64::MAX)
+}
+
+/// An exact set as a sorted, clamped [`LatencyDist`]: one copy, one
+/// sort.
+fn dist(samples: &[SimTime]) -> LatencyDist {
+    LatencyDist::from_samples(samples.iter().map(|&t| clamped_ns(t)).collect())
 }
 
 impl Recorder {
-    /// An exact-mode recorder (the default).
+    /// An empty recorder in the given mode.
     #[must_use]
-    pub fn exact() -> Self {
-        Recorder::with_mode(RecorderMode::Exact)
+    pub fn new(mode: RecorderMode) -> Self {
+        let set = match mode {
+            RecorderMode::Exact => Set::Exact(Vec::new()),
+            RecorderMode::Sketch => Set::Sketch(QuantileSketch::new()),
+        };
+        Recorder { set, saturated: 0 }
     }
 
-    /// A sketch-mode recorder.
-    #[must_use]
-    pub fn sketched() -> Self {
-        Recorder::with_mode(RecorderMode::Sketch)
-    }
-
-    /// An upper-estimate-only recorder (the hedge trigger).
-    #[must_use]
-    pub fn upper_only() -> Self {
-        Recorder::with_mode(RecorderMode::UpperOnly)
-    }
-
-    /// A recorder in the given mode.
-    #[must_use]
-    pub fn with_mode(mode: RecorderMode) -> Self {
-        Recorder {
-            mode,
-            ..Recorder::default()
-        }
-    }
-
-    /// An exact-mode recorder pre-loaded with `times`. Samples above
-    /// `i64::MAX` nanoseconds are clamped and counted as
-    /// [`saturated`](Recorder::saturated).
+    /// An exact recorder holding `times`.
     #[must_use]
     pub fn from_times(times: &[SimTime]) -> Self {
-        let mut r = Recorder::exact();
-        r.observe_times(times);
+        let mut r = Recorder::default();
+        r.extend(times.iter().copied());
         r
     }
 
-    /// This recorder's retention mode.
-    #[must_use]
-    pub fn mode(&self) -> RecorderMode {
-        self.mode
-    }
-
-    /// Records one simulated-time sample. Samples above `i64::MAX`
-    /// nanoseconds are clamped and counted as saturated.
+    /// Records one sample. A sample past `i64::MAX` nanoseconds is
+    /// counted as [`saturated`](Recorder::saturated).
     pub fn observe(&mut self, t: SimTime) {
         let ns = i64::try_from(t.as_ns()).unwrap_or_else(|_| {
             self.saturated += 1;
             i64::MAX
         });
-        self.update_upper(t.as_ns());
-        self.record_ns(ns);
-    }
-
-    /// Records every sample in `times` in order.
-    pub fn observe_times(&mut self, times: &[SimTime]) {
-        for &t in times {
-            self.observe(t);
+        match &mut self.set {
+            Set::Exact(v) => v.push(t),
+            Set::Sketch(s) => s.observe_ns(ns),
         }
     }
 
-    /// Records one raw signed nanosecond sample (capture deltas can
-    /// be negative when a tap pair is reversed). Negative samples do
-    /// not move the upper estimate.
-    pub fn observe_ns(&mut self, ns: i64) {
-        #[allow(clippy::cast_sign_loss)]
-        self.update_upper(ns.max(0) as u64);
-        self.record_ns(ns);
-    }
-
-    fn record_ns(&mut self, ns: i64) {
-        self.observed += 1;
-        match self.mode {
-            RecorderMode::Exact => self.exact.push(ns),
-            RecorderMode::Sketch => self.sketch.observe_ns(ns),
-            RecorderMode::UpperOnly => {}
+    /// Number of samples recorded.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match &self.set {
+            Set::Exact(v) => v.len(),
+            Set::Sketch(s) => Quantiles::count(s),
         }
     }
 
-    fn update_upper(&mut self, t: u64) {
-        self.upper_est = Some(match self.upper_est {
-            None => t,
-            Some(est) if t > est => est + (t - est) / 8,
-            Some(est) => est - (est - t) / 128,
-        });
+    /// True when nothing has been recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Samples clamped to `i64::MAX` ns because they overflowed. A
-    /// non-zero count means the max (and any percentile landing on a
-    /// clamped sample) is a floor, not a measurement.
+    /// Observations past `i64::MAX` ns. A non-zero count means the
+    /// clamped max (and any percentile landing on a clamped sample) is
+    /// a floor, not a measurement.
     #[must_use]
     pub fn saturated(&self) -> u64 {
         self.saturated
     }
 
-    /// The streaming upper-quantile estimate (≈ p95, biased high on
-    /// heavy tails — the side a hedging trigger wants to err on).
-    /// `None` until the first sample. Stream-local: a merge keeps the
-    /// left operand's estimate.
-    #[must_use]
-    pub fn upper_estimate(&self) -> Option<SimTime> {
-        self.upper_est.map(SimTime::from_ns)
-    }
-
-    /// Merges `other` into `self`. Both recorders must be in the same
-    /// mode (merging an exact shard into a sketch would silently mix
-    /// accuracies).
+    /// Merges `other` into `self`: an exact set appends `other`'s
+    /// samples, a sketch adds its buckets.
     ///
     /// # Panics
-    /// If the modes differ.
+    /// If the modes differ (merging an exact shard into a sketch would
+    /// silently mix accuracies).
     pub fn merge(&mut self, other: &Recorder) {
-        assert_eq!(
-            self.mode, other.mode,
-            "cannot merge recorders of different modes"
-        );
-        match self.mode {
-            RecorderMode::Exact => self.exact.extend_from_slice(&other.exact),
-            RecorderMode::Sketch => self.sketch.merge(&other.sketch),
-            RecorderMode::UpperOnly => {}
+        match (&mut self.set, &other.set) {
+            (Set::Exact(a), Set::Exact(b)) => a.extend_from_slice(b),
+            (Set::Sketch(a), Set::Sketch(b)) => a.merge(b),
+            _ => panic!("cannot merge recorders of different modes"),
         }
         self.saturated += other.saturated;
-        self.observed += other.observed;
-        if self.upper_est.is_none() {
-            self.upper_est = other.upper_est;
+    }
+
+    /// The samples in observation order, `None` in sketch mode.
+    #[must_use]
+    pub fn raw(&self) -> Option<&[SimTime]> {
+        match &self.set {
+            Set::Exact(v) => Some(v),
+            Set::Sketch(_) => None,
         }
     }
 
-    /// The exact distribution (sorted), `None` unless in
-    /// [`RecorderMode::Exact`].
+    /// Mean in µs: [`mean_us`] in exact mode, the sketch's exact
+    /// integer sum over one float division otherwise.
     #[must_use]
-    pub fn dist(&self) -> Option<LatencyDist> {
-        matches!(self.mode, RecorderMode::Exact)
-            .then(|| LatencyDist::from_samples(self.exact.clone()))
+    pub fn mean_us(&self) -> f64 {
+        match &self.set {
+            Set::Exact(v) => mean_us(v),
+            Set::Sketch(s) => s.mean_us(),
+        }
     }
 
-    /// The sketch, `None` unless in [`RecorderMode::Sketch`].
-    #[must_use]
-    pub fn sketch(&self) -> Option<&QuantileSketch> {
-        matches!(self.mode, RecorderMode::Sketch).then_some(&self.sketch)
-    }
-
-    /// Population standard deviation in µs (0.0 when empty or in
-    /// [`RecorderMode::UpperOnly`]). Exact mode sums `f64` squares
-    /// over the sorted samples; sketch mode uses the exact integer
-    /// sum of squares.
+    /// Population standard deviation in µs: [`stddev_us`] in exact
+    /// mode, the sketch's integer sum of squares otherwise.
     #[must_use]
     pub fn stddev_us(&self) -> f64 {
-        match self.mode {
-            RecorderMode::Exact => {
-                if self.exact.is_empty() {
-                    return 0.0;
-                }
-                let mut sorted = self.exact.clone();
-                sorted.sort_unstable();
-                #[allow(clippy::cast_precision_loss)]
-                {
-                    let n = sorted.len() as f64;
-                    let mean = sorted.iter().map(|&s| s as f64).sum::<f64>() / n;
-                    let var = sorted
-                        .iter()
-                        .map(|&s| {
-                            let d = s as f64 - mean;
-                            d * d
-                        })
-                        .sum::<f64>()
-                        / n;
-                    var.sqrt() / 1000.0
-                }
-            }
-            RecorderMode::Sketch => self.sketch.stddev_us(),
-            RecorderMode::UpperOnly => 0.0,
+        match &self.set {
+            Set::Exact(v) => stddev_us(v),
+            Set::Sketch(s) => s.stddev_us(),
+        }
+    }
+
+    /// Smallest sample in µs (0.0 when empty).
+    #[must_use]
+    pub fn min_us(&self) -> f64 {
+        match &self.set {
+            Set::Exact(v) => min_us(v),
+            #[allow(clippy::cast_precision_loss)]
+            Set::Sketch(s) => s.min_ns().map_or(0.0, |ns| ns as f64 / 1000.0),
+        }
+    }
+
+    /// Largest sample in µs (0.0 when empty): unclamped [`max_us`] in
+    /// exact mode, the sketch's clamped max otherwise.
+    #[must_use]
+    pub fn max_us(&self) -> f64 {
+        match &self.set {
+            Set::Exact(v) => max_us(v),
+            #[allow(clippy::cast_precision_loss)]
+            Set::Sketch(s) => s.max_ns().map_or(0.0, |ns| ns as f64 / 1000.0),
+        }
+    }
+
+    /// The latency columns of a study row. Exact mode sorts one copy
+    /// of the samples for every percentile.
+    #[must_use]
+    pub fn summary(&self) -> Summary {
+        let mean_us = self.mean_us();
+        match &self.set {
+            Set::Exact(v) => Summary::from_quantiles(&dist(v), self.saturated, mean_us),
+            Set::Sketch(s) => Summary::from_quantiles(s, self.saturated, mean_us),
         }
     }
 
@@ -321,41 +335,86 @@ impl Recorder {
     /// measures.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Recorder>() + self.exact.capacity() * 8 + self.sketch.memory_bytes()
-            - std::mem::size_of::<QuantileSketch>()
+        std::mem::size_of::<Recorder>()
+            + match &self.set {
+                Set::Exact(v) => v.capacity() * std::mem::size_of::<SimTime>(),
+                Set::Sketch(s) => s.memory_bytes() - std::mem::size_of::<QuantileSketch>(),
+            }
+    }
+}
+
+impl Extend<SimTime> for Recorder {
+    fn extend<I: IntoIterator<Item = SimTime>>(&mut self, times: I) {
+        for t in times {
+            self.observe(t);
+        }
     }
 }
 
 impl Quantiles for Recorder {
     fn count(&self) -> usize {
-        usize::try_from(self.observed).unwrap_or(usize::MAX)
+        self.len()
     }
     fn min_ns(&self) -> Option<i64> {
-        match self.mode {
-            RecorderMode::Exact => self.exact.iter().copied().min(),
-            RecorderMode::Sketch => self.sketch.min_ns(),
-            RecorderMode::UpperOnly => None,
+        match &self.set {
+            Set::Exact(v) => v.iter().min().map(|&t| clamped_ns(t)),
+            Set::Sketch(s) => s.min_ns(),
         }
     }
     fn max_ns(&self) -> Option<i64> {
-        match self.mode {
-            RecorderMode::Exact => self.exact.iter().copied().max(),
-            RecorderMode::Sketch => self.sketch.max_ns(),
-            RecorderMode::UpperOnly => None,
+        match &self.set {
+            Set::Exact(v) => v.iter().max().map(|&t| clamped_ns(t)),
+            Set::Sketch(s) => s.max_ns(),
         }
     }
     fn percentile_ns(&self, p: f64) -> Option<i64> {
-        match self.mode {
-            RecorderMode::Exact => self.dist().and_then(|d| Quantiles::percentile_ns(&d, p)),
-            RecorderMode::Sketch => self.sketch.percentile_ns(p),
-            RecorderMode::UpperOnly => None,
+        match &self.set {
+            Set::Exact(v) => Quantiles::percentile_ns(&dist(v), p),
+            Set::Sketch(s) => s.percentile_ns(p),
         }
     }
     fn mean_us(&self) -> f64 {
-        match self.mode {
-            RecorderMode::Exact => self.dist().map_or(0.0, |d| LatencyDist::mean_us(&d)),
-            RecorderMode::Sketch => self.sketch.mean_us(),
-            RecorderMode::UpperOnly => 0.0,
+        Recorder::mean_us(self)
+    }
+}
+
+/// The latency columns every study row reports, computed in one pass
+/// over a sample set.
+///
+/// Percentiles are nearest-rank ([`Quantiles`]), and an empty set
+/// reports zero in every column.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Summary {
+    /// Number of samples summarized.
+    pub samples: usize,
+    /// Observations clamped to `i64::MAX` ns (must be zero for the tail
+    /// columns to be trustworthy).
+    pub saturated: u64,
+    /// Mean in µs: [`Recorder::mean_us`], the canonical report's mean.
+    pub mean_us: f64,
+    /// Median in µs.
+    pub p50_us: f64,
+    /// 99th percentile in µs.
+    pub p99_us: f64,
+    /// 99.9th percentile in µs; `None` below [`P999_MIN_SAMPLES`]
+    /// samples, where nearest-rank p999 would just repeat the maximum.
+    pub p999_us: Option<f64>,
+    /// Largest sample in µs, clamped at `i64::MAX` ns.
+    pub max_us: f64,
+}
+
+impl Summary {
+    fn from_quantiles(q: &impl Quantiles, saturated: u64, mean_us: f64) -> Summary {
+        #[allow(clippy::cast_precision_loss)]
+        let us = |ns: i64| ns as f64 / 1000.0;
+        Summary {
+            samples: q.count(),
+            saturated,
+            mean_us,
+            p50_us: us(q.percentile_ns(50.0).unwrap_or(0)),
+            p99_us: us(q.percentile_ns(99.0).unwrap_or(0)),
+            p999_us: q.p999_ns().map(us),
+            max_us: us(q.max_ns().unwrap_or(0)),
         }
     }
 }
@@ -363,6 +422,10 @@ impl Quantiles for Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn times(ns: &[u64]) -> Vec<SimTime> {
+        ns.iter().map(|&n| SimTime::from_ns(n)).collect()
+    }
 
     #[test]
     fn exact_mode_matches_latency_dist_numbers() {
@@ -382,6 +445,7 @@ mod tests {
         }
         assert!((Quantiles::mean_us(&rec) - LatencyDist::mean_us(&dist)).abs() < 1e-12);
         assert_eq!(rec.saturated(), 0);
+        assert_eq!(rec.raw(), Some(&times[..]));
     }
 
     #[test]
@@ -399,95 +463,97 @@ mod tests {
         // The in-range path stays exact and reports zero saturation.
         let rec = Recorder::from_times(&[fits]);
         assert_eq!(rec.saturated(), 0);
-        assert_eq!(rec.dist().expect("exact mode").samples(), &[1_000]);
+        assert_eq!(rec.raw(), Some(&[fits][..]));
     }
 
     #[test]
-    fn upper_estimate_follows_the_pinned_asymmetric_rule() {
-        // Hand-computed in integer ns: up by an eighth of the gap,
-        // down by a 128th (truncating).
-        let mut rec = Recorder::upper_only();
-        assert_eq!(rec.upper_estimate(), None);
-        let steps = [
-            (100_000, 100_000),   // the first sample seeds the estimate
-            (180_000, 110_000),   // + 80_000 / 8
-            (100_000, 109_922),   // - 10_000 / 128
-            (1_000_000, 221_181), // + 890_078 / 8
-            (0, 219_454),         // - 221_181 / 128
+    fn mean_and_stddev() {
+        let s = times(&[10_000, 20_000, 30_000]);
+        assert!((mean_us(&s) - 20.0).abs() < 1e-9);
+        assert!((stddev_us(&s) - 8.1649).abs() < 1e-3);
+        assert_eq!(mean_us(&[]), 0.0);
+        assert_eq!(stddev_us(&times(&[5_000])), 0.0);
+    }
+
+    #[test]
+    fn min_max() {
+        let s = times(&[7_000, 3_000, 9_000]);
+        assert_eq!(min_us(&s), 3.0);
+        assert_eq!(max_us(&s), 9.0);
+    }
+
+    #[test]
+    fn summary_is_bit_identical_to_the_per_field_reductions() {
+        #[allow(clippy::cast_precision_loss)]
+        let us = |ns: Option<i64>| (ns.unwrap_or(0) as f64 / 1000.0).to_bits();
+        let spread: Vec<u64> = (0..2_500u64)
+            .map(|i| 1_000 + (i * 7919) % 1_000_003)
+            .collect();
+        let sets = [
+            Vec::new(),
+            times(&[1_000, 2_000, 40_000, 3_000]),
+            times(&[5_000, u64::MAX, 7_000]),
+            times(&spread),
         ];
-        for (sample, est) in steps {
-            rec.observe(SimTime::from_ns(sample));
-            assert_eq!(
-                rec.upper_estimate(),
-                Some(SimTime::from_ns(est)),
-                "after {sample} ns"
-            );
-        }
-        assert_eq!(Quantiles::count(&rec), 5);
-        assert_eq!(Quantiles::percentile_ns(&rec, 50.0), None);
-    }
-
-    #[test]
-    fn upper_estimate_settles_between_the_bulk_and_the_outlier() {
-        // 19 of 20 samples at 100 µs, 1 of 20 at 1 ms, repeated: the
-        // estimate must end up well above the median and below the
-        // outlier.
-        let mut rec = Recorder::upper_only();
-        for _ in 0..200 {
-            for _ in 0..19 {
-                rec.observe(SimTime::from_us(100));
+        for mode in [RecorderMode::Exact, RecorderMode::Sketch] {
+            for ts in &sets {
+                let mut rec = Recorder::new(mode);
+                rec.extend(ts.iter().copied());
+                let sum = rec.summary();
+                assert_eq!(sum.samples, ts.len());
+                assert_eq!(sum.saturated, rec.saturated());
+                assert_eq!(sum.mean_us.to_bits(), rec.mean_us().to_bits());
+                assert_eq!(sum.p50_us.to_bits(), us(rec.percentile_ns(50.0)));
+                assert_eq!(sum.p99_us.to_bits(), us(rec.percentile_ns(99.0)));
+                assert_eq!(
+                    sum.p999_us.map(f64::to_bits),
+                    rec.p999_ns().map(|ns| us(Some(ns)))
+                );
+                assert_eq!(sum.max_us.to_bits(), us(Quantiles::max_ns(&rec)));
             }
-            rec.observe(SimTime::from_us(1000));
         }
-        let est = rec.upper_estimate().expect("seeded").as_us_f64();
-        assert!(est > 150.0, "collapsed to the bulk: {est}");
-        assert!(est < 1000.0, "stuck at the outlier: {est}");
-        assert_eq!(Quantiles::count(&rec), 4000);
-    }
-
-    #[test]
-    fn constant_input_is_a_fixed_point_of_the_upper_estimate() {
-        let mut rec = Recorder::upper_only();
-        for _ in 0..100 {
-            rec.observe(SimTime::from_us(42));
-        }
-        assert_eq!(rec.upper_estimate(), Some(SimTime::from_us(42)));
+        assert_eq!(Recorder::default().summary(), Summary::default());
+        assert_eq!(Recorder::from_times(&sets[2]).summary().saturated, 1);
+        let big = Recorder::from_times(&sets[3]).summary();
+        let p999 = big.p999_us.expect("2500 samples clear the p999 floor");
+        assert!(p999 < big.max_us, "p999 {p999} must not collapse to max");
     }
 
     #[test]
     fn sketch_mode_merge_is_shard_order_independent() {
-        let mut whole = Recorder::sketched();
-        let mut shards: Vec<Recorder> = (0..4).map(|_| Recorder::sketched()).collect();
+        let sketched = || Recorder::new(RecorderMode::Sketch);
+        let mut whole = sketched();
+        let mut shards: Vec<Recorder> = (0..4).map(|_| sketched()).collect();
         for i in 0..4000u64 {
             let t = SimTime::from_ns((i * 7919) % 1_000_000);
             whole.observe(t);
             shards[(i % 4) as usize].observe(t);
         }
-        let mut fwd = Recorder::sketched();
+        let mut fwd = sketched();
         for s in &shards {
             fwd.merge(s);
         }
-        let mut rev = Recorder::sketched();
+        let mut rev = sketched();
         for s in shards.iter().rev() {
             rev.merge(s);
         }
-        assert_eq!(fwd.sketch(), rev.sketch());
-        assert_eq!(fwd.sketch(), whole.sketch());
+        assert_eq!(fwd, rev);
+        assert_eq!(fwd, whole);
         assert_eq!(Quantiles::p99_ns(&fwd), Quantiles::p99_ns(&whole));
     }
 
     #[test]
     #[should_panic(expected = "different modes")]
     fn merging_mixed_modes_panics() {
-        let mut a = Recorder::exact();
-        let b = Recorder::sketched();
+        let mut a = Recorder::default();
+        let b = Recorder::new(RecorderMode::Sketch);
         a.merge(&b);
     }
 
     #[test]
     fn sketch_mode_bounds_memory() {
-        let mut exact = Recorder::exact();
-        let mut sk = Recorder::sketched();
+        let mut exact = Recorder::default();
+        let mut sk = Recorder::new(RecorderMode::Sketch);
         for i in 0..100_000u64 {
             let t = SimTime::from_ns(i * 131);
             exact.observe(t);
@@ -499,11 +565,13 @@ mod tests {
             "sketch memory {}",
             sk.memory_bytes()
         );
+        assert!(sk.raw().is_none());
+        assert!(sk.max_us() >= sk.min_us());
     }
 
     #[test]
     fn p999_floor_applies_to_recorders() {
-        let mut rec = Recorder::sketched();
+        let mut rec = Recorder::new(RecorderMode::Sketch);
         for i in 0..999u64 {
             rec.observe(SimTime::from_ns(i));
         }

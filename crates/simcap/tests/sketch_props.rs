@@ -7,7 +7,11 @@
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use simcap::{LatencyDist, QuantileSketch, Quantiles, Recorder, P999_MIN_SAMPLES, RELATIVE_ERROR};
+use simcap::{
+    LatencyDist, QuantileSketch, Quantiles, Recorder, RecorderMode, P999_MIN_SAMPLES,
+    RELATIVE_ERROR,
+};
+use simkit::SimTime;
 
 /// A latency sample in ns: spans sub-µs to tens of seconds, hitting
 /// both the exact sub-bucket range (one bucket per value below 256)
@@ -28,6 +32,11 @@ impl Strategy for SampleNs {
 
 fn sample_ns() -> SampleNs {
     SampleNs
+}
+
+/// A non-negative ns sample as a recorder observation.
+fn ns(v: i64) -> SimTime {
+    SimTime::from_ns(u64::try_from(v).expect("non-negative sample"))
 }
 
 fn sketch_of(samples: &[i64]) -> QuantileSketch {
@@ -130,8 +139,8 @@ proptest! {
         n in 1usize..2000,
         seed in any::<u64>(),
     ) {
-        let mut exact = Recorder::exact();
-        let mut sketched = Recorder::sketched();
+        let mut exact = Recorder::default();
+        let mut sketched = Recorder::new(RecorderMode::Sketch);
         let mut x = seed | 1;
         for _ in 0..n {
             // xorshift: arbitrary positive ns values.
@@ -139,8 +148,8 @@ proptest! {
             x ^= x >> 7;
             x ^= x << 17;
             let v = (x % 1_000_000_000) as i64;
-            exact.observe_ns(v);
-            sketched.observe_ns(v);
+            exact.observe(ns(v));
+            sketched.observe(ns(v));
         }
         prop_assert_eq!(exact.p999_ns().is_some(), n >= P999_MIN_SAMPLES);
         prop_assert_eq!(sketched.p999_ns().is_some(), n >= P999_MIN_SAMPLES);
@@ -158,18 +167,18 @@ fn recorder_merge_is_shard_order_stable() {
                 .collect()
         })
         .collect();
-    let mut grid_order = Recorder::sketched();
+    let mut grid_order = Recorder::new(RecorderMode::Sketch);
     for shard in &shards {
-        let mut r = Recorder::sketched();
+        let mut r = Recorder::new(RecorderMode::Sketch);
         for &v in shard {
-            r.observe_ns(v);
+            r.observe(ns(v));
         }
         grid_order.merge(&r);
     }
-    let mut single = Recorder::sketched();
+    let mut single = Recorder::new(RecorderMode::Sketch);
     for shard in &shards {
         for &v in shard {
-            single.observe_ns(v);
+            single.observe(ns(v));
         }
     }
     assert_eq!(Quantiles::count(&grid_order), Quantiles::count(&single));
@@ -219,8 +228,8 @@ fn sharded_sketch(shards: u64, per_shard: u64, threads: u64) -> Recorder {
                     (t..shards)
                         .step_by(threads as usize)
                         .map(|shard| {
-                            let mut rec = Recorder::sketched();
-                            shard_stream(shard, per_shard).for_each(|v| rec.observe_ns(v));
+                            let mut rec = Recorder::new(RecorderMode::Sketch);
+                            shard_stream(shard, per_shard).for_each(|v| rec.observe(ns(v)));
                             (shard, rec)
                         })
                         .collect::<Vec<_>>()
@@ -233,7 +242,7 @@ fn sharded_sketch(shards: u64, per_shard: u64, threads: u64) -> Recorder {
             .collect()
     });
     parts.sort_by_key(|&(shard, _)| shard);
-    let mut merged = Recorder::sketched();
+    let mut merged = Recorder::new(RecorderMode::Sketch);
     for (_, part) in &parts {
         merged.merge(part);
     }

@@ -97,7 +97,7 @@ impl SimRng {
         }
     }
 
-    /// Samples a geometric "number of successes until failure" style
+    /// Draws a geometric "number of successes until failure" style
     /// count: returns how many independent `p`-probability events occur
     /// among `n` trials, using a binomial sample via inversion for the
     /// small-`p` regime typical of bit-error rates.

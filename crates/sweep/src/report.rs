@@ -66,7 +66,7 @@ pub struct ReportCell<'a> {
     pub seed: u64,
     /// Repetitions pooled.
     pub reps: u64,
-    /// Samples in the reported set.
+    /// Number of samples in the reported set.
     pub samples: usize,
     /// Mean sample, µs.
     pub mean_us: f64,
@@ -157,8 +157,8 @@ impl SweepResults {
                     samples: c.result.rtts.len(),
                     mean_us: c.result.mean_rtt_us(),
                     stddev_us: c.result.stddev_rtt_us(),
-                    min_us: latency_core::stats::min_us(&c.result.rtts),
-                    max_us: latency_core::stats::max_us(&c.result.rtts),
+                    min_us: c.result.min_rtt_us(),
+                    max_us: c.result.max_rtt_us(),
                     events: c.result.events,
                     sim_time_us: c.result.sim_time.as_us_f64(),
                     verify_failures: c.result.verify_failures,

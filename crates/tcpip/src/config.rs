@@ -30,6 +30,10 @@ impl ChecksumMode {
 /// Delayed-ACK timeout in microseconds (BSD fasttimo, 200 ms).
 pub const DELACK_US: u64 = 200_000;
 
+/// Retransmission timeout floor in microseconds (BSD slowtimo
+/// granularity gives an effective 500 ms minimum initially).
+pub const RTO_MIN_US: u64 = 500_000;
+
 /// Congestion-control variant (RFC 5681/6582/2018 family).
 ///
 /// The seed stack recovered like 4.4BSD's fast retransmit but had no
@@ -137,9 +141,6 @@ pub struct StackConfig {
     /// Initial send sequence number (exposed so tests can start near
     /// the wrap point).
     pub iss: u32,
-    /// Retransmission timeout floor (BSD slowtimo granularity gives
-    /// an effective 500 ms minimum initially).
-    pub rto_min_us: u64,
     /// Retransmission limit: when the backoff shift has reached this
     /// value and the retransmit timer fires again, the connection is
     /// aborted with `ETIMEDOUT` (BSD `TCP_MAXRXTSHIFT`). Guarantees
@@ -168,7 +169,6 @@ impl Default for StackConfig {
             mss_one_cluster: true,
             sockbuf: 16 * 1024,
             iss: 0x0001_0000,
-            rto_min_us: 500_000,
             max_rexmt_shift: 12,
             cc: CcVariant::NewReno,
             initial_cwnd_segs: None,

@@ -29,7 +29,7 @@ use mbuf::chain::ultrix_uses_clusters;
 use mbuf::{Chain, MbufPool};
 use simkit::{Cpu, CpuBand, SimTime};
 
-use crate::config::{CcVariant, ChecksumMode, StackConfig, DELACK_US};
+use crate::config::{CcVariant, ChecksumMode, StackConfig, DELACK_US, RTO_MIN_US};
 use crate::hdr::{TcpIpHeader, TCPIP_HDR_LEN};
 use crate::options::{encode_sack_option, parse_sack_blocks};
 use crate::pcb::{PcbKey, PcbTable};
@@ -433,7 +433,7 @@ impl Kernel {
         drv: &mut dyn TxDriver,
     ) -> SimTime {
         self.touch(sock);
-        let rto = self.conns[sock].tcb.rto(&self.cfg);
+        let rto = self.conns[sock].tcb.rto();
         let conn = &mut self.conns[sock];
         let rcv_space = conn.sock.rcv.space();
         let mut hdr = conn.tcb.build_data_header(0, 0, rcv_space);
@@ -600,7 +600,7 @@ impl Kernel {
     /// the window, MSS and Nagle permit. Returns the advanced cursor.
     fn tcp_output(&mut self, mut cursor: SimTime, sock: SockId, drv: &mut dyn TxDriver) -> SimTime {
         self.touch(sock);
-        let rto = self.conns[sock].tcb.rto(&self.cfg);
+        let rto = self.conns[sock].tcb.rto();
         let mut first_segment = true;
         loop {
             let conn = &mut self.conns[sock];
@@ -1297,8 +1297,7 @@ impl Kernel {
                     conn.tcb.cwnd = saved_cwnd;
                     // Re-arm until the window reopens.
                     if conn.tcb.snd_wnd == 0 {
-                        conn.tcb.persist_deadline =
-                            Some(cursor + SimTime::from_us(self.cfg.rto_min_us));
+                        conn.tcb.persist_deadline = Some(cursor + SimTime::from_us(RTO_MIN_US));
                     }
                     continue;
                 } else if dl <= now {
@@ -1408,7 +1407,7 @@ impl Kernel {
     /// Emits a FIN|ACK segment; the FIN consumes one sequence number.
     fn send_fin(&mut self, mut cursor: SimTime, sock: SockId, drv: &mut dyn TxDriver) -> SimTime {
         self.touch(sock);
-        let rto = self.conns[sock].tcb.rto(&self.cfg);
+        let rto = self.conns[sock].tcb.rto();
         let conn = &mut self.conns[sock];
         let rcv_space = conn.sock.rcv.space();
         let offset = crate::seq::seq_diff(conn.tcb.snd_una, conn.tcb.snd_nxt) as usize;
@@ -1509,7 +1508,7 @@ impl Kernel {
     /// Starts the 2MSL timer (shortened: one RTO-floor interval keeps
     /// experiment runtimes sane; the mechanism is what matters).
     fn enter_time_wait(&mut self, now: SimTime, sock: SockId) {
-        self.conns[sock].time_wait_deadline = Some(now + SimTime::from_us(self.cfg.rto_min_us) * 2);
+        self.conns[sock].time_wait_deadline = Some(now + SimTime::from_us(RTO_MIN_US) * 2);
     }
 
     /// Removes the PCB and marks the connection closed.
@@ -2265,7 +2264,6 @@ mod tests {
     #[test]
     fn rto_backoff_doubles_per_fire_until_acked() {
         let (mut a, _b, sa, _sb) = pair();
-        let cfg = a.cfg;
         let mut da = CaptureDriver::new(9188);
         let _ = a.syscall_write(SimTime::ZERO, sa, &[5u8; 700], &mut da);
         da.packets.clear(); // The network keeps losing everything.
@@ -2276,8 +2274,8 @@ mod tests {
             da.packets.clear();
             assert_eq!(a.tcb(sa).rexmt_shift, fire, "backoff shift grows");
             assert_eq!(
-                a.tcb(sa).rto(&cfg),
-                SimTime::from_us(cfg.rto_min_us) * (1u64 << fire),
+                a.tcb(sa).rto(),
+                SimTime::from_us(RTO_MIN_US) * (1u64 << fire),
                 "RTO doubles per fire"
             );
             assert_eq!(

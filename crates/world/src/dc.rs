@@ -42,7 +42,7 @@ use faultkit::PauseSchedule;
 use latency_core::app::{Endpoint, Payload, Phase, Step};
 use latency_core::host::{deferred, flush, pack, unpack, Hosts, InFlight, RawEvent};
 use latency_core::nic::{arm_host, AtmNic, NicMut, Train};
-use latency_core::Samples;
+use simcap::Recorder;
 use simkit::{Scheduler, Sim, SimTime};
 use tcpip::config::tcp_mss;
 use tcpip::{Kernel, PcbCounters, PcbKey, SockId};
@@ -142,13 +142,38 @@ pub struct FanoutCtl {
     /// The slot hedged this round, if the hedge trigger fired.
     hedged_slot: Option<usize>,
     /// Running upper-tail estimate of resolved slot times — the
-    /// adaptive hedge delay (an upper-only [`simcap::Recorder`]).
-    p95: simcap::Recorder,
+    /// adaptive hedge delay.
+    p95: TailEstimate,
     /// Typed per-request outcomes, parallel to `completions`.
     pub outcomes: Vec<RequestOutcome>,
     /// The policy's cost counters over the whole run, warm-up
     /// included.
     pub cost: MitigationCost,
+}
+
+/// The hedge trigger's streaming upper-quantile estimate (Frugal-style,
+/// Ma, Muthukrishnan & Sandler 2013), RNG-free and on integer ns: the
+/// first sample seeds it, then a higher sample moves it up by an eighth
+/// of the gap and a lower one down by a 128th, so it settles near the
+/// point ~1 in 16 samples exceed (≈ p94), biased high on heavy tails —
+/// the side a hedging trigger wants to err on.
+#[derive(Clone, Copy, Debug, Default)]
+struct TailEstimate(Option<u64>);
+
+impl TailEstimate {
+    fn observe(&mut self, t: SimTime) {
+        let t = t.as_ns();
+        self.0 = Some(match self.0 {
+            None => t,
+            Some(est) if t > est => est + (t - est) / 8,
+            Some(est) => est - (est - t) / 128,
+        });
+    }
+
+    /// The estimate, `None` until the first sample.
+    fn get(self) -> Option<SimTime> {
+        self.0.map(SimTime::from_ns)
+    }
 }
 
 /// One simulated host.
@@ -207,8 +232,9 @@ fn host_seed(seed: u64, h: usize) -> u64 {
 }
 
 /// splitmix64 finalizer: one strong mixing step, used to turn a
-/// `(seed, host, conn, round)` tuple into an independent draw.
-fn splitmix64(x: u64) -> u64 {
+/// `(seed, host, conn, round)` tuple (or a churn server index) into an
+/// independent draw.
+pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -284,7 +310,7 @@ impl DcWorld {
                 slot_rtt: vec![None; topo.fanout_width],
                 tokens: topo.tail.retry.map_or(0, |r| r.budget),
                 hedged_slot: None,
-                p95: simcap::Recorder::upper_only(),
+                p95: TailEstimate::default(),
                 outcomes: Vec::new(),
                 cost: MitigationCost::default(),
             });
@@ -436,7 +462,7 @@ impl DcWorld {
 /// A datacenter world's pooled outcome, declared once for both of its
 /// sample containers: one run of a world ([`DcRunResult`], every
 /// sample in a `Vec`) and one study cell pooled over its repetitions
-/// ([`DcCellResult`], exact or sketched [`Samples`]). Components merge
+/// ([`DcCellResult`], an exact or sketched [`Recorder`]). Components merge
 /// into a run, and runs into a cell, through one pooling rule, the
 /// crate's `DcResult::absorb`.
 #[derive(Debug, Default, PartialEq)]
@@ -498,25 +524,7 @@ pub struct DcResult<S> {
 pub type DcRunResult = DcResult<Vec<SimTime>>;
 
 /// One study cell's outcome, pooled over its repetitions.
-pub type DcCellResult = DcResult<Samples>;
-
-/// A sample container a [`DcResult`] pools round trips into.
-pub(crate) trait Pool {
-    /// Appends `times`, in order.
-    fn pool(&mut self, times: &[SimTime]);
-}
-
-impl Pool for Vec<SimTime> {
-    fn pool(&mut self, times: &[SimTime]) {
-        self.extend_from_slice(times);
-    }
-}
-
-impl Pool for Samples {
-    fn pool(&mut self, times: &[SimTime]) {
-        self.extend_from(times);
-    }
-}
+pub type DcCellResult = DcResult<Recorder>;
 
 impl<S> DcResult<S> {
     /// Pools one run (or one component's share of a run) into this
@@ -527,7 +535,7 @@ impl<S> DcResult<S> {
     /// added to [`DcResult`] fails to compile here until it is pooled.
     pub(crate) fn absorb(&mut self, r: &DcRunResult)
     where
-        S: Pool,
+        S: Extend<SimTime>,
     {
         let DcResult {
             key: _,
@@ -551,8 +559,8 @@ impl<S> DcResult<S> {
             mbufs_leaked,
             cost,
         } = r;
-        self.rtts.pool(rtts);
-        self.completions.pool(completions);
+        self.rtts.extend(rtts.iter().copied());
+        self.completions.extend(completions.iter().copied());
         self.events += events;
         self.sim_time = self.sim_time.max(*sim_time);
         self.verify_failures += verify_failures;
@@ -1144,7 +1152,7 @@ fn arm_round(w: &mut DcWorld, s: &mut Scheduler<DcWorld>, h: usize, at: SimTime)
         // estimator has seen a sample.
         let delay = hp.delay.unwrap_or_else(|| {
             let ctl = w.hosts[h].fanout.as_ref().expect("fan-out host");
-            ctl.p95.upper_estimate().unwrap_or(hp.initial)
+            ctl.p95.get().unwrap_or(hp.initial)
         });
         s.schedule_raw_at(at + delay, "dc-hedge", on_hedge, pack(h, round as usize));
     }
@@ -1337,6 +1345,51 @@ mod tests {
         t.iterations = 2;
         t.warmup = 1;
         t
+    }
+
+    #[test]
+    fn tail_estimate_follows_the_pinned_asymmetric_rule() {
+        // Hand-computed in integer ns: up by an eighth of the gap,
+        // down by a 128th (truncating).
+        let mut est = TailEstimate::default();
+        assert_eq!(est.get(), None);
+        let steps = [
+            (100_000, 100_000),   // the first sample seeds the estimate
+            (180_000, 110_000),   // + 80_000 / 8
+            (100_000, 109_922),   // - 10_000 / 128
+            (1_000_000, 221_181), // + 890_078 / 8
+            (0, 219_454),         // - 221_181 / 128
+        ];
+        for (sample, want) in steps {
+            est.observe(SimTime::from_ns(sample));
+            assert_eq!(est.get(), Some(SimTime::from_ns(want)), "after {sample} ns");
+        }
+    }
+
+    #[test]
+    fn tail_estimate_settles_between_the_bulk_and_the_outlier() {
+        // 19 of 20 samples at 100 µs, 1 of 20 at 1 ms, repeated: the
+        // estimate must end up well above the median and below the
+        // outlier.
+        let mut est = TailEstimate::default();
+        for _ in 0..200 {
+            for _ in 0..19 {
+                est.observe(SimTime::from_us(100));
+            }
+            est.observe(SimTime::from_us(1000));
+        }
+        let est = est.get().expect("seeded").as_us_f64();
+        assert!(est > 150.0, "collapsed to the bulk: {est}");
+        assert!(est < 1000.0, "stuck at the outlier: {est}");
+    }
+
+    #[test]
+    fn constant_input_is_a_fixed_point_of_the_tail_estimate() {
+        let mut est = TailEstimate::default();
+        for _ in 0..100 {
+            est.observe(SimTime::from_us(42));
+        }
+        assert_eq!(est.get(), Some(SimTime::from_us(42)));
     }
 
     #[test]

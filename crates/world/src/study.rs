@@ -44,7 +44,8 @@ use std::fmt::Write as _;
 
 use atm::DropPolicy;
 use latency_core::experiment::Workload;
-use latency_core::{Experiment, ObsMode, RunResult, Samples, Summary};
+use latency_core::{Experiment, RunResult};
+use simcap::{Recorder, RecorderMode, Summary};
 use sweep::report::{canonical_report, json_num, ReportCell};
 use sweep::{CellOutcome, Sweep, SweepResults};
 use tcpip::{CcVariant, ChecksumMode};
@@ -144,7 +145,7 @@ type Render<C> = fn(&[C], &[DcCellResult]) -> (String, Vec<Extras>);
 #[derive(Clone, Copy)]
 struct Health<'a> {
     key: &'a str,
-    /// Samples in the study's sample set.
+    /// Number of samples in the study's sample set.
     samples: usize,
     verify_failures: u64,
     /// Retransmit-limit aborts: connections in the incast worlds,
@@ -204,7 +205,7 @@ impl Study {
     /// recording world-study samples in `mode` (the two-host studies
     /// pool exact samples in every mode).
     #[must_use]
-    pub fn run(self, scale: Scale, jobs: usize, mode: ObsMode) -> StudyReport {
+    pub fn run(self, scale: Scale, jobs: usize, mode: RecorderMode) -> StudyReport {
         self.run_where(scale, jobs, mode, |_| true)
     }
 
@@ -229,7 +230,7 @@ impl Study {
         self,
         scale: Scale,
         jobs: usize,
-        mode: ObsMode,
+        mode: RecorderMode,
         keep: impl Fn(&str) -> bool,
     ) -> StudyReport {
         let keep: &dyn Fn(&str) -> bool = &keep;
@@ -281,7 +282,7 @@ impl Study {
         quick: bool,
         mut cells: Vec<C>,
         jobs: usize,
-        mode: ObsMode,
+        mode: RecorderMode,
         keep: &dyn Fn(&str) -> bool,
         render: Render<C>,
     ) -> StudyReport {
@@ -380,7 +381,7 @@ impl Study {
     /// The sample set a world study reports: RPC round trips for the
     /// incast studies, logical-request completions for the fan-out
     /// ones.
-    fn samples(self, r: &DcCellResult) -> &Samples {
+    fn samples(self, r: &DcCellResult) -> &Recorder {
         match self {
             Study::Tails | Study::Hedge => &r.completions,
             _ => &r.rtts,
@@ -510,14 +511,14 @@ pub fn rep_seed(key: &str, rep: u64) -> u64 {
 
 /// Runs one cell: every rep on its [`rep_seed`], outcomes pooled
 /// into `mode`-appropriate containers.
-fn run_one_cell(cell: &DcCell, mode: ObsMode) -> DcCellResult {
+fn run_one_cell(cell: &DcCell, mode: RecorderMode) -> DcCellResult {
     let reps = cell.reps.max(1);
     let mut pooled = DcCellResult {
         key: cell.key.clone(),
         seed: sweep::cell_seed(&cell.key),
         reps,
-        rtts: Samples::new(mode),
-        completions: Samples::new(mode),
+        rtts: Recorder::new(mode),
+        completions: Recorder::new(mode),
         ..DcCellResult::default()
     };
     for rep in 0..reps {
@@ -533,7 +534,7 @@ fn run_one_cell(cell: &DcCell, mode: ObsMode) -> DcCellResult {
 pub fn run_cells<C: AsRef<DcCell> + Sync>(
     cells: &[C],
     jobs: usize,
-    mode: ObsMode,
+    mode: RecorderMode,
 ) -> Vec<DcCellResult> {
     sweep::pool::run_ordered(cells, jobs, move |_, c| run_one_cell(c.as_ref(), mode))
 }
@@ -1139,7 +1140,7 @@ pub fn cc_quick_grid() -> Vec<CcCell> {
 /// historical signature.
 #[must_use]
 pub fn run_cc_cells(cells: &[CcCell], jobs: usize) -> Vec<DcCellResult> {
-    run_cells(cells, jobs, ObsMode::Exact)
+    run_cells(cells, jobs, RecorderMode::Exact)
 }
 
 /// One reduced cc-study row: goodput, recovery-latency percentiles,
@@ -1325,7 +1326,7 @@ mod tests {
     #[test]
     fn seeds_derive_from_keys_not_positions() {
         let g = dc_quick_grid();
-        let r = run_cells(&g[..2], 1, ObsMode::Exact);
+        let r = run_cells(&g[..2], 1, RecorderMode::Exact);
         assert_eq!(r[0].seed, sweep::cell_seed(&g[0].key));
         assert_eq!(r[1].seed, sweep::cell_seed(&g[1].key));
     }
@@ -1374,7 +1375,7 @@ mod tests {
         assert_eq!(two.sim_time, run.sim_time);
         assert_eq!(two.max_backlog_cells, one.max_backlog_cells);
         // A run-shaped result pools by the same rule: its `Vec` holds
-        // exactly what the cell's exact `Samples` hold.
+        // exactly what the cell's exact `Recorder`s hold.
         let mut twice = DcRunResult::default();
         twice.absorb(&run);
         twice.absorb(&run);
@@ -1411,7 +1412,7 @@ mod tests {
         assert!(Study::Dc.reads("dc", "any/key", scale));
         // Tables 2 and 3 read the same eight cells, so both print, and
         // so do the sections that read none.
-        let r = Study::Tables.run_where(scale, 2, ObsMode::Exact, |k| {
+        let r = Study::Tables.run_where(scale, 2, RecorderMode::Exact, |k| {
             Study::Tables.reads("table2", k, scale)
         });
         let names: Vec<&str> = r.sections.iter().map(|s| s.0).collect();
@@ -1455,8 +1456,8 @@ mod tests {
             }
         };
         for study in Study::ALL {
-            let a = study.run_where(Scale::QUICK, 1, ObsMode::Exact, |k| tiny(study, k));
-            let b = study.run_where(Scale::QUICK, 4, ObsMode::Exact, |k| tiny(study, k));
+            let a = study.run_where(Scale::QUICK, 1, RecorderMode::Exact, |k| tiny(study, k));
+            let b = study.run_where(Scale::QUICK, 4, RecorderMode::Exact, |k| tiny(study, k));
             assert_eq!(a.cells, 2, "{study:?}");
             assert_eq!(a.json, b.json, "{study:?}");
             assert_eq!(a.sections, b.sections, "{study:?}");
@@ -1580,7 +1581,7 @@ mod tests {
         }
         // The extras study exempts exactly its bulk transfer and its
         // controller corruption with the checksum off.
-        let r = Study::Extras.run_where(Scale::QUICK, 2, ObsMode::Exact, |k| {
+        let r = Study::Extras.run_where(Scale::QUICK, 2, RecorderMode::Exact, |k| {
             Study::Extras.reads("predict", k, Scale::QUICK) || k.starts_with("errors/controller-")
         });
         assert_eq!(r.cells, 5);
@@ -1597,7 +1598,7 @@ mod tests {
             mbufs_leaked: 3,
             ..DcCellResult::default()
         };
-        r.completions.push(SimTime::from_us(100));
+        r.completions.observe(SimTime::from_us(100));
         let (dc, tails) = (Study::Dc.health(&r), Study::Tails.health(&r));
         assert_eq!((dc.samples, dc.aborts, dc.mbufs_leaked), (0, 2, 3));
         assert_eq!((tails.samples, tails.aborts), (1, 0));

@@ -16,8 +16,8 @@
 //! is visible as such — the study reports the trade, not a verdict.
 
 use faultkit::{FaultSchedule, FlapSchedule, GilbertElliott, PauseSchedule};
-use latency_core::obs::{Samples, Summary};
 use latency_core::recovery::Scenario;
+use simcap::{Recorder, Summary};
 use simkit::SimTime;
 
 use super::{amplify, cell};
@@ -202,7 +202,7 @@ pub(crate) fn reduce(
     scenario: &str,
     mitigation: &str,
     fanout: usize,
-    completions: &Samples,
+    completions: &Recorder,
     aborted: u64,
     cost: MitigationCost,
 ) -> HedgeRow {
@@ -299,16 +299,9 @@ pub(crate) fn format_table(rows: &[HedgeRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use latency_core::ObsMode;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_us(us)
-    }
-
-    fn pool(ts: &[SimTime]) -> Samples {
-        let mut s = Samples::new(ObsMode::Exact);
-        s.extend_from(ts);
-        s
     }
 
     fn scenario(name: &str) -> Scenario {
@@ -368,7 +361,7 @@ mod tests {
                 "clean",
                 "none",
                 16,
-                &pool(&[t(100), t(100), t(300)]),
+                &Recorder::from_times(&[t(100), t(100), t(300)]),
                 0,
                 cost,
             ),
@@ -376,18 +369,53 @@ mod tests {
                 "clean",
                 "hedge",
                 16,
-                &pool(&[t(100), t(100), t(150)]),
+                &Recorder::from_times(&[t(100), t(100), t(150)]),
                 0,
                 cost,
             ),
             // Different scenario: must NOT share the baseline.
-            reduce("burst-loss", "hedge", 16, &pool(&[t(600)]), 0, cost),
+            reduce(
+                "burst-loss",
+                "hedge",
+                16,
+                &Recorder::from_times(&[t(600)]),
+                0,
+                cost,
+            ),
             // A zero-valued baseline percentile yields no ratio.
-            reduce("link-flap", "none", 16, &pool(&[SimTime::ZERO]), 0, cost),
-            reduce("link-flap", "hedge", 16, &pool(&[t(10)]), 0, cost),
+            reduce(
+                "link-flap",
+                "none",
+                16,
+                &Recorder::from_times(&[SimTime::ZERO]),
+                0,
+                cost,
+            ),
+            reduce(
+                "link-flap",
+                "hedge",
+                16,
+                &Recorder::from_times(&[t(10)]),
+                0,
+                cost,
+            ),
             // An unsampled baseline is no baseline.
-            reduce("host-pause", "none", 16, &pool(&[]), 1, cost),
-            reduce("host-pause", "retry", 16, &pool(&[t(10)]), 0, cost),
+            reduce(
+                "host-pause",
+                "none",
+                16,
+                &Recorder::from_times(&[]),
+                1,
+                cost,
+            ),
+            reduce(
+                "host-pause",
+                "retry",
+                16,
+                &Recorder::from_times(&[t(10)]),
+                0,
+                cost,
+            ),
         ];
         join_baselines(&mut rows);
         assert_eq!(rows[0].amp_p99, Some(1.0), "baseline divides itself");
@@ -414,12 +442,26 @@ mod tests {
                 "clean",
                 "none",
                 16,
-                &pool(&[t(100), t(110)]),
+                &Recorder::from_times(&[t(100), t(110)]),
                 0,
                 MitigationCost::default(),
             ),
-            reduce("clean", "hedge", 16, &pool(&[t(90), t(95)]), 1, cost),
-            reduce("link-flap", "retry", 16, &pool(&[]), 0, cost),
+            reduce(
+                "clean",
+                "hedge",
+                16,
+                &Recorder::from_times(&[t(90), t(95)]),
+                1,
+                cost,
+            ),
+            reduce(
+                "link-flap",
+                "retry",
+                16,
+                &Recorder::from_times(&[]),
+                0,
+                cost,
+            ),
         ];
         assert_eq!(
             rows[1].latency.p999_us, None,

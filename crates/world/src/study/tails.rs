@@ -25,8 +25,8 @@
 //! max.
 
 use faultkit::{FaultSchedule, GilbertElliott};
-use latency_core::obs::{Samples, Summary};
 use latency_core::recovery::Scenario;
+use simcap::{Recorder, Summary};
 
 use super::{amplify, cell};
 
@@ -94,7 +94,7 @@ pub(crate) fn reduce(
     scenario: &str,
     fanout: usize,
     churn: bool,
-    completions: &Samples,
+    completions: &Recorder,
     aborted: u64,
 ) -> TailsRow {
     TailsRow {
@@ -180,17 +180,10 @@ pub(crate) fn format_table(rows: &[TailsRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use latency_core::ObsMode;
     use simkit::SimTime;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_us(us)
-    }
-
-    fn pool(ts: &[SimTime]) -> Samples {
-        let mut s = Samples::new(ObsMode::Exact);
-        s.extend_from(ts);
-        s
     }
 
     #[test]
@@ -207,7 +200,13 @@ mod tests {
 
     #[test]
     fn reduce_refuses_fake_p999_on_small_cells() {
-        let row = reduce("clean", 4, false, &pool(&[t(100), t(110), t(500)]), 0);
+        let row = reduce(
+            "clean",
+            4,
+            false,
+            &Recorder::from_times(&[t(100), t(110), t(500)]),
+            0,
+        );
         assert_eq!(row.latency.samples, 3);
         assert_eq!(row.latency.p999_us, None, "3 samples cannot estimate p999");
         assert_eq!(row.latency.saturated, 0);
@@ -218,7 +217,7 @@ mod tests {
     #[test]
     fn reduce_reports_p999_above_the_sample_floor() {
         let samples: Vec<SimTime> = (1..=2000).map(t).collect();
-        let row = reduce("clean", 16, true, &pool(&samples), 0);
+        let row = reduce("clean", 16, true, &Recorder::from_times(&samples), 0);
         assert_eq!(row.latency.samples, 2000);
         let p999 = row.latency.p999_us.expect("2000 samples clear the floor");
         assert!(
@@ -230,14 +229,32 @@ mod tests {
     #[test]
     fn amplify_divides_by_the_matching_fanout_1_cell() {
         let mut rows = vec![
-            reduce("clean", 1, false, &pool(&[t(100), t(100), t(100)]), 0),
-            reduce("clean", 16, false, &pool(&[t(100), t(120), t(300)]), 0),
+            reduce(
+                "clean",
+                1,
+                false,
+                &Recorder::from_times(&[t(100), t(100), t(100)]),
+                0,
+            ),
+            reduce(
+                "clean",
+                16,
+                false,
+                &Recorder::from_times(&[t(100), t(120), t(300)]),
+                0,
+            ),
             // Different churn setting: must NOT share the baseline.
-            reduce("clean", 16, true, &pool(&[t(400), t(400), t(400)]), 0),
+            reduce(
+                "clean",
+                16,
+                true,
+                &Recorder::from_times(&[t(400), t(400), t(400)]),
+                0,
+            ),
             // Different scenario: must NOT share the baseline either.
-            reduce("burst-loss", 16, false, &pool(&[t(400)]), 0),
+            reduce("burst-loss", 16, false, &Recorder::from_times(&[t(400)]), 0),
             // Unsampled, though its group has a baseline.
-            reduce("clean", 64, false, &pool(&[]), 1),
+            reduce("clean", 64, false, &Recorder::from_times(&[]), 1),
         ];
         join_baselines(&mut rows);
         assert_eq!(rows[0].amp_p99, Some(1.0), "baseline divides itself");
@@ -254,10 +271,16 @@ mod tests {
     #[test]
     fn amplify_skips_empty_and_degenerate_baselines() {
         let mut rows = vec![
-            reduce("clean", 1, false, &pool(&[]), 1),
-            reduce("clean", 4, false, &pool(&[t(10)]), 0),
-            reduce("burst-loss", 1, false, &pool(&[SimTime::ZERO]), 0),
-            reduce("burst-loss", 4, false, &pool(&[t(10)]), 0),
+            reduce("clean", 1, false, &Recorder::from_times(&[]), 1),
+            reduce("clean", 4, false, &Recorder::from_times(&[t(10)]), 0),
+            reduce(
+                "burst-loss",
+                1,
+                false,
+                &Recorder::from_times(&[SimTime::ZERO]),
+                0,
+            ),
+            reduce("burst-loss", 4, false, &Recorder::from_times(&[t(10)]), 0),
         ];
         join_baselines(&mut rows);
         assert_eq!(rows[0].amp_p99, None, "an empty row has no ratio");
@@ -272,9 +295,21 @@ mod tests {
     #[test]
     fn table_renders_sampled_empty_and_unsampled_rows() {
         let mut rows = vec![
-            reduce("clean", 1, false, &pool(&[t(100), t(110)]), 0),
-            reduce("clean", 64, true, &pool(&[t(100), t(900)]), 2),
-            reduce("mbuf-exhaustion", 64, true, &pool(&[]), 0),
+            reduce(
+                "clean",
+                1,
+                false,
+                &Recorder::from_times(&[t(100), t(110)]),
+                0,
+            ),
+            reduce(
+                "clean",
+                64,
+                true,
+                &Recorder::from_times(&[t(100), t(900)]),
+                2,
+            ),
+            reduce("mbuf-exhaustion", 64, true, &Recorder::from_times(&[]), 0),
         ];
         join_baselines(&mut rows);
         let text = format_table(&rows);

@@ -139,11 +139,7 @@ impl ChurnTraffic {
     pub fn size_for(&self, srv: usize) -> usize {
         let lo = self.rpc_size / 4;
         let span = (self.rpc_size - lo).max(1);
-        let mut z = (srv as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        lo + (z % span as u64) as usize
+        lo + (crate::dc::splitmix64(srv as u64) % span as u64) as usize
     }
 }
 
@@ -199,8 +195,7 @@ impl Default for RetryPolicy {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HedgePolicy {
     /// Fixed hedge delay; `None` tracks the running p95 of completed
-    /// sub-requests with the [`simcap::Recorder::upper_only`] estimate
-    /// instead.
+    /// sub-requests with a streaming upper-quantile estimate instead.
     pub delay: Option<SimTime>,
     /// Delay used while the estimator has no sample yet (first round).
     pub initial: SimTime,

@@ -3,7 +3,7 @@
 //! every fan-out width, seed, and churn setting — and the study report
 //! built on top is byte-identical at any `--jobs` value.
 
-use latency_core::ObsMode;
+use simcap::RecorderMode;
 use simkit::SimTime;
 use world::dc::run_dc_world;
 use world::{ChurnTraffic, Scale, Study, Topology, TrafficSchedule};
@@ -53,7 +53,7 @@ fn completion_is_max_of_subrequest_rtts_across_widths_and_seeds() {
 
 /// Runs the quick tails grid at 1, 2 and 4 workers and checks the
 /// table and canonical JSON never change.
-fn assert_report_is_jobs_invariant(mode: ObsMode) {
+fn assert_report_is_jobs_invariant(mode: RecorderMode) {
     let one = Study::Tails.run(Scale::QUICK, 1, mode);
     for jobs in [2usize, 4] {
         let many = Study::Tails.run(Scale::QUICK, jobs, mode);
@@ -67,7 +67,7 @@ fn assert_report_is_jobs_invariant(mode: ObsMode) {
 /// into the report.
 #[test]
 fn tails_quick_report_is_byte_identical_across_jobs() {
-    assert_report_is_jobs_invariant(ObsMode::Exact);
+    assert_report_is_jobs_invariant(RecorderMode::Exact);
 }
 
 /// The same identity holds in sketch mode: per-shard sketches merged
@@ -75,5 +75,5 @@ fn tails_quick_report_is_byte_identical_across_jobs() {
 /// the same bytes as `--sketch --jobs 1`.
 #[test]
 fn tails_quick_sketch_report_is_byte_identical_across_jobs() {
-    assert_report_is_jobs_invariant(ObsMode::Sketch);
+    assert_report_is_jobs_invariant(RecorderMode::Sketch);
 }

@@ -6,8 +6,8 @@
 
 use faultkit::{FaultSchedule, FlapSchedule, GilbertElliott, PauseSchedule};
 use latency_core::experiment::{Experiment, NetKind};
-use latency_core::ObsMode;
 use proptest::prelude::*;
+use simcap::RecorderMode;
 use simkit::SimTime;
 use sweep::Sweep;
 use world::{run_dc, FaultScope, HedgePolicy, RetryPolicy, TailPolicy, Topology, TrafficSchedule};
@@ -177,9 +177,11 @@ proptest! {
 #[test]
 fn pause_and_flap_hedge_cells_are_byte_identical_across_worker_counts() {
     let injected = |key: &str| key.contains("/host-pause/") || key.contains("/link-flap/");
-    let serial = world::Study::Hedge.run_where(world::Scale::QUICK, 1, ObsMode::Exact, injected);
+    let serial =
+        world::Study::Hedge.run_where(world::Scale::QUICK, 1, RecorderMode::Exact, injected);
     assert!(serial.cells > 0, "quick grid covers the injector scenarios");
-    let parallel = world::Study::Hedge.run_where(world::Scale::QUICK, 4, ObsMode::Exact, injected);
+    let parallel =
+        world::Study::Hedge.run_where(world::Scale::QUICK, 4, RecorderMode::Exact, injected);
     assert_eq!(serial.json, parallel.json);
 }
 
